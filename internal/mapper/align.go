@@ -75,176 +75,6 @@ func (a *Alignment) NumMismatches() int {
 	return n
 }
 
-// opKind is a traceback operation.
-type opKind uint8
-
-const (
-	opMatch opKind = iota
-	opSub
-	opIns // read base not present in consensus
-	opDel // consensus base not present in read
-)
-
-// fitAlign computes a banded fitting alignment: the read is aligned
-// end-to-end against a window of the consensus, with the window's prefix
-// and suffix free (the read may start anywhere in the window). It returns
-// the window offset where the alignment begins, the edit list in read
-// coordinates, and the unit cost.
-//
-// band bounds |windowCol - readRow| during the DP; callers size it from
-// the observed seed-diagonal spread plus slack, which keeps the DP linear
-// in read length, the same reason SAGe's hardware can stream (§5.2).
-// The DP and traceback matrices live in sc and are reused across calls:
-// every in-band cell is written before it is read (row 0 is initialized
-// explicitly, later rows only consult in-band predecessors their row
-// loops wrote), so stale contents from a previous alignment are never
-// observed.
-func fitAlign(sc *mapScratch, read, window genome.Seq, band int) (consStart int, edits []Edit, cost int, err error) {
-	n, m := len(read), len(window)
-	if n == 0 {
-		return 0, nil, 0, nil
-	}
-	if m == 0 {
-		return 0, nil, 0, fmt.Errorf("mapper: empty consensus window")
-	}
-	if band < 1 {
-		band = 1
-	}
-	width := 2*band + 1
-	const inf = int32(1) << 30
-	// dp[i][j-i+band]; rows 0..n, banded columns.
-	need := (n + 1) * width
-	if cap(sc.dp) < need {
-		sc.dp = make([]int32, need)
-		sc.tb = make([]opKind, need)
-	}
-	dp, tb := sc.dp[:need], sc.tb[:need]
-	at := func(i, j int) int { return i*width + (j - i + band) }
-	inBand := func(i, j int) bool { d := j - i; return d >= -band && d <= band && j >= 0 && j <= m }
-
-	// Row 0: free start anywhere in the window (fitting alignment).
-	for j := 0; j <= m; j++ {
-		if inBand(0, j) {
-			dp[at(0, j)] = 0
-		}
-	}
-	for i := 1; i <= n; i++ {
-		lo, hi := i-band, i+band
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > m {
-			hi = m
-		}
-		for j := lo; j <= hi; j++ {
-			best, op := inf, opMatch
-			// Diagonal: consume read[i-1] and window[j-1].
-			if j > 0 && inBand(i-1, j-1) {
-				c := dp[at(i-1, j-1)]
-				if read[i-1] != window[j-1] || read[i-1] > genome.BaseT {
-					c++
-					if c < best {
-						best, op = c, opSub
-					}
-				} else if c < best {
-					best, op = c, opMatch
-				}
-			}
-			// Up: consume read[i-1] only (insertion in read).
-			if inBand(i-1, j) {
-				if c := dp[at(i-1, j)] + 1; c < best {
-					best, op = c, opIns
-				}
-			}
-			// Left: consume window[j-1] only (deletion from read).
-			if j > 0 && inBand(i, j-1) {
-				if c := dp[at(i, j-1)] + 1; c < best {
-					best, op = c, opDel
-				}
-			}
-			dp[at(i, j)] = best
-			tb[at(i, j)] = op
-		}
-	}
-	// Free end: best cell in the last row.
-	bestJ, bestC := -1, inf
-	lo, hi := n-band, n+band
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > m {
-		hi = m
-	}
-	for j := lo; j <= hi; j++ {
-		if c := dp[at(n, j)]; c < bestC {
-			bestC, bestJ = c, j
-		}
-	}
-	if bestJ < 0 || bestC >= inf {
-		return 0, nil, 0, fmt.Errorf("mapper: banded alignment found no feasible path (band=%d)", band)
-	}
-
-	// Traceback, collecting ops in reverse.
-	ops := sc.ops[:0]
-	i, j := n, bestJ
-	for i > 0 {
-		op := tb[at(i, j)]
-		ops = append(ops, op)
-		switch op {
-		case opMatch, opSub:
-			i, j = i-1, j-1
-		case opIns:
-			i--
-		case opDel:
-			j--
-		}
-	}
-	consStart = j
-
-	// Forward pass: merge runs of opIns/opDel into blocks (SAGe stores
-	// the first mismatch position plus the block length, §5.1.1).
-	readPos := 0
-	for k := len(ops) - 1; k >= 0; {
-		switch ops[k] {
-		case opMatch:
-			readPos++
-			k--
-		case opSub:
-			edits = append(edits, Edit{
-				ReadPos: readPos,
-				Type:    genome.Substitution,
-				Bases:   genome.Seq{read[readPos]},
-			})
-			readPos++
-			k--
-		case opIns:
-			start := readPos
-			for k >= 0 && ops[k] == opIns {
-				readPos++
-				k--
-			}
-			edits = append(edits, Edit{
-				ReadPos: start,
-				Type:    genome.Insertion,
-				Bases:   read[start:readPos].Clone(),
-			})
-		case opDel:
-			dl := 0
-			for k >= 0 && ops[k] == opDel {
-				dl++
-				k--
-			}
-			edits = append(edits, Edit{
-				ReadPos: readPos,
-				Type:    genome.Deletion,
-				DelLen:  dl,
-			})
-		}
-	}
-	sc.ops = ops
-	return consStart, edits, int(bestC), nil
-}
-
 // ReconstructSegment rebuilds a read segment from the consensus and its
 // alignment — the exact operation the Read Construction Unit performs in
 // hardware (§5.2.2 ⑪). It is used by tests and by the SAGe decoder.

@@ -60,7 +60,10 @@ func BenchmarkMapLongRead(b *testing.B) {
 	}
 }
 
-func BenchmarkFitAlign(b *testing.B) {
+// BenchmarkAlignKernel times the tier-2 kernel alone on a 1.6 kb piece
+// with 3 % substitutions, over the window and band a pinned cluster
+// gives it.
+func BenchmarkAlignKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	cons := genome.Random(rng, 2000)
 	read := cons[200:1800].Clone()
@@ -69,11 +72,14 @@ func BenchmarkFitAlign(b *testing.B) {
 			read[j] = byte(rng.Intn(4))
 		}
 	}
+	pad := DefaultConfig().BandPad
+	sc := new(mapScratch)
 	b.SetBytes(int64(len(read)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := fitAlign(new(mapScratch), read, cons, 250); err != nil {
-			b.Fatal(err)
+		if _, _, _, ok := alignBand(sc, read, cons[200-pad:], 0, 2*pad); !ok {
+			b.Fatal("no alignment")
 		}
 	}
 }

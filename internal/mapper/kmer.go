@@ -6,10 +6,21 @@
 // The design is a classic seed–cluster–extend mapper: a k-mer index over
 // the consensus provides seed hits, hits are clustered by diagonal to
 // locate candidate regions (including multiple regions for chimeric reads,
-// §5.1.2), and a banded fitting alignment produces the edit list
+// §5.1.2), and each candidate is extended into the edit list
 // (substitutions, insertion blocks, deletion blocks) that the SAGe encoder
-// consumes. This mapping is internal to compression and is independent of
-// the read mapping done later during genome analysis (§5.1 footnote 6).
+// consumes. Extension has two tiers. When a cluster's seeds all lie on one
+// diagonal, the read is compared against the consensus on that diagonal
+// and accepted with at most one substitution (verifyDiagonal); most short
+// reads end here. Everything else goes to alignBand, a bit-parallel
+// (Myers/Edlib block) edit-distance kernel that computes the exact
+// fitting alignment inside the band of diagonals the cluster implies, 64
+// cells per word operation, and traces it back from two stored words per
+// block and column — memory linear in the read, not in read × band. Its
+// tie-breaks are those of the int32 DP it replaced, which survives as the
+// differential oracle in align_oracle_test.go.
+//
+// This mapping is internal to compression and is independent of the read
+// mapping done later during genome analysis (§5.1 footnote 6).
 package mapper
 
 import (

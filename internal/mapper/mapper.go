@@ -92,16 +92,22 @@ type cluster struct {
 func (c *cluster) span() int { return c.maxRead - c.minRead + 1 }
 
 // mapScratch holds one Map call's working buffers: the reverse
-// complement, seed hits, clusters, and the banded-DP matrices. It is
-// pooled across calls and goroutines — a Mapper is read-only and shared
-// by every shard worker, so the scratch (not the Mapper) carries all
-// mutable state. Nothing in a returned Alignment aliases the scratch.
+// complement, seed hits, clusters, and the bit-parallel kernel's state —
+// the read's match masks (peq, four words per 64-row block), the current
+// column's vertical delta vectors (pv, mv), the two words per block and
+// column the traceback reads (trace), and the traceback itself (ops).
+// The kernel's share is a few words per consensus base of the longest
+// piece aligned so far. It is pooled across calls and goroutines — a
+// Mapper is read-only and shared by every shard worker, so the scratch
+// (not the Mapper) carries all mutable state. Nothing in a returned
+// Alignment aliases the scratch.
 type mapScratch struct {
 	rc       genome.Seq
 	hits     []seedHit
 	clusters []cluster
-	dp       []int32
-	tb       []opKind
+	peq      []uint64
+	pv, mv   []uint64
+	trace    []uint64
 	ops      []opKind
 }
 
@@ -124,7 +130,7 @@ func (m *Mapper) Map(read genome.Seq) Alignment {
 	if len(clusters) == 0 {
 		return Alignment{}
 	}
-	slices.SortFunc(clusters, func(a, b cluster) int { return b.count - a.count })
+	slices.SortFunc(clusters, compareClusters)
 
 	// Candidate 1: whole-read alignment on the best cluster.
 	var candidates []Alignment
@@ -156,6 +162,23 @@ func (m *Mapper) Map(read genome.Seq) Alignment {
 		return Alignment{}
 	}
 	return best
+}
+
+// compareClusters orders candidate clusters by seed count, most first.
+// Ties go to the forward strand, then to the lower diagonal, so the order
+// — and with it which of two equally seeded placements is aligned — is
+// total and does not depend on the sort algorithm.
+func compareClusters(a, b cluster) int {
+	if a.count != b.count {
+		return b.count - a.count
+	}
+	if a.rev != b.rev {
+		if b.rev {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.minDiag, b.minDiag)
 }
 
 // collectClusters seeds oriented as given, clusters hits by diagonal,
@@ -207,42 +230,48 @@ func (m *Mapper) alignWhole(sc *mapScratch, read, rc genome.Seq, c cluster) (Seg
 	return m.alignPiece(sc, oriented, 0, len(oriented), c)
 }
 
-// alignPiece aligns oriented[start:end] against the consensus window
-// implied by cluster c. The returned segment uses read coordinates of the
-// oriented (possibly reverse-complemented) read.
+// alignPiece aligns oriented[start:end] along cluster c. The returned
+// segment uses read coordinates of the oriented (possibly
+// reverse-complemented) read.
 func (m *Mapper) alignPiece(sc *mapScratch, oriented genome.Seq, start, end int, c cluster) (Segment, bool) {
-	cons := m.idx.cons
 	piece := oriented[start:end]
-	spread := c.maxDiag - c.minDiag
-	band := spread + m.cfg.BandPad
-	// The window spans the diagonals of the cluster, extended by the
-	// band on both sides.
-	winLo := c.minDiag + start - band
-	winHi := c.maxDiag + end + band
-	if winLo < 0 {
-		winLo = 0
+	seg := Segment{ReadStart: start, ReadLen: end - start, Rev: c.rev}
+	ok := false
+	// Tier 1: the seeds pin one diagonal; lay the piece on it.
+	if c.minDiag == c.maxDiag {
+		seg.ConsPos = c.minDiag + start
+		seg.Edits, seg.Cost, ok = verifyDiagonal(piece, m.idx.cons, seg.ConsPos)
 	}
-	if winHi > len(cons) {
-		winHi = len(cons)
+	if !ok {
+		seg.ConsPos, seg.Edits, seg.Cost, ok = m.alignBanded(sc, piece, start, c)
 	}
-	if winHi-winLo < 1 {
-		return Segment{}, false
+	return seg, ok
+}
+
+// pieceBand returns the diagonals (consensus position minus position in
+// the piece) the second tier searches for a piece of n bases that begins
+// at oriented read position start: cluster c's own, plus BandPad of indel
+// drift on either side. A piece that overhangs a consensus end must
+// insert the overhang, so the band always reaches the corner where the
+// piece and the consensus end together, and the one where they begin.
+func (m *Mapper) pieceBand(n, start int, c cluster) (lo, hi int) {
+	lo = min(c.minDiag+start-m.cfg.BandPad, len(m.idx.cons)-n)
+	hi = max(c.maxDiag+start+m.cfg.BandPad, 0)
+	return lo, hi
+}
+
+// alignBanded is the second tier: piece against the consensus window its
+// band (pieceBand) can reach.
+func (m *Mapper) alignBanded(sc *mapScratch, piece genome.Seq, start int, c cluster) (consPos int, edits []Edit, cost int, ok bool) {
+	cons := m.idx.cons
+	lo, hi := m.pieceBand(len(piece), start, c)
+	winLo := max(lo, 0)
+	winHi := min(hi+len(piece), len(cons))
+	if winHi <= winLo {
+		return 0, nil, 0, false
 	}
-	// fitAlign's band must cover the offset of the alignment start
-	// within the window plus indel drift.
-	fitBand := (c.minDiag + start - winLo) + spread + m.cfg.BandPad
-	consStart, edits, cost, err := fitAlign(sc, piece, cons[winLo:winHi], fitBand)
-	if err != nil {
-		return Segment{}, false
-	}
-	return Segment{
-		ReadStart: start,
-		ReadLen:   end - start,
-		ConsPos:   winLo + consStart,
-		Rev:       c.rev,
-		Edits:     edits,
-		Cost:      cost,
-	}, true
+	consStart, edits, cost, ok := alignBand(sc, piece, cons[winLo:winHi], lo-winLo, hi-winLo)
+	return winLo + consStart, edits, cost, ok
 }
 
 // alignChimeric covers the read with up to MaxChimericSegments cluster

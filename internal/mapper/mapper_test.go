@@ -1,7 +1,9 @@
 package mapper
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -59,41 +61,64 @@ func TestIndexRejectsBadK(t *testing.T) {
 	}
 }
 
+// fitKernels are the two implementations of the fitting-alignment
+// contract: the bit-parallel production kernel over the symmetric band
+// the oracle uses, and the int32 DP oracle itself.
+var fitKernels = []struct {
+	name string
+	fit  func(read, window genome.Seq, band int) (int, []Edit, int, error)
+}{
+	{"kernel", func(read, window genome.Seq, band int) (int, []Edit, int, error) {
+		start, edits, cost, ok := alignBand(new(mapScratch), read, window, -band, band)
+		if !ok {
+			return 0, nil, 0, errors.New("no feasible path")
+		}
+		return start, edits, cost, nil
+	}},
+	{"oracle", func(read, window genome.Seq, band int) (int, []Edit, int, error) {
+		return fitAlign(new(oracleScratch), read, window, band)
+	}},
+}
+
 func TestFitAlignExactMatch(t *testing.T) {
 	cons := genome.MustFromString("TTTTACGTACGTTTTT")
 	read := genome.MustFromString("ACGTACGT")
-	start, edits, cost, err := fitAlign(new(mapScratch), read, cons, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != 0 || len(edits) != 0 {
-		t.Fatalf("cost=%d edits=%v", cost, edits)
-	}
-	if start != 4 {
-		t.Fatalf("start=%d want 4", start)
+	for _, k := range fitKernels {
+		start, edits, cost, err := k.fit(read, cons, 16)
+		if err != nil {
+			t.Fatal(k.name, err)
+		}
+		if cost != 0 || len(edits) != 0 {
+			t.Fatalf("%s: cost=%d edits=%v", k.name, cost, edits)
+		}
+		if start != 4 {
+			t.Fatalf("%s: start=%d want 4", k.name, start)
+		}
 	}
 }
 
 func TestFitAlignSubstitution(t *testing.T) {
 	cons := genome.MustFromString("AAAACGTACGTAAAA")
 	read := genome.MustFromString("CGTTCGT") // one substitution vs CGTACGT
-	start, edits, cost, err := fitAlign(new(mapScratch), read, cons, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != 1 || len(edits) != 1 {
-		t.Fatalf("cost=%d edits=%+v", cost, edits)
-	}
-	e := edits[0]
-	if e.Type != genome.Substitution || e.ReadPos != 3 || e.Bases[0] != genome.BaseT {
-		t.Fatalf("edit %+v", e)
-	}
-	got, err := ReconstructSegment(cons, start, len(read), edits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(read) {
-		t.Fatalf("reconstructed %q want %q", got.String(), read.String())
+	for _, k := range fitKernels {
+		start, edits, cost, err := k.fit(read, cons, 15)
+		if err != nil {
+			t.Fatal(k.name, err)
+		}
+		if cost != 1 || len(edits) != 1 {
+			t.Fatalf("%s: cost=%d edits=%+v", k.name, cost, edits)
+		}
+		e := edits[0]
+		if e.Type != genome.Substitution || e.ReadPos != 3 || e.Bases[0] != genome.BaseT {
+			t.Fatalf("%s: edit %+v", k.name, e)
+		}
+		got, err := ReconstructSegment(cons, start, len(read), edits)
+		if err != nil {
+			t.Fatal(k.name, err)
+		}
+		if !got.Equal(read) {
+			t.Fatalf("%s: reconstructed %q want %q", k.name, got.String(), read.String())
+		}
 	}
 }
 
@@ -101,77 +126,84 @@ func TestFitAlignIndelBlocks(t *testing.T) {
 	cons := genome.MustFromString("GGGGACGTACGTACGTGGGG")
 	// Read = cons[4:16] with "TT" inserted after 4 bases and 3 bases deleted later.
 	read := genome.MustFromString("ACGTTTACG" + "CGT") // ACGT +TT ACG [TAC deleted] CGT
-	start, edits, cost, err := fitAlign(new(mapScratch), read, cons, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost == 0 {
-		t.Fatal("expected nonzero cost")
-	}
-	got, err := ReconstructSegment(cons, start, len(read), edits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(read) {
-		t.Fatalf("reconstructed %q want %q (edits %+v)", got.String(), read.String(), edits)
-	}
-	// Insertion runs must be merged into blocks.
-	for i := 1; i < len(edits); i++ {
-		if edits[i].Type == genome.Insertion && edits[i-1].Type == genome.Insertion &&
-			edits[i].ReadPos == edits[i-1].ReadPos+len(edits[i-1].Bases) {
-			t.Fatal("adjacent insertions were not merged into a block")
+	for _, k := range fitKernels {
+		start, edits, cost, err := k.fit(read, cons, 20)
+		if err != nil {
+			t.Fatal(k.name, err)
+		}
+		if cost == 0 {
+			t.Fatal(k.name, "expected nonzero cost")
+		}
+		got, err := ReconstructSegment(cons, start, len(read), edits)
+		if err != nil {
+			t.Fatal(k.name, err)
+		}
+		if !got.Equal(read) {
+			t.Fatalf("%s: reconstructed %q want %q (edits %+v)", k.name, got.String(), read.String(), edits)
+		}
+		// Insertion runs must be merged into blocks.
+		for i := 1; i < len(edits); i++ {
+			if edits[i].Type == genome.Insertion && edits[i-1].Type == genome.Insertion &&
+				edits[i].ReadPos == edits[i-1].ReadPos+len(edits[i-1].Bases) {
+				t.Fatal(k.name, "adjacent insertions were not merged into a block")
+			}
 		}
 	}
 }
 
 func TestFitAlignEmptyWindow(t *testing.T) {
-	if _, _, _, err := fitAlign(new(mapScratch), genome.MustFromString("ACGT"), nil, 4); err == nil {
-		t.Fatal("expected error for empty window")
+	for _, k := range fitKernels {
+		if _, _, _, err := k.fit(genome.MustFromString("ACGT"), nil, 4); err == nil {
+			t.Fatal(k.name, "expected error for empty window")
+		}
 	}
 }
 
-// Property: fitAlign + ReconstructSegment is the identity on the read for
-// arbitrary mutated fragments, regardless of alignment quality.
+// Property: a fitting alignment + ReconstructSegment is the identity on
+// the read for arbitrary mutated fragments, regardless of alignment
+// quality.
 func TestQuickFitAlignRoundtrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cons := genome.Random(rng, 600)
-		// Take a fragment and mutate it heavily.
-		fl := 80 + rng.Intn(200)
-		start := rng.Intn(len(cons) - fl)
-		read := cons[start : start+fl].Clone()
-		for i := 0; i < len(read); i++ {
-			switch rng.Intn(12) {
-			case 0:
-				read[i] = byte(rng.Intn(4))
-			case 1:
-				read = append(read[:i], read[i+1:]...)
-			case 2:
-				read = append(read[:i+1], read[i:]...)
-				read[i] = byte(rng.Intn(4))
-				i++
+	for _, k := range fitKernels {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			cons := genome.Random(rng, 600)
+			// Take a fragment and mutate it heavily.
+			fl := 80 + rng.Intn(200)
+			start := rng.Intn(len(cons) - fl)
+			read := cons[start : start+fl].Clone()
+			for i := 0; i < len(read); i++ {
+				switch rng.Intn(12) {
+				case 0:
+					read[i] = byte(rng.Intn(4))
+				case 1:
+					read = append(read[:i], read[i+1:]...)
+				case 2:
+					read = append(read[:i+1], read[i:]...)
+					read[i] = byte(rng.Intn(4))
+					i++
+				}
 			}
+			if len(read) == 0 {
+				return true
+			}
+			winLo := start - 40
+			if winLo < 0 {
+				winLo = 0
+			}
+			winHi := start + fl + 40
+			if winHi > len(cons) {
+				winHi = len(cons)
+			}
+			cs, edits, _, err := k.fit(read, cons[winLo:winHi], 80)
+			if err != nil {
+				return false
+			}
+			got, err := ReconstructSegment(cons[winLo:winHi], cs, len(read), edits)
+			return err == nil && got.Equal(read)
 		}
-		if len(read) == 0 {
-			return true
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Fatal(k.name, err)
 		}
-		winLo := start - 40
-		if winLo < 0 {
-			winLo = 0
-		}
-		winHi := start + fl + 40
-		if winHi > len(cons) {
-			winHi = len(cons)
-		}
-		cs, edits, _, err := fitAlign(new(mapScratch), read, cons[winLo:winHi], 80)
-		if err != nil {
-			return false
-		}
-		got, err := ReconstructSegment(cons[winLo:winHi], cs, len(read), edits)
-		return err == nil && got.Equal(read)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -370,5 +402,86 @@ func TestEditLen(t *testing.T) {
 	}
 	if (Edit{Type: genome.Deletion, DelLen: 5}).Len() != 5 {
 		t.Fatal("del len")
+	}
+}
+
+// A region that is its own reverse complement seeds the same diagonal
+// with the same count on both strands. Which cluster is aligned decides
+// Segment.Rev and so the container's bytes: it must be the forward one,
+// and must not depend on the order the sort met the clusters in.
+func TestClusterTieOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	half := genome.Random(rng, 100)
+	palindrome := append(half.Clone(), half.ReverseComplement()...)
+	cons := append(append(genome.Random(rng, 5000), palindrome...), genome.Random(rng, 5000)...)
+	m := buildMapper(t, cons)
+	sc := new(mapScratch)
+	fwd := m.collectClusters(nil, sc, palindrome, false)
+	rev := m.collectClusters(nil, sc, palindrome.ReverseComplement(), true)
+	if len(fwd) != 1 || len(rev) != 1 || fwd[0].count != rev[0].count || fwd[0].minDiag != rev[0].minDiag {
+		t.Fatalf("palindrome should seed both strands alike: fwd %+v rev %+v", fwd, rev)
+	}
+	a := m.Map(palindrome)
+	if !a.Mapped || len(a.Segments) != 1 || a.Segments[0].Rev || a.Segments[0].ConsPos != 5000 {
+		t.Fatalf("alignment %+v", a)
+	}
+
+	// More equal-count clusters than the sort's insertion-sort cutoff,
+	// met in many orders, always leave in one.
+	var clusters []cluster
+	for i := 0; i < 48; i++ {
+		clusters = append(clusters, cluster{rev: i%2 == 1, minDiag: 100 * (i / 2), maxDiag: 100 * (i / 2), count: 2 + i%3})
+	}
+	want := slices.Clone(clusters)
+	slices.SortFunc(want, compareClusters)
+	for i := 1; i < len(want); i++ {
+		p, c := want[i-1], want[i]
+		if p.count < c.count || (p.count == c.count && (p.rev && !c.rev || p.rev == c.rev && p.minDiag >= c.minDiag)) {
+			t.Fatalf("order is not count desc, forward first, diagonal asc at %d: %+v then %+v", i, p, c)
+		}
+	}
+	for trial := 0; trial < 20; trial++ {
+		got := slices.Clone(clusters)
+		rng.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+		slices.SortFunc(got, compareClusters)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: sorted order depends on input order", trial)
+		}
+	}
+}
+
+// A lone mismatch on a pinned diagonal is a substitution wherever it
+// falls. The banded kernel alone agrees on the first base but not on the
+// last, where its lowest-end-column rule stops one consensus base early
+// and inserts the read's last base — 6 bits of mismatch base and type
+// where the substitution takes 2 — so the first tier's answer is kept.
+func TestLoneMismatchIsSubstitution(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	cons := genome.Random(rng, 20000)
+	m := buildMapper(t, cons)
+	for _, at := range []int{0, 77, 149} {
+		read := cons[6000:6150].Clone()
+		read[at] = (read[at] + 1) % 4
+		a := m.Map(read)
+		if !a.Mapped || len(a.Segments) != 1 {
+			t.Fatalf("mismatch at %d: alignment %+v", at, a)
+		}
+		seg := a.Segments[0]
+		if seg.ConsPos != 6000 || seg.Cost != 1 || len(seg.Edits) != 1 ||
+			seg.Edits[0].Type != genome.Substitution || seg.Edits[0].ReadPos != at || seg.Edits[0].Bases[0] != read[at] {
+			t.Fatalf("mismatch at %d: segment %+v", at, seg)
+		}
+		pinned := cluster{minDiag: 6000, maxDiag: 6000}
+		pos, edits, cost, ok := m.alignBanded(new(mapScratch), read, 0, pinned)
+		if !ok || cost != 1 || pos != 6000 || len(edits) != 1 || edits[0].ReadPos != at {
+			t.Fatalf("mismatch at %d: banded tier pos %d cost %d %+v", at, pos, cost, edits)
+		}
+		wantType := genome.Substitution
+		if at == len(read)-1 {
+			wantType = genome.Insertion
+		}
+		if edits[0].Type != wantType {
+			t.Fatalf("mismatch at %d: banded tier chose %v, want %v", at, edits[0].Type, wantType)
+		}
 	}
 }
