@@ -2,7 +2,7 @@
 // evaluation as a testing.B benchmark. Each benchmark runs the
 // corresponding experiment from internal/bench and prints the resulting
 // table once, so `go test -bench=. -benchmem` regenerates the full
-// evaluation (EXPERIMENTS.md records the captured output).
+// evaluation (BENCH_10.json records one run's machine-readable metrics).
 //
 // Dataset generation and compressor measurement are shared across
 // benchmarks through a lazily-initialized suite; the timed region is the
@@ -97,7 +97,7 @@ func BenchmarkQuery(b *testing.B) { runExperiment(b, "query") }
 func BenchmarkReorder(b *testing.B) { runExperiment(b, "reorder") }
 
 // BenchmarkIngestDecode reports the compressed-ingest decode stage:
-// member-parallel gzip (BGZF/PGZ1) vs serial stdlib, the
+// member-parallel gzip (BGZF) vs serial stdlib, the
 // decode-vs-compress critical-path check, and recompress byte-identity
 // (see internal/bench/ingestdecode.go).
 func BenchmarkIngestDecode(b *testing.B) { runExperiment(b, "ingestdecode") }

@@ -5,8 +5,8 @@
 //	                (lane splits, or -paired R1/R2 mates) become a single
 //	                sharded container with a source manifest
 //	sage recompress gzipped FASTQ archive(s) -> one .sage container,
-//	                decoding member-parallel (bgzip/BGZF, PGZ1) or
-//	                pipelined (generic gzip) — the migration path
+//	                decoding member-parallel (bgzip/BGZF) or pipelined
+//	                (generic gzip) — the migration path
 //	sage decompress .sage container -> FASTQ
 //	sage inspect    show a container's streams, tables and statistics
 //	sage verify     check two FASTQ files describe the same read multiset
@@ -190,16 +190,16 @@ ingest streams and therefore needs -ref. Example:
 
 compress inputs may be gzipped (detected by magic bytes, not file
 extension); plain and gzipped files can be mixed freely, including in
--paired runs. bgzip/BGZF and PGZ1 inputs decode member-parallel on
--threads workers; generic single-member gzip decodes on a pipelined
-readahead goroutine, so decompression overlaps parsing either way.
+-paired runs. bgzip/BGZF inputs decode member-parallel on -threads
+workers; any other gzip decodes on a pipelined readahead goroutine, so
+decompression overlaps parsing either way.
 
 recompress is the gzip->sage migration path: it streams gzipped FASTQ
-archives straight into one sharded container (same ingest pipeline as
-compress, -ref required) and reports the ratio against both the raw
-FASTQ and the gzip input, the decode throughput, each input's decode
-tier, and a stage-attribution table proving the decoder was never the
-critical path. Example:
+archives straight into one sharded container (the very ingest pipeline
+compress runs, always with a source manifest; -ref required) and
+reports the ratio against both the raw FASTQ and the gzip input, the
+decode throughput, each input's decode tier, and a stage-attribution
+table proving the decoder was never the critical path. Example:
 
   sage recompress -ref ref.txt -out run.sage lane1.fq.gz lane2.fq.gz
 
@@ -299,18 +299,19 @@ func cmdSimulate(args []string) error {
 
 // writeContainer streams a container produced by write into out via a
 // temp file renamed in, so a failed run never clobbers an existing
-// output. The publish is crash-safe: the temp file is fsynced, then
-// its parent directory (so the temp's directory entry is durable),
-// then renamed, then the directory again (so the rename is) — a power
-// cut leaves either the old container or the new one, never a torn
-// file. Every failure path removes the temp file.
-func writeContainer(out string, write func(w io.Writer) (*shard.Stats, error)) (*shard.Stats, error) {
+// output. Every container the CLI writes is published through here.
+// The publish is crash-safe: the temp file is fsynced, then its parent
+// directory (so the temp's directory entry is durable), then renamed,
+// then the directory again (so the rename is) — a power cut leaves
+// either the old container or the new one, never a torn file. Every
+// failure path removes the temp file.
+func writeContainer(out string, write func(w io.Writer) error) error {
 	tmp := out + ".tmp"
 	of, err := os.Create(tmp)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	st, err := write(of)
+	err = write(of)
 	if err == nil {
 		err = of.Sync()
 	}
@@ -325,12 +326,124 @@ func writeContainer(out string, write func(w io.Writer) (*shard.Stats, error)) (
 	}
 	if err != nil {
 		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(out))
+}
+
+// writeBytes is writeContainer for a container already in memory.
+func writeBytes(out string, data []byte) error {
+	return writeContainer(out, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// ingestPlan says what to ingest and how; openIngest assembles it.
+type ingestPlan struct {
+	inputs []string
+	// paired takes the inputs pairwise as R1 R2 mate files.
+	paired bool
+	// manifest attributes every shard to its input file; off, the single
+	// input is one anonymous stream.
+	manifest   bool
+	shardReads int
+	threads    int
+	reorder    bool
+	sort       reorder.SortConfig
+	// trace, when non-nil, receives the gunzip spans.
+	trace *obs.Trace
+}
+
+// ingest is the one assembly of the CLI's streaming write path, shared
+// by compress and recompress: every input opened and gzip-sniffed by
+// magic (a run may mix plain and gzipped lanes, each decoding on its
+// own pargz reader bounded by -threads), batched by the reader that
+// fits — one stream, file-aware lanes, or interleaved mates — and
+// optionally wrapped in the similarity-reorder stage. src is what
+// shard.CompressPipeline drains.
+type ingest struct {
+	src     fastq.BatchSource
+	mr      *fastq.MultiReader // nil without a manifest
+	files   []*os.File
+	readers []io.Reader // readers[i] decodes files[i]
+	stage   *reorder.Stage
+}
+
+func openIngest(p ingestPlan) (in *ingest, err error) {
+	in = &ingest{}
+	defer func() {
+		if err != nil {
+			in.Close()
+		}
+	}()
+	// Manifest names are base names: the container travels, local
+	// directory layouts don't. That makes duplicates ambiguous — the
+	// manifest and /file/{name}/shards could no longer tell the inputs
+	// apart — so reject them up front.
+	seen := make(map[string]string, len(p.inputs))
+	named := make([]fastq.NamedReader, 0, len(p.inputs))
+	for _, path := range p.inputs {
+		base := filepath.Base(path)
+		if prev, dup := seen[base]; dup {
+			return nil, usagef("inputs %s and %s would both be recorded as %q in the source manifest; rename one", prev, path, base)
+		}
+		seen[base] = path
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		in.files = append(in.files, f)
+		r, err := fastq.Sniff(f, fastq.SniffOptions{Name: path, Threads: p.threads, Trace: p.trace})
+		if err != nil {
+			return nil, err
+		}
+		in.readers = append(in.readers, r)
+		named = append(named, fastq.NamedReader{Name: base, R: r})
+	}
+	batch := p.shardReads
+	switch {
+	case !p.manifest:
+		in.src = fastq.NewBatchReader(in.readers[0], p.shardReads)
+	case p.paired:
+		pairs := make([][2]fastq.NamedReader, 0, len(named)/2)
+		for i := 0; i+1 < len(named); i += 2 {
+			pairs = append(pairs, [2]fastq.NamedReader{named[i], named[i+1]})
+		}
+		in.mr, err = fastq.NewPairedReader(pairs, p.shardReads)
+	default:
+		in.mr, err = fastq.NewMultiReader(named, p.shardReads)
+	}
+	if err != nil {
 		return nil, err
 	}
-	if err := syncDir(filepath.Dir(out)); err != nil {
-		return nil, err
+	if in.mr != nil {
+		in.src, batch = in.mr, in.mr.BatchSize()
 	}
-	return st, nil
+	if p.reorder {
+		in.stage, err = reorder.NewStage(in.src, reorder.Config{
+			Mode: reorder.ModeClump, BatchSize: batch, Paired: p.paired, Sort: p.sort,
+		})
+		if err != nil {
+			return nil, err
+		}
+		in.src = in.stage
+	}
+	return in, nil
+}
+
+// Close releases the reorder spill files, the gzip decode goroutines
+// and the input files.
+func (in *ingest) Close() {
+	if in.stage != nil {
+		in.stage.Close()
+	}
+	for _, r := range in.readers {
+		fastq.CloseSniffed(r)
+	}
+	for _, f := range in.files {
+		f.Close()
+	}
 }
 
 // syncDir fsyncs a directory, making its entries durable.
@@ -410,12 +523,20 @@ func cmdCompress(args []string) error {
 	// Multi-file (or paired-end) ingest: all inputs stream into one
 	// sharded container with file-aware shard boundaries and a source
 	// manifest (container format v3, see docs/FORMAT.md).
-	if *paired || len(inputs) > 1 {
-		return compressSources(inputs, *out, *refPath, *paired, *denovo, *shardReads, *doReorder, sortCfg, shardOpt)
+	manifest := *paired || len(inputs) > 1
+	if manifest {
+		switch {
+		case *shardReads <= 0:
+			return usagef("compress: multi-file ingest writes a sharded container; -shard-reads must be > 0")
+		case *denovo:
+			return fmt.Errorf("compress: multi-file ingest streams its inputs and needs -ref (-denovo would require the whole read set in memory)")
+		case *refPath == "":
+			return fmt.Errorf("compress: multi-file ingest needs -ref")
+		}
 	}
 
-	// Sharded compression against a reference streams the input file:
-	// the whole read set is never in memory at once.
+	// Sharded compression against a reference streams its inputs: the
+	// whole read set is never in memory at once.
 	if *shardReads > 0 && !*denovo {
 		if *refPath == "" {
 			return fmt.Errorf("compress: pass -ref or -denovo")
@@ -424,39 +545,37 @@ func cmdCompress(args []string) error {
 		if err != nil {
 			return err
 		}
-		opt := shardOpt(cons)
-		f, err := os.Open(inputs[0])
+		in, err := openIngest(ingestPlan{
+			inputs: inputs, paired: *paired, manifest: manifest,
+			shardReads: *shardReads, threads: *threads, reorder: *doReorder, sort: sortCfg,
+		})
 		if err != nil {
+			return fmt.Errorf("compress: %w", err)
+		}
+		defer in.Close()
+		var st *shard.Stats
+		err = writeContainer(*out, func(w io.Writer) (err error) {
+			st, err = shard.CompressPipeline(in.src, w, shardOpt(cons))
 			return err
-		}
-		defer f.Close()
-		// Inputs may be gzipped: the source stage sniffs the magic and
-		// decompresses transparently — member-parallel on -threads
-		// workers for BGZF/PGZ1 inputs, pipelined for generic gzip.
-		r, err := fastq.Sniff(f, fastq.SniffOptions{Name: inputs[0], Threads: *threads})
-		if err != nil {
-			return err
-		}
-		defer fastq.CloseSniffed(r)
-		var src fastq.BatchSource = fastq.NewBatchReader(r, opt.ShardReads)
-		if *doReorder {
-			stage, err := reorder.NewStage(src, reorder.Config{
-				Mode: reorder.ModeClump, BatchSize: opt.ShardReads, Sort: sortCfg,
-			})
-			if err != nil {
-				return err
-			}
-			defer stage.Close()
-			src = stage
-		}
-		st, err := writeContainer(*out, func(w io.Writer) (*shard.Stats, error) {
-			return shard.CompressPipeline(src, w, opt)
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s: %d bytes in %d shards (%d reads, %d B header+index)%s\n",
-			*out, st.CompressedBytes, st.Shards, st.Reads, st.HeaderBytes, reorderNote(st))
+		if in.mr == nil {
+			fmt.Printf("%s: %d bytes in %d shards (%d reads, %d B header+index)%s\n",
+				*out, st.CompressedBytes, st.Shards, st.Reads, st.HeaderBytes, reorderNote(st))
+			return nil
+		}
+		mode := "files"
+		if *paired {
+			mode = "paired-end mate files"
+		}
+		fmt.Printf("%s: %d bytes in %d shards (%d reads from %d %s, %d B header+index)%s\n",
+			*out, st.CompressedBytes, st.Shards, st.Reads, len(inputs), mode, st.HeaderBytes, reorderNote(st))
+		srcs, perSrc := in.mr.Sources(), in.mr.SourceReads()
+		for i, s := range srcs {
+			fmt.Printf("  %s: %d reads\n", s.Display(), perSrc[i])
+		}
 		return nil
 	}
 
@@ -487,7 +606,7 @@ func cmdCompress(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
+		if err := writeBytes(*out, data); err != nil {
 			return err
 		}
 		fmt.Printf("%s: %d -> %d bytes (%.2fx) in %d shards\n",
@@ -502,7 +621,7 @@ func cmdCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(*out, enc.Data, 0o644); err != nil {
+	if err := writeBytes(*out, enc.Data); err != nil {
 		return err
 	}
 	fmt.Printf("%s: %d -> %d bytes (%.2fx); %d/%d reads mapped, %d chimeric, %d corner\n",
@@ -511,118 +630,9 @@ func cmdCompress(args []string) error {
 	return nil
 }
 
-// compressSources runs multi-file (optionally paired-end) ingest: it
-// opens every input (gzip is sniffed per file), builds the file-aware
-// batching reader, optionally interposes the similarity-reorder stage,
-// and streams one manifest-bearing container.
-func compressSources(inputs []string, out, refPath string, paired, denovo bool, shardReads int,
-	doReorder bool, sortCfg reorder.SortConfig, shardOpt func(genome.Seq) shard.Options) error {
-	if shardReads <= 0 {
-		return usagef("compress: multi-file ingest writes a sharded container; -shard-reads must be > 0")
-	}
-	if denovo {
-		return fmt.Errorf("compress: multi-file ingest streams its inputs and needs -ref (-denovo would require the whole read set in memory)")
-	}
-	if refPath == "" {
-		return fmt.Errorf("compress: multi-file ingest needs -ref")
-	}
-	cons, err := readRef(refPath)
-	if err != nil {
-		return err
-	}
-	opt := shardOpt(cons)
-
-	files := make([]*os.File, 0, len(inputs))
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	readers := make([]io.Reader, 0, len(inputs))
-	defer func() {
-		for _, r := range readers {
-			fastq.CloseSniffed(r)
-		}
-	}()
-	for _, path := range inputs {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		// Per-file gzip sniff: a run may mix plain and gzipped lanes,
-		// each decoding on its own pargz reader bounded by -threads.
-		r, err := fastq.Sniff(f, fastq.SniffOptions{Name: path, Threads: opt.Workers})
-		if err != nil {
-			return err
-		}
-		readers = append(readers, r)
-	}
-	// Manifest names are base names: the container travels, local
-	// directory layouts don't. That makes duplicates ambiguous — the
-	// manifest and /file/{name}/shards could no longer tell the inputs
-	// apart — so reject them up front.
-	seen := make(map[string]string, len(inputs))
-	for _, path := range inputs {
-		base := filepath.Base(path)
-		if prev, dup := seen[base]; dup {
-			return usagef("compress: inputs %s and %s would both be recorded as %q in the source manifest; rename one", prev, path, base)
-		}
-		seen[base] = path
-	}
-	var mr *fastq.MultiReader
-	if paired {
-		pairs := make([][2]fastq.NamedReader, 0, len(readers)/2)
-		for i := 0; i+1 < len(readers); i += 2 {
-			pairs = append(pairs, [2]fastq.NamedReader{
-				{Name: filepath.Base(inputs[i]), R: readers[i]},
-				{Name: filepath.Base(inputs[i+1]), R: readers[i+1]},
-			})
-		}
-		mr, err = fastq.NewPairedReader(pairs, opt.ShardReads)
-	} else {
-		named := make([]fastq.NamedReader, 0, len(readers))
-		for i, r := range readers {
-			named = append(named, fastq.NamedReader{Name: filepath.Base(inputs[i]), R: r})
-		}
-		mr, err = fastq.NewMultiReader(named, opt.ShardReads)
-	}
-	if err != nil {
-		return err
-	}
-	var src fastq.BatchSource = mr
-	if doReorder {
-		stage, err := reorder.NewStage(mr, reorder.Config{
-			Mode: reorder.ModeClump, BatchSize: mr.BatchSize(), Paired: paired, Sort: sortCfg,
-		})
-		if err != nil {
-			return err
-		}
-		defer stage.Close()
-		src = stage
-	}
-	st, err := writeContainer(out, func(w io.Writer) (*shard.Stats, error) {
-		return shard.CompressPipeline(src, w, opt)
-	})
-	if err != nil {
-		return err
-	}
-	mode := "files"
-	if paired {
-		mode = "paired-end mate files"
-	}
-	fmt.Printf("%s: %d bytes in %d shards (%d reads from %d %s, %d B header+index)%s\n",
-		out, st.CompressedBytes, st.Shards, st.Reads, len(inputs), mode, st.HeaderBytes, reorderNote(st))
-	srcs, perSrc := mr.Sources(), mr.SourceReads()
-	for i, s := range srcs {
-		fmt.Printf("  %s: %d reads\n", s.Display(), perSrc[i])
-	}
-	return nil
-}
-
 // cmdRecompress is the gzip→sage migration path: it streams gzipped
-// FASTQ archives (bgzip/BGZF and PGZ1 inputs decode member-parallel,
-// generic gzip pipelined) straight into one sharded container and
+// FASTQ archives (bgzip/BGZF inputs decode member-parallel, any other
+// gzip pipelined) straight into one sharded container and
 // reports what the migration bought — ratio against both the raw FASTQ
 // and the gzip input, decode throughput, per-input decode tier, and a
 // stage-attribution table showing decompression never owned the
@@ -670,108 +680,49 @@ func cmdRecompress(args []string) error {
 	opt.ShardReads = *shardReads
 	opt.Workers = *threads
 
-	seen := make(map[string]string, len(inputs))
-	for _, path := range inputs {
-		base := filepath.Base(path)
-		if prev, dup := seen[base]; dup {
-			return usagef("recompress: inputs %s and %s would both be recorded as %q in the source manifest; rename one", prev, path, base)
-		}
-		seen[base] = path
-	}
-
 	trace := obs.NewTrace("recompress")
 	start := time.Now()
-	var (
-		files    []*os.File
-		readers  []io.Reader
-		inBytes  int64 // compressed (on-disk) input bytes
-		decoders []*pargz.Reader
-	)
-	defer func() {
-		for _, r := range readers {
-			fastq.CloseSniffed(r)
-		}
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	for _, path := range inputs {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		if fi, err := f.Stat(); err == nil {
-			inBytes += fi.Size()
-		}
-		r, err := fastq.Sniff(f, fastq.SniffOptions{Name: path, Threads: *threads, Trace: trace})
-		if err != nil {
-			return err
-		}
-		readers = append(readers, r)
-		if zr, ok := r.(*pargz.Reader); ok {
-			decoders = append(decoders, zr)
-		} else {
-			decoders = append(decoders, nil)
-		}
-	}
-
-	// Count decoded FASTQ bytes per input (pargz stats cover compressed
-	// inputs; the wrapper covers plain-text ones uniformly).
-	counted := make([]*countingReader, len(readers))
-	named := make([]fastq.NamedReader, len(readers))
-	for i, r := range readers {
-		counted[i] = &countingReader{r: r}
-		named[i] = fastq.NamedReader{Name: filepath.Base(inputs[i]), R: counted[i]}
-	}
-	var mr *fastq.MultiReader
-	if *paired {
-		pairs := make([][2]fastq.NamedReader, 0, len(named)/2)
-		for i := 0; i+1 < len(named); i += 2 {
-			pairs = append(pairs, [2]fastq.NamedReader{named[i], named[i+1]})
-		}
-		mr, err = fastq.NewPairedReader(pairs, opt.ShardReads)
-	} else {
-		mr, err = fastq.NewMultiReader(named, opt.ShardReads)
-	}
+	in, err := openIngest(ingestPlan{
+		inputs: inputs, paired: *paired, manifest: true,
+		shardReads: *shardReads, threads: *threads, reorder: *doReorder,
+		sort:  reorder.SortConfig{MemBudget: int64(*sortMem) << 20, TmpDir: *tmpDir},
+		trace: trace,
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("recompress: %w", err)
 	}
-	var src fastq.BatchSource = mr
-	if *doReorder {
-		stage, err := reorder.NewStage(mr, reorder.Config{
-			Mode: reorder.ModeClump, BatchSize: mr.BatchSize(), Paired: *paired,
-			Sort: reorder.SortConfig{MemBudget: int64(*sortMem) << 20, TmpDir: *tmpDir},
-		})
-		if err != nil {
-			return err
-		}
-		defer stage.Close()
-		src = stage
-	}
-	st, err := writeContainer(*out, func(w io.Writer) (*shard.Stats, error) {
+	defer in.Close()
+	var st *shard.Stats
+	err = writeContainer(*out, func(w io.Writer) (err error) {
 		sp := trace.StartSpan("shard-compress")
 		defer sp.End()
-		return shard.CompressPipeline(src, w, opt)
+		st, err = shard.CompressPipeline(in.src, w, opt)
+		return err
 	})
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
 
-	var fastqBytes int64
-	for _, c := range counted {
-		fastqBytes += c.n
-	}
 	fmt.Printf("%s: %d bytes in %d shards (%d reads from %d inputs)%s\n",
 		*out, st.CompressedBytes, st.Shards, st.Reads, len(inputs), reorderNote(st))
+	// On-disk input bytes, and the FASTQ bytes they decoded to: pargz
+	// counts what a compressed input delivered; a plain one is its size.
+	var inBytes, fastqBytes int64
 	for i, path := range inputs {
-		if zr := decoders[i]; zr != nil {
+		var size int64
+		if fi, err := in.files[i].Stat(); err == nil {
+			size = fi.Size()
+		}
+		inBytes += size
+		if zr, ok := in.readers[i].(*pargz.Reader); ok {
 			zst := zr.Stats()
+			fastqBytes += zst.DecodedBytes
 			fmt.Printf("  %s: %s, %d members, %d B compressed -> %d B FASTQ\n",
 				filepath.Base(path), zr.Tier(), zst.Members, zst.CompressedBytes, zst.DecodedBytes)
 		} else {
-			fmt.Printf("  %s: plain FASTQ, %d B\n", filepath.Base(path), counted[i].n)
+			fastqBytes += size
+			fmt.Printf("  %s: plain FASTQ, %d B\n", filepath.Base(path), size)
 		}
 	}
 	containerBytes := int64(st.CompressedBytes)
@@ -790,19 +741,6 @@ func cmdRecompress(args []string) error {
 	fmt.Printf("stage attribution (gunzip-wait is decode stalling the pipeline):\n%s",
 		obs.StageTable(trace.Stages()))
 	return nil
-}
-
-// countingReader counts bytes delivered; recompress uses it to report
-// FASTQ-side volume uniformly across compressed and plain inputs.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // reorderNote renders the reorder suffix of a compress report line.

@@ -1,6 +1,6 @@
 // Ingest walkthrough: a sequencing run that arrives as many FASTQ
 // files — two lanes of paired-end R1/R2 mates — streamed through
-// fastq.NewPairedReader and shard.CompressSources into ONE sharded
+// fastq.NewPairedReader and shard.CompressPipeline into ONE sharded
 // container with file-aware shard boundaries and a source manifest
 // (container format v3, docs/FORMAT.md). The manifest is then used the
 // way an analysis client would: to decode exactly one lane's reads
@@ -64,7 +64,7 @@ func main() {
 
 	// 3. Compress all four files into ONE container.
 	var buf bytes.Buffer
-	st, err := shard.CompressSources(mr, &buf, opt)
+	st, err := shard.CompressPipeline(mr, &buf, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -66,17 +66,18 @@ func main() {
 	}
 	fmt.Printf("random access: shard 3 alone decoded to its %d source reads\n", len(one.Records))
 
-	// 5. Streaming compression: the same container can be produced from
-	// an io.Reader batch by batch, without the read set in memory.
+	// 5. Streaming compression: shard.CompressPipeline — the writer
+	// behind Compress — produces the same container from an io.Reader
+	// batch by batch, without the read set in memory.
 	var buf bytes.Buffer
 	br := fastq.NewBatchReader(bytes.NewReader(raw), opt.ShardReads)
-	if _, err := shard.CompressStream(br, &buf, opt); err != nil {
+	if _, err := shard.CompressPipeline(br, &buf, opt); err != nil {
 		log.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), data) {
 		log.Fatal("streamed container differs from in-memory container")
 	}
-	fmt.Println("streaming: CompressStream produced byte-identical output")
+	fmt.Println("streaming: CompressPipeline produced byte-identical output")
 
 	// 6. Parallel decompression, reassembled in order.
 	got, err := shard.Decompress(data, nil, 4)

@@ -3,17 +3,15 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
-	"sage/internal/core"
 	"sage/internal/fastq"
-	"sage/internal/genome"
 	"sage/internal/shard"
 )
 
-// This file benchmarks multi-file ingest (shard.CompressSources): real
+// This file benchmarks multi-file ingest (a fastq.MultiReader through
+// shard.CompressPipeline): real
 // sequencing runs arrive as many FASTQ files — lane splits and R1/R2
 // paired-end mates — and file-aware sharding cuts a shard boundary at
 // every file boundary. That buys per-file attribution (the v3 source
@@ -60,33 +58,6 @@ func pairRecords(rs *fastq.ReadSet) [2]fastq.NamedReader {
 	}
 }
 
-// MeasureIngestTimes drains mr and compresses each file-aware batch
-// once, single-threaded (exactly as one pool worker would), returning
-// the per-shard wall times. The shard layout — including the short
-// tail shard each source file ends with — is mr's, so feeding the
-// result to ShardMakespan models the multi-file ingest pipeline.
-func MeasureIngestTimes(mr *fastq.MultiReader, cons genome.Seq) ([]time.Duration, error) {
-	opt := core.DefaultOptions(cons)
-	opt.EmbedConsensus = false
-	opt.Workers = 1
-	var out []time.Duration
-	for {
-		b, err := mr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("bench: ingest batch: %w", err)
-		}
-		start := time.Now()
-		if _, err := core.Compress(&fastq.ReadSet{Records: b.Records}, opt); err != nil {
-			return nil, fmt.Errorf("bench: ingest shard %d: %w", b.Index, err)
-		}
-		out = append(out, time.Since(start))
-	}
-	return out, nil
-}
-
 // ingestWorkers is the fixed pool size the ingest experiment models,
 // matching the mid-point of the shard experiment's sweep.
 const ingestWorkers = 8
@@ -123,7 +94,7 @@ func (s *Suite) IngestExperiment() (*Table, error) {
 	}
 	var base time.Duration
 	row := func(label string, mr *fastq.MultiReader) error {
-		times, err := MeasureIngestTimes(mr, m.Gen.Ref)
+		times, err := MeasureShardTimes(mr, m.Gen.Ref)
 		if err != nil {
 			return err
 		}
@@ -165,7 +136,7 @@ func (s *Suite) IngestExperiment() (*Table, error) {
 	}
 
 	// Sanity-anchor the model with one real end-to-end ingest run: all
-	// lanes of the widest split streamed through CompressSources.
+	// lanes of the widest split streamed through CompressPipeline.
 	mr, err = fastq.NewMultiReader(splitRecords(m.Gen.Reads, ingestFileCounts[len(ingestFileCounts)-1]), shardReads)
 	if err != nil {
 		return nil, err
@@ -174,7 +145,7 @@ func (s *Suite) IngestExperiment() (*Table, error) {
 	opt.ShardReads = shardReads
 	var buf bytes.Buffer
 	start := time.Now()
-	st, err := shard.CompressSources(mr, &buf, opt)
+	st, err := shard.CompressPipeline(mr, &buf, opt)
 	if err != nil {
 		return nil, err
 	}

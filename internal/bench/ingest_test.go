@@ -34,7 +34,7 @@ func TestMeasureIngestTimesFileAware(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		times, err := MeasureIngestTimes(mr, ref)
+		times, err := MeasureShardTimes(mr, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestIngestMakespanModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	times, err := MeasureIngestTimes(mr, ref)
+	times, err := MeasureShardTimes(mr, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPairedIngestMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	times, err := MeasureIngestTimes(mr, ref)
+	times, err := MeasureShardTimes(mr, ref)
 	if err != nil {
 		t.Fatal(err)
 	}

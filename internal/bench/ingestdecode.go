@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sage/internal/fastq"
-	"sage/internal/gzipc"
 	"sage/internal/pargz"
 	"sage/internal/reorder"
 	"sage/internal/shard"
@@ -191,19 +190,6 @@ func (s *Suite) IngestDecodeExperiment() (*Table, error) {
 		return nil, fmt.Errorf("bench: BGZF fixture decoded via tier %v", tier)
 	}
 
-	// PGZ1 inputs take the same member-parallel path.
-	pz, err := gzipc.Compress(plain, gzipc.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	_, pzTier, err := parallelDecodeWall(pz, plain, ingestWorkers)
-	if err != nil {
-		return nil, err
-	}
-	if pzTier != pargz.TierPGZ1 {
-		return nil, fmt.Errorf("bench: PGZ1 fixture decoded via tier %v", pzTier)
-	}
-
 	// Critical-path check: the same schedule model for both stages —
 	// per-shard compress times vs per-member decode times, each on an
 	// ingestWorkers pool. Decode must finish first with headroom.
@@ -212,7 +198,7 @@ func (s *Suite) IngestDecodeExperiment() (*Table, error) {
 	if shardReads < 1 {
 		shardReads = 1
 	}
-	shardTimes, err := MeasureShardTimes(m.Gen.Reads, m.Gen.Ref, shardReads)
+	shardTimes, err := MeasureShardTimes(fastq.NewBatchReader(bytes.NewReader(plain), shardReads), m.Gen.Ref)
 	if err != nil {
 		return nil, err
 	}
@@ -257,8 +243,8 @@ func (s *Suite) IngestDecodeExperiment() (*Table, error) {
 				len(plain), len(bg), len(members), ingestWorkers),
 			fmt.Sprintf("critical path @%dw: decode makespan %v vs compress makespan %v (%.1fx headroom) — decode critical: %v",
 				ingestWorkers, decodeMakespan.Round(time.Microsecond), compressMakespan.Round(time.Microsecond), headroom, decodeCritical == 1),
-			fmt.Sprintf("recompress byte-identity: identity container=%v, reorder+original-order=%v; PGZ1 input decoded via %s",
-				identOK, reordOK, pzTier),
+			fmt.Sprintf("recompress byte-identity: identity container=%v, reorder+original-order=%v",
+				identOK, reordOK),
 		},
 	}
 	t.Metric("members", float64(len(members)))

@@ -18,10 +18,9 @@ import (
 // the same shards, so the per-shard machinery (tuned tables, adaptive
 // quality coder, position-delta encoding) sees homogeneous data. The
 // experiment measures the compressed-size win on a clustered synthetic
-// dataset whose input order maximally scatters the clusters, verifies
-// the identity pipeline is a pure refactor (byte-identical to the
-// streaming writer), forces the out-of-core external sort path, and
-// proves exact original-order recovery.
+// dataset whose input order maximally scatters the clusters, forces the
+// out-of-core external sort path, and proves exact original-order
+// recovery.
 
 // reorderClusters is the number of interleaved clusters in the
 // synthetic dataset. Each cluster deep-samples one SHORT genome window
@@ -111,18 +110,9 @@ func (s *Suite) ReorderExperiment() (*Table, error) {
 	opt := shard.DefaultOptions(ref)
 	opt.ShardReads = reorderShardReads
 
-	// Identity pipeline: must be byte-identical to the plain streaming
-	// writer — the staged-ingest refactor is free on the wire.
-	var streamBuf, identBuf bytes.Buffer
-	if _, err := shard.CompressStream(fastq.NewBatchReader(bytes.NewReader(input), opt.ShardReads), &streamBuf, opt); err != nil {
-		return nil, err
-	}
+	var identBuf bytes.Buffer
 	if _, err := shard.CompressPipeline(fastq.NewBatchReader(bytes.NewReader(input), opt.ShardReads), &identBuf, opt); err != nil {
 		return nil, err
-	}
-	pure := bytes.Equal(streamBuf.Bytes(), identBuf.Bytes())
-	if !pure {
-		return nil, fmt.Errorf("bench: identity pipeline is not byte-identical to the streaming writer")
 	}
 
 	// Clump-reordered, with a memory budget far below the dataset so
@@ -174,7 +164,6 @@ func (s *Suite) ReorderExperiment() (*Table, error) {
 				reorderClusters, len(input), opt.ShardReads),
 			fmt.Sprintf("external sort spilled %d runs (budget %d B); original-order restore verified byte-identical",
 				spilled, len(input)/8),
-			"identity pipeline verified byte-identical to the pre-refactor streaming writer",
 		},
 	}
 	t.Metric("reorder_identity_bytes", float64(identBuf.Len()))

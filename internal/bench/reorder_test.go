@@ -9,8 +9,8 @@ import (
 // reorder mode: on the clustered dataset the clump-sorted container
 // must be at least 5% smaller than the identity container, the
 // out-of-core external sort path must actually run (spilled runs), and
-// the experiment itself verifies identity purity and byte-identical
-// original-order restore (it errors out otherwise).
+// the experiment itself verifies byte-identical original-order restore
+// (it errors out otherwise).
 func TestReorderExperiment(t *testing.T) {
 	s := testSuite(t)
 	tb, err := s.Run("reorder")

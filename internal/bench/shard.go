@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"time"
 
 	"sage/internal/core"
@@ -21,8 +23,8 @@ import (
 
 // ShardMakespan computes the completion time of a pool of `workers`
 // executing jobs with the given durations. Jobs are handed in order to
-// the first free worker — the same discipline shard.Compress's channel
-// pool follows.
+// the first free worker — the same discipline shard.CompressPipeline's
+// channel pool follows.
 func ShardMakespan(durations []time.Duration, workers int) time.Duration {
 	if workers < 1 {
 		workers = 1
@@ -62,22 +64,31 @@ func ShardSpeedup(durations []time.Duration, workers int) float64 {
 	return float64(base) / float64(par)
 }
 
-// MeasureShardTimes compresses each shard of rs once (single-threaded,
-// exactly as one pool worker would) and returns the per-shard wall
-// times.
-func MeasureShardTimes(rs *fastq.ReadSet, cons genome.Seq, shardReads int) ([]time.Duration, error) {
+// MeasureShardTimes drains src and compresses each batch once,
+// single-threaded (exactly as one pool worker would), returning the
+// per-shard wall times. The shard layout is the source's — a
+// MultiReader's includes the short tail shard each input file ends
+// with — so feeding the result to ShardMakespan models that ingest
+// pipeline. Reading and parsing happen outside the timed region.
+func MeasureShardTimes(src fastq.BatchSource, cons genome.Seq) ([]time.Duration, error) {
 	opt := core.DefaultOptions(cons)
 	opt.EmbedConsensus = false
 	opt.Workers = 1
 	var out []time.Duration
-	for _, b := range rs.Batches(shardReads) {
+	for {
+		b, err := src.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bench: reading batch: %w", err)
+		}
 		start := time.Now()
 		if _, err := core.Compress(&fastq.ReadSet{Records: b.Records}, opt); err != nil {
 			return nil, fmt.Errorf("bench: shard %d: %w", b.Index, err)
 		}
 		out = append(out, time.Since(start))
 	}
-	return out, nil
 }
 
 // shardWorkerCounts is the sweep reported by the shard experiment.
@@ -94,7 +105,7 @@ func (s *Suite) ShardScaling() (*Table, error) {
 	}
 	n := len(m.Gen.Reads.Records)
 	shardReads := (n + 15) / 16 // ~16 shards
-	times, err := MeasureShardTimes(m.Gen.Reads, m.Gen.Ref, shardReads)
+	times, err := MeasureShardTimes(fastq.NewBatchReader(bytes.NewReader(m.Gen.FASTQ), shardReads), m.Gen.Ref)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"time"
 
+	"sage/internal/fastq"
 	"sage/internal/genome"
 	"sage/internal/simulate"
 )
@@ -50,7 +52,7 @@ func TestShardSpeedupTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	times, err := MeasureShardTimes(rs, ref, 50) // 16 shards
+	times, err := MeasureShardTimes(fastq.NewBatchReader(bytes.NewReader(rs.Bytes()), 50), ref) // 16 shards
 	if err != nil {
 		t.Fatal(err)
 	}

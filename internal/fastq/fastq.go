@@ -16,7 +16,7 @@
 //   - MultiReader: many input files — lane splits, or interleaved R1/R2
 //     paired-end mates with mate-name validation — batched so that no
 //     batch spans two sources (the substrate of file-aware sharding,
-//     see internal/shard.CompressSources).
+//     see internal/shard.CompressPipeline).
 package fastq
 
 import (

@@ -111,7 +111,7 @@ func NewPairedReader(pairs [][2]NamedReader, size int) (*MultiReader, error) {
 
 // BatchSize returns the reader's effective batch size: the size it was
 // built with, rounded down to an even count in paired mode. This is
-// the shard cut point a downstream CompressSources records.
+// the shard cut point a downstream shard.CompressPipeline records.
 func (m *MultiReader) BatchSize() int { return m.size }
 
 // Sources lists the reader's sources in ingest order. Batch.Source

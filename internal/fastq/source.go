@@ -10,10 +10,9 @@ import (
 
 // The ingest side of compression is a staged pipeline: a BatchSource
 // produces batches, optional stages (internal/reorder) transform the
-// stream, and the sharder consumes it. Today's streaming writers are
-// the identity pipeline — a BatchReader or MultiReader feeding the
-// sharder directly — so the refactor costs nothing on the wire:
-// identical sources produce identical containers.
+// stream, and the sharder (shard.CompressPipeline) consumes it. A
+// BatchReader or MultiReader feeding the sharder directly is the
+// identity pipeline.
 
 // BatchSource is one stage of the ingest pipeline: anything that yields
 // record batches in a defined order, ending with io.EOF. BatchReader
@@ -38,9 +37,6 @@ var (
 // gzipMagic is the two-byte gzip member header (RFC 1952).
 var gzipMagic = [2]byte{0x1f, 0x8b}
 
-// pgz1Magic is gzipc's parallel-gzip container magic.
-var pgz1Magic = [4]byte{'P', 'G', 'Z', '1'}
-
 // SniffOptions tunes Sniff's compressed-input handling; the zero value
 // matches the historical SniffReader behavior with pargz acceleration.
 type SniffOptions struct {
@@ -58,9 +54,9 @@ type SniffOptions struct {
 // Sniff adapts an input stream for FASTQ scanning, transparently
 // decompressing compressed inputs: the first bytes are sniffed (never
 // consumed from the caller's view) and a stream starting with the gzip
-// or PGZ1 magic decodes through internal/pargz — BGZF/bgzip and PGZ1
-// inputs inflate member-parallel on Threads workers, generic gzip
-// decodes on a pipelined readahead goroutine, so ingest never
+// magic decodes through internal/pargz — BGZF/bgzip inputs inflate
+// member-parallel on Threads workers, generic gzip decodes on a
+// pipelined readahead goroutine, so ingest never
 // serializes behind a single-threaded inflate. Anything else
 // (including an empty stream) passes through buffered but otherwise
 // untouched, so plain-text FASTQ pays only a bufio layer it would get
@@ -71,15 +67,10 @@ type SniffOptions struct {
 // (CloseSniffed does so safely for any sniffed reader).
 func Sniff(r io.Reader, opt SniffOptions) (io.Reader, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
-	head, err := br.Peek(4)
-	if err != nil && len(head) < 2 {
-		// A stream shorter than the magic cannot be gzip; the scanner
-		// will report truncation (or clean EOF) on its own terms.
-		return br, nil
-	}
-	gz := head[0] == gzipMagic[0] && head[1] == gzipMagic[1]
-	pgz := len(head) >= 4 && [4]byte(head[:4]) == pgz1Magic
-	if !gz && !pgz {
+	head, _ := br.Peek(len(gzipMagic))
+	if len(head) < len(gzipMagic) || [2]byte(head) != gzipMagic {
+		// Not gzip (a stream shorter than the magic cannot be): the
+		// scanner reports whatever is wrong with it on its own terms.
 		return br, nil
 	}
 	zr, err := pargz.NewReader(br, pargz.Options{

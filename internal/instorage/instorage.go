@@ -22,10 +22,8 @@ package instorage
 
 import (
 	"fmt"
-	"hash/crc32"
 	"time"
 
-	"sage/internal/core"
 	"sage/internal/fastq"
 	"sage/internal/genome"
 	"sage/internal/hw"
@@ -67,10 +65,10 @@ type Placed struct {
 
 // Place parses a sharded container and writes it onto the device with
 // shard-aligned genomic placement: the dispatch table's per-shard
-// extents (ContainerOffset/Size of each handle) map shard i onto flash
-// pages of channel i mod C, and the header/index bytes round-robin
-// across channels. Placement is deterministic: the same container
-// bytes and geometry always produce the same channel/page assignment.
+// extents (Container.Extent) map shard i onto flash pages of channel
+// i mod C, and the header/index bytes round-robin across channels.
+// Placement is deterministic: the same container bytes and geometry
+// always produce the same channel/page assignment.
 func (e *Engine) Place(name string, data []byte) (*Placed, error) {
 	c, err := shard.Parse(data)
 	if err != nil {
@@ -79,16 +77,29 @@ func (e *Engine) Place(name string, data []byte) (*Placed, error) {
 	if c.NumShards() == 0 {
 		return nil, fmt.Errorf("instorage: container %q has no shards to dispatch", name)
 	}
-	handles := c.Shards()
-	extents := make([]ssd.Extent, len(handles))
-	for i, h := range handles {
-		extents[i] = ssd.Extent{Offset: h.ContainerOffset(), Length: h.Size()}
+	extents, err := shardExtents(c)
+	if err != nil {
+		return nil, err
 	}
 	pl, wt, err := e.Dev.WriteShards(name, data, extents)
 	if err != nil {
 		return nil, err
 	}
 	return &Placed{Name: name, C: c, Placement: pl, WriteTime: wt, eng: e}, nil
+}
+
+// shardExtents lists every shard's byte range within the container
+// file, in dispatch order.
+func shardExtents(c *shard.Container) ([]ssd.Extent, error) {
+	extents := make([]ssd.Extent, c.NumShards())
+	for i := range extents {
+		off, length, err := c.Extent(i)
+		if err != nil {
+			return nil, err
+		}
+		extents[i] = ssd.Extent{Offset: off, Length: length}
+	}
+	return extents, nil
 }
 
 // ShardTiming is one dispatch-table row after a scan: where the shard
@@ -170,12 +181,9 @@ func (r *Result) DecodeBound() []int {
 	return out
 }
 
-// Scan streams every shard through its channel's scan unit: the shard's
-// payload is read back from the device (byte-checked against the
-// index's crc32), functionally decoded with the same Scan/Read-
-// Construction logic the hardware computes, and timed with the
-// per-shard service law. cons is the fallback consensus for containers
-// without an embedded one.
+// Scan streams every shard through its channel's scan unit (scanShard)
+// and schedules the per-shard service times. cons is the fallback
+// consensus for containers without an embedded one.
 func (p *Placed) Scan(cons genome.Seq) (*Result, error) {
 	return p.ScanTo(cons, nil)
 }
@@ -186,11 +194,7 @@ func (p *Placed) Scan(cons genome.Seq) (*Result, error) {
 // in-storage filter — so consumers never re-decode on the host. The
 // records are only valid for the duration of the call.
 func (p *Placed) ScanTo(cons genome.Seq, sink func(shard int, rs *fastq.ReadSet)) (*Result, error) {
-	c := p.C
-	if c.Consensus != nil {
-		cons = c.Consensus
-	}
-	n := c.NumShards()
+	n := p.C.NumShards()
 	res := &Result{
 		Name:     p.Name,
 		Channels: p.eng.Channels(),
@@ -202,48 +206,20 @@ func (p *Placed) ScanTo(cons genome.Seq, sink func(shard int, rs *fastq.ReadSet)
 	uncomp := make([]int64, n)
 	tr := obs.NewTrace(p.Name)
 	for i := 0; i < n; i++ {
-		fsp := tr.StartSpan("flash-read")
-		blk, flashTime, err := p.eng.Dev.ReadShard(p.Name, i)
+		rs, st, err := p.scanShard(tr, i, cons)
 		if err != nil {
-			return nil, fmt.Errorf("instorage: %w", err)
+			return nil, err
 		}
-		e := c.Index.Entries[i]
-		if got := crc32.ChecksumIEEE(blk); got != e.Checksum {
-			return nil, fmt.Errorf("instorage: shard %d read from flash has checksum %08x, index says %08x",
-				i, got, e.Checksum)
-		}
-		fsp.End()
-		dsp := tr.StartSpan("scan-decode")
-		rs, err := core.Decompress(blk, cons)
-		if err != nil {
-			return nil, fmt.Errorf("instorage: decoding shard %d from flash: %w", i, err)
-		}
-		if len(rs.Records) != e.ReadCount {
-			return nil, fmt.Errorf("instorage: shard %d decoded %d reads, index says %d",
-				i, len(rs.Records), e.ReadCount)
-		}
-		dsp.End()
 		ssp := tr.StartSpan("fill")
 		if sink != nil {
 			sink(i, rs)
 		}
 		ssp.End()
-		pl := p.Placement.Shards[i]
-		st := ShardTiming{
-			Shard:           i,
-			Channel:         pl.Channel,
-			Pages:           pl.Pages,
-			CompressedBytes: int64(len(blk)),
-			OutputBytes:     int64(rs.UncompressedSize()),
-			FlashRead:       flashTime,
-			Decode:          p.eng.TP.UnitDecodeTime(int64(len(blk))),
-			Service:         p.eng.TP.ShardServiceTime(flashTime, int64(len(blk))),
-		}
 		res.PerShard[i] = st
-		res.Reads += e.ReadCount
+		res.Reads += len(rs.Records)
 		res.CompressedBytes += st.CompressedBytes
 		res.OutputBytes += st.OutputBytes
-		reads[i] = e.ReadCount
+		reads[i] = len(rs.Records)
 		bases[i] = int64(rs.TotalBases())
 		comp[i] = st.CompressedBytes
 		uncomp[i] = st.OutputBytes
@@ -270,4 +246,37 @@ func (p *Placed) ScanTo(cons genome.Seq, sink func(shard int, rs *fastq.ReadSet)
 	}
 	res.Stages = tr.Stages()
 	return res, nil
+}
+
+// scanShard streams shard i through its home channel's scan unit: the
+// payload is read back from the device, then verified against the
+// index's crc32, functionally decoded with the same Scan/Read-
+// Construction logic the hardware computes and count-checked — all by
+// shard.DecodeBlock, the container's own read path — and timed with the
+// per-shard service law. Measured wall-clock goes to tr as one
+// "flash-read" and one "scan-decode" span.
+func (p *Placed) scanShard(tr *obs.Trace, i int, cons genome.Seq) (*fastq.ReadSet, ShardTiming, error) {
+	fsp := tr.StartSpan("flash-read")
+	blk, flashTime, err := p.eng.Dev.ReadShard(p.Name, i)
+	if err != nil {
+		return nil, ShardTiming{}, fmt.Errorf("instorage: %w", err)
+	}
+	fsp.End()
+	dsp := tr.StartSpan("scan-decode")
+	rs, err := p.C.DecodeBlock(i, blk, cons)
+	if err != nil {
+		return nil, ShardTiming{}, fmt.Errorf("instorage: shard %d read from flash: %w", i, err)
+	}
+	dsp.End()
+	pl := p.Placement.Shards[i]
+	return rs, ShardTiming{
+		Shard:           i,
+		Channel:         pl.Channel,
+		Pages:           pl.Pages,
+		CompressedBytes: int64(len(blk)),
+		OutputBytes:     int64(rs.UncompressedSize()),
+		FlashRead:       flashTime,
+		Decode:          p.eng.TP.UnitDecodeTime(int64(len(blk))),
+		Service:         p.eng.TP.ShardServiceTime(flashTime, int64(len(blk))),
+	}, nil
 }

@@ -266,22 +266,17 @@ func TestScanSurfacesFlashCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := c.Shard(0)
+	exts, err := shardExtents(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := append([]byte(nil), data...)
-	bad[h.ContainerOffset()+h.Size()/2] ^= 0xff
-	handles := c.Shards()
-	exts := make([]ssd.Extent, len(handles))
-	for i, hh := range handles {
-		exts[i] = ssd.Extent{Offset: hh.ContainerOffset(), Length: hh.Size()}
-	}
+	bad[exts[0].Offset+exts[0].Length/2] ^= 0xff
 	if _, _, err := dev.WriteShards("rs.sage", bad, exts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Scan(ref); err == nil {
-		t.Fatal("scan must surface a checksum mismatch on damaged flash payloads")
+	if _, err := p.Scan(ref); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("scan must surface a checksum mismatch on damaged flash payloads, got %v", err)
 	}
 }
 

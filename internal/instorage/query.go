@@ -2,11 +2,9 @@ package instorage
 
 import (
 	"fmt"
-	"hash/crc32"
 	"math"
 	"time"
 
-	"sage/internal/core"
 	"sage/internal/genome"
 	"sage/internal/hw"
 	"sage/internal/obs"
@@ -70,9 +68,6 @@ func (p *Placed) FilterScan(cons genome.Seq, pred *shard.Predicate) (*FilterResu
 		pred = &shard.Predicate{}
 	}
 	c := p.C
-	if c.Consensus != nil {
-		cons = c.Consensus
-	}
 	scan, pruned := c.QueryPlan(pred)
 	res := &FilterResult{
 		Name:          p.Name,
@@ -86,27 +81,10 @@ func (p *Placed) FilterScan(cons genome.Seq, pred *shard.Predicate) (*FilterResu
 	active := pred.Active()
 	tr := obs.NewTrace(p.Name)
 	for _, i := range scan {
-		fsp := tr.StartSpan("flash-read")
-		blk, flashTime, err := p.eng.Dev.ReadShard(p.Name, i)
+		rs, st, err := p.scanShard(tr, i, cons)
 		if err != nil {
-			return nil, fmt.Errorf("instorage: %w", err)
+			return nil, err
 		}
-		e := c.Index.Entries[i]
-		if got := crc32.ChecksumIEEE(blk); got != e.Checksum {
-			return nil, fmt.Errorf("instorage: shard %d read from flash has checksum %08x, index says %08x",
-				i, got, e.Checksum)
-		}
-		fsp.End()
-		dsp := tr.StartSpan("scan-decode")
-		rs, err := core.Decompress(blk, cons)
-		if err != nil {
-			return nil, fmt.Errorf("instorage: decoding shard %d from flash: %w", i, err)
-		}
-		if len(rs.Records) != e.ReadCount {
-			return nil, fmt.Errorf("instorage: shard %d decoded %d reads, index says %d",
-				i, len(rs.Records), e.ReadCount)
-		}
-		dsp.End()
 		msp := tr.StartSpan("filter")
 		matched := 0
 		for j := range rs.Records {
@@ -115,20 +93,10 @@ func (p *Placed) FilterScan(cons genome.Seq, pred *shard.Predicate) (*FilterResu
 			}
 		}
 		msp.End()
-		pl := p.Placement.Shards[i]
-		res.PerShard = append(res.PerShard, ShardTiming{
-			Shard:           i,
-			Channel:         pl.Channel,
-			Pages:           pl.Pages,
-			CompressedBytes: int64(len(blk)),
-			OutputBytes:     int64(rs.UncompressedSize()),
-			FlashRead:       flashTime,
-			Decode:          p.eng.TP.UnitDecodeTime(int64(len(blk))),
-			Service:         p.eng.TP.ShardServiceTime(flashTime, int64(len(blk))),
-		})
-		res.ReadsScanned += e.ReadCount
+		res.PerShard = append(res.PerShard, st)
+		res.ReadsScanned += len(rs.Records)
 		res.ReadsMatched += matched
-		res.CompressedBytes += int64(len(blk))
+		res.CompressedBytes += st.CompressedBytes
 	}
 
 	// Makespans. In-storage: only the survivors occupy their home

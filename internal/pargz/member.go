@@ -1,8 +1,8 @@
 package pargz
 
 // This file is the member-parallel engine: boundary scanners that find
-// compressed member extents without inflating (BGZF BC subfield, PGZ1
-// explicit framing), a bounded worker pool inflating members out of
+// compressed member extents without inflating (BGZF BC subfield), a
+// bounded worker pool inflating members out of
 // order, and the in-order chunk sequence the scanner pre-threads so
 // the consumer reassembles for free.
 
@@ -104,16 +104,17 @@ func peekMemberBSize(br *bufio.Reader) (int, error) {
 	return -1, nil
 }
 
-// startMembers launches the member-parallel machinery: one scanner
-// goroutine running scan, and workers inflating the members it queues.
-func (r *Reader) startMembers(br *bufio.Reader, workers int, scan func(*bufio.Reader, chan<- *memberJob)) {
+// startMembers launches the member-parallel machinery: one goroutine
+// scanning BGZF boundaries, and workers inflating the members it
+// queues.
+func (r *Reader) startMembers(br *bufio.Reader, workers int) {
 	work := make(chan *memberJob, 2*workers)
 	r.wg.Add(1 + workers)
 	go func() {
 		defer r.wg.Done()
 		defer close(r.chunks)
 		defer close(work)
-		scan(br, work)
+		r.scanBGZF(br, work)
 	}()
 	for i := 0; i < workers; i++ {
 		go r.memberWorker(work)
@@ -184,52 +185,6 @@ func (r *Reader) scanBGZF(br *bufio.Reader, work chan<- *memberJob) {
 	}
 }
 
-// scanPGZ1 walks gzipc's PGZ1 framing: magic, declared uncompressed
-// total, block count, then length-prefixed gzip members. The declared
-// total is checked against delivered bytes at EOF (see Reader.Read).
-func (r *Reader) scanPGZ1(br *bufio.Reader, work chan<- *memberJob) {
-	cr := &countReader{r: br}
-	if _, err := io.CopyN(io.Discard, cr, int64(len(pgz1Magic))); err != nil {
-		r.sendChunk(r.errChunk(0, fmt.Errorf("truncated PGZ1 magic: %w", err)))
-		return
-	}
-	total, err := binary.ReadUvarint(cr)
-	if err != nil {
-		r.sendChunk(r.errChunk(cr.n, fmt.Errorf("bad PGZ1 size header: %w", err)))
-		return
-	}
-	nBlocks, err := binary.ReadUvarint(cr)
-	if err != nil {
-		r.sendChunk(r.errChunk(cr.n, fmt.Errorf("bad PGZ1 block count: %w", err)))
-		return
-	}
-	r.expect.Store(int64(total))
-	r.addCompressed(cr.n)
-	for index := 0; index < int(nBlocks); index++ {
-		pre := cr.n
-		blen, err := binary.ReadUvarint(cr)
-		if err != nil {
-			r.sendChunk(r.errChunk(cr.n, fmt.Errorf(
-				"bad PGZ1 block %d length: %w", index, unexpectedEOF(err))))
-			return
-		}
-		r.addCompressed(cr.n - pre)
-		if blen < minMemberSize || blen > maxMemberSize {
-			r.sendChunk(r.errChunk(cr.n, fmt.Errorf(
-				"PGZ1 block %d declares implausible length %d", index, blen)))
-			return
-		}
-		if !r.queueMember(br, work, int(blen), index, cr.n) {
-			return
-		}
-		cr.n += int64(blen)
-	}
-	if _, err := br.Peek(1); err != io.EOF {
-		r.sendChunk(r.errChunk(cr.n, fmt.Errorf(
-			"trailing garbage after %d PGZ1 blocks", nBlocks)))
-	}
-}
-
 // memberWorker inflates queued members into pooled buffers and marks
 // their chunks ready. Workers exit when the scanner closes the queue.
 func (r *Reader) memberWorker(work <-chan *memberJob) {
@@ -284,35 +239,13 @@ func unexpectedEOF(err error) error {
 	return err
 }
 
-// SplitMembers splits a whole in-memory BGZF or PGZ1 stream into its
+// SplitMembers splits a whole in-memory BGZF stream into its
 // compressed members (benchmark and test plumbing: the ingestdecode
-// experiment times each member's inflate independently). Plain gzip
-// returns a single member only if its header carries a BC subfield;
-// otherwise an error, since no boundary can be found without inflating.
+// experiment times each member's inflate independently). Every member
+// must carry a BC subfield; without one no boundary can be found
+// without inflating, which is an error.
 func SplitMembers(data []byte) ([][]byte, error) {
 	var members [][]byte
-	if len(data) >= 4 && [4]byte(data[:4]) == pgz1Magic {
-		rest := data[4:]
-		_, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, fmt.Errorf("pargz: bad PGZ1 size header")
-		}
-		rest = rest[n:]
-		nBlocks, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, fmt.Errorf("pargz: bad PGZ1 block count")
-		}
-		rest = rest[n:]
-		for i := 0; i < int(nBlocks); i++ {
-			blen, n := binary.Uvarint(rest)
-			if n <= 0 || uint64(len(rest)-n) < blen {
-				return nil, fmt.Errorf("pargz: PGZ1 block %d truncated", i)
-			}
-			members = append(members, rest[n:n+int(blen)])
-			rest = rest[n+int(blen):]
-		}
-		return members, nil
-	}
 	br := bufio.NewReaderSize(bytes.NewReader(data), 64<<10)
 	var offset int
 	for {

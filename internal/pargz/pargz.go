@@ -9,16 +9,16 @@
 //   - Member-parallel decode. Real archives are overwhelmingly
 //     multi-member gzip: bgzip writes a BGZF "BC" EXTRA subfield whose
 //     payload is the compressed block size, so member boundaries are
-//     found *without inflating*, and gzipc's PGZ1 framing carries
-//     explicit block lengths. Both decode on a bounded worker pool
-//     with in-order reassembly into the consumer.
+//     found *without inflating* and members decode on a bounded worker
+//     pool with in-order reassembly into the consumer. BGZF is the one
+//     member-parallel framing read here — every htslib tool writes it.
 //   - Pipelined readahead. Generic single-member gzip cannot be split,
 //     but a dedicated decode goroutine filling a bounded ring of
 //     reused buffers overlaps inflate with the parse→map→encode
 //     stages instead of serializing with them.
 //
-// NewReader sniffs the input (PGZ1 magic, then the gzip header's BC
-// subfield) and picks the tier; a BGZF stream that degenerates
+// NewReader sniffs the input (the gzip header's BC subfield) and picks
+// the tier; a BGZF stream that degenerates
 // mid-way into plain gzip members falls back to the pipelined tier
 // from that member on, so nothing valid is ever rejected. Errors are
 // contextual — input name plus compressed byte offset — and surface
@@ -52,20 +52,14 @@ const (
 	// TierBGZF decodes bgzip/BGZF members in parallel: boundaries come
 	// from the BC EXTRA subfield, members inflate on a worker pool.
 	TierBGZF
-	// TierPGZ1 decodes gzipc's PGZ1 block framing in parallel.
-	TierPGZ1
 )
 
 // String names the tier the way docs and `sage recompress` report it.
 func (t Tier) String() string {
-	switch t {
-	case TierBGZF:
+	if t == TierBGZF {
 		return "bgzf-parallel"
-	case TierPGZ1:
-		return "pgz1-parallel"
-	default:
-		return "gzip-pipelined"
 	}
+	return "gzip-pipelined"
 }
 
 // DefaultReadahead is the pipelined tier's ring depth (decoded buffers
@@ -74,11 +68,6 @@ const DefaultReadahead = 8
 
 // streamBufSize is the size of each pipelined readahead buffer.
 const streamBufSize = 256 << 10
-
-// maxMemberSize caps a single PGZ1 member so a corrupt length varint
-// cannot demand an absurd allocation (BGZF members are capped at 64 KiB
-// by their on-disk u16 BSIZE field).
-const maxMemberSize = 1 << 30
 
 // Options configures a Reader.
 type Options struct {
@@ -119,7 +108,7 @@ type chunk struct {
 	recycle func()
 }
 
-// Reader streams the decoded bytes of a gzip/BGZF/PGZ1 input. It is an
+// Reader streams the decoded bytes of a gzip or BGZF input. It is an
 // io.ReadCloser; Read and Close must not race (the usual io contract).
 // A Reader drained to EOF releases all its goroutines on its own;
 // Close is only required when abandoning a stream early.
@@ -144,21 +133,11 @@ type Reader struct {
 	members atomic.Int64
 	stalls  atomic.Int64
 	stallNs atomic.Int64
-
-	// expect is the PGZ1 header's declared uncompressed size, or -1;
-	// checked against consumed bytes at EOF so a framing-level
-	// truncation can never pass as a clean short read.
-	expect   atomic.Int64
-	consumed int64
 }
 
-var (
-	pgz1Magic = [4]byte{'P', 'G', 'Z', '1'}
+var errNotGzip = errors.New("not a gzip stream")
 
-	errNotGzip = errors.New("not a gzip stream")
-)
-
-// NewReader sniffs r (which must start with a gzip or PGZ1 magic) and
+// NewReader sniffs r (which must start with the gzip magic) and
 // returns the decoding reader for the matching tier. Header-level
 // damage in the first member surfaces here; later damage surfaces from
 // Read at the exact compressed offset, after all preceding decoded
@@ -183,29 +162,21 @@ func NewReader(r io.Reader, opt Options) (*Reader, error) {
 		metrics: opt.Metrics,
 		trace:   opt.Trace,
 	}
-	rd.expect.Store(-1)
-
-	head, _ := br.Peek(4)
-	switch {
-	case len(head) >= 4 && [4]byte(head[:4]) == pgz1Magic:
-		rd.tier = TierPGZ1
-		rd.startMembers(br, workers, rd.scanPGZ1)
-	case len(head) >= 2 && head[0] == gzipID1 && head[1] == gzipID2:
-		bsize, err := peekMemberBSize(br)
-		if err != nil {
-			return nil, rd.ctxErr(0, err)
+	bsize, err := peekMemberBSize(br)
+	if err != nil {
+		if err == io.EOF {
+			err = errNotGzip
 		}
-		if bsize > 0 {
-			rd.tier = TierBGZF
-			rd.startMembers(br, workers, rd.scanBGZF)
-			break
-		}
-		rd.tier = TierPipelined
-		if err := rd.startStream(br, readahead); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, rd.ctxErr(0, errNotGzip)
+		return nil, rd.ctxErr(0, err)
+	}
+	if bsize > 0 {
+		rd.tier = TierBGZF
+		rd.startMembers(br, workers)
+		return rd, nil
+	}
+	rd.tier = TierPipelined
+	if err := rd.startStream(br, readahead); err != nil {
+		return nil, err
 	}
 	return rd, nil
 }
@@ -237,7 +208,6 @@ func (r *Reader) Read(p []byte) (int, error) {
 			if r.pos < len(r.cur.data) {
 				n := copy(p, r.cur.data[r.pos:])
 				r.pos += n
-				r.consumed += int64(n)
 				return n, nil
 			}
 			if r.cur.err != nil {
@@ -251,11 +221,6 @@ func (r *Reader) Read(p []byte) (int, error) {
 		}
 		c, ok := r.nextChunk()
 		if !ok {
-			if exp := r.expect.Load(); exp >= 0 && r.consumed != exp {
-				r.err = r.ctxErr(r.comp.Load(), fmt.Errorf(
-					"PGZ1 stream truncated: decoded %d bytes, header declares %d", r.consumed, exp))
-				return 0, r.err
-			}
 			r.err = io.EOF
 			return 0, io.EOF
 		}

@@ -94,18 +94,6 @@ func TestRoundtripBGZF(t *testing.T) {
 	}
 }
 
-func TestRoundtripPGZ1(t *testing.T) {
-	data := testPayload(200 << 10)
-	in, err := gzipc.Compress(data, gzipc.Options{BlockSize: 32 << 10, Level: 6, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := readAllTier(t, in, Options{Workers: 4}, TierPGZ1)
-	if !bytes.Equal(got, data) {
-		t.Fatalf("PGZ1 roundtrip mismatch: got %d bytes, want %d", len(got), len(data))
-	}
-}
-
 func TestRoundtripPipelined(t *testing.T) {
 	data := testPayload(600 << 10) // > readahead ring capacity, forces recycling
 	in := plainGzip(t, data)
@@ -291,17 +279,6 @@ func TestCorruptTrailingGarbage(t *testing.T) {
 		in := append(plainGzip(t, data), []byte("NOT GZIP DATA")...)
 		wantCtxErr(t, in, Options{Name: "garbage-serial.fq.gz"}, data)
 	})
-	t.Run("pgz1", func(t *testing.T) {
-		pg, err := gzipc.Compress(data, gzipc.Options{BlockSize: 8 << 10, Level: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := append(pg, []byte("NOT GZIP DATA")...)
-		err = wantCtxErr(t, in, Options{Name: "garbage.pgz", Workers: 4}, data)
-		if !strings.Contains(err.Error(), "trailing garbage") {
-			t.Fatalf("err = %v, want trailing-garbage context", err)
-		}
-	})
 }
 
 func TestCorruptBadMemberCRC(t *testing.T) {
@@ -343,30 +320,18 @@ func TestCorruptHeaderAtConstruction(t *testing.T) {
 		t.Fatal("damaged first header accepted")
 	}
 	checkCtx(t, err, "bad.gz")
-}
 
-func TestCorruptPGZ1Truncated(t *testing.T) {
-	data := testPayload(64 << 10)
-	in, err := gzipc.Compress(data, gzipc.Options{BlockSize: 8 << 10, Level: 6})
+	// gzipc's private PGZ1 framing is a baseline output format, not an
+	// ingest format: the reader refuses it like any other non-gzip.
+	pg, err := gzipc.Compress(testPayload(8<<10), gzipc.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCtxErr(t, in[:len(in)/2], Options{Name: "trunc.pgz", Workers: 4}, nil)
-}
-
-func TestPGZ1DeclaredSizeMismatch(t *testing.T) {
-	data := testPayload(30 << 10)
-	in, err := gzipc.Compress(data, gzipc.Options{BlockSize: 8 << 10, Level: 6})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewReader(bytes.NewReader(pg), Options{Name: "x.pgz"}); !errors.Is(err, errNotGzip) {
+		t.Fatalf("PGZ1 input: err = %v, want errNotGzip", err)
 	}
-	// The declared total sits right after the magic; +1 makes delivered
-	// bytes disagree with the header.
-	bad := append([]byte(nil), in...)
-	bad[4]++
-	err = wantCtxErr(t, bad, Options{Name: "size.pgz", Workers: 4}, data)
-	if !strings.Contains(err.Error(), "declares") {
-		t.Fatalf("err = %v, want declared-size mismatch", err)
+	if _, err := SplitMembers(pg); err == nil {
+		t.Fatal("SplitMembers accepted a PGZ1 stream")
 	}
 }
 

@@ -55,7 +55,7 @@ func manifestContainer(t testing.TB, nReads, shardReads int, paired bool) ([]byt
 	opt := shard.DefaultOptions(ref)
 	opt.ShardReads = shardReads
 	var buf bytes.Buffer
-	if _, err := shard.CompressSources(mr, &buf, opt); err != nil {
+	if _, err := shard.CompressPipeline(mr, &buf, opt); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), ref

@@ -80,8 +80,15 @@ func TestMetricsExposition(t *testing.T) {
 	if resp := do(t, ts.URL+"/shard/0/reads", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/shard/0/reads: status %d", resp.StatusCode)
 	}
+	// The latency is observed after the handler returns, and a response
+	// with a Content-Length is complete to the client before that: wait
+	// for the observation instead of racing it.
+	const counted = `sage_http_request_seconds_count{endpoint="shard_reads"} 1`
 	text = scrape(t, ts.URL)
-	if !strings.Contains(text, `sage_http_request_seconds_count{endpoint="shard_reads"} 1`) {
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(text, counted) && time.Now().Before(deadline); {
+		text = scrape(t, ts.URL)
+	}
+	if !strings.Contains(text, counted) {
 		t.Error("shard_reads histogram did not count the request")
 	}
 	if !strings.Contains(text, "sage_decodes_total 1") {

@@ -9,7 +9,6 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -176,31 +175,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, e *Named) {
 // server error.
 type writeError struct{ error }
 
-// shardMatches decodes shard i through the shared cache and counts the
-// records matching pred, streaming them to w when non-nil. The decoded
-// text is reparsed into records: the cache stores serialized FASTQ, and
-// a query is expected to touch many shards once rather than one shard
-// many times, so keeping the cache byte-exact wins over saving the
-// parse.
+// shardMatches counts the records of shard i (shardRecords) matching
+// pred, streaming them to w when non-nil.
 func (s *Server) shardMatches(ctx context.Context, e *Named, i int, pred *shard.Predicate, w *bufio.Writer) (int, error) {
-	d, err := s.decodedShard(ctx, e, i)
+	rs, done, err := s.shardRecords(ctx, e, i)
 	if err != nil {
 		return 0, err
 	}
-	defer d.done()
-	rs := d.rs
-	if rs == nil {
-		if rs, err = fastq.Parse(bytes.NewReader(d.data)); err != nil {
-			// A container written without quality scores decodes to text
-			// with blank quality lines, which the strict FASTQ scanner
-			// rejects as truncation. Re-decode to records directly; the
-			// raw-block read is still index-guided, so pruned shards
-			// stay at zero I/O either way.
-			if rs, err = e.C.DecompressShard(i, s.cons); err != nil {
-				return 0, err
-			}
-		}
-	}
+	defer done()
 	matched := 0
 	active := pred.Active()
 	for j := range rs.Records {

@@ -40,7 +40,8 @@
 // client can resume a partial shard fetch.
 //
 // The /files endpoints exist for containers written by multi-file
-// ingest (shard.CompressSources, container format v3): every shard is
+// ingest (a fastq.MultiReader through shard.CompressPipeline, container
+// format v3 on): every shard is
 // attributed to the input file — or R1/R2 mate pair — it came from, so
 // an analysis client can pull exactly one lane's or one sample's shards.
 // Containers without a manifest answer 404 there.
@@ -578,9 +579,9 @@ func (s *Server) handleReads(w http.ResponseWriter, r *http.Request, e *Named) {
 // to original input order. The shard's records occupy stored positions
 // [start, start+count), so their original indices are Perm[start+j];
 // an in-shard sort by that index recovers the input order without
-// touching any other shard. The decode still flows through the shared
-// cache (the cached FASTQ text is reparsed, same trade as /query), and
-// the representation carries its own ETag — RFC 9110 requires distinct
+// touching any other shard. The records come from shardRecords — the
+// shared cache, flight group and decode pool, same as /query — and the
+// representation carries its own ETag — RFC 9110 requires distinct
 // tags for distinct representations of one resource.
 func (s *Server) handleReadsOriginal(w http.ResponseWriter, r *http.Request, e *Named, i int) {
 	ent := e.C.Index.Entries[i]
@@ -593,11 +594,12 @@ func (s *Server) handleReadsOriginal(w http.ResponseWriter, r *http.Request, e *
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	rs, err := s.shardRecords(r.Context(), e, i)
+	rs, done, err := s.shardRecords(r.Context(), e, i)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
+	defer done()
 	start := 0
 	for _, ent := range e.C.Index.Entries[:i] {
 		start += ent.ReadCount
@@ -628,24 +630,32 @@ func (s *Server) handleReadsOriginal(w http.ResponseWriter, r *http.Request, e *
 	s.writeBody(w, buf.Bytes())
 }
 
-// shardRecords decodes shard i into records through the shared cache,
-// with the same no-quality fallback as the query path.
-func (s *Server) shardRecords(ctx context.Context, e *Named, i int) (*fastq.ReadSet, error) {
+// shardRecords returns shard i as records for the record-level
+// consumers (/query, ?order=original); the caller must call done when
+// finished with them. A cold shard's flight hands over the records its
+// decode produced. A warm shard's cached text is reparsed: the cache
+// stores serialized FASTQ, and a query is expected to touch many shards
+// once rather than one shard many times, so keeping the cache byte-exact
+// wins over saving the parse. A container written without quality
+// scores decodes to text with blank quality lines, which the strict
+// FASTQ scanner rejects, so a warm hit there decodes again — on the
+// pool, like every other decode.
+func (s *Server) shardRecords(ctx context.Context, e *Named, i int) (rs *fastq.ReadSet, done func(), err error) {
 	d, err := s.decodedShard(ctx, e, i)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer d.done()
 	if d.rs != nil {
-		return d.rs, nil
+		return d.rs, d.done, nil
 	}
-	rs, err := fastq.Parse(bytes.NewReader(d.data))
-	if err != nil {
-		// Quality-less containers decode to text the strict scanner
-		// rejects; re-decode to records directly (see shardMatches).
-		return e.C.DecompressShard(i, s.cons)
+	d.done()
+	if rs, err = fastq.Parse(bytes.NewReader(d.data)); err != nil {
+		if rs, err = s.poolDecode(ctx, e, i); err != nil {
+			return nil, nil, err
+		}
+		<-s.sem
 	}
-	return rs, nil
+	return rs, func() {}, nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -653,14 +663,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // decoded is one shard's decoded FASTQ, in one of two shapes: text
-// bytes (the cacheable case) or the record structs themselves (a shard
-// too large for the cache budget, streamed to the client without ever
-// materializing the text). A streaming decoded keeps its decode-pool
-// slot until every consumer is done — the slot is what bounds how many
-// oversized decoded shards can be resident at once — so the flight
-// claims one reference per consumer before handing it out, and each
-// consumer must call done() when its stream finishes; the last one
-// releases the slot.
+// bytes (the cacheable case; a flight that had to decode also hands
+// over the records it decoded them from) or the record structs alone
+// (a shard too large for the cache budget, streamed to the client
+// without ever materializing the text). A streaming decoded keeps its
+// decode-pool slot until every consumer is done — the slot is what
+// bounds how many oversized decoded shards can be resident at once —
+// so the flight claims one reference per consumer before handing it
+// out, and each consumer must call done() when its stream finishes;
+// the last one releases the slot.
 type decoded struct {
 	data    []byte
 	rs      *fastq.ReadSet
@@ -704,14 +715,32 @@ func (d *decoded) bytes() []byte {
 	return d.rs.Bytes()
 }
 
+// poolDecode is the server's one core decode: every DecompressShard
+// runs here, holding a slot of the bounded pool, counted in decodes,
+// timed on the pool histograms and, when ctx carries an obs.Trace,
+// recorded as that request's "queue-wait" and "decode" spans. On
+// success it returns still holding the slot; the caller frees it
+// (<-s.sem) once the records may leave memory.
+func (s *Server) poolDecode(ctx context.Context, e *Named, i int) (*fastq.ReadSet, error) {
+	_, qsp := obs.Start(ctx, "queue-wait")
+	s.sem <- struct{}{}
+	s.met.queueWait.Observe(qsp.End())
+	s.n.decodes.Add(1)
+	_, dsp := obs.Start(ctx, "decode")
+	rs, err := e.C.DecompressShard(i, s.cons)
+	s.met.decode.Observe(dsp.End())
+	if err != nil {
+		<-s.sem
+	}
+	return rs, err
+}
+
 // decodedShard returns shard i of e as decoded FASTQ: from the shared
-// cache when warm, otherwise via exactly one decode on the bounded pool
-// no matter how many requests arrive while it runs. The flight key
-// includes the container name, so the same shard index in two different
-// containers is never falsely deduplicated. The leader's queue wait and
-// decode are recorded on the pool histograms and, when ctx carries an
-// obs.Trace, as that request's "queue-wait" and "decode" spans (joiners
-// wait on the flight, not the pool, so their traces record nothing).
+// cache when warm, otherwise via exactly one poolDecode no matter how
+// many requests arrive while it runs. The flight key includes the
+// container name, so the same shard index in two different containers
+// is never falsely deduplicated. Joiners wait on the flight, not the
+// pool, so their traces record nothing.
 func (s *Server) decodedShard(ctx context.Context, e *Named, i int) (*decoded, error) {
 	key := shardKey{container: e.Name, shard: i}
 	if data, ok := s.cache.get(key); ok {
@@ -729,15 +758,8 @@ func (s *Server) decodedShard(ctx context.Context, e *Named, i int) (*decoded, e
 			s.met.cacheHitBytes.Add(int64(len(data)))
 			return &decoded{data: data, size: int64(len(data))}, nil
 		}
-		_, qsp := obs.Start(ctx, "queue-wait")
-		s.sem <- struct{}{} // bounded decode pool
-		s.met.queueWait.Observe(qsp.End())
-		s.n.decodes.Add(1)
-		_, dsp := obs.Start(ctx, "decode")
-		rs, err := e.C.DecompressShard(i, s.cons)
-		s.met.decode.Observe(dsp.End())
+		rs, err := s.poolDecode(ctx, e, i)
 		if err != nil {
-			<-s.sem
 			return nil, err
 		}
 		size := int64(rs.UncompressedSize())
@@ -757,7 +779,7 @@ func (s *Server) decodedShard(ctx context.Context, e *Named, i int) (*decoded, e
 		s.n.evictions.Add(int64(evicted))
 		s.met.cacheEvictedB.Add(evictedBytes)
 		<-s.sem
-		return &decoded{data: data, size: size}, nil
+		return &decoded{data: data, rs: rs, size: size}, nil
 	})
 	if shared {
 		s.n.deduped.Add(1)
@@ -786,17 +808,6 @@ func (s *Server) DecodedShardOf(name string, i int) ([]byte, error) {
 	}
 	defer d.done()
 	return d.bytes(), nil
-}
-
-// ReadSet decodes shard i of the default container into records via the
-// same cache (the FASTQ text is reparsed; serving workloads want the
-// bytes, not the structs).
-func (s *Server) ReadSet(i int) (*fastq.ReadSet, error) {
-	data, err := s.DecodedShard(i)
-	if err != nil {
-		return nil, err
-	}
-	return fastq.Parse(bytes.NewReader(data))
 }
 
 // writeJSON writes v as indented JSON. Encode failures — a client that

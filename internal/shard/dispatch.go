@@ -1,92 +1,13 @@
-// The shard index as a dispatch table: per-shard read handles that let
-// schedulers (the serving layer, the in-storage scan-unit engine of
-// internal/instorage) iterate the container shard by shard and read
-// raw block bytes at any offset, without the container ever deciding
-// the order or the granularity for them.
-
 package shard
 
-import (
-	"fmt"
-	"io"
-)
-
-// ShardReader is a read-only handle on one shard: an io.ReaderAt over
-// exactly that shard's raw block bytes. Offsets are relative to the
-// block's start; reads never cross into a neighboring shard. On a
-// lazily opened container every ReadAt is one ranged read of the
-// backing source.
-type ShardReader struct {
-	c *Container
-	i int
+// Extent locates shard i's block inside the whole container file: its
+// byte offset, header included, and its length — the numbers SAGe_Write
+// placement (internal/instorage) needs to map the shard onto storage.
+// The bytes themselves come from Block.
+func (c *Container) Extent(i int) (offset, length int64, err error) {
+	if err := c.checkIndex(i); err != nil {
+		return 0, 0, err
+	}
+	e := c.Index.Entries[i]
+	return c.blockBase + e.Offset, e.Length, nil
 }
-
-// Shard returns the handle for shard i.
-func (c *Container) Shard(i int) (*ShardReader, error) {
-	if i < 0 || i >= len(c.Index.Entries) {
-		return nil, fmt.Errorf("shard: shard %d out of range [0,%d)", i, len(c.Index.Entries))
-	}
-	return &ShardReader{c: c, i: i}, nil
-}
-
-// Shards returns the container's index as an iterable dispatch table:
-// one read handle per shard, in index order. This is the entry point
-// for schedulers that assign shards to workers, channels, or scan
-// units.
-func (c *Container) Shards() []*ShardReader {
-	out := make([]*ShardReader, len(c.Index.Entries))
-	for i := range out {
-		out[i] = &ShardReader{c: c, i: i}
-	}
-	return out
-}
-
-// Index returns the shard's position in the container.
-func (r *ShardReader) Index() int { return r.i }
-
-// Entry returns the shard's index entry (reads, offset, length, source,
-// checksum).
-func (r *ShardReader) Entry() Entry { return r.c.Index.Entries[r.i] }
-
-// Size returns the raw block's byte length.
-func (r *ShardReader) Size() int64 { return r.c.Index.Entries[r.i].Length }
-
-// ContainerOffset returns the block's byte offset within the whole
-// container file, header included — the number SAGe_Write placement
-// needs to map the shard onto storage.
-func (r *ShardReader) ContainerOffset() int64 {
-	return r.c.blockBase + r.c.Index.Entries[r.i].Offset
-}
-
-// ReadAt reads raw block bytes at off (relative to the block start)
-// into p, implementing io.ReaderAt over the single shard. Reads are
-// clamped at the block's end with io.EOF, so a shard can be consumed
-// with an io.SectionReader without knowing the container's layout.
-// Bytes are returned as stored — use Bytes for a checksum-verified
-// whole block.
-func (r *ShardReader) ReadAt(p []byte, off int64) (int, error) {
-	e := r.c.Index.Entries[r.i]
-	if off < 0 {
-		return 0, fmt.Errorf("shard: shard %d: negative offset %d", r.i, off)
-	}
-	if off >= e.Length {
-		return 0, io.EOF
-	}
-	if max := e.Length - off; int64(len(p)) > max {
-		p = p[:max]
-	}
-	var n int
-	var err error
-	if r.c.src != nil {
-		n, err = r.c.src.ReadAt(p, r.c.blockBase+e.Offset+off)
-	} else {
-		n = copy(p, r.c.blocks[e.Offset+off:e.Offset+e.Length])
-	}
-	if err == nil && off+int64(n) == e.Length {
-		err = io.EOF
-	}
-	return n, err
-}
-
-// Bytes returns the whole block, checksum-verified (Container.Block).
-func (r *ShardReader) Bytes() ([]byte, error) { return r.c.Block(r.i) }

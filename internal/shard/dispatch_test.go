@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"io"
 	"testing"
 )
 
@@ -31,56 +30,27 @@ func TestDispatchTableHandles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, c := range map[string]*Container{"parsed": parsed, "opened": opened} {
-		handles := c.Shards()
-		if len(handles) != c.NumShards() {
-			t.Fatalf("%s: %d handles for %d shards", name, len(handles), c.NumShards())
-		}
-		for i, h := range handles {
-			if h.Index() != i {
-				t.Fatalf("%s: handle %d reports index %d", name, i, h.Index())
-			}
-			e := c.Index.Entries[i]
-			// Entry carries a zone-map sketch slice now, so compare the
-			// placement-relevant fields rather than the whole struct.
-			he := h.Entry()
-			if he.ReadCount != e.ReadCount || he.Offset != e.Offset ||
-				he.Length != e.Length || he.Source != e.Source || he.Checksum != e.Checksum {
-				t.Fatalf("%s: handle %d entry mismatch", name, i)
-			}
-			if h.Size() != e.Length {
-				t.Fatalf("%s: handle %d size %d, want %d", name, i, h.Size(), e.Length)
-			}
-			// ContainerOffset points at the block inside the whole file.
-			lo := h.ContainerOffset()
-			if !bytes.Equal(data[lo:lo+h.Size()], mustBlock(t, c, i)) {
-				t.Fatalf("%s: handle %d ContainerOffset does not locate the block", name, i)
-			}
-			// Whole-shard ReadAt == verified Block.
-			buf := make([]byte, h.Size())
-			if _, err := h.ReadAt(buf, 0); err != nil && err != io.EOF {
-				t.Fatalf("%s: handle %d ReadAt: %v", name, i, err)
-			}
-			if !bytes.Equal(buf, mustBlock(t, c, i)) {
-				t.Fatalf("%s: handle %d ReadAt bytes differ from Block", name, i)
-			}
-			// A SectionReader over the handle streams the same bytes.
-			streamed, err := io.ReadAll(io.NewSectionReader(h, 0, h.Size()))
+		var next int64
+		for i, e := range c.Index.Entries {
+			off, length, err := c.Extent(i)
 			if err != nil {
-				t.Fatalf("%s: handle %d stream: %v", name, i, err)
+				t.Fatalf("%s: Extent(%d): %v", name, i, err)
 			}
-			if !bytes.Equal(streamed, buf) {
-				t.Fatalf("%s: handle %d streamed bytes differ", name, i)
+			if length != e.Length {
+				t.Fatalf("%s: shard %d extent length %d, want %d", name, i, length, e.Length)
 			}
-			// Mid-block ranged read.
-			if h.Size() > 4 {
-				part := make([]byte, 3)
-				if _, err := h.ReadAt(part, 1); err != nil && err != io.EOF {
-					t.Fatalf("%s: ranged ReadAt: %v", name, err)
-				}
-				if !bytes.Equal(part, buf[1:4]) {
-					t.Fatalf("%s: handle %d ranged read mismatch", name, i)
-				}
+			// The offset points at the block inside the whole file.
+			if !bytes.Equal(data[off:off+length], mustBlock(t, c, i)) {
+				t.Fatalf("%s: shard %d extent does not locate the block", name, i)
 			}
+			// Extents tile the block section: none leaks into a neighbor.
+			if i > 0 && off != next {
+				t.Fatalf("%s: shard %d starts at %d, previous extent ended at %d", name, i, off, next)
+			}
+			next = off + length
+		}
+		if next != int64(len(data)) {
+			t.Fatalf("%s: extents end at %d, container is %d bytes", name, next, len(data))
 		}
 	}
 }
@@ -99,27 +69,27 @@ func TestDispatchHandleBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Shard(-1); err == nil {
-		t.Fatal("negative shard index must error")
+	for _, i := range []int{-1, c.NumShards()} {
+		if _, _, err := c.Extent(i); err == nil {
+			t.Fatalf("Extent(%d) must error", i)
+		}
+		if _, err := c.Block(i); err == nil {
+			t.Fatalf("Block(%d) must error", i)
+		}
+		if _, err := c.DecodeBlock(i, nil, nil); err == nil {
+			t.Fatalf("DecodeBlock(%d) must error", i)
+		}
 	}
-	if _, err := c.Shard(c.NumShards()); err == nil {
-		t.Fatal("out-of-range shard index must error")
+	// DecodeBlock verifies foreign bytes against the index before
+	// decoding: a neighbor's block is rejected, the right one decodes.
+	if _, err := c.DecodeBlock(0, mustBlock(t, c, 1), nil); err == nil {
+		t.Fatal("DecodeBlock must reject bytes that fail shard 0's checksum")
 	}
-	h, err := c.Shard(0)
+	rs, err := c.DecodeBlock(0, mustBlock(t, c, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.ReadAt(make([]byte, 1), -1); err == nil {
-		t.Fatal("negative offset must error")
-	}
-	if _, err := h.ReadAt(make([]byte, 1), h.Size()); err != io.EOF {
-		t.Fatal("read at EOF must return io.EOF")
-	}
-	// A read ending exactly at the block boundary reports io.EOF and
-	// never leaks the next shard's bytes.
-	buf := make([]byte, h.Size()+100)
-	n, err := h.ReadAt(buf, 0)
-	if int64(n) != h.Size() || err != io.EOF {
-		t.Fatalf("over-long read = (%d, %v), want (%d, EOF)", n, err, h.Size())
+	if len(rs.Records) != c.Index.Entries[0].ReadCount {
+		t.Fatalf("DecodeBlock decoded %d reads, index says %d", len(rs.Records), c.Index.Entries[0].ReadCount)
 	}
 }

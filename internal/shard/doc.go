@@ -1,60 +1,50 @@
 // Package shard implements SAGe's sharded container: a read set split
 // into fixed-size batches, each compressed independently as one SAGe
 // block, held together by a seekable per-shard index. Shards are the
-// unit of parallel compression and decompression (this package's worker
-// pools), of pipelined I/O→decompress→analyze execution (§3.1), of
-// per-shard in-storage scan units, and of multi-client serving
-// (internal/serve).
+// unit of parallel compression and decompression (this package's two
+// worker pools), of pipelined I/O→decompress→analyze execution (§3.1),
+// of per-shard in-storage scan units (internal/instorage), and of
+// multi-client serving (internal/serve).
 //
 // # Writing
 //
-// Compress packs an in-memory read set; CompressStream streams one
-// FASTQ input batch by batch; CompressSources ingests many input files
-// at once — lane splits or paired-end R1/R2 mates via fastq.MultiReader
-// — into a single container whose shard boundaries are file-aware (no
-// shard spans two source files) and whose header carries a source-file
-// manifest attributing every shard to the file, or mate pair, it came
-// from. All three are deterministic: any worker count produces
-// identical bytes.
+// CompressPipeline is the one writer: it drains a fastq.BatchSource —
+// a BatchReader over one stream, a MultiReader over lane splits or
+// paired-end R1/R2 mates, or either wrapped in the similarity-reorder
+// stage of internal/reorder — and assembles one container. What the
+// source offers decides what the header carries: a MultiReader's
+// batches never span two inputs, so shard boundaries are file-aware
+// and the header gains a source manifest; a reorder stage adds the
+// inverse permutation that makes the reordering reversible. Compress
+// is the in-memory adapter over it. Output is deterministic: any
+// worker count produces identical bytes.
 //
 // # Reading
 //
 // Parse validates an in-memory container; Open/OpenFile parse only the
 // header behind an io.ReaderAt, so a served container costs its index
-// in memory — never the file. Block/DecompressShard fetch and decode
-// one shard; Decompress reassembles the whole set on a worker pool;
-// Inspect renders the index, including per-source attribution and
-// per-file totals when a manifest is present.
+// in memory — never the file. Block is the one block accessor
+// (checksum-verified raw bytes; Extent says where they sit in the
+// file), DecompressShard the one fetch + verify + decode + count-check
+// of a shard, and DecodeBlock the same for a caller that fetched the
+// bytes itself. Whole-container reads all run on one ordered,
+// bounded-memory decode pool: DecompressTo streams FASTQ in stored
+// order, DecompressOriginalTo in original input order, Filter streams
+// the records matching a Predicate after zone-map pruning, and
+// Decompress collects the records in memory. Inspect renders the
+// index, including per-source attribution and per-file totals when a
+// manifest is present.
 //
 // # Container format
 //
-// The normative byte-level specification, including the uvarint
-// encoding, the consensus block, the v3 source manifest, and the
-// version-history/compatibility table, lives in docs/FORMAT.md. In
-// outline (multi-byte integers are unsigned varints unless noted;
-// checksums are fixed-width little-endian):
-//
-//	magic        "SAGS"
-//	version      u8 (3; readers also accept the manifest-less 1 and 2)
-//	flags        u8 (hasConsensus | consensusHasN<<1)
-//	totalReads   total records across all shards
-//	shardReads   target records per shard (0 = unknown/streaming)
-//	consensusLen (only when hasConsensus)
-//	consensus    (only when hasConsensus) 2-bit packed, or 3-bit packed
-//	             when consensusHasN
-//	sourceCount  (v3+) manifest length, 0 = no source attribution
-//	sources      (v3+) sourceCount × (nameLen, name, mateLen, mate,
-//	             readCount)
-//	shardCount
-//	index        shardCount × (readCount, offset, length, source (v3+),
-//	             checksum u32 LE)
-//	headerCRC    u32 LE, CRC-32/IEEE of every byte above (magic..index)
-//	blocks       concatenated SAGe core containers
-//
-// Offsets are relative to the start of the block section, so the index
-// alone is enough to seek to, verify (CRC-32/IEEE), and decode any
-// single shard without touching the others. The consensus is stored
-// once at the container level and shared by every block (each block is
-// compressed with EmbedConsensus off), so sharding does not multiply
-// the consensus cost.
+// docs/FORMAT.md is the normative byte-level specification and the one
+// place that describes the layout: the uvarint encoding, the consensus
+// block, the source manifest, zone maps, the reorder permutation, and
+// the version-history/compatibility table. What matters to callers:
+// index offsets are relative to the start of the block section, so the
+// index alone is enough to seek to, verify (CRC-32/IEEE), and decode
+// any single shard without touching the others; and the consensus is
+// stored once at the container level and shared by every block (each
+// block is compressed with EmbedConsensus off), so sharding does not
+// multiply the consensus cost.
 package shard

@@ -829,27 +829,53 @@ func OpenFile(path string) (*Container, *os.File, error) {
 	return c, f, nil
 }
 
-// Block returns shard i's raw SAGe block after verifying its checksum.
-// On a lazily opened container this is the only read the shard costs:
-// one ReadAt of exactly the block's bytes.
+// Block is the one block accessor: shard i's raw SAGe block, checksum-
+// verified. On a lazily opened container this is the only read the
+// shard costs: one ReadAt of exactly the block's bytes.
 func (c *Container) Block(i int) ([]byte, error) {
-	if i < 0 || i >= len(c.Index.Entries) {
-		return nil, fmt.Errorf("shard: block %d out of range [0,%d)", i, len(c.Index.Entries))
+	b, err := c.fetch(i)
+	if err != nil {
+		return nil, err
 	}
-	e := c.Index.Entries[i]
-	var b []byte
-	if c.src != nil {
-		b = make([]byte, e.Length)
-		if _, err := c.src.ReadAt(b, c.blockBase+e.Offset); err != nil {
-			return nil, fmt.Errorf("shard: reading block %d: %w", i, err)
-		}
-	} else {
-		b = c.blocks[e.Offset : e.Offset+e.Length]
-	}
-	if got := crc32.ChecksumIEEE(b); got != e.Checksum {
-		return nil, fmt.Errorf("shard: block %d checksum mismatch: got %08x, index says %08x", i, got, e.Checksum)
+	if err := c.verify(i, b); err != nil {
+		return nil, err
 	}
 	return b, nil
+}
+
+// checkIndex range-checks a shard index.
+func (c *Container) checkIndex(i int) error {
+	if i < 0 || i >= len(c.Index.Entries) {
+		return fmt.Errorf("shard: block %d out of range [0,%d)", i, len(c.Index.Entries))
+	}
+	return nil
+}
+
+// fetch reads shard i's block as stored, unverified.
+func (c *Container) fetch(i int) ([]byte, error) {
+	if err := c.checkIndex(i); err != nil {
+		return nil, err
+	}
+	e := c.Index.Entries[i]
+	if c.src == nil {
+		return c.blocks[e.Offset : e.Offset+e.Length], nil
+	}
+	b := make([]byte, e.Length)
+	if _, err := c.src.ReadAt(b, c.blockBase+e.Offset); err != nil {
+		return nil, fmt.Errorf("shard: reading block %d: %w", i, err)
+	}
+	return b, nil
+}
+
+// verify checks b against shard i's index checksum.
+func (c *Container) verify(i int, b []byte) error {
+	if err := c.checkIndex(i); err != nil {
+		return err
+	}
+	if got, want := crc32.ChecksumIEEE(b), c.Index.Entries[i].Checksum; got != want {
+		return fmt.Errorf("shard: block %d checksum mismatch: got %08x, index says %08x", i, got, want)
+	}
+	return nil
 }
 
 // Inspect renders a human-readable summary of a sharded container: the
@@ -943,7 +969,10 @@ func reorderModeName(ix *Index) string {
 }
 
 // inspectSizes decodes every shard on a worker pool and returns the
-// per-shard uncompressed FASTQ sizes (or errors).
+// per-shard uncompressed FASTQ sizes (or errors). It is the one decode
+// pool outside streamShards: a summary must tolerate per-shard failures
+// and report "-" for them, which streamShards' first-error-stops
+// contract cannot express.
 func inspectSizes(c *Container, cons genome.Seq) ([]int64, []error) {
 	n := c.NumShards()
 	rawSizes := make([]int64, n)

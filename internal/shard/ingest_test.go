@@ -40,7 +40,7 @@ func TestCompressSourcesFileAware(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	st, err := CompressSources(mr, &buf, opt)
+	st, err := CompressPipeline(mr, &buf, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCompressSourcesDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if _, err := CompressSources(mr, &buf, opt); err != nil {
+		if _, err := CompressPipeline(mr, &buf, opt); err != nil {
 			t.Fatal(err)
 		}
 		if want == nil {
@@ -147,7 +147,7 @@ func TestCompressSourcesPaired(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	st, err := CompressSources(mr, &buf, opt)
+	st, err := CompressPipeline(mr, &buf, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestCompressSourcesOddShardReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := CompressSources(mr, &buf, opt); err != nil {
+	if _, err := CompressPipeline(mr, &buf, opt); err != nil {
 		t.Fatal(err)
 	}
 	c, err := Parse(buf.Bytes())
@@ -229,7 +229,7 @@ func TestCompressSourcesOddShardReads(t *testing.T) {
 }
 
 // TestCompressSourcesErrors checks ingest-side failures (mate mismatch,
-// unequal lengths) surface through CompressSources instead of writing a
+// unequal lengths) surface through CompressPipeline instead of writing a
 // half container.
 func TestCompressSourcesErrors(t *testing.T) {
 	_, ref := testSet(t, 1)
@@ -263,7 +263,7 @@ func TestCompressSourcesErrors(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			_, err = CompressSources(mr, &buf, opt)
+			_, err = CompressPipeline(mr, &buf, opt)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("got %v, want error containing %q", err, tc.want)
 			}
@@ -282,7 +282,7 @@ func TestInspectManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := CompressSources(mr, &buf, opt); err != nil {
+	if _, err := CompressPipeline(mr, &buf, opt); err != nil {
 		t.Fatal(err)
 	}
 	info, err := Inspect(buf.Bytes(), nil)
@@ -315,7 +315,7 @@ func TestOpenManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := CompressSources(mr, &buf, opt); err != nil {
+	if _, err := CompressPipeline(mr, &buf, opt); err != nil {
 		t.Fatal(err)
 	}
 	parsed, err := Parse(buf.Bytes())

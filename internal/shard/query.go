@@ -165,14 +165,10 @@ func (p *Predicate) PruneShard(e *Entry) bool {
 // pruned shards cost zero block I/O on every read path (Parse, Open,
 // or the in-storage engine).
 func (c *Container) QueryPlan(p *Predicate) (scan []int, pruned int) {
-	n := c.NumShards()
-	scan = make([]int, 0, n)
 	if !p.Active() || !c.HasZoneMaps() {
-		for i := 0; i < n; i++ {
-			scan = append(scan, i)
-		}
-		return scan, 0
+		return c.allShards(), 0
 	}
+	scan = make([]int, 0, c.NumShards())
 	for i := range c.Index.Entries {
 		if p.PruneShard(&c.Index.Entries[i]) {
 			pruned++

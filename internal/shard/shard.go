@@ -116,58 +116,35 @@ func (s *sliceSource) Next() (fastq.Batch, error) {
 	return b, nil
 }
 
-// Compress splits rs into shards and compresses them concurrently. The
-// output is deterministic: any worker count produces identical bytes.
+// Compress splits rs into shards and compresses them concurrently: the
+// in-memory adapter over CompressPipeline.
 func Compress(rs *fastq.ReadSet, opt Options) ([]byte, *Stats, error) {
 	var buf bytes.Buffer
-	st, err := compress(&sliceSource{batches: rs.Batches(opt.shardReads())}, &buf, opt)
+	st, err := CompressPipeline(&sliceSource{batches: rs.Batches(opt.shardReads())}, &buf, opt)
 	if err != nil {
 		return nil, nil, err
 	}
 	return buf.Bytes(), st, nil
 }
 
-// CompressStream compresses batches from br as they arrive, writing the
-// finished container to w. Raw reads are bounded to one in-flight batch
-// per worker; only the (much smaller) compressed blocks are buffered
-// until the index can be written.
-func CompressStream(br *fastq.BatchReader, w io.Writer, opt Options) (*Stats, error) {
-	return compress(br, w, opt)
-}
-
-// CompressSources compresses batches from a multi-file reader — lane
-// splits via fastq.NewMultiReader, or paired-end R1/R2 mates via
-// fastq.NewPairedReader — into one container. mr's batches never span
-// two sources, so shard boundaries are file-aware, and the container
-// header gains a source manifest attributing every shard (and a
-// per-source read total) to the file or mate pair it came from.
-// mr defines the shard cut points: the container's recorded shard
-// target is mr's effective batch size (paired readers round it down to
-// even), not Options.ShardReads. Like the other writers, the output is
-// deterministic across worker counts.
-func CompressSources(mr *fastq.MultiReader, w io.Writer, opt Options) (*Stats, error) {
-	return CompressPipeline(mr, w, opt)
-}
-
-// CompressPipeline compresses batches from an arbitrary ingest
-// pipeline — a leaf reader, or stages wrapped around one (the
-// similarity-reorder stage, internal/reorder.Stage) — into one
-// container. The pipeline's capabilities are discovered structurally:
-// a stage exposing BatchSize() defines the recorded shard cut point, a
-// stage exposing Sources() contributes the source manifest, and a
-// stage exposing ReorderMode()/Perm() promotes the container to format
-// v5 with its inverse permutation. A bare BatchReader through this
-// path writes byte-for-byte what CompressStream writes — the identity
-// pipeline is free.
+// CompressPipeline is the one container writer: it compresses the
+// batches of an ingest pipeline — a leaf reader (fastq.BatchReader for
+// one stream; fastq.NewMultiReader / NewPairedReader for lane splits
+// and R1/R2 mates), or stages wrapped around one (the similarity-
+// reorder stage, internal/reorder.Stage) — on a worker pool and
+// assembles one container into w. Raw reads are bounded to one
+// in-flight batch per worker; only the (much smaller) compressed
+// blocks are buffered until the index can be written. The output is
+// deterministic: any worker count produces identical bytes.
+//
+// The pipeline's capabilities are discovered structurally: a stage
+// exposing BatchSize() defines the recorded shard cut point (paired
+// readers round it down to even) instead of Options.ShardReads, a
+// stage exposing Sources() contributes the source manifest — its
+// batches never span two sources, so shard boundaries are file-aware —
+// and a stage exposing ReorderMode()/Perm() promotes the container to
+// format v5 with its inverse permutation.
 func CompressPipeline(src fastq.BatchSource, w io.Writer, opt Options) (*Stats, error) {
-	return compress(src, w, opt)
-}
-
-// compress runs the worker pool over the source's batches and
-// assembles the container into w. Manifest, shard-size, and reorder
-// metadata are taken from the source when it offers them (see
-// CompressPipeline).
-func compress(src fastq.BatchSource, w io.Writer, opt Options) (*Stats, error) {
 	if bs, ok := src.(interface{ BatchSize() int }); ok {
 		opt.ShardReads = bs.BatchSize()
 	}
@@ -350,12 +327,24 @@ func compress(src fastq.BatchSource, w io.Writer, opt Options) (*Stats, error) {
 	}, nil
 }
 
-// DecompressShard decodes shard i. Like core.Decompress, an embedded
-// consensus always wins; cons is the fallback for containers written
-// without one.
+// DecompressShard is the one fetch + verify + decode + count-check of
+// shard i; every other read path (streamShards, the serving decode
+// pool) calls it. Like core.Decompress, an embedded consensus always
+// wins; cons is the fallback for containers written without one.
 func (c *Container) DecompressShard(i int, cons genome.Seq) (*fastq.ReadSet, error) {
-	blk, err := c.Block(i)
+	blk, err := c.fetch(i)
 	if err != nil {
+		return nil, err
+	}
+	return c.DecodeBlock(i, blk, cons)
+}
+
+// DecodeBlock is DecompressShard for a caller that fetched shard i's
+// bytes itself (the in-storage engine reads them back from its device
+// model): blk is verified against the index checksum, decoded, and the
+// record count checked against the index.
+func (c *Container) DecodeBlock(i int, blk []byte, cons genome.Seq) (*fastq.ReadSet, error) {
+	if err := c.verify(i, blk); err != nil {
 		return nil, err
 	}
 	if c.Consensus != nil {
@@ -388,11 +377,7 @@ var testDecodeStarted func(shard int)
 // without an embedded one. This is the streaming path behind
 // `sage decompress` and large-shard serving.
 func (c *Container) DecompressTo(w io.Writer, cons genome.Seq, workers int) error {
-	list := make([]int, c.NumShards())
-	for i := range list {
-		list[i] = i
-	}
-	_, err := c.streamShards(writeSink(w), cons, workers, list, nil)
+	_, err := c.streamShards(writeSink(w), cons, workers, c.allShards(), nil)
 	return err
 }
 
@@ -412,10 +397,6 @@ func (c *Container) DecompressOriginalTo(w io.Writer, cons genome.Seq, workers i
 	perm := c.Index.Perm
 	r := reorder.NewRestorer(sc)
 	defer r.Close()
-	list := make([]int, c.NumShards())
-	for i := range list {
-		list[i] = i
-	}
 	pos := 0
 	_, err := c.streamShards(func(rs *fastq.ReadSet) error {
 		for j := range rs.Records {
@@ -428,7 +409,7 @@ func (c *Container) DecompressOriginalTo(w io.Writer, cons genome.Seq, workers i
 			pos++
 		}
 		return nil
-	}, cons, workers, list, nil)
+	}, cons, workers, c.allShards(), nil)
 	if err != nil {
 		return err
 	}
@@ -449,7 +430,16 @@ func writeSink(w io.Writer) func(*fastq.ReadSet) error {
 	return func(rs *fastq.ReadSet) error { return rs.Write(w) }
 }
 
-// streamShards is the bounded-memory streaming engine shared by
+// allShards lists every shard in index order.
+func (c *Container) allShards() []int {
+	list := make([]int, c.NumShards())
+	for i := range list {
+		list[i] = i
+	}
+	return list
+}
+
+// streamShards is the one ordered decode pool, shared by Decompress,
 // DecompressTo, DecompressOriginalTo, and Filter: the shards named by
 // list decode on a worker pool and their records reach emit in list
 // order. keep, when non-nil, drops non-matching records worker-side
@@ -581,63 +571,24 @@ func (c *Container) streamShards(emit func(*fastq.ReadSet) error, cons genome.Se
 	return written, nil
 }
 
-// Decompress parses a sharded container and decodes its shards
-// concurrently on up to workers goroutines (<= 0 uses GOMAXPROCS),
-// reassembling reads in shard order. Output is byte-identical for any
-// worker count. cons is used only when the container has no embedded
-// consensus; pass nil for self-contained containers.
+// Decompress parses a sharded container and decodes it whole: Parse
+// plus a collecting sink over the streamShards pool (up to workers
+// goroutines, <= 0 uses GOMAXPROCS), reads in shard order. Output is
+// identical for any worker count. cons is used only when the
+// container has no embedded consensus; pass nil for self-contained
+// containers.
 func Decompress(data []byte, cons genome.Seq, workers int) (*fastq.ReadSet, error) {
 	c, err := Parse(data)
 	if err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > c.NumShards() {
-		workers = c.NumShards()
-	}
-	parts := make([]*fastq.ReadSet, c.NumShards())
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	var stop atomic.Bool
-	jobs := make(chan int, c.NumShards())
-	for i := 0; i < c.NumShards(); i++ {
-		jobs <- i
-	}
-	close(jobs)
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if stop.Load() {
-					continue
-				}
-				rs, err := c.DecompressShard(i, cons)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					stop.Store(true)
-					continue
-				}
-				parts[i] = rs
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	out := &fastq.ReadSet{Records: make([]fastq.Record, 0, c.Index.TotalReads)}
-	for _, p := range parts {
-		out.Records = append(out.Records, p.Records...)
+	_, err = c.streamShards(func(rs *fastq.ReadSet) error {
+		out.Records = append(out.Records, rs.Records...)
+		return nil
+	}, cons, workers, c.allShards(), nil)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

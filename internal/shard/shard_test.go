@@ -124,7 +124,7 @@ func TestCompressStreamMatchesInMemory(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	br := fastq.NewBatchReader(bytes.NewReader(rs.Bytes()), opt.ShardReads)
-	st, err := CompressStream(br, &buf, opt)
+	st, err := CompressPipeline(br, &buf, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCompressStreamBadInput(t *testing.T) {
 	_, ref := testSet(t, 1)
 	br := fastq.NewBatchReader(strings.NewReader("@r1\nACGT\nnot a separator\n!!!!\n"), 4)
 	var buf bytes.Buffer
-	if _, err := CompressStream(br, &buf, DefaultOptions(ref)); err == nil {
+	if _, err := CompressPipeline(br, &buf, DefaultOptions(ref)); err == nil {
 		t.Fatal("malformed FASTQ stream did not error")
 	}
 }

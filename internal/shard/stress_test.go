@@ -9,7 +9,7 @@ import (
 )
 
 // TestConcurrentCompressDecompressSharedOptions runs several
-// CompressStream and DecompressTo pipelines at once, all reading ONE
+// CompressPipeline and DecompressTo pipelines at once, all reading ONE
 // shared Options value. Options (and the SharedMapper the block
 // options may carry) must be safe to share by value across concurrent
 // compressions; under `go test -race` this pins the pooled scratch
@@ -47,12 +47,12 @@ func TestConcurrentCompressDecompressSharedOptions(t *testing.T) {
 			// Compress from a private reader through the SHARED opt.
 			br := fastq.NewBatchReader(bytes.NewReader(text), opt.ShardReads)
 			var out bytes.Buffer
-			if _, err := CompressStream(br, &out, opt); err != nil {
+			if _, err := CompressPipeline(br, &out, opt); err != nil {
 				errc <- err
 				return
 			}
 			if !bytes.Equal(out.Bytes(), refData) {
-				t.Error("concurrent CompressStream produced different container bytes")
+				t.Error("concurrent CompressPipeline produced different container bytes")
 			}
 		}()
 		wg.Add(1)
