@@ -222,8 +222,7 @@ bounds; for identity-order containers the flag is a free no-op.
 serve hosts a registry of sharded containers, each opened lazily (only
 indexes are resident). -in repeats, and a directory -in serves every
 *.sage inside; each container is routed by base name under
-/c/{name}/... (GET /containers lists them; the first container also
-answers the legacy /shards, /shard/{i}, ... routes). Shard responses
+/c/{name}/... (GET /containers lists them). Shard responses
 carry Content-Length and an ETag derived from the shard's index crc32,
 If-None-Match re-validation answers 304 without touching the
 container, and raw blocks honor Range for resumable fetches. Decoded
@@ -1127,13 +1126,9 @@ func cmdServe(args []string) error {
 		}()
 	}
 	fmt.Printf("serving %d container(s) on %s (shared cache budget %d B):\n", len(named), *addr, *cacheBytes)
-	for i, nc := range named {
-		def := ""
-		if i == 0 {
-			def = "  (default: legacy /shards etc. alias it)"
-		}
-		fmt.Printf("  /c/%s: %d reads in %d shards (%d B blocks)%s\n",
-			nc.Name, nc.C.Index.TotalReads, nc.C.NumShards(), nc.C.Index.BlockBytes(), def)
+	for _, nc := range named {
+		fmt.Printf("  /c/%s: %d reads in %d shards (%d B blocks)\n",
+			nc.Name, nc.C.Index.TotalReads, nc.C.NumShards(), nc.C.Index.BlockBytes())
 	}
 	fmt.Printf("endpoints: /containers /c/{name}/shards /c/{name}/shard/{i}[/reads] /c/{name}/query /c/{name}/files /c/{name}/file/{file}/shards /stats /metrics\n")
 	fmt.Printf("shard responses carry ETag (= index crc32) and Content-Length; If-None-Match answers 304; raw blocks honor Range\n")

@@ -128,10 +128,9 @@ func main() {
 	// 3. A client discovers the archive from /containers.
 	var cl struct {
 		Containers []struct {
-			Name    string `json:"name"`
-			Reads   int    `json:"reads"`
-			Shards  int    `json:"shards"`
-			Default bool   `json:"default"`
+			Name   string `json:"name"`
+			Reads  int    `json:"reads"`
+			Shards int    `json:"shards"`
 		} `json:"containers"`
 	}
 	body, _ := get(ts.URL+"/containers", nil)
@@ -139,11 +138,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, c := range cl.Containers {
-		tag := ""
-		if c.Default {
-			tag = "  (default: legacy /shards routes alias it)"
-		}
-		fmt.Printf("/containers: %s — %d reads in %d shards%s\n", c.Name, c.Reads, c.Shards, tag)
+		fmt.Printf("/containers: %s — %d reads in %d shards\n", c.Name, c.Reads, c.Shards)
 	}
 
 	// 4. Per-container shard discovery, then raw block vs decoded reads.

@@ -106,13 +106,14 @@ func MeasureServe(data []byte, clients, rounds int) ([]*ServeResult, serve.Stats
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client := ts.Client()
+	base := ts.URL + "/c/" + serve.DefaultName
 
 	shards := c.NumShards()
-	cold, err := sweep(client, ts.URL, "cold (decode per shard)", shards)
+	cold, err := sweep(client, base, "cold (decode per shard)", shards)
 	if err != nil {
 		return nil, serve.Stats{}, err
 	}
-	warm, err := sweep(client, ts.URL, "warm (cache hit per shard)", shards)
+	warm, err := sweep(client, base, "warm (cache hit per shard)", shards)
 	if err != nil {
 		return nil, serve.Stats{}, err
 	}
@@ -136,7 +137,7 @@ func MeasureServe(data []byte, clients, rounds int) ([]*ServeResult, serve.Stats
 			var got int64
 			for k := 0; k < rounds*shards; k++ {
 				t0 := time.Now()
-				b, err := serveGet(client, fmt.Sprintf("%s/shard/%d/reads", ts.URL, (n+k)%shards))
+				b, err := serveGet(client, fmt.Sprintf("%s/shard/%d/reads", base, (n+k)%shards))
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {

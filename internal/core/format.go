@@ -2,14 +2,16 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
+	"math"
 
 	"sage/internal/genome"
+	"sage/internal/wire"
 )
 
-// Container layout (all multi-byte integers are unsigned varints):
+// Container layout (all multi-byte integers are unsigned varints). This
+// comment is the SAGe block's specification; the function layout below
+// is the same table in code and must match it field for field.
 //
 //	magic    "SAGe"
 //	version  u8 (1)
@@ -102,204 +104,101 @@ const (
 
 var streamNames = [5]string{"MPGA", "MPA", "MMPGA", "MMPA", "MBTA"}
 
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
-}
+// maxField caps the size fields the container itself cannot bound: the
+// consensus may live outside the block, and a mapped read can be as
+// long as the consensus.
+const maxField = 1 << 40
 
 func (c *container) marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	buf.WriteByte(formatVersion)
-	buf.WriteByte(c.hdr.flags)
-	writeUvarint(&buf, uint64(c.hdr.numReads))
-	writeUvarint(&buf, uint64(c.hdr.consensusLen))
-	writeUvarint(&buf, uint64(c.hdr.maxReadLen))
-	if c.hdr.has(flagFixedReadLen) {
-		writeUvarint(&buf, uint64(c.hdr.fixedReadLen))
+	w := wire.NewWriter("core")
+	layout(w, c)
+	if err := w.Err(); err != nil {
+		return nil, err
 	}
-	for i, t := range c.hdr.tables {
-		if t == nil {
-			return nil, fmt.Errorf("core: missing association table %d", i)
-		}
-		buf.WriteByte(uint8(len(t.Widths)))
-		for _, w := range t.Widths {
-			buf.WriteByte(w)
-		}
-	}
-	if c.hdr.has(flagEmbedConsensus) {
-		f := genome.Format2Bit
-		if c.hdr.has(flagConsensusHasN) {
-			f = genome.Format3Bit
-		}
-		enc, err := genome.Encode(c.hdr.consensus, f)
-		if err != nil {
-			return nil, fmt.Errorf("core: packing consensus: %w", err)
-		}
-		buf.Write(enc)
-	}
-	for _, s := range c.streams {
-		writeUvarint(&buf, s.bits)
-		writeUvarint(&buf, uint64(len(s.data)))
-		buf.Write(s.data)
-	}
-	if c.hdr.has(flagQuality) {
-		writeUvarint(&buf, uint64(len(c.quality)))
-		buf.Write(c.quality)
-	}
-	if c.hdr.has(flagHeaders) {
-		writeUvarint(&buf, uint64(len(c.headers)))
-		buf.Write(c.headers)
-	}
-	return buf.Bytes(), nil
+	return w.Bytes(), nil
 }
 
 func parseContainer(data []byte) (*container, error) {
-	rd := bytes.NewReader(data)
-	var m [4]byte
-	if _, err := io.ReadFull(rd, m[:]); err != nil {
-		return nil, fmt.Errorf("core: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("core: bad magic %q", m)
-	}
-	ver, err := rd.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if ver != formatVersion {
-		return nil, fmt.Errorf("core: unsupported version %d", ver)
-	}
 	c := &container{}
-	flags, err := rd.ReadByte()
-	if err != nil {
+	r := wire.NewReader("core", data, int64(len(data)))
+	layout(r, c)
+	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	c.hdr.flags = flags
-	ru := func() (int, error) {
-		v, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return 0, err
-		}
-		if v > 1<<40 {
-			return 0, fmt.Errorf("core: implausible size field %d", v)
-		}
-		return int(v), nil
-	}
-	// rb reads a byte-count field and bounds it by the remaining input,
-	// so corrupt containers cannot trigger huge allocations.
-	rb := func(what string) (int, error) {
-		n, err := ru()
-		if err != nil {
-			return 0, err
-		}
-		if n > rd.Len() {
-			return 0, fmt.Errorf("core: %s (%d bytes) exceeds remaining input (%d)", what, n, rd.Len())
-		}
-		return n, nil
-	}
-	if c.hdr.numReads, err = ru(); err != nil {
-		return nil, err
-	}
-	// Every read costs at least one encoded bit, so the read count is
-	// bounded by the container's bit length.
-	if uint64(c.hdr.numReads) > uint64(len(data))*8 {
-		return nil, fmt.Errorf("core: implausible read count %d for a %d-byte container", c.hdr.numReads, len(data))
-	}
-	if c.hdr.consensusLen, err = ru(); err != nil {
-		return nil, err
-	}
-	if c.hdr.maxReadLen, err = ru(); err != nil {
-		return nil, err
-	}
-	// Mapped reads can be at most consensus-sized (plus insertions paid
-	// for in stream bits); unmapped reads are stored at >= 2 bits per
-	// base. Anything beyond that bound is corruption, and rejecting it
-	// keeps read-length claims from driving huge allocations.
-	if uint64(c.hdr.maxReadLen) > uint64(c.hdr.consensusLen)+uint64(len(data))*8 {
-		return nil, fmt.Errorf("core: implausible max read length %d (consensus %d, container %d bytes)",
-			c.hdr.maxReadLen, c.hdr.consensusLen, len(data))
-	}
-	if c.hdr.has(flagFixedReadLen) {
-		if c.hdr.fixedReadLen, err = ru(); err != nil {
-			return nil, err
-		}
-	}
-	for i := range c.hdr.tables {
-		n, err := rd.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		widths := make([]uint8, n)
-		if _, err := io.ReadFull(rd, widths); err != nil {
-			return nil, err
-		}
-		tab, err := NewAssociationTable(widths)
-		if err != nil {
-			return nil, fmt.Errorf("core: table %d: %w", i, err)
-		}
-		c.hdr.tables[i] = tab
-	}
-	if c.hdr.has(flagEmbedConsensus) {
-		f := genome.Format2Bit
-		nBytes := (c.hdr.consensusLen + 3) / 4
-		if c.hdr.has(flagConsensusHasN) {
-			f = genome.Format3Bit
-			nBytes = (c.hdr.consensusLen*3 + 7) / 8
-		}
-		if nBytes > rd.Len() {
-			return nil, fmt.Errorf("core: consensus (%d bytes) exceeds remaining input (%d)", nBytes, rd.Len())
-		}
-		packed := make([]byte, nBytes)
-		if _, err := io.ReadFull(rd, packed); err != nil {
-			return nil, fmt.Errorf("core: reading consensus: %w", err)
-		}
-		cons, err := genome.Decode(packed, c.hdr.consensusLen, f)
-		if err != nil {
-			return nil, fmt.Errorf("core: unpacking consensus: %w", err)
-		}
-		c.hdr.consensus = cons
-	}
-	for i := range c.streams {
-		bits, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, fmt.Errorf("core: stream %s bits: %w", streamNames[i], err)
-		}
-		nBytes, err := rb(fmt.Sprintf("stream %s", streamNames[i]))
-		if err != nil {
-			return nil, fmt.Errorf("core: stream %s length: %w", streamNames[i], err)
-		}
-		if bits > uint64(nBytes)*8 {
-			return nil, fmt.Errorf("core: stream %s claims %d bits in %d bytes", streamNames[i], bits, nBytes)
-		}
-		buf := make([]byte, nBytes)
-		if _, err := io.ReadFull(rd, buf); err != nil {
-			return nil, fmt.Errorf("core: stream %s body: %w", streamNames[i], err)
-		}
-		c.streams[i] = stream{bits: bits, data: buf}
-	}
-	if c.hdr.has(flagQuality) {
-		n, err := rb("quality stream")
-		if err != nil {
-			return nil, err
-		}
-		c.quality = make([]byte, n)
-		if _, err := io.ReadFull(rd, c.quality); err != nil {
-			return nil, err
-		}
-	}
-	if c.hdr.has(flagHeaders) {
-		n, err := rb("header stream")
-		if err != nil {
-			return nil, err
-		}
-		c.headers = make([]byte, n)
-		if _, err := io.ReadFull(rd, c.headers); err != nil {
-			return nil, err
-		}
 	}
 	return c, nil
+}
+
+// layout is the SAGe block, stated once in wire order — the code form
+// of the layout comment above, field for field. Over a writing codec it
+// marshals c, over a reading one it fills c in; the rules between
+// fields hold in both directions. Every byte count is bounded by the
+// block before anything is allocated for it (wire.Codec.Raw), so a
+// corrupt block cannot ask for more memory than it occupies.
+func layout(w *wire.Codec, c *container) {
+	h := &c.hdr
+	w.Magic(magic[:])
+	ver := uint8(formatVersion)
+	w.U8("version", &ver)
+	if ver != formatVersion {
+		w.Failf("unsupported version %d", ver)
+	}
+	w.U8("flags", &h.flags)
+	// Every read costs at least one encoded bit.
+	w.Int("read count", &h.numReads, w.Fit(1))
+	w.Int("consensus length", &h.consensusLen, maxField)
+	w.Int("max read length", &h.maxReadLen, maxField)
+	// Mapped reads can be at most consensus-sized (plus insertions paid
+	// for in stream bits); unmapped reads are stored at >= 2 bits per
+	// base. Anything beyond that is corruption, and rejecting it keeps
+	// read-length claims from driving huge allocations in the decoder.
+	if over := h.maxReadLen - h.consensusLen; over > 0 && uint64(over) > w.Fit(1) {
+		w.Failf("implausible max read length %d (consensus %d)", h.maxReadLen, h.consensusLen)
+	}
+	if h.has(flagFixedReadLen) {
+		w.Int("fixed read length", &h.fixedReadLen, maxField)
+	}
+
+	for i := range h.tables {
+		w.Scope("table", i)
+		var widths []uint8
+		if t := h.tables[i]; t != nil {
+			widths = t.Widths
+		} else if w.Storing() {
+			w.Failf("missing association table %d", i)
+		}
+		n := uint8(len(widths))
+		w.U8("width count", &n)
+		w.Raw("widths", &widths, int(n))
+		if w.Loading() {
+			tab, err := NewAssociationTable(widths)
+			if err != nil {
+				w.Failf("table %d: %w", i, err)
+			}
+			h.tables[i] = tab
+		}
+	}
+	w.Scope("", 0)
+
+	if h.has(flagEmbedConsensus) {
+		w.Seq("consensus", &h.consensus, h.consensusLen, h.has(flagConsensusHasN))
+	}
+
+	for i := range c.streams {
+		s := &c.streams[i]
+		w.Scope("stream", i)
+		w.Uvarint("bits", &s.bits, math.MaxUint64)
+		w.Blob("bytes", &s.data)
+		if s.bits > uint64(len(s.data))*8 {
+			w.Failf("stream %s claims %d bits in %d bytes", streamNames[i], s.bits, len(s.data))
+		}
+	}
+	w.Scope("", 0)
+	if h.has(flagQuality) {
+		w.Blob("quality stream", &c.quality)
+	}
+	if h.has(flagHeaders) {
+		w.Blob("header stream", &c.headers)
+	}
 }
 
 // Inspect renders a human-readable summary of a container: header fields,

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sage/internal/fastq"
@@ -18,6 +19,70 @@ func fuzzConsensus() genome.Seq {
 	return genome.Random(rng, 4096)
 }
 
+// fuzzSeeds compresses one small simulated read set two ways — a full
+// self-contained block, and a DNA-only block against an external
+// consensus — the valid starting points both fuzz targets mutate from.
+func fuzzSeeds(f *testing.F, cons genome.Seq) (rs *fastq.ReadSet, full, bare []byte) {
+	rng := rand.New(rand.NewSource(2))
+	donor, _ := genome.Donor(rng, cons, genome.HumanLikeProfile())
+	rs, err := simulate.New(rng, donor).ShortReads(40, simulate.DefaultShortProfile())
+	if err != nil {
+		f.Fatal(err)
+	}
+	enc, err := Compress(rs, DefaultOptions(cons))
+	if err != nil {
+		f.Fatal(err)
+	}
+	opt := DefaultOptions(cons)
+	opt.EmbedConsensus = false
+	opt.IncludeQuality = false
+	opt.IncludeHeaders = false
+	encBare, err := Compress(rs, opt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return rs, enc.Data, encBare.Data
+}
+
+// FuzzParseBlock drives parseContainer alone over arbitrary bytes, the
+// way FuzzParseHeader drives the SAGS header parser. The invariants:
+// never panic; never hold more than a small multiple of the input (a
+// 2-bit consensus unpacks to four bases per byte, nothing else grows);
+// and any accepted block re-marshals to bytes that parse back to an
+// equal container.
+func FuzzParseBlock(f *testing.F) {
+	_, full, bare := fuzzSeeds(f, fuzzConsensus())
+	f.Add(full)
+	f.Add(bare)
+	f.Add(full[:len(full)/2])
+	f.Add([]byte("SAGe\x01\xff\xff\xff\xff\xff\xff"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := parseContainer(data)
+		if err != nil {
+			return
+		}
+		held := len(c.hdr.consensus) + len(c.quality) + len(c.headers)
+		for _, s := range c.streams {
+			held += len(s.data)
+		}
+		if held > 4*len(data) {
+			t.Fatalf("a %d-byte block parsed into %d bytes", len(data), held)
+		}
+		re, err := c.marshal()
+		if err != nil {
+			t.Fatalf("re-marshal of an accepted block failed: %v", err)
+		}
+		c2, err := parseContainer(re)
+		if err != nil {
+			t.Fatalf("re-marshaled block does not parse: %v", err)
+		}
+		if !reflect.DeepEqual(c, c2) {
+			t.Fatalf("block changed across re-marshal:\n%+v\n%+v", c.hdr, c2.hdr)
+		}
+	})
+}
+
 // FuzzRoundtrip drives both halves of the codec:
 //
 //  1. The input bytes are fed to Decompress as a (usually corrupt)
@@ -31,34 +96,17 @@ func fuzzConsensus() genome.Seq {
 // compression path).
 func FuzzRoundtrip(f *testing.F) {
 	cons := fuzzConsensus()
-	rng := rand.New(rand.NewSource(2))
-	donor, _ := genome.Donor(rng, cons, genome.HumanLikeProfile())
-	rs, err := simulate.New(rng, donor).ShortReads(40, simulate.DefaultShortProfile())
-	if err != nil {
-		f.Fatal(err)
-	}
-
-	// Seed 1: a full self-contained container.
-	enc, err := Compress(rs, DefaultOptions(cons))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(enc.Data)
-	// Seed 2: a DNA-only container with an external consensus.
-	bare := DefaultOptions(cons)
-	bare.EmbedConsensus = false
-	bare.IncludeQuality = false
-	bare.IncludeHeaders = false
-	if enc, err = Compress(rs, bare); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(enc.Data)
+	rs, full, bare := fuzzSeeds(f, cons)
+	// Seeds 1-2: a full self-contained container and a DNA-only one
+	// with an external consensus.
+	f.Add(full)
+	f.Add(bare)
 	// Seed 3: FASTQ text.
 	f.Add(rs.Bytes())
 	// Seed 4: tiny hand-written FASTQ.
 	f.Add([]byte("@r1\nACGTN\n+\n!!!!!\n@r2\nGG\n+\n##\n"))
 	// Seed 5: a truncated container and raw garbage.
-	f.Add(enc.Data[:len(enc.Data)/2])
+	f.Add(bare[:len(bare)/2])
 	f.Add([]byte("SAGe\x01\xff\xff\xff\xff\xff\xff"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -66,11 +66,11 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// funcMetric is a counter or gauge whose value is read at scrape time —
-// the bridge for subsystems that already keep their own atomics.
-type funcMetric struct {
-	name, help, kind string
-	fn               func() int64
+// funcGauge is a gauge whose value is read at scrape time — for state
+// another structure already holds (cache occupancy, configuration).
+type funcGauge struct {
+	name, help string
+	fn         func() int64
 }
 
 // CounterVec is a family of Counters distinguished by one label.
@@ -146,7 +146,7 @@ func (v *HistogramVec) children() []*Histogram {
 type Registry struct {
 	mu    sync.Mutex
 	names map[string]bool
-	fams  []any // *Counter | *Gauge | *funcMetric | *Histogram | *CounterVec | *HistogramVec
+	fams  []any // *Counter | *Gauge | *funcGauge | *Histogram | *CounterVec | *HistogramVec
 }
 
 // NewRegistry builds an empty registry.
@@ -180,15 +180,9 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// CounterFunc registers a counter whose value is fn(), read at scrape
-// time — for exposing counters a subsystem already maintains.
-func (r *Registry) CounterFunc(name, help string, fn func() int64) {
-	r.register(name, &funcMetric{name: name, help: help, kind: "counter", fn: fn})
-}
-
 // GaugeFunc registers a gauge whose value is fn(), read at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
-	r.register(name, &funcMetric{name: name, help: help, kind: "gauge", fn: fn})
+	r.register(name, &funcGauge{name: name, help: help, fn: fn})
 }
 
 // Histogram registers and returns a latency histogram with the default

@@ -207,7 +207,7 @@ func TestPrometheusExposition(t *testing.T) {
 	c.Add(3)
 	g := r.Gauge("cache_bytes", "bytes resident")
 	g.Set(1 << 20)
-	r.CounterFunc("derived_total", "derived", func() int64 { return 9 })
+	r.GaugeFunc("derived_bytes", "derived", func() int64 { return 9 })
 	h := r.Histogram("latency_seconds", "latency")
 	for i := 0; i < 100; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)

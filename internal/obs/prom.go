@@ -30,8 +30,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case *Gauge:
 			writeHeader(bw, f.name, f.help, "gauge")
 			writeSample(bw, f.name, "", "", float64(f.Value()))
-		case *funcMetric:
-			writeHeader(bw, f.name, f.help, f.kind)
+		case *funcGauge:
+			writeHeader(bw, f.name, f.help, "gauge")
 			writeSample(bw, f.name, "", "", float64(f.fn()))
 		case *Histogram:
 			writeHeader(bw, f.name, f.help, "histogram")

@@ -36,7 +36,7 @@ func BenchmarkShardColdDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := s.DecodedShard(i % c.NumShards())
+		out, err := s.DecodedShardOf(DefaultName, i%c.NumShards())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,14 +47,14 @@ func BenchmarkShardColdDecode(b *testing.B) {
 // BenchmarkShardWarmCache measures the cache-hit path.
 func BenchmarkShardWarmCache(b *testing.B) {
 	s := benchServer(b, DefaultCacheBytes)
-	out, err := s.DecodedShard(0) // warm it
+	out, err := s.DecodedShardOf(DefaultName, 0) // warm it
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(out)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.DecodedShard(0); err != nil {
+		if _, err := s.DecodedShardOf(DefaultName, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func BenchmarkShardConcurrentClients(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, err := s.DecodedShard(i % 8); err != nil {
+			if _, err := s.DecodedShardOf(DefaultName, i%8); err != nil {
 				b.Error(err)
 				return
 			}

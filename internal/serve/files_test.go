@@ -67,13 +67,13 @@ func TestManifestInShards(t *testing.T) {
 	data, _ := manifestContainer(t, 180, 50, false)
 	_, ts := newTestServer(t, data, Config{})
 
-	code, body := get(t, ts.URL+"/shards")
+	code, body := get(t, ts.URL+"/c/default/shards")
 	if code != http.StatusOK {
-		t.Fatalf("/shards: status %d: %s", code, body)
+		t.Fatalf("/c/default/shards: status %d: %s", code, body)
 	}
 	var listing indexListing
 	if err := json.Unmarshal(body, &listing); err != nil {
-		t.Fatalf("/shards: %v\n%s", err, body)
+		t.Fatalf("/c/default/shards: %v\n%s", err, body)
 	}
 	// Identity-order containers carry the v4 version byte even though
 	// the writer's FormatVersion is now 5 (reorder-capable).
@@ -104,13 +104,13 @@ func TestFilesEndpoints(t *testing.T) {
 	data, _ := manifestContainer(t, 200, 64, true)
 	s, ts := newTestServer(t, data, Config{})
 
-	code, body := get(t, ts.URL+"/files")
+	code, body := get(t, ts.URL+"/c/default/files")
 	if code != http.StatusOK {
-		t.Fatalf("/files: status %d: %s", code, body)
+		t.Fatalf("/c/default/files: status %d: %s", code, body)
 	}
 	var files filesListing
 	if err := json.Unmarshal(body, &files); err != nil {
-		t.Fatalf("/files: %v\n%s", err, body)
+		t.Fatalf("/c/default/files: %v\n%s", err, body)
 	}
 	if len(files.Files) != 1 {
 		t.Fatalf("files = %+v", files)
@@ -125,22 +125,22 @@ func TestFilesEndpoints(t *testing.T) {
 
 	// The source is addressable by display name, R1 name, and R2 name.
 	for _, name := range []string{"run_R1.fq+run_R2.fq", "run_R1.fq", "run_R2.fq"} {
-		code, body := get(t, ts.URL+"/file/"+name+"/shards")
+		code, body := get(t, ts.URL+"/c/default/file/"+name+"/shards")
 		if code != http.StatusOK {
-			t.Fatalf("/file/%s/shards: status %d: %s", name, code, body)
+			t.Fatalf("/c/default/file/%s/shards: status %d: %s", name, code, body)
 		}
 		var fl fileShardsListing
 		if err := json.Unmarshal(body, &fl); err != nil {
-			t.Fatalf("/file/%s/shards: %v", name, err)
+			t.Fatalf("/c/default/file/%s/shards: %v", name, err)
 		}
 		if len(fl.Index) != f.Shards || fl.File.File != f.File {
-			t.Fatalf("/file/%s/shards = %+v, want %d shards", name, fl, f.Shards)
+			t.Fatalf("/c/default/file/%s/shards = %+v, want %d shards", name, fl, f.Shards)
 		}
 	}
 
 	// Unknown file name is a 404.
-	if code, _ := get(t, ts.URL+"/file/nope.fq/shards"); code != http.StatusNotFound {
-		t.Fatalf("/file/nope.fq/shards: status %d, want 404", code)
+	if code, _ := get(t, ts.URL+"/c/default/file/nope.fq/shards"); code != http.StatusNotFound {
+		t.Fatalf("/c/default/file/nope.fq/shards: status %d, want 404", code)
 	}
 	if st := s.Stats(); st.FileReads != 4 {
 		t.Fatalf("file_requests = %d, want 4", st.FileReads)
@@ -153,14 +153,14 @@ func TestFilesWithoutManifest(t *testing.T) {
 	data, _, _ := testContainer(t, 100, 50)
 	_, ts := newTestServer(t, data, Config{})
 
-	for _, path := range []string{"/files", "/file/x.fq/shards"} {
+	for _, path := range []string{"/c/default/files", "/c/default/file/x.fq/shards"} {
 		if code, body := get(t, ts.URL+path); code != http.StatusNotFound {
 			t.Fatalf("%s: status %d (%s), want 404", path, code, body)
 		}
 	}
-	code, body := get(t, ts.URL+"/shards")
+	code, body := get(t, ts.URL+"/c/default/shards")
 	if code != http.StatusOK {
-		t.Fatalf("/shards: status %d", code)
+		t.Fatalf("/c/default/shards: status %d", code)
 	}
 	var listing indexListing
 	if err := json.Unmarshal(body, &listing); err != nil {
@@ -182,7 +182,7 @@ func TestFileShardsServeReads(t *testing.T) {
 	data, _ := manifestContainer(t, 180, 50, false)
 	_, ts := newTestServer(t, data, Config{})
 
-	code, body := get(t, ts.URL+"/file/lane2.fq/shards")
+	code, body := get(t, ts.URL+"/c/default/file/lane2.fq/shards")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -192,7 +192,7 @@ func TestFileShardsServeReads(t *testing.T) {
 	}
 	reads := 0
 	for _, e := range fl.Index {
-		code, body := get(t, fmt.Sprintf("%s/shard/%d/reads", ts.URL, e.Shard))
+		code, body := get(t, fmt.Sprintf("%s/c/default/shard/%d/reads", ts.URL, e.Shard))
 		if code != http.StatusOK {
 			t.Fatalf("shard %d: status %d", e.Shard, code)
 		}

@@ -20,7 +20,7 @@ import (
 )
 
 // newRegistryServer stands up one server hosting every given container
-// under its name; the first is the legacy default.
+// under its name.
 func newRegistryServer(t testing.TB, cfg Config, containers ...Named) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := NewMulti(containers, cfg)
@@ -70,8 +70,8 @@ func body(t testing.TB, resp *http.Response) []byte {
 }
 
 // TestRegistryRoutes checks one server hosts two containers: the
-// /containers listing, per-container routing, the legacy aliases
-// pinned to the first container, and 404 for unknown names.
+// /containers listing, per-container routing, 404 for unknown names,
+// and 404 for the pre-registry single-container paths.
 func TestRegistryRoutes(t *testing.T) {
 	dataA, rsA, _ := testContainer(t, 200, 50) // 4 shards
 	dataB, _ := manifestContainer(t, 180, 60, false)
@@ -90,9 +90,6 @@ func TestRegistryRoutes(t *testing.T) {
 	if len(cl.Containers) != 2 || cl.Containers[0].Name != "runA" || cl.Containers[1].Name != "runB" {
 		t.Fatalf("/containers = %+v", cl)
 	}
-	if !cl.Containers[0].Default || cl.Containers[1].Default {
-		t.Fatalf("default flag misplaced: %+v", cl.Containers)
-	}
 	if cl.Containers[1].Files != 2 {
 		t.Fatalf("runB files = %d, want 2 (manifest container)", cl.Containers[1].Files)
 	}
@@ -109,26 +106,21 @@ func TestRegistryRoutes(t *testing.T) {
 		}
 	}
 
-	// The legacy routes alias the first-registered container.
-	resp = do(t, ts.URL+"/shards", nil)
-	var l indexListing
-	if err := json.Unmarshal(body(t, resp), &l); err != nil {
-		t.Fatal(err)
-	}
-	if l.Container != "runA" || l.Reads != 200 {
-		t.Fatalf("legacy /shards served %q with %d reads, want runA/200", l.Container, l.Reads)
-	}
-	legacy := body(t, do(t, ts.URL+"/shard/1/reads", nil))
+	// The registry route serves the named container's shard.
 	named := body(t, do(t, ts.URL+"/c/runA/shard/1/reads", nil))
-	if !bytes.Equal(legacy, named) {
-		t.Fatal("legacy /shard/1/reads differs from /c/runA/shard/1/reads")
-	}
-	got, err := fastq.Parse(bytes.NewReader(legacy))
+	got, err := fastq.Parse(bytes.NewReader(named))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fastq.Equivalent(&fastq.ReadSet{Records: rsA.Records[50:100]}, got) {
-		t.Fatal("legacy route did not serve the default container's shard 1")
+		t.Fatal("/c/runA/shard/1/reads did not serve runA's shard 1")
+	}
+
+	// The pre-registry single-container paths are gone, not aliased.
+	for _, path := range []string{"/shards", "/shard/1", "/shard/1/reads", "/files", "/file/lane1.fq/shards", "/query?min-len=1"} {
+		if resp := do(t, ts.URL+path, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("legacy path %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 
 	// The manifest endpoints route per container too.
@@ -155,9 +147,8 @@ func TestNewMultiValidation(t *testing.T) {
 	if _, err := NewMulti(nil, Config{}); err == nil {
 		t.Fatal("empty registry accepted")
 	}
-	// "." and ".." are unroutable: ServeMux path-cleaning would fold
-	// /c/../shards into /shards and silently answer with the default
-	// container.
+	// "." and ".." are unroutable: ServeMux path-cleaning folds
+	// /c/../shards into /shards before matching.
 	for _, name := range []string{"", ".", "..", "a/b", "a?b", "a#b", "a%b"} {
 		if _, err := NewMulti([]Named{{Name: name, C: c}}, Config{}); err == nil {
 			t.Fatalf("unroutable name %q accepted", name)
@@ -178,8 +169,8 @@ func TestETagStableAcrossRestarts(t *testing.T) {
 	for run := 0; run < 2; run++ {
 		_, ts := newTestServer(t, data, Config{})
 		for i := 0; i < 4; i++ {
-			raw := do(t, fmt.Sprintf("%s/shard/%d", ts.URL, i), nil)
-			reads := do(t, fmt.Sprintf("%s/shard/%d/reads", ts.URL, i), nil)
+			raw := do(t, fmt.Sprintf("%s/c/default/shard/%d", ts.URL, i), nil)
+			reads := do(t, fmt.Sprintf("%s/c/default/shard/%d/reads", ts.URL, i), nil)
 			rt, dt := raw.Header.Get("ETag"), reads.Header.Get("ETag")
 			if rt == "" || dt == "" {
 				t.Fatalf("run %d shard %d: missing ETag (raw %q, reads %q)", run, i, rt, dt)
@@ -222,7 +213,7 @@ func TestReadsETagTracksFallbackConsensus(t *testing.T) {
 
 	tag := func(cons genome.Seq) string {
 		_, ts := newTestServer(t, data, Config{Consensus: cons})
-		resp := do(t, ts.URL+"/shard/0/reads", nil)
+		resp := do(t, ts.URL+"/c/default/shard/0/reads", nil)
 		etag := resp.Header.Get("ETag")
 		if etag == "" {
 			t.Fatal("missing ETag")
@@ -245,7 +236,7 @@ func TestReadsETagTracksFallbackConsensus(t *testing.T) {
 	}
 	etag := func(data []byte, cfg Config) string {
 		_, ts := newTestServer(t, data, cfg)
-		return do(t, ts.URL+"/shard/0/reads", nil).Header.Get("ETag")
+		return do(t, ts.URL+"/c/default/shard/0/reads", nil).Header.Get("ETag")
 	}
 	if a, b := etag(embedded, Config{}), etag(embedded, Config{Consensus: refB}); a != b {
 		t.Fatalf("embedded-consensus tag varies with the fallback: %q vs %q", a, b)
@@ -259,7 +250,7 @@ func TestIfNoneMatch304(t *testing.T) {
 	data, _, _ := testContainer(t, 200, 50)
 	s, ts := newTestServer(t, data, Config{})
 
-	first := do(t, ts.URL+"/shard/0", nil)
+	first := do(t, ts.URL+"/c/default/shard/0", nil)
 	tag := first.Header.Get("ETag")
 	full := body(t, first)
 	if len(full) == 0 {
@@ -267,7 +258,7 @@ func TestIfNoneMatch304(t *testing.T) {
 	}
 
 	for _, cond := range []string{tag, "*", `"bogus", ` + tag, "W/" + tag} {
-		resp := do(t, ts.URL+"/shard/0", map[string]string{"If-None-Match": cond})
+		resp := do(t, ts.URL+"/c/default/shard/0", map[string]string{"If-None-Match": cond})
 		if resp.StatusCode != http.StatusNotModified {
 			t.Fatalf("If-None-Match %q: status %d, want 304", cond, resp.StatusCode)
 		}
@@ -279,13 +270,13 @@ func TestIfNoneMatch304(t *testing.T) {
 		}
 	}
 	// A stale validator gets the bytes.
-	resp := do(t, ts.URL+"/shard/0", map[string]string{"If-None-Match": `"0badc0de"`})
+	resp := do(t, ts.URL+"/c/default/shard/0", map[string]string{"If-None-Match": `"0badc0de"`})
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(body(t, resp), full) {
 		t.Fatalf("stale If-None-Match: status %d", resp.StatusCode)
 	}
 
 	// The decoded endpoint revalidates without decoding anything.
-	readsResp := do(t, ts.URL+"/shard/3/reads", map[string]string{"If-None-Match": "*"})
+	readsResp := do(t, ts.URL+"/c/default/shard/3/reads", map[string]string{"If-None-Match": "*"})
 	if readsResp.StatusCode != http.StatusNotModified {
 		t.Fatalf("/reads If-None-Match: status %d, want 304", readsResp.StatusCode)
 	}
@@ -308,7 +299,7 @@ func TestIfNoneMatch304(t *testing.T) {
 func TestRangeRequests(t *testing.T) {
 	data, _, _ := testContainer(t, 200, 50)
 	s, ts := newTestServer(t, data, Config{})
-	full := body(t, do(t, ts.URL+"/shard/0", nil))
+	full := body(t, do(t, ts.URL+"/c/default/shard/0", nil))
 	size := len(full)
 	if size < 40 {
 		t.Fatalf("block too small to slice: %d bytes", size)
@@ -325,7 +316,7 @@ func TestRangeRequests(t *testing.T) {
 		{fmt.Sprintf("bytes=5-%d", size+100), 5, size - 1},     // end clamped
 	}
 	for _, c := range cases {
-		resp := do(t, ts.URL+"/shard/0", map[string]string{"Range": c.spec})
+		resp := do(t, ts.URL+"/c/default/shard/0", map[string]string{"Range": c.spec})
 		got := body(t, resp)
 		want := full[c.from : c.to+1]
 		if resp.StatusCode != http.StatusPartialContent {
@@ -344,8 +335,8 @@ func TestRangeRequests(t *testing.T) {
 	}
 
 	// Two ranges fetched back to back reassemble the block — resumption.
-	head := body(t, do(t, ts.URL+"/shard/0", map[string]string{"Range": fmt.Sprintf("bytes=0-%d", size/2)}))
-	tail := body(t, do(t, ts.URL+"/shard/0", map[string]string{"Range": fmt.Sprintf("bytes=%d-", size/2+1)}))
+	head := body(t, do(t, ts.URL+"/c/default/shard/0", map[string]string{"Range": fmt.Sprintf("bytes=0-%d", size/2)}))
+	tail := body(t, do(t, ts.URL+"/c/default/shard/0", map[string]string{"Range": fmt.Sprintf("bytes=%d-", size/2+1)}))
 	if !bytes.Equal(append(head, tail...), full) {
 		t.Fatal("resumed halves do not reassemble the block")
 	}
@@ -359,7 +350,7 @@ func TestRangeRequests(t *testing.T) {
 		fmt.Sprintf("bytes=%d-", size), // starts past the end
 		"bytes=999999999-",
 	} {
-		resp := do(t, ts.URL+"/shard/0", map[string]string{"Range": spec})
+		resp := do(t, ts.URL+"/c/default/shard/0", map[string]string{"Range": spec})
 		if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
 			t.Fatalf("Range %q: status %d, want 416", spec, resp.StatusCode)
 		}
@@ -371,13 +362,13 @@ func TestRangeRequests(t *testing.T) {
 	// Units we don't serve and multipart ranges fall back to the whole
 	// entity, as RFC 9110 allows.
 	for _, spec := range []string{"items=0-3", "bytes=0-3,10-12"} {
-		resp := do(t, ts.URL+"/shard/0", map[string]string{"Range": spec})
+		resp := do(t, ts.URL+"/c/default/shard/0", map[string]string{"Range": spec})
 		if resp.StatusCode != http.StatusOK || !bytes.Equal(body(t, resp), full) {
 			t.Fatalf("Range %q: status %d, want whole entity", spec, resp.StatusCode)
 		}
 	}
 
-	if resp := do(t, ts.URL+"/shard/0", nil); resp.Header.Get("Accept-Ranges") != "bytes" {
+	if resp := do(t, ts.URL+"/c/default/shard/0", nil); resp.Header.Get("Accept-Ranges") != "bytes" {
 		t.Fatal("Accept-Ranges: bytes not advertised")
 	}
 	st := s.Stats()
@@ -470,7 +461,7 @@ func TestOversizedShardStreams(t *testing.T) {
 	data, rs, _ := testContainer(t, 200, 100)               // 2 shards
 	s, ts := newTestServer(t, data, Config{CacheBytes: 64}) // far below any decoded shard
 
-	resp := do(t, ts.URL+"/shard/0/reads", nil)
+	resp := do(t, ts.URL+"/c/default/shard/0/reads", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -487,7 +478,7 @@ func TestOversizedShardStreams(t *testing.T) {
 	}
 
 	// Nothing was cached; a repeat fetch decodes again.
-	body(t, do(t, ts.URL+"/shard/0/reads", nil))
+	body(t, do(t, ts.URL+"/c/default/shard/0/reads", nil))
 	st := s.Stats()
 	if st.CacheEntries != 0 || st.CacheBytes != 0 {
 		t.Fatalf("oversized shard was cached: %d entries / %d bytes", st.CacheEntries, st.CacheBytes)
@@ -496,7 +487,7 @@ func TestOversizedShardStreams(t *testing.T) {
 		t.Fatalf("decodes = %d, hits = %d; want 2 decodes, 0 hits", st.Decodes, st.Hits)
 	}
 	// But revalidation still avoids the decode entirely.
-	if resp := do(t, ts.URL+"/shard/0/reads", map[string]string{"If-None-Match": "*"}); resp.StatusCode != http.StatusNotModified {
+	if resp := do(t, ts.URL+"/c/default/shard/0/reads", map[string]string{"If-None-Match": "*"}); resp.StatusCode != http.StatusNotModified {
 		t.Fatalf("oversized shard revalidation: status %d", resp.StatusCode)
 	}
 	if st := s.Stats(); st.Decodes != 2 {
@@ -509,7 +500,7 @@ func TestOversizedShardStreams(t *testing.T) {
 func TestContentLengthEverywhere(t *testing.T) {
 	data, _, _ := testContainer(t, 200, 50)
 	_, ts := newTestServer(t, data, Config{})
-	for _, path := range []string{"/shard/2", "/shard/2/reads"} {
+	for _, path := range []string{"/c/default/shard/2", "/c/default/shard/2/reads"} {
 		resp := do(t, ts.URL+path, nil)
 		b := body(t, resp)
 		if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(b)) {
@@ -529,7 +520,7 @@ func TestContentLengthEverywhere(t *testing.T) {
 func TestClientVsServerErrorCounters(t *testing.T) {
 	data, _, _ := testContainer(t, 100, 50)
 	s, ts := newTestServer(t, data, Config{})
-	for _, path := range []string{"/shard/99", "/shard/abc", "/c/nope/shards", "/file/x/shards"} {
+	for _, path := range []string{"/c/default/shard/99", "/c/default/shard/abc", "/c/nope/shards", "/c/default/file/x/shards"} {
 		do(t, ts.URL+path, nil)
 	}
 	st := s.Stats()
@@ -563,7 +554,7 @@ func TestStreamingReadsUnderRace(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 20; k++ {
 				i := (n + k) % 8
-				resp := do(t, fmt.Sprintf("%s/shard/%d/reads", ts.URL, i), nil)
+				resp := do(t, fmt.Sprintf("%s/c/default/shard/%d/reads", ts.URL, i), nil)
 				b := body(t, resp)
 				if resp.StatusCode != http.StatusOK || len(b) == 0 {
 					t.Errorf("shard %d: status %d, %d bytes", i, resp.StatusCode, len(b))
@@ -632,23 +623,23 @@ func TestETagMatchQuoting(t *testing.T) {
 func TestShardIndexCanonical(t *testing.T) {
 	data, _, _ := testContainer(t, 100, 50)
 	s, ts := newTestServer(t, data, Config{})
-	if resp := do(t, ts.URL+"/shard/1", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("/shard/1: status %d", resp.StatusCode)
+	if resp := do(t, ts.URL+"/c/default/shard/1", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/c/default/shard/1: status %d", resp.StatusCode)
 	}
 	for _, spelling := range []string{"+1", "01", "1 ", " 1", "0x1", "1e0", "--1", "+0"} {
-		resp := do(t, ts.URL+"/shard/"+url.PathEscape(spelling), nil)
+		resp := do(t, ts.URL+"/c/default/shard/"+url.PathEscape(spelling), nil)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("/shard/%q: status %d, want 400", spelling, resp.StatusCode)
+			t.Errorf("/c/default/shard/%q: status %d, want 400", spelling, resp.StatusCode)
 		}
-		resp = do(t, ts.URL+"/shard/"+url.PathEscape(spelling)+"/reads", nil)
+		resp = do(t, ts.URL+"/c/default/shard/"+url.PathEscape(spelling)+"/reads", nil)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("/shard/%q/reads: status %d, want 400", spelling, resp.StatusCode)
+			t.Errorf("/c/default/shard/%q/reads: status %d, want 400", spelling, resp.StatusCode)
 		}
 	}
 	// "-1" is canonical for the integer -1, so it falls to the range
 	// check — a 404, not a 400.
-	if resp := do(t, ts.URL+"/shard/-1", nil); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("/shard/-1: status %d, want 404", resp.StatusCode)
+	if resp := do(t, ts.URL+"/c/default/shard/-1", nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/c/default/shard/-1: status %d, want 404", resp.StatusCode)
 	}
 	if st := s.Stats(); st.ServerErrors != 0 {
 		t.Fatalf("server_errors = %d", st.ServerErrors)

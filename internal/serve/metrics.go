@@ -40,69 +40,64 @@ var endpoints = []string{
 	"files", "file_shards", "query", "stats", "metrics",
 }
 
-// metrics is the server's obs instrument panel.
+// metrics is the server's obs instrument panel, and the only copy of
+// its counters: the request paths increment them, Stats reads them, and
+// /metrics renders them.
 type metrics struct {
 	requests      *obs.HistogramVec // by endpoint
 	queueWait     *obs.Histogram
 	decode        *obs.Histogram
-	cacheHitBytes *obs.Counter
-	cacheMissB    *obs.Counter
-	cacheEvictedB *obs.Counter
 	containerReqs *obs.CounterVec // by container
-	slowRequests  *obs.Counter
+
+	indexReads, blockReads, rangeReads, notModified, readReqs, fileReads *obs.Counter
+	queryReqs, shardsPruned, shardsScanned, queryMatched                 *obs.Counter
+	hits, misses, decodes, deduped, evictions                            *obs.Counter
+	cacheHitBytes, cacheMissB, cacheEvictedB                             *obs.Counter
+	clientErrs, serverErrs, writeFails, slowRequests                     *obs.Counter
 }
 
-// initMetrics builds the registry: live histograms and counters for the
-// new measurements, plus scrape-time views over the counters the server
-// already keeps (one source of truth — /stats and /metrics can never
-// disagree).
+// initMetrics builds the registry. Registration order is exposition
+// order.
 func (s *Server) initMetrics() {
 	r := obs.NewRegistry()
 	s.reg = r
-	s.met.requests = r.HistogramVec("sage_http_request_seconds",
+	m := &s.met
+	m.requests = r.HistogramVec("sage_http_request_seconds",
 		"HTTP request latency by endpoint.", "endpoint")
 	for _, ep := range endpoints {
-		s.met.requests.With(ep)
+		m.requests.With(ep)
 	}
-	s.met.queueWait = r.Histogram("sage_decode_queue_wait_seconds",
+	m.queueWait = r.Histogram("sage_decode_queue_wait_seconds",
 		"Time cold requests waited for a decode-pool slot.")
-	s.met.decode = r.Histogram("sage_decode_seconds",
+	m.decode = r.Histogram("sage_decode_seconds",
 		"Shard decode time on the pool.")
-	s.met.cacheHitBytes = r.Counter("sage_cache_hit_bytes_total",
-		"Decoded bytes served from the shard cache.")
-	s.met.cacheMissB = r.Counter("sage_cache_miss_bytes_total",
-		"Decoded bytes produced by cache-missing decodes.")
-	s.met.cacheEvictedB = r.Counter("sage_cache_evicted_bytes_total",
-		"Decoded bytes evicted from the shard cache.")
-	s.met.slowRequests = r.Counter("sage_slow_requests_total",
-		"Requests slower than the configured slow-request threshold.")
-	s.met.containerReqs = r.CounterVec("sage_container_requests_total",
+	m.containerReqs = r.CounterVec("sage_container_requests_total",
 		"Requests routed to each registered container.", "container")
 	for _, name := range s.names {
-		s.met.containerReqs.With(name)
+		m.containerReqs.With(name)
 	}
-
-	counterViews := []struct {
-		name, help string
-		load       func() int64
-	}{
-		{"sage_cache_hits_total", "Decoded-shard cache hits.", s.n.hits.Load},
-		{"sage_cache_misses_total", "Decoded-shard cache misses.", s.n.misses.Load},
-		{"sage_decodes_total", "Shard decodes performed.", s.n.decodes.Load},
-		{"sage_deduped_decodes_total", "Cache misses that joined an in-flight decode (singleflight).", s.n.deduped.Load},
-		{"sage_cache_evictions_total", "Decoded-shard cache entries evicted.", s.n.evictions.Load},
-		{"sage_not_modified_total", "Conditional requests answered 304.", s.n.notModified.Load},
-		{"sage_range_requests_total", "Raw-block requests answered 206.", s.n.rangeReads.Load},
-		{"sage_shards_pruned_total", "Shards zone-map pruning skipped (zero I/O).", s.n.shardsPruned.Load},
-		{"sage_shards_scanned_total", "Shards /query had to decode.", s.n.shardsScanned.Load},
-		{"sage_query_reads_matched_total", "Records matched by /query predicates.", s.n.queryMatched.Load},
-		{"sage_client_errors_total", "Requests answered with a 4xx status.", s.n.clientErrs.Load},
-		{"sage_server_errors_total", "Requests answered with a 5xx status (data damage alarm).", s.n.serverErrs.Load},
-		{"sage_write_failures_total", "Response writes that failed or were aborted.", s.n.writeFails.Load},
-	}
-	for _, cv := range counterViews {
-		r.CounterFunc(cv.name, cv.help, cv.load)
-	}
+	m.indexReads = r.Counter("sage_index_requests_total", "Container and shard index listings served.")
+	m.blockReads = r.Counter("sage_block_requests_total", "Raw-block requests served with a body (200/206).")
+	m.rangeReads = r.Counter("sage_range_requests_total", "Raw-block requests answered 206.")
+	m.notModified = r.Counter("sage_not_modified_total", "Conditional requests answered 304.")
+	m.readReqs = r.Counter("sage_read_requests_total", "Decoded-shard requests served with a body.")
+	m.fileReads = r.Counter("sage_file_requests_total", "Source-manifest requests served.")
+	m.queryReqs = r.Counter("sage_query_requests_total", "Query requests accepted (parseable predicate).")
+	m.shardsPruned = r.Counter("sage_shards_pruned_total", "Shards zone-map pruning skipped (zero I/O).")
+	m.shardsScanned = r.Counter("sage_shards_scanned_total", "Shards a query had to decode.")
+	m.queryMatched = r.Counter("sage_query_reads_matched_total", "Records matched by query predicates.")
+	m.hits = r.Counter("sage_cache_hits_total", "Decoded-shard cache hits.")
+	m.misses = r.Counter("sage_cache_misses_total", "Decoded-shard cache misses.")
+	m.decodes = r.Counter("sage_decodes_total", "Shard decodes performed.")
+	m.deduped = r.Counter("sage_deduped_decodes_total", "Cache misses that joined an in-flight decode (singleflight).")
+	m.evictions = r.Counter("sage_cache_evictions_total", "Decoded-shard cache entries evicted.")
+	m.cacheHitBytes = r.Counter("sage_cache_hit_bytes_total", "Decoded bytes served from the shard cache.")
+	m.cacheMissB = r.Counter("sage_cache_miss_bytes_total", "Decoded bytes produced by cache-missing decodes.")
+	m.cacheEvictedB = r.Counter("sage_cache_evicted_bytes_total", "Decoded bytes evicted from the shard cache.")
+	m.clientErrs = r.Counter("sage_client_errors_total", "Requests answered with a 4xx status.")
+	m.serverErrs = r.Counter("sage_server_errors_total", "Requests answered with a 5xx status (data damage alarm).")
+	m.writeFails = r.Counter("sage_write_failures_total", "Response writes that failed or were aborted.")
+	m.slowRequests = r.Counter("sage_slow_requests_total", "Requests slower than the configured slow-request threshold.")
 	r.GaugeFunc("sage_cache_resident_bytes", "Decoded bytes resident in the shard cache.",
 		func() int64 { b, _ := s.cache.usage(); return b })
 	r.GaugeFunc("sage_cache_entries", "Decoded shards resident in the cache.",
@@ -195,6 +190,6 @@ func (s *Server) slowLog() io.Writer {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 	if err := s.reg.WritePrometheus(w); err != nil {
-		s.n.writeFails.Add(1)
+		s.met.writeFails.Inc()
 	}
 }

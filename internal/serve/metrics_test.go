@@ -77,8 +77,8 @@ func TestMetricsExposition(t *testing.T) {
 
 	// Traffic moves the counters: after a decoded-shard request, the
 	// shard_reads histogram count and the decode histogram advance.
-	if resp := do(t, ts.URL+"/shard/0/reads", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("/shard/0/reads: status %d", resp.StatusCode)
+	if resp := do(t, ts.URL+"/c/default/shard/0/reads", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/c/default/shard/0/reads: status %d", resp.StatusCode)
 	}
 	// The latency is observed after the handler returns, and a response
 	// with a Content-Length is complete to the client before that: wait
@@ -99,13 +99,81 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestStatsEqualsMetrics: /stats and /metrics are two renderings of one
+// counter set. After a mixed workload — listings, raw blocks, a range, a
+// 304, cold and warm decodes, an eviction, a pruning query, client
+// errors — every Stats counter equals its /metrics sample.
+func TestStatsEqualsMetrics(t *testing.T) {
+	data, _ := manifestContainer(t, 200, 50, false)
+	c := openContainer(t, data)
+	one, err := c.DecompressShard(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for about one decoded shard, so the second decode evicts.
+	s, ts := newTestServer(t, data, Config{CacheBytes: int64(one.UncompressedSize()) + 64})
+	base := ts.URL + "/c/" + DefaultName
+	for _, req := range []struct {
+		path string
+		hdr  map[string]string
+	}{
+		{ts.URL + "/containers", nil},
+		{base + "/shards", nil},
+		{base + "/files", nil},
+		{base + "/shard/0", nil},
+		{base + "/shard/0", map[string]string{"Range": "bytes=0-9"}},
+		{base + "/shard/0", map[string]string{"If-None-Match": "*"}},
+		{base + "/shard/0/reads", nil},
+		{base + "/shard/0/reads", nil},
+		{base + "/shard/1/reads", nil},
+		{base + "/query?min-len=100000&count=1", nil},
+		{base + "/query?min-len=1&count=1", nil},
+		{base + "/shard/99", nil},
+		{ts.URL + "/c/nope/shards", nil},
+	} {
+		body(t, do(t, req.path, req.hdr))
+	}
+	st := s.Stats()
+	text := scrape(t, ts.URL)
+	for name, want := range map[string]int64{
+		"sage_index_requests_total":      st.IndexReads,
+		"sage_block_requests_total":      st.BlockReads,
+		"sage_range_requests_total":      st.RangeReads,
+		"sage_not_modified_total":        st.NotModified,
+		"sage_read_requests_total":       st.ReadReqs,
+		"sage_file_requests_total":       st.FileReads,
+		"sage_query_requests_total":      st.QueryReqs,
+		"sage_shards_pruned_total":       st.ShardsPruned,
+		"sage_shards_scanned_total":      st.ShardsScanned,
+		"sage_query_reads_matched_total": st.QueryMatched,
+		"sage_cache_hits_total":          st.Hits,
+		"sage_cache_misses_total":        st.Misses,
+		"sage_decodes_total":             st.Decodes,
+		"sage_deduped_decodes_total":     st.Deduped,
+		"sage_cache_evictions_total":     st.Evictions,
+		"sage_client_errors_total":       st.ClientErrors,
+		"sage_server_errors_total":       st.ServerErrors,
+		"sage_write_failures_total":      st.WriteFailures,
+	} {
+		if !strings.Contains(text, fmt.Sprintf("\n%s %d\n", name, want)) {
+			t.Errorf("/metrics has no sample %q = %d (the /stats value)", name, want)
+		}
+	}
+	// The workload reached every kind of counter it set out to.
+	if st.IndexReads != 2 || st.BlockReads != 2 || st.RangeReads != 1 || st.NotModified != 1 ||
+		st.FileReads != 1 || st.QueryReqs != 2 || st.ShardsPruned == 0 || st.ShardsScanned == 0 ||
+		st.Hits == 0 || st.Evictions == 0 || st.ClientErrors != 2 || st.ServerErrors != 0 {
+		t.Errorf("mixed workload left a counter unexercised: %+v", st)
+	}
+}
+
 // TestRequestIDEcho pins propagation: a client-sent ID is echoed back
 // verbatim; without one the server mints an ID, and two mints differ.
 func TestRequestIDEcho(t *testing.T) {
 	data, _, _ := testContainer(t, 60, 30)
 	_, ts := newTestServer(t, data, Config{})
 
-	resp := do(t, ts.URL+"/shard/0/reads", map[string]string{RequestIDHeader: "client-id-42"})
+	resp := do(t, ts.URL+"/c/default/shard/0/reads", map[string]string{RequestIDHeader: "client-id-42"})
 	if got := resp.Header.Get(RequestIDHeader); got != "client-id-42" {
 		t.Fatalf("client-provided ID echoed as %q", got)
 	}
@@ -149,7 +217,7 @@ func TestSlowRequestLog(t *testing.T) {
 	var log syncBuffer
 	_, ts := newTestServer(t, data, Config{SlowRequest: time.Nanosecond, SlowLog: &log})
 
-	resp := do(t, ts.URL+"/shard/0/reads", map[string]string{RequestIDHeader: "slow-req-1"})
+	resp := do(t, ts.URL+"/c/default/shard/0/reads", map[string]string{RequestIDHeader: "slow-req-1"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}

@@ -108,10 +108,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, e *Named) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	s.n.queryReqs.Add(1)
+	s.met.queryReqs.Inc()
 	scan, pruned := e.C.QueryPlan(pred)
-	s.n.shardsPruned.Add(int64(pruned))
-	s.n.shardsScanned.Add(int64(len(scan)))
+	s.met.shardsPruned.Add(int64(pruned))
+	s.met.shardsScanned.Add(int64(len(scan)))
 	h := w.Header()
 	h.Set("X-Sage-Query", pred.String())
 	h.Set("X-Sage-Shards-Total", strconv.Itoa(e.C.NumShards()))
@@ -136,7 +136,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, e *Named) {
 			}
 			sum.ReadsMatched += matched
 		}
-		s.n.queryMatched.Add(int64(sum.ReadsMatched))
+		s.met.queryMatched.Add(int64(sum.ReadsMatched))
 		s.writeJSON(w, sum)
 		return
 	}
@@ -153,12 +153,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, e *Named) {
 		if matched > 0 {
 			started = true
 		}
-		s.n.queryMatched.Add(int64(matched))
+		s.met.queryMatched.Add(int64(matched))
 		if err != nil {
 			if _, isWrite := err.(writeError); isWrite {
-				s.n.writeFails.Add(1)
+				s.met.writeFails.Inc()
 			} else if started {
-				s.n.serverErrs.Add(1)
+				s.met.serverErrs.Inc()
 			} else {
 				s.fail(w, http.StatusInternalServerError, err)
 			}
@@ -166,7 +166,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, e *Named) {
 		}
 	}
 	if err := bw.Flush(); err != nil {
-		s.n.writeFails.Add(1)
+		s.met.writeFails.Inc()
 	}
 }
 

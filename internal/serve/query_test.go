@@ -32,7 +32,7 @@ func TestQueryEndpoint(t *testing.T) {
 
 	// Impossible predicate: reads are short, min-len=999 prunes every
 	// shard from the index alone — nothing is read or decoded.
-	resp := do(t, ts.URL+"/query?min-len=999", nil)
+	resp := do(t, ts.URL+"/c/default/query?min-len=999", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("min-len=999: status %d", resp.StatusCode)
 	}
@@ -86,7 +86,7 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 
 	// count=1 answers the same plan as a JSON summary, no bodies.
-	resp = do(t, ts.URL+"/query?kmer="+pred.Subseq.String()+"&count=1", nil)
+	resp = do(t, ts.URL+"/c/default/query?kmer="+pred.Subseq.String()+"&count=1", nil)
 	var sum querySummary
 	if err := json.Unmarshal(body(t, resp), &sum); err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 
 	// No predicate at all: the whole container streams back.
-	resp = do(t, ts.URL+"/query", nil)
+	resp = do(t, ts.URL+"/c/default/query", nil)
 	all := body(t, resp)
 	if !bytes.Equal(all, dec.Bytes()) {
 		t.Fatalf("bare /query returned %d bytes, full decode is %d", len(all), len(dec.Bytes()))
@@ -130,9 +130,9 @@ func TestQueryParamValidation(t *testing.T) {
 		"min-gc=0.9&max-gc=0.1",
 	}
 	for _, q := range bad {
-		resp := do(t, ts.URL+"/query?"+q, nil)
+		resp := do(t, ts.URL+"/c/default/query?"+q, nil)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("/query?%s: status %d, want 400", q, resp.StatusCode)
+			t.Errorf("/c/default/query?%s: status %d, want 400", q, resp.StatusCode)
 		}
 	}
 	st := s.Stats()
@@ -149,12 +149,12 @@ func TestQueryParamValidation(t *testing.T) {
 func TestQueryUsesCache(t *testing.T) {
 	data, _, _ := testContainer(t, 200, 50)
 	s, ts := newTestServer(t, data, Config{})
-	first := body(t, do(t, ts.URL+"/query?min-len=1", nil))
+	first := body(t, do(t, ts.URL+"/c/default/query?min-len=1", nil))
 	d0 := s.Stats().Decodes
 	if d0 == 0 {
 		t.Fatal("first query decoded nothing")
 	}
-	second := body(t, do(t, ts.URL+"/query?min-len=1", nil))
+	second := body(t, do(t, ts.URL+"/c/default/query?min-len=1", nil))
 	if !bytes.Equal(first, second) {
 		t.Fatal("warm query answered differently")
 	}
@@ -169,7 +169,7 @@ func TestIndexZoneJSON(t *testing.T) {
 	data, _, _ := testContainer(t, 200, 50)
 	_, ts := newTestServer(t, data, Config{})
 	var l indexListing
-	if err := json.Unmarshal(body(t, do(t, ts.URL+"/shards", nil)), &l); err != nil {
+	if err := json.Unmarshal(body(t, do(t, ts.URL+"/c/default/shards", nil)), &l); err != nil {
 		t.Fatal(err)
 	}
 	if len(l.Index) == 0 {

@@ -26,11 +26,6 @@
 // a JSON summary instead). Containers older than format v4 carry no
 // zone maps, so every shard is scanned there.
 //
-// The pre-registry single-container routes (/shards, /shard/{i},
-// /shard/{i}/reads, /files, /file/{name}/shards) remain as aliases for
-// the default container — the first one registered — so existing
-// clients keep working unchanged.
-//
 // The shard endpoints speak correct HTTP for cheap re-validation and
 // resumption: every response carries an explicit Content-Length and an
 // ETag derived from the shard's index crc32 (the raw block and the
@@ -88,7 +83,7 @@ import (
 const DefaultCacheBytes = 64 << 20
 
 // DefaultName is the container name New registers its single container
-// under, and therefore the name the legacy routes alias by default.
+// under (/c/default/...).
 const DefaultName = "default"
 
 // Config parameterizes a Server.
@@ -125,12 +120,11 @@ type Server struct {
 	cfg     Config
 	cons    genome.Seq
 	consTag uint32   // fallback-consensus fingerprint for decoded ETags
-	names   []string // registration order; names[0] is the default
+	names   []string // registration order
 	byName  map[string]*Named
 	cache   *lruCache
 	fl      flightGroup
 	sem     chan struct{}
-	n       counters
 	reg     *obs.Registry
 	met     metrics
 	slowMu  sync.Mutex
@@ -149,9 +143,8 @@ func New(c *shard.Container, cfg Config) (*Server, error) {
 }
 
 // NewMulti builds a Server hosting every given container, routed by
-// name under /c/{name}/...; the first container is additionally served
-// on the legacy single-container routes. All containers share one cache
-// budget and one decode pool. It fails fast on an empty registry, an
+// name under /c/{name}/.... All containers share one cache budget and
+// one decode pool. It fails fast on an empty registry, an
 // invalid or duplicate name, or a container that cannot be decoded at
 // all (no embedded consensus and no fallback in cfg).
 func NewMulti(containers []Named, cfg Config) (*Server, error) {
@@ -176,7 +169,7 @@ func NewMulti(containers []Named, cfg Config) (*Server, error) {
 	for _, nc := range containers {
 		// "." and ".." are rejected too: ServeMux path-cleaning folds
 		// /c/../shards into /shards before matching, so such a name
-		// would be silently answered by the wrong container.
+		// could never be reached.
 		if nc.Name == "" || nc.Name == "." || nc.Name == ".." || strings.ContainsAny(nc.Name, "/?#%") {
 			return nil, fmt.Errorf("serve: container name %q is not routable (must be non-empty, not %q or %q, without '/', '?', '#', '%%')", nc.Name, ".", "..")
 		}
@@ -193,8 +186,7 @@ func NewMulti(containers []Named, cfg Config) (*Server, error) {
 	s.initMetrics()
 	// Every route goes through instrument: request-ID propagation, the
 	// per-endpoint latency histogram, and the slow-request log. The
-	// endpoint label is the route shape, so the two spellings of each
-	// per-container route (registry and legacy alias) share a histogram.
+	// endpoint label is the route shape.
 	s.mux.HandleFunc("GET /containers", s.instrument("containers", s.handleContainers))
 	s.mux.HandleFunc("GET /c/{name}/shards", s.instrument("shards", s.registry(s.handleIndex)))
 	s.mux.HandleFunc("GET /c/{name}/shard/{i}", s.instrument("shard_block", s.registry(s.handleBlock)))
@@ -202,14 +194,6 @@ func NewMulti(containers []Named, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /c/{name}/files", s.instrument("files", s.registry(s.handleFiles)))
 	s.mux.HandleFunc("GET /c/{name}/file/{file}/shards", s.instrument("file_shards", s.registry(s.handleFileShards)))
 	s.mux.HandleFunc("GET /c/{name}/query", s.instrument("query", s.registry(s.handleQuery)))
-	// Legacy single-container aliases, pinned to the default container.
-	def := s.byName[s.names[0]]
-	s.mux.HandleFunc("GET /shards", s.instrument("shards", s.defaulted(def, s.handleIndex)))
-	s.mux.HandleFunc("GET /shard/{i}", s.instrument("shard_block", s.defaulted(def, s.handleBlock)))
-	s.mux.HandleFunc("GET /shard/{i}/reads", s.instrument("shard_reads", s.defaulted(def, s.handleReads)))
-	s.mux.HandleFunc("GET /files", s.instrument("files", s.defaulted(def, s.handleFiles)))
-	s.mux.HandleFunc("GET /file/{file}/shards", s.instrument("file_shards", s.defaulted(def, s.handleFileShards)))
-	s.mux.HandleFunc("GET /query", s.instrument("query", s.defaulted(def, s.handleQuery)))
 	s.mux.HandleFunc("GET /stats", s.instrument("stats", s.handleStats))
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	return s, nil
@@ -233,15 +217,6 @@ func (s *Server) registry(h func(http.ResponseWriter, *http.Request, *Named)) ht
 	}
 }
 
-// defaulted adapts a per-container handler to the legacy routes, which
-// always address the default (first-registered) container.
-func (s *Server) defaulted(e *Named, h func(http.ResponseWriter, *http.Request, *Named)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.met.containerReqs.With(e.Name).Inc()
-		h(w, r, e)
-	}
-}
-
 // fail answers a request with a clean error status. 4xx statuses are
 // the client's mistake (bad shard index, unknown container or file,
 // unsatisfiable range); 5xx statuses are the server's data's fault
@@ -249,9 +224,9 @@ func (s *Server) defaulted(e *Named, h func(http.ResponseWriter, *http.Request, 
 // /stats can alert on data corruption without noise from client typos.
 func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 	if code >= http.StatusInternalServerError {
-		s.n.serverErrs.Add(1)
+		s.met.serverErrs.Inc()
 	} else {
-		s.n.clientErrs.Add(1)
+		s.met.clientErrs.Inc()
 	}
 	http.Error(w, err.Error(), code)
 }
@@ -284,7 +259,6 @@ type containerInfo struct {
 	Shards        int    `json:"shards"`
 	BlockBytes    int64  `json:"block_bytes"`
 	Files         int    `json:"files,omitempty"`
-	Default       bool   `json:"default,omitempty"`
 }
 
 // containersListing is the /containers response.
@@ -293,9 +267,9 @@ type containersListing struct {
 }
 
 func (s *Server) handleContainers(w http.ResponseWriter, r *http.Request) {
-	s.n.indexReads.Add(1)
+	s.met.indexReads.Inc()
 	l := containersListing{Containers: make([]containerInfo, 0, len(s.names))}
-	for i, name := range s.names {
+	for _, name := range s.names {
 		e := s.byName[name]
 		l.Containers = append(l.Containers, containerInfo{
 			Name:          name,
@@ -304,7 +278,6 @@ func (s *Server) handleContainers(w http.ResponseWriter, r *http.Request) {
 			Shards:        e.C.NumShards(),
 			BlockBytes:    e.C.Index.BlockBytes(),
 			Files:         len(e.C.Index.Sources),
-			Default:       i == 0,
 		})
 	}
 	s.writeJSON(w, l)
@@ -388,7 +361,7 @@ func (e *Named) fileEntries() []fileEntry {
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request, e *Named) {
-	s.n.indexReads.Add(1)
+	s.met.indexReads.Inc()
 	l := indexListing{
 		Container:      e.Name,
 		FormatVersion:  e.C.Version,
@@ -449,7 +422,7 @@ func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request, e *Named) {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("serve: container has no source manifest (written before format v3, or from a single stream)"))
 		return
 	}
-	s.n.fileReads.Add(1)
+	s.met.fileReads.Inc()
 	s.writeJSON(w, filesListing{Files: files})
 }
 
@@ -477,7 +450,7 @@ func (s *Server) handleFileShards(w http.ResponseWriter, r *http.Request, e *Nam
 		s.fail(w, http.StatusNotFound, fmt.Errorf("serve: no source file %q in the manifest", name))
 		return
 	}
-	s.n.fileReads.Add(1)
+	s.met.fileReads.Inc()
 	l := fileShardsListing{File: files[src]}
 	for i, ent := range e.C.Index.Entries {
 		if ent.Source == src {
@@ -502,7 +475,7 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request, e *Named) {
 	// Both the 304 and 416 answers come straight from the index: a
 	// revalidation or a bad range costs no container I/O at all.
 	if etagMatch(r.Header.Get("If-None-Match"), tag) {
-		s.n.notModified.Add(1)
+		s.met.notModified.Inc()
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -517,11 +490,11 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request, e *Named) {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.n.blockReads.Add(1)
+	s.met.blockReads.Inc()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set("Content-Length", strconv.FormatInt(length, 10))
 	if partial {
-		s.n.rangeReads.Add(1)
+		s.met.rangeReads.Inc()
 		h.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, start+length-1, ent.Length))
 		w.WriteHeader(http.StatusPartialContent)
 	}
@@ -557,7 +530,7 @@ func (s *Server) handleReads(w http.ResponseWriter, r *http.Request, e *Named) {
 	h.Set("X-Sage-Shard-Reads", strconv.Itoa(ent.ReadCount))
 	// Revalidation never decodes: the tag derives from the index crc32.
 	if etagMatch(r.Header.Get("If-None-Match"), tag) {
-		s.n.notModified.Add(1)
+		s.met.notModified.Inc()
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -567,11 +540,11 @@ func (s *Server) handleReads(w http.ResponseWriter, r *http.Request, e *Named) {
 		return
 	}
 	defer d.done()
-	s.n.readReqs.Add(1)
+	s.met.readReqs.Inc()
 	h.Set("Content-Type", "text/plain; charset=utf-8")
 	h.Set("Content-Length", strconv.FormatInt(d.size, 10))
 	if err := d.writeTo(w); err != nil {
-		s.n.writeFails.Add(1)
+		s.met.writeFails.Inc()
 	}
 }
 
@@ -590,7 +563,7 @@ func (s *Server) handleReadsOriginal(w http.ResponseWriter, r *http.Request, e *
 	h.Set("ETag", tag)
 	h.Set("X-Sage-Shard-Reads", strconv.Itoa(ent.ReadCount))
 	if etagMatch(r.Header.Get("If-None-Match"), tag) {
-		s.n.notModified.Add(1)
+		s.met.notModified.Inc()
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -624,7 +597,7 @@ func (s *Server) handleReadsOriginal(w http.ResponseWriter, r *http.Request, e *
 		line = rs.Records[j].AppendText(line[:0])
 		buf.Write(line)
 	}
-	s.n.readReqs.Add(1)
+	s.met.readReqs.Inc()
 	h.Set("Content-Type", "text/plain; charset=utf-8")
 	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	s.writeBody(w, buf.Bytes())
@@ -725,7 +698,7 @@ func (s *Server) poolDecode(ctx context.Context, e *Named, i int) (*fastq.ReadSe
 	_, qsp := obs.Start(ctx, "queue-wait")
 	s.sem <- struct{}{}
 	s.met.queueWait.Observe(qsp.End())
-	s.n.decodes.Add(1)
+	s.met.decodes.Inc()
 	_, dsp := obs.Start(ctx, "decode")
 	rs, err := e.C.DecompressShard(i, s.cons)
 	s.met.decode.Observe(dsp.End())
@@ -744,11 +717,11 @@ func (s *Server) poolDecode(ctx context.Context, e *Named, i int) (*fastq.ReadSe
 func (s *Server) decodedShard(ctx context.Context, e *Named, i int) (*decoded, error) {
 	key := shardKey{container: e.Name, shard: i}
 	if data, ok := s.cache.get(key); ok {
-		s.n.hits.Add(1)
+		s.met.hits.Inc()
 		s.met.cacheHitBytes.Add(int64(len(data)))
 		return &decoded{data: data, size: int64(len(data))}, nil
 	}
-	s.n.misses.Add(1)
+	s.met.misses.Inc()
 	d, err, shared := s.fl.do(key, func() (*decoded, error) {
 		// Re-check under the flight: a caller that missed the cache can
 		// reach here after an earlier flight for the same shard already
@@ -776,24 +749,19 @@ func (s *Server) decodedShard(ctx context.Context, e *Named, i int) (*decoded, e
 		}
 		data := rs.Bytes()
 		evicted, evictedBytes := s.cache.add(key, data)
-		s.n.evictions.Add(int64(evicted))
+		s.met.evictions.Add(int64(evicted))
 		s.met.cacheEvictedB.Add(evictedBytes)
 		<-s.sem
 		return &decoded{data: data, rs: rs, size: size}, nil
 	})
 	if shared {
-		s.n.deduped.Add(1)
+		s.met.deduped.Inc()
 	}
 	return d, err
 }
 
-// DecodedShard exposes the cached decode path of the default container
+// DecodedShardOf exposes the cached decode path of a named container
 // without HTTP, for in-process consumers (bench, tests).
-func (s *Server) DecodedShard(i int) ([]byte, error) {
-	return s.DecodedShardOf(s.names[0], i)
-}
-
-// DecodedShardOf is DecodedShard for a named container.
 func (s *Server) DecodedShardOf(name string, i int) ([]byte, error) {
 	e, ok := s.byName[name]
 	if !ok {
@@ -818,7 +786,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		s.n.writeFails.Add(1)
+		s.met.writeFails.Inc()
 	}
 }
 
@@ -826,6 +794,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 // failed/aborted writes.
 func (s *Server) writeBody(w http.ResponseWriter, b []byte) {
 	if _, err := w.Write(b); err != nil {
-		s.n.writeFails.Add(1)
+		s.met.writeFails.Inc()
 	}
 }

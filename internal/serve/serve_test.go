@@ -77,16 +77,16 @@ func TestEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, data, Config{})
 
 	// /shards lists the full index.
-	code, body := get(t, ts.URL+"/shards")
+	code, body := get(t, ts.URL+"/c/default/shards")
 	if code != http.StatusOK {
-		t.Fatalf("/shards: status %d: %s", code, body)
+		t.Fatalf("/c/default/shards: status %d: %s", code, body)
 	}
 	var listing indexListing
 	if err := json.Unmarshal(body, &listing); err != nil {
-		t.Fatalf("/shards: %v\n%s", err, body)
+		t.Fatalf("/c/default/shards: %v\n%s", err, body)
 	}
 	if listing.Shards != 4 || listing.Reads != 200 || len(listing.Index) != 4 {
-		t.Fatalf("/shards: got %+v", listing)
+		t.Fatalf("/c/default/shards: got %+v", listing)
 	}
 
 	// /shard/{i} returns the exact raw block.
@@ -99,9 +99,9 @@ func TestEndpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		code, got := get(t, fmt.Sprintf("%s/shard/%d", ts.URL, i))
+		code, got := get(t, fmt.Sprintf("%s/c/default/shard/%d", ts.URL, i))
 		if code != http.StatusOK || !bytes.Equal(got, want) {
-			t.Fatalf("/shard/%d: status %d, %d bytes (want %d)", i, code, len(got), len(want))
+			t.Fatalf("/c/default/shard/%d: status %d, %d bytes (want %d)", i, code, len(got), len(want))
 		}
 	}
 
@@ -109,9 +109,9 @@ func TestEndpoints(t *testing.T) {
 	// reconstruct the source read set.
 	var all []byte
 	for i := 0; i < c.NumShards(); i++ {
-		code, got := get(t, fmt.Sprintf("%s/shard/%d/reads", ts.URL, i))
+		code, got := get(t, fmt.Sprintf("%s/c/default/shard/%d/reads", ts.URL, i))
 		if code != http.StatusOK {
-			t.Fatalf("/shard/%d/reads: status %d: %s", i, code, got)
+			t.Fatalf("/c/default/shard/%d/reads: status %d: %s", i, code, got)
 		}
 		all = append(all, got...)
 	}
@@ -147,11 +147,11 @@ func TestHTTPErrors(t *testing.T) {
 		path string
 		want int
 	}{
-		{"/shard/2", http.StatusNotFound},       // out of range
-		{"/shard/-1", http.StatusNotFound},      // out of range
-		{"/shard/2/reads", http.StatusNotFound}, // out of range
-		{"/shard/abc", http.StatusBadRequest},   // not an integer
-		{"/shard/abc/reads", http.StatusBadRequest},
+		{"/c/default/shard/2", http.StatusNotFound},       // out of range
+		{"/c/default/shard/-1", http.StatusNotFound},      // out of range
+		{"/c/default/shard/2/reads", http.StatusNotFound}, // out of range
+		{"/c/default/shard/abc", http.StatusBadRequest},   // not an integer
+		{"/c/default/shard/abc/reads", http.StatusBadRequest},
 		{"/nope", http.StatusNotFound},
 	}
 	for _, c := range cases {
@@ -161,7 +161,7 @@ func TestHTTPErrors(t *testing.T) {
 		}
 	}
 	// Mutating methods are rejected by the route patterns.
-	resp, err := http.Post(ts.URL+"/shard/0", "text/plain", strings.NewReader("x"))
+	resp, err := http.Post(ts.URL+"/c/default/shard/0", "text/plain", strings.NewReader("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCorruptionThroughServer(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	for _, path := range []string{"/shard/2", "/shard/2/reads"} {
+	for _, path := range []string{"/c/default/shard/2", "/c/default/shard/2/reads"} {
 		code, body := get(t, ts.URL+path)
 		if code != http.StatusInternalServerError || !strings.Contains(string(body), "checksum") {
 			t.Fatalf("GET %s on corrupt shard: status %d: %s", path, code, body)
@@ -211,7 +211,7 @@ func TestCorruptionThroughServer(t *testing.T) {
 	}
 	// The damage is contained: every other shard still serves.
 	for _, i := range []int{0, 1, 3} {
-		if code, body := get(t, fmt.Sprintf("%s/shard/%d/reads", ts.URL, i)); code != http.StatusOK {
+		if code, body := get(t, fmt.Sprintf("%s/c/default/shard/%d/reads", ts.URL, i)); code != http.StatusOK {
 			t.Fatalf("healthy shard %d: status %d: %s", i, code, body)
 		}
 	}
@@ -251,7 +251,7 @@ func TestSingleflightColdShard(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			<-start
-			code, body := get(t, ts.URL+"/shard/1/reads")
+			code, body := get(t, ts.URL+"/c/default/shard/1/reads")
 			if code != http.StatusOK {
 				t.Errorf("client %d: status %d", n, code)
 				return
@@ -333,7 +333,7 @@ func TestCacheBudgetUnderLoad(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(n)))
 			for k := 0; k < 40; k++ {
 				i := rng.Intn(len(decoded))
-				code, body := get(t, fmt.Sprintf("%s/shard/%d/reads", ts.URL, i))
+				code, body := get(t, fmt.Sprintf("%s/c/default/shard/%d/reads", ts.URL, i))
 				if code != http.StatusOK {
 					t.Errorf("shard %d: status %d", i, code)
 					return

@@ -1,30 +1,5 @@
 package serve
 
-import "sync/atomic"
-
-// counters aggregates the server's lifetime activity with lock-free
-// increments on the request paths.
-type counters struct {
-	indexReads    atomic.Int64 // /containers and /shards requests served
-	blockReads    atomic.Int64 // raw-block requests served with a body (200/206)
-	rangeReads    atomic.Int64 // raw-block requests answered 206 (partial)
-	notModified   atomic.Int64 // conditional requests answered 304
-	readReqs      atomic.Int64 // /shard/{i}/reads requests served with a body
-	fileReads     atomic.Int64 // /files and /file/{name}/shards requests served
-	queryReqs     atomic.Int64 // /query requests accepted (parseable predicate)
-	shardsPruned  atomic.Int64 // shards zone-map pruning skipped (zero I/O)
-	shardsScanned atomic.Int64 // shards /query had to decode
-	queryMatched  atomic.Int64 // records matched and counted/streamed by /query
-	hits          atomic.Int64 // decoded-shard cache hits
-	misses        atomic.Int64 // decoded-shard cache misses
-	decodes       atomic.Int64 // actual decodes performed
-	deduped       atomic.Int64 // misses that joined an in-flight decode
-	evictions     atomic.Int64 // cache entries evicted
-	clientErrs    atomic.Int64 // requests answered with a 4xx status
-	serverErrs    atomic.Int64 // requests answered with a 5xx status (data damage)
-	writeFails    atomic.Int64 // response writes that failed or were aborted
-}
-
 // Stats is a point-in-time snapshot of the server, as served by /stats.
 // Shards and Reads aggregate over every registered container.
 type Stats struct {
@@ -85,29 +60,30 @@ type ContainerStats struct {
 	CacheEntries int    `json:"cache_entries"`
 }
 
-// Stats snapshots the server's counters and cache occupancy.
+// Stats snapshots the server's counters — the same obs.Counters /metrics
+// exposes, so the two surfaces cannot disagree — and cache occupancy.
 func (s *Server) Stats() Stats {
 	bytes, entries := s.cache.usage()
 	st := Stats{
 		Containers:    len(s.names),
-		IndexReads:    s.n.indexReads.Load(),
-		BlockReads:    s.n.blockReads.Load(),
-		RangeReads:    s.n.rangeReads.Load(),
-		NotModified:   s.n.notModified.Load(),
-		ReadReqs:      s.n.readReqs.Load(),
-		FileReads:     s.n.fileReads.Load(),
-		QueryReqs:     s.n.queryReqs.Load(),
-		ShardsPruned:  s.n.shardsPruned.Load(),
-		ShardsScanned: s.n.shardsScanned.Load(),
-		QueryMatched:  s.n.queryMatched.Load(),
-		Hits:          s.n.hits.Load(),
-		Misses:        s.n.misses.Load(),
-		Decodes:       s.n.decodes.Load(),
-		Deduped:       s.n.deduped.Load(),
-		Evictions:     s.n.evictions.Load(),
-		ClientErrors:  s.n.clientErrs.Load(),
-		ServerErrors:  s.n.serverErrs.Load(),
-		WriteFailures: s.n.writeFails.Load(),
+		IndexReads:    s.met.indexReads.Value(),
+		BlockReads:    s.met.blockReads.Value(),
+		RangeReads:    s.met.rangeReads.Value(),
+		NotModified:   s.met.notModified.Value(),
+		ReadReqs:      s.met.readReqs.Value(),
+		FileReads:     s.met.fileReads.Value(),
+		QueryReqs:     s.met.queryReqs.Value(),
+		ShardsPruned:  s.met.shardsPruned.Value(),
+		ShardsScanned: s.met.shardsScanned.Value(),
+		QueryMatched:  s.met.queryMatched.Value(),
+		Hits:          s.met.hits.Value(),
+		Misses:        s.met.misses.Value(),
+		Decodes:       s.met.decodes.Value(),
+		Deduped:       s.met.deduped.Value(),
+		Evictions:     s.met.evictions.Value(),
+		ClientErrors:  s.met.clientErrs.Value(),
+		ServerErrors:  s.met.serverErrs.Value(),
+		WriteFailures: s.met.writeFails.Value(),
 		CacheBytes:    bytes,
 		CacheEntries:  entries,
 		CacheBudget:   s.cfg.CacheBytes,

@@ -71,3 +71,56 @@ func BenchmarkParseIndex(b *testing.B) {
 		}
 	}
 }
+
+// benchHeader marshals a 20 000-entry v4 header (two sources, zone maps,
+// 64-byte sketches) — the size at which per-field costs of the header
+// codec stop hiding behind the fixed ones.
+func benchHeader(b *testing.B) (*Index, []byte) {
+	const n = 20000
+	ix := &Index{ShardReads: 100, SketchBytes: 64,
+		Sources: []SourceFile{{Name: "lane1_R1.fq", Mate: "lane1_R2.fq"}, {Name: "lane2.fq"}},
+		Entries: make([]Entry, n)}
+	sketch := make([]byte, ix.SketchBytes)
+	var off int64
+	for i := range ix.Entries {
+		e := &ix.Entries[i]
+		*e = Entry{ReadCount: 100, Offset: off, Length: int64(9000 + i%500), Source: i * 2 / n,
+			Zone: ZoneMap{MinLen: 90, MaxLen: 151, QualReads: 100, LowQualReads: i % 7, MinPhred: 2,
+				AvgPhredMilli: 30500, MinAvgPhredMilli: 12000, MaxAvgPhredMilli: 38000,
+				MinEEMilli: 20, MaxEEMilli: 2500, MinGCMilli: 400, MaxGCMilli: 600, Sketch: sketch},
+			Checksum: uint32(i) * 2654435761}
+		off += e.Length
+		ix.TotalReads += e.ReadCount
+		ix.Sources[e.Source].Reads += e.ReadCount
+	}
+	hdr, err := marshalHeader(ix, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ix, hdr
+}
+
+func BenchmarkMarshalHeader(b *testing.B) {
+	ix, hdr := benchHeader(b)
+	b.SetBytes(int64(len(hdr)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := marshalHeader(ix, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkParseHeader(b *testing.B) {
+	ix, hdr := benchHeader(b)
+	total := int64(len(hdr)) + ix.BlockBytes()
+	b.SetBytes(int64(len(hdr)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := parseHeader(hdr, total); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,6 +1,6 @@
-// On-disk container format: header marshalling/parsing with version
-// dispatch (see doc.go for the layout outline and docs/FORMAT.md for
-// the normative byte-level specification).
+// On-disk container format: layout states the header once and drives
+// both marshalHeader and parseHeader (docs/FORMAT.md is the normative
+// byte-level specification).
 package shard
 
 import (
@@ -16,6 +16,7 @@ import (
 
 	"sage/internal/fastq"
 	"sage/internal/genome"
+	"sage/internal/wire"
 )
 
 // Magic identifies a sharded SAGe container ("SAGS", vs "SAGe" for a
@@ -49,18 +50,20 @@ const reorderVersion = 5
 // Reorder modes a container header may record (Index.ReorderMode).
 // The values mirror internal/reorder's Mode.
 const (
-	// ReorderNone: records are in ingest order (every container
-	// through v4, and v5 headers with a zero mode).
+	// ReorderNone: records are in ingest order — every container
+	// through v4. A v5 header never carries it: version 5 exists only
+	// to hold a permutation, and readers reject a v5 header whose mode
+	// is 0.
 	ReorderNone = 0
 	// ReorderClump: records were clump-sorted by minimizer at write
 	// time; Index.Perm maps stored position → original position.
 	ReorderClump = 1
 )
 
-// maxReorderMode caps the mode values a reader accepts.
+// maxReorderMode caps the mode values a header may carry.
 const maxReorderMode = ReorderClump
 
-// maxSketchBytes caps the per-shard sketch size a reader accepts: a
+// maxSketchBytes caps the per-shard sketch size a header may carry: a
 // corrupt sketch-size varint must not drive shardCount × sketch
 // allocations. 1 MiB per shard is far beyond any useful sketch.
 const maxSketchBytes = 1 << 20
@@ -211,133 +214,261 @@ func (c *Container) NumShards() int { return len(c.Index.Entries) }
 // zone maps; QueryPlan only prunes when it does.
 func (c *Container) HasZoneMaps() bool { return c.Version >= zoneMapVersion }
 
-// marshalHeader encodes magic, version, flags, counts, the optional
-// reorder block, the optional consensus, the source manifest, and the
-// index. The block section follows it verbatim. The version byte is
-// the lowest that can carry the index: identity-order containers stay
-// version 4 (bit-identical to the pre-reorder writer), and only a
-// reordered index promotes the container to version 5.
+// marshalHeader encodes the header of an index through layout; the
+// block section follows it verbatim. The version byte is the lowest
+// that can carry the index: identity-order containers stay version 4
+// (bit-identical to the pre-reorder writer), and only a reordered index
+// promotes the container to version 5. Every rule a reader enforces is
+// enforced here too, so nothing is written that would not parse back.
 func marshalHeader(ix *Index, cons genome.Seq) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(Magic[:])
-	ver := byte(zoneMapVersion)
+	c := &Container{Index: *ix, Consensus: cons, Version: zoneMapVersion}
 	if ix.ReorderMode != ReorderNone {
-		ver = reorderVersion
+		c.Version = reorderVersion
 	}
-	buf.WriteByte(ver)
+	w := wire.NewWriter("shard")
+	layout(w, c)
+	if err := w.Err(); err != nil {
+		return nil, err
+	}
+	return w.Bytes(), nil
+}
+
+// parseHeader decodes magic through headerCRC from a container prefix.
+// totalSize is the full container size (== len(prefix) for Parse),
+// bounding the plausibility checks. On success it returns the container
+// (index and consensus populated, no block source attached) and the
+// header length in bytes. A header that runs past the prefix of a
+// container large enough to hold it fails with wire.ErrShort, which
+// Open answers by retrying with a longer prefix.
+func parseHeader(prefix []byte, totalSize int64) (*Container, int, error) {
+	c := &Container{}
+	r := wire.NewReader("shard", prefix, totalSize)
+	layout(r, c)
+	if err := r.Err(); err != nil {
+		return nil, 0, err
+	}
+	return c, len(r.Bytes()), nil
+}
+
+// layout is the SAGS header, stated once: every field, flag and version
+// gate in wire order (docs/FORMAT.md is the prose form), with the rules
+// that tie fields together checked where the fields are moved. Over a
+// writing codec it marshals c, over a reading one it fills c in, and a
+// rule broken in either direction fails the codec.
+func layout(w *wire.Codec, c *Container) {
+	ix := &c.Index
+	count := w.Fit(1) // a count of things that each cost at least one bit
+
+	w.Magic(Magic[:])
+	ver := uint8(c.Version)
+	w.U8("version", &ver)
+	// Versions 1 and 2 share the legacy manifest-less layout.
+	if ver < 1 || ver > FormatVersion {
+		w.Failf("unsupported version %d (this reader handles 1..%d)", ver, FormatVersion)
+	}
+	c.Version = int(ver)
 	var flags uint8
-	if cons != nil {
+	if c.Consensus != nil {
 		flags |= flagConsensus
-		if cons.HasN() {
+		if c.Consensus.HasN() {
 			flags |= flagConsensusHasN
 		}
 	}
-	buf.WriteByte(flags)
-	writeUvarint(&buf, uint64(ix.TotalReads))
-	writeUvarint(&buf, uint64(ix.ShardReads))
-	if ix.SketchBytes < 0 || ix.SketchBytes > maxSketchBytes {
-		return nil, fmt.Errorf("shard: sketch size %d outside [0,%d]", ix.SketchBytes, maxSketchBytes)
+	w.U8("flags", &flags)
+	if reserved := flags &^ (flagConsensus | flagConsensusHasN); reserved != 0 {
+		w.Failf("reserved flag bits %#02x are set", reserved)
 	}
-	writeUvarint(&buf, uint64(ix.SketchBytes))
-	if ix.ReorderMode != ReorderNone {
-		if ix.ReorderMode < 0 || ix.ReorderMode > maxReorderMode {
-			return nil, fmt.Errorf("shard: unknown reorder mode %d", ix.ReorderMode)
-		}
-		if len(ix.Perm) != ix.TotalReads {
-			return nil, fmt.Errorf("shard: permutation has %d entries for %d reads", len(ix.Perm), ix.TotalReads)
-		}
-		writeUvarint(&buf, uint64(ix.ReorderMode))
-		enc, err := encodePerm(ix.Perm)
-		if err != nil {
-			return nil, err
-		}
-		writeUvarint(&buf, uint64(len(enc)))
-		buf.Write(enc)
-		var pc [4]byte
-		binary.LittleEndian.PutUint32(pc[:], crc32.ChecksumIEEE(enc))
-		buf.Write(pc[:])
-	} else if len(ix.Perm) != 0 {
-		return nil, fmt.Errorf("shard: permutation present but reorder mode is none")
+	w.Int("total read count", &ix.TotalReads, count)
+	w.Int("shard size", &ix.ShardReads, count)
+	if ver >= zoneMapVersion {
+		w.Int("sketch size", &ix.SketchBytes, maxSketchBytes)
 	}
-	if cons != nil {
-		writeUvarint(&buf, uint64(len(cons)))
-		f := genome.Format2Bit
-		if flags&flagConsensusHasN != 0 {
-			f = genome.Format3Bit
+
+	// Reorder block: version 5 exists only to carry a permutation, so a
+	// v5 header with mode none is as broken as an unknown mode.
+	if ver >= reorderVersion {
+		w.Int("reorder mode", &ix.ReorderMode, maxReorderMode)
+		if ix.ReorderMode == ReorderNone {
+			w.Failf("version %d header with reorder mode none", ver)
 		}
-		enc, err := genome.Encode(cons, f)
-		if err != nil {
-			return nil, fmt.Errorf("shard: packing consensus: %w", err)
+		var enc []byte
+		var err error
+		if w.Storing() {
+			if len(ix.Perm) != ix.TotalReads {
+				w.Failf("permutation has %d entries for %d reads", len(ix.Perm), ix.TotalReads)
+			}
+			enc, err = encodePerm(ix.Perm)
+			w.Fail(err)
 		}
-		buf.Write(enc)
+		encLen := len(enc)
+		w.Int("permutation block size", &encLen, count)
+		// Every permutation entry costs at least one varint byte; checked
+		// before the block is allocated, so a corrupt TotalReads cannot
+		// drive a giant make in decodePerm either.
+		if encLen < ix.TotalReads {
+			w.Failf("permutation block (%d bytes) cannot hold %d entries", encLen, ix.TotalReads)
+		}
+		w.Raw("permutation block", &enc, encLen)
+		sum := crc32.ChecksumIEEE(enc)
+		stored := sum
+		w.U32("permutation checksum", &stored)
+		if stored != sum {
+			w.Failf("permutation checksum mismatch: got %08x, container says %08x", sum, stored)
+		}
+		if w.Loading() {
+			ix.Perm, err = decodePerm(enc, ix.TotalReads)
+			w.Fail(err)
+		}
+	} else if ix.ReorderMode != ReorderNone || len(ix.Perm) != 0 {
+		w.Failf("version %d header cannot carry reorder mode %d or a permutation", ver, ix.ReorderMode)
 	}
-	writeUvarint(&buf, uint64(len(ix.Sources)))
-	for _, s := range ix.Sources {
-		writeUvarint(&buf, uint64(len(s.Name)))
-		buf.WriteString(s.Name)
-		writeUvarint(&buf, uint64(len(s.Mate)))
-		buf.WriteString(s.Mate)
-		writeUvarint(&buf, uint64(s.Reads))
+
+	if flags&flagConsensus != 0 {
+		n := len(c.Consensus)
+		w.Int("consensus length", &n, count)
+		w.Seq("consensus", &c.Consensus, n, flags&flagConsensusHasN != 0)
 	}
-	for i, e := range ix.Entries {
-		if e.Source < 0 || (e.Source >= len(ix.Sources) && e.Source != 0) {
-			return nil, fmt.Errorf("shard: entry source %d outside the %d-entry manifest", e.Source, len(ix.Sources))
+
+	if ver >= manifestVersion {
+		// A manifest entry is at least three one-byte varints.
+		nSources := len(ix.Sources)
+		w.Int("source count", &nSources, w.Fit(3*8))
+		if w.Loading() && nSources > 0 {
+			ix.Sources = make([]SourceFile, nSources)
 		}
-		if e.Zone.Sketch != nil && len(e.Zone.Sketch) != ix.SketchBytes {
-			return nil, fmt.Errorf("shard: shard %d sketch is %d bytes, index says %d",
-				i, len(e.Zone.Sketch), ix.SketchBytes)
+		for i := range ix.Sources {
+			s := &ix.Sources[i]
+			w.Scope("source", i)
+			w.String("name", &s.Name)
+			w.String("mate name", &s.Mate)
+			w.Int("read count", &s.Reads, count)
+		}
+		w.Scope("", 0)
+	}
+
+	// An index entry is three varints and a u32 checksum, plus a source
+	// varint, 12 zone-map varints and the sketch from version 4 on.
+	minEntry := int64(7)
+	if ver >= zoneMapVersion {
+		minEntry = 8 + 12 + int64(ix.SketchBytes)
+	}
+	nShards := len(ix.Entries)
+	w.Int("shard count", &nShards, w.Fit(minEntry*8))
+	if w.Loading() {
+		ix.Entries = make([]Entry, nShards)
+	}
+	maxSource := uint64(0)
+	if len(ix.Sources) > 0 {
+		maxSource = uint64(len(ix.Sources) - 1)
+	}
+	var emptySketch []byte
+	if w.Storing() {
+		emptySketch = make([]byte, ix.SketchBytes)
+	}
+	perSrc := make([]int, len(ix.Sources))
+	reads, next, prevSource := 0, int64(0), 0
+	for i := range ix.Entries {
+		e := &ix.Entries[i]
+		w.Scope("shard", i)
+		w.Int("read count", &e.ReadCount, count)
+		w.Int64("offset", &e.Offset, count)
+		w.Int64("length", &e.Length, count)
+		if e.Offset != next {
+			w.Failf("shard %d offset %d is not contiguous (want %d)", i, e.Offset, next)
+		}
+		next += e.Length
+		reads += e.ReadCount
+		if ver >= manifestVersion {
+			// Without a manifest every source is 0; with one, shards are
+			// written in ingest order and never span sources, so the
+			// indices never decrease.
+			w.Int("source", &e.Source, maxSource)
+			if e.Source < prevSource {
+				w.Failf("shard %d source %d precedes shard %d's source %d", i, e.Source, i-1, prevSource)
+			}
+			prevSource = e.Source
+		}
+		if len(perSrc) > 0 && w.Err() == nil {
+			perSrc[e.Source] += e.ReadCount
+		}
+		if ver >= zoneMapVersion {
+			// Zone map: caps are semantic — Phred values by the quality
+			// alphabet, GC by 1000, expected error by the shard's own
+			// longest read — and every min/max pair is ordered.
+			const maxPhredMilli = fastq.MaxQuality * 1000
+			z := &e.Zone
+			w.Int("min length", &z.MinLen, maxZoneLen)
+			w.Int("max length", &z.MaxLen, maxZoneLen)
+			w.Int("scored read count", &z.QualReads, uint64(e.ReadCount))
+			w.Int("low-quality read count", &z.LowQualReads, uint64(e.ReadCount))
+			w.Int("min Phred", &z.MinPhred, fastq.MaxQuality)
+			w.Int("avg Phred", &z.AvgPhredMilli, maxPhredMilli)
+			w.Int("min avg Phred", &z.MinAvgPhredMilli, maxPhredMilli)
+			w.Int("max avg Phred", &z.MaxAvgPhredMilli, maxPhredMilli)
+			maxEE := uint64(z.MaxLen+1) * 1000
+			w.Int("min expected error", &z.MinEEMilli, maxEE)
+			w.Int("max expected error", &z.MaxEEMilli, maxEE)
+			w.Int("min GC", &z.MinGCMilli, 1000)
+			w.Int("max GC", &z.MaxGCMilli, 1000)
+			ordered(w, i, "lengths", z.MinLen, z.MaxLen)
+			ordered(w, i, "avg Phred", z.MinAvgPhredMilli, z.MaxAvgPhredMilli)
+			ordered(w, i, "expected error", z.MinEEMilli, z.MaxEEMilli)
+			ordered(w, i, "GC", z.MinGCMilli, z.MaxGCMilli)
+			if w.Storing() && z.Sketch == nil {
+				// A zone-less entry (legacy index re-marshaled) still owes
+				// the index its fixed-size sketch slot.
+				w.Raw("sketch", &emptySketch, ix.SketchBytes)
+			} else {
+				w.Raw("sketch", &z.Sketch, ix.SketchBytes)
+			}
+		}
+		w.U32("checksum", &e.Checksum)
+	}
+	w.Scope("", 0)
+	if reads != ix.TotalReads {
+		w.Failf("index lists %d reads but header claims %d", reads, ix.TotalReads)
+	}
+	for i, s := range ix.Sources {
+		if perSrc[i] != s.Reads {
+			w.Failf("source %q: index attributes %d reads but manifest claims %d", s.Display(), perSrc[i], s.Reads)
 		}
 	}
-	writeUvarint(&buf, uint64(len(ix.Entries)))
-	emptySketch := make([]byte, ix.SketchBytes)
-	for _, e := range ix.Entries {
-		writeUvarint(&buf, uint64(e.ReadCount))
-		writeUvarint(&buf, uint64(e.Offset))
-		writeUvarint(&buf, uint64(e.Length))
-		writeUvarint(&buf, uint64(e.Source))
-		z := &e.Zone
-		for _, v := range [...]int{
-			z.MinLen, z.MaxLen, z.QualReads, z.LowQualReads,
-			z.MinPhred, z.AvgPhredMilli, z.MinAvgPhredMilli, z.MaxAvgPhredMilli,
-			z.MinEEMilli, z.MaxEEMilli, z.MinGCMilli, z.MaxGCMilli,
-		} {
-			writeUvarint(&buf, uint64(v))
-		}
-		if z.Sketch != nil {
-			buf.Write(z.Sketch)
-		} else {
-			// A zone-less entry (legacy index re-marshaled) still owes
-			// the index its fixed-size sketch slot.
-			buf.Write(emptySketch)
-		}
-		var cs [4]byte
-		binary.LittleEndian.PutUint32(cs[:], e.Checksum)
-		buf.Write(cs[:])
+
+	sum := crc32.ChecksumIEEE(w.Bytes())
+	stored := sum
+	w.U32("header checksum", &stored)
+	if stored != sum {
+		w.Failf("header checksum mismatch: got %08x, container says %08x", sum, stored)
 	}
-	var hc [4]byte
-	binary.LittleEndian.PutUint32(hc[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(hc[:])
-	return buf.Bytes(), nil
 }
 
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
+// ordered fails w when a zone-map envelope of the given shard has its
+// minimum above its maximum.
+func ordered(w *wire.Codec, shard int, what string, lo, hi int) {
+	if lo > hi {
+		w.Failf("shard %d zone %s inverted: %d > %d", shard, what, lo, hi)
+	}
 }
 
 // encodePerm serializes an inverse permutation as zigzag-delta varints
 // (binary.PutVarint of perm[i]-perm[i-1]): a clump sort keeps runs of
 // nearby original indices together, so deltas are small and the block
-// stays a fraction of a fixed-width encoding.
+// stays a fraction of a fixed-width encoding. It holds perm to the
+// rules decodePerm enforces — every value in range, none repeated — so
+// a reorder-stage bug fails the write instead of the first read.
 func encodePerm(perm []int64) ([]byte, error) {
 	out := make([]byte, 0, len(perm)*2)
+	seen := make([]uint64, (len(perm)+63)/64)
 	var tmp [binary.MaxVarintLen64]byte
 	prev := int64(0)
 	for i, v := range perm {
 		if v < 0 || v >= int64(len(perm)) {
 			return nil, fmt.Errorf("shard: permutation entry %d is %d, outside [0,%d)", i, v, len(perm))
 		}
+		if seen[v>>6]&(1<<(uint(v)&63)) != 0 {
+			return nil, fmt.Errorf("shard: permutation repeats original index %d (entry %d)", v, i)
+		}
+		seen[v>>6] |= 1 << (uint(v) & 63)
 		n := binary.PutVarint(tmp[:], v-prev)
 		out = append(out, tmp[:n]...)
 		prev = v
@@ -385,359 +516,6 @@ func IsContainer(data []byte) bool {
 	return len(data) >= len(Magic) && bytes.Equal(data[:len(Magic)], Magic[:])
 }
 
-// errShortHeader marks a header parse that ran out of prefix bytes. For
-// Parse (whole container in memory) it means truncation; Open retries
-// with a larger prefix as long as the file has more to give.
-var errShortHeader = errors.New("shard: header extends past available prefix")
-
-// parseHeader decodes magic through headerCRC from a container prefix.
-// totalSize is the full container size (== len(prefix) for Parse),
-// bounding the plausibility checks. On success it returns the container
-// (index and consensus populated, no block source attached) and the
-// header length in bytes.
-func parseHeader(prefix []byte, totalSize int64) (*Container, int, error) {
-	rd := bytes.NewReader(prefix)
-	short := func(what string, err error) error {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("%w (reading %s)", errShortHeader, what)
-		}
-		return fmt.Errorf("shard: reading %s: %w", what, err)
-	}
-	var m [4]byte
-	if _, err := io.ReadFull(rd, m[:]); err != nil {
-		return nil, 0, short("magic", err)
-	}
-	if m != Magic {
-		return nil, 0, fmt.Errorf("shard: bad magic %q", m[:])
-	}
-	ver, err := rd.ReadByte()
-	if err != nil {
-		return nil, 0, short("version", err)
-	}
-	// Versions 1 and 2 share the legacy manifest-less layout; version 3
-	// added the source manifest. docs/FORMAT.md is the normative
-	// history.
-	if ver < 1 || ver > FormatVersion {
-		return nil, 0, fmt.Errorf("shard: unsupported version %d (this reader handles 1..%d)", ver, FormatVersion)
-	}
-	flags, err := rd.ReadByte()
-	if err != nil {
-		return nil, 0, short("flags", err)
-	}
-	ru := func(what string) (int, error) {
-		v, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return 0, short(what, err)
-		}
-		if v > uint64(totalSize)*8 {
-			return 0, fmt.Errorf("shard: implausible %s %d for a %d-byte container", what, v, totalSize)
-		}
-		return int(v), nil
-	}
-	c := &Container{Version: int(ver)}
-	if c.Index.TotalReads, err = ru("total read count"); err != nil {
-		return nil, 0, err
-	}
-	if c.Index.ShardReads, err = ru("shard size"); err != nil {
-		return nil, 0, err
-	}
-	// zu reads a zone-map field: same short-prefix protocol as ru, but
-	// bounded by a semantic cap instead of the container size (zone
-	// statistics like an average-Phred milli-value legitimately exceed
-	// a tiny container's byte count).
-	zu := func(what string, max uint64) (int, error) {
-		v, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return 0, short(what, err)
-		}
-		if v > max {
-			return 0, fmt.Errorf("shard: implausible %s %d (cap %d)", what, v, max)
-		}
-		return int(v), nil
-	}
-	if ver >= zoneMapVersion {
-		if c.Index.SketchBytes, err = zu("sketch size", maxSketchBytes); err != nil {
-			return nil, 0, err
-		}
-	}
-	if ver >= reorderVersion {
-		if c.Index.ReorderMode, err = zu("reorder mode", maxReorderMode); err != nil {
-			return nil, 0, err
-		}
-		if c.Index.ReorderMode != ReorderNone {
-			encLen, err := ru("permutation block size")
-			if err != nil {
-				return nil, 0, err
-			}
-			// Every permutation entry costs at least one varint byte, so
-			// a block that cannot hold TotalReads entries — or that
-			// claims more bytes than the container — is corruption, not
-			// a short prefix. Checking before the allocation keeps a
-			// corrupt TotalReads from driving a giant make.
-			if encLen < c.Index.TotalReads {
-				return nil, 0, fmt.Errorf("shard: permutation block (%d bytes) cannot hold %d entries", encLen, c.Index.TotalReads)
-			}
-			if int64(encLen) > totalSize {
-				return nil, 0, fmt.Errorf("shard: permutation block (%d bytes) exceeds the %d-byte container", encLen, totalSize)
-			}
-			if encLen+4 > rd.Len() {
-				return nil, 0, short("permutation block", io.ErrUnexpectedEOF)
-			}
-			enc := make([]byte, encLen)
-			if _, err := io.ReadFull(rd, enc); err != nil {
-				return nil, 0, short("permutation block", err)
-			}
-			var pc [4]byte
-			if _, err := io.ReadFull(rd, pc[:]); err != nil {
-				return nil, 0, short("permutation checksum", err)
-			}
-			if got := crc32.ChecksumIEEE(enc); got != binary.LittleEndian.Uint32(pc[:]) {
-				return nil, 0, fmt.Errorf("shard: permutation checksum mismatch: got %08x, container says %08x",
-					got, binary.LittleEndian.Uint32(pc[:]))
-			}
-			if c.Index.Perm, err = decodePerm(enc, c.Index.TotalReads); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	if flags&flagConsensus != 0 {
-		consLen, err := ru("consensus length")
-		if err != nil {
-			return nil, 0, err
-		}
-		f := genome.Format2Bit
-		nBytes := (consLen + 3) / 4
-		if flags&flagConsensusHasN != 0 {
-			f = genome.Format3Bit
-			nBytes = (consLen*3 + 7) / 8
-		}
-		// Bound the allocation by what can actually follow: first by the
-		// container (a corrupt length varint must not drive a giant
-		// make), then by the prefix (more prefix may exist — retry).
-		if int64(nBytes) > totalSize {
-			return nil, 0, fmt.Errorf("shard: consensus (%d bytes) exceeds the %d-byte container", nBytes, totalSize)
-		}
-		if nBytes > rd.Len() {
-			return nil, 0, short("consensus", io.ErrUnexpectedEOF)
-		}
-		packed := make([]byte, nBytes)
-		if _, err := io.ReadFull(rd, packed); err != nil {
-			return nil, 0, short("consensus", err)
-		}
-		cons, err := genome.Decode(packed, consLen, f)
-		if err != nil {
-			return nil, 0, fmt.Errorf("shard: unpacking consensus: %w", err)
-		}
-		c.Consensus = cons
-	}
-	if ver >= manifestVersion {
-		nSources, err := ru("source count")
-		if err != nil {
-			return nil, 0, err
-		}
-		// Each manifest entry occupies at least 3 bytes (three varints),
-		// so a source count the header cannot physically hold is
-		// corruption, not a short prefix.
-		if int64(nSources) > totalSize/3 {
-			return nil, 0, fmt.Errorf("shard: implausible source count %d for a %d-byte container", nSources, totalSize)
-		}
-		rstr := func(what string) (string, error) {
-			n, err := ru(what + " length")
-			if err != nil {
-				return "", err
-			}
-			if int64(n) > totalSize {
-				return "", fmt.Errorf("shard: %s (%d bytes) exceeds the %d-byte container", what, n, totalSize)
-			}
-			if n > rd.Len() {
-				return "", short(what, io.ErrUnexpectedEOF)
-			}
-			b := make([]byte, n)
-			if _, err := io.ReadFull(rd, b); err != nil {
-				return "", short(what, err)
-			}
-			return string(b), nil
-		}
-		if nSources > 0 {
-			c.Index.Sources = make([]SourceFile, nSources)
-		}
-		for i := range c.Index.Sources {
-			s := &c.Index.Sources[i]
-			if s.Name, err = rstr(fmt.Sprintf("source %d name", i)); err != nil {
-				return nil, 0, err
-			}
-			if s.Mate, err = rstr(fmt.Sprintf("source %d mate name", i)); err != nil {
-				return nil, 0, err
-			}
-			if s.Reads, err = ru(fmt.Sprintf("source %d read count", i)); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	nShards, err := ru("shard count")
-	if err != nil {
-		return nil, 0, err
-	}
-	// Each index entry occupies at least 7 bytes (three varints plus a
-	// fixed u32 checksum); v4 entries additionally carry 12 zone-map
-	// varints and the fixed-size sketch. A shard count the header
-	// cannot physically hold is corruption, not a short prefix.
-	minEntry := int64(7)
-	if ver >= zoneMapVersion {
-		minEntry = 8 + 12 + int64(c.Index.SketchBytes)
-	}
-	if int64(nShards) > totalSize/minEntry {
-		return nil, 0, fmt.Errorf("shard: implausible shard count %d for a %d-byte container", nShards, totalSize)
-	}
-	c.Index.Entries = make([]Entry, nShards)
-	reads := 0
-	var next int64
-	for i := range c.Index.Entries {
-		e := &c.Index.Entries[i]
-		if e.ReadCount, err = ru(fmt.Sprintf("shard %d read count", i)); err != nil {
-			return nil, 0, err
-		}
-		off, err := ru(fmt.Sprintf("shard %d offset", i))
-		if err != nil {
-			return nil, 0, err
-		}
-		length, err := ru(fmt.Sprintf("shard %d length", i))
-		if err != nil {
-			return nil, 0, err
-		}
-		e.Offset, e.Length = int64(off), int64(length)
-		if e.Offset != next {
-			return nil, 0, fmt.Errorf("shard: shard %d offset %d is not contiguous (want %d)", i, e.Offset, next)
-		}
-		if ver >= manifestVersion {
-			if e.Source, err = ru(fmt.Sprintf("shard %d source", i)); err != nil {
-				return nil, 0, err
-			}
-			switch {
-			case len(c.Index.Sources) == 0 && e.Source != 0:
-				return nil, 0, fmt.Errorf("shard: shard %d names source %d but the container has no manifest", i, e.Source)
-			case len(c.Index.Sources) > 0 && e.Source >= len(c.Index.Sources):
-				return nil, 0, fmt.Errorf("shard: shard %d source %d out of range [0,%d)", i, e.Source, len(c.Index.Sources))
-			case i > 0 && e.Source < c.Index.Entries[i-1].Source:
-				// Shards are written in ingest order and never span
-				// sources, so source indices are non-decreasing.
-				return nil, 0, fmt.Errorf("shard: shard %d source %d precedes shard %d's source %d",
-					i, e.Source, i-1, c.Index.Entries[i-1].Source)
-			}
-		}
-		if ver >= zoneMapVersion {
-			if err := parseZoneMap(rd, e, c.Index.SketchBytes, i, zu, short); err != nil {
-				return nil, 0, err
-			}
-		}
-		next += e.Length
-		reads += e.ReadCount
-		var cs [4]byte
-		if _, err := io.ReadFull(rd, cs[:]); err != nil {
-			return nil, 0, short(fmt.Sprintf("shard %d checksum", i), err)
-		}
-		e.Checksum = binary.LittleEndian.Uint32(cs[:])
-	}
-	if reads != c.Index.TotalReads {
-		return nil, 0, fmt.Errorf("shard: index lists %d reads but header claims %d", reads, c.Index.TotalReads)
-	}
-	if len(c.Index.Sources) > 0 {
-		perSrc := make([]int, len(c.Index.Sources))
-		for _, e := range c.Index.Entries {
-			perSrc[e.Source] += e.ReadCount
-		}
-		for i, s := range c.Index.Sources {
-			if perSrc[i] != s.Reads {
-				return nil, 0, fmt.Errorf("shard: source %q: index attributes %d reads but manifest claims %d",
-					s.Display(), perSrc[i], s.Reads)
-			}
-		}
-	}
-	var hc [4]byte
-	if _, err := io.ReadFull(rd, hc[:]); err != nil {
-		return nil, 0, short("header checksum", err)
-	}
-	hdrLen := len(prefix) - rd.Len()
-	if got := crc32.ChecksumIEEE(prefix[:hdrLen-len(hc)]); got != binary.LittleEndian.Uint32(hc[:]) {
-		return nil, 0, fmt.Errorf("shard: header checksum mismatch: got %08x, container says %08x",
-			got, binary.LittleEndian.Uint32(hc[:]))
-	}
-	return c, hdrLen, nil
-}
-
-// parseZoneMap decodes one entry's zone-map fields (v4+): 12 bounded
-// varints in writer order plus the fixed-size sketch. Caps are
-// semantic — Phred milli-values by the quality alphabet, GC by 1000,
-// expected error by the shard's own maximum read length — and min/max
-// pairs must be ordered, so a corrupt index cannot smuggle an envelope
-// that re-marshals differently than it parsed.
-func parseZoneMap(rd *bytes.Reader, e *Entry, sketchBytes, i int,
-	zu func(string, uint64) (int, error), short func(string, error) error) error {
-	const maxPhredMilli = fastq.MaxQuality * 1000
-	z := &e.Zone
-	var err error
-	field := func(what string) string { return fmt.Sprintf("shard %d %s", i, what) }
-	if z.MinLen, err = zu(field("min length"), maxZoneLen); err != nil {
-		return err
-	}
-	if z.MaxLen, err = zu(field("max length"), maxZoneLen); err != nil {
-		return err
-	}
-	if z.MinLen > z.MaxLen {
-		return fmt.Errorf("shard: shard %d zone lengths inverted: %d > %d", i, z.MinLen, z.MaxLen)
-	}
-	if z.QualReads, err = zu(field("scored read count"), uint64(e.ReadCount)); err != nil {
-		return err
-	}
-	if z.LowQualReads, err = zu(field("low-quality read count"), uint64(e.ReadCount)); err != nil {
-		return err
-	}
-	if z.MinPhred, err = zu(field("min Phred"), fastq.MaxQuality); err != nil {
-		return err
-	}
-	if z.AvgPhredMilli, err = zu(field("avg Phred"), maxPhredMilli); err != nil {
-		return err
-	}
-	if z.MinAvgPhredMilli, err = zu(field("min avg Phred"), maxPhredMilli); err != nil {
-		return err
-	}
-	if z.MaxAvgPhredMilli, err = zu(field("max avg Phred"), maxPhredMilli); err != nil {
-		return err
-	}
-	if z.MinAvgPhredMilli > z.MaxAvgPhredMilli {
-		return fmt.Errorf("shard: shard %d zone avg Phred inverted: %d > %d", i, z.MinAvgPhredMilli, z.MaxAvgPhredMilli)
-	}
-	maxEE := uint64(z.MaxLen+1) * 1000
-	if z.MinEEMilli, err = zu(field("min expected error"), maxEE); err != nil {
-		return err
-	}
-	if z.MaxEEMilli, err = zu(field("max expected error"), maxEE); err != nil {
-		return err
-	}
-	if z.MinEEMilli > z.MaxEEMilli {
-		return fmt.Errorf("shard: shard %d zone expected error inverted: %d > %d", i, z.MinEEMilli, z.MaxEEMilli)
-	}
-	if z.MinGCMilli, err = zu(field("min GC"), 1000); err != nil {
-		return err
-	}
-	if z.MaxGCMilli, err = zu(field("max GC"), 1000); err != nil {
-		return err
-	}
-	if z.MinGCMilli > z.MaxGCMilli {
-		return fmt.Errorf("shard: shard %d zone GC inverted: %d > %d", i, z.MinGCMilli, z.MaxGCMilli)
-	}
-	if sketchBytes > 0 {
-		if sketchBytes > rd.Len() {
-			return short(field("sketch"), io.ErrUnexpectedEOF)
-		}
-		z.Sketch = make([]byte, sketchBytes)
-		if _, err := io.ReadFull(rd, z.Sketch); err != nil {
-			return short(field("sketch"), err)
-		}
-	}
-	return nil
-}
-
 // Parse reads the header and index and validates the index against the
 // block section, without decoding any shard. The returned container
 // keeps the block section in memory; use Open to serve a container
@@ -745,7 +523,7 @@ func parseZoneMap(rd *bytes.Reader, e *Entry, sketchBytes, i int,
 func Parse(data []byte) (*Container, error) {
 	c, hdrLen, err := parseHeader(data, int64(len(data)))
 	if err != nil {
-		if errors.Is(err, errShortHeader) {
+		if errors.Is(err, wire.ErrShort) {
 			return nil, fmt.Errorf("shard: truncated container: %w", err)
 		}
 		return nil, err
@@ -786,7 +564,7 @@ func Open(r io.ReaderAt, size int64) (*Container, error) {
 			return nil, fmt.Errorf("shard: reading container prefix: %w", err)
 		}
 		c, hdrLen, err := parseHeader(prefix, size)
-		if errors.Is(err, errShortHeader) && chunk < size {
+		if errors.Is(err, wire.ErrShort) && chunk < size {
 			if chunk >= maxHeaderBytes {
 				return nil, fmt.Errorf("shard: header exceeds %d bytes (corrupt length field?): %w", maxHeaderBytes, err)
 			}
@@ -794,7 +572,7 @@ func Open(r io.ReaderAt, size int64) (*Container, error) {
 			continue
 		}
 		if err != nil {
-			if errors.Is(err, errShortHeader) {
+			if errors.Is(err, wire.ErrShort) {
 				return nil, fmt.Errorf("shard: truncated container: %w", err)
 			}
 			return nil, err

@@ -112,6 +112,9 @@ func FuzzParseHeader(f *testing.F) {
 		}
 		switch c.Index.ReorderMode {
 		case ReorderNone:
+			if c.Version >= reorderVersion {
+				t.Fatalf("v%d container accepted with reorder mode none", c.Version)
+			}
 			if len(c.Index.Perm) != 0 {
 				t.Fatalf("identity container carries a %d-entry perm", len(c.Index.Perm))
 			}

@@ -2,6 +2,8 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"strings"
 	"testing"
@@ -231,6 +233,79 @@ func TestCorruptedIndex(t *testing.T) {
 			t.Fatal("wrong magic parsed")
 		}
 	})
+	// The two cases below carry a correct header CRC: only the rule in
+	// docs/FORMAT.md stands between them and a misparse.
+	resealed := func(hdr []byte) []byte {
+		body := hdr[:len(hdr)-4]
+		return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
+	}
+	t.Run("reserved flag bits", func(t *testing.T) {
+		for bit := 2; bit < 8; bit++ {
+			mut := append([]byte(nil), data[:hdrLen]...)
+			mut[5] |= 1 << bit
+			mut = append(resealed(mut), data[hdrLen:]...)
+			if _, err := Parse(mut); err == nil || !strings.Contains(err.Error(), "reserved flag") {
+				t.Fatalf("flag bit %d set: got %v, want a reserved-flag error", bit, err)
+			}
+		}
+	})
+	t.Run("version 5 with reorder mode none", func(t *testing.T) {
+		// An identity header respelled as v5: version byte 5 and a zero
+		// reorder mode after magic, version, flags and the three
+		// one-byte varints of an empty index.
+		hdr, err := marshalHeader(&Index{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mut := append([]byte(nil), hdr[:9]...)
+		mut[4] = reorderVersion
+		mut = resealed(append(append(mut, ReorderNone), hdr[9:]...))
+		if _, err := Parse(mut); err == nil || !strings.Contains(err.Error(), "reorder mode none") {
+			t.Fatalf("v5 header with mode 0: got %v, want a reorder-mode error", err)
+		}
+	})
+}
+
+// TestMarshalEnforcesReaderRules: every rule parseHeader holds an index
+// to, marshalHeader holds it to as well — a writer bug surfaces at
+// write time, not as a container nothing can open.
+func TestMarshalEnforcesReaderRules(t *testing.T) {
+	valid := func() *Index {
+		return &Index{TotalReads: 5, ShardReads: 3, SketchBytes: 2,
+			Sources: []SourceFile{{Name: "a.fq", Reads: 3}, {Name: "b.fq", Reads: 2}},
+			Entries: []Entry{
+				{ReadCount: 3, Offset: 0, Length: 40, Source: 0,
+					Zone: ZoneMap{MinLen: 8, MaxLen: 9, QualReads: 3, MinGCMilli: 100, MaxGCMilli: 900, Sketch: []byte{1, 2}}},
+				{ReadCount: 2, Offset: 40, Length: 30, Source: 1,
+					Zone: ZoneMap{MinLen: 8, MaxLen: 8, Sketch: []byte{3, 4}}},
+			}}
+	}
+	if _, err := marshalHeader(valid(), nil); err != nil {
+		t.Fatalf("valid index rejected: %v", err)
+	}
+	for name, breakIt := range map[string]func(*Index){
+		"read total":        func(ix *Index) { ix.TotalReads++ },
+		"negative count":    func(ix *Index) { ix.ShardReads = -1 },
+		"offset gap":        func(ix *Index) { ix.Entries[1].Offset++ },
+		"source order":      func(ix *Index) { ix.Entries[0].Source, ix.Entries[1].Source = 1, 0 },
+		"source range":      func(ix *Index) { ix.Entries[1].Source = 2 },
+		"per-source sum":    func(ix *Index) { ix.Sources[0].Reads, ix.Sources[1].Reads = 2, 3 },
+		"zone count cap":    func(ix *Index) { ix.Entries[0].Zone.QualReads = 4 },
+		"zone Phred cap":    func(ix *Index) { ix.Entries[0].Zone.MinPhred = 64 },
+		"zone inverted":     func(ix *Index) { ix.Entries[0].Zone.MinGCMilli = 901 },
+		"sketch length":     func(ix *Index) { ix.Entries[1].Zone.Sketch = []byte{3} },
+		"sketch size cap":   func(ix *Index) { ix.SketchBytes = maxSketchBytes + 1 },
+		"perm without mode": func(ix *Index) { ix.Perm = []int64{0, 1, 2, 3, 4} },
+		"perm repeats": func(ix *Index) {
+			ix.ReorderMode, ix.Perm = ReorderClump, []int64{0, 1, 2, 3, 3}
+		},
+	} {
+		ix := valid()
+		breakIt(ix)
+		if _, err := marshalHeader(ix, nil); err == nil {
+			t.Errorf("%s: broken index marshaled", name)
+		}
+	}
 }
 
 // TestSharedConsensusOverhead checks the container stores the consensus
