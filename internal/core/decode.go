@@ -127,9 +127,10 @@ func (rcu *ReadConstructionUnit) ConsBase(cursor int) byte {
 // decode scratch shared by all reads of a block: the segment plan (at
 // most MaxChimericSegments entries), a reverse-segment staging buffer,
 // and the arena that decoded sequences are carved from — one slab
-// allocation per ~256 KiB of bases instead of one per read. Decoded
-// Seqs therefore share backing arrays and must be treated as immutable
-// and retained together (the rule serve's shard LRU already follows).
+// allocation per block, or per 256 KiB of bases, instead of one per
+// read. Decoded Seqs therefore share backing arrays and must be treated
+// as immutable and retained together (the rule serve's shard LRU
+// already follows).
 type ControlUnit struct {
 	su      *ScanUnit
 	rcu     *ReadConstructionUnit
@@ -143,14 +144,27 @@ type ControlUnit struct {
 // shared slabs (append past a read's end reallocates — a corrupt stream
 // cannot overrun a neighboring read).
 type seqArena struct {
-	slab genome.Seq
+	slab      genome.Seq
+	slabBytes int
 }
 
 const seqArenaSlabBytes = 256 << 10
 
+// newSeqArena sizes the slabs for a block of numReads reads of at most
+// maxReadLen bases: a small shard takes one slab of what it can hold
+// rather than a zeroed 256 KiB. Dividing keeps the product from
+// overflowing on header fields only the block size bounds.
+func newSeqArena(numReads, maxReadLen int) seqArena {
+	a := seqArena{slabBytes: seqArenaSlabBytes}
+	if maxReadLen == 0 || numReads <= a.slabBytes/maxReadLen {
+		a.slabBytes = numReads * maxReadLen
+	}
+	return a
+}
+
 func (a *seqArena) take(n int) genome.Seq {
 	if len(a.slab) < n {
-		sz := seqArenaSlabBytes
+		sz := a.slabBytes
 		if sz < n {
 			sz = n
 		}
@@ -204,7 +218,8 @@ func DecompressFull(data []byte, externalCons genome.Seq) (*DecodeResult, error)
 			cons: cons,
 			mbta: bitio.NewReader(c.streams[sMBTA].data, c.streams[sMBTA].bits),
 		},
-		hdr: &c.hdr,
+		hdr:   &c.hdr,
+		arena: newSeqArena(c.hdr.numReads, c.hdr.maxReadLen),
 	}
 	rs := &fastq.ReadSet{Records: make([]fastq.Record, c.hdr.numReads)}
 	lengths := make([]int, c.hdr.numReads)
@@ -436,16 +451,23 @@ func (cu *ControlUnit) decodeSegment(dst genome.Seq, first bool, sp segPlan, rea
 }
 
 // consCopy appends consensus bases at *cursor to out until it reaches
-// target length, advancing the cursor.
+// target length, advancing the cursor. A cursor that leaves the
+// consensus is an error once every base the consensus does hold has
+// been appended.
 func consCopy(out, cons genome.Seq, cursor *int, target int) (genome.Seq, error) {
-	for len(out) < target {
-		if *cursor < 0 || *cursor >= len(cons) {
-			return out, fmt.Errorf("core: consensus cursor %d out of range", *cursor)
-		}
-		out = append(out, cons[*cursor])
-		*cursor++
+	n := target - len(out)
+	if n <= 0 {
+		return out, nil
 	}
-	return out, nil
+	if c := *cursor; c >= 0 && c < len(cons) {
+		k := min(n, len(cons)-c)
+		out = append(out, cons[c:c+k]...)
+		*cursor += k
+		if k == n {
+			return out, nil
+		}
+	}
+	return out, fmt.Errorf("core: consensus cursor %d out of range", *cursor)
 }
 
 // FormatReads renders decompressed reads in the format requested via

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -191,6 +192,65 @@ func BenchmarkCoreCompressShort(b *testing.B) {
 		if _, err := Compress(rs, opt); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// consCopyPerBase is consCopy as it was before it copied in bulk: one
+// range test and one append per base.
+func consCopyPerBase(out, cons genome.Seq, cursor *int, target int) (genome.Seq, error) {
+	for len(out) < target {
+		if *cursor < 0 || *cursor >= len(cons) {
+			return out, fmt.Errorf("core: consensus cursor %d out of range", *cursor)
+		}
+		out = append(out, cons[*cursor])
+		*cursor++
+	}
+	return out, nil
+}
+
+// consCopy equals the per-base loop — output, cursor and error text —
+// with the cursor before, inside, at and past either end of the
+// consensus, targets already met, and an empty consensus.
+func TestConsCopyMatchesPerBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 5000; trial++ {
+		cons := genome.Random(rng, rng.Intn(30))
+		prefix := genome.Random(rng, rng.Intn(6))
+		start := rng.Intn(len(cons)+8) - 4
+		target := len(prefix) + rng.Intn(40) - 4
+		wantCur, gotCur := start, start
+		want, wantErr := consCopyPerBase(prefix.Clone(), cons, &wantCur, target)
+		got, gotErr := consCopy(prefix.Clone(), cons, &gotCur, target)
+		if !got.Equal(want) || gotCur != wantCur || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("cons %d, cursor %d, %d -> %d bases: got %v cursor %d (%v), want %v cursor %d (%v)",
+				len(cons), start, len(prefix), target, got, gotCur, gotErr, want, wantCur, wantErr)
+		}
+	}
+}
+
+// A block's arena slab holds what its header says the reads can: the
+// whole of a small shard, never more than the 256 KiB default, and no
+// overflow on the largest fields layout admits.
+func TestSeqArenaSizedFromHeader(t *testing.T) {
+	for _, tc := range []struct{ numReads, maxReadLen, want int }{
+		{250, 150, 250 * 150},
+		{0, 150, 0},
+		{250, 0, 0},
+		{1, seqArenaSlabBytes - 1, seqArenaSlabBytes - 1},
+		{2, seqArenaSlabBytes / 2, seqArenaSlabBytes},
+		{100000, 150, seqArenaSlabBytes},
+		{1 << 38, maxField, seqArenaSlabBytes},
+	} {
+		a := newSeqArena(tc.numReads, tc.maxReadLen)
+		if a.slabBytes != tc.want {
+			t.Errorf("%d reads of <= %d bases: slab %d, want %d", tc.numReads, tc.maxReadLen, a.slabBytes, tc.want)
+		}
+	}
+	a := newSeqArena(3, 10)
+	first := a.take(10)
+	a.take(10)
+	if last := a.take(10); cap(last) != 10 || &first[:1][0] == &last[0] || len(a.slab) != 0 {
+		t.Fatalf("three 10-base reads should fill one 30-byte slab exactly; %d bytes left", len(a.slab))
 	}
 }
 

@@ -133,8 +133,14 @@ func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
 	}
 	if opt.IncludeQuality {
 		for i := range rs.Records {
-			if rs.Records[i].Qual == nil && len(rs.Records[i].Seq) > 0 {
+			rec := &rs.Records[i]
+			if rec.Qual == nil && len(rec.Seq) > 0 {
 				return nil, fmt.Errorf("core: record %d has no quality scores; disable IncludeQuality or provide them", i)
+			}
+			// The decoder takes score counts from the bases, so a record
+			// that disagrees with itself would decode to shifted scores.
+			if len(rec.Qual) != len(rec.Seq) {
+				return nil, fmt.Errorf("core: record %d: %d bases but %d quality scores", i, len(rec.Seq), len(rec.Qual))
 			}
 		}
 	}

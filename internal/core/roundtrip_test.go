@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -233,6 +235,28 @@ func TestCompressRequiresQualWhenEnabled(t *testing.T) {
 	opt := DefaultOptions(ref)
 	if _, err := Compress(rs, opt); err == nil {
 		t.Fatal("expected error for missing quality scores")
+	}
+}
+
+// A record whose quality string is not as long as its bases cannot be
+// decoded (the decoder takes score counts from the bases), so it must
+// not be written.
+func TestCompressRejectsQualLengthMismatch(t *testing.T) {
+	ref, rs := makeShortSet(t, 13, 5000, 10)
+	q := rs.Records[4].Qual
+	for _, qual := range [][]byte{q[1:], append(q[:len(q):len(q)], 30), {}} {
+		bad := &fastq.ReadSet{Records: append([]fastq.Record(nil), rs.Records...)}
+		bad.Records[4].Qual = qual
+		_, err := Compress(bad, DefaultOptions(ref))
+		want := fmt.Sprintf("record 4: %d bases but %d quality scores", len(bad.Records[4].Seq), len(qual))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %v, want one naming %q", err, want)
+		}
+		opt := DefaultOptions(ref)
+		opt.IncludeQuality = false
+		if _, err := Compress(bad, opt); err != nil {
+			t.Fatalf("without quality the mismatch does not matter: %v", err)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ package genome
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -32,7 +33,13 @@ var alphabet = [5]byte{'A', 'C', 'G', 'T', 'N'}
 // codeOf maps ASCII (upper or lower case) to base codes; 0xff = invalid.
 var codeOf [256]byte
 
+// complementOf is Complement as a table, for per-base loops.
+var complementOf [256]byte
+
 func init() {
+	for b := range complementOf {
+		complementOf[b] = Complement(byte(b))
+	}
 	for i := range codeOf {
 		codeOf[i] = 0xff
 	}
@@ -119,8 +126,11 @@ func AppendASCII(dst []byte, s Seq) []byte {
 // AppendReverseComplement appends the reverse complement of src to dst,
 // returning the extended slice. dst and src must not overlap.
 func AppendReverseComplement(dst, src Seq) Seq {
-	for i := len(src) - 1; i >= 0; i-- {
-		dst = append(dst, Complement(src[i]))
+	n := len(dst)
+	dst = slices.Grow(dst, len(src))[:n+len(src)]
+	out := dst[n:]
+	for i, b := range src {
+		out[len(out)-1-i] = complementOf[b]
 	}
 	return dst
 }
@@ -154,11 +164,7 @@ func (s Seq) Clone() Seq {
 
 // ReverseComplement returns the reverse complement of s.
 func (s Seq) ReverseComplement() Seq {
-	out := make(Seq, len(s))
-	for i, b := range s {
-		out[len(s)-1-i] = Complement(b)
-	}
-	return out
+	return AppendReverseComplement(make(Seq, 0, len(s)), s)
 }
 
 // HasN reports whether the sequence contains any unknown (N) base.

@@ -44,6 +44,39 @@ func TestReverseComplement(t *testing.T) {
 	}
 }
 
+// AppendReverseComplement equals the per-base loop it replaced — append
+// the Complement of each base, last to first — on random sequences with
+// N, on empty ones, and on a dst with and without room for the result;
+// with room it extends dst in place.
+func TestAppendReverseComplementMatchesPerBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 2000; trial++ {
+		src := make(Seq, rng.Intn(40))
+		for i := range src {
+			src[i] = byte(rng.Intn(BaseN + 1))
+		}
+		prefix := Random(rng, rng.Intn(5))
+		want := prefix.Clone()
+		for i := len(src) - 1; i >= 0; i-- {
+			want = append(want, Complement(src[i]))
+		}
+		spare := rng.Intn(2) * (len(src) + rng.Intn(3))
+		dst := append(make(Seq, 0, len(prefix)+spare), prefix...)
+		got := AppendReverseComplement(dst, src)
+		if !got.Equal(want) {
+			t.Fatalf("prefix %v src %v: got %v want %v", prefix, src, got, want)
+		}
+		if spare >= len(src) && len(got) > 0 && &got[0] != &dst[:1][0] {
+			t.Fatalf("reallocated a dst with %d spare bytes for %d", spare, len(src))
+		}
+	}
+	for b := 0; b < 256; b++ {
+		if got := AppendReverseComplement(nil, Seq{byte(b)})[0]; got != Complement(byte(b)) {
+			t.Fatalf("code %d complements to %d, Complement says %d", b, got, Complement(byte(b)))
+		}
+	}
+}
+
 func TestHasN(t *testing.T) {
 	if MustFromString("ACGT").HasN() {
 		t.Fatal("ACGT should not report N")

@@ -1,0 +1,202 @@
+package qual
+
+import (
+	"bytes"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// The score sources the kernel tests, the fuzz seeds and the benchmarks
+// draw from: the incompressible and the most compressible extremes, the
+// repository benchmark's iid N(36,4) scores, and the 4-level binning of
+// current instruments.
+type scoreFill func(rng *rand.Rand, q []byte)
+
+func fillUniform(rng *rand.Rand, q []byte) {
+	for i := range q {
+		q[i] = byte(rng.Intn(treeNodes))
+	}
+}
+
+func fillConstant(_ *rand.Rand, q []byte) {
+	for i := range q {
+		q[i] = 40
+	}
+}
+
+func fillNormal(rng *rand.Rand, q []byte) {
+	for i := range q {
+		q[i] = byte(min(max(36+rng.NormFloat64()*4, 0), treeNodes-1))
+	}
+}
+
+func fillBinned(rng *rand.Rand, q []byte) {
+	for i := range q {
+		q[i] = [4]byte{2, 12, 23, 37}[rng.Intn(4)]
+	}
+}
+
+// randomReads draws n reads from fill with lengths from pick.
+func randomReads(rng *rand.Rand, fill scoreFill, n int, pick func() int) ([][]byte, []int) {
+	quals := make([][]byte, n)
+	lengths := make([]int, n)
+	for i := range quals {
+		quals[i] = make([]byte, pick())
+		fill(rng, quals[i])
+		lengths[i] = len(quals[i])
+	}
+	return quals, lengths
+}
+
+// oracleScores decodes one read with decodeBit only: the loop Decompress
+// ran before the kernel, kept as the reference the kernel must equal.
+func oracleScores(d *rcDecoder, q []byte, probs *[numContexts]uint16) {
+	q1, q2 := byte(0), byte(0)
+	for i := range q {
+		base := contextBase(q1, q2)
+		node := 1
+		for b := 0; b < symbolBits; b++ {
+			node = node<<1 | d.decodeBit(&probs[base+node])
+		}
+		q[i] = byte(node - treeNodes)
+		q2, q1 = q1, q[i]
+	}
+}
+
+// decodeBoth decodes body read by read with the kernel and the oracle
+// and fails on the first score, coder-state or model difference. It
+// returns the scores and the number of body bytes asked for.
+func decodeBoth(t testing.TB, body []byte, lengths []int) ([][]byte, int) {
+	t.Helper()
+	var kd, od rcDecoder
+	kd.init(body)
+	od.init(body)
+	kp, op := getProbs(), getProbs()
+	defer probsPool.Put(kp)
+	defer probsPool.Put(op)
+	out := make([][]byte, len(lengths))
+	for r, l := range lengths {
+		out[r] = make([]byte, l)
+		want := make([]byte, l)
+		kd.decodeScores(out[r], kp)
+		oracleScores(&od, want, op)
+		if !bytes.Equal(out[r], want) {
+			t.Fatalf("read %d of %v: kernel and oracle scores differ", r, lengths)
+		}
+		if kd.rng != od.rng || kd.code != od.code || kd.pos != od.pos {
+			t.Fatalf("read %d of %v: kernel state (%#x %#x %d), oracle (%#x %#x %d)",
+				r, lengths, kd.rng, kd.code, kd.pos, od.rng, od.code, od.pos)
+		}
+	}
+	if *kp != *op {
+		t.Fatalf("lengths %v: kernel and oracle leave different models", lengths)
+	}
+	return out, kd.pos
+}
+
+// The kernel equals the bit-at-a-time oracle — scores, final rng, code
+// and pos, and the adapted model — on streams of every regime and on
+// the read lengths around its boundaries: empty reads, reads shorter
+// and longer than a score's symbolBits bytes, streams too short for the
+// fast loop to start, and the last read of every stream, which crosses
+// from the fast loop into the tail. Every stream is consumed exactly.
+func TestKernelEqualsOracle(t *testing.T) {
+	streams := 10000
+	if testing.Short() {
+		streams = 1000
+	}
+	rng := rand.New(rand.NewSource(19))
+	fills := []scoreFill{fillUniform, fillConstant, fillNormal, fillBinned}
+	short := []int{0, 0, 1, 5, 6, 7, 150}
+	for s := 0; s < streams; s++ {
+		pick := func() int { return short[rng.Intn(len(short))] }
+		if s%250 == 0 {
+			pick = func() int { return 16000 }
+		}
+		quals, lengths := randomReads(rng, fills[s%len(fills)], rng.Intn(6), pick)
+		data, err := Compress(quals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := data[8:]
+		got, pos := decodeBoth(t, body, lengths)
+		for r := range quals {
+			if !bytes.Equal(got[r], quals[r]) {
+				t.Fatalf("stream %d read %d does not round-trip", s, r)
+			}
+		}
+		if pos != len(body) {
+			t.Fatalf("stream %d (%v): decoder asked for %d of %d body bytes", s, lengths, pos, len(body))
+		}
+		// Any bytes at all decode alike, past the end included: a cut
+		// stream, and the same lengths over noise.
+		decodeBoth(t, body[:rng.Intn(len(body)+1)], lengths)
+		noise := make([]byte, rng.Intn(40))
+		rng.Read(noise)
+		decodeBoth(t, noise, lengths)
+	}
+}
+
+// A stream ends where its scores end: Decompress names a stream that is
+// cut short, one that carries extra bytes, and lengths that ask for
+// more or fewer scores than were coded — or for more than any stream of
+// that size could hold, before allocating for them.
+func TestDecompressRejectsMisfitStreams(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	quals, lengths := randomReads(rng, fillNormal, 20, func() int { return 150 })
+	data, err := Compress(quals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withBody := func(body []byte) []byte {
+		out := append([]byte(nil), data[:8]...)
+		out[0], out[1] = byte(len(body)), byte(len(body)>>8)
+		return append(out, body...)
+	}
+	scaled := func(f int) []int {
+		out := make([]int, len(lengths))
+		for i, l := range lengths {
+			out[i] = l * f
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		lengths []int
+		want    string
+	}{
+		{"truncated", withBody(data[8 : len(data)-1]), lengths, "stream ends before the scores do"},
+		{"empty body", withBody(nil), nil, "stream ends before the scores do"},
+		{"trailing byte", withBody(append(data[8:len(data):len(data)], 0)), lengths, "left over"},
+		{"one read too many", data, append(lengths[:len(lengths):len(lengths)], 150), "stream ends before the scores do"},
+		{"one read too few", data, lengths[:len(lengths)-1], "left over"},
+		{"impossible total", data, scaled(1000), "holds at most"},
+		{"overflowing total", data, []int{1 << 62, 1 << 62, 1 << 62}, "holds at most"},
+		{"negative length", data, []int{-1}, "holds at most"},
+	} {
+		_, err := Decompress(tc.data, tc.lengths)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := Decompress(data, lengths); err != nil {
+		t.Fatalf("the unmodified stream: %v", err)
+	}
+}
+
+// maxScoresPerByte really bounds the densest stream Compress can write.
+func TestDensestStreamFitsBound(t *testing.T) {
+	q := make([]byte, 1<<20)
+	data, err := Compress([][]byte{q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perByte := float64(len(q)) / float64(len(data)-8); perByte > 122 || perByte < 115 {
+		t.Fatalf("constant scores pack %.1f per byte; the bound's comment says 121", perByte)
+	}
+	if _, err := Decompress(data, []int{len(q)}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -81,7 +81,14 @@ func Compress(quals [][]byte) ([]byte, error) {
 	return out, nil
 }
 
-// Decompress decodes scores for reads with the given lengths.
+// maxScoresPerByte bounds how many scores one stream byte can hold: at
+// the probability clamp (4065/4096) a decision costs 0.011 bit, so a
+// run of constant scores packs 121 six-decision scores into a byte.
+const maxScoresPerByte = 128
+
+// Decompress decodes scores for reads with the given lengths. The
+// stream must end exactly where the scores do: lengths that ask for
+// more or fewer scores than were coded are an error, not garbage.
 func Decompress(data []byte, lengths []int) ([][]byte, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("qual: truncated stream header")
@@ -90,8 +97,19 @@ func Decompress(data []byte, lengths []int) ([][]byte, error) {
 	if uint64(len(data)-8) < bodyLen {
 		return nil, fmt.Errorf("qual: stream body truncated: have %d want %d", len(data)-8, bodyLen)
 	}
+	body := data[8 : 8+bodyLen]
+	// Bounding the scores by the body before allocating for them keeps
+	// hostile lengths to a multiple of the input.
+	limit := maxScoresPerByte * len(body)
+	total := 0
+	for r, l := range lengths {
+		if l < 0 || l > limit-total {
+			return nil, fmt.Errorf("qual: read %d of length %d: a %d-byte stream holds at most %d scores", r, l, len(body), limit)
+		}
+		total += l
+	}
 	var dec rcDecoder
-	dec.init(data[8 : 8+bodyLen])
+	dec.init(body)
 	probs := getProbs()
 	defer probsPool.Put(probs)
 	// All scores decode into one flat buffer sub-sliced per read
@@ -99,28 +117,18 @@ func Decompress(data []byte, lengths []int) ([][]byte, error) {
 	// overruns a neighbor): two allocations for the whole block instead
 	// of one per read. The per-read slices share backing memory and are
 	// retained together — the same ownership rule batch records follow.
-	total := 0
-	for _, l := range lengths {
-		total += l
-	}
 	flat := make([]byte, total)
 	out := make([][]byte, len(lengths))
 	for r, l := range lengths {
-		q := flat[:l:l]
+		out[r] = flat[:l:l]
 		flat = flat[l:]
-		q1, q2 := byte(0), byte(0)
-		for i := 0; i < l; i++ {
-			base := contextBase(q1, q2)
-			node := 1
-			for b := 0; b < symbolBits; b++ {
-				bit := dec.decodeBit(&probs[base+node])
-				node = node<<1 | bit
-			}
-			s := byte(node - treeNodes)
-			q[i] = s
-			q2, q1 = q1, s
-		}
-		out[r] = q
+		dec.decodeScores(out[r], probs)
+	}
+	if dec.pos > len(body) {
+		return nil, fmt.Errorf("qual: stream ends before the scores do: %d bytes hold fewer than %d scores", len(body), total)
+	}
+	if dec.pos < len(body) {
+		return nil, fmt.Errorf("qual: %d of %d stream bytes left over after %d scores", len(body)-dec.pos, len(body), total)
 	}
 	return out, nil
 }

@@ -90,7 +90,9 @@ type rcDecoder struct {
 	rng  uint32
 	code uint32
 	in   []byte
-	pos  int
+	// pos counts the bytes asked for, so pos > len(in) records that the
+	// decoder ran past the stream (next zero-fills there).
+	pos int
 }
 
 // init primes a (possibly stack-allocated) decoder over in.
@@ -104,14 +106,16 @@ func (d *rcDecoder) init(in []byte) {
 }
 
 func (d *rcDecoder) next() byte {
+	var b byte
 	if d.pos < len(d.in) {
-		b := d.in[d.pos]
-		d.pos++
-		return b
+		b = d.in[d.pos]
 	}
-	return 0
+	d.pos++
+	return b
 }
 
+// decodeBit is the bit-at-a-time step: decodeScores runs it over the
+// last bytes of a stream, and the tests use it as the kernel's oracle.
 func (d *rcDecoder) decodeBit(p *uint16) int {
 	bound := (d.rng >> probBits) * uint32(*p)
 	var bit int
@@ -130,4 +134,56 @@ func (d *rcDecoder) decodeBit(p *uint16) int {
 		d.rng <<= 8
 	}
 	return bit
+}
+
+// decodeScores decodes the len(q) scores of one read into q: decodeBit's
+// arithmetic, operation for operation, with the range state in locals
+// for the whole read and a plain in[pos] where decodeBit calls next.
+//
+// A bit needs at most one shift. The adaptation rule holds every
+// probability in [31, 4065] (p -= p>>5 stops at 31, p += (4096-p)>>5 at
+// 4065), so from rng >= 2^24 either branch leaves
+// rng >= (rng>>12)*31 >= 31*2^12 > 2^16, and one 8-bit shift restores
+// rng >= 2^24. A score therefore reads at most symbolBits bytes — the
+// one length test the fast loop makes per score; the last bytes of the
+// stream go through decodeBit, whose next zero-fills past the end.
+func (d *rcDecoder) decodeScores(q []byte, probs *[numContexts]uint16) {
+	rng, code, pos, in := d.rng, d.code, d.pos, d.in
+	q1, q2 := byte(0), byte(0)
+	i := 0
+	for ; i < len(q) && pos+symbolBits <= len(in); i++ {
+		ctx := (*[treeNodes]uint16)(probs[contextBase(q1, q2):])
+		node := 1
+		for node < treeNodes {
+			p := &ctx[node]
+			bound := (rng >> probBits) * uint32(*p)
+			if code < bound {
+				rng = bound
+				*p += (1<<probBits - *p) >> adaptRate
+				node <<= 1
+			} else {
+				code -= bound
+				rng -= bound
+				*p -= *p >> adaptRate
+				node = node<<1 | 1
+			}
+			if rng < topValue {
+				code = code<<8 | uint32(in[pos])
+				pos++
+				rng <<= 8
+			}
+		}
+		q[i] = byte(node - treeNodes)
+		q2, q1 = q1, q[i]
+	}
+	d.rng, d.code, d.pos = rng, code, pos
+	for ; i < len(q); i++ {
+		base := contextBase(q1, q2)
+		node := 1
+		for node < treeNodes {
+			node = node<<1 | d.decodeBit(&probs[base+node])
+		}
+		q[i] = byte(node - treeNodes)
+		q2, q1 = q1, q[i]
+	}
 }
