@@ -15,9 +15,9 @@ package bench
 //	fastq batch scan      4.006     0.022      0.50
 //	qual compress         0.013     0.000      0.01
 //	qual decompress       1.000     0.001      0.05
-//	core compress        37.607    16.214     18.60
+//	core compress        37.607     3.773      4.34
 //	core decompress      11.369     0.034      1.00
-//	shard assemble      109.436    19.454     22.30
+//	shard assemble      109.436     4.226      4.86
 //	shard stream-decode  15.542     0.284      2.00
 //
 // "before" figures predate the arena batch reader, pooled range-coder
@@ -26,15 +26,20 @@ package bench
 // write-path rows were measured again when the bit-parallel kernel
 // replaced the mapper's DP matrices (16.468 → 16.214 and 19.701 →
 // 19.454: an edit list is now one slice plus one base array, not one
-// array per edit) and their budgets are 1.15× that measurement. If an
+// array per edit), and again when the mapper's k-mer map — one slice
+// per distinct k-mer, built per core.Compress call here — became a flat
+// table, Algorithm 1's cost function stopped allocating and the planner
+// began validating into one buffer per worker (16.214 → 3.773 and
+// 19.440 → 4.226; what is left is Map's candidate, segment and edit
+// slices). Their budgets are 1.15× the last measurement. If an
 // intentional change raises a number, update the budget alongside the
 // code change and say why in the commit.
 const (
 	budgetFastqScanAllocsPerRead      = 0.50
 	budgetQualCompressAllocsPerRead   = 0.01
 	budgetQualDecompressAllocsPerRead = 0.05
-	budgetCoreCompressAllocsPerRead   = 18.60
+	budgetCoreCompressAllocsPerRead   = 4.34
 	budgetCoreDecompressAllocsPerRead = 1.00
-	budgetShardAssembleAllocsPerRead  = 22.30
+	budgetShardAssembleAllocsPerRead  = 4.86
 	budgetShardStreamAllocsPerRead    = 2.00
 )

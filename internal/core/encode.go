@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"sage/internal/bitio"
 	"sage/internal/fastq"
@@ -145,15 +146,17 @@ func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
 		}
 	}
 	m := opt.SharedMapper
-	if m != nil && !m.Consensus().Equal(opt.Consensus) {
-		return nil, fmt.Errorf("core: SharedMapper was built over a different consensus")
-	}
 	if m == nil {
 		var err error
 		m, err = mapper.New(opt.Consensus, opt.Mapper)
 		if err != nil {
 			return nil, err
 		}
+	} else if mc := m.Consensus(); !(len(mc) == len(opt.Consensus) && &mc[0] == &opt.Consensus[0]) && !mc.Equal(opt.Consensus) {
+		// The same slice needs no compare: the sharded writer hands every
+		// shard the consensus its mapper was built over, and comparing a
+		// human-scale one costs several times what compressing the shard does.
+		return nil, fmt.Errorf("core: SharedMapper was built over a different consensus")
 	}
 
 	// Pass 1: map every read, validate losslessness of each alignment,
@@ -338,45 +341,48 @@ func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
 	return &Encoded{Data: data, Stats: st, Order: order}, nil
 }
 
-// planReads maps reads in parallel and validates each alignment by
+// planReads maps every read and validates each alignment by
 // reconstructing the read; any read whose alignment is not provably
-// lossless is demoted to the unmapped stream.
+// lossless is demoted to the unmapped stream. Workers claim read indices
+// from a shared counter, and the caller is one of them: a single worker,
+// all the sharded writer asks for, starts no goroutine.
 func planReads(rs *fastq.ReadSet, m *mapper.Mapper, opt Options) []readPlan {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	plans := make([]readPlan, len(rs.Records))
+	var claimed atomic.Int64
+	work := func() {
+		var rebuilt genome.Seq // reused across this worker's reads
+		for i := int(claimed.Add(1)) - 1; i < len(plans); i = int(claimed.Add(1)) - 1 {
+			seq := rs.Records[i].Seq
+			p := readPlan{idx: i, hasN: seq.HasN()}
+			aln := m.Map(seq)
+			if aln.Mapped {
+				var err error
+				rebuilt, err = mapper.AppendReconstructRead(rebuilt[:0], m.Consensus(), aln)
+				if err != nil || !rebuilt.Equal(seq) || subMarkerAmbiguous(m.Consensus(), aln) {
+					aln = mapper.Alignment{}
+				}
+			}
+			p.aln = aln
+			if aln.Mapped {
+				p.sortKey = aln.Segments[0].ConsPos
+			}
+			p.corner = p.hasN || !aln.Mapped
+			plans[i] = p
+		}
+	}
 	var wg sync.WaitGroup
-	ch := make(chan int, workers)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range ch {
-				seq := rs.Records[i].Seq
-				p := readPlan{idx: i, hasN: seq.HasN()}
-				aln := m.Map(seq)
-				if aln.Mapped {
-					if got, err := mapper.ReconstructRead(m.Consensus(), aln, len(seq)); err != nil || !got.Equal(seq) {
-						aln = mapper.Alignment{}
-					} else if subMarkerAmbiguous(m.Consensus(), aln) {
-						aln = mapper.Alignment{}
-					}
-				}
-				p.aln = aln
-				if aln.Mapped {
-					p.sortKey = aln.Segments[0].ConsPos
-				}
-				p.corner = p.hasN || !aln.Mapped
-				plans[i] = p
-			}
+			work()
 		}()
 	}
-	for i := range rs.Records {
-		ch <- i
-	}
-	close(ch)
+	work()
 	wg.Wait()
 	return plans
 }

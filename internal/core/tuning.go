@@ -277,25 +277,24 @@ func costOf(bounds []int, rangeCount func(loExcl, hiIncl int) int64) int64 {
 		width int
 		count int64
 	}
-	classes := make([]classInfo, 0, d)
+	// Tune calls this once per boundary tuple, with d ≤ MaxWidthClasses.
+	var classes [MaxWidthClasses]classInfo
+	var order [MaxWidthClasses]int
 	lo := -1
-	for _, x := range bounds {
-		classes = append(classes, classInfo{width: x, count: rangeCount(lo, x)})
+	for i, x := range bounds {
+		classes[i] = classInfo{width: x, count: rangeCount(lo, x)}
+		order[i] = i
 		lo = x
 	}
 	// Rank classes by count descending to assign code lengths 1..d
-	// (insertion sort; d ≤ 8).
-	order := make([]int, d)
-	for i := range order {
-		order[i] = i
-	}
+	// (insertion sort).
 	for i := 1; i < d; i++ {
 		for j := i; j > 0 && classes[order[j]].count > classes[order[j-1]].count; j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
 	var total int64
-	for rank, idx := range order {
+	for rank, idx := range order[:d] {
 		c := classes[idx]
 		total += c.count * int64(c.width+rank+1)
 	}

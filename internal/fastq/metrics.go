@@ -24,6 +24,14 @@ func init() {
 	}
 }
 
+// ErrorProb returns the error probability 10^(-q/10) of Phred score q.
+func ErrorProb(q byte) float64 {
+	if int(q) < len(errProb) {
+		return errProb[q]
+	}
+	return math.Pow(10, -float64(q)/10)
+}
+
 // AvgPhred returns the arithmetic mean Phred score of the record. The
 // second result is false for unscored records (nil Qual, §5.1.5:
 // qualities are optional) and for empty reads, which carry no scores to
@@ -48,11 +56,7 @@ func (r *Record) ExpectedError() (float64, bool) {
 	}
 	ee := 0.0
 	for _, q := range r.Qual {
-		if int(q) < len(errProb) {
-			ee += errProb[q]
-		} else {
-			ee += math.Pow(10, -float64(q)/10)
-		}
+		ee += ErrorProb(q)
 	}
 	return ee, true
 }

@@ -79,16 +79,24 @@ func (a *Alignment) NumMismatches() int {
 // alignment — the exact operation the Read Construction Unit performs in
 // hardware (§5.2.2 ⑪). It is used by tests and by the SAGe decoder.
 func ReconstructSegment(cons genome.Seq, consPos int, segLen int, edits []Edit) (genome.Seq, error) {
-	out := make(genome.Seq, 0, segLen)
+	return appendSegment(make(genome.Seq, 0, segLen), cons, consPos, segLen, edits)
+}
+
+// appendSegment appends the segment ReconstructSegment describes to dst.
+func appendSegment(dst, cons genome.Seq, consPos int, segLen int, edits []Edit) (genome.Seq, error) {
+	start := len(dst)
 	c := consPos
+	// copyTo appends consensus bases until the segment is readPos long.
 	copyTo := func(readPos int) error {
-		for len(out) < readPos {
-			if c < 0 || c >= len(cons) {
-				return fmt.Errorf("mapper: consensus cursor %d out of range", c)
-			}
-			out = append(out, cons[c])
-			c++
+		n := readPos - (len(dst) - start)
+		if n <= 0 {
+			return nil
 		}
+		if c < 0 || c+n > len(cons) {
+			return fmt.Errorf("mapper: consensus bases [%d,%d) out of range", c, c+n)
+		}
+		dst = append(dst, cons[c:c+n]...)
+		c += n
 		return nil
 	}
 	for _, e := range edits {
@@ -97,10 +105,10 @@ func ReconstructSegment(cons genome.Seq, consPos int, segLen int, edits []Edit) 
 		}
 		switch e.Type {
 		case genome.Substitution:
-			out = append(out, e.Bases[0])
+			dst = append(dst, e.Bases[0])
 			c++
 		case genome.Insertion:
-			out = append(out, e.Bases...)
+			dst = append(dst, e.Bases...)
 		case genome.Deletion:
 			c += e.DelLen
 		}
@@ -108,8 +116,8 @@ func ReconstructSegment(cons genome.Seq, consPos int, segLen int, edits []Edit) 
 	if err := copyTo(segLen); err != nil {
 		return nil, err
 	}
-	if len(out) != segLen {
-		return nil, fmt.Errorf("mapper: reconstructed %d bases, want %d", len(out), segLen)
+	if len(dst)-start != segLen {
+		return nil, fmt.Errorf("mapper: reconstructed %d bases, want %d", len(dst)-start, segLen)
 	}
-	return out, nil
+	return dst, nil
 }

@@ -83,3 +83,61 @@ func BenchmarkAlignKernel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewIndex builds the default index over the repository
+// benchmark's 96 kb consensus.
+func BenchmarkNewIndex(b *testing.B) {
+	cons := genome.Random(rand.New(rand.NewSource(8)), 96000)
+	b.SetBytes(int64(len(cons)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewIndex(cons, DefaultIndexConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIndexLookup probes that index with k-mers it holds, with
+// k-mers it does not, and with what seeding sends it: the SeedStep-th
+// k-mers of 150-base reads with one substitution, on both strands, so
+// half of the probes find nothing.
+func BenchmarkIndexLookup(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	cons := genome.Random(rng, 96000)
+	cfg := DefaultConfig()
+	idx, err := NewIndex(cons, cfg.Index)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var present, absent, mix []uint64
+	for len(present) < 1<<17 {
+		p := rng.Intn(len(cons) - idx.K())
+		code, _ := EncodeKmer(cons[p : p+idx.K()])
+		present = append(present, code)
+	}
+	for len(absent) < 1<<17 {
+		if code := rng.Uint64() >> (64 - 2*idx.K()); idx.Lookup(code) == nil {
+			absent = append(absent, code)
+		}
+	}
+	for len(mix) < 1<<17 {
+		p := rng.Intn(len(cons) - 150)
+		read := cons[p : p+150].Clone()
+		read[rng.Intn(len(read))] = byte(rng.Intn(4))
+		for _, oriented := range []genome.Seq{read, read.ReverseComplement()} {
+			ForEachKmer(oriented, idx.K(), cfg.SeedStep, func(_ int, code uint64) { mix = append(mix, code) })
+		}
+	}
+	for _, probes := range []struct {
+		name  string
+		codes []uint64
+	}{{"present", present}, {"absent", absent}, {"seeds", mix}} {
+		b.Run(probes.name, func(b *testing.B) {
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				hits += len(idx.Lookup(probes.codes[i%len(probes.codes)]))
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+		})
+	}
+}

@@ -3,10 +3,10 @@
 // (§5.1 ❶: "SAGe identifies the mismatches during compression by mapping
 // reads to the consensus sequence").
 //
-// The design is a classic seed–cluster–extend mapper: a k-mer index over
-// the consensus provides seed hits, hits are clustered by diagonal to
-// locate candidate regions (including multiple regions for chimeric reads,
-// §5.1.2), and each candidate is extended into the edit list
+// The design is a classic seed–cluster–extend mapper: a flat k-mer seed
+// table over the consensus provides seed hits, hits are clustered by
+// diagonal to locate candidate regions (including multiple regions for
+// chimeric reads, §5.1.2), and each candidate is extended into the edit list
 // (substitutions, insertion blocks, deletion blocks) that the SAGe encoder
 // consumes. Extension has two tiers. When a cluster's seeds all lie on one
 // diagonal, the read is compared against the consensus on that diagonal
@@ -25,19 +25,44 @@ package mapper
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"sage/internal/genome"
 )
 
-// Index is a k-mer hash index over a consensus sequence.
+// Index is a k-mer seed table over a consensus sequence: one
+// open-addressed array of the distinct k-mers and one array of their
+// consensus positions (DESIGN.md "Seed table").
 type Index struct {
 	k    int
 	cons genome.Seq
-	pos  map[uint64][]int32
+	// slots has a power-of-two length and is at most half full; a k-mer
+	// lives at or after the slot its hash names, before the next empty
+	// one. shift takes a hash to a slot number.
+	slots []seedSlot
+	shift uint
+	// present holds 1<<presentBits bits per slot, one set per distinct
+	// k-mer: a sixteenth of slots' bytes, where most lookups of k-mers
+	// the consensus lacks — half of a read's seeds — end without a miss.
+	present []uint64
+	// positions groups the indexed positions by k-mer, the groups in
+	// order of first occurrence: a matching read's seeds find neighbours.
+	positions []int32
 	// maxOcc caps the per-k-mer hit list consulted during seeding;
 	// over-frequent (repeat) k-mers are skipped, as in minimizer mappers.
 	maxOcc int
 }
+
+// seedSlot is one distinct k-mer: positions[end-n:end] are its consensus
+// positions, ascending. n == 0 marks an empty slot.
+type seedSlot struct {
+	code uint64
+	end  uint32
+	n    uint32
+}
+
+const presentBits = 3
 
 // IndexConfig parameterizes index construction.
 type IndexConfig struct {
@@ -55,7 +80,9 @@ func DefaultIndexConfig() IndexConfig {
 	return IndexConfig{K: 15, Step: 1, MaxOcc: 64}
 }
 
-// NewIndex builds a k-mer index over cons.
+// NewIndex builds a k-mer index over cons in two passes over its k-mers:
+// the first claims a slot per distinct k-mer and counts it, the second
+// hands each k-mer its run of positions on first meeting it and fills in.
 func NewIndex(cons genome.Seq, cfg IndexConfig) (*Index, error) {
 	if cfg.K < 4 || cfg.K > 31 {
 		return nil, fmt.Errorf("mapper: k=%d out of range [4,31]", cfg.K)
@@ -66,16 +93,62 @@ func NewIndex(cons genome.Seq, cfg IndexConfig) (*Index, error) {
 	if cfg.MaxOcc < 1 {
 		cfg.MaxOcc = 64
 	}
-	idx := &Index{
-		k:      cfg.K,
-		cons:   cons,
-		pos:    make(map[uint64][]int32, len(cons)/cfg.Step+1),
-		maxOcc: cfg.MaxOcc,
+	if len(cons) > math.MaxInt32 {
+		return nil, fmt.Errorf("mapper: consensus of %d bases exceeds the index's 32-bit positions", len(cons))
 	}
+	logSlots := max(bits.Len(uint(2*(len(cons)/cfg.Step+1))), 6-presentBits)
+	idx := &Index{
+		k:       cfg.K,
+		cons:    cons,
+		slots:   make([]seedSlot, 1<<logSlots),
+		shift:   uint(64 - logSlots),
+		present: make([]uint64, 1<<(logSlots+presentBits-6)),
+		maxOcc:  cfg.MaxOcc,
+	}
+	total := 0
+	ForEachKmer(cons, cfg.K, cfg.Step, func(_ int, code uint64) {
+		s := idx.slot(code)
+		s.code = code
+		s.n++
+		total++
+		f := idx.presentBit(code)
+		idx.present[f>>6] |= 1 << (f & 63)
+	})
+	idx.positions = make([]int32, total)
+	next := uint32(0)
 	ForEachKmer(cons, cfg.K, cfg.Step, func(p int, code uint64) {
-		idx.pos[code] = append(idx.pos[code], int32(p))
+		s := idx.slot(code)
+		// Only a run not yet handed out ends at 0: the first one does
+		// for as long as it is empty.
+		if s.end == 0 {
+			s.end = next
+			next += s.n
+		}
+		idx.positions[s.end] = int32(p)
+		s.end++
 	})
 	return idx, nil
+}
+
+// fibonacci is 2^64 over the golden ratio; a k-mer's hash is the top
+// bits of code*fibonacci.
+const fibonacci = 0x9E3779B97F4A7C15
+
+// presentBit returns code's bit in present: its slot number and
+// presentBits hash bits more.
+func (x *Index) presentBit(code uint64) uint64 {
+	return code * fibonacci >> (x.shift - presentBits)
+}
+
+// slot returns the slot holding code, or the empty slot where code
+// belongs: linear probing from the slot its hash names.
+func (x *Index) slot(code uint64) *seedSlot {
+	mask := uint64(len(x.slots) - 1)
+	for i := code * fibonacci >> x.shift; ; i = (i + 1) & mask {
+		if s := &x.slots[i]; s.n == 0 || s.code == code {
+			return s
+		}
+	}
 }
 
 // K returns the indexed k-mer length.
@@ -84,29 +157,40 @@ func (x *Index) K() int { return x.k }
 // Consensus returns the indexed consensus sequence.
 func (x *Index) Consensus() genome.Seq { return x.cons }
 
-// Lookup returns the consensus positions of k-mer code, or nil when the
-// k-mer is absent or over-frequent.
+// Lookup returns the consensus positions of k-mer code in ascending
+// order, or nil when the k-mer is absent or over-frequent.
 func (x *Index) Lookup(code uint64) []int32 {
-	hits := x.pos[code]
-	if len(hits) > x.maxOcc {
+	if f := x.presentBit(code); x.present[f>>6]&(1<<(f&63)) == 0 {
 		return nil
 	}
-	return hits
+	s := x.slot(code)
+	if s.n == 0 || int(s.n) > x.maxOcc {
+		return nil
+	}
+	return x.positions[s.end-s.n : s.end]
 }
 
 // ForEachKmer calls fn(pos, code) for every N-free k-mer of s starting at
 // positions 0, step, 2*step, ... K-mers containing N are skipped (N breaks
-// the 2-bit code space).
+// the 2-bit code space). The code rolls: each base shifts into it once.
 func ForEachKmer(s genome.Seq, k, step int, fn func(pos int, code uint64)) {
-	if len(s) < k {
-		return
-	}
-	for p := 0; p+k <= len(s); p += step {
-		code, ok := EncodeKmer(s[p : p+k])
-		if !ok {
-			continue
+	mask := uint64(1)<<(2*k) - 1
+	var code uint64
+	clean := 0 // N-free bases ending at i
+	next := 0  // the next position to visit
+	for i, b := range s {
+		if b > genome.BaseT {
+			clean = 0
+		} else {
+			code = (code<<2 | uint64(b)) & mask
+			clean++
 		}
-		fn(p, code)
+		if p := i + 1 - k; p == next {
+			if clean >= k {
+				fn(p, code)
+			}
+			next += step
+		}
 	}
 }
 

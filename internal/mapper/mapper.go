@@ -364,16 +364,25 @@ func (m *Mapper) alignChimeric(sc *mapScratch, read, rc genome.Seq, clusters []c
 // concatenated in read order. This is the software twin of the hardware
 // Read Construction Unit for multi-segment reads.
 func ReconstructRead(cons genome.Seq, a Alignment, readLen int) (genome.Seq, error) {
-	out := make(genome.Seq, 0, readLen)
+	return AppendReconstructRead(make(genome.Seq, 0, readLen), cons, a)
+}
+
+// AppendReconstructRead appends the read ReconstructRead rebuilds to dst,
+// so that a caller checking many alignments reuses one buffer; on error
+// it returns dst as it was.
+func AppendReconstructRead(dst, cons genome.Seq, a Alignment) (genome.Seq, error) {
+	out := dst
 	for _, seg := range a.Segments {
-		piece, err := ReconstructSegment(cons, seg.ConsPos, seg.ReadLen, seg.Edits)
-		if err != nil {
-			return nil, err
+		start := len(out)
+		var err error
+		if out, err = appendSegment(out, cons, seg.ConsPos, seg.ReadLen, seg.Edits); err != nil {
+			return dst, err
 		}
 		if seg.Rev {
-			piece = piece.ReverseComplement()
+			// The reverse complement goes after the piece, then over it.
+			out = genome.AppendReverseComplement(out, out[start:])
+			out = out[:start+copy(out[start:], out[start+seg.ReadLen:])]
 		}
-		out = append(out, piece...)
 	}
 	return out, nil
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"sage/internal/fastq"
 )
 
 // fuzzAllocSlack is what one Decompress may allocate beyond its scores:
@@ -81,6 +83,49 @@ func FuzzDecompress(f *testing.F) {
 		binary.LittleEndian.PutUint64(enc, uint64(len(enc)-9))
 		if _, err := Decompress(enc[:len(enc)-1], []int{cut, len(scores) - cut}); err == nil {
 			t.Fatal("a stream cut by one byte still decodes")
+		}
+	})
+}
+
+// FuzzCompressKernel splits arbitrary bytes into two reads at cut. With
+// every byte folded into the alphabet, the kernel and the bit-at-a-time
+// oracle agree read by read, Compress writes the oracle's stream and
+// Decompress returns the reads; the bytes as they came are rejected
+// exactly when one exceeds the alphabet.
+func FuzzCompressKernel(f *testing.F) {
+	rng := rand.New(rand.NewSource(31))
+	quals, _ := randomReads(rng, fillNormal, 1, func() int { return 300 })
+	f.Add(quals[0], uint16(150))
+	f.Add(bytes.Repeat([]byte{40}, 4000), uint16(7))
+	f.Add([]byte{0, 63, 64, 255}, uint16(2))
+	f.Add([]byte{}, uint16(0))
+
+	f.Fuzz(func(t *testing.T, raw []byte, cut uint16) {
+		c := int(cut) % (len(raw) + 1)
+		legal := true
+		scores := make([]byte, len(raw))
+		for i, b := range raw {
+			legal = legal && b <= fastq.MaxQuality
+			scores[i] = b % treeNodes
+		}
+		if _, err := Compress([][]byte{raw[:c], raw[c:]}); legal != (err == nil) {
+			t.Fatalf("scores within the alphabet: %v, Compress: %v", legal, err)
+		}
+		in := [][]byte{scores[:c], scores[c:]}
+		body := encodeBoth(t, freshEncoder, in)
+		data, err := Compress(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data[8:], body) {
+			t.Fatal("Compress and the kernel write different streams")
+		}
+		out, err := Decompress(data, []int{c, len(scores) - c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out[0], in[0]) || !bytes.Equal(out[1], in[1]) {
+			t.Fatal("round trip changed the scores")
 		}
 	})
 }

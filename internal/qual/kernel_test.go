@@ -2,9 +2,13 @@ package qual
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"sage/internal/fastq"
 )
 
 // The score sources the kernel tests, the fuzz seeds and the benchmarks
@@ -198,5 +202,203 @@ func TestDensestStreamFitsBound(t *testing.T) {
 	}
 	if _, err := Decompress(data, []int{len(q)}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// encodeBit, oracleShiftLow, oracleEncodeScores and oracleCompress are
+// the bit-at-a-time encoder Compress ran before encodeScores, kept as the
+// reference the encode kernel must equal.
+func (e *rcEncoder) encodeBit(p *uint16, bit int) {
+	bound := (e.rng >> probBits) * uint32(*p)
+	if bit == 0 {
+		e.rng = bound
+		*p += (1<<probBits - *p) >> adaptRate
+	} else {
+		e.low += uint64(bound)
+		e.rng -= bound
+		*p -= *p >> adaptRate
+	}
+	for e.rng < topValue {
+		e.oracleShiftLow()
+		e.rng <<= 8
+	}
+}
+
+func (e *rcEncoder) oracleShiftLow() {
+	if e.low < 0xFF000000 || e.low > 0xFFFFFFFF {
+		temp := e.cache
+		for {
+			e.out = append(e.out, byte(uint64(temp)+(e.low>>32)))
+			temp = 0xFF
+			e.cacheSize--
+			if e.cacheSize == 0 {
+				break
+			}
+		}
+		e.cache = byte(e.low >> 24)
+	}
+	e.cacheSize++
+	e.low = (e.low << 8) & 0xFFFFFFFF
+}
+
+func (e *rcEncoder) oracleEncodeScores(q []byte, probs *[numContexts]uint16) error {
+	q1, q2 := byte(0), byte(0)
+	for _, s := range q {
+		if s > fastq.MaxQuality {
+			return fmt.Errorf("qual: score %d exceeds alphabet max %d", s, fastq.MaxQuality)
+		}
+		base := contextBase(q1, q2)
+		node := 1
+		for i := symbolBits - 1; i >= 0; i-- {
+			bit := int(s>>uint(i)) & 1
+			e.encodeBit(&probs[base+node], bit)
+			node = node<<1 | bit
+		}
+		q2, q1 = q1, s
+	}
+	return nil
+}
+
+// freshEncoder is the coder state getEncoder hands out.
+var freshEncoder = rcEncoder{rng: 0xFFFFFFFF, cacheSize: 1}
+
+func oracleCompress(quals [][]byte) ([]byte, error) {
+	enc := freshEncoder
+	probs := getProbs()
+	defer probsPool.Put(probs)
+	for _, q := range quals {
+		if err := enc.oracleEncodeScores(q, probs); err != nil {
+			return nil, err
+		}
+	}
+	for i := 0; i < 5; i++ {
+		enc.oracleShiftLow()
+	}
+	return append(binary.LittleEndian.AppendUint64(nil, uint64(len(enc.out))), enc.out...), nil
+}
+
+// encodeBoth codes quals read by read with the kernel and the oracle,
+// both started from the coder state start, and fails on the first stream
+// byte, coder-state or model difference. It returns the flushed body.
+func encodeBoth(t testing.TB, start rcEncoder, quals [][]byte) []byte {
+	t.Helper()
+	ke, oe := start, start
+	ke.out, oe.out = nil, nil
+	kp, op := getProbs(), getProbs()
+	defer probsPool.Put(kp)
+	defer probsPool.Put(op)
+	for r, q := range quals {
+		if err := ke.encodeScores(q, kp); err != nil {
+			t.Fatal(err)
+		}
+		if err := oe.oracleEncodeScores(q, op); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ke.out, oe.out) {
+			t.Fatalf("read %d (%d scores): kernel and oracle stream bytes differ", r, len(q))
+		}
+		if ke.low != oe.low || ke.rng != oe.rng || ke.cache != oe.cache || ke.cacheSize != oe.cacheSize {
+			t.Fatalf("read %d (%d scores): kernel state (%#x %#x %#x %d), oracle (%#x %#x %#x %d)", r, len(q),
+				ke.low, ke.rng, ke.cache, ke.cacheSize, oe.low, oe.rng, oe.cache, oe.cacheSize)
+		}
+	}
+	if *kp != *op {
+		t.Fatal("kernel and oracle leave different models")
+	}
+	body := ke.flush()
+	for i := 0; i < 5; i++ {
+		oe.oracleShiftLow()
+	}
+	if !bytes.Equal(body, oe.out) {
+		t.Fatal("kernel and oracle flush different bytes")
+	}
+	return body
+}
+
+func TestEncodeKernelEqualsOracle(t *testing.T) {
+	t.Run("streams", encodeKernelStreams)
+	t.Run("carry runs", encodeKernelCarryRuns)
+	t.Run("score out of range", encodeKernelRejects)
+}
+
+// The encode kernel equals the bit-at-a-time oracle — stream bytes, low,
+// rng, cache and cacheSize after every read, and the adapted model — on
+// the fixtures and read lengths TestKernelEqualsOracle decodes, and
+// Compress writes exactly the oracle's stream.
+func encodeKernelStreams(t *testing.T) {
+	streams := 10000
+	if testing.Short() {
+		streams = 1000
+	}
+	rng := rand.New(rand.NewSource(20))
+	fills := []scoreFill{fillUniform, fillConstant, fillNormal, fillBinned}
+	short := []int{0, 0, 1, 5, 6, 7, 150}
+	for s := 0; s < streams; s++ {
+		pick := func() int { return short[rng.Intn(len(short))] }
+		if s%250 == 0 {
+			pick = func() int { return 16000 }
+		}
+		quals, _ := randomReads(rng, fills[s%len(fills)], rng.Intn(6), pick)
+		body := encodeBoth(t, freshEncoder, quals)
+		data, err := Compress(quals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracleCompress(quals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want) || !bytes.Equal(data[8:], body) {
+			t.Fatalf("stream %d: Compress, the kernel and the oracle write different streams", s)
+		}
+	}
+}
+
+// A pending run of 0xFF bytes is resolved alike: both coders start with
+// low just under a carry and thousands of bytes held back, so the next
+// scores either carry through the whole run or release it unchanged.
+func encodeKernelCarryRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	carried, released := 0, 0
+	for s := 0; s < 2000; s++ {
+		start := rcEncoder{
+			low:       0xFF000000 | uint64(rng.Intn(1<<24)),
+			rng:       topValue + uint32(rng.Intn(topValue)),
+			cache:     byte(rng.Intn(256)),
+			cacheSize: int64(2 + rng.Intn(5000)),
+		}
+		quals, _ := randomReads(rng, fillUniform, 1+rng.Intn(3), func() int { return 1 + rng.Intn(20) })
+		body := encodeBoth(t, start, quals)
+		if run := int(start.cacheSize); len(body) >= run {
+			switch body[run-1] {
+			case 0x00:
+				carried++
+			case 0xFF:
+				released++
+			}
+		}
+	}
+	if carried < 100 || released < 100 {
+		t.Fatalf("%d runs carried and %d released: the fixture no longer exercises both", carried, released)
+	}
+}
+
+// A score outside the alphabet is the same error from the kernel as from
+// the oracle, wherever in the read set it sits.
+func encodeKernelRejects(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	quals, _ := randomReads(rng, fillNormal, 5, func() int { return 150 })
+	for _, at := range [][2]int{{0, 0}, {2, 75}, {4, 149}} {
+		saved := quals[at[0]][at[1]]
+		quals[at[0]][at[1]] = fastq.MaxQuality + 1
+		_, err := Compress(quals)
+		_, want := oracleCompress(quals)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("score %d at read %d position %d: Compress says %v, the oracle %v", fastq.MaxQuality+1, at[0], at[1], err, want)
+		}
+		quals[at[0]][at[1]] = saved
+	}
+	if _, err := Compress(quals); err != nil {
+		t.Fatalf("the restored reads: %v", err)
 	}
 }

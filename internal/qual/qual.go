@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-
-	"sage/internal/fastq"
 )
 
 // symbolBits is the bit width of one Phred score (alphabet 0..63).
@@ -59,19 +57,8 @@ func Compress(quals [][]byte) ([]byte, error) {
 	probs := getProbs()
 	defer probsPool.Put(probs)
 	for _, q := range quals {
-		q1, q2 := byte(0), byte(0)
-		for _, s := range q {
-			if s > fastq.MaxQuality {
-				return nil, fmt.Errorf("qual: score %d exceeds alphabet max %d", s, fastq.MaxQuality)
-			}
-			base := contextBase(q1, q2)
-			node := 1
-			for i := symbolBits - 1; i >= 0; i-- {
-				bit := int(s>>uint(i)) & 1
-				enc.encodeBit(&probs[base+node], bit)
-				node = node<<1 | bit
-			}
-			q2, q1 = q1, s
+		if err := enc.encodeScores(q, probs); err != nil {
+			return nil, err
 		}
 	}
 	body := enc.flush()

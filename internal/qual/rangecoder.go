@@ -14,7 +14,12 @@ package qual
 // by LZMA: 32-bit range, 12-bit adaptive probabilities, 5-bit adaptation
 // shift.
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+
+	"sage/internal/fastq"
+)
 
 const (
 	probBits  = 12
@@ -44,44 +49,66 @@ func getEncoder() *rcEncoder {
 
 func putEncoder(e *rcEncoder) { encPool.Put(e) }
 
-// encodeBit codes bit under the adaptive probability *p (probability of
-// the bit being 0, in 1/4096 units) and updates *p.
-func (e *rcEncoder) encodeBit(p *uint16, bit int) {
-	bound := (e.rng >> probBits) * uint32(*p)
-	if bit == 0 {
-		e.rng = bound
-		*p += (1<<probBits - *p) >> adaptRate
-	} else {
-		e.low += uint64(bound)
-		e.rng -= bound
-		*p -= *p >> adaptRate
+// encodeScores codes the scores of one read under probs and adapts it:
+// the bit-at-a-time coder's arithmetic (kernel_test.go keeps that loop as
+// the oracle) with low and rng in locals and no data-dependent branch in
+// the bit step. The encoder knows the bit, so mask = -bit selects the
+// half of the range, the increment of low and the adaptation target:
+// p -= p>>5 is p += (31-p)>>5 under an arithmetic shift, the mirror of
+// p += (4096-p)>>5. As in decodeScores, probabilities stay in [31, 4065],
+// so one 8-bit shift restores rng >= 2^24: renormalisation is an if.
+func (e *rcEncoder) encodeScores(q []byte, probs *[numContexts]uint16) error {
+	low, rng := e.low, e.rng
+	q1, q2 := byte(0), byte(0)
+	for _, s := range q {
+		if s > fastq.MaxQuality {
+			return fmt.Errorf("qual: score %d exceeds alphabet max %d", s, fastq.MaxQuality)
+		}
+		ctx := (*[treeNodes]uint16)(probs[contextBase(q1, q2):])
+		node := uint32(1)
+		for i := symbolBits - 1; i >= 0; i-- {
+			bit := uint32(s>>uint(i)) & 1
+			mask := -bit
+			p := int32(ctx[node])
+			bound := (rng >> probBits) * uint32(p)
+			low += uint64(bound & mask)
+			rng = bound + (rng-2*bound)&mask
+			target := 1<<probBits - int32(mask&(1<<probBits-(1<<adaptRate-1)))
+			ctx[node] = uint16(p + (target-p)>>adaptRate)
+			node = node<<1 | bit
+			if rng < topValue {
+				low = e.shiftLow(low)
+				rng <<= 8
+			}
+		}
+		q2, q1 = q1, s
 	}
-	for e.rng < topValue {
-		e.shiftLow()
-		e.rng <<= 8
-	}
+	e.low, e.rng = low, rng
+	return nil
 }
 
-func (e *rcEncoder) shiftLow() {
-	if e.low < 0xFF000000 || e.low > 0xFFFFFFFF {
+// shiftLow moves the top byte of low into the stream, or into the run of
+// 0xFF bytes a later carry may still change, and returns low shifted.
+func (e *rcEncoder) shiftLow(low uint64) uint64 {
+	if low < 0xFF000000 || low > 0xFFFFFFFF {
 		temp := e.cache
 		for {
-			e.out = append(e.out, byte(uint64(temp)+(e.low>>32)))
+			e.out = append(e.out, byte(uint64(temp)+(low>>32)))
 			temp = 0xFF
 			e.cacheSize--
 			if e.cacheSize == 0 {
 				break
 			}
 		}
-		e.cache = byte(e.low >> 24)
+		e.cache = byte(low >> 24)
 	}
 	e.cacheSize++
-	e.low = (e.low << 8) & 0xFFFFFFFF
+	return (low << 8) & 0xFFFFFFFF
 }
 
 func (e *rcEncoder) flush() []byte {
 	for i := 0; i < 5; i++ {
-		e.shiftLow()
+		e.low = e.shiftLow(e.low)
 	}
 	return e.out
 }

@@ -2,9 +2,12 @@ package shard
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"sage/internal/fastq"
+	"sage/internal/genome"
+	"sage/internal/simulate"
 )
 
 // Wall-clock worker-pool benchmarks. On a multi-core machine the
@@ -122,5 +125,38 @@ func BenchmarkParseHeader(b *testing.B) {
 		if _, _, err := parseHeader(hdr, total); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkComputeZoneMap summarizes one shard of each shape the
+// repository benchmark cuts, at the sketch size each auto-sizes to: 2048
+// bytes is a power of two and takes the mask, 768 bytes divides.
+func BenchmarkComputeZoneMap(b *testing.B) {
+	short, _ := testSet(b, 256)
+	rng := rand.New(rand.NewSource(7))
+	long, err := simulate.New(rng, genome.Random(rng, 100_000)).LongReads(8, simulate.DefaultLongProfile())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name        string
+		recs        []fastq.Record
+		sketchBytes int
+	}{
+		{"256x150bp/2048B", short.Records, 2048},
+		{"96x150bp/768B", short.Records[:96], 768},
+		{"8long/64B", long.Records, 64},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bases := 0
+			for i := range bc.recs {
+				bases += len(bc.recs[i].Seq)
+			}
+			b.SetBytes(int64(bases))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ComputeZoneMap(bc.recs, bc.sketchBytes, true)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"sage/internal/fastq"
+	"sage/internal/genome"
 )
 
 // Zone maps: per-shard summary statistics computed at compress time and
@@ -125,18 +126,6 @@ func forEachCanonicalKmer(seq []byte, fn func(code uint64)) {
 	}
 }
 
-// sketchAdd sets the bit of every canonical k-mer of seq.
-func sketchAdd(sketch []byte, seq []byte) {
-	nbits := uint64(len(sketch)) * 8
-	if nbits == 0 {
-		return
-	}
-	forEachCanonicalKmer(seq, func(code uint64) {
-		bit := mix64(code) % nbits
-		sketch[bit>>3] |= 1 << (bit & 7)
-	})
-}
-
 // sketchMayContain reports whether every checkable canonical k-mer of
 // probe is present in the sketch. It returns true (cannot rule out)
 // when the probe yields no k-mers — too short, or every window holds
@@ -156,12 +145,55 @@ func sketchMayContain(sketch []byte, probe []byte) bool {
 	return may
 }
 
+// isGC marks the base codes GCFraction counts.
+var isGC = [256]uint8{genome.BaseC: 1, genome.BaseG: 1}
+
+// sketchAndCountGC is ComputeZoneMap's one pass over a record's bases:
+// it sets the sketch bit of every canonical k-mer of seq — the bit
+// sketchMayContain tests, mix64(code) % nbits, by mask when nbits is a
+// power of two — and returns the number of G and C bases. The walk is
+// forEachCanonicalKmer's; the smaller of the two codes is picked without
+// a branch, which would mispredict on every other k-mer.
+func sketchAndCountGC(sketch []byte, seq []byte) (gc int) {
+	const shift = 2 * (SketchK - 1)
+	const mask = 1<<(2*SketchK) - 1
+	nbits := uint64(len(sketch)) * 8
+	pow2 := nbits&(nbits-1) == 0
+	var fwd, rc uint64
+	run := 0
+	for _, b := range seq {
+		gc += int(isGC[b])
+		if b > 3 {
+			run = 0
+			continue
+		}
+		fwd = (fwd<<2 | uint64(b)) & mask
+		rc = rc>>2 | uint64(3-b)<<shift
+		if run++; run < SketchK || nbits == 0 {
+			continue
+		}
+		_, less := bits.Sub64(rc, fwd, 0)
+		bit := mix64(fwd ^ (fwd^rc)&-less)
+		if pow2 {
+			bit &= nbits - 1
+		} else {
+			bit %= nbits
+		}
+		sketch[bit>>3] |= 1 << (bit & 7)
+	}
+	return gc
+}
+
 // ComputeZoneMap summarizes recs into a zone map with a sketchBytes-
 // byte k-mer sketch (0 disables sketching). withQuality gates the
 // Phred/EE statistics: a writer that discards quality scores
 // (Core.IncludeQuality off) must report QualReads == 0, because the
 // decoded records will carry no scores for a record-level filter to
 // verify against.
+//
+// A record's bases are read once (sketchAndCountGC) and its scores once,
+// summed in the order fastq's AvgPhred and ExpectedError sum them, so the
+// statistics are theirs to the last bit.
 func ComputeZoneMap(recs []fastq.Record, sketchBytes int, withQuality bool) ZoneMap {
 	z := ZoneMap{}
 	if sketchBytes > 0 {
@@ -178,50 +210,30 @@ func ComputeZoneMap(recs []fastq.Record, sketchBytes int, withQuality bool) Zone
 	avgSum := 0.0
 	for i := range recs {
 		r := &recs[i]
-		if n := len(r.Seq); n < minLen {
-			minLen = n
+		n := len(r.Seq)
+		minLen, maxLen = min(minLen, n), max(maxLen, n)
+		gc := 0.0
+		if n > 0 {
+			gc = float64(sketchAndCountGC(z.Sketch, r.Seq)) / float64(n)
 		}
-		if n := len(r.Seq); n > maxLen {
-			maxLen = n
-		}
-		gc := r.GCFraction()
-		if gc < minGC {
-			minGC = gc
-		}
-		if gc > maxGC {
-			maxGC = gc
-		}
-		sketchAdd(z.Sketch, r.Seq)
-		if !withQuality {
+		minGC, maxGC = min(minGC, gc), max(maxGC, gc)
+		if !withQuality || r.Qual == nil || n == 0 || len(r.Qual) == 0 {
 			continue
 		}
-		avg, ok := r.AvgPhred()
-		if !ok {
-			continue
+		sum, ee := 0, 0.0
+		for _, q := range r.Qual {
+			sum += int(q)
+			ee += fastq.ErrorProb(q)
+			minPhred = min(minPhred, int(q))
 		}
+		avg := float64(sum) / float64(len(r.Qual))
 		z.QualReads++
 		avgSum += avg
 		if avg < LowQualPhred {
 			z.LowQualReads++
 		}
-		if avg < minAvg {
-			minAvg = avg
-		}
-		if avg > maxAvg {
-			maxAvg = avg
-		}
-		ee, _ := r.ExpectedError()
-		if ee < minEE {
-			minEE = ee
-		}
-		if ee > maxEE {
-			maxEE = ee
-		}
-		for _, q := range r.Qual {
-			if int(q) < minPhred {
-				minPhred = int(q)
-			}
-		}
+		minAvg, maxAvg = min(minAvg, avg), max(maxAvg, avg)
+		minEE, maxEE = min(minEE, ee), max(maxEE, ee)
 	}
 	z.MinLen, z.MaxLen = minLen, maxLen
 	z.MinGCMilli = int(math.Floor(minGC * 1000))
