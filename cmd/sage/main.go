@@ -227,7 +227,8 @@ carry Content-Length and an ETag derived from the shard's index crc32,
 If-None-Match re-validation answers 304 without touching the
 container, and raw blocks honor Range for resumable fetches. Decoded
 shards are cached in one LRU bounded by -cache-bytes shared across all
-containers; concurrent requests for the same cold shard are collapsed
+containers; once it is full, a shard is cached only in place of shards
+read less often. Concurrent requests for the same cold shard are collapsed
 into one decode on a -threads pool.
 
 serve is fully instrumented: every response echoes X-Sage-Request-Id
@@ -369,8 +370,10 @@ type ingest struct {
 	stage   *reorder.Stage
 }
 
-func openIngest(p ingestPlan) (in *ingest, err error) {
-	in = &ingest{}
+func openIngest(p ingestPlan) (_ *ingest, err error) {
+	// The cleanup closes what was built: an error return clears the
+	// result, so it must not close that.
+	in := &ingest{}
 	defer func() {
 		if err != nil {
 			in.Close()

@@ -279,3 +279,47 @@ func TestDenovoPublishesCrashSafely(t *testing.T) {
 		}
 	}
 }
+
+// TestBadInputsFailCleanly: an input that cannot be opened, or two
+// inputs that would share a manifest name, end compress and recompress
+// with the open or usage error — no panic from the half-built ingest,
+// and no container or temp file left behind.
+func TestBadInputsFailCleanly(t *testing.T) {
+	dir := t.TempDir()
+	fx := newCLIFixture(t, dir)
+	in := filepath.Join(dir, "x.fq")
+	dup := filepath.Join(dir, "lane", "x.fq")
+	if err := os.MkdirAll(filepath.Dir(dup), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{in, dup} {
+		if err := os.WriteFile(p, fx.shapes[0].want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	missing := filepath.Join(dir, "nonexistent.fq")
+	out := filepath.Join(dir, "x.sage")
+	for _, tc := range []struct {
+		name   string
+		run    func([]string) error
+		inputs []string
+		usage  bool
+		want   string
+	}{
+		{"compress/missing", cmdCompress, []string{missing}, false, "open " + missing},
+		{"recompress/missing", cmdRecompress, []string{missing}, false, "open " + missing},
+		{"compress/missing-second", cmdCompress, []string{in, missing}, false, "open " + missing},
+		{"compress/duplicate-names", cmdCompress, []string{in, dup}, true, `both be recorded as "x.fq"`},
+		{"recompress/duplicate-names", cmdRecompress, []string{in, dup}, true, `both be recorded as "x.fq"`},
+	} {
+		err := tc.run(append([]string{"-ref", fx.ref, "-out", out}, tc.inputs...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) || isUsageError(err) != tc.usage {
+			t.Fatalf("%s: err = %v, want an error containing %q (usage error: %v)", tc.name, err, tc.want, tc.usage)
+		}
+		for _, p := range []string{out, out + ".tmp"} {
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Fatalf("%s: %s exists after the failed run", tc.name, p)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"sage/internal/shard"
@@ -122,4 +123,50 @@ func BenchmarkShardConcurrentClients(b *testing.B) {
 		b.Fatalf("concurrent clients caused %d decodes for 8 shards", st.Decodes)
 	}
 	b.ReportMetric(s.Stats().HitRatio, "hit-ratio")
+}
+
+// BenchmarkZipfSteady measures the steady serving phase in process: one
+// seeded Zipf(1.1) request stream over 120 shards through
+// DecodedShardOf, the cache holding a quarter of their decoded size. The
+// stream's first pass warms the cache untimed; each op is the next pass.
+// It reports the hit ratio of the timed requests and the decodes one
+// pass costs.
+func BenchmarkZipfSteady(b *testing.B) {
+	const shards, pass = 120, 5000
+	data, _, _ := testContainer(b, shards*10, 10)
+	c, err := shard.Open(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var decoded int64
+	for i := 0; i < c.NumShards(); i++ {
+		rs, err := c.DecompressShard(i, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		decoded += int64(rs.UncompressedSize())
+	}
+	s, err := New(c, Config{CacheBytes: decoded / 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	z := rand.NewZipf(rand.New(rand.NewSource(2)), 1.1, 1, uint64(c.NumShards()-1))
+	run := func() {
+		for j := 0; j < pass; j++ {
+			if _, err := s.DecodedShardOf(DefaultName, int(z.Uint64())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	run()
+	before := s.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	after := s.Stats()
+	hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+	b.ReportMetric(float64(hits)/float64(hits+misses), "hit-ratio")
+	b.ReportMetric(float64(after.Decodes-before.Decodes)/float64(b.N), "decodes/op")
 }

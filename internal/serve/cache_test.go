@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"container/list"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -17,12 +18,14 @@ func key(n int) shardKey            { return shardKey{container: "c", shard: n} 
 func ckey(c string, n int) shardKey { return shardKey{container: c, shard: n} }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	c := newLRUCache(100)
+	c := newShardCache(100)
 	for k := 1; k <= 5; k++ {
 		c.add(key(k), val(20)) // fills the budget exactly
 	}
-	// A 50-byte insert must evict the three coldest entries (1, 2, 3).
-	if ev, evb := c.add(key(6), val(50)); ev != 3 || evb != 60 {
+	// A 50-byte insert read more often than every victim must evict the
+	// three coldest entries (1, 2, 3).
+	c.get(key(6))
+	if ev, evb, rej := c.add(key(6), val(50)); ev != 3 || evb != 60 || rej {
 		t.Fatalf("add(6, 50B) evicted %d entries / %d bytes, want 3 / 60", ev, evb)
 	}
 	for _, k := range []int{1, 2, 3} {
@@ -41,17 +44,18 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestLRUEvictsColdEntryOnly(t *testing.T) {
-	c := newLRUCache(100)
+	c := newShardCache(100)
 	c.add(key(1), val(40))
 	c.add(key(2), val(40))
 	if _, ok := c.get(key(1)); !ok {
 		t.Fatal("entry 1 missing")
 	}
-	ev, _ := c.add(key(3), val(20)) // 40+40+20 = 100: fits without eviction
+	ev, _, _ := c.add(key(3), val(20)) // 40+40+20 = 100: fits without eviction
 	if ev != 0 {
 		t.Fatalf("add(3, 20B) evicted %d entries", ev)
 	}
-	ev, evb := c.add(key(4), val(40)) // needs 40: evicts 2 (coldest; 1 was touched)
+	c.get(key(4))
+	ev, evb, _ := c.add(key(4), val(40)) // needs 40: evicts 2 (coldest; 1 was touched)
 	if ev != 1 || evb != 40 {
 		t.Fatalf("add(4, 40B) evicted %d entries / %d bytes, want 1 / 40", ev, evb)
 	}
@@ -64,9 +68,9 @@ func TestLRUEvictsColdEntryOnly(t *testing.T) {
 }
 
 func TestLRUOversizedValueNotCached(t *testing.T) {
-	c := newLRUCache(50)
+	c := newShardCache(50)
 	c.add(key(1), val(30))
-	if ev, _ := c.add(key(2), val(51)); ev != 0 {
+	if ev, _, _ := c.add(key(2), val(51)); ev != 0 {
 		t.Fatalf("oversized add evicted %d entries", ev)
 	}
 	if _, ok := c.get(key(2)); ok {
@@ -81,7 +85,7 @@ func TestLRUOversizedValueNotCached(t *testing.T) {
 }
 
 func TestLRUDuplicateAdd(t *testing.T) {
-	c := newLRUCache(100)
+	c := newShardCache(100)
 	c.add(key(1), val(40))
 	c.add(key(1), val(40)) // racing decoders insert the same shard twice
 	if b, n := c.usage(); b != 40 || n != 1 {
@@ -92,7 +96,7 @@ func TestLRUDuplicateAdd(t *testing.T) {
 // TestLRUContainerKeysDistinct pins the registry property: the same
 // shard index in two containers is two independent cache entries.
 func TestLRUContainerKeysDistinct(t *testing.T) {
-	c := newLRUCache(100)
+	c := newShardCache(100)
 	c.add(ckey("a", 0), []byte("aaaa"))
 	c.add(ckey("b", 0), []byte("bb"))
 	got, ok := c.get(ckey("a", 0))
@@ -109,10 +113,11 @@ func TestLRUContainerKeysDistinct(t *testing.T) {
 }
 
 // TestLRUBudgetInvariant hammers the cache from many goroutines with
-// random keys and sizes; the byte budget must hold at every sample.
+// random keys and sizes — gets that count and age, peeks, admissions and
+// rejections; the byte budget must hold at every sample.
 func TestLRUBudgetInvariant(t *testing.T) {
 	const budget = 1000
-	c := newLRUCache(budget)
+	c := newShardCache(budget)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -120,9 +125,11 @@ func TestLRUBudgetInvariant(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 2000; i++ {
-				switch rng.Intn(3) {
+				switch rng.Intn(4) {
 				case 0:
 					c.get(key(rng.Intn(50)))
+				case 1:
+					c.peek(key(rng.Intn(50)))
 				default:
 					c.add(key(rng.Intn(50)), val(rng.Intn(300)))
 				}
@@ -231,7 +238,7 @@ func TestFlightGroupContainerKeysDistinct(t *testing.T) {
 // the old behavior kept the stale value, so a later get served bytes
 // that no longer matched what the caller had inserted.
 func TestLRUReinsertReplacesValue(t *testing.T) {
-	c := newLRUCache(100)
+	c := newShardCache(100)
 	c.add(key(1), []byte("old-value"))
 	c.add(key(1), []byte("new"))
 	got, ok := c.get(key(1))
@@ -246,7 +253,7 @@ func TestLRUReinsertReplacesValue(t *testing.T) {
 	// to stay inside the budget.
 	c.add(key(2), val(40))
 	c.add(key(3), val(40))
-	if ev, evb := c.add(key(2), val(90)); ev != 2 || evb != 43 {
+	if ev, evb, _ := c.add(key(2), val(90)); ev != 2 || evb != 43 {
 		t.Fatalf("growing re-insert evicted %d entries / %d bytes, want 2 / 43 (key 1 and key 3)", ev, evb)
 	}
 	got, ok = c.get(key(2))
@@ -259,7 +266,7 @@ func TestLRUReinsertReplacesValue(t *testing.T) {
 
 	// Re-inserting a value larger than the whole budget cannot keep the
 	// stale resident copy either: the entry is dropped outright.
-	if ev, _ := c.add(key(2), val(101)); ev != 0 {
+	if ev, _, _ := c.add(key(2), val(101)); ev != 0 {
 		t.Fatalf("oversized re-insert evicted %d entries", ev)
 	}
 	if _, ok := c.get(key(2)); ok {
@@ -267,5 +274,175 @@ func TestLRUReinsertReplacesValue(t *testing.T) {
 	}
 	if b, n := c.usage(); b != 0 || n != 0 {
 		t.Fatalf("after oversized re-insert, usage = %d bytes / %d entries, want 0 / 0", b, n)
+	}
+}
+
+// lruOracle is the pure LRU the cache was before frequency admission:
+// every miss is inserted and evicts from the cold end. Entries are
+// counted, not sized; the admission tests use equal-sized values.
+type lruOracle struct {
+	capacity int
+	ll       *list.List // front = most recently used
+	items    map[shardKey]*list.Element
+}
+
+func newLRUOracle(capacity int) *lruOracle {
+	return &lruOracle{capacity: capacity, ll: list.New(), items: make(map[shardKey]*list.Element)}
+}
+
+// access is one request: a hit promotes, a miss inserts.
+func (o *lruOracle) access(k shardKey) (hit bool) {
+	if el, ok := o.items[k]; ok {
+		o.ll.MoveToFront(el)
+		return true
+	}
+	o.items[k] = o.ll.PushFront(k)
+	if o.ll.Len() > o.capacity {
+		back := o.ll.Back()
+		o.ll.Remove(back)
+		delete(o.items, back.Value.(shardKey))
+	}
+	return false
+}
+
+// access is one request as decodedShard makes it: a counted get and, on
+// a miss, an add of the size-byte decoded value.
+func access(c *shardCache, k shardKey, size int) (hit bool) {
+	if _, ok := c.get(k); ok {
+		return true
+	}
+	c.add(k, val(size))
+	return false
+}
+
+// TestAdmissionTieRejected: a newcomer requested exactly as often as the
+// entry it would evict is served but not cached, and the resident
+// entries stay as they were.
+func TestAdmissionTieRejected(t *testing.T) {
+	c := newShardCache(100)
+	for k := 1; k <= 5; k++ {
+		c.get(key(k))
+		c.add(key(k), val(20))
+	}
+	c.get(key(6))
+	if ev, evb, rej := c.add(key(6), val(20)); ev != 0 || evb != 0 || !rej {
+		t.Fatalf("equal-count add evicted %d entries / %d bytes, rejected = %v; want 0 / 0 / true", ev, evb, rej)
+	}
+	if _, ok := c.peek(key(6)); ok {
+		t.Fatal("rejected value was cached")
+	}
+	for k := 1; k <= 5; k++ {
+		if _, ok := c.peek(key(k)); !ok {
+			t.Fatalf("resident entry %d was evicted by a rejected insert", k)
+		}
+	}
+	if b, n := c.usage(); b != 100 || n != 5 {
+		t.Fatalf("usage = %d bytes / %d entries, want 100 / 5", b, n)
+	}
+}
+
+// TestAdmissionMultiVictim: a variable-size insert that needs several
+// victims is rejected whole when any one of them is read at least as
+// often — no victim is evicted for an insert that does not happen — and
+// admitted, evicting them all, once it is read more often than each.
+func TestAdmissionMultiVictim(t *testing.T) {
+	c := newShardCache(100)
+	reads := map[int]int{1: 1, 2: 3, 3: 1} // coldest first: 1, 2, 3
+	for _, k := range []int{1, 2, 3} {
+		for r := 0; r < reads[k]; r++ {
+			c.get(key(k))
+		}
+	}
+	c.add(key(1), val(50))
+	c.add(key(2), val(30))
+	c.add(key(3), val(20))
+	// 60 bytes need victims 1 (50 B, 1 read) and 2 (30 B, 3 reads).
+	c.get(key(4))
+	c.get(key(4))
+	if ev, _, rej := c.add(key(4), val(60)); ev != 0 || !rej {
+		t.Fatalf("add past a hotter second victim evicted %d, rejected = %v; want 0 / true", ev, rej)
+	}
+	if b, n := c.usage(); b != 100 || n != 3 {
+		t.Fatalf("after the rejection usage = %d bytes / %d entries, want 100 / 3", b, n)
+	}
+	c.get(key(4))
+	c.get(key(4)) // 4 reads: more than either victim
+	if ev, evb, rej := c.add(key(4), val(60)); ev != 2 || evb != 80 || rej {
+		t.Fatalf("admitted add evicted %d entries / %d bytes, rejected = %v; want 2 / 80 / false", ev, evb, rej)
+	}
+	for k, want := range map[int]bool{1: false, 2: false, 3: true, 4: true} {
+		if _, ok := c.peek(key(k)); ok != want {
+			t.Fatalf("entry %d resident = %v, want %v", k, ok, want)
+		}
+	}
+	if b, n := c.usage(); b != 80 || n != 2 {
+		t.Fatalf("usage = %d bytes / %d entries, want 80 / 2", b, n)
+	}
+}
+
+// TestAdmissionScanResistance: a one-pass sweep four times the cache's
+// size — what /query does over the surviving shards — leaves a hot set
+// resident, where the pure LRU oracle loses all of it.
+func TestAdmissionScanResistance(t *testing.T) {
+	const entries, size = 20, 10
+	c := newShardCache(entries * size)
+	o := newLRUOracle(entries)
+	for r := 0; r < 3; r++ {
+		for k := 0; k < entries/2; k++ {
+			access(c, key(k), size)
+			o.access(key(k))
+		}
+	}
+	for k := 1000; k < 1000+4*entries; k++ {
+		access(c, key(k), size)
+		o.access(key(k))
+	}
+	for k := 0; k < entries/2; k++ {
+		if _, ok := c.peek(key(k)); !ok {
+			t.Fatalf("hot shard %d was flushed by the sweep", k)
+		}
+		if _, ok := o.items[key(k)]; ok {
+			t.Fatalf("the LRU oracle kept hot shard %d; the sweep is too short to test anything", k)
+		}
+	}
+}
+
+// TestAdmissionZipfHitRatio: on the benchmark's request shape — Zipf(1.1)
+// over 120 equal shards, a budget of 30 — admission keeps the hot set
+// resident and beats the LRU oracle's hit ratio.
+func TestAdmissionZipfHitRatio(t *testing.T) {
+	const keys, entries, size, requests = 120, 30, 10, 50_000
+	c := newShardCache(entries * size)
+	o := newLRUOracle(entries)
+	z := rand.NewZipf(rand.New(rand.NewSource(2)), 1.1, 1, keys-1)
+	var hits, oracleHits int
+	for i := 0; i < requests; i++ {
+		k := key(int(z.Uint64()))
+		if access(c, k, size) {
+			hits++
+		}
+		if o.access(k) {
+			oracleHits++
+		}
+	}
+	got, oracle := float64(hits)/requests, float64(oracleHits)/requests
+	t.Logf("hit ratio: admission %.3f, LRU oracle %.3f", got, oracle)
+	if got < 0.75 || oracle > 0.72 {
+		t.Fatalf("hit ratio %.3f (want >= 0.75), LRU oracle %.3f (want <= 0.72)", got, oracle)
+	}
+}
+
+// TestAdmissionCountsBounded: aging keeps the count map a small multiple
+// of the resident entries however many distinct keys are requested.
+func TestAdmissionCountsBounded(t *testing.T) {
+	const entries, size = 100, 10
+	c := newShardCache(entries * size)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100_000; i++ {
+		access(c, key(rng.Intn(10_000)), size)
+	}
+	_, n := c.usage()
+	if counted, most := len(c.freq), (agingPeriod+1)*n; n != entries || counted > most {
+		t.Fatalf("%d counters for %d resident entries, want a full cache and at most %d", counted, n, most)
 	}
 }

@@ -51,9 +51,9 @@ type metrics struct {
 
 	indexReads, blockReads, rangeReads, notModified, readReqs, fileReads *obs.Counter
 	queryReqs, shardsPruned, shardsScanned, queryMatched                 *obs.Counter
-	hits, misses, decodes, deduped, evictions                            *obs.Counter
+	hits, misses, decodes, deduped, evictions, cacheRejected             *obs.Counter
 	cacheHitBytes, cacheMissB, cacheEvictedB                             *obs.Counter
-	clientErrs, serverErrs, writeFails, slowRequests                     *obs.Counter
+	clientErrs, serverErrs, writeFails, slowRequests, cancelled          *obs.Counter
 }
 
 // initMetrics builds the registry. Registration order is exposition
@@ -91,6 +91,7 @@ func (s *Server) initMetrics() {
 	m.decodes = r.Counter("sage_decodes_total", "Shard decodes performed.")
 	m.deduped = r.Counter("sage_deduped_decodes_total", "Cache misses that joined an in-flight decode (singleflight).")
 	m.evictions = r.Counter("sage_cache_evictions_total", "Decoded-shard cache entries evicted.")
+	m.cacheRejected = r.Counter("sage_cache_admission_rejects_total", "Decoded shards served but not cached: read no more often than an entry they would evict.")
 	m.cacheHitBytes = r.Counter("sage_cache_hit_bytes_total", "Decoded bytes served from the shard cache.")
 	m.cacheMissB = r.Counter("sage_cache_miss_bytes_total", "Decoded bytes produced by cache-missing decodes.")
 	m.cacheEvictedB = r.Counter("sage_cache_evicted_bytes_total", "Decoded bytes evicted from the shard cache.")
@@ -98,6 +99,7 @@ func (s *Server) initMetrics() {
 	m.serverErrs = r.Counter("sage_server_errors_total", "Requests answered with a 5xx status (data damage alarm).")
 	m.writeFails = r.Counter("sage_write_failures_total", "Response writes that failed or were aborted.")
 	m.slowRequests = r.Counter("sage_slow_requests_total", "Requests slower than the configured slow-request threshold.")
+	m.cancelled = r.Counter("sage_requests_cancelled_total", "Requests cancelled while waiting for a decode-pool slot.")
 	r.GaugeFunc("sage_cache_resident_bytes", "Decoded bytes resident in the shard cache.",
 		func() int64 { b, _ := s.cache.usage(); return b })
 	r.GaugeFunc("sage_cache_entries", "Decoded shards resident in the cache.",

@@ -52,6 +52,8 @@ func TestMetricsExposition(t *testing.T) {
 		"sage_cache_hit_bytes_total",
 		"sage_server_errors_total",
 		"sage_cache_resident_bytes",
+		"sage_cache_admission_rejects_total",
+		"sage_requests_cancelled_total",
 	} {
 		if !strings.Contains(text, fam) {
 			t.Errorf("cold scrape missing %q", fam)
@@ -101,8 +103,9 @@ func TestMetricsExposition(t *testing.T) {
 
 // TestStatsEqualsMetrics: /stats and /metrics are two renderings of one
 // counter set. After a mixed workload — listings, raw blocks, a range, a
-// 304, cold and warm decodes, an eviction, a pruning query, client
-// errors — every Stats counter equals its /metrics sample.
+// 304, cold and warm decodes, an admission rejection, an eviction, a
+// pruning query, client errors, a cancelled request — every Stats
+// counter equals its /metrics sample.
 func TestStatsEqualsMetrics(t *testing.T) {
 	data, _ := manifestContainer(t, 200, 50, false)
 	c := openContainer(t, data)
@@ -110,7 +113,9 @@ func TestStatsEqualsMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Room for about one decoded shard, so the second decode evicts.
+	// Room for about one decoded shard: shard 1, read once and then
+	// twice as often as resident shard 0, is first turned away and then
+	// admitted in its place.
 	s, ts := newTestServer(t, data, Config{CacheBytes: int64(one.UncompressedSize()) + 64})
 	base := ts.URL + "/c/" + DefaultName
 	for _, req := range []struct {
@@ -126,6 +131,8 @@ func TestStatsEqualsMetrics(t *testing.T) {
 		{base + "/shard/0/reads", nil},
 		{base + "/shard/0/reads", nil},
 		{base + "/shard/1/reads", nil},
+		{base + "/shard/1/reads", nil},
+		{base + "/shard/1/reads", nil},
 		{base + "/query?min-len=100000&count=1", nil},
 		{base + "/query?min-len=1&count=1", nil},
 		{base + "/shard/99", nil},
@@ -133,27 +140,35 @@ func TestStatsEqualsMetrics(t *testing.T) {
 	} {
 		body(t, do(t, req.path, req.hdr))
 	}
+	release := holdPool(s)
+	cancel, done := queueRequest(t, s, ts.URL, 2)
+	cancel()
+	<-done
+	waitFor(t, "the cancelled request to be counted", func() bool { return s.Stats().Cancelled == 1 })
+	release()
 	st := s.Stats()
 	text := scrape(t, ts.URL)
 	for name, want := range map[string]int64{
-		"sage_index_requests_total":      st.IndexReads,
-		"sage_block_requests_total":      st.BlockReads,
-		"sage_range_requests_total":      st.RangeReads,
-		"sage_not_modified_total":        st.NotModified,
-		"sage_read_requests_total":       st.ReadReqs,
-		"sage_file_requests_total":       st.FileReads,
-		"sage_query_requests_total":      st.QueryReqs,
-		"sage_shards_pruned_total":       st.ShardsPruned,
-		"sage_shards_scanned_total":      st.ShardsScanned,
-		"sage_query_reads_matched_total": st.QueryMatched,
-		"sage_cache_hits_total":          st.Hits,
-		"sage_cache_misses_total":        st.Misses,
-		"sage_decodes_total":             st.Decodes,
-		"sage_deduped_decodes_total":     st.Deduped,
-		"sage_cache_evictions_total":     st.Evictions,
-		"sage_client_errors_total":       st.ClientErrors,
-		"sage_server_errors_total":       st.ServerErrors,
-		"sage_write_failures_total":      st.WriteFailures,
+		"sage_index_requests_total":          st.IndexReads,
+		"sage_block_requests_total":          st.BlockReads,
+		"sage_range_requests_total":          st.RangeReads,
+		"sage_not_modified_total":            st.NotModified,
+		"sage_read_requests_total":           st.ReadReqs,
+		"sage_file_requests_total":           st.FileReads,
+		"sage_query_requests_total":          st.QueryReqs,
+		"sage_shards_pruned_total":           st.ShardsPruned,
+		"sage_shards_scanned_total":          st.ShardsScanned,
+		"sage_query_reads_matched_total":     st.QueryMatched,
+		"sage_cache_hits_total":              st.Hits,
+		"sage_cache_misses_total":            st.Misses,
+		"sage_decodes_total":                 st.Decodes,
+		"sage_deduped_decodes_total":         st.Deduped,
+		"sage_cache_evictions_total":         st.Evictions,
+		"sage_cache_admission_rejects_total": st.CacheRejected,
+		"sage_requests_cancelled_total":      st.Cancelled,
+		"sage_client_errors_total":           st.ClientErrors,
+		"sage_server_errors_total":           st.ServerErrors,
+		"sage_write_failures_total":          st.WriteFailures,
 	} {
 		if !strings.Contains(text, fmt.Sprintf("\n%s %d\n", name, want)) {
 			t.Errorf("/metrics has no sample %q = %d (the /stats value)", name, want)
@@ -162,7 +177,8 @@ func TestStatsEqualsMetrics(t *testing.T) {
 	// The workload reached every kind of counter it set out to.
 	if st.IndexReads != 2 || st.BlockReads != 2 || st.RangeReads != 1 || st.NotModified != 1 ||
 		st.FileReads != 1 || st.QueryReqs != 2 || st.ShardsPruned == 0 || st.ShardsScanned == 0 ||
-		st.Hits == 0 || st.Evictions == 0 || st.ClientErrors != 2 || st.ServerErrors != 0 {
+		st.Hits == 0 || st.Evictions == 0 || st.CacheRejected == 0 || st.Cancelled != 1 ||
+		st.ClientErrors != 2 || st.ServerErrors != 0 {
 		t.Errorf("mixed workload left a counter unexercised: %+v", st)
 	}
 }

@@ -145,7 +145,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, e *Named) {
 	// The body length depends on what matches, so the response streams
 	// (no Content-Length). A decode failure after the first matching
 	// record has been written can no longer change the status; it is
-	// counted as a server error and the stream truncated.
+	// counted as a server error (a cancelled request is not one) and the
+	// stream truncated.
 	bw := bufio.NewWriter(w)
 	started := false
 	for _, i := range scan {
@@ -155,12 +156,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, e *Named) {
 		}
 		s.met.queryMatched.Add(int64(matched))
 		if err != nil {
-			if _, isWrite := err.(writeError); isWrite {
+			switch _, isWrite := err.(writeError); {
+			case isWrite:
 				s.met.writeFails.Inc()
-			} else if started {
-				s.met.serverErrs.Inc()
-			} else {
+			case !started:
 				s.fail(w, http.StatusInternalServerError, err)
+			case !cancelled(err):
+				s.met.serverErrs.Inc()
 			}
 			return
 		}

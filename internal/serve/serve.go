@@ -41,8 +41,10 @@
 // an analysis client can pull exactly one lane's or one sample's shards.
 // Containers without a manifest answer 404 there.
 //
-// Decoded shards are kept in one byte-budgeted LRU cache shared by all
-// containers, keyed {container, shard}. Decodes run on one bounded
+// Decoded shards are kept in one byte-budgeted cache shared by all
+// containers, keyed {container, shard}: least-recently-used eviction,
+// with a shard admitted over budget only past less frequently read
+// victims (cache.go). Decodes run on one bounded
 // worker pool shared by all requests, and a singleflight group collapses
 // concurrent requests for the same cold shard of the same container into
 // one decode: N clients asking for it while it is being decoded all
@@ -62,6 +64,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -122,7 +125,7 @@ type Server struct {
 	consTag uint32   // fallback-consensus fingerprint for decoded ETags
 	names   []string // registration order
 	byName  map[string]*Named
-	cache   *lruCache
+	cache   *shardCache
 	fl      flightGroup
 	sem     chan struct{}
 	reg     *obs.Registry
@@ -162,7 +165,7 @@ func NewMulti(containers []Named, cfg Config) (*Server, error) {
 		cons:    cfg.Consensus,
 		consTag: consensusTag(cfg.Consensus),
 		byName:  make(map[string]*Named, len(containers)),
-		cache:   newLRUCache(cfg.CacheBytes),
+		cache:   newShardCache(cfg.CacheBytes),
 		sem:     make(chan struct{}, cfg.Workers),
 		mux:     http.NewServeMux(),
 	}
@@ -222,10 +225,13 @@ func (s *Server) registry(h func(http.ResponseWriter, *http.Request, *Named)) ht
 // unsatisfiable range); 5xx statuses are the server's data's fault
 // (checksum mismatch, undecodable block). The two are counted apart so
 // /stats can alert on data corruption without noise from client typos.
+// A cancelled request is neither: poolDecode has counted it.
 func (s *Server) fail(w http.ResponseWriter, code int, err error) {
-	if code >= http.StatusInternalServerError {
+	switch {
+	case cancelled(err):
+	case code >= http.StatusInternalServerError:
 		s.met.serverErrs.Inc()
-	} else {
+	default:
 		s.met.clientErrs.Inc()
 	}
 	http.Error(w, err.Error(), code)
@@ -693,10 +699,18 @@ func (d *decoded) bytes() []byte {
 // timed on the pool histograms and, when ctx carries an obs.Trace,
 // recorded as that request's "queue-wait" and "decode" spans. On
 // success it returns still holding the slot; the caller frees it
-// (<-s.sem) once the records may leave memory.
+// (<-s.sem) once the records may leave memory. A request cancelled
+// while it waits for a slot gives up the wait, is counted in
+// cancelled, and returns ctx.Err().
 func (s *Server) poolDecode(ctx context.Context, e *Named, i int) (*fastq.ReadSet, error) {
 	_, qsp := obs.Start(ctx, "queue-wait")
-	s.sem <- struct{}{}
+	select {
+	case s.sem <- struct{}{}:
+	case <-ctx.Done():
+		qsp.End()
+		s.met.cancelled.Inc()
+		return nil, ctx.Err()
+	}
 	s.met.queueWait.Observe(qsp.End())
 	s.met.decodes.Inc()
 	_, dsp := obs.Start(ctx, "decode")
@@ -713,7 +727,8 @@ func (s *Server) poolDecode(ctx context.Context, e *Named, i int) (*fastq.ReadSe
 // many requests arrive while it runs. The flight key includes the
 // container name, so the same shard index in two different containers
 // is never falsely deduplicated. Joiners wait on the flight, not the
-// pool, so their traces record nothing.
+// pool, so their traces record nothing. A joiner whose leader's request
+// was cancelled, while its own is live, retries once as leader.
 func (s *Server) decodedShard(ctx context.Context, e *Named, i int) (*decoded, error) {
 	key := shardKey{container: e.Name, shard: i}
 	if data, ok := s.cache.get(key); ok {
@@ -722,12 +737,13 @@ func (s *Server) decodedShard(ctx context.Context, e *Named, i int) (*decoded, e
 		return &decoded{data: data, size: int64(len(data))}, nil
 	}
 	s.met.misses.Inc()
-	d, err, shared := s.fl.do(key, func() (*decoded, error) {
+	lead := func() (*decoded, error) {
 		// Re-check under the flight: a caller that missed the cache can
 		// reach here after an earlier flight for the same shard already
 		// completed and cached; leading a second decode would break the
-		// one-decode-per-cold-shard invariant.
-		if data, ok := s.cache.get(key); ok {
+		// one-decode-per-cold-shard invariant. The request was counted
+		// by the get above, so this lookup neither counts nor promotes.
+		if data, ok := s.cache.peek(key); ok {
 			s.met.cacheHitBytes.Add(int64(len(data)))
 			return &decoded{data: data, size: int64(len(data))}, nil
 		}
@@ -748,16 +764,28 @@ func (s *Server) decodedShard(ctx context.Context, e *Named, i int) (*decoded, e
 			return &decoded{rs: rs, size: size, release: func() { <-s.sem }}, nil
 		}
 		data := rs.Bytes()
-		evicted, evictedBytes := s.cache.add(key, data)
+		evicted, evictedBytes, rejected := s.cache.add(key, data)
 		s.met.evictions.Add(int64(evicted))
 		s.met.cacheEvictedB.Add(evictedBytes)
+		if rejected {
+			s.met.cacheRejected.Inc()
+		}
 		<-s.sem
 		return &decoded{data: data, rs: rs, size: size}, nil
-	})
+	}
+	d, err, shared := s.fl.do(key, lead)
+	if shared && cancelled(err) && ctx.Err() == nil {
+		d, err, shared = s.fl.do(key, lead)
+	}
 	if shared {
 		s.met.deduped.Inc()
 	}
 	return d, err
+}
+
+// cancelled reports whether err is a request's context ending.
+func cancelled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // DecodedShardOf exposes the cached decode path of a named container

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sage/internal/fastq"
 	"sage/internal/genome"
@@ -358,5 +360,123 @@ func TestCacheBudgetUnderLoad(t *testing.T) {
 	}
 	if st.Hits == 0 {
 		t.Fatal("no cache hits across 320 requests over 10 shards")
+	}
+}
+
+// holdPool takes every decode-pool slot, as decodes in progress would,
+// and returns the function that gives them back.
+func holdPool(s *Server) (release func()) {
+	for i := 0; i < cap(s.sem); i++ {
+		s.sem <- struct{}{}
+	}
+	return func() {
+		for i := 0; i < cap(s.sem); i++ {
+			<-s.sem
+		}
+	}
+}
+
+// flightWaiters is the number of joiners on key's flight, -1 when no
+// flight for key is in the air.
+func flightWaiters(s *Server, key shardKey) int {
+	s.fl.mu.Lock()
+	defer s.fl.mu.Unlock()
+	if c, ok := s.fl.m[key]; ok {
+		return c.waiters
+	}
+	return -1
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// queueRequest sends a cancellable request for shard i of the default
+// container and returns once it leads its flight — with every pool slot
+// held, it then waits for a slot. done receives the client's outcome.
+func queueRequest(t *testing.T, s *Server, base string, i int) (cancel func(), done <-chan error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/c/%s/shard/%d/reads", base, DefaultName, i), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		out <- err
+	}()
+	waitFor(t, "the request to queue", func() bool {
+		return flightWaiters(s, shardKey{container: DefaultName, shard: i}) >= 0
+	})
+	return cancel, out
+}
+
+// TestCancelledDecodeWait: with its one worker busy, a queued request
+// that is cancelled gives up its wait promptly and is counted, leaks no
+// pool slot, and does not fail a live request that joined its flight —
+// that one retries as leader and gets the shard's bytes.
+func TestCancelledDecodeWait(t *testing.T) {
+	data, _, _ := testContainer(t, 200, 50)
+	s, ts := newTestServer(t, data, Config{Workers: 1})
+	ref, err := shard.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := ref.DecompressShard(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rs.Bytes()
+	k := shardKey{container: DefaultName, shard: 1}
+
+	release := holdPool(s)
+	cancel, cancelled := queueRequest(t, s, ts.URL, 1)
+	joined := make(chan []byte, 1)
+	go func() {
+		code, body := 0, []byte(nil)
+		resp, err := http.Get(ts.URL + "/c/default/shard/1/reads")
+		if err == nil {
+			code = resp.StatusCode
+			body, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
+		if err != nil || code != http.StatusOK {
+			t.Errorf("live joiner: status %d, err %v", code, err)
+		}
+		joined <- body
+	}()
+	waitFor(t, "the second request to join the flight", func() bool { return flightWaiters(s, k) == 1 })
+
+	cancel()
+	waitFor(t, "the cancelled wait to be counted", func() bool { return s.Stats().Cancelled == 1 })
+	if err := <-cancelled; err == nil {
+		t.Fatal("the cancelled request completed")
+	}
+	// The joiner leads a flight of its own, queued on the held pool.
+	waitFor(t, "the joiner to lead", func() bool { return flightWaiters(s, k) == 0 })
+	release()
+	if got := <-joined; !bytes.Equal(got, want) {
+		t.Fatalf("live joiner got %d bytes, want shard 1's %d", len(got), len(want))
+	}
+	// A later request still finds a free slot.
+	if code, _ := get(t, ts.URL+"/c/default/shard/2/reads"); code != http.StatusOK {
+		t.Fatalf("request after the cancellation: status %d", code)
+	}
+	st := s.Stats()
+	if n := len(s.sem); n != 0 {
+		t.Fatalf("%d pool slots still held after every request finished", n)
+	}
+	if st.Cancelled != 1 || st.Decodes != 2 || st.ServerErrors != 0 {
+		t.Fatalf("cancelled = %d, decodes = %d, server errors = %d; want 1 / 2 / 0", st.Cancelled, st.Decodes, st.ServerErrors)
 	}
 }

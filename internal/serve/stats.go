@@ -25,6 +25,13 @@ type Stats struct {
 	Decodes       int64 `json:"decodes"`
 	Deduped       int64 `json:"deduped_decodes"`
 	Evictions     int64 `json:"evictions"`
+	// CacheRejected counts decoded shards served but not cached: the
+	// cache was full and an entry they would have evicted had been read
+	// at least as often.
+	CacheRejected int64 `json:"cache_rejected"`
+	// Cancelled counts requests that gave up while waiting for a
+	// decode-pool slot.
+	Cancelled int64 `json:"cancelled"`
 	// ClientErrors counts 4xx answers (bad shard index, unknown
 	// container or file, unsatisfiable range); ServerErrors counts 5xx
 	// answers (checksum mismatch, undecodable block) — the counter to
@@ -81,6 +88,8 @@ func (s *Server) Stats() Stats {
 		Decodes:       s.met.decodes.Value(),
 		Deduped:       s.met.deduped.Value(),
 		Evictions:     s.met.evictions.Value(),
+		CacheRejected: s.met.cacheRejected.Value(),
+		Cancelled:     s.met.cancelled.Value(),
 		ClientErrors:  s.met.clientErrs.Value(),
 		ServerErrors:  s.met.serverErrs.Value(),
 		WriteFailures: s.met.writeFails.Value(),
