@@ -15,8 +15,8 @@ import (
 // This file benchmarks the similarity-reorder compression mode (format
 // v5): clump-sorting reads by minimizer before sharding puts reads from
 // the same genomic neighborhood — and the same quality regime — into
-// the same shards, so the per-shard machinery (tuned tables, adaptive
-// quality coder, position-delta encoding) sees homogeneous data. The
+// the same shards, so the per-shard machinery (tuned tables, quality
+// tables, position-delta encoding) sees homogeneous data. The
 // experiment measures the compressed-size win on a clustered synthetic
 // dataset whose input order maximally scatters the clusters, forces the
 // out-of-core external sort path, and proves exact original-order

@@ -16,7 +16,8 @@ import (
 //	magic    "SAGe"
 //	version  u8 (1)
 //	flags    u8 (hasQuality | hasHeaders<<1 | embedConsensus<<2 |
-//	             fixedReadLen<<3 | consensusHasN<<4)
+//	             fixedReadLen<<3 | consensusHasN<<4; bits 5-7 reserved,
+//	             rejected when set)
 //	numReads
 //	consensusLen
 //	maxReadLen
@@ -28,7 +29,8 @@ import (
 //	                      packed when consensusHasN
 //	streams               5 × (bitLen, byteLen, bytes):
 //	                      MPGA, MPA, MMPGA, MMPA, MBTA
-//	quality stream        (len, bytes) when hasQuality
+//	quality stream        (len, bytes) when hasQuality; the bytes are an
+//	                      internal/qual stream, which names its own kind
 //	header stream         (len, bytes) when hasHeaders
 //
 // The five stream sections are stored in full before decoding starts; the
@@ -54,6 +56,8 @@ const (
 	flagEmbedConsensus
 	flagFixedReadLen
 	flagConsensusHasN
+
+	flagsKnown = flagConsensusHasN<<1 - 1
 )
 
 // Table indices.
@@ -143,6 +147,9 @@ func layout(w *wire.Codec, c *container) {
 		w.Failf("unsupported version %d", ver)
 	}
 	w.U8("flags", &h.flags)
+	if reserved := h.flags &^ flagsKnown; reserved != 0 {
+		w.Failf("reserved flag bits %#02x are set", reserved)
+	}
 	// Every read costs at least one encoded bit.
 	w.Int("read count", &h.numReads, w.Fit(1))
 	w.Int("consensus length", &h.consensusLen, maxField)

@@ -56,6 +56,9 @@ func FuzzParseBlock(f *testing.F) {
 	f.Add(bare)
 	f.Add(full[:len(full)/2])
 	f.Add([]byte("SAGe\x01\xff\xff\xff\xff\xff\xff"))
+	for bit := 5; bit < 8; bit++ {
+		f.Add(withFlagBit(full, bit))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := parseContainer(data)
@@ -152,4 +155,12 @@ func fullQuality(rs *fastq.ReadSet) bool {
 		}
 	}
 	return true
+}
+
+// withFlagBit returns a copy of block with flag bit set; the flags byte
+// follows the magic and the version.
+func withFlagBit(block []byte, bit int) []byte {
+	out := bytes.Clone(block)
+	out[len(magic)+1] |= 1 << bit
+	return out
 }

@@ -269,6 +269,34 @@ func TestDecompressRejectsGarbage(t *testing.T) {
 	}
 }
 
+// The three unassigned flag bits are rejected in both directions: a
+// block that sets one does not parse, and a container that carries one
+// does not marshal. The block without them still decodes.
+func TestBlockRejectsReservedFlags(t *testing.T) {
+	ref, rs := makeShortSet(t, 16, 20000, 50)
+	enc, err := Compress(rs, DefaultOptions(ref))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bit := 5; bit < 8; bit++ {
+		_, err := Decompress(withFlagBit(enc.Data, bit), nil)
+		if err == nil || !strings.Contains(err.Error(), "reserved flag bits") {
+			t.Errorf("bit %d set: Decompress says %v", bit, err)
+		}
+		c, err := parseContainer(enc.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.hdr.flags |= 1 << bit
+		if _, err := c.marshal(); err == nil || !strings.Contains(err.Error(), "reserved flag bits") {
+			t.Errorf("bit %d set: marshal says %v", bit, err)
+		}
+	}
+	if _, err := Decompress(enc.Data, nil); err != nil {
+		t.Fatalf("the unmodified block: %v", err)
+	}
+}
+
 func TestDecompressRejectsTruncation(t *testing.T) {
 	ref, rs := makeShortSet(t, 14, 20000, 100)
 	enc, err := Compress(rs, DefaultOptions(ref))

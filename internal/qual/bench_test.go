@@ -5,23 +5,29 @@ import (
 	"testing"
 )
 
-// benchFixtures are 500 reads of 150 scores each: a clamped random walk
-// (strongly correlated neighbours), the repository benchmark's regime of
-// iid N(36,4) scores, and constant scores, where nothing mispredicts and
-// what is left is the coder's own arithmetic.
+// benchFixtures are the read sets the codec benchmarks run over: 500
+// reads of 150 scores from the walk (strongly correlated neighbours),
+// the iid N(36,4) and the constant generators — constant scores never
+// mispredict, so what is left there is the coder's own arithmetic — and
+// one block of each of the repository benchmark's shapes: a 256-read
+// short-read shard of N(36,4) scores, and 8 reads of its long-read
+// simulator.
 var benchFixtures = []struct {
-	name string
-	fill scoreFill
+	name  string
+	reads func(b *testing.B) [][]byte
 }{
-	{"walk", func(rng *rand.Rand, q []byte) {
-		level := 36.0
-		for j := range q {
-			level = min(max(level+rng.NormFloat64()*1.5, 2), 41)
-			q[j] = byte(level)
-		}
-	}},
-	{"normal", fillNormal},
-	{"constant", fillConstant},
+	{"walk", fixedReads(fillWalk, 500)},
+	{"normal", fixedReads(fillNormal, 500)},
+	{"constant", fixedReads(fillConstant, 500)},
+	{"shard", fixedReads(fillNormal, 256)},
+	{"long", func(b *testing.B) [][]byte { return longReads(b, 9, 8) }},
+}
+
+func fixedReads(fill scoreFill, n int) func(b *testing.B) [][]byte {
+	return func(*testing.B) [][]byte {
+		quals, _ := randomReads(rand.New(rand.NewSource(9)), fill, n, func() int { return 150 })
+		return quals
+	}
 }
 
 // benchCodec runs op over each fixture's reads and coded stream and
@@ -29,12 +35,16 @@ var benchFixtures = []struct {
 func benchCodec(b *testing.B, op func(b *testing.B, quals [][]byte, data []byte, lengths []int)) {
 	for _, fx := range benchFixtures {
 		b.Run(fx.name, func(b *testing.B) {
-			quals, lengths := randomReads(rand.New(rand.NewSource(9)), fx.fill, 500, func() int { return 150 })
+			quals := fx.reads(b)
+			lengths := lengthsOf(quals)
 			data, err := Compress(quals)
 			if err != nil {
 				b.Fatal(err)
 			}
-			total := len(quals) * 150
+			total := 0
+			for _, l := range lengths {
+				total += l
+			}
 			b.SetBytes(int64(total))
 			b.ReportAllocs()
 			b.ResetTimer()

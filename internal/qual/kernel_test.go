@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"sage/internal/fastq"
@@ -13,8 +14,9 @@ import (
 
 // The score sources the kernel tests, the fuzz seeds and the benchmarks
 // draw from: the incompressible and the most compressible extremes, the
-// repository benchmark's iid N(36,4) scores, and the 4-level binning of
-// current instruments.
+// repository benchmark's iid N(36,4) scores, a clamped random walk
+// (strongly correlated neighbours), and the 4-level binning of current
+// instruments.
 type scoreFill func(rng *rand.Rand, q []byte)
 
 func fillUniform(rng *rand.Rand, q []byte) {
@@ -35,6 +37,14 @@ func fillNormal(rng *rand.Rand, q []byte) {
 	}
 }
 
+func fillWalk(rng *rand.Rand, q []byte) {
+	level := 36.0
+	for j := range q {
+		level = min(max(level+rng.NormFloat64()*1.5, 2), 41)
+		q[j] = byte(level)
+	}
+}
+
 func fillBinned(rng *rand.Rand, q []byte) {
 	for i := range q {
 		q[i] = [4]byte{2, 12, 23, 37}[rng.Intn(4)]
@@ -51,6 +61,111 @@ func randomReads(rng *rand.Rand, fill scoreFill, n int, pick func() int) ([][]by
 		lengths[i] = len(quals[i])
 	}
 	return quals, lengths
+}
+
+// The kind-0 encoder: what Compress ran before kind 1, kept to make the
+// legacy streams old containers carry, and checked against the
+// bit-at-a-time oracle below.
+
+type rcEncoder struct {
+	low       uint64
+	rng       uint32
+	cache     byte
+	cacheSize int64
+	out       []byte
+}
+
+// encPool recycles encoders (and with them the grown output buffer)
+// across calls and workers. flush hands out a view of e.out, so callers
+// must copy the body before putEncoder returns the buffer to the pool.
+var encPool = sync.Pool{New: func() any { return new(rcEncoder) }}
+
+func getEncoder() *rcEncoder {
+	e := encPool.Get().(*rcEncoder)
+	e.low, e.rng, e.cache, e.cacheSize, e.out = 0, 0xFFFFFFFF, 0, 1, e.out[:0]
+	return e
+}
+
+func putEncoder(e *rcEncoder) { encPool.Put(e) }
+
+// encodeScores codes the scores of one read under probs and adapts it:
+// the bit-at-a-time coder's arithmetic (oracleEncodeScores below) with
+// low and rng in locals and no data-dependent branch in the bit step.
+// The encoder knows the bit, so mask = -bit selects the
+// half of the range, the increment of low and the adaptation target:
+// p -= p>>5 is p += (31-p)>>5 under an arithmetic shift, the mirror of
+// p += (4096-p)>>5. As in decodeScores, probabilities stay in [31, 4065],
+// so one 8-bit shift restores rng >= 2^24: renormalisation is an if.
+func (e *rcEncoder) encodeScores(q []byte, probs *[numContexts]uint16) error {
+	low, rng := e.low, e.rng
+	q1, q2 := byte(0), byte(0)
+	for _, s := range q {
+		if s > fastq.MaxQuality {
+			return fmt.Errorf("qual: score %d exceeds alphabet max %d", s, fastq.MaxQuality)
+		}
+		ctx := (*[treeNodes]uint16)(probs[contextBase(q1, q2):])
+		node := uint32(1)
+		for i := symbolBits - 1; i >= 0; i-- {
+			bit := uint32(s>>uint(i)) & 1
+			mask := -bit
+			p := int32(ctx[node])
+			bound := (rng >> probBits) * uint32(p)
+			low += uint64(bound & mask)
+			rng = bound + (rng-2*bound)&mask
+			target := 1<<probBits - int32(mask&(1<<probBits-(1<<adaptRate-1)))
+			ctx[node] = uint16(p + (target-p)>>adaptRate)
+			node = node<<1 | bit
+			if rng < topValue {
+				low = e.shiftLow(low)
+				rng <<= 8
+			}
+		}
+		q2, q1 = q1, s
+	}
+	e.low, e.rng = low, rng
+	return nil
+}
+
+// shiftLow moves the top byte of low into the stream, or into the run of
+// 0xFF bytes a later carry may still change, and returns low shifted.
+func (e *rcEncoder) shiftLow(low uint64) uint64 {
+	if low < 0xFF000000 || low > 0xFFFFFFFF {
+		temp := e.cache
+		for {
+			e.out = append(e.out, byte(uint64(temp)+(low>>32)))
+			temp = 0xFF
+			e.cacheSize--
+			if e.cacheSize == 0 {
+				break
+			}
+		}
+		e.cache = byte(low >> 24)
+	}
+	e.cacheSize++
+	return (low << 8) & 0xFFFFFFFF
+}
+
+func (e *rcEncoder) flush() []byte {
+	for i := 0; i < 5; i++ {
+		e.low = e.shiftLow(e.low)
+	}
+	return e.out
+}
+
+// legacyCompress is Compress as it was for kind 0: the kernel over every
+// read, the body behind a length word whose kind byte is 0.
+func legacyCompress(quals [][]byte) ([]byte, error) {
+	enc := getEncoder()
+	defer putEncoder(enc)
+	probs := getProbs()
+	defer probsPool.Put(probs)
+	for _, q := range quals {
+		if err := enc.encodeScores(q, probs); err != nil {
+			return nil, err
+		}
+	}
+	body := enc.flush()
+	return append(binary.LittleEndian.AppendUint64(nil, uint64(len(body))), body...), nil
 }
 
 // oracleScores decodes one read with decodeBit only: the loop Decompress
@@ -119,7 +234,7 @@ func TestKernelEqualsOracle(t *testing.T) {
 			pick = func() int { return 16000 }
 		}
 		quals, lengths := randomReads(rng, fills[s%len(fills)], rng.Intn(6), pick)
-		data, err := Compress(quals)
+		data, err := legacyCompress(quals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,14 +257,19 @@ func TestKernelEqualsOracle(t *testing.T) {
 	}
 }
 
-// A stream ends where its scores end: Decompress names a stream that is
-// cut short, one that carries extra bytes, and lengths that ask for
-// more or fewer scores than were coded — or for more than any stream of
-// that size could hold, before allocating for them.
+// A stream of either kind ends where its scores end: Decompress names a
+// stream that is cut short, one that carries extra bytes, and lengths
+// that ask for more or fewer scores than were coded — or for more than
+// any stream of that size could hold, before allocating for them.
 func TestDecompressRejectsMisfitStreams(t *testing.T) {
+	t.Run("kind 0", func(t *testing.T) { rejectsMisfits(t, legacyCompress, "stream ends before the scores do") })
+	t.Run("kind 1", func(t *testing.T) { rejectsMisfits(t, Compress, "stream tables truncated") })
+}
+
+func rejectsMisfits(t *testing.T, compress func([][]byte) ([]byte, error), emptyBody string) {
 	rng := rand.New(rand.NewSource(23))
 	quals, lengths := randomReads(rng, fillNormal, 20, func() int { return 150 })
-	data, err := Compress(quals)
+	data, err := compress(quals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +292,7 @@ func TestDecompressRejectsMisfitStreams(t *testing.T) {
 		want    string
 	}{
 		{"truncated", withBody(data[8 : len(data)-1]), lengths, "stream ends before the scores do"},
-		{"empty body", withBody(nil), nil, "stream ends before the scores do"},
+		{"empty body", withBody(nil), nil, emptyBody},
 		{"trailing byte", withBody(append(data[8:len(data):len(data)], 0)), lengths, "left over"},
 		{"one read too many", data, append(lengths[:len(lengths):len(lengths)], 150), "stream ends before the scores do"},
 		{"one read too few", data, lengths[:len(lengths)-1], "left over"},
@@ -190,18 +310,31 @@ func TestDecompressRejectsMisfitStreams(t *testing.T) {
 	}
 }
 
-// maxScoresPerByte really bounds the densest stream Compress can write.
+// maxScoresPerByte really bounds the densest stream of each kind: a run
+// of constant scores, every one at the highest probability the coder
+// allows — 4065/4096 per decision for kind 0, ransMaxFreq/ransM for
+// kind 1.
 func TestDensestStreamFitsBound(t *testing.T) {
 	q := make([]byte, 1<<20)
-	data, err := Compress([][]byte{q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perByte := float64(len(q)) / float64(len(data)-8); perByte > 122 || perByte < 115 {
-		t.Fatalf("constant scores pack %.1f per byte; the bound's comment says 121", perByte)
-	}
-	if _, err := Decompress(data, []int{len(q)}); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		kind     int
+		compress func([][]byte) ([]byte, error)
+		lo, hi   float64
+	}{
+		{kindBinary, legacyCompress, 115, 122},
+		{kindRANS, Compress, 690, 708},
+	} {
+		data, err := tc.compress([][]byte{q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		perByte := float64(len(q)) / float64(len(data)-8)
+		if perByte > tc.hi || perByte < tc.lo || perByte > float64(maxScoresPerByte[tc.kind]) {
+			t.Fatalf("kind %d: constant scores pack %.1f per byte, want [%v, %v] and at most %d", tc.kind, perByte, tc.lo, tc.hi, maxScoresPerByte[tc.kind])
+		}
+		if _, err := Decompress(data, []int{len(q)}); err != nil {
+			t.Fatalf("kind %d: %v", tc.kind, err)
+		}
 	}
 }
 
@@ -324,7 +457,7 @@ func TestEncodeKernelEqualsOracle(t *testing.T) {
 // The encode kernel equals the bit-at-a-time oracle — stream bytes, low,
 // rng, cache and cacheSize after every read, and the adapted model — on
 // the fixtures and read lengths TestKernelEqualsOracle decodes, and
-// Compress writes exactly the oracle's stream.
+// legacyCompress writes exactly the oracle's stream.
 func encodeKernelStreams(t *testing.T) {
 	streams := 10000
 	if testing.Short() {
@@ -340,7 +473,7 @@ func encodeKernelStreams(t *testing.T) {
 		}
 		quals, _ := randomReads(rng, fills[s%len(fills)], rng.Intn(6), pick)
 		body := encodeBoth(t, freshEncoder, quals)
-		data, err := Compress(quals)
+		data, err := legacyCompress(quals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +482,7 @@ func encodeKernelStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(data, want) || !bytes.Equal(data[8:], body) {
-			t.Fatalf("stream %d: Compress, the kernel and the oracle write different streams", s)
+			t.Fatalf("stream %d: legacyCompress, the kernel and the oracle write different streams", s)
 		}
 	}
 }
@@ -383,22 +516,97 @@ func encodeKernelCarryRuns(t *testing.T) {
 	}
 }
 
-// A score outside the alphabet is the same error from the kernel as from
-// the oracle, wherever in the read set it sits.
+// A score outside the alphabet is the same error from the kernel, from
+// the oracle and from Compress, wherever in the read set it sits.
 func encodeKernelRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	quals, _ := randomReads(rng, fillNormal, 5, func() int { return 150 })
 	for _, at := range [][2]int{{0, 0}, {2, 75}, {4, 149}} {
 		saved := quals[at[0]][at[1]]
 		quals[at[0]][at[1]] = fastq.MaxQuality + 1
-		_, err := Compress(quals)
+		_, err := legacyCompress(quals)
 		_, want := oracleCompress(quals)
-		if err == nil || want == nil || err.Error() != want.Error() {
-			t.Errorf("score %d at read %d position %d: Compress says %v, the oracle %v", fastq.MaxQuality+1, at[0], at[1], err, want)
+		_, kind1 := Compress(quals)
+		if err == nil || want == nil || kind1 == nil || err.Error() != want.Error() || kind1.Error() != want.Error() {
+			t.Errorf("score %d at read %d position %d: the kernel says %v, the oracle %v, Compress %v", fastq.MaxQuality+1, at[0], at[1], err, want, kind1)
 		}
 		quals[at[0]][at[1]] = saved
 	}
-	if _, err := Compress(quals); err != nil {
+	if _, err := legacyCompress(quals); err != nil {
 		t.Fatalf("the restored reads: %v", err)
+	}
+}
+
+// Legacy streams — kind 0, as containers written before kind 1 carry
+// them — decode through Decompress to their scores, over every fixture
+// and around the read lengths the kernel's fast loop turns on.
+func TestLegacyStreamsDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	short := []int{0, 1, 6, 7, 150}
+	for i, fill := range []scoreFill{fillUniform, fillConstant, fillNormal, fillBinned, fillWalk} {
+		quals, lengths := randomReads(rng, fill, 40, func() int { return short[rng.Intn(len(short))] })
+		data, err := legacyCompress(quals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data[7] != kindBinary {
+			t.Fatalf("fixture %d: legacy stream has kind %d", i, data[7])
+		}
+		got, err := Decompress(data, lengths)
+		if err != nil {
+			t.Fatalf("fixture %d: %v", i, err)
+		}
+		for r := range quals {
+			if !bytes.Equal(got[r], quals[r]) {
+				t.Fatalf("fixture %d read %d does not round-trip", i, r)
+			}
+		}
+	}
+}
+
+// oldDecompress is Decompress as it was before stream kinds: the whole
+// length word is the body length.
+func oldDecompress(data []byte, lengths []int) ([][]byte, error) {
+	if len(data) < 8 {
+		return nil, fmt.Errorf("qual: truncated stream header")
+	}
+	bodyLen := binary.LittleEndian.Uint64(data)
+	if uint64(len(data)-8) < bodyLen {
+		return nil, fmt.Errorf("qual: stream body truncated: have %d want %d", len(data)-8, bodyLen)
+	}
+	body := data[8 : 8+bodyLen]
+	out := make([][]byte, len(lengths))
+	for r, l := range lengths {
+		if l < 0 || l > maxScoresPerByte[kindBinary]*len(body) {
+			return nil, fmt.Errorf("qual: read %d of length %d", r, l)
+		}
+		out[r] = make([]byte, l)
+	}
+	if err := decodeBinary(body, out, 0); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// A reader that predates stream kinds refuses a kind-1 stream cleanly,
+// before decoding a score, and still reads a legacy one.
+func TestOldReaderRejectsKind1(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	quals, lengths := randomReads(rng, fillNormal, 8, func() int { return 150 })
+	for _, n := range []int{0, 1, 8} {
+		data, err := Compress(quals[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := oldDecompress(data, lengths[:n]); err == nil || !strings.Contains(err.Error(), "stream body truncated") {
+			t.Errorf("%d reads: the old reader says %v, want %q", n, err, "stream body truncated")
+		}
+	}
+	legacy, err := legacyCompress(quals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := oldDecompress(legacy, lengths); err != nil {
+		t.Fatalf("the old reader on a legacy stream: %v", err)
 	}
 }

@@ -1,93 +1,73 @@
+// Package qual implements SAGe's lossless quality-score codec (§5.1.5).
+//
+// Quality scores lack the long-range redundancy of DNA bases, so SAGe —
+// like Spring and the other genomic compressors it cites — compresses them
+// as a separate stream with a context model. Compress writes a static
+// order-1 rANS stream: one frequency table per block and context, the
+// context being the previous score of the read. Decompress also reads the
+// adaptive binary range-coder stream that earlier containers carry.
+// Decompression runs on the host CPU in the paper; the codec here backs
+// both the SAGe container and the Spring-like baseline, so their quality
+// ratios match (Table 2: "SAGe's quality score (de)compression is based
+// on the same software used in [Spring]").
 package qual
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
-// symbolBits is the bit width of one Phred score (alphabet 0..63).
-const symbolBits = 6
-
-// Context model dimensions: the previous score quantized to 16 buckets,
-// the score before that to 8 buckets, crossed with the 63 internal nodes
-// of the 6-level binary decomposition tree.
+// Stream kinds. A stream starts with a little-endian u64 whose low 56
+// bits are the body length and whose top byte is the kind, so a reader
+// that predates a kind reads an impossible length and answers "stream
+// body truncated". docs/FORMAT.md has a section for each kind.
 const (
-	prev1Buckets = 16
-	prev2Buckets = 8
-	treeNodes    = 1 << symbolBits // node indices 1..63 used
-	numContexts  = prev1Buckets * prev2Buckets * treeNodes
+	kindBinary = 0 // adaptive binary range coder (rangecoder.go): decoded, never written
+	kindRANS   = 1 // static order-1 rANS (rans.go): what Compress writes
 )
 
-func contextBase(q1, q2 byte) int {
-	b1 := int(q1) >> 2 // 0..15
-	if b1 >= prev1Buckets {
-		b1 = prev1Buckets - 1
-	}
-	b2 := int(q2) >> 3 // 0..7
-	if b2 >= prev2Buckets {
-		b2 = prev2Buckets - 1
-	}
-	return (b1*prev2Buckets + b2) * treeNodes
-}
+const lengthBits = 56
 
-// probsPool recycles the 16 KiB adaptive-probability table across
-// Compress/Decompress calls (and across the shard workers that make
-// them): the table dominates the codec's per-call allocation cost.
-// Tables are re-initialized on checkout, so pool reuse is invisible to
-// the coded stream.
-var probsPool = sync.Pool{New: func() any { return new([numContexts]uint16) }}
-
-func getProbs() *[numContexts]uint16 {
-	p := probsPool.Get().(*[numContexts]uint16)
-	for i := range p {
-		p[i] = probInit
-	}
-	return p
-}
-
-// Compress encodes the concatenated quality strings of reads losslessly.
-// Per-read lengths are NOT stored: the decoder receives them from the DNA
-// side of the container, which keeps the stream aligned with the bases
-// (§5.1.5: "SAGe maintains the same order for DNA bases and quality
-// scores").
+// Compress encodes the concatenated quality strings of reads losslessly
+// as one kind-1 stream. Per-read lengths are NOT stored: the decoder
+// receives them from the DNA side of the container, which keeps the
+// stream aligned with the bases (§5.1.5: "SAGe maintains the same order
+// for DNA bases and quality scores").
 func Compress(quals [][]byte) ([]byte, error) {
-	enc := getEncoder()
-	defer putEncoder(enc)
-	probs := getProbs()
-	defer probsPool.Put(probs)
-	for _, q := range quals {
-		if err := enc.encodeScores(q, probs); err != nil {
-			return nil, err
-		}
-	}
-	body := enc.flush()
-	out := make([]byte, 8+len(body))
-	binary.LittleEndian.PutUint64(out, uint64(len(body)))
-	copy(out[8:], body)
-	return out, nil
+	e := ransEncPool.Get().(*ransEncoder)
+	defer ransEncPool.Put(e)
+	return e.compress(quals)
 }
 
-// maxScoresPerByte bounds how many scores one stream byte can hold: at
-// the probability clamp (4065/4096) a decision costs 0.011 bit, so a
-// run of constant scores packs 121 six-decision scores into a byte.
-const maxScoresPerByte = 128
+// maxScoresPerByte bounds how many scores one body byte can hold, by
+// kind. Kind 0: at the probability clamp (4065/4096) a decision costs
+// 0.011 bit, so a run of constant scores packs 121 six-decision scores
+// into a byte. Kind 1: a score takes at least log2(4096/4064) = 0.0113
+// bit out of the state, which starts below 2³¹ and must end at 2²³, and
+// each renormalisation byte puts 8 back; the 4 state bytes pay for the
+// other 8 bits, so a byte holds at most 8/0.0113 < 708 scores.
+var maxScoresPerByte = [...]int{kindBinary: 128, kindRANS: 708}
 
-// Decompress decodes scores for reads with the given lengths. The
-// stream must end exactly where the scores do: lengths that ask for
-// more or fewer scores than were coded are an error, not garbage.
+// Decompress decodes scores for reads with the given lengths, from a
+// stream of any kind. The stream must end exactly where the scores do:
+// lengths that ask for more or fewer scores than were coded are an
+// error, not garbage.
 func Decompress(data []byte, lengths []int) ([][]byte, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("qual: truncated stream header")
 	}
-	bodyLen := binary.LittleEndian.Uint64(data)
+	word := binary.LittleEndian.Uint64(data)
+	kind, bodyLen := word>>lengthBits, word&(1<<lengthBits-1)
+	if kind >= uint64(len(maxScoresPerByte)) {
+		return nil, fmt.Errorf("qual: unsupported stream kind %d", kind)
+	}
 	if uint64(len(data)-8) < bodyLen {
 		return nil, fmt.Errorf("qual: stream body truncated: have %d want %d", len(data)-8, bodyLen)
 	}
 	body := data[8 : 8+bodyLen]
 	// Bounding the scores by the body before allocating for them keeps
 	// hostile lengths to a multiple of the input.
-	limit := maxScoresPerByte * len(body)
+	limit := maxScoresPerByte[kind] * len(body)
 	total := 0
 	for r, l := range lengths {
 		if l < 0 || l > limit-total {
@@ -95,10 +75,6 @@ func Decompress(data []byte, lengths []int) ([][]byte, error) {
 		}
 		total += l
 	}
-	var dec rcDecoder
-	dec.init(body)
-	probs := getProbs()
-	defer probsPool.Put(probs)
 	// All scores decode into one flat buffer sub-sliced per read
 	// (capacity-clipped, so an appending caller reallocates rather than
 	// overruns a neighbor): two allocations for the whole block instead
@@ -109,13 +85,15 @@ func Decompress(data []byte, lengths []int) ([][]byte, error) {
 	for r, l := range lengths {
 		out[r] = flat[:l:l]
 		flat = flat[l:]
-		dec.decodeScores(out[r], probs)
 	}
-	if dec.pos > len(body) {
-		return nil, fmt.Errorf("qual: stream ends before the scores do: %d bytes hold fewer than %d scores", len(body), total)
+	var err error
+	if kind == kindRANS {
+		err = decodeRANS(body, out, total)
+	} else {
+		err = decodeBinary(body, out, total)
 	}
-	if dec.pos < len(body) {
-		return nil, fmt.Errorf("qual: %d of %d stream bytes left over after %d scores", len(body)-dec.pos, len(body), total)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,24 +1,16 @@
-// Package qual implements SAGe's lossless quality-score codec (§5.1.5).
-//
-// Quality scores lack the long-range redundancy of DNA bases, so SAGe —
-// like Spring and the other genomic compressors it cites — compresses them
-// as a separate stream with a context model: each Phred score is coded
-// bit-by-bit with an adaptive binary range coder, conditioned on the two
-// preceding scores in the read. Decompression runs on the host CPU in the
-// paper; the codec here backs both the SAGe container and the Spring-like
-// baseline, so their quality ratios match (Table 2: "SAGe's quality score
-// (de)compression is based on the same software used in [Spring]").
 package qual
 
-// The binary range coder follows the carry-propagating construction used
-// by LZMA: 32-bit range, 12-bit adaptive probabilities, 5-bit adaptation
-// shift.
+// Kind 0, the stream Compress wrote before kind 1: each score is coded
+// bit by bit with an adaptive binary range coder under the context of
+// the two preceding scores of its read. Old containers still carry it,
+// so it decodes forever; nothing writes it (kernel_test.go keeps the
+// encoder, to make legacy streams and as the oracle). The range coder
+// follows the carry-propagating construction used by LZMA: 32-bit
+// range, 12-bit adaptive probabilities, 5-bit adaptation shift.
 
 import (
 	"fmt"
 	"sync"
-
-	"sage/internal/fastq"
 )
 
 const (
@@ -28,89 +20,62 @@ const (
 	topValue  = 1 << 24
 )
 
-type rcEncoder struct {
-	low       uint64
-	rng       uint32
-	cache     byte
-	cacheSize int64
-	out       []byte
-}
+// symbolBits is the bit width of one Phred score (alphabet 0..63).
+const symbolBits = 6
 
-// encPool recycles encoders (and with them the grown output buffer)
-// across calls and workers. flush hands out a view of e.out, so callers
-// must copy the body before putEncoder returns the buffer to the pool.
-var encPool = sync.Pool{New: func() any { return new(rcEncoder) }}
+// Context model dimensions: the previous score quantized to 16 buckets,
+// the score before that to 8 buckets, crossed with the 63 internal nodes
+// of the 6-level binary decomposition tree.
+const (
+	prev1Buckets = 16
+	prev2Buckets = 8
+	treeNodes    = 1 << symbolBits // node indices 1..63 used
+	numContexts  = prev1Buckets * prev2Buckets * treeNodes
+)
 
-func getEncoder() *rcEncoder {
-	e := encPool.Get().(*rcEncoder)
-	e.low, e.rng, e.cache, e.cacheSize, e.out = 0, 0xFFFFFFFF, 0, 1, e.out[:0]
-	return e
-}
-
-func putEncoder(e *rcEncoder) { encPool.Put(e) }
-
-// encodeScores codes the scores of one read under probs and adapts it:
-// the bit-at-a-time coder's arithmetic (kernel_test.go keeps that loop as
-// the oracle) with low and rng in locals and no data-dependent branch in
-// the bit step. The encoder knows the bit, so mask = -bit selects the
-// half of the range, the increment of low and the adaptation target:
-// p -= p>>5 is p += (31-p)>>5 under an arithmetic shift, the mirror of
-// p += (4096-p)>>5. As in decodeScores, probabilities stay in [31, 4065],
-// so one 8-bit shift restores rng >= 2^24: renormalisation is an if.
-func (e *rcEncoder) encodeScores(q []byte, probs *[numContexts]uint16) error {
-	low, rng := e.low, e.rng
-	q1, q2 := byte(0), byte(0)
-	for _, s := range q {
-		if s > fastq.MaxQuality {
-			return fmt.Errorf("qual: score %d exceeds alphabet max %d", s, fastq.MaxQuality)
-		}
-		ctx := (*[treeNodes]uint16)(probs[contextBase(q1, q2):])
-		node := uint32(1)
-		for i := symbolBits - 1; i >= 0; i-- {
-			bit := uint32(s>>uint(i)) & 1
-			mask := -bit
-			p := int32(ctx[node])
-			bound := (rng >> probBits) * uint32(p)
-			low += uint64(bound & mask)
-			rng = bound + (rng-2*bound)&mask
-			target := 1<<probBits - int32(mask&(1<<probBits-(1<<adaptRate-1)))
-			ctx[node] = uint16(p + (target-p)>>adaptRate)
-			node = node<<1 | bit
-			if rng < topValue {
-				low = e.shiftLow(low)
-				rng <<= 8
-			}
-		}
-		q2, q1 = q1, s
+func contextBase(q1, q2 byte) int {
+	b1 := int(q1) >> 2 // 0..15
+	if b1 >= prev1Buckets {
+		b1 = prev1Buckets - 1
 	}
-	e.low, e.rng = low, rng
+	b2 := int(q2) >> 3 // 0..7
+	if b2 >= prev2Buckets {
+		b2 = prev2Buckets - 1
+	}
+	return (b1*prev2Buckets + b2) * treeNodes
+}
+
+// probsPool recycles the 16 KiB adaptive-probability table across
+// decodes (and across the shard workers that make them): the table
+// dominates the kind-0 decoder's per-call allocation cost. Tables are
+// re-initialized on checkout, so pool reuse is invisible to the stream.
+var probsPool = sync.Pool{New: func() any { return new([numContexts]uint16) }}
+
+func getProbs() *[numContexts]uint16 {
+	p := probsPool.Get().(*[numContexts]uint16)
+	for i := range p {
+		p[i] = probInit
+	}
+	return p
+}
+
+// decodeBinary decodes a kind-0 body into out, whose reads hold total
+// scores.
+func decodeBinary(body []byte, out [][]byte, total int) error {
+	var dec rcDecoder
+	dec.init(body)
+	probs := getProbs()
+	defer probsPool.Put(probs)
+	for _, q := range out {
+		dec.decodeScores(q, probs)
+	}
+	if dec.pos > len(body) {
+		return fmt.Errorf("qual: stream ends before the scores do: %d bytes hold fewer than %d scores", len(body), total)
+	}
+	if dec.pos < len(body) {
+		return fmt.Errorf("qual: %d of %d stream bytes left over after %d scores", len(body)-dec.pos, len(body), total)
+	}
 	return nil
-}
-
-// shiftLow moves the top byte of low into the stream, or into the run of
-// 0xFF bytes a later carry may still change, and returns low shifted.
-func (e *rcEncoder) shiftLow(low uint64) uint64 {
-	if low < 0xFF000000 || low > 0xFFFFFFFF {
-		temp := e.cache
-		for {
-			e.out = append(e.out, byte(uint64(temp)+(low>>32)))
-			temp = 0xFF
-			e.cacheSize--
-			if e.cacheSize == 0 {
-				break
-			}
-		}
-		e.cache = byte(low >> 24)
-	}
-	e.cacheSize++
-	return (low << 8) & 0xFFFFFFFF
-}
-
-func (e *rcEncoder) flush() []byte {
-	for i := 0; i < 5; i++ {
-		e.low = e.shiftLow(e.low)
-	}
-	return e.out
 }
 
 type rcDecoder struct {
