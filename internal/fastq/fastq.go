@@ -86,16 +86,6 @@ func (rs *ReadSet) TotalBases() int {
 	return n
 }
 
-// HasQuality reports whether any record carries quality scores.
-func (rs *ReadSet) HasQuality() bool {
-	for i := range rs.Records {
-		if rs.Records[i].Qual != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // UncompressedSize returns the serialized FASTQ byte size (the
 // denominator of the paper's compression ratios, Table 2).
 func (rs *ReadSet) UncompressedSize() int {

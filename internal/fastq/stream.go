@@ -52,9 +52,6 @@ func NewScanner(r io.Reader) *Scanner {
 	return &Scanner{sc: sc}
 }
 
-// Line returns the number of input lines consumed so far.
-func (s *Scanner) Line() int { return s.line }
-
 // nextRaw scans and validates the next record without allocating. On
 // success rr's fields view the scanner's buffer; every base and quality
 // character has been validated, so conversion to a Record cannot fail.

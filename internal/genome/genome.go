@@ -99,20 +99,6 @@ func FromString(s string) (Seq, error) {
 	return out, nil
 }
 
-// AppendFrom parses ASCII DNA bytes and appends the base codes to dst,
-// returning the extended slice. It is the allocation-free counterpart of
-// FromString for callers that own a reusable or arena-backed buffer.
-func AppendFrom(dst Seq, ascii []byte) (Seq, error) {
-	for i := 0; i < len(ascii); i++ {
-		b := codeOf[ascii[i]]
-		if b == 0xff {
-			return dst, fmt.Errorf("genome: invalid base %q at %d", ascii[i], i)
-		}
-		dst = append(dst, b)
-	}
-	return dst, nil
-}
-
 // AppendASCII renders s as ASCII appended to dst, returning the extended
 // slice. It is the allocation-free counterpart of Seq.String for callers
 // that own a reusable line buffer.

@@ -16,8 +16,7 @@ import (
 // answers the question the paper keeps asking: which stage owns the
 // critical path.
 type Trace struct {
-	ID    string
-	start time.Time
+	ID string
 
 	mu     sync.Mutex
 	order  []string
@@ -41,11 +40,8 @@ func (st StageTiming) Mean() time.Duration {
 
 // NewTrace starts a trace under id.
 func NewTrace(id string) *Trace {
-	return &Trace{ID: id, start: time.Now(), stages: make(map[string]*StageTiming)}
+	return &Trace{ID: id, stages: make(map[string]*StageTiming)}
 }
-
-// Elapsed is the wall time since the trace started.
-func (t *Trace) Elapsed() time.Duration { return time.Since(t.start) }
 
 // add folds one finished span into the stage aggregate.
 func (t *Trace) add(name string, d time.Duration) {

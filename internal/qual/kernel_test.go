@@ -257,13 +257,14 @@ func TestKernelEqualsOracle(t *testing.T) {
 	}
 }
 
-// A stream of either kind ends where its scores end: Decompress names a
+// A stream of any kind ends where its scores end: Decompress names a
 // stream that is cut short, one that carries extra bytes, and lengths
 // that ask for more or fewer scores than were coded — or for more than
 // any stream of that size could hold, before allocating for them.
 func TestDecompressRejectsMisfitStreams(t *testing.T) {
 	t.Run("kind 0", func(t *testing.T) { rejectsMisfits(t, legacyCompress, "stream ends before the scores do") })
-	t.Run("kind 1", func(t *testing.T) { rejectsMisfits(t, Compress, "stream tables truncated") })
+	t.Run("kind 1", func(t *testing.T) { rejectsMisfits(t, kind1Compress, "stream tables truncated") })
+	t.Run("kind 2", func(t *testing.T) { rejectsMisfits(t, Compress, "stream tables truncated") })
 }
 
 func rejectsMisfits(t *testing.T, compress func([][]byte) ([]byte, error), emptyBody string) {
@@ -313,7 +314,7 @@ func rejectsMisfits(t *testing.T, compress func([][]byte) ([]byte, error), empty
 // maxScoresPerByte really bounds the densest stream of each kind: a run
 // of constant scores, every one at the highest probability the coder
 // allows — 4065/4096 per decision for kind 0, ransMaxFreq/ransM for
-// kind 1.
+// kinds 1 and 2.
 func TestDensestStreamFitsBound(t *testing.T) {
 	q := make([]byte, 1<<20)
 	for _, tc := range []struct {
@@ -322,7 +323,8 @@ func TestDensestStreamFitsBound(t *testing.T) {
 		lo, hi   float64
 	}{
 		{kindBinary, legacyCompress, 115, 122},
-		{kindRANS, Compress, 690, 708},
+		{kindRANS, kind1Compress, 690, 708},
+		{kindRANS4, Compress, 690, 708},
 	} {
 		data, err := tc.compress([][]byte{q})
 		if err != nil {
@@ -526,9 +528,9 @@ func encodeKernelRejects(t *testing.T) {
 		quals[at[0]][at[1]] = fastq.MaxQuality + 1
 		_, err := legacyCompress(quals)
 		_, want := oracleCompress(quals)
-		_, kind1 := Compress(quals)
-		if err == nil || want == nil || kind1 == nil || err.Error() != want.Error() || kind1.Error() != want.Error() {
-			t.Errorf("score %d at read %d position %d: the kernel says %v, the oracle %v, Compress %v", fastq.MaxQuality+1, at[0], at[1], err, want, kind1)
+		_, rans := Compress(quals)
+		if err == nil || want == nil || rans == nil || err.Error() != want.Error() || rans.Error() != want.Error() {
+			t.Errorf("score %d at read %d position %d: the kernel says %v, the oracle %v, Compress %v", fastq.MaxQuality+1, at[0], at[1], err, want, rans)
 		}
 		quals[at[0]][at[1]] = saved
 	}
@@ -537,28 +539,30 @@ func encodeKernelRejects(t *testing.T) {
 	}
 }
 
-// Legacy streams — kind 0, as containers written before kind 1 carry
-// them — decode through Decompress to their scores, over every fixture
-// and around the read lengths the kernel's fast loop turns on.
+// Legacy streams — kind 0 and kind 1, as containers written before kind
+// 2 carry them — decode through Decompress to their scores, over every
+// fixture and around the read lengths the decoders' fast loops turn on.
 func TestLegacyStreamsDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	short := []int{0, 1, 6, 7, 150}
 	for i, fill := range []scoreFill{fillUniform, fillConstant, fillNormal, fillBinned, fillWalk} {
 		quals, lengths := randomReads(rng, fill, 40, func() int { return short[rng.Intn(len(short))] })
-		data, err := legacyCompress(quals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if data[7] != kindBinary {
-			t.Fatalf("fixture %d: legacy stream has kind %d", i, data[7])
-		}
-		got, err := Decompress(data, lengths)
-		if err != nil {
-			t.Fatalf("fixture %d: %v", i, err)
-		}
-		for r := range quals {
-			if !bytes.Equal(got[r], quals[r]) {
-				t.Fatalf("fixture %d read %d does not round-trip", i, r)
+		for kind, compress := range []func([][]byte) ([]byte, error){kindBinary: legacyCompress, kindRANS: kind1Compress} {
+			data, err := compress(quals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int(data[7]) != kind {
+				t.Fatalf("fixture %d: kind-%d stream has kind %d", i, kind, data[7])
+			}
+			got, err := Decompress(data, lengths)
+			if err != nil {
+				t.Fatalf("fixture %d kind %d: %v", i, kind, err)
+			}
+			for r := range quals {
+				if !bytes.Equal(got[r], quals[r]) {
+					t.Fatalf("fixture %d kind %d read %d does not round-trip", i, kind, r)
+				}
 			}
 		}
 	}
@@ -588,18 +592,20 @@ func oldDecompress(data []byte, lengths []int) ([][]byte, error) {
 	return out, nil
 }
 
-// A reader that predates stream kinds refuses a kind-1 stream cleanly,
-// before decoding a score, and still reads a legacy one.
+// A reader that predates stream kinds refuses a kind-1 or kind-2
+// stream cleanly, before decoding a score, and still reads a legacy one.
 func TestOldReaderRejectsKind1(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	quals, lengths := randomReads(rng, fillNormal, 8, func() int { return 150 })
-	for _, n := range []int{0, 1, 8} {
-		data, err := Compress(quals[:n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := oldDecompress(data, lengths[:n]); err == nil || !strings.Contains(err.Error(), "stream body truncated") {
-			t.Errorf("%d reads: the old reader says %v, want %q", n, err, "stream body truncated")
+	for _, compress := range []func([][]byte) ([]byte, error){kind1Compress, Compress} {
+		for _, n := range []int{0, 1, 8} {
+			data, err := compress(quals[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := oldDecompress(data, lengths[:n]); err == nil || !strings.Contains(err.Error(), "stream body truncated") {
+				t.Errorf("kind %d, %d reads: the old reader says %v, want %q", data[7], n, err, "stream body truncated")
+			}
 		}
 	}
 	legacy, err := legacyCompress(quals)

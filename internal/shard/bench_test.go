@@ -61,6 +61,34 @@ func BenchmarkDecompress(b *testing.B) {
 	}
 }
 
+// BenchmarkDecompressLong decodes long reads of the simulator's default
+// nanopore profile in 8-read shards on one worker, the shape of the
+// repository benchmark's long_plain workload: long reads are the other
+// half of what the quality stream and the base reconstruction see.
+func BenchmarkDecompressLong(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	ref := genome.Random(rng, 100_000)
+	donor, _ := genome.Donor(rng, ref, genome.HumanLikeProfile())
+	rs, err := simulate.New(rng, donor).LongReads(32, simulate.DefaultLongProfile())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := DefaultOptions(ref)
+	opt.ShardReads = 8 // 4 shards
+	data, _, err := Compress(rs, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(rs.Bytes())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decompress(data, nil, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkParseIndex(b *testing.B) {
 	rs, opt := benchSet(b)
 	data, _, err := Compress(rs, opt)

@@ -184,15 +184,6 @@ func (s *SSD) Delete(name string) error {
 	return nil
 }
 
-// FileSize returns a stored object's size.
-func (s *SSD) FileSize(name string) (int, error) {
-	meta, ok := s.files[name]
-	if !ok {
-		return 0, fmt.Errorf("ssd: no such object %q", name)
-	}
-	return meta.size, nil
-}
-
 // gcChannel reclaims space on one channel. Genomic victims are rewritten
 // sequentially in their original logical order, preserving the aligned
 // layout (§5.3: "select every block in the parallel unit as a group of

@@ -107,11 +107,6 @@ func (s *SSD) writeTime(nBytes int64, genomicLayout bool) time.Duration {
 	return time.Duration(secs * float64(time.Second))
 }
 
-// ReadEnergy returns the energy for a read busy interval.
-func (s *SSD) ReadEnergy(busy time.Duration) float64 {
-	return s.cfg.Power.ActiveReadW * busy.Seconds()
-}
-
 // IdleEnergy returns the idle energy over an interval.
 func (s *SSD) IdleEnergy(total time.Duration) float64 {
 	return s.cfg.Power.IdleW * total.Seconds()
