@@ -214,10 +214,11 @@ boundaries.
 
 decompress streams sharded containers: shards are decoded on -threads
 workers but written in order, so peak memory is a few decoded shards,
-never the whole read set. With -original-order a reordered (v5)
-container is sorted back to the exact input order using the stored
-permutation — also out of core, under the same -sort-mem/-tmpdir
-bounds; for identity-order containers the flag is a free no-op.
+never the whole read set. With -original-order each read of a
+reordered (v5) container is put back at its place in the input, read
+from the stored permutation — no sort, and out of core under the same
+-sort-mem/-tmpdir bounds; for identity-order containers the flag is a
+free no-op.
 
 serve hosts a registry of sharded containers, each opened lazily (only
 indexes are resident). -in repeats, and a directory -in serves every
@@ -759,8 +760,8 @@ func cmdDecompress(args []string) error {
 	out := fs.String("out", "", "output FASTQ (default: stdout)")
 	refPath := fs.String("ref", "", "consensus file (only if not embedded)")
 	threads := fs.Int("threads", 0, "decompression workers for sharded containers (0 = all CPUs)")
-	origOrder := fs.Bool("original-order", false, "emit reads in the exact original input order (reordered v5 containers sort back out of core)")
-	sortMem := fs.Int("sort-mem", 256, "original-order sort memory budget in MiB before spilling runs to disk")
+	origOrder := fs.Bool("original-order", false, "emit reads in the exact original input order (reordered v5 containers are put back out of core)")
+	sortMem := fs.Int("sort-mem", 256, "original-order restore memory budget in MiB before spilling to disk")
 	tmpDir := fs.String("tmpdir", "", "directory for original-order spill files (default: the system temp dir)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -809,9 +810,10 @@ func cmdDecompress(args []string) error {
 			if c, err = shard.Open(inF, fi.Size()); err == nil {
 				if *origOrder {
 					// Identity-order containers fall straight through to
-					// DecompressTo inside; reordered (v5) containers sort
-					// back under the -sort-mem budget, spilling to
-					// -tmpdir.
+					// DecompressTo inside; reordered (v5) containers
+					// scatter each read back to its original index,
+					// holding at most -sort-mem and spilling one file
+					// to -tmpdir beyond it.
 					err = c.DecompressOriginalTo(w, cons, *threads,
 						reorder.SortConfig{MemBudget: int64(*sortMem) << 20, TmpDir: *tmpDir})
 				} else {

@@ -118,9 +118,9 @@ func main() {
 	fmt.Printf("stored order: same records (first header %q vs input %q)\n",
 		stored.Records[0].Header, mixed.Records[0].Header)
 
-	// 6. Original-order recovery: DecompressOriginalTo re-sorts by the
-	// stored permutation with the same bounded-memory external sort,
-	// and the result is byte-identical to the input FASTQ — order,
+	// 6. Original-order recovery: DecompressOriginalTo puts each record
+	// back at the index the stored permutation gives it, in bounded
+	// memory, and the result is byte-identical to the input FASTQ — order,
 	// headers, everything (the CLI equivalent is
 	// `sage decompress -original-order`).
 	var restored bytes.Buffer

@@ -13,17 +13,17 @@ import (
 	"sage/internal/genome"
 )
 
-// DefaultMemBudget is the in-memory buffer the external sort fills
-// before spilling a sorted run (256 MiB).
+// DefaultMemBudget is the in-memory buffer the external sort and the
+// Restorer fill before spilling to disk (256 MiB).
 const DefaultMemBudget = 256 << 20
 
-// SortConfig bounds an external sort.
+// SortConfig bounds an external sort or a Restorer.
 type SortConfig struct {
 	// MemBudget is the approximate record-buffer size in bytes that
 	// triggers a spill (<= 0 uses DefaultMemBudget).
 	MemBudget int64
-	// TmpDir is where run files are created ("" uses os.TempDir()).
-	// Runs are removed when the sort finishes, errors, or is closed.
+	// TmpDir is where spill files are created ("" uses os.TempDir()).
+	// They are removed when the sort finishes, errors, or is closed.
 	TmpDir string
 }
 
@@ -54,8 +54,9 @@ func (g *group) bytes() int64 {
 	return n
 }
 
-// testSpillWriter, when non-nil, wraps every run-file writer — the
-// fault-injection point for the no-orphaned-temp-files test.
+// testSpillWriter, when non-nil, wraps every spill-file writer, the
+// sort's runs and the Restorer's one file alike — the fault-injection
+// point for the no-orphaned-temp-files tests.
 var testSpillWriter func(io.Writer) io.Writer
 
 // extSorter is a bounded-memory external merge sort over groups:

@@ -9,7 +9,10 @@
 //
 // The stage records the inverse permutation (new position → original
 // position) as it emits, which the container stores (format v5) and
-// Restorer uses to recover the exact original order on decode. Mate
+// Restorer uses to recover the exact original order on decode. Those
+// indices are exactly 0..n−1, so the restorer needs no comparison: it
+// scatters each record to its slot, in memory or, past the budget, one
+// key range at a time out of a single spill file. Mate
 // pairs move as one unit, and reads never cross source-file boundaries,
 // so paired semantics and file-aware sharding both survive.
 package reorder
@@ -325,60 +328,4 @@ func mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// Restorer recovers original input order from a permuted record
-// stream, out of core: records arrive tagged with their original index
-// (the container's permutation block), are externally sorted by it
-// under the same memory budget machinery as the write side, and Emit
-// streams them back in exact input order.
-type Restorer struct {
-	s      *extSorter
-	closed bool
-}
-
-// NewRestorer builds an original-order restorer.
-func NewRestorer(cfg SortConfig) *Restorer {
-	return &Restorer{s: newExtSorter(cfg)}
-}
-
-// Add buffers one record under its original index.
-func (r *Restorer) Add(origIdx int64, rec fastq.Record) error {
-	if origIdx < 0 {
-		return fmt.Errorf("reorder: negative original index %d", origIdx)
-	}
-	return r.s.add(group{key: uint64(origIdx), seq: origIdx, recs: []fastq.Record{rec}})
-}
-
-// Emit streams the buffered records in original order. Call once,
-// after the last Add.
-func (r *Restorer) Emit(fn func(rec *fastq.Record) error) error {
-	it, err := r.s.finish()
-	if err != nil {
-		return err
-	}
-	for {
-		g, ok, err := it.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if err := fn(&g.recs[0]); err != nil {
-			return err
-		}
-	}
-}
-
-// SpilledRuns returns the number of sorted runs spilled to temp files.
-func (r *Restorer) SpilledRuns() int { return r.s.spills() }
-
-// Close removes the restorer's temp files. Idempotent.
-func (r *Restorer) Close() error {
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	return r.s.close()
 }

@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -375,39 +376,204 @@ func assertNoRunFiles(t *testing.T, dir string) {
 	}
 }
 
-// Restorer inverts an arbitrary permutation, in memory and spilled.
+// sameRecord reports whether got is want, telling a nil Qual from an
+// empty one.
+func sameRecord(got, want *fastq.Record) bool {
+	return got.Header == want.Header && bytes.Equal(got.Seq, want.Seq) &&
+		bytes.Equal(got.Qual, want.Qual) && (got.Qual == nil) == (want.Qual == nil)
+}
+
+// restore adds recs under perm to a restorer and returns what Emit
+// yields, copied, with Emit's error.
+func restore(t *testing.T, r *Restorer, recs []fastq.Record, perm []int64) ([]fastq.Record, error) {
+	t.Helper()
+	for i, p := range perm {
+		if err := r.Add(p, recs[i]); err != nil {
+			return nil, err
+		}
+	}
+	var out []fastq.Record
+	err := r.Emit(func(rec *fastq.Record) error {
+		out = append(out, fastq.Record{Header: rec.Header, Seq: bytes.Clone(rec.Seq), Qual: bytes.Clone(rec.Qual)})
+		return nil
+	})
+	return out, err
+}
+
+// Restorer inverts an arbitrary permutation in memory, spilled over a
+// few ranges, and spilled one record per range, always into one file;
+// a nil and an empty quality come back as they went in.
 func TestRestorerRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	orig := randomRecords(rng, 300)
-	permuted := rng.Perm(len(orig))
-	for _, budget := range []int64{0, 2 << 10} {
-		r := NewRestorer(SortConfig{MemBudget: budget, TmpDir: t.TempDir()})
-		for _, p := range permuted {
-			if err := r.Add(int64(p), orig[p]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		i := 0
-		err := r.Emit(func(rec *fastq.Record) error {
-			if rec.Header != orig[i].Header {
-				return fmt.Errorf("position %d: got %q want %q", i, rec.Header, orig[i].Header)
-			}
-			i++
-			return nil
-		})
+	orig[17].Qual = nil
+	orig[18] = fastq.Record{Header: "empty", Seq: genome.Seq{}, Qual: []byte{}}
+	orig[19] = fastq.Record{Header: "", Seq: genome.Seq{}}
+	order := rng.Perm(len(orig))
+	recs := make([]fastq.Record, len(orig))
+	perm := make([]int64, len(orig))
+	for i, p := range order {
+		recs[i], perm[i] = orig[p], int64(p)
+	}
+	for _, budget := range []int64{0, 2 << 10, 1} {
+		tmp := t.TempDir()
+		r := NewRestorer(SortConfig{MemBudget: budget, TmpDir: tmp})
+		out, err := restore(t, r, recs, perm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i != len(orig) {
-			t.Fatalf("emitted %d of %d records", i, len(orig))
+		if len(out) != len(orig) {
+			t.Fatalf("budget %d: emitted %d of %d records", budget, len(out), len(orig))
+		}
+		for i := range out {
+			if !sameRecord(&out[i], &orig[i]) {
+				t.Fatalf("budget %d, position %d: got %+v want %+v", budget, i, out[i], orig[i])
+			}
 		}
 		if budget > 0 && r.SpilledRuns() == 0 {
-			t.Fatal("2 KiB budget did not spill")
+			t.Fatalf("%d-byte budget did not spill", budget)
+		}
+		// One byte makes every record its own range, in the one file.
+		if budget == 1 && (r.width != 1 || len(r.ranges) != len(orig)) {
+			t.Fatalf("width %d over %d ranges, want 1 over %d", r.width, len(r.ranges), len(orig))
+		}
+		if runs, _ := filepath.Glob(filepath.Join(tmp, "sage-sort-*.run")); budget > 0 && len(runs) != 1 {
+			t.Fatalf("%d spill files, want 1", len(runs))
 		}
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}
+		assertNoRunFiles(t, tmp)
 	}
+}
+
+// Indices that are not exactly 0..n−1 fail by name, in memory and
+// spilled, and never emit a record out of place.
+func TestRestorerRejects(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	orig := randomRecords(rng, 40)
+	identity := func() []int64 {
+		p := make([]int64, len(orig))
+		for i := range p {
+			p[i] = int64(i)
+		}
+		return p
+	}
+	cases := []struct {
+		name string
+		edit func([]int64) []int64
+		want string
+	}{
+		{"repeated", func(p []int64) []int64 { p[30] = 12; return p }, "original index 12 repeated"},
+		{"hole", func(p []int64) []int64 { return append(p[:25:25], p[26:]...) }, "original index 39 is outside the 39 records"},
+		{"outside", func(p []int64) []int64 { p[7] = 1 << 40; return p }, "original index 1099511627776 is outside the 40 records"},
+		{"negative", func(p []int64) []int64 { p[3] = -2; return p }, "negative original index -2"},
+	}
+	for _, tc := range cases {
+		for _, budget := range []int64{0, 1 << 10} {
+			t.Run(fmt.Sprintf("%s/budget=%d", tc.name, budget), func(t *testing.T) {
+				perm := tc.edit(identity())
+				recs := make([]fastq.Record, len(perm))
+				for i, p := range perm {
+					recs[i] = orig[min(max(p, 0), int64(len(orig)-1))]
+				}
+				tmp := t.TempDir()
+				r := NewRestorer(SortConfig{MemBudget: budget, TmpDir: tmp})
+				out, err := restore(t, r, recs, perm)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("error %v, want one containing %q", err, tc.want)
+				}
+				for i := range out {
+					if !sameRecord(&out[i], &orig[i]) {
+						t.Fatalf("emitted %q at position %d before failing", out[i].Header, i)
+					}
+				}
+				r.Close()
+				assertNoRunFiles(t, tmp)
+			})
+		}
+	}
+	// In spilled ranges a repeat leaves a hole, named when its range
+	// comes first.
+	perm := identity()
+	perm[2] = 35
+	r := NewRestorer(SortConfig{MemBudget: 1 << 10, TmpDir: t.TempDir()})
+	defer r.Close()
+	if _, err := restore(t, r, orig, perm); err == nil || !strings.Contains(err.Error(), "original index 2 missing") {
+		t.Fatalf("error %v, want index 2 missing", err)
+	}
+}
+
+// byteLimit fails every write once n bytes have gone through.
+type byteLimit struct {
+	w io.Writer
+	n int
+}
+
+func (b *byteLimit) Write(p []byte) (int, error) {
+	if len(p) > b.n {
+		n, _ := b.w.Write(p[:b.n])
+		b.n = 0
+		return n, fmt.Errorf("injected disk full")
+	}
+	b.n -= len(p)
+	return b.w.Write(p)
+}
+
+// A spill write that fails at byte N, and a spill file cut short before
+// Emit reads it back, each fail naming the file; Close leaves nothing.
+func TestRestorerFaults(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	orig := randomRecords(rng, 300)
+	order := rng.Perm(len(orig))
+	for _, n := range []int{0, 1, 700, 5000} {
+		t.Run(fmt.Sprintf("write-fails-at-%d", n), func(t *testing.T) {
+			testSpillWriter = func(w io.Writer) io.Writer { return &byteLimit{w: w, n: n} }
+			defer func() { testSpillWriter = nil }()
+			tmp := t.TempDir()
+			r := NewRestorer(SortConfig{MemBudget: 2 << 10, TmpDir: tmp})
+			var err error
+			for _, p := range order {
+				if err = r.Add(int64(p), orig[p]); err != nil {
+					break
+				}
+			}
+			if err == nil || !strings.Contains(err.Error(), filepath.Join(tmp, "sage-sort-")) {
+				t.Fatalf("Add error %v does not name the spill file", err)
+			}
+			if err := r.Emit(func(*fastq.Record) error { return nil }); err == nil {
+				t.Fatal("Emit after a failed spill succeeded")
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			assertNoRunFiles(t, tmp)
+		})
+	}
+	t.Run("truncated", func(t *testing.T) {
+		tmp := t.TempDir()
+		r := NewRestorer(SortConfig{MemBudget: 2 << 10, TmpDir: tmp})
+		for _, p := range order {
+			if err := r.Add(int64(p), orig[p]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runs, _ := filepath.Glob(filepath.Join(tmp, "sage-sort-*.run"))
+		if len(runs) != 1 {
+			t.Fatalf("%d spill files, want 1", len(runs))
+		}
+		if err := os.Truncate(runs[0], r.off/2); err != nil {
+			t.Fatal(err)
+		}
+		err := r.Emit(func(*fastq.Record) error { return nil })
+		if err == nil || !strings.Contains(err.Error(), runs[0]) {
+			t.Fatalf("Emit error %v does not name %s", err, runs[0])
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertNoRunFiles(t, tmp)
+	})
 }
 
 // The run-file codec must round-trip nil vs empty quality distinctly.

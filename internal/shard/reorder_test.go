@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 // reorderCompress runs input FASTQ text through the full v5 pipeline:
 // BatchReader → clump Stage → CompressPipeline.
-func reorderCompress(t *testing.T, input []byte, opt Options, paired bool, sc reorder.SortConfig) ([]byte, *Stats, []int64) {
+func reorderCompress(t testing.TB, input []byte, opt Options, paired bool, sc reorder.SortConfig) ([]byte, *Stats, []int64) {
 	t.Helper()
 	var src fastq.BatchSource = fastq.NewBatchReader(bytes.NewReader(input), opt.shardReads())
 	st, err := reorder.NewStage(src, reorder.Config{
@@ -96,6 +97,39 @@ func TestReorderRoundtrip(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), input) {
 		t.Fatal("spilled original-order decode diverged")
+	}
+}
+
+// TestOriginalOrderBudgets restores a 1200-read container at four
+// budgets: the default, which never spills; a quarter of the input,
+// what the repository benchmark's 1 MiB is to its reads; a 64th, which
+// makes more than 50 key ranges; and one byte, which makes every record
+// its own range — more ranges than a process may have files open, all
+// in the one spill file. A record counts for more than its FASTQ text
+// against the budget, so a budget of len(input)/k gives at least about
+// k ranges.
+func TestOriginalOrderBudgets(t *testing.T) {
+	rs, ref := testSet(t, 1200)
+	input := rs.Bytes()
+	opt := DefaultOptions(ref)
+	opt.ShardReads = 64
+	data, _, _ := reorderCompress(t, input, opt, false, reorder.SortConfig{})
+	c, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{0, int64(len(input) / 4), int64(len(input) / 64), 1} {
+		tmp := t.TempDir()
+		var out bytes.Buffer
+		if err := c.DecompressOriginalTo(&out, nil, 2, reorder.SortConfig{MemBudget: budget, TmpDir: tmp}); err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if !bytes.Equal(out.Bytes(), input) {
+			t.Fatalf("budget %d: original-order decode diverged", budget)
+		}
+		if left, _ := filepath.Glob(filepath.Join(tmp, "*")); len(left) != 0 {
+			t.Fatalf("budget %d left %v behind", budget, left)
+		}
 	}
 }
 

@@ -385,11 +385,12 @@ func (c *Container) DecompressTo(w io.Writer, cons genome.Seq, workers int) erro
 // original input order. For identity-order containers it is
 // DecompressTo; for a reordered container (format v5) the shards
 // decode through the same bounded-memory window, each record is tagged
-// with its original index from the stored inverse permutation, and an
-// external sort under sc's memory budget puts the stream back —
-// original-order recovery of a container far larger than RAM costs
-// O(window + sort budget), not O(container). This is the engine behind
-// `sage decompress -original-order`.
+// with its original index from the stored inverse permutation, and
+// reorder.Restorer scatters the records back to those indices — in
+// memory within sc's budget, else range by range out of one spill
+// file — so original-order recovery of a container far larger than
+// RAM costs O(window + budget), not O(container). This is the engine
+// behind `sage decompress -original-order`.
 func (c *Container) DecompressOriginalTo(w io.Writer, cons genome.Seq, workers int, sc reorder.SortConfig) error {
 	if c.Index.ReorderMode == ReorderNone {
 		return c.DecompressTo(w, cons, workers)
