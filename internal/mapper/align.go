@@ -75,14 +75,9 @@ func (a *Alignment) NumMismatches() int {
 	return n
 }
 
-// ReconstructSegment rebuilds a read segment from the consensus and its
-// alignment — the exact operation the Read Construction Unit performs in
-// hardware (§5.2.2 ⑪). It is used by tests and by the SAGe decoder.
-func ReconstructSegment(cons genome.Seq, consPos int, segLen int, edits []Edit) (genome.Seq, error) {
-	return appendSegment(make(genome.Seq, 0, segLen), cons, consPos, segLen, edits)
-}
-
-// appendSegment appends the segment ReconstructSegment describes to dst.
+// appendSegment appends to dst the read segment of segLen bases that
+// starts at consPos and differs from the consensus by edits — the
+// operation the Read Construction Unit performs in hardware (§5.2.2 ⑪).
 func appendSegment(dst, cons genome.Seq, consPos int, segLen int, edits []Edit) (genome.Seq, error) {
 	start := len(dst)
 	c := consPos

@@ -60,6 +60,31 @@ func BenchmarkMapLongRead(b *testing.B) {
 	}
 }
 
+// BenchmarkMapWorkload maps what ingest maps: the repository benchmark's
+// short_plain and long_plain read sets (the same simulator settings,
+// genome length and depth) against their consensus, one read per op.
+// Unlike the two benchmarks above, these reads carry indels, N, clips and
+// chimeras, and reach every tier of the mapper.
+func BenchmarkMapWorkload(b *testing.B) {
+	for _, w := range []struct {
+		name string
+		long bool
+		glen int
+	}{{"short", false, 96000}, {"long", true, 160000}} {
+		b.Run(w.name, func(b *testing.B) {
+			ref, reads := workloadReads(b, w.long, w.glen, 2)
+			m, err := New(ref, DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				m.Map(reads[i%len(reads)])
+			}
+		})
+	}
+}
+
 // BenchmarkAlignKernel times the tier-2 kernel alone on a 1.6 kb piece
 // with 3 % substitutions, over the window and band a pinned cluster
 // gives it.
@@ -111,12 +136,12 @@ func BenchmarkIndexLookup(b *testing.B) {
 	}
 	var present, absent, mix []uint64
 	for len(present) < 1<<17 {
-		p := rng.Intn(len(cons) - idx.K())
-		code, _ := EncodeKmer(cons[p : p+idx.K()])
+		p := rng.Intn(len(cons) - idx.k)
+		code, _ := encodeKmer(cons[p : p+idx.k])
 		present = append(present, code)
 	}
 	for len(absent) < 1<<17 {
-		if code := rng.Uint64() >> (64 - 2*idx.K()); idx.Lookup(code) == nil {
+		if code := rng.Uint64() >> (64 - 2*idx.k); idx.Lookup(code) == nil {
 			absent = append(absent, code)
 		}
 	}
@@ -125,7 +150,7 @@ func BenchmarkIndexLookup(b *testing.B) {
 		read := cons[p : p+150].Clone()
 		read[rng.Intn(len(read))] = byte(rng.Intn(4))
 		for _, oriented := range []genome.Seq{read, read.ReverseComplement()} {
-			ForEachKmer(oriented, idx.K(), cfg.SeedStep, func(_ int, code uint64) { mix = append(mix, code) })
+			ForEachKmer(oriented, idx.k, cfg.SeedStep, func(_ int, code uint64) { mix = append(mix, code) })
 		}
 	}
 	for _, probes := range []struct {

@@ -17,12 +17,24 @@ func forEachKmerPerWindow(s genome.Seq, k, step int, fn func(pos int, code uint6
 		return
 	}
 	for p := 0; p+k <= len(s); p += step {
-		code, ok := EncodeKmer(s[p : p+k])
+		code, ok := encodeKmer(s[p : p+k])
 		if !ok {
 			continue
 		}
 		fn(p, code)
 	}
+}
+
+// encodeKmer packs an N-free k-mer into a 2-bit-per-base code; ok is
+// false if the k-mer contains N.
+func encodeKmer(s genome.Seq) (code uint64, ok bool) {
+	for _, b := range s {
+		if b > genome.BaseT {
+			return 0, false
+		}
+		code = code<<2 | uint64(b)
+	}
+	return code, true
 }
 
 type mapIndex struct {
@@ -47,8 +59,9 @@ func (x *mapIndex) Lookup(code uint64) []int32 {
 }
 
 // checkIndexAgainstMap builds both indexes over cons and compares Lookup
-// on every k-mer of the consensus and on absent random codes: the same
-// ascending positions, and nil for the same codes.
+// on every k-mer of the consensus and on absent random codes — the same
+// ascending positions, and nil for the same codes — and the unique bit of
+// every consensus position.
 func checkIndexAgainstMap(t testing.TB, rng *rand.Rand, cons genome.Seq, cfg IndexConfig, absent int) *mapIndex {
 	t.Helper()
 	idx, err := NewIndex(cons, cfg)
@@ -73,6 +86,20 @@ func checkIndexAgainstMap(t testing.TB, rng *rand.Rand, cons genome.Seq, cfg Ind
 			code >>= 64 - 2*uint(cfg.K)
 		}
 		check(code)
+	}
+	// unique[q] holds exactly for the indexed positions whose k-mer the
+	// map index holds at q alone.
+	once := make([]bool, len(cons))
+	forEachKmerPerWindow(cons, cfg.K, cfg.Step, func(p int, code uint64) {
+		once[p] = len(want.pos[code]) == 1
+	})
+	if len(idx.unique) != (len(cons)+63)/64 {
+		t.Fatalf("%d bases: %d words of unique bits", len(cons), len(idx.unique))
+	}
+	for q, w := range once {
+		if g := idx.unique[q>>6]&(1<<(q&63)) != 0; g != w {
+			t.Fatalf("%d bases, %+v: unique[%d] = %v, the map index says %v", len(cons), cfg, q, g, w)
+		}
 	}
 	return want
 }

@@ -67,7 +67,7 @@ type alignResult struct {
 // the oracle only through a path the oracle could not take.
 func checkAgainstOracle(cons, piece genome.Seq, band, oracleBand diagBand, got, want alignResult) (pinned bool, err error) {
 	if got.ok {
-		back, err := ReconstructSegment(cons, got.pos, len(piece), got.edits)
+		back, err := appendSegment(nil, cons, got.pos, len(piece), got.edits)
 		if err != nil || !back.Equal(piece) {
 			return false, fmt.Errorf("kernel alignment does not rebuild the piece (err %v): %+v", err, got)
 		}
@@ -135,7 +135,7 @@ func (s *oracleSim) piece(oriented genome.Seq, start, end int, c cluster) error 
 	if !ok {
 		return nil
 	}
-	got, err := ReconstructSegment(m.idx.cons, seg.ConsPos, seg.ReadLen, seg.Edits)
+	got, err := appendSegment(nil, m.idx.cons, seg.ConsPos, seg.ReadLen, seg.Edits)
 	if err != nil || !got.Equal(p) || seg.Cost != cost {
 		return fmt.Errorf("alignPiece: err %v, cost %d (banded tier %d), segment %+v", err, seg.Cost, cost, seg)
 	}
@@ -403,7 +403,7 @@ func TestAlignBandIsStrictlyBanded(t *testing.T) {
 		}
 		if got.ok {
 			aligned++
-			back, err := ReconstructSegment(window, got.pos, len(read), got.edits)
+			back, err := appendSegment(nil, window, got.pos, len(read), got.edits)
 			if err != nil || !back.Equal(read) {
 				t.Fatalf("read %s window %s band [%d,%d]: does not rebuild (err %v): %+v", read, window, dLo, dHi, err, got)
 			}

@@ -183,11 +183,28 @@ func compareClusters(a, b cluster) int {
 
 // collectClusters seeds oriented as given, clusters hits by diagonal,
 // and appends the clusters to out.
+//
+// Seeding is guided: once a probe has returned exactly one position, that
+// hit's diagonal is the strand's guide, and a later seed whose bases equal
+// the consensus on the guide, at a position the index holds as its k-mer's
+// only one, is that k-mer's hit without a probe — Lookup could return
+// nothing else. Every other seed probes, so the hits are the probe's.
 func (m *Mapper) collectClusters(out []cluster, sc *mapScratch, oriented genome.Seq, rev bool) []cluster {
+	idx, k := m.idx, m.idx.k
 	hits := sc.hits[:0]
-	ForEachKmer(oriented, m.idx.k, m.cfg.SeedStep, func(p int, code uint64) {
-		for _, cp := range m.idx.Lookup(code) {
+	guide, guided := 0, false
+	ForEachKmer(oriented, k, m.cfg.SeedStep, func(p int, code uint64) {
+		if q := guide + p; guided && uint(q) < uint(len(idx.cons)) && idx.unique[q>>6]&(1<<(q&63)) != 0 &&
+			string(oriented[p:p+k]) == string(idx.cons[q:q+k]) {
+			hits = append(hits, seedHit{readPos: p, diag: guide})
+			return
+		}
+		cps := idx.Lookup(code)
+		for _, cp := range cps {
 			hits = append(hits, seedHit{readPos: p, diag: int(cp) - p})
+		}
+		if len(cps) == 1 {
+			guide, guided = int(cps[0])-p, true
 		}
 	})
 	sc.hits = hits

@@ -11,7 +11,7 @@ import (
 )
 
 func TestEncodeKmer(t *testing.T) {
-	code, ok := EncodeKmer(genome.MustFromString("ACGT"))
+	code, ok := encodeKmer(genome.MustFromString("ACGT"))
 	if !ok {
 		t.Fatal("ACGT should encode")
 	}
@@ -19,7 +19,7 @@ func TestEncodeKmer(t *testing.T) {
 	if code != 0b00011011 {
 		t.Fatalf("got %b", code)
 	}
-	if _, ok := EncodeKmer(genome.MustFromString("ACNT")); ok {
+	if _, ok := encodeKmer(genome.MustFromString("ACNT")); ok {
 		t.Fatal("k-mer with N must not encode")
 	}
 }
@@ -30,7 +30,7 @@ func TestIndexLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, _ := EncodeKmer(genome.MustFromString("ACGT"))
+	code, _ := encodeKmer(genome.MustFromString("ACGT"))
 	hits := idx.Lookup(code)
 	if len(hits) != 3 {
 		t.Fatalf("got %d hits want 3", len(hits))
@@ -46,7 +46,7 @@ func TestIndexMaxOcc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, _ := EncodeKmer(cons[:5])
+	code, _ := encodeKmer(cons[:5])
 	if idx.Lookup(code) != nil {
 		t.Fatal("over-frequent k-mer should be suppressed")
 	}
@@ -112,7 +112,7 @@ func TestFitAlignSubstitution(t *testing.T) {
 		if e.Type != genome.Substitution || e.ReadPos != 3 || e.Bases[0] != genome.BaseT {
 			t.Fatalf("%s: edit %+v", k.name, e)
 		}
-		got, err := ReconstructSegment(cons, start, len(read), edits)
+		got, err := appendSegment(nil, cons, start, len(read), edits)
 		if err != nil {
 			t.Fatal(k.name, err)
 		}
@@ -134,7 +134,7 @@ func TestFitAlignIndelBlocks(t *testing.T) {
 		if cost == 0 {
 			t.Fatal(k.name, "expected nonzero cost")
 		}
-		got, err := ReconstructSegment(cons, start, len(read), edits)
+		got, err := appendSegment(nil, cons, start, len(read), edits)
 		if err != nil {
 			t.Fatal(k.name, err)
 		}
@@ -159,7 +159,7 @@ func TestFitAlignEmptyWindow(t *testing.T) {
 	}
 }
 
-// Property: a fitting alignment + ReconstructSegment is the identity on
+// Property: a fitting alignment + appendSegment is the identity on
 // the read for arbitrary mutated fragments, regardless of alignment
 // quality.
 func TestQuickFitAlignRoundtrip(t *testing.T) {
@@ -198,7 +198,7 @@ func TestQuickFitAlignRoundtrip(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			got, err := ReconstructSegment(cons[winLo:winHi], cs, len(read), edits)
+			got, err := appendSegment(nil, cons[winLo:winHi], cs, len(read), edits)
 			return err == nil && got.Equal(read)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
