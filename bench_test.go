@@ -1,8 +1,11 @@
 // Package sage_test exposes every table and figure of the paper's
 // evaluation as a testing.B benchmark. Each benchmark runs the
 // corresponding experiment from internal/bench and prints the resulting
-// table once, so `go test -bench=. -benchmem` regenerates the full
-// evaluation (BENCH_10.json records one run's machine-readable metrics).
+// table once, so `go test -bench=. -benchmem` regenerates the modeled
+// evaluation plus the instorage, query and reorder experiments.
+// Measured wall-clock throughput (ingest, decode, serving, gzip
+// ingest, worker scaling) comes only from the repository benchmark:
+// `bash benchmark/run.sh --workload <name>`.
 //
 // Dataset generation and compressor measurement are shared across
 // benchmarks through a lazily-initialized suite; the timed region is the
@@ -68,17 +71,6 @@ func BenchmarkFig17_OptBreakdown(b *testing.B)      { runExperiment(b, "fig17") 
 func BenchmarkTable3_ToolComparison(b *testing.B)   { runExperiment(b, "tab3") }
 func BenchmarkFig18_CompressionTime(b *testing.B)   { runExperiment(b, "fig18") }
 
-// BenchmarkShardScaling reports the sharded-pipeline scaling table:
-// measured per-shard compression times scheduled onto 1..16 workers
-// (see internal/bench/shard.go; wall-clock pool runs live in
-// internal/shard's own benchmarks).
-func BenchmarkShardScaling(b *testing.B) { runExperiment(b, "shard") }
-
-// BenchmarkIngest reports multi-file ingest throughput vs input file
-// count, with file-aware shard boundaries and a paired-end R1/R2 row
-// (see internal/bench/ingest.go).
-func BenchmarkIngest(b *testing.B) { runExperiment(b, "ingest") }
-
 // BenchmarkInstorage reports the in-storage scan-unit dispatch table:
 // a sharded container placed shard-aligned on the modeled SSD, per-shard
 // flash-read + decode service times scheduled onto 1..8 per-channel
@@ -95,12 +87,6 @@ func BenchmarkQuery(b *testing.B) { runExperiment(b, "query") }
 // out-of-core external sort forced and byte-exact original-order
 // recovery verified (see internal/bench/reorder.go).
 func BenchmarkReorder(b *testing.B) { runExperiment(b, "reorder") }
-
-// BenchmarkIngestDecode reports the compressed-ingest decode stage:
-// member-parallel gzip (BGZF) vs serial stdlib, the
-// decode-vs-compress critical-path check, and recompress byte-identity
-// (see internal/bench/ingestdecode.go).
-func BenchmarkIngestDecode(b *testing.B) { runExperiment(b, "ingestdecode") }
 
 // BenchmarkCodecCompress and BenchmarkCodecDecompress time the SAGe codec
 // itself (microbenchmarks complementing the system-level experiments).

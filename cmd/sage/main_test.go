@@ -35,7 +35,7 @@ var framings = []struct {
 	}},
 	{"bgzf", func(t *testing.T, plain []byte) []byte {
 		var buf bytes.Buffer
-		zw, err := pargz.NewWriterLevel(&buf, gzip.DefaultCompression, 16<<10)
+		zw, err := pargz.NewWriterLevel(&buf, gzip.DefaultCompression, 8<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,15 @@ func TestIngestMatrix(t *testing.T) {
 					// Same base name under every framing: the manifest
 					// records it, and sniffing goes by magic, not extension.
 					p := filepath.Join(in, f)
-					if err := os.WriteFile(p, fr.encode(t, sh.texts[i]), 0o644); err != nil {
+					enc := fr.encode(t, sh.texts[i])
+					if fr.name == "bgzf" {
+						// Enough members that the member-parallel tier
+						// keeps several decode workers busy at once.
+						if m, err := pargz.SplitMembers(enc); err != nil || len(m) < 8 {
+							t.Fatalf("%s/%s: BGZF input holds %d members (err %v), want >= 8", sh.name, f, len(m), err)
+						}
+					}
+					if err := os.WriteFile(p, enc, 0o644); err != nil {
 						t.Fatal(err)
 					}
 					inputs = append(inputs, p)

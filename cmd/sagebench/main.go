@@ -1,5 +1,7 @@
 // Command sagebench regenerates every table and figure of the SAGe
-// paper's evaluation (§8) on the synthetic RS1–RS5 read sets.
+// paper's evaluation (§8) on the synthetic RS1–RS5 read sets, plus the
+// modeled in-storage dispatch, query push-down and reorder-size
+// experiments. Measured wall-clock figures come from benchmark/run.sh.
 //
 // Usage:
 //
@@ -10,8 +12,8 @@
 // repository's Go decompressors on this machine (measured) or from the
 // paper's published component ratios (paper); see DESIGN.md's
 // hybrid-calibration note. The -json flag additionally writes every
-// experiment's machine-readable metrics (latency percentiles, speedups,
-// ratios) as one JSON object keyed by experiment ID.
+// experiment's machine-readable metrics (speedups, ratios, modeled
+// times) as one JSON object keyed by experiment ID.
 package main
 
 import (
@@ -26,7 +28,7 @@ import (
 
 // writeJSON collects each table's Metrics map into one document:
 //
-//	{"serve": {"cold_p99_ms": 1.9, ...}, "query": {...}, ...}
+//	{"instorage": {"speedup_8unit": ..., ...}, "query": {...}, ...}
 //
 // Experiments without metrics are omitted rather than serialized as
 // empty objects, so the file only states what was measured.

@@ -343,8 +343,8 @@ func TestRunAndIDs(t *testing.T) {
 		t.Fatal("unknown experiment must error")
 	}
 	ids := s.IDs()
-	if len(ids) != 20 {
-		t.Fatalf("expected 20 experiments, got %d", len(ids))
+	if len(ids) != 16 {
+		t.Fatalf("expected 16 experiments, got %d", len(ids))
 	}
 	tb, err := s.Run("tab1")
 	if err != nil {

@@ -745,13 +745,9 @@ func (s *Suite) experimentList() []struct {
 		{"fig17", s.Fig17},
 		{"tab3", s.Table3},
 		{"fig18", s.Fig18},
-		{"shard", s.ShardScaling},
-		{"serve", s.ServeExperiment},
-		{"ingest", s.IngestExperiment},
 		{"instorage", s.InstorageExperiment},
 		{"query", s.QueryExperiment},
 		{"reorder", s.ReorderExperiment},
-		{"ingestdecode", s.IngestDecodeExperiment},
 	}
 }
 

@@ -12,13 +12,54 @@ import (
 // This file benchmarks the in-storage scan-unit dispatch engine
 // (internal/instorage): a sharded container is placed on the modeled
 // SSD with shard-aligned genomic placement and every shard is streamed
-// through a per-channel Scan/Read-Construction unit. Unlike the shard
-// and ingest experiments — whose per-shard times are *measured* host
-// compression — the per-shard times here are *modeled* flash reads and
-// scan-unit decodes (the decode is still performed functionally, so
-// the bytes are real); the scan-unit pool schedule is then computed by
-// the same ShardMakespan discipline, which is what unifies the two
-// stacks.
+// through a per-channel Scan/Read-Construction unit. The per-shard
+// times are *modeled* flash reads and scan-unit decodes (the decode is
+// still performed functionally, so the bytes are real); the scan-unit
+// pool schedule is then computed by ShardMakespan. Measured wall-clock
+// figures come only from the repository benchmark (benchmark/).
+
+// ShardMakespan computes the completion time of a pool of `workers`
+// executing jobs with the given durations. Jobs are handed in order to
+// the first free worker — the same discipline shard.CompressPipeline's
+// channel pool follows.
+func ShardMakespan(durations []time.Duration, workers int) time.Duration {
+	if workers < 1 {
+		workers = 1
+	}
+	if workers > len(durations) {
+		workers = len(durations)
+	}
+	if workers == 0 {
+		return 0
+	}
+	busy := make([]time.Duration, workers)
+	for _, d := range durations {
+		min := 0
+		for w := 1; w < workers; w++ {
+			if busy[w] < busy[min] {
+				min = w
+			}
+		}
+		busy[min] += d
+	}
+	makespan := busy[0]
+	for _, b := range busy[1:] {
+		if b > makespan {
+			makespan = b
+		}
+	}
+	return makespan
+}
+
+// ShardSpeedup returns makespan(1 worker) / makespan(workers).
+func ShardSpeedup(durations []time.Duration, workers int) float64 {
+	base := ShardMakespan(durations, 1)
+	par := ShardMakespan(durations, workers)
+	if par <= 0 {
+		return 1
+	}
+	return float64(base) / float64(par)
+}
 
 // instorageUnitCounts is the scan-unit sweep the experiment reports;
 // the paper's device has 8 channels, one unit per channel (Table 1).

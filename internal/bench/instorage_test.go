@@ -9,6 +9,34 @@ import (
 	"sage/internal/pipeline"
 )
 
+func TestShardMakespan(t *testing.T) {
+	ms := func(v ...int) []time.Duration {
+		out := make([]time.Duration, len(v))
+		for i, x := range v {
+			out[i] = time.Duration(x) * time.Millisecond
+		}
+		return out
+	}
+	cases := []struct {
+		durations []time.Duration
+		workers   int
+		want      time.Duration
+	}{
+		{ms(10, 10, 10, 10), 1, 40 * time.Millisecond},
+		{ms(10, 10, 10, 10), 2, 20 * time.Millisecond},
+		{ms(10, 10, 10, 10), 4, 10 * time.Millisecond},
+		{ms(10, 10, 10, 10), 8, 10 * time.Millisecond}, // workers capped at shard count
+		{ms(40, 10, 10, 10), 2, 40 * time.Millisecond}, // skewed: long shard dominates
+		{ms(), 4, 0},
+		{ms(7), 3, 7 * time.Millisecond},
+	}
+	for i, c := range cases {
+		if got := ShardMakespan(c.durations, c.workers); got != c.want {
+			t.Errorf("case %d: makespan(%v, %d) = %v, want %v", i, c.durations, c.workers, got, c.want)
+		}
+	}
+}
+
 // TestInstorageGate is the experiment's shape gate: scheduling the
 // per-shard service times onto the 8-channel scan-unit array must show
 // real parallel speedup over a single unit, and the scan-unit decode

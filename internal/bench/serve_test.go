@@ -1,89 +1,25 @@
 package bench
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"sage/internal/genome"
+	"sage/internal/serve"
 	"sage/internal/shard"
 	"sage/internal/simulate"
 )
 
-// TestMeasureServe is the acceptance gate for the serving experiment: on
-// a small container, the cold sweep must cost exactly one decode per
-// shard, the warm sweep and concurrent phase must be served from cache
-// (no further decodes — the cache is sized to hold the whole set), and
-// the hit ratio must account for every request. Wall-clock speedups are
-// reported by the experiment but not gated here: CI boxes are too noisy.
-func TestMeasureServe(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ref := genome.Random(rng, 30_000)
-	donor, _ := genome.Donor(rng, ref, genome.HumanLikeProfile())
-	rs, err := simulate.New(rng, donor).ShortReads(400, simulate.DefaultShortProfile())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := shard.DefaultOptions(ref)
-	opt.ShardReads = 50 // 8 shards
-	data, _, err := shard.Compress(rs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const clients, rounds = 4, 2
-	results, st, err := MeasureServe(data, clients, rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d phases, want 3", len(results))
-	}
-	shards := 8
-	wantReqs := shards + shards + clients*rounds*shards
-	if got := int(st.Hits + st.Misses); got != wantReqs {
-		t.Fatalf("hits+misses = %d, want %d", got, wantReqs)
-	}
-	if st.Decodes != int64(shards) {
-		t.Fatalf("decodes = %d, want %d (one per shard, cold sweep only)", st.Decodes, shards)
-	}
-	if st.Evictions != 0 {
-		t.Fatalf("evictions = %d with an oversized budget", st.Evictions)
-	}
-	wantRatio := float64(wantReqs-shards) / float64(wantReqs)
-	if st.HitRatio < wantRatio-1e-9 {
-		t.Fatalf("hit ratio %.3f, want >= %.3f", st.HitRatio, wantRatio)
-	}
-	for _, r := range results {
-		if r.Bytes == 0 || r.Total <= 0 {
-			t.Fatalf("phase %q measured nothing: %+v", r.Phase, r)
-		}
-	}
-	// Every phase served identical content, so bytes must agree.
-	if results[0].Bytes != results[1].Bytes {
-		t.Fatalf("cold sweep served %d bytes, warm %d", results[0].Bytes, results[1].Bytes)
-	}
-	if results[2].Bytes != int64(clients*rounds)*results[0].Bytes {
-		t.Fatalf("concurrent phase served %d bytes, want %d",
-			results[2].Bytes, int64(clients*rounds)*results[0].Bytes)
-	}
-	// Each phase carries latency percentiles from its histogram, and
-	// they must be ordered; absolute values are not gated (CI noise).
-	for _, r := range results {
-		if r.P50 <= 0 {
-			t.Fatalf("phase %q has no p50: %+v", r.Phase, r)
-		}
-		if r.P50 > r.P90 || r.P90 > r.P99 || r.P99 > r.P999 {
-			t.Fatalf("phase %q percentiles not monotone: p50=%v p90=%v p99=%v p999=%v",
-				r.Phase, r.P50, r.P90, r.P99, r.P999)
-		}
-	}
-}
-
-// TestMeasureServeRegistry is the acceptance gate for the registry
-// phases: one daemon hosting two containers must decode each container's
-// shards independently on the cold sweep, and the conditional sweep must
-// revalidate every shard as a bodyless 304 without a single extra decode
-// or error.
+// TestMeasureServeRegistry sweeps a registry of two containers behind
+// one server: a cold sweep of every shard's decoded reads via
+// /c/{name}/... costs exactly one decode per shard, and a second sweep
+// replaying every request with the ETag the cold sweep returned is
+// answered entirely by bodyless 304s, without a further decode.
 func TestMeasureServeRegistry(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ref := genome.Random(rng, 30_000)
@@ -93,37 +29,81 @@ func TestMeasureServeRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := shard.DefaultOptions(ref)
-	opt.ShardReads = 50 // 8 shards
-	dataA, _, err := shard.Compress(rs, opt)
+	var named []serve.Named
+	for i, shardReads := range []int{50, 100} { // 8 + 4 shards
+		opt.ShardReads = shardReads
+		data, _, err := shard.Compress(rs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := shard.Open(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		named = append(named, serve.Named{Name: fmt.Sprintf("c%d", i), C: c})
+	}
+	srv, err := serve.NewMulti(named, serve.Config{CacheBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.ShardReads = 100 // 4 shards
-	dataB, _, err := shard.Compress(rs, opt)
-	if err != nil {
-		t.Fatal(err)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	get := func(url, ifNoneMatch string) (n int64, etag string, code int) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		n, err = io.Copy(io.Discard, resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, resp.Header.Get("ETag"), resp.StatusCode
 	}
 
-	results, st, err := MeasureServeRegistry([][]byte{dataA, dataB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d phases, want 2", len(results))
-	}
 	const shards = 8 + 4
+	var urls, etags []string
+	for _, nc := range named {
+		for i := 0; i < nc.C.NumShards(); i++ {
+			urls = append(urls, fmt.Sprintf("%s/c/%s/shard/%d/reads", ts.URL, nc.Name, i))
+		}
+	}
+	if len(urls) != shards {
+		t.Fatalf("registry lists %d shards, want %d", len(urls), shards)
+	}
+	var coldBytes int64
+	for _, u := range urls {
+		n, etag, code := get(u, "")
+		if code != http.StatusOK || etag == "" {
+			t.Fatalf("cold GET %s: status %d, ETag %q", u, code, etag)
+		}
+		coldBytes += n
+		etags = append(etags, etag)
+	}
+	if coldBytes == 0 {
+		t.Fatal("cold sweep moved 0 bytes")
+	}
+	for i, u := range urls {
+		if n, _, code := get(u, etags[i]); code != http.StatusNotModified || n != 0 {
+			t.Fatalf("revalidating %s: status %d with %d body bytes, want a bodyless 304", u, code, n)
+		}
+	}
+
+	st := srv.Stats()
 	if st.Containers != 2 || st.Shards != shards {
 		t.Fatalf("registry hosts %d containers / %d shards, want 2 / %d", st.Containers, st.Shards, shards)
 	}
-	cold, cond := results[0], results[1]
-	if cold.Requests != shards || cold.Bytes == 0 {
-		t.Fatalf("cold sweep: %d requests, %d bytes", cold.Requests, cold.Bytes)
-	}
 	if st.Decodes != shards {
 		t.Fatalf("decodes = %d, want %d (each container decodes its own shards)", st.Decodes, shards)
-	}
-	if cond.Requests != shards || cond.Bytes != 0 {
-		t.Fatalf("conditional sweep: %d requests moved %d bytes, want 0", cond.Requests, cond.Bytes)
 	}
 	if st.NotModified != shards {
 		t.Fatalf("not_modified = %d, want %d", st.NotModified, shards)

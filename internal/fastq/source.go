@@ -38,17 +38,16 @@ var (
 var gzipMagic = [2]byte{0x1f, 0x8b}
 
 // SniffOptions tunes Sniff's compressed-input handling; the zero value
-// matches the historical SniffReader behavior with pargz acceleration.
+// decodes on GOMAXPROCS workers without labels or tracing.
 type SniffOptions struct {
 	// Name labels decode errors with the input's name (usually a path).
 	Name string
 	// Threads bounds parallel member decode (0 = GOMAXPROCS), plumbed
 	// from the CLI's -threads.
 	Threads int
-	// Metrics and Trace, when non-nil, instrument the decode stage
-	// (decoded-byte counters, readahead-stall histogram, gunzip spans).
-	Metrics *pargz.Metrics
-	Trace   *obs.Trace
+	// Trace, when non-nil, records the decode stage's gunzip and
+	// gunzip-wait spans.
+	Trace *obs.Trace
 }
 
 // Sniff adapts an input stream for FASTQ scanning, transparently
@@ -76,19 +75,12 @@ func Sniff(r io.Reader, opt SniffOptions) (io.Reader, error) {
 	zr, err := pargz.NewReader(br, pargz.Options{
 		Name:    opt.Name,
 		Workers: opt.Threads,
-		Metrics: opt.Metrics,
 		Trace:   opt.Trace,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return zr, nil
-}
-
-// SniffReader is Sniff with default options, kept for call sites that
-// need no instrumentation.
-func SniffReader(r io.Reader) (io.Reader, error) {
-	return Sniff(r, SniffOptions{})
 }
 
 // CloseSniffed releases the decode goroutines behind a reader returned

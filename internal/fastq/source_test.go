@@ -28,7 +28,7 @@ func gzipBytes(t *testing.T, chunks ...string) []byte {
 }
 
 func TestSniffReaderPlain(t *testing.T) {
-	r, err := SniffReader(strings.NewReader(sniffFASTQ))
+	r, err := Sniff(strings.NewReader(sniffFASTQ), SniffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestSniffReaderPlain(t *testing.T) {
 }
 
 func TestSniffReaderGzip(t *testing.T) {
-	r, err := SniffReader(bytes.NewReader(gzipBytes(t, sniffFASTQ)))
+	r, err := Sniff(bytes.NewReader(gzipBytes(t, sniffFASTQ)), SniffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSniffReaderGzip(t *testing.T) {
 func TestSniffReaderMultiMemberGzip(t *testing.T) {
 	half := len(sniffFASTQ) / 2
 	data := gzipBytes(t, sniffFASTQ[:half], sniffFASTQ[half:])
-	r, err := SniffReader(bytes.NewReader(data))
+	r, err := Sniff(bytes.NewReader(data), SniffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSniffReaderMultiMemberGzip(t *testing.T) {
 // the FASTQ scanner decides what they mean.
 func TestSniffReaderShort(t *testing.T) {
 	for _, in := range []string{"", "@", "\x1f"} {
-		r, err := SniffReader(strings.NewReader(in))
+		r, err := Sniff(strings.NewReader(in), SniffOptions{})
 		if err != nil {
 			t.Fatalf("%q: %v", in, err)
 		}
@@ -94,7 +94,7 @@ func TestSniffReaderShort(t *testing.T) {
 // A corrupt stream that starts with the magic but is not gzip fails at
 // sniff time with the gzip error, not downstream with a parse error.
 func TestSniffReaderBadGzip(t *testing.T) {
-	if _, err := SniffReader(strings.NewReader("\x1f\x8bnot really gzip")); err == nil {
+	if _, err := Sniff(strings.NewReader("\x1f\x8bnot really gzip"), SniffOptions{}); err == nil {
 		t.Fatal("bad gzip header accepted")
 	}
 }
@@ -199,7 +199,7 @@ func TestSniffTruncatedGzipMidRecord(t *testing.T) {
 
 // Gzipped input scans to the same records as its plain-text form.
 func TestSniffReaderScansRecords(t *testing.T) {
-	r, err := SniffReader(bytes.NewReader(gzipBytes(t, sniffFASTQ)))
+	r, err := Sniff(bytes.NewReader(gzipBytes(t, sniffFASTQ)), SniffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,13 +40,6 @@ func newHistogram(name, help string, bounds []int64) *Histogram {
 	}
 }
 
-// NewHistogram builds an unregistered histogram on the default bucket
-// ladder — for ad-hoc measurement (a bench phase, a one-off probe)
-// outside any Registry.
-func NewHistogram(name string) *Histogram {
-	return newHistogram(name, "", defaultBounds())
-}
-
 // Observe records one duration. Negative durations clamp to zero (a
 // clock step backwards must not corrupt the sum).
 func (h *Histogram) Observe(d time.Duration) {
@@ -131,10 +124,4 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		return time.Duration(float64(lo) + frac*float64(hi-lo))
 	}
 	return time.Duration(h.bounds[len(h.bounds)-1])
-}
-
-// Percentiles returns the p50/p90/p99/p999 estimates in one snapshotted
-// pass each — the quartet every latency table in this repo reports.
-func (h *Histogram) Percentiles() (p50, p90, p99, p999 time.Duration) {
-	return h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Quantile(0.999)
 }

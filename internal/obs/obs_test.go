@@ -109,7 +109,7 @@ func TestHistogramQuantilesKnownDistribution(t *testing.T) {
 			t.Errorf("q=%g: got %v, exact %v lives in bucket [%v,%v]", q, got, exact, lo, hi)
 		}
 	}
-	p50, p90, p99, p999 := h.Percentiles()
+	p50, p90, p99, p999 := h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99), h.Quantile(0.999)
 	if !(p50 <= p90 && p90 <= p99 && p99 <= p999) {
 		t.Errorf("percentiles not monotone: %v %v %v %v", p50, p90, p99, p999)
 	}

@@ -137,7 +137,7 @@ func (r *Reader) queueMember(br *bufio.Reader, work chan<- *memberJob, size int,
 			"gzip member %d truncated mid-member (want %d bytes): %w", index, size, err)))
 		return false
 	}
-	r.addCompressed(int64(size))
+	r.comp.Add(int64(size))
 	c := &chunk{ready: make(chan struct{})}
 	job := &memberJob{c: c, comp: comp, index: index, offset: offset}
 	if !r.sendChunk(c) {
@@ -203,7 +203,7 @@ func (r *Reader) memberWorker(work <-chan *memberJob) {
 		} else {
 			job.c.data = out.Bytes()
 			job.c.recycle = func() { decPool.Put(out) }
-			r.addMember()
+			r.members.Add(1)
 		}
 		close(job.c.ready)
 	}
@@ -240,8 +240,8 @@ func unexpectedEOF(err error) error {
 }
 
 // SplitMembers splits a whole in-memory BGZF stream into its
-// compressed members (benchmark and test plumbing: the ingestdecode
-// experiment times each member's inflate independently). Every member
+// compressed members (benchmark and test plumbing: the repository
+// benchmark counts the members of its BGZF input). Every member
 // must carry a BC subfield; without one no boundary can be found
 // without inflating, which is an error.
 func SplitMembers(data []byte) ([][]byte, error) {

@@ -80,9 +80,6 @@ type Options struct {
 	// Readahead is the pipelined tier's buffer ring depth
 	// (0 = DefaultReadahead).
 	Readahead int
-	// Metrics, when non-nil, receives decoded/compressed byte counters,
-	// member counts, and the readahead-stall histogram.
-	Metrics *Metrics
 	// Trace, when non-nil, aggregates "gunzip" (worker inflate time)
 	// and "gunzip-wait" (consumer stall) spans for ingest stage
 	// attribution.
@@ -125,8 +122,7 @@ type Reader struct {
 	pos int
 	err error
 
-	metrics *Metrics
-	trace   *obs.Trace
+	trace *obs.Trace
 
 	comp    atomic.Int64
 	dec     atomic.Int64
@@ -156,11 +152,10 @@ func NewReader(r io.Reader, opt Options) (*Reader, error) {
 		readahead = DefaultReadahead
 	}
 	rd := &Reader{
-		name:    opt.Name,
-		chunks:  make(chan *chunk, max(2*workers, readahead)),
-		stop:    make(chan struct{}),
-		metrics: opt.Metrics,
-		trace:   opt.Trace,
+		name:   opt.Name,
+		chunks: make(chan *chunk, max(2*workers, readahead)),
+		stop:   make(chan struct{}),
+		trace:  opt.Trace,
 	}
 	bsize, err := peekMemberBSize(br)
 	if err != nil {
@@ -224,14 +219,14 @@ func (r *Reader) Read(p []byte) (int, error) {
 			r.err = io.EOF
 			return 0, io.EOF
 		}
-		r.addDecoded(int64(len(c.data)))
+		r.dec.Add(int64(len(c.data)))
 		r.cur, r.pos = c, 0
 	}
 }
 
 // nextChunk takes the next in-order chunk, accounting any time spent
-// waiting for decode as a readahead stall ("gunzip-wait" span + stall
-// histogram). A decoded chunk already queued costs nothing.
+// waiting for decode as a readahead stall ("gunzip-wait" span + Stats
+// stall counters). A decoded chunk already queued costs nothing.
 func (r *Reader) nextChunk() (*chunk, bool) {
 	select {
 	case c, ok := <-r.chunks:
@@ -270,9 +265,6 @@ func (r *Reader) recordStall(sp *obs.Span, d time.Duration) {
 	sp.End()
 	r.stalls.Add(1)
 	r.stallNs.Add(int64(d))
-	if r.metrics != nil && r.metrics.Stall != nil {
-		r.metrics.Stall.Observe(d)
-	}
 }
 
 // Close abandons the stream: decode goroutines unwind, buffers are
@@ -310,28 +302,4 @@ func (r *Reader) ctxErr(offset int64, err error) error {
 		return fmt.Errorf("pargz: %s: compressed offset %d: %w", r.name, offset, err)
 	}
 	return fmt.Errorf("pargz: compressed offset %d: %w", offset, err)
-}
-
-func (r *Reader) addCompressed(n int64) {
-	r.comp.Add(n)
-	if r.metrics != nil && r.metrics.CompressedBytes != nil {
-		r.metrics.CompressedBytes.Add(n)
-	}
-}
-
-func (r *Reader) addDecoded(n int64) {
-	if n == 0 {
-		return
-	}
-	r.dec.Add(n)
-	if r.metrics != nil && r.metrics.DecodedBytes != nil {
-		r.metrics.DecodedBytes.Add(n)
-	}
-}
-
-func (r *Reader) addMember() {
-	r.members.Add(1)
-	if r.metrics != nil && r.metrics.Members != nil {
-		r.metrics.Members.Inc()
-	}
 }

@@ -363,12 +363,12 @@ func TestCloseMidStreamReleasesGoroutines(t *testing.T) {
 	}
 }
 
+// TestStatsAndMetrics checks the Reader's Stats counters after a traced
+// member-parallel decode: Stats is the one counter surface pargz exposes.
 func TestStatsAndMetrics(t *testing.T) {
 	data := testPayload(100 << 10)
 	in := bgzfBytes(t, data, 8<<10)
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	r, err := NewReader(bytes.NewReader(in), Options{Workers: 2, Metrics: m, Trace: obs.NewTrace("t")})
+	r, err := NewReader(bytes.NewReader(in), Options{Workers: 2, Trace: obs.NewTrace("t")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,9 +384,6 @@ func TestStatsAndMetrics(t *testing.T) {
 	}
 	if st.Members < 13 { // 100K/8K data members + EOF marker
 		t.Fatalf("Members = %d, want >= 13", st.Members)
-	}
-	if m.DecodedBytes.Value() != st.DecodedBytes {
-		t.Fatalf("metrics counter %d != stats %d", m.DecodedBytes.Value(), st.DecodedBytes)
 	}
 }
 

@@ -88,7 +88,7 @@ func (r *Reader) streamDecode(zr *gzip.Reader, cr *countReader, readahead int) {
 		n, err := readFull(zr, buf)
 		sp.End()
 		if c := cr.n; c > compSeen {
-			r.addCompressed(c - compSeen)
+			r.comp.Add(c - compSeen)
 			compSeen = c
 		}
 		if n > 0 {
@@ -98,7 +98,7 @@ func (r *Reader) streamDecode(zr *gzip.Reader, cr *countReader, readahead int) {
 			}
 		}
 		if err == io.EOF {
-			r.addMember() // at least one member ended cleanly
+			r.members.Add(1) // at least one member ended cleanly
 			return
 		}
 		if err != nil {

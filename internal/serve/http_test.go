@@ -450,6 +450,19 @@ func TestSingleflightAcrossContainers(t *testing.T) {
 	if st.Hits+st.Misses != 2*perContainer {
 		t.Fatalf("hits+misses = %d, want %d", st.Hits+st.Misses, 2*perContainer)
 	}
+	// Each container's own ETag revalidates as a bodyless 304 without a
+	// decode.
+	for _, name := range []string{"a", "b"} {
+		url := fmt.Sprintf("%s/c/%s/shard/0/reads", ts.URL, name)
+		tag := do(t, url, nil).Header.Get("ETag")
+		resp := do(t, url, map[string]string{"If-None-Match": tag})
+		if resp.StatusCode != http.StatusNotModified || len(body(t, resp)) != 0 {
+			t.Fatalf("container %s: revalidation status %d, want a bodyless 304", name, resp.StatusCode)
+		}
+	}
+	if st := s.Stats(); st.Decodes != 2 || st.NotModified != 2 || st.Errors != 0 {
+		t.Fatalf("after revalidation: decodes %d, not_modified %d, errors %d; want 2, 2, 0", st.Decodes, st.NotModified, st.Errors)
+	}
 }
 
 // TestOversizedShardStreams pins the streaming decode path: a shard

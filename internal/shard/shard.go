@@ -30,11 +30,6 @@ type Options struct {
 	// Workers bounds the compression worker pool (<= 0 uses
 	// GOMAXPROCS). Worker count never changes the output bytes.
 	Workers int
-	// SketchBytes sizes the per-shard zone-map k-mer sketch; <= 0
-	// auto-sizes it from the shard size (SketchBytesPerRead per read,
-	// clamped). Larger sketches discriminate better for base-heavy
-	// shards at a linear index cost.
-	SketchBytes int
 	// Core parameterizes the per-shard codec. Core.EmbedConsensus
 	// selects container-level consensus embedding: the consensus is
 	// stored once in the shard index header (never per block).
@@ -60,10 +55,9 @@ func (o *Options) workers() int {
 	return o.Workers
 }
 
+// sketchBytes sizes the per-shard zone-map k-mer sketch from the shard
+// size: SketchBytesPerRead per read, clamped.
 func (o *Options) sketchBytes() int {
-	if o.SketchBytes > 0 {
-		return o.SketchBytes
-	}
 	n := o.shardReads() * SketchBytesPerRead
 	if n < MinSketchBytes {
 		n = MinSketchBytes

@@ -33,8 +33,7 @@ const LowQualPhred = 15
 // lengths (~100 k-mers per read → ~60–75% fill), which keeps the
 // false-positive rate of a multi-k-mer probe small while costing
 // around a tenth of a compressed shard. The clamp keeps degenerate
-// shard sizes from producing useless or monstrous sketches; an
-// explicit Options.SketchBytes overrides the heuristic entirely.
+// shard sizes from producing useless or monstrous sketches.
 const (
 	SketchBytesPerRead = 8
 	MinSketchBytes     = 64
