@@ -14,11 +14,12 @@ type oracleScratch struct {
 	ops []opKind
 }
 
-// fitAlign computes a banded fitting alignment: the read is aligned
-// end-to-end against a window of the consensus, with the window's prefix
-// and suffix free (the read may start anywhere in the window). It returns
-// the window offset where the alignment begins, the edit list in read
-// coordinates, and the unit cost.
+// fitAlign computes a banded alignment of read against a window of the
+// consensus: the read is consumed end to end, and the window's prefix
+// and suffix are free (a fitting alignment, the read may start anywhere
+// in the window) unless pin fixes the start at the window's first base
+// or the end at its last. It returns the window offset where the
+// alignment begins, the edit list in read coordinates, and the unit cost.
 //
 // band bounds |windowCol - readRow| during the DP; callers size it from
 // the observed seed-diagonal spread plus slack, which keeps the DP linear
@@ -28,12 +29,12 @@ type oracleScratch struct {
 // explicitly, later rows only consult in-band predecessors their row
 // loops wrote), so stale contents from a previous alignment are never
 // observed.
-func fitAlign(sc *oracleScratch, read, window genome.Seq, band int) (consStart int, edits []Edit, cost int, err error) {
+func fitAlign(sc *oracleScratch, read, window genome.Seq, band int, pin pinned) (consStart int, edits []Edit, cost int, err error) {
 	n, m := len(read), len(window)
-	if n == 0 {
+	if n == 0 && pin == 0 {
 		return 0, nil, 0, nil
 	}
-	if m == 0 {
+	if m == 0 && pin == 0 {
 		return 0, nil, 0, fmt.Errorf("mapper: empty consensus window")
 	}
 	if band < 1 {
@@ -51,10 +52,14 @@ func fitAlign(sc *oracleScratch, read, window genome.Seq, band int) (consStart i
 	at := func(i, j int) int { return i*width + (j - i + band) }
 	inBand := func(i, j int) bool { d := j - i; return d >= -band && d <= band && j >= 0 && j <= m }
 
-	// Row 0: free start anywhere in the window (fitting alignment).
+	// Row 0: a free start anywhere in the window (fitting alignment), or
+	// a pinned one at its first base, after which row 0 deletes.
 	for j := 0; j <= m; j++ {
 		if inBand(0, j) {
 			dp[at(0, j)] = 0
+			if pin&pinStart != 0 {
+				dp[at(0, j)] = int32(j)
+			}
 		}
 	}
 	for i := 1; i <= n; i++ {
@@ -95,7 +100,7 @@ func fitAlign(sc *oracleScratch, read, window genome.Seq, band int) (consStart i
 			tb[at(i, j)] = op
 		}
 	}
-	// Free end: best cell in the last row.
+	// A free end is the best cell in the last row, a pinned one the last.
 	bestJ, bestC := -1, inf
 	lo, hi := n-band, n+band
 	if lo < 0 {
@@ -103,6 +108,9 @@ func fitAlign(sc *oracleScratch, read, window genome.Seq, band int) (consStart i
 	}
 	if hi > m {
 		hi = m
+	}
+	if pin&pinEnd != 0 {
+		lo = max(lo, m)
 	}
 	for j := lo; j <= hi; j++ {
 		if c := dp[at(n, j)]; c < bestC {
@@ -126,6 +134,11 @@ func fitAlign(sc *oracleScratch, read, window genome.Seq, band int) (consStart i
 			i--
 		case opDel:
 			j--
+		}
+	}
+	if pin&pinStart != 0 {
+		for ; j > 0; j-- {
+			ops = append(ops, opDel)
 		}
 	}
 	consStart = j
@@ -199,7 +212,7 @@ func (m *Mapper) oracleAlignPiece(sc *oracleScratch, oriented genome.Seq, start,
 	// fitAlign's band must cover the offset of the alignment start
 	// within the window plus indel drift.
 	fitBand := (c.minDiag + start - winLo) + spread + m.cfg.BandPad
-	consStart, edits, cost, err := fitAlign(sc, piece, cons[winLo:winHi], fitBand)
+	consStart, edits, cost, err := fitAlign(sc, piece, cons[winLo:winHi], fitBand, 0)
 	if err != nil {
 		return Segment{}, false
 	}
@@ -224,4 +237,29 @@ func (m *Mapper) oracleBand(start int, c cluster) diagBand {
 	winLo := max(c.minDiag+start-spread-m.cfg.BandPad, 0)
 	fitBand := max((c.minDiag+start-winLo)+spread+m.cfg.BandPad, 1)
 	return diagBand{winLo - fitBand, winLo + fitBand, winLo}
+}
+
+// alignBanded is the second tier as it was before anchored gap filling:
+// one fitting alignment of the whole piece in its band (pieceBand). It
+// is the oracle TestAnchoredMatchesBand holds alignAnchored to.
+func (m *Mapper) alignBanded(sc *mapScratch, piece genome.Seq, start int, c cluster) (consPos int, edits []Edit, cost int, ok bool) {
+	cons := m.idx.cons
+	lo, hi := m.pieceBand(len(piece), start, c)
+	winLo := max(lo, 0)
+	winHi := min(hi+len(piece), len(cons))
+	if winHi <= winLo {
+		return 0, nil, 0, false
+	}
+	consStart, edits, cost, ok := bandAlign(sc, piece, cons[winLo:winHi], lo-winLo, hi-winLo, 0)
+	return winLo + consStart, edits, cost, ok
+}
+
+// bandAlign runs the kernel on one read and window and turns its
+// traceback into edits.
+func bandAlign(sc *mapScratch, read, window genome.Seq, dLo, dHi int, pin pinned) (consStart int, edits []Edit, cost int, ok bool) {
+	sc.ops = sc.ops[:0]
+	if consStart, cost, ok = alignBand(sc, read, window, dLo, dHi, pin); ok {
+		edits = editsFromOps(sc.ops, read)
+	}
+	return consStart, edits, cost, ok
 }

@@ -16,12 +16,17 @@
 // all lie on one diagonal, the read is compared against the consensus on
 // that diagonal and accepted with at most one substitution
 // (verifyDiagonal); most short reads end here. Everything else goes to
-// alignBand, a bit-parallel (Myers/Edlib block) edit-distance kernel that
-// computes the exact fitting alignment inside the band of diagonals the
-// cluster implies, 64 cells per word operation, and traces it back from
-// two stored words per block and column — memory linear in the read, not
-// in read × band. Its tie-breaks are those of the int32 DP it replaced,
-// which survives as the differential oracle in align_oracle_test.go.
+// alignAnchored, which aligns the piece through the cluster's own seed
+// hits: hits merged into exact anchors, chained co-linearly, and extended
+// along their diagonals while the bases match (chainAnchors). Only the
+// gaps between anchors, and the tails before the first and after the
+// last, are aligned, by alignBand: a bit-parallel (Myers/Edlib block)
+// edit-distance kernel, 64 cells per word operation, with either end free
+// or pinned, traced back from two stored words per block and column —
+// memory linear in the gap, not in gap × band. Its tie-breaks are those
+// of the int32 DP it replaced, which survives as the differential oracle
+// in align_oracle_test.go, beside the whole-piece band the anchors
+// replaced (DESIGN.md "Anchored alignment").
 //
 // This mapping is internal to compression and is independent of the read
 // mapping done later during genome analysis (§5.1 footnote 6).

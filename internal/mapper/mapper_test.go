@@ -69,14 +69,14 @@ var fitKernels = []struct {
 	fit  func(read, window genome.Seq, band int) (int, []Edit, int, error)
 }{
 	{"kernel", func(read, window genome.Seq, band int) (int, []Edit, int, error) {
-		start, edits, cost, ok := alignBand(new(mapScratch), read, window, -band, band)
+		start, edits, cost, ok := bandAlign(new(mapScratch), read, window, -band, band, 0)
 		if !ok {
 			return 0, nil, 0, errors.New("no feasible path")
 		}
 		return start, edits, cost, nil
 	}},
 	{"oracle", func(read, window genome.Seq, band int) (int, []Edit, int, error) {
-		return fitAlign(new(oracleScratch), read, window, band)
+		return fitAlign(new(oracleScratch), read, window, band, 0)
 	}},
 }
 

@@ -1,7 +1,6 @@
 package mapper
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -15,45 +14,18 @@ import (
 // probeClusters is collectClusters as it was before guided seeding: every
 // seed probes the index. It is the reference the guided walk must equal.
 func (m *Mapper) probeClusters(out []cluster, sc *mapScratch, oriented genome.Seq, rev bool) []cluster {
-	hits := sc.hits[:0]
+	hits := sc.hits[strand(rev)][:0]
 	ForEachKmer(oriented, m.idx.k, m.cfg.SeedStep, func(p int, code uint64) {
 		for _, cp := range m.idx.Lookup(code) {
-			hits = append(hits, seedHit{readPos: p, diag: int(cp) - p})
+			hits = append(hits, newSeedHit(p, int(cp)-p))
 		}
 	})
-	sc.hits = hits
-	if len(hits) == 0 {
-		return out
-	}
-	slices.SortFunc(hits, func(a, b seedHit) int { return cmp.Compare(a.diag, b.diag) })
-	cur := cluster{rev: rev, minDiag: hits[0].diag, maxDiag: hits[0].diag,
-		minRead: hits[0].readPos, maxRead: hits[0].readPos, count: 1}
-	for _, h := range hits[1:] {
-		if h.diag-cur.maxDiag <= m.cfg.DiagSlack {
-			cur.maxDiag = h.diag
-			cur.count++
-			if h.readPos < cur.minRead {
-				cur.minRead = h.readPos
-			}
-			if h.readPos > cur.maxRead {
-				cur.maxRead = h.readPos
-			}
-		} else {
-			if cur.count >= m.cfg.MinSeeds {
-				out = append(out, cur)
-			}
-			cur = cluster{rev: rev, minDiag: h.diag, maxDiag: h.diag,
-				minRead: h.readPos, maxRead: h.readPos, count: 1}
-		}
-	}
-	if cur.count >= m.cfg.MinSeeds {
-		out = append(out, cur)
-	}
-	return out
+	sc.hits[strand(rev)] = hits
+	return m.clusterHits(out, hits, rev)
 }
 
 // checkSeedClusters compares the guided and the probing cluster lists of
-// read on both strands.
+// read on both strands, and the hits they keep as anchors.
 func checkSeedClusters(m *Mapper, sc *mapScratch, read genome.Seq) error {
 	rc := read.ReverseComplement()
 	for _, o := range []struct {
@@ -61,9 +33,13 @@ func checkSeedClusters(m *Mapper, sc *mapScratch, read genome.Seq) error {
 		rev bool
 	}{{read, false}, {rc, true}} {
 		got := m.collectClusters(nil, sc, o.seq, o.rev)
+		gotHits := slices.Clone(sc.hits[strand(o.rev)])
 		want := m.probeClusters(nil, sc, o.seq, o.rev)
 		if !slices.Equal(got, want) {
 			return fmt.Errorf("read %s, rev=%v: guided seeding clusters %+v, probing every seed %+v", o.seq, o.rev, got, want)
+		}
+		if wantHits := sc.hits[strand(o.rev)]; !slices.Equal(gotHits, wantHits) {
+			return fmt.Errorf("read %s, rev=%v: guided seeding hits %+v, probing every seed %+v", o.seq, o.rev, gotHits, wantHits)
 		}
 	}
 	return nil

@@ -38,8 +38,8 @@ const lengthBits = 56
 // stream aligned with the bases (§5.1.5: "SAGe maintains the same order
 // for DNA bases and quality scores").
 func Compress(quals [][]byte) ([]byte, error) {
-	e := encoders.get()
-	defer encoders.put(e)
+	e := encoders.Get()
+	defer encoders.Put(e)
 	return e.compress(quals)
 }
 

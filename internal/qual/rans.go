@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 
 	"sage/internal/fastq"
+	"sage/internal/freelist"
 )
 
 // Kinds 1 and 2: static order-1 rANS coders. The encoder counts a
@@ -305,38 +305,16 @@ type ransTable struct {
 	sym [ransM + 7]byte
 }
 
-// freeList keeps coder scratch between blocks. A channel, not a
-// sync.Pool: a GC empties a pool, and the first blocks of every pass
-// after one would allocate their scratch again. It keeps one value per
-// goroutine that can run at once.
-type freeList[T any] chan *T
-
-func newFreeList[T any]() freeList[T] { return make(freeList[T], runtime.GOMAXPROCS(0)) }
-
-func (f freeList[T]) get() *T {
-	select {
-	case v := <-f:
-		return v
-	default:
-		return new(T)
-	}
-}
-
-func (f freeList[T]) put(v *T) {
-	select {
-	case f <- v:
-	default:
-	}
-}
-
+// Coder scratch kept between blocks (package freelist says why not a
+// sync.Pool).
 var (
-	encoders = newFreeList[ransEncoder]()
+	encoders = freelist.New[ransEncoder]()
 	// A decoder taken from the list keeps the last stream's tables: a
 	// block's tables cost neither an allocation nor the zeroing of
 	// 74 KiB, since readTables overwrites every slot, frequency and start
 	// a present context can reach, and nothing reads those of an absent
 	// one.
-	decoders = newFreeList[ransDecoder]()
+	decoders = freelist.New[ransDecoder]()
 )
 
 var errEndsEarly = errors.New("qual: stream ends before the scores do")
@@ -421,8 +399,8 @@ func (ln *ransLane) restart(lengths []int) int {
 // found at the end. The lanes after the first may hold one score more
 // than it, which a last step takes lane by lane.
 func decodeRANS(body, flat []byte, lengths []int, lanes int) error {
-	d := decoders.get()
-	defer decoders.put(d)
+	d := decoders.Get()
+	defer decoders.Put(d)
 	pos, err := d.readTables(body)
 	if err != nil {
 		return err
