@@ -31,7 +31,6 @@ func sharedSuite(b *testing.B) *bench.Suite {
 	b.Helper()
 	benchOnce.Do(func() {
 		benchSuite = bench.NewSuite(0.25)
-		benchSuite.Cal = bench.CalPaper
 	})
 	return benchSuite
 }

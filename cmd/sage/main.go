@@ -298,15 +298,15 @@ func cmdSimulate(args []string) error {
 	return nil
 }
 
-// writeContainer streams a container produced by write into out via a
-// temp file renamed in, so a failed run never clobbers an existing
-// output. Every container the CLI writes is published through here.
-// The publish is crash-safe: the temp file is fsynced, then its parent
-// directory (so the temp's directory entry is durable), then renamed,
-// then the directory again (so the rename is) — a power cut leaves
-// either the old container or the new one, never a torn file. Every
-// failure path removes the temp file.
-func writeContainer(out string, write func(w io.Writer) error) error {
+// publish streams what write produces into out via a temp file renamed
+// in, so a failed run never clobbers an existing output. Every container
+// the CLI writes, and the FASTQ decompress and filter write to -out, is
+// published through here. The publish is crash-safe: the temp file is
+// fsynced, then its parent directory (so the temp's directory entry is
+// durable), then renamed, then the directory again (so the rename is) —
+// a power cut leaves either the old file or the new one, never a torn
+// file. Every failure path removes the temp file.
+func publish(out string, write func(w io.Writer) error) error {
 	tmp := out + ".tmp"
 	of, err := os.Create(tmp)
 	if err != nil {
@@ -332,9 +332,18 @@ func writeContainer(out string, write func(w io.Writer) error) error {
 	return syncDir(filepath.Dir(out))
 }
 
-// writeBytes is writeContainer for a container already in memory.
+// writeOutput streams what write produces to stdout when out is empty
+// and publishes it to out otherwise.
+func writeOutput(out string, write func(w io.Writer) error) error {
+	if out == "" {
+		return write(os.Stdout)
+	}
+	return publish(out, write)
+}
+
+// writeBytes is publish for a container already in memory.
 func writeBytes(out string, data []byte) error {
-	return writeContainer(out, func(w io.Writer) error {
+	return publish(out, func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})
@@ -407,7 +416,7 @@ func openIngest(p ingestPlan) (_ *ingest, err error) {
 	batch := p.shardReads
 	switch {
 	case !p.manifest:
-		in.src = fastq.NewBatchReader(in.readers[0], p.shardReads)
+		in.src = namedSource{fastq.NewBatchReader(in.readers[0], p.shardReads), named[0].Name}
 	case p.paired:
 		pairs := make([][2]fastq.NamedReader, 0, len(named)/2)
 		for i := 0; i+1 < len(named); i += 2 {
@@ -433,6 +442,21 @@ func openIngest(p ingestPlan) (_ *ingest, err error) {
 		in.src = in.stage
 	}
 	return in, nil
+}
+
+// namedSource names its one input file in parse errors, the way
+// MultiReader names the file of each lane.
+type namedSource struct {
+	fastq.BatchSource
+	name string
+}
+
+func (s namedSource) Next() (fastq.Batch, error) {
+	b, err := s.BatchSource.Next()
+	if err != nil && err != io.EOF {
+		err = fmt.Errorf("fastq: file %s: %w", s.name, err)
+	}
+	return b, err
 }
 
 // Close releases the reorder spill files, the gzip decode goroutines
@@ -557,7 +581,7 @@ func cmdCompress(args []string) error {
 		}
 		defer in.Close()
 		var st *shard.Stats
-		err = writeContainer(*out, func(w io.Writer) (err error) {
+		err = publish(*out, func(w io.Writer) (err error) {
 			st, err = shard.CompressPipeline(in.src, w, shardOpt(cons))
 			return err
 		})
@@ -696,7 +720,7 @@ func cmdRecompress(args []string) error {
 	}
 	defer in.Close()
 	var st *shard.Stats
-	err = writeContainer(*out, func(w io.Writer) (err error) {
+	err = publish(*out, func(w io.Writer) (err error) {
 		sp := trace.StartSpan("shard-compress")
 		defer sp.End()
 		st, err = shard.CompressPipeline(in.src, w, opt)
@@ -790,60 +814,46 @@ func cmdDecompress(args []string) error {
 			return err
 		}
 	}
-	w := io.Writer(os.Stdout)
-	var outF *os.File
-	if *out != "" {
-		if outF, err = os.Create(*out); err != nil {
-			return err
+	return writeOutput(*out, func(w io.Writer) error {
+		if !shard.IsContainer(magic[:]) {
+			// Single-block containers are one codec block: the decoder
+			// needs it whole either way (and already decodes in input
+			// order, so -original-order is naturally satisfied). Reuse
+			// the open handle (the magic probe consumed its first 4
+			// bytes) rather than reading the file a second time.
+			data, err := io.ReadAll(io.MultiReader(bytes.NewReader(magic[:]), inF))
+			if err != nil {
+				return err
+			}
+			rs, err := core.Decompress(data, cons)
+			if err != nil {
+				return err
+			}
+			return rs.Write(w)
 		}
-		w = outF
-	}
-	if shard.IsContainer(magic[:]) {
 		// Sharded containers stream: the container is opened lazily
 		// (only the index is resident) and shards are decoded on a
 		// -threads pool but written in order, holding at most
 		// workers+1 decoded shards — peak memory is O(workers × shard),
 		// never O(container).
-		var fi os.FileInfo
-		if fi, err = inF.Stat(); err == nil {
-			var c *shard.Container
-			if c, err = shard.Open(inF, fi.Size()); err == nil {
-				if *origOrder {
-					// Identity-order containers fall straight through to
-					// DecompressTo inside; reordered (v5) containers
-					// scatter each read back to its original index,
-					// holding at most -sort-mem and spilling one file
-					// to -tmpdir beyond it.
-					err = c.DecompressOriginalTo(w, cons, *threads,
-						reorder.SortConfig{MemBudget: int64(*sortMem) << 20, TmpDir: *tmpDir})
-				} else {
-					err = c.DecompressTo(w, cons, *threads)
-				}
-			}
+		fi, err := inF.Stat()
+		if err != nil {
+			return err
 		}
-	} else {
-		// Single-block containers are one codec block: the decoder
-		// needs it whole either way (and already decodes in input
-		// order, so -original-order is naturally satisfied). Reuse the
-		// open handle (the magic probe consumed its first 4 bytes)
-		// rather than reading the file a second time.
-		var data []byte
-		if data, err = io.ReadAll(io.MultiReader(bytes.NewReader(magic[:]), inF)); err == nil {
-			var rs *fastq.ReadSet
-			if rs, err = core.Decompress(data, cons); err == nil {
-				err = rs.Write(w)
-			}
+		c, err := shard.Open(inF, fi.Size())
+		if err != nil {
+			return err
 		}
-	}
-	if outF != nil {
-		// The close error matters: on a full disk the final flush fails
-		// here, and swallowing it would report a truncated FASTQ as
-		// success.
-		if cerr := outF.Close(); err == nil {
-			err = cerr
+		if *origOrder {
+			// Identity-order containers fall straight through to
+			// DecompressTo inside; reordered (v5) containers scatter
+			// each read back to its original index, holding at most
+			// -sort-mem and spilling one file to -tmpdir beyond it.
+			return c.DecompressOriginalTo(w, cons, *threads,
+				reorder.SortConfig{MemBudget: int64(*sortMem) << 20, TmpDir: *tmpDir})
 		}
-	}
-	return err
+		return c.DecompressTo(w, cons, *threads)
+	})
 }
 
 func cmdFilter(args []string) error {
@@ -912,20 +922,11 @@ func cmdFilter(args []string) error {
 		return err
 	}
 	defer inF.Close()
-	w := io.Writer(os.Stdout)
-	var outF *os.File
-	if *out != "" {
-		if outF, err = os.Create(*out); err != nil {
-			return err
-		}
-		w = outF
-	}
-	st, err := c.Filter(w, cons, pred, *threads)
-	if outF != nil {
-		if cerr := outF.Close(); err == nil {
-			err = cerr
-		}
-	}
+	var st *shard.FilterStats
+	err = writeOutput(*out, func(w io.Writer) (err error) {
+		st, err = c.Filter(w, cons, pred, *threads)
+		return err
+	})
 	if err != nil {
 		return err
 	}
@@ -1246,7 +1247,11 @@ func readFASTQ(path string) (*fastq.ReadSet, error) {
 		return nil, err
 	}
 	defer fastq.CloseSniffed(r)
-	return fastq.Parse(r)
+	rs, err := fastq.Parse(r)
+	if err != nil {
+		return nil, fmt.Errorf("fastq: file %s: %w", filepath.Base(path), err)
+	}
+	return rs, nil
 }
 
 // readRef loads a reference: plain base text or single-record FASTA.

@@ -78,7 +78,7 @@ func newCLIFixture(t *testing.T, dir string) *cliFixture {
 	text := func(recs []fastq.Record) []byte { return (&fastq.ReadSet{Records: recs}).Bytes() }
 	var r1, r2, mates []fastq.Record
 	for i := 0; i+1 < len(rs.Records); i += 2 {
-		a, b := rs.Records[i].Clone(), rs.Records[i+1].Clone()
+		a, b := rs.Records[i], rs.Records[i+1]
 		a.Header, b.Header = fmt.Sprintf("p.%d/1", i/2), fmt.Sprintf("p.%d/2", i/2)
 		r1, r2, mates = append(r1, a), append(r2, b), append(mates, a, b)
 	}
@@ -209,32 +209,106 @@ func TestIngestMatrix(t *testing.T) {
 
 // TestPGZ1InputRejected: gzipc's private PGZ1 framing is not an ingest
 // format. It is not sniffed as compressed, so the FASTQ scanner rejects
-// it, naming the file; no container (or temp file) is left.
+// it, naming the file, on every ingest path — recompress, and a
+// one-file compress both streaming and -shard-reads 0; no container
+// (or temp file) is left.
 func TestPGZ1InputRejected(t *testing.T) {
 	dir := t.TempDir()
 	fx := newCLIFixture(t, dir)
-	pg, err := gzipc.Compress(fx.shapes[0].want, gzipc.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pg := gzipc.Compress(fx.shapes[0].want)
 	in := filepath.Join(dir, "reads.pgz")
 	if err := os.WriteFile(in, pg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "reads.sage")
-	err = cmdRecompress([]string{"-ref", fx.ref, "-out", out, in})
-	if err == nil || !strings.Contains(err.Error(), "fastq: file reads.pgz") {
-		t.Fatalf("recompress of a PGZ1 input: err = %v, want a FASTQ parse error naming reads.pgz", err)
+	for _, tc := range []struct {
+		name string
+		run  func([]string) error
+		args []string
+	}{
+		{"recompress", cmdRecompress, nil},
+		{"compress", cmdCompress, nil},
+		{"compress -shard-reads 0", cmdCompress, []string{"-shard-reads", "0"}},
+	} {
+		err := tc.run(append(append([]string{"-ref", fx.ref, "-out", out}, tc.args...), in))
+		if err == nil || !strings.Contains(err.Error(), "fastq: file reads.pgz") {
+			t.Fatalf("%s of a PGZ1 input: err = %v, want a FASTQ parse error naming reads.pgz", tc.name, err)
+		}
+		for _, p := range []string{out, out + ".tmp"} {
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Fatalf("%s: %s exists after the failed run", tc.name, p)
+			}
+		}
 	}
-	for _, p := range []string{out, out + ".tmp"} {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Fatalf("%s exists after a failed recompress", p)
+}
+
+// TestFailedDecodeKeepsOutput: decompress and filter publish -out like
+// a container. When a shard fails its checksum mid-stream, the command
+// fails, a file already at -out keeps its bytes, and no temp file is
+// left.
+func TestFailedDecodeKeepsOutput(t *testing.T) {
+	dir := t.TempDir()
+	fx := newCLIFixture(t, dir)
+	in := filepath.Join(dir, "x.fq")
+	if err := os.WriteFile(in, fx.shapes[0].want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	good := filepath.Join(dir, "x.sage")
+	if err := cmdCompress([]string{"-ref", fx.ref, "-shard-reads", "150", "-out", good, in}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := shard.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip a byte in the middle of shard 3 of 4.
+	if n := c.NumShards(); n != 4 {
+		t.Fatalf("fixture has %d shards, want 4", n)
+	}
+	e := c.Index.Entries[3]
+	data[int64(len(data))-c.Index.BlockBytes()+e.Offset+e.Length/2] ^= 0xFF
+	bad := filepath.Join(dir, "bad.sage")
+	if err := os.WriteFile(bad, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out.fq")
+	old := []byte("a file the failed run must leave alone\n")
+	for _, tc := range []struct {
+		name string
+		run  func([]string) error
+	}{
+		{"decompress", cmdDecompress},
+		{"filter", cmdFilter},
+	} {
+		if err := os.WriteFile(out, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := tc.run([]string{"-in", bad, "-out", out})
+		if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("%s of a damaged container: err = %v, want a checksum mismatch", tc.name, err)
+		}
+		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, old) {
+			t.Fatalf("%s: the failed run changed the existing -out file", tc.name)
+		}
+		if _, err := os.Stat(out + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("%s: %s.tmp left behind", tc.name, out)
+		}
+		// The intact container publishes over the old file.
+		if err := tc.run([]string{"-in", good, "-out", out}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, _ := readFASTQ(out); got == nil || len(got.Records) != 600 {
+			t.Fatalf("%s: -out does not hold the decoded reads", tc.name)
 		}
 	}
 }
 
 // TestDenovoPublishesCrashSafely: -denovo containers (sharded and
-// single-block) go through writeContainer like every other — temp file,
+// single-block) go through publish like every other — temp file,
 // fsync, rename — so they leave no *.tmp behind, and a run that cannot
 // create its temp file fails without touching an existing output.
 func TestDenovoPublishesCrashSafely(t *testing.T) {

@@ -5,14 +5,12 @@
 //
 // Usage:
 //
-//	sagebench [-scale 0.35] [-cal paper|measured] [-experiment fig13] [-list] [-json BENCH_7.json]
+//	sagebench [-scale 0.35] [-experiment fig13] [-list] [-json BENCH_7.json]
 //
-// With no -experiment it runs the full suite in order. The -cal flag
-// selects whether software preparation throughputs come from timing this
-// repository's Go decompressors on this machine (measured) or from the
-// paper's published component ratios (paper); see DESIGN.md's
-// hybrid-calibration note. The -json flag additionally writes every
-// experiment's machine-readable metrics (speedups, ratios, modeled
+// With no -experiment it runs the full suite in order. Modeled figures
+// take software preparation rates from the paper's measured component
+// ratios (DESIGN.md, "Calibration"). The -json flag additionally writes
+// every experiment's machine-readable metrics (speedups, ratios, modeled
 // times) as one JSON object keyed by experiment ID.
 package main
 
@@ -48,29 +46,19 @@ func writeJSON(path string, tables []*bench.Table) error {
 
 func main() {
 	scale := flag.Float64("scale", 0.35, "dataset scale (1.0 ≈ a few MB of FASTQ per read set)")
-	cal := flag.String("cal", "paper", "calibration for software prep rates: paper | measured")
 	experiment := flag.String("experiment", "", "run a single experiment (e.g. fig13, tab2); empty = all")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	jsonPath := flag.String("json", "", "write machine-readable metrics (experiment -> figures) to this file")
 	flag.Parse()
 
 	s := bench.NewSuite(*scale)
-	switch *cal {
-	case "paper":
-		s.Cal = bench.CalPaper
-	case "measured":
-		s.Cal = bench.CalMeasured
-	default:
-		fmt.Fprintf(os.Stderr, "sagebench: unknown calibration %q\n", *cal)
-		os.Exit(2)
-	}
 	if *list {
 		for _, id := range s.IDs() {
 			fmt.Println(id)
 		}
 		return
 	}
-	fmt.Printf("SAGe evaluation suite (scale=%.2f, calibration=%s)\n", *scale, *cal)
+	fmt.Printf("SAGe evaluation suite (scale=%.2f)\n", *scale)
 	start := time.Now()
 	var tables []*bench.Table
 	if *experiment != "" {

@@ -34,7 +34,6 @@ func main() {
 		m.Pigz.DNARatio, m.Spring.DNARatio, m.SAGe.DNARatio)
 
 	plat := bench.DefaultPlatform()
-	plat.Cal = bench.CalPaper
 	fmt.Println("\nend-to-end pipeline with the GEM read-mapping accelerator (PCIe SSD):")
 	fmt.Printf("%-12s %14s %14s %12s\n", "prep config", "total", "bottleneck", "vs (N)Spr")
 	base, err := bench.EndToEnd(bench.CfgSpring, m, plat)

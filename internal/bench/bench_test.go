@@ -21,7 +21,6 @@ func testSuite(t *testing.T) *Suite {
 	}
 	suiteOnce.Do(func() {
 		suite = NewSuite(0.25)
-		suite.Cal = CalPaper
 	})
 	return suite
 }
@@ -361,7 +360,7 @@ func TestEndToEndBottlenecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plat := s.platform()
+	plat := DefaultPlatform()
 	spring, err := EndToEnd(CfgSpring, m, plat)
 	if err != nil {
 		t.Fatal(err)

@@ -61,27 +61,14 @@ func AllConfigs() []SystemConfig {
 // execution time"). Calibrated so (N)SprAC/(N)Spr ≈ the paper's 3.9/3.0.
 const bwtAccelSavedFrac = 0.25
 
-// Calibration selects where software preparation throughputs come from.
-type Calibration int
-
-const (
-	// CalMeasured times this repository's Go decompressors on this
-	// machine. The prep:analysis throughput gap is then much larger
-	// than the paper's (a Go process vs a 128-core EPYC), which
-	// preserves orderings but exaggerates speedup factors.
-	CalMeasured Calibration = iota
-	// CalPaper pins software prep rates to the paper's measured
-	// component ratios: with GEM, end-to-end is 12.3x slower on pigz
-	// and 4.0x slower on (N)Spr than with ideal prep (Fig. 4), and
-	// SAGeSW decodes 2.3x faster than (N)Spr (§8.1).
-	CalPaper
-)
-
-// Paper-calibrated absolute preparation rates in uncompressed FASTQ
-// bytes/second, from Table 3 ((Nano)Spring decompresses at 0.7 GB/s on
-// the 128-core host) and the paper's measured gaps (pigz is 12.3/4.0 of
-// Spring's effective rate, Fig. 4; SAGeSW is 2.3x Spring, §8.1; the BWT
-// accelerator removes bwtAccelSavedFrac of Spring's time, §7).
+// Software preparation rates in uncompressed FASTQ bytes/second, pinned
+// to the paper's measured component ratios instead of timed on this
+// machine (a Go process is not the paper's 128-core host): (Nano)Spring
+// decompresses at 0.7 GB/s (Table 3); with GEM, end-to-end is 12.3x
+// slower on pigz and 4.0x slower on (N)Spr than with ideal prep
+// (Fig. 4), so pigz runs at 4.0/12.3 of Spring's rate; SAGeSW decodes
+// 2.3x faster than (N)Spr (§8.1); the BWT accelerator removes
+// bwtAccelSavedFrac of Spring's time (§7).
 const (
 	paperSpringBps = 0.7e9
 	paperPigzBps   = paperSpringBps * 4.0 / 12.3
@@ -118,8 +105,6 @@ type Platform struct {
 	ISF    accel.ISF
 	// HostDRAM and SSDDRAM close the energy model.
 	HostDRAM dram.Spec
-	// Cal selects measured or paper-calibrated software prep rates.
-	Cal Calibration
 	// VirtualScale multiplies the dataset's sizes when building the
 	// pipeline workload: the synthetic read sets are ~1000x smaller than
 	// the paper's (DESIGN.md), so the pipeline is fed sizes scaled back
@@ -180,14 +165,14 @@ func endToEnd(cfg SystemConfig, m *Measurement, plat Platform, withAnalysis bool
 		IdleW:   plat.Device.Power.IdleW * float64(n),
 	}
 	prepStage := pipeline.Stage{Name: "prep"}
-	// Under paper calibration the GEM stage consumes FASTQ-equivalent
-	// bytes at the Fig.4-derived rate (dataset-dependent: long-read
-	// mapping is far slower per byte); other mappers (e.g. the software
-	// baseline of Fig. 1) keep their own published throughputs.
+	// The GEM stage consumes FASTQ-equivalent bytes at the Fig.4-derived
+	// rate (dataset-dependent: long-read mapping is far slower per byte);
+	// other mappers (e.g. the software baseline of Fig. 1) keep their own
+	// published throughputs.
 	analysisTime := func(b pipeline.Batch) time.Duration {
 		return plat.Mapper.MapTime(b.Reads, b.Bases)
 	}
-	if plat.Cal == CalPaper && plat.Mapper.Name == "GEM" {
+	if plat.Mapper.Name == "GEM" {
 		aRate := paperAnalysisBps(m)
 		analysisTime = func(b pipeline.Batch) time.Duration {
 			return time.Duration(float64(b.UncompressedBytes) / aRate * float64(time.Second))
@@ -215,28 +200,13 @@ func endToEnd(cfg SystemConfig, m *Measurement, plat Platform, withAnalysis bool
 		var rate float64 // uncompressed output B/s
 		switch cfg {
 		case CfgPigz:
-			rate = m.Pigz.DecompressBps
-			if plat.Cal == CalPaper {
-				rate = paperPigzBps
-			}
+			rate = paperPigzBps
 		case CfgSpring:
-			rate = m.Spring.DecompressBps
-			if plat.Cal == CalPaper {
-				rate = paperSpringBps
-			}
+			rate = paperSpringBps
 		case CfgSpringAC:
-			rate = m.Spring.DecompressBps / (1 - bwtAccelSavedFrac)
-			if plat.Cal == CalPaper {
-				rate = paperSprACBps
-			}
+			rate = paperSprACBps
 		case CfgSAGeSW:
-			rate = m.SAGe.DecompressBps
-			if plat.Cal == CalPaper {
-				rate = paperSAGeSWBps
-			}
-		}
-		if rate <= 0 {
-			return pipeline.Result{}, fmt.Errorf("bench: no measured rate for %v", cfg)
+			rate = paperSAGeSWBps
 		}
 		prepStage.ActiveW = hostActiveW - hostIdleW
 		prepStage.Time = func(b pipeline.Batch) time.Duration {

@@ -56,7 +56,7 @@ func TestEndToEndRejectsUnknownConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EndToEnd(SystemConfig(99), m, s.platform()); err == nil {
+	if _, err := EndToEnd(SystemConfig(99), m, DefaultPlatform()); err == nil {
 		t.Fatal("unknown config must error")
 	}
 }
@@ -67,9 +67,9 @@ func TestVirtualScaleMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := s.platform()
+	small := DefaultPlatform()
 	small.VirtualScale = 100
-	big := s.platform()
+	big := DefaultPlatform()
 	big.VirtualScale = 1000
 	rs, err := EndToEnd(CfgSpring, m, small)
 	if err != nil {
@@ -91,8 +91,8 @@ func TestMultiSSDNeverSlower(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range AllConfigs() {
-		one := s.platform()
-		four := s.platform()
+		one := DefaultPlatform()
+		four := DefaultPlatform()
 		four.NSSD = 4
 		r1, err := EndToEnd(cfg, m, one)
 		if err != nil {
@@ -115,8 +115,8 @@ func TestSATAAlwaysSlowerOrEqual(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range AllConfigs() {
-		pcie := s.platform()
-		sata := s.platform()
+		pcie := DefaultPlatform()
+		sata := DefaultPlatform()
 		sata.Device.Interface = ssd.SATA3()
 		rp, err := EndToEnd(cfg, m, pcie)
 		if err != nil {
@@ -139,11 +139,11 @@ func TestPrepOnlyFasterThanEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []SystemConfig{CfgPigz, CfgSpring, CfgSAGe} {
-		full, err := EndToEnd(cfg, m, s.platform())
+		full, err := EndToEnd(cfg, m, DefaultPlatform())
 		if err != nil {
 			t.Fatal(err)
 		}
-		prep, err := PrepOnlyTime(cfg, m, s.platform())
+		prep, err := PrepOnlyTime(cfg, m, DefaultPlatform())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,9 +159,9 @@ func TestISFFilterFractionMatters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	weak := s.platform()
+	weak := DefaultPlatform()
 	weak.ISF = accel.GenStore(0.05)
-	strong := s.platform()
+	strong := DefaultPlatform()
 	strong.ISF = accel.GenStore(0.95)
 	rw, err := EndToEnd(CfgSAGeISF, m, weak)
 	if err != nil {
@@ -183,7 +183,7 @@ func TestEnergyPositive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range AllConfigs() {
-		res, err := EndToEnd(cfg, m, s.platform())
+		res, err := EndToEnd(cfg, m, DefaultPlatform())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,31 +196,13 @@ func TestEnergyPositive(t *testing.T) {
 	}
 }
 
-func TestMeasuredCalibrationRuns(t *testing.T) {
-	s := testSuite(t)
-	m, err := s.Measurement("RS1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plat := s.platform()
-	plat.Cal = CalMeasured
-	res, err := EndToEnd(CfgSpring, m, plat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total <= 0 {
-		t.Fatal("measured calibration produced no time")
-	}
-}
-
 func BenchmarkEndToEndPipeline(b *testing.B) {
 	s := NewSuite(0.2)
-	s.Cal = CalPaper
 	m, err := s.Measurement("RS1")
 	if err != nil {
 		b.Fatal(err)
 	}
-	plat := s.platform()
+	plat := DefaultPlatform()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := EndToEnd(CfgSAGeISF, m, plat); err != nil {

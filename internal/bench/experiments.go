@@ -36,9 +36,6 @@ func metricSlug(name string) string {
 // Suite materializes datasets lazily and runs every experiment.
 type Suite struct {
 	Scale float64
-	// Cal selects measured or paper-calibrated software prep rates for
-	// the pipeline experiments (DESIGN.md hybrid-calibration note).
-	Cal Calibration
 
 	mu   sync.Mutex
 	sets []Dataset
@@ -49,13 +46,6 @@ type Suite struct {
 // FASTQ per read set).
 func NewSuite(scale float64) *Suite {
 	return &Suite{Scale: scale, meas: make(map[string]*Measurement)}
-}
-
-// platform returns the default platform under the suite's calibration.
-func (s *Suite) platform() Platform {
-	p := DefaultPlatform()
-	p.Cal = s.Cal
-	return p
 }
 
 func (s *Suite) datasets() []Dataset {
@@ -132,7 +122,7 @@ func (s *Suite) Fig1() (*Table, error) {
 	}
 	var accPrep, accIdeal float64
 	for _, r := range rows {
-		plat := s.platform()
+		plat := DefaultPlatform()
 		plat.Mapper = r.mapr
 		res, err := EndToEnd(r.cfg, m, plat)
 		if err != nil {
@@ -180,7 +170,7 @@ func (s *Suite) Fig4() (*Table, error) {
 	}
 	var gp, gi []float64
 	for _, m := range ms {
-		plat := s.platform()
+		plat := DefaultPlatform()
 		base, err := EndToEnd(CfgSpring, m, plat)
 		if err != nil {
 			return nil, err
@@ -321,7 +311,7 @@ func (s *Suite) Fig13() (*Table, error) {
 	for _, iface := range []ssd.Interface{ssd.PCIeGen4(), ssd.SATA3()} {
 		gms := make([][]float64, numConfigs)
 		for _, m := range ms {
-			plat := s.platform()
+			plat := DefaultPlatform()
 			plat.Device.Interface = iface
 			base, err := EndToEnd(CfgSpring, m, plat)
 			if err != nil {
@@ -374,7 +364,7 @@ func (s *Suite) Fig14() (*Table, error) {
 	}
 	gms := make([][]float64, len(cfgs))
 	for _, m := range ms {
-		plat := s.platform()
+		plat := DefaultPlatform()
 		base, err := PrepOnlyTime(CfgPigz, m, plat)
 		if err != nil {
 			return nil, err
@@ -420,7 +410,7 @@ func (s *Suite) Fig15() (*Table, error) {
 	}
 	sgByN := make(map[int][]float64)
 	for _, m := range ms {
-		plat := s.platform()
+		plat := DefaultPlatform()
 		base, err := EndToEnd(CfgSpring, m, plat)
 		if err != nil {
 			return nil, err
@@ -502,7 +492,7 @@ func (s *Suite) Fig16() (*Table, error) {
 	}
 	gms := make([][]float64, len(cfgs))
 	for _, m := range ms {
-		plat := s.platform()
+		plat := DefaultPlatform()
 		base, err := EndToEnd(CfgSpringAC, m, plat)
 		if err != nil {
 			return nil, err

@@ -24,16 +24,16 @@ func TestInStoragePathFunctional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ❶ SAGe_Write the container.
-	if _, err := dev.WriteGenomic("rs1.sage", m.SAGe.Payload); err != nil {
+	// ❶ SAGe_Write the container as one shard.
+	if err := writeWhole(dev, "rs1.sage", m.SAGe.Payload); err != nil {
 		t.Fatal(err)
 	}
 	// Unrelated traffic must not disturb it.
-	if _, err := dev.WriteFile("other.bin", make([]byte, 200000)); err != nil {
+	if _, _, err := dev.WriteShards("other.bin", make([]byte, 200000), nil); err != nil {
 		t.Fatal(err)
 	}
 	// ❷ SAGe_Read at internal bandwidth.
-	data, readTime, err := dev.ReadGenomicInternal("rs1.sage")
+	data, readTime, err := dev.ReadShard("rs1.sage", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,22 +83,22 @@ func TestContainerSurvivesGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.WriteGenomic("keep.sage", m.SAGe.Payload); err != nil {
+	if err := writeWhole(dev, "keep.sage", m.SAGe.Payload); err != nil {
 		t.Fatal(err)
 	}
-	churn := make([]byte, int(cfg.Geometry.TotalBytes()/3))
+	churn := make([]byte, cfg.Geometry.TotalPages()*cfg.Geometry.PageSize/3)
 	for i := 0; i < 6; i++ {
 		for j := range churn {
 			churn[j] = byte(i + j)
 		}
-		if _, err := dev.WriteGenomic("churn", churn); err != nil {
+		if _, _, err := dev.WriteShards("churn", churn, nil); err != nil {
 			t.Fatalf("churn %d: %v", i, err)
 		}
 	}
 	if dev.Stats().BlockErases == 0 {
 		t.Fatal("expected GC activity")
 	}
-	data, _, err := dev.ReadGenomicInternal("keep.sage")
+	data, _, err := dev.ReadShard("keep.sage", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,4 +126,11 @@ func TestSpringAndSAGeAgreeOnContent(t *testing.T) {
 	if !fastq.Equivalent(m.Gen.Reads, sage) {
 		t.Fatal("SAGe container diverged")
 	}
+}
+
+// writeWhole stores data on dev as a single shard, so ReadShard(name, 0)
+// returns all of it.
+func writeWhole(dev *ssd.SSD, name string, data []byte) error {
+	_, _, err := dev.WriteShards(name, data, []ssd.Extent{{Offset: 0, Length: int64(len(data))}})
+	return err
 }

@@ -31,7 +31,7 @@ type CodecResult struct {
 	// zero for general-purpose compressors.
 	MismatchFindTime time.Duration
 	// DecompressBps is the measured decompression rate in uncompressed
-	// output bytes per second.
+	// output bytes per second (SAGe only: Tab. 3's software decode row).
 	DecompressBps float64
 	// Payload is the compressed artifact (stored into the SSD model by
 	// the end-to-end experiments).
@@ -51,47 +51,23 @@ type Measurement struct {
 // UncompressedBytes is the FASTQ size.
 func (m *Measurement) UncompressedBytes() int64 { return int64(len(m.Gen.FASTQ)) }
 
-// Result returns the codec result by configuration family.
-func (m *Measurement) Result(name string) *CodecResult {
-	switch name {
-	case "pigz":
-		return &m.Pigz
-	case "spring":
-		return &m.Spring
-	case "sage":
-		return &m.SAGe
-	}
-	return nil
-}
-
 // Measure runs and times every compressor on the dataset.
 func Measure(g *Generated) (*Measurement, error) {
 	m := &Measurement{Gen: g}
 
 	// --- pigz ---
 	start := time.Now()
-	pz, err := gzipc.Compress(g.FASTQ, gzipc.DefaultOptions())
-	if err != nil {
-		return nil, fmt.Errorf("bench: pigz compress: %w", err)
-	}
+	pz := gzipc.Compress(g.FASTQ)
 	pigzCompress := time.Since(start)
 	// Section ratios: gzip the DNA and quality lines separately, as
 	// Table 2 reports them per stream.
 	dnaBlob, qualBlob := sectionBlobs(g.Reads)
-	pzDNA, err := gzipc.Compress(dnaBlob, gzipc.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	pzQual, err := gzipc.Compress(qualBlob, gzipc.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	out, err := gzipc.Decompress(pz, gzipc.DefaultOptions())
+	pzDNA := gzipc.Compress(dnaBlob)
+	pzQual := gzipc.Compress(qualBlob)
+	out, err := gzipc.Decompress(pz)
 	if err != nil {
 		return nil, fmt.Errorf("bench: pigz decompress: %w", err)
 	}
-	pigzDecomp := time.Since(start)
 	if !bytes.Equal(out, g.FASTQ) {
 		return nil, fmt.Errorf("bench: pigz roundtrip mismatch on %s", g.Label)
 	}
@@ -103,24 +79,20 @@ func Measure(g *Generated) (*Measurement, error) {
 		DNARatio:        ratio(len(dnaBlob), len(pzDNA)),
 		QualRatio:       ratio(len(qualBlob), len(pzQual)),
 		CompressTime:    pigzCompress,
-		DecompressBps:   bps(len(g.FASTQ), pigzDecomp),
 		Payload:         pz,
 	}
 
 	// --- Spring-like ---
-	sprOpt := springc.DefaultOptions(g.Ref)
 	start = time.Now()
-	spr, err := springc.Compress(g.Reads, sprOpt)
+	spr, err := springc.Compress(g.Reads, g.Ref)
 	if err != nil {
 		return nil, fmt.Errorf("bench: spring compress: %w", err)
 	}
 	sprCompress := time.Since(start)
-	start = time.Now()
-	sprOut, err := springc.Decompress(spr.Data, nil)
+	sprOut, err := springc.Decompress(spr.Data)
 	if err != nil {
 		return nil, fmt.Errorf("bench: spring decompress: %w", err)
 	}
-	sprDecomp := time.Since(start)
 	if !fastq.Equivalent(g.Reads, sprOut) {
 		return nil, fmt.Errorf("bench: spring roundtrip mismatch on %s", g.Label)
 	}
@@ -132,11 +104,7 @@ func Measure(g *Generated) (*Measurement, error) {
 		DNARatio:        ratio(len(dnaBlob), spr.Stats.DNABytes),
 		QualRatio:       ratio(len(qualBlob), spr.Stats.QualityBytes),
 		CompressTime:    sprCompress,
-		// The consensus+mismatch front end dominates Spring's
-		// compression time; approximate its share with SAGe's measured
-		// mapping share (identical front end).
-		DecompressBps: bps(len(g.FASTQ), sprDecomp),
-		Payload:       spr.Data,
+		Payload:         spr.Data,
 	}
 
 	// --- SAGe ---

@@ -185,12 +185,6 @@ func (r *Reader) ReadBool() (bool, error) {
 	return b == 1, err
 }
 
-// Pos reports the bit cursor position.
-func (r *Reader) Pos() uint64 { return r.pos }
-
-// Remaining reports the number of unread bits.
-func (r *Reader) Remaining() uint64 { return r.n - r.pos }
-
 // BitsFor returns the minimum number of bits needed to represent v
 // (at least 1; BitsFor(0) == 1, matching SAGe's width classes, which
 // always spend at least one bit per stored value).

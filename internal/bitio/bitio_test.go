@@ -25,8 +25,8 @@ func TestWriteReadBits(t *testing.T) {
 	if v, err := r.ReadBits(16); err != nil || v != 0x1234 {
 		t.Fatalf("got %v,%v want 0x1234", v, err)
 	}
-	if r.Remaining() != 0 {
-		t.Fatalf("remaining %d want 0", r.Remaining())
+	if r.n-r.pos != 0 {
+		t.Fatalf("remaining %d want 0", r.n-r.pos)
 	}
 }
 
@@ -97,8 +97,8 @@ func TestReadPastEnd(t *testing.T) {
 
 func TestReaderBoundsToBuffer(t *testing.T) {
 	r := NewReader([]byte{0xff}, 1000)
-	if r.Remaining() != 8 {
-		t.Fatalf("remaining %d want 8", r.Remaining())
+	if r.n-r.pos != 8 {
+		t.Fatalf("remaining %d want 8", r.n-r.pos)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestQuickBitsRoundtrip(t *testing.T) {
 				return false
 			}
 		}
-		return rd.Remaining() == 0
+		return rd.n-rd.pos == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

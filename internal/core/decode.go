@@ -175,25 +175,9 @@ func (a *seqArena) take(n int) genome.Seq {
 	return b
 }
 
-// DecodeResult carries the reconstructed read set plus sizing details.
-type DecodeResult struct {
-	ReadSet *fastq.ReadSet
-	// Lengths are the per-read lengths in container (reordered) order.
-	Lengths []int
-}
-
 // Decompress reconstructs the read set from a SAGe container. When the
 // consensus is not embedded, externalCons must supply it.
 func Decompress(data []byte, externalCons genome.Seq) (*fastq.ReadSet, error) {
-	res, err := DecompressFull(data, externalCons)
-	if err != nil {
-		return nil, err
-	}
-	return res.ReadSet, nil
-}
-
-// DecompressFull is Decompress with decode metadata.
-func DecompressFull(data []byte, externalCons genome.Seq) (*DecodeResult, error) {
 	c, err := parseContainer(data)
 	if err != nil {
 		return nil, err
@@ -253,7 +237,7 @@ func DecompressFull(data []byte, externalCons genome.Seq) (*DecodeResult, error)
 			rs.Records[i].Header = hs[i]
 		}
 	}
-	return &DecodeResult{ReadSet: rs, Lengths: lengths}, nil
+	return rs, nil
 }
 
 // segPlan is the decoded placement of one segment.

@@ -39,8 +39,6 @@ type Options struct {
 	// per shard. The mapper must have been built over the same
 	// Consensus.
 	SharedMapper *mapper.Mapper
-	// Tune configures Algorithm 1.
-	Tune TuneConfig
 	// Workers bounds mapping parallelism (0 = GOMAXPROCS).
 	Workers int
 }
@@ -53,7 +51,6 @@ func DefaultOptions(cons genome.Seq) Options {
 		IncludeQuality: true,
 		IncludeHeaders: true,
 		Mapper:         mapper.DefaultConfig(),
-		Tune:           DefaultTuneConfig(),
 	}
 }
 
@@ -246,7 +243,7 @@ func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
 
 	var tables [numTables]*AssociationTable
 	for i, h := range []*Histogram{&hMatch, &hMisPos, &hCount, &hReadLen, &hIndel} {
-		tab, err := TuneTable(h, opt.Tune)
+		tab, err := TuneTable(h, DefaultTuneConfig())
 		if err != nil {
 			return nil, fmt.Errorf("core: tuning table %d: %w", i, err)
 		}

@@ -82,7 +82,7 @@ func ComputeBreakdowns(rs *fastq.ReadSet, cons genome.Seq, opt Options) ([]Break
 		if lvl >= LevelO3 {
 			alns = chimAlns
 		}
-		bd, err := modelLevel(rs, cons, alns, lvl, opt.Tune)
+		bd, err := modelLevel(rs, cons, alns, lvl)
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +121,8 @@ func mapAll(rs *fastq.ReadSet, cons genome.Seq, cfg mapper.Config) ([]mapper.Ali
 }
 
 // modelLevel computes exact component bit counts for levels NO–O3.
-func modelLevel(rs *fastq.ReadSet, cons genome.Seq, alns []mapper.Alignment, lvl OptLevel, tune TuneConfig) (Breakdown, error) {
+func modelLevel(rs *fastq.ReadSet, cons genome.Seq, alns []mapper.Alignment, lvl OptLevel) (Breakdown, error) {
+	tune := DefaultTuneConfig()
 	var comp ComponentBits
 	wCons := uint64(HistIndex(uint64(len(cons))))
 	maxReadLen := 0

@@ -62,15 +62,6 @@ func (r *Record) Validate() error {
 	return nil
 }
 
-// Clone deep-copies the record.
-func (r *Record) Clone() Record {
-	out := Record{Header: r.Header, Seq: r.Seq.Clone()}
-	if r.Qual != nil {
-		out.Qual = append([]byte(nil), r.Qual...)
-	}
-	return out
-}
-
 // ReadSet is a collection of records plus bookkeeping that the
 // compression experiments need.
 type ReadSet struct {
@@ -99,27 +90,6 @@ func (rs *ReadSet) UncompressedSize() int {
 			n += len(r.Qual)
 		}
 		n++ // \n
-	}
-	return n
-}
-
-// DNASize returns the byte size of the DNA lines only (bases + newline),
-// the denominator used for DNA-only compression ratios.
-func (rs *ReadSet) DNASize() int {
-	n := 0
-	for i := range rs.Records {
-		n += len(rs.Records[i].Seq) + 1
-	}
-	return n
-}
-
-// QualSize returns the byte size of the quality lines only.
-func (rs *ReadSet) QualSize() int {
-	n := 0
-	for i := range rs.Records {
-		if rs.Records[i].Qual != nil {
-			n += len(rs.Records[i].Qual) + 1
-		}
 	}
 	return n
 }

@@ -236,6 +236,3 @@ func mateKeyBytes(h []byte) []byte {
 	}
 	return h
 }
-
-// mateKey is mateKeyBytes for string headers.
-func mateKey(h string) string { return string(mateKeyBytes([]byte(h))) }

@@ -230,8 +230,8 @@ func TestMateKey(t *testing.T) {
 		{"M0:1:AB 2:N:0:ATC", "M0:1:AB"},
 	}
 	for _, c := range cases {
-		if got := mateKey(c.h); got != c.want {
-			t.Fatalf("mateKey(%q) = %q, want %q", c.h, got, c.want)
+		if got := string(mateKeyBytes([]byte(c.h))); got != c.want {
+			t.Fatalf("mateKeyBytes(%q) = %q, want %q", c.h, got, c.want)
 		}
 	}
 }

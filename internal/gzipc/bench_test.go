@@ -19,22 +19,17 @@ func BenchmarkCompress(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compress(data, DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
+		Compress(data)
 	}
 }
 
 func BenchmarkDecompress(b *testing.B) {
 	data := benchData()
-	comp, err := Compress(data, DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
+	comp := Compress(data)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(comp, DefaultOptions()); err != nil {
+		if _, err := Decompress(comp); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,104 +19,39 @@ import (
 	"sync"
 )
 
-// DefaultBlockSize matches pigz's 128 KiB default.
-const DefaultBlockSize = 128 << 10
-
-// DefaultLevel matches pigz's default DEFLATE level.
-const DefaultLevel = 6
-
-// Options configures the codec.
-type Options struct {
-	// BlockSize is the uncompressed bytes per parallel block.
-	BlockSize int
-	// Level is the DEFLATE level, gzip.HuffmanOnly (-2) through
-	// gzip.BestCompression (9). Because gzip.NoCompression is 0 — Go's
-	// zero value — an explicit store level is only honored when
-	// LevelSet is true; a zero Options value compresses at
-	// DefaultLevel.
-	Level int
-	// LevelSet marks Level as deliberate. Without it, Level 0 means
-	// "unset" and maps to DefaultLevel (a Level other than 0 implies
-	// LevelSet).
-	LevelSet bool
-	// Workers bounds parallelism (0 = GOMAXPROCS).
-	Workers int
-}
-
-// DefaultOptions mirrors `pigz -6`.
-func DefaultOptions() Options {
-	return Options{BlockSize: DefaultBlockSize, Level: DefaultLevel, LevelSet: true}
-}
-
-// level resolves the effective DEFLATE level: default an unset level,
-// honor everything else, and reject out-of-range values instead of
-// letting gzip.NewWriterLevel fail per block on the workers.
-func (o Options) level() (int, error) {
-	l := o.Level
-	if l == 0 && !o.LevelSet {
-		l = DefaultLevel
-	}
-	if l < gzip.HuffmanOnly || l > gzip.BestCompression {
-		return 0, fmt.Errorf("gzipc: invalid DEFLATE level %d (want %d..%d)",
-			l, gzip.HuffmanOnly, gzip.BestCompression)
-	}
-	return l, nil
-}
+// blockSize and level are pigz's defaults: `pigz -6`, 128 KiB blocks.
+const (
+	blockSize = 128 << 10
+	level     = 6
+)
 
 var blockMagic = [4]byte{'P', 'G', 'Z', '1'}
 
-// Compress encodes data as a sequence of independently-deflated blocks.
-func Compress(data []byte, opt Options) ([]byte, error) {
-	if opt.BlockSize <= 0 {
-		opt.BlockSize = DefaultBlockSize
-	}
-	level, err := opt.level()
-	if err != nil {
-		return nil, err
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	nBlocks := (len(data) + opt.BlockSize - 1) / opt.BlockSize
+// Compress encodes data as a sequence of independently-deflated blocks,
+// compressed on up to GOMAXPROCS workers.
+func Compress(data []byte) []byte {
+	nBlocks := (len(data) + blockSize - 1) / blockSize
 	comp := make([][]byte, nBlocks)
-	errs := make([]error, nBlocks)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for b := 0; b < nBlocks; b++ {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(b int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			lo := b * opt.BlockSize
-			hi := lo + opt.BlockSize
-			if hi > len(data) {
-				hi = len(data)
-			}
+			lo := b * blockSize
+			hi := min(lo+blockSize, len(data))
 			var buf bytes.Buffer
-			zw, err := gzip.NewWriterLevel(&buf, level)
-			if err != nil {
-				errs[b] = err
-				return
-			}
-			if _, err := zw.Write(data[lo:hi]); err != nil {
-				errs[b] = err
-				return
-			}
-			if err := zw.Close(); err != nil {
-				errs[b] = err
-				return
-			}
+			// Neither call fails: the level is valid and a
+			// bytes.Buffer never refuses a write.
+			zw, _ := gzip.NewWriterLevel(&buf, level)
+			zw.Write(data[lo:hi])
+			zw.Close()
 			comp[b] = buf.Bytes()
 		}(b)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	var out bytes.Buffer
 	out.Write(blockMagic[:])
 	writeUvarint(&out, uint64(len(data)))
@@ -125,11 +60,12 @@ func Compress(data []byte, opt Options) ([]byte, error) {
 		writeUvarint(&out, uint64(len(comp[b])))
 		out.Write(comp[b])
 	}
-	return out.Bytes(), nil
+	return out.Bytes()
 }
 
-// Decompress decodes a block stream, inflating blocks in parallel.
-func Decompress(data []byte, opt Options) ([]byte, error) {
+// Decompress decodes a block stream, inflating blocks on up to
+// GOMAXPROCS workers.
+func Decompress(data []byte) ([]byte, error) {
 	rd := bytes.NewReader(data)
 	var m [4]byte
 	if _, err := io.ReadFull(rd, m[:]); err != nil {
@@ -164,14 +100,10 @@ func Decompress(data []byte, opt Options) ([]byte, error) {
 		}
 		blocks[b] = blk
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	out := make([][]byte, nBlocks)
 	errs := make([]error, nBlocks)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for b := range blocks {
 		wg.Add(1)
 		sem <- struct{}{}

@@ -3,18 +3,16 @@ package gzipc
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
+	"io"
 	"math/rand"
-	"strings"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
 
 func TestRoundtripEmpty(t *testing.T) {
-	c, err := Compress(nil, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Decompress(c, DefaultOptions())
+	d, err := Decompress(Compress(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,14 +27,11 @@ func TestRoundtripMultiBlock(t *testing.T) {
 	for i := range data {
 		data[i] = "ACGT"[rng.Intn(4)]
 	}
-	c, err := Compress(data, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Compress(data)
 	if len(c) >= len(data) {
 		t.Fatalf("no compression: %d vs %d", len(c), len(data))
 	}
-	d, err := Decompress(c, DefaultOptions())
+	d, err := Decompress(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,46 +40,64 @@ func TestRoundtripMultiBlock(t *testing.T) {
 	}
 }
 
+// TestSmallBlocks: an input shorter than one block is one member.
 func TestSmallBlocks(t *testing.T) {
 	data := []byte("the quick brown fox jumps over the lazy dog")
-	opt := Options{BlockSize: 8, Level: 9}
-	c, err := Compress(data, opt)
-	if err != nil {
-		t.Fatal(err)
+	c := Compress(data)
+	if _, members := header(t, c); len(members) != 1 {
+		t.Fatalf("%d members, want 1", len(members))
 	}
-	d, err := Decompress(c, opt)
+	d, err := Decompress(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(d, data) {
 		t.Fatal("roundtrip mismatch")
 	}
+}
+
+// header splits a block stream into its total length and its members.
+func header(t *testing.T, c []byte) (total uint64, members [][]byte) {
+	t.Helper()
+	rd := bytes.NewReader(c[len(blockMagic):])
+	total, err := binary.ReadUvarint(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := binary.ReadUvarint(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < n; i++ {
+		l, err := binary.ReadUvarint(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := make([]byte, l)
+		if _, err := io.ReadFull(rd, m); err != nil {
+			t.Fatal(err)
+		}
+		members = append(members, m)
+	}
+	return total, members
 }
 
 func TestDecompressErrors(t *testing.T) {
-	if _, err := Decompress([]byte("xx"), DefaultOptions()); err == nil {
+	if _, err := Decompress([]byte("xx")); err == nil {
 		t.Fatal("expected error for short input")
 	}
-	if _, err := Decompress([]byte("XXXX\x00\x00"), DefaultOptions()); err == nil {
+	if _, err := Decompress([]byte("XXXX\x00\x00")); err == nil {
 		t.Fatal("expected error for bad magic")
 	}
-	c, err := Compress([]byte("hello world hello world"), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decompress(c[:len(c)-2], DefaultOptions()); err == nil {
+	c := Compress([]byte("hello world hello world"))
+	if _, err := Decompress(c[:len(c)-2]); err == nil {
 		t.Fatal("expected error for truncated stream")
 	}
 }
 
 func TestQuickRoundtrip(t *testing.T) {
-	f := func(data []byte, blockExp uint8) bool {
-		opt := Options{BlockSize: 1 << (blockExp%12 + 3), Level: 6}
-		c, err := Compress(data, opt)
-		if err != nil {
-			return false
-		}
-		d, err := Decompress(c, opt)
+	f := func(data []byte) bool {
+		d, err := Decompress(Compress(data))
 		return err == nil && bytes.Equal(d, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -92,69 +105,39 @@ func TestQuickRoundtrip(t *testing.T) {
 	}
 }
 
-// TestLevelHandling pins the Level semantics: an unset level defaults,
-// gzip.NoCompression and gzip.HuffmanOnly are representable (LevelSet
-// distinguishes a deliberate 0 from the zero value), and out-of-range
-// levels fail loudly instead of silently becoming 6.
+// TestLevelHandling pins the blocks to pigz's defaults: 128 KiB of
+// input each, deflated at level 6, so every member is the one
+// gzip.NewWriterLevel(w, 6) writes for its block.
 func TestLevelHandling(t *testing.T) {
-	data := bytes.Repeat([]byte("ACGTACGTACGT"), 4096)
-
-	// Zero-value Options = unset level = DefaultLevel: must compress.
-	def, err := Compress(data, Options{})
-	if err != nil {
-		t.Fatal(err)
+	data := bytes.Repeat([]byte("ACGTACGTACGTNNGATTACA"), 16<<10)
+	total, members := header(t, Compress(data))
+	if total != uint64(len(data)) {
+		t.Fatalf("total %d, want %d", total, len(data))
 	}
-	if len(def) >= len(data) {
-		t.Fatalf("unset level did not compress: %d vs %d", len(def), len(data))
+	if want := (len(data) + blockSize - 1) / blockSize; len(members) != want {
+		t.Fatalf("%d members, want %d", len(members), want)
 	}
-
-	// gzip.NoCompression must be honored, not upgraded to level 6: the
-	// output stores the data raw and is larger than the input.
-	stored, err := Compress(data, Options{Level: gzip.NoCompression, LevelSet: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stored) <= len(data) {
-		t.Fatalf("NoCompression output %d bytes <= input %d — level was substituted", len(stored), len(data))
-	}
-	d, err := Decompress(stored, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(d, data) {
-		t.Fatal("NoCompression roundtrip mismatch")
-	}
-
-	// gzip.HuffmanOnly (-2) is in range and must compress this input at
-	// least a little (entropy coding without matching).
-	huff, err := Compress(data, Options{Level: gzip.HuffmanOnly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(huff) >= len(data) {
-		t.Fatalf("HuffmanOnly did not compress: %d vs %d", len(huff), len(data))
-	}
-
-	// Out-of-range levels error up front with the offending value.
-	for _, lvl := range []int{-3, 10, 42} {
-		_, err := Compress(data, Options{Level: lvl})
-		if err == nil {
-			t.Fatalf("level %d accepted", lvl)
+	for i, m := range members {
+		lo := i * blockSize
+		var buf bytes.Buffer
+		zw, err := gzip.NewWriterLevel(&buf, 6)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(err.Error(), "level") {
-			t.Fatalf("level %d error %q lacks context", lvl, err)
+		zw.Write(data[lo:min(lo+blockSize, len(data))])
+		zw.Close()
+		if !bytes.Equal(m, buf.Bytes()) {
+			t.Fatalf("member %d is not the level-6 deflate of its block", i)
 		}
 	}
 }
 
+// TestWorkerLimit: with one worker allowed, the pool still drains a
+// multi-block input in both directions.
 func TestWorkerLimit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	data := bytes.Repeat([]byte("genome"), 100000)
-	opt := Options{BlockSize: 1 << 14, Level: 6, Workers: 1}
-	c, err := Compress(data, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Decompress(c, opt)
+	d, err := Decompress(Compress(data))
 	if err != nil {
 		t.Fatal(err)
 	}

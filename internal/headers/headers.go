@@ -35,10 +35,6 @@ type token struct {
 	width int
 }
 
-func tokenize(h string) []token {
-	return tokenizeAppend(nil, h)
-}
-
 // tokenizeAppend appends h's tokens to dst, returning the extended
 // slice, so a block of headers tokenizes into one shared backing array.
 func tokenizeAppend(out []token, h string) []token {

@@ -3,6 +3,7 @@ package instorage
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -154,8 +155,8 @@ func TestScanToSinkSeesEveryShardInOrder(t *testing.T) {
 		if len(srs.Records) != c.Index.Entries[i].ReadCount {
 			t.Errorf("sink shard %d: %d records, index says %d", i, len(srs.Records), c.Index.Entries[i].ReadCount)
 		}
-		for j := range srs.Records {
-			decoded.Records = append(decoded.Records, srs.Records[j].Clone())
+		for _, r := range srs.Records {
+			decoded.Records = append(decoded.Records, fastq.Record{Header: r.Header, Seq: r.Seq.Clone(), Qual: slices.Clone(r.Qual)})
 		}
 	})
 	if err != nil {

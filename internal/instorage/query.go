@@ -47,10 +47,6 @@ type FilterResult struct {
 	Stages []obs.StageTiming
 }
 
-// StageTable renders the measured stage attribution as an aligned text
-// table.
-func (r *FilterResult) StageTable() string { return obs.StageTable(r.Stages) }
-
 // FilterScan runs a predicate over the placed container in storage:
 // the shard index's zone maps prune shards that provably cannot match
 // (zero flash I/O — the device page-read counter does not move for

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sage/internal/obs"
 	"sage/internal/shard"
 )
 
@@ -114,7 +115,7 @@ func TestFilterScanStageAttribution(t *testing.T) {
 			t.Errorf("stage %d = %+v, want %q with %d calls", i, st, want[i], fr.ShardsScanned)
 		}
 	}
-	if table := fr.StageTable(); !strings.Contains(table, "filter") {
+	if table := obs.StageTable(fr.Stages); !strings.Contains(table, "filter") {
 		t.Errorf("StageTable missing filter stage:\n%s", table)
 	}
 }

@@ -7,8 +7,8 @@
 //
 // It provides three primitives:
 //
-//   - Metrics: monotonic Counters, Gauges, and fixed-bucket log-spaced
-//     latency Histograms with p50/p90/p99/p999 extraction, all safe for
+//   - Metrics: monotonic Counters, gauges read at scrape time, and
+//     fixed-bucket log-spaced latency Histograms, all safe for
 //     concurrent update via atomics. Single-label families (CounterVec,
 //     HistogramVec) cover the per-endpoint / per-container cases.
 //   - A Registry that renders everything it holds in Prometheus text
@@ -50,21 +50,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	name, help string
-	v          atomic.Int64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // funcGauge is a gauge whose value is read at scrape time — for state
 // another structure already holds (cache occupancy, configuration).
@@ -146,7 +131,7 @@ func (v *HistogramVec) children() []*Histogram {
 type Registry struct {
 	mu    sync.Mutex
 	names map[string]bool
-	fams  []any // *Counter | *Gauge | *funcGauge | *Histogram | *CounterVec | *HistogramVec
+	fams  []any // *Counter | *funcGauge | *Histogram | *CounterVec | *HistogramVec
 }
 
 // NewRegistry builds an empty registry.
@@ -171,13 +156,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{name: name, help: help}
 	r.register(name, c)
 	return c
-}
-
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(name, g)
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is fn(), read at scrape time.

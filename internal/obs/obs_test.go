@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,11 +20,16 @@ func TestCounterGauge(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("g", "a gauge")
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
+	// A gauge reads its value at scrape time.
+	v := int64(7)
+	r.GaugeFunc("g", "a gauge", func() int64 { return v })
+	v = 4
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "\ng 4\n") {
+		t.Fatalf("gauge not scraped as 4:\n%s", buf.String())
 	}
 }
 
@@ -38,7 +41,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 			t.Fatal("expected panic on duplicate metric name")
 		}
 	}()
-	r.Gauge("dup_total", "")
+	r.GaugeFunc("dup_total", "", func() int64 { return 0 })
 }
 
 // TestHistogramBucketEdges pins the boundary behavior: a zero
@@ -59,8 +62,8 @@ func TestHistogramBucketEdges(t *testing.T) {
 	h.Observe(1 << 62)      // deep overflow
 
 	counts, total := h.snapshot()
-	if total != 7 || h.Count() != 7 {
-		t.Fatalf("count = %d/%d, want 7", total, h.Count())
+	if total != 7 {
+		t.Fatalf("count = %d, want 7", total)
 	}
 	if counts[0] != 3 {
 		t.Errorf("bucket 0 = %d, want 3 (zero, clamped negative, on-bound)", counts[0])
@@ -75,77 +78,13 @@ func TestHistogramBucketEdges(t *testing.T) {
 		t.Errorf("overflow bucket = %d, want 2", counts[len(counts)-1])
 	}
 	// The negative observation must not have poisoned the sum.
-	if h.Sum() < 0 {
-		t.Errorf("sum = %v, negative", h.Sum())
+	if sum := h.sum.Load(); sum < 0 {
+		t.Errorf("sum = %v, negative", time.Duration(sum))
 	}
-	// Overflow quantiles report the last finite bound, not an invention.
-	if q := h.Quantile(0.9999); q != last {
-		t.Errorf("overflow quantile = %v, want last bound %v", q, last)
-	}
-}
-
-// TestHistogramQuantilesKnownDistribution checks percentile extraction
-// against a reference: for a known set of observations, every reported
-// quantile must bracket the exact order-statistic within its bucket's
-// bounds (log buckets cannot do better than bucket resolution).
-func TestHistogramQuantilesKnownDistribution(t *testing.T) {
-	h := newHistogram("h", "", defaultBounds())
-	rng := rand.New(rand.NewSource(42))
-	n := 10000
-	obs := make([]time.Duration, n)
-	for i := range obs {
-		// Log-uniform over ~1µs..1s, the shape of real latency tails.
-		d := time.Duration(float64(time.Microsecond) * exp2(rng.Float64()*20))
-		obs[i] = d
-		h.Observe(d)
-	}
-	sort.Slice(obs, func(i, j int) bool { return obs[i] < obs[j] })
-
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		exact := obs[int(q*float64(n-1))]
-		got := h.Quantile(q)
-		lo, hi := bucketBounds(h, exact)
-		if got < lo || got > hi {
-			t.Errorf("q=%g: got %v, exact %v lives in bucket [%v,%v]", q, got, exact, lo, hi)
-		}
-	}
-	p50, p90, p99, p999 := h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99), h.Quantile(0.999)
-	if !(p50 <= p90 && p90 <= p99 && p99 <= p999) {
-		t.Errorf("percentiles not monotone: %v %v %v %v", p50, p90, p99, p999)
-	}
-	if p50 == 0 || p999 == 0 {
-		t.Error("percentiles of a populated histogram must be non-zero")
-	}
-}
-
-func exp2(x float64) float64 {
-	out := 1.0
-	for x >= 1 {
-		out *= 2
-		x--
-	}
-	// Good enough fractional part for test data generation.
-	return out * (1 + x)
-}
-
-// bucketBounds returns the [lower, upper] bounds of the bucket d lands
-// in (reference implementation for the quantile test).
-func bucketBounds(h *Histogram, d time.Duration) (time.Duration, time.Duration) {
-	for i, b := range h.bounds {
-		if int64(d) <= b {
-			lo := int64(0)
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			return time.Duration(lo), time.Duration(b)
-		}
-	}
-	last := h.bounds[len(h.bounds)-1]
-	return time.Duration(last), 1 << 62
 }
 
 // TestHistogramConcurrent hammers one histogram from many goroutines
-// while readers extract quantiles and scrape the registry — the -race
+// while readers snapshot it and scrape the registry — the -race
 // gate for the whole metrics hot path.
 func TestHistogramConcurrent(t *testing.T) {
 	r := NewRegistry()
@@ -167,12 +106,12 @@ func TestHistogramConcurrent(t *testing.T) {
 			}
 		}(w)
 	}
-	// Concurrent readers: quantiles and full scrapes must be safe.
+	// Concurrent readers: snapshots and full scrapes must be safe.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			h.Quantile(0.99)
+			h.snapshot()
 			var buf bytes.Buffer
 			if err := r.WritePrometheus(&buf); err != nil {
 				t.Errorf("scrape: %v", err)
@@ -182,7 +121,7 @@ func TestHistogramConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if got := h.Count(); got != workers*perWorker {
+	if _, got := h.snapshot(); got != workers*perWorker {
 		t.Fatalf("count = %d, want %d", got, workers*perWorker)
 	}
 	if got := c.Value(); got != workers*perWorker {
@@ -190,7 +129,8 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 	var vecTotal int64
 	for _, child := range vec.children() {
-		vecTotal += child.Count()
+		_, n := child.snapshot()
+		vecTotal += n
 	}
 	if vecTotal != workers*perWorker {
 		t.Fatalf("vec total = %d, want %d", vecTotal, workers*perWorker)
@@ -205,8 +145,7 @@ func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("requests_total", "requests")
 	c.Add(3)
-	g := r.Gauge("cache_bytes", "bytes resident")
-	g.Set(1 << 20)
+	r.GaugeFunc("cache_bytes", "bytes resident", func() int64 { return 1 << 20 })
 	r.GaugeFunc("derived_bytes", "derived", func() int64 { return 9 })
 	h := r.Histogram("latency_seconds", "latency")
 	for i := 0; i < 100; i++ {

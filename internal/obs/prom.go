@@ -27,9 +27,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case *Counter:
 			writeHeader(bw, f.name, f.help, "counter")
 			writeSample(bw, f.name, f.labels, "", float64(f.Value()))
-		case *Gauge:
-			writeHeader(bw, f.name, f.help, "gauge")
-			writeSample(bw, f.name, "", "", float64(f.Value()))
 		case *funcGauge:
 			writeHeader(bw, f.name, f.help, "gauge")
 			writeSample(bw, f.name, "", "", float64(f.fn()))

@@ -26,9 +26,6 @@ const (
 	// bgzfHeaderLen is the fixed prefix a BC probe needs: 10-byte base
 	// header + 2-byte XLEN.
 	bgzfHeaderLen = 12
-	// minMemberSize is the smallest well-formed gzip member: 10-byte
-	// header + 2-byte empty deflate stream + 8-byte trailer.
-	minMemberSize = 20
 )
 
 // memberJob carries one compressed member to the worker pool. comp is

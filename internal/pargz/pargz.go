@@ -62,12 +62,13 @@ func (t Tier) String() string {
 	return "gzip-pipelined"
 }
 
-// DefaultReadahead is the pipelined tier's ring depth (decoded buffers
-// in flight between the decode goroutine and the consumer).
-const DefaultReadahead = 8
-
-// streamBufSize is the size of each pipelined readahead buffer.
-const streamBufSize = 256 << 10
+// readahead is the pipelined tier's ring depth (decoded buffers in
+// flight between the decode goroutine and the consumer), each
+// streamBufSize bytes.
+const (
+	readahead     = 8
+	streamBufSize = 256 << 10
+)
 
 // Options configures a Reader.
 type Options struct {
@@ -77,9 +78,6 @@ type Options struct {
 	// Workers bounds member-parallel decode (0 = GOMAXPROCS). The
 	// pipelined tier always uses one decode goroutine.
 	Workers int
-	// Readahead is the pipelined tier's buffer ring depth
-	// (0 = DefaultReadahead).
-	Readahead int
 	// Trace, when non-nil, aggregates "gunzip" (worker inflate time)
 	// and "gunzip-wait" (consumer stall) spans for ingest stage
 	// attribution.
@@ -147,10 +145,6 @@ func NewReader(r io.Reader, opt Options) (*Reader, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	readahead := opt.Readahead
-	if readahead <= 0 {
-		readahead = DefaultReadahead
-	}
 	rd := &Reader{
 		name:   opt.Name,
 		chunks: make(chan *chunk, max(2*workers, readahead)),
@@ -170,7 +164,7 @@ func NewReader(r io.Reader, opt Options) (*Reader, error) {
 		return rd, nil
 	}
 	rd.tier = TierPipelined
-	if err := rd.startStream(br, readahead); err != nil {
+	if err := rd.startStream(br); err != nil {
 		return nil, err
 	}
 	return rd, nil

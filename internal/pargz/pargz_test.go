@@ -95,9 +95,9 @@ func TestRoundtripBGZF(t *testing.T) {
 }
 
 func TestRoundtripPipelined(t *testing.T) {
-	data := testPayload(600 << 10) // > readahead ring capacity, forces recycling
+	data := testPayload((readahead + 1) * streamBufSize) // > ring capacity, forces recycling
 	in := plainGzip(t, data)
-	got := readAllTier(t, in, Options{Readahead: 2}, TierPipelined)
+	got := readAllTier(t, in, Options{}, TierPipelined)
 	if !bytes.Equal(got, data) {
 		t.Fatalf("pipelined roundtrip mismatch: got %d bytes, want %d", len(got), len(data))
 	}
@@ -323,10 +323,7 @@ func TestCorruptHeaderAtConstruction(t *testing.T) {
 
 	// gzipc's private PGZ1 framing is a baseline output format, not an
 	// ingest format: the reader refuses it like any other non-gzip.
-	pg, err := gzipc.Compress(testPayload(8<<10), gzipc.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pg := gzipc.Compress(testPayload(8 << 10))
 	if _, err := NewReader(bytes.NewReader(pg), Options{Name: "x.pgz"}); !errors.Is(err, errNotGzip) {
 		t.Fatalf("PGZ1 input: err = %v, want errNotGzip", err)
 	}
@@ -345,7 +342,7 @@ func TestCloseMidStreamReleasesGoroutines(t *testing.T) {
 		{"plain", plainGzip(t, data)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := NewReader(bytes.NewReader(tc.in), Options{Workers: 4, Readahead: 2})
+			r, err := NewReader(bytes.NewReader(tc.in), Options{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

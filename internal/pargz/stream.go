@@ -38,7 +38,7 @@ func (c *countReader) ReadByte() (byte, error) {
 // startStream launches the pipelined tier for generic gzip. The header
 // is validated here, synchronously, so a damaged first header fails at
 // construction; decode then runs on its own goroutine.
-func (r *Reader) startStream(br *bufio.Reader, readahead int) error {
+func (r *Reader) startStream(br *bufio.Reader) error {
 	cr := &countReader{r: br}
 	zr, err := gzip.NewReader(cr)
 	if err != nil {
@@ -48,7 +48,7 @@ func (r *Reader) startStream(br *bufio.Reader, readahead int) error {
 	go func() {
 		defer r.wg.Done()
 		defer close(r.chunks)
-		r.streamDecode(zr, cr, readahead)
+		r.streamDecode(zr, cr)
 	}()
 	return nil
 }
@@ -65,13 +65,13 @@ func (r *Reader) streamProduce(br *bufio.Reader, baseOffset int64) {
 		r.sendChunk(r.errChunk(baseOffset, err))
 		return
 	}
-	r.streamDecode(zr, cr, DefaultReadahead)
+	r.streamDecode(zr, cr)
 }
 
 // streamDecode fills ring buffers from zr and threads them to the
 // consumer in order. Buffers recycle through free when the consumer
 // finishes each chunk, bounding memory at readahead × streamBufSize.
-func (r *Reader) streamDecode(zr *gzip.Reader, cr *countReader, readahead int) {
+func (r *Reader) streamDecode(zr *gzip.Reader, cr *countReader) {
 	free := make(chan []byte, readahead)
 	for i := 0; i < readahead; i++ {
 		free <- make([]byte, streamBufSize)

@@ -194,15 +194,3 @@ func Run(batches []Batch, stages []Stage) (Result, error) {
 	}
 	return res, nil
 }
-
-// SerialTime is the unpipelined sum (for the "lost benefit" comparison of
-// Fig. 1).
-func SerialTime(batches []Batch, stages []Stage) time.Duration {
-	var total time.Duration
-	for _, b := range batches {
-		for _, st := range stages {
-			total += st.Time(b)
-		}
-	}
-	return total
-}

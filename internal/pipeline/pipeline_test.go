@@ -57,7 +57,7 @@ func TestPipelineSteadyState(t *testing.T) {
 		t.Fatalf("bottleneck %q", res.BottleneckName())
 	}
 	// Pipelining must beat serial execution.
-	if serial := SerialTime(batches, stages); serial <= res.Total {
+	if serial := serialTime(batches, stages); serial <= res.Total {
 		t.Fatalf("serial %v should exceed pipelined %v", serial, res.Total)
 	}
 }
@@ -158,4 +158,15 @@ func TestMakeShardBatches(t *testing.T) {
 	if bs, err := MakeShardBatches(nil, nil, nil, nil); err != nil || len(bs) != 0 {
 		t.Fatalf("empty shard list: %v, %d batches", err, len(bs))
 	}
+}
+
+// serialTime is the unpipelined sum of every stage over every batch.
+func serialTime(batches []Batch, stages []Stage) time.Duration {
+	var total time.Duration
+	for _, b := range batches {
+		for _, st := range stages {
+			total += st.Time(b)
+		}
+	}
+	return total
 }

@@ -34,7 +34,7 @@ func TestQuickPipelineBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		serial := SerialTime(batches, stages)
+		serial := serialTime(batches, stages)
 		if res.Total > serial {
 			return false
 		}

@@ -26,15 +26,12 @@ import (
 )
 
 // Mode selects the reorder algorithm; the value is what the container
-// header records (shard.ReorderClump mirrors ModeClump).
+// header records (shard.ReorderClump mirrors ModeClump). The zero Mode
+// leaves the input order alone: no Stage is built for it.
 type Mode int
 
-const (
-	// ModeNone leaves the input order alone (no Stage is built).
-	ModeNone Mode = 0
-	// ModeClump sorts reads by minimizer so similar reads cluster.
-	ModeClump Mode = 1
-)
+// ModeClump sorts reads by minimizer so similar reads cluster.
+const ModeClump Mode = 1
 
 // DefaultK is the default minimizer k-mer length. 11 matches the
 // zone-map sketch's k: long enough to discriminate clumps, short
@@ -47,7 +44,7 @@ const DefaultBatchSize = 4096
 
 // Config parameterizes a Stage.
 type Config struct {
-	// Mode selects the reorder algorithm; NewStage rejects ModeNone.
+	// Mode selects the reorder algorithm; NewStage rejects the zero Mode.
 	Mode Mode
 	// K is the minimizer k-mer length (<= 0 uses DefaultK; max 31).
 	K int

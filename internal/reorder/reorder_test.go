@@ -430,7 +430,7 @@ func TestRestorerRoundtrip(t *testing.T) {
 				t.Fatalf("budget %d, position %d: got %+v want %+v", budget, i, out[i], orig[i])
 			}
 		}
-		if budget > 0 && r.SpilledRuns() == 0 {
+		if budget > 0 && r.off == 0 {
 			t.Fatalf("%d-byte budget did not spill", budget)
 		}
 		// One byte makes every record its own range, in the one file.
@@ -612,8 +612,8 @@ func TestRunCodecNilQual(t *testing.T) {
 
 func TestNewStageRejects(t *testing.T) {
 	src := &sliceSource{}
-	if _, err := NewStage(src, Config{Mode: ModeNone}); err == nil {
-		t.Fatal("ModeNone accepted")
+	if _, err := NewStage(src, Config{}); err == nil {
+		t.Fatal("the zero Mode accepted")
 	}
 	if _, err := NewStage(src, Config{Mode: ModeClump, K: 32}); err == nil {
 		t.Fatal("k=32 accepted")

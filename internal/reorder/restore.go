@@ -34,13 +34,12 @@ type Restorer struct {
 	idx  []int64
 	size int64
 
-	width   int64 // W; 0 while everything is still in recs
-	ranges  map[int64]*span
-	dirty   []*span  // the ranges with unflushed records, in order
-	f       *os.File // the spill file, created at the first flush
-	w       io.Writer
-	off     int64
-	flushes int
+	width  int64 // W; 0 while everything is still in recs
+	ranges map[int64]*span
+	dirty  []*span  // the ranges with unflushed records, in order
+	f      *os.File // the spill file, created at the first flush
+	w      io.Writer
+	off    int64
 
 	n       int64 // records added
 	max     int64 // largest index added
@@ -177,7 +176,6 @@ func (r *Restorer) flush() error {
 	}
 	r.dirty = r.dirty[:0]
 	r.size = 0
-	r.flushes++
 	return nil
 }
 
@@ -329,10 +327,6 @@ func scatter(recs []fastq.Record, idx []int64, base, width int64, slots []int, f
 	}
 	return slots, nil
 }
-
-// SpilledRuns returns how many times the buffered ranges were flushed
-// to the spill file — zero when the records never left memory.
-func (r *Restorer) SpilledRuns() int { return r.flushes }
 
 // Close removes the restorer's spill file. Idempotent; always safe.
 func (r *Restorer) Close() error {

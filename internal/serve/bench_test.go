@@ -16,7 +16,7 @@ func benchServer(b *testing.B, cacheBytes int64) *Server {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(c, Config{CacheBytes: cacheBytes})
+	s, err := newServer(c, Config{CacheBytes: cacheBytes})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -33,11 +33,11 @@ func BenchmarkShardColdDecode(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := New(c, Config{})
+		s, err := newServer(c, Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := s.DecodedShardOf(DefaultName, i%c.NumShards())
+		out, err := s.DecodedShardOf(defaultName, i%c.NumShards())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,14 +48,14 @@ func BenchmarkShardColdDecode(b *testing.B) {
 // BenchmarkShardWarmCache measures the cache-hit path.
 func BenchmarkShardWarmCache(b *testing.B) {
 	s := benchServer(b, DefaultCacheBytes)
-	out, err := s.DecodedShardOf(DefaultName, 0) // warm it
+	out, err := s.DecodedShardOf(defaultName, 0) // warm it
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(out)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.DecodedShardOf(DefaultName, 0); err != nil {
+		if _, err := s.DecodedShardOf(defaultName, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func BenchmarkShardConcurrentClients(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, err := s.DecodedShardOf(DefaultName, i%8); err != nil {
+			if _, err := s.DecodedShardOf(defaultName, i%8); err != nil {
 				b.Error(err)
 				return
 			}
@@ -146,14 +146,14 @@ func BenchmarkZipfSteady(b *testing.B) {
 		}
 		decoded += int64(rs.UncompressedSize())
 	}
-	s, err := New(c, Config{CacheBytes: decoded / 4})
+	s, err := newServer(c, Config{CacheBytes: decoded / 4})
 	if err != nil {
 		b.Fatal(err)
 	}
 	z := rand.NewZipf(rand.New(rand.NewSource(2)), 1.1, 1, uint64(c.NumShards()-1))
 	run := func() {
 		for j := 0; j < pass; j++ {
-			if _, err := s.DecodedShardOf(DefaultName, int(z.Uint64())); err != nil {
+			if _, err := s.DecodedShardOf(defaultName, int(z.Uint64())); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -117,7 +117,7 @@ func TestStatsEqualsMetrics(t *testing.T) {
 	// twice as often as resident shard 0, is first turned away and then
 	// admitted in its place.
 	s, ts := newTestServer(t, data, Config{CacheBytes: int64(one.UncompressedSize()) + 64})
-	base := ts.URL + "/c/" + DefaultName
+	base := ts.URL + "/c/" + defaultName
 	for _, req := range []struct {
 		path string
 		hdr  map[string]string

@@ -64,7 +64,7 @@ func noQualityServer(t *testing.T, reordered bool, cfg Config) (*Server, *httpte
 		t.Fatal(err)
 	}
 	cr.n.Store(0)
-	s, err := New(c, cfg)
+	s, err := newServer(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestNoQualityRecordPaths(t *testing.T) {
 			}
 			var want []byte
 			for _, p := range orig {
-				rec := rs.Records[p].Clone()
+				rec := rs.Records[p]
 				rec.Qual = nil
 				want = rec.AppendText(want)
 			}

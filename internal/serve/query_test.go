@@ -67,7 +67,7 @@ func TestQueryEndpoint(t *testing.T) {
 	if wantMatched == 0 {
 		t.Fatal("probe matches nothing; pick a different record")
 	}
-	resp = do(t, ts.URL+"/c/"+DefaultName+"/query?kmer="+pred.Subseq.String(), nil)
+	resp = do(t, ts.URL+"/c/"+defaultName+"/query?kmer="+pred.Subseq.String(), nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("kmer query: status %d", resp.StatusCode)
 	}

@@ -85,10 +85,6 @@ import (
 // DefaultCacheBytes is the default decoded-shard cache budget.
 const DefaultCacheBytes = 64 << 20
 
-// DefaultName is the container name New registers its single container
-// under (/c/default/...).
-const DefaultName = "default"
-
 // Config parameterizes a Server.
 type Config struct {
 	// CacheBytes bounds the decoded-shard cache shared by all
@@ -132,17 +128,6 @@ type Server struct {
 	met     metrics
 	slowMu  sync.Mutex
 	mux     *http.ServeMux
-}
-
-// Registry exposes the server's metric registry (for in-process
-// consumers like bench; HTTP consumers scrape /metrics).
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// New builds a Server for a single container, registered under
-// DefaultName. It fails fast when the container cannot be decoded at
-// all (no embedded consensus and no fallback in cfg).
-func New(c *shard.Container, cfg Config) (*Server, error) {
-	return NewMulti([]Named{{Name: DefaultName, C: c}}, cfg)
 }
 
 // NewMulti builds a Server hosting every given container, routed by

@@ -43,6 +43,15 @@ func testContainer(t testing.TB, nReads, shardReads int) ([]byte, *fastq.ReadSet
 	return data, rs, ref
 }
 
+// defaultName is the name newServer registers its container under.
+const defaultName = "default"
+
+// newServer serves the single container c, registered under
+// defaultName.
+func newServer(c *shard.Container, cfg Config) (*Server, error) {
+	return NewMulti([]Named{{Name: defaultName, C: c}}, cfg)
+}
+
 // newTestServer opens data lazily (the serving path) and starts an HTTP
 // server over it.
 func newTestServer(t testing.TB, data []byte, cfg Config) (*Server, *httptest.Server) {
@@ -51,7 +60,7 @@ func newTestServer(t testing.TB, data []byte, cfg Config) (*Server, *httptest.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(c, cfg)
+	s, err := newServer(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +207,7 @@ func TestCorruptionThroughServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s, err := New(c, Config{})
+	s, err := newServer(c, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +412,7 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 func queueRequest(t *testing.T, s *Server, base string, i int) (cancel func(), done <-chan error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/c/%s/shard/%d/reads", base, DefaultName, i), nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/c/%s/shard/%d/reads", base, defaultName, i), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +425,7 @@ func queueRequest(t *testing.T, s *Server, base string, i int) (cancel func(), d
 		out <- err
 	}()
 	waitFor(t, "the request to queue", func() bool {
-		return flightWaiters(s, shardKey{container: DefaultName, shard: i}) >= 0
+		return flightWaiters(s, shardKey{container: defaultName, shard: i}) >= 0
 	})
 	return cancel, out
 }
@@ -437,7 +446,7 @@ func TestCancelledDecodeWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := rs.Bytes()
-	k := shardKey{container: DefaultName, shard: 1}
+	k := shardKey{container: defaultName, shard: 1}
 
 	release := holdPool(s)
 	cancel, cancelled := queueRequest(t, s, ts.URL, 1)

@@ -122,7 +122,7 @@ func pairedSet(t *testing.T, rs *fastq.ReadSet) (r1, r2 *fastq.ReadSet) {
 	}
 	r1, r2 = &fastq.ReadSet{}, &fastq.ReadSet{}
 	for i := 0; i+1 < len(rs.Records); i += 2 {
-		a, b := rs.Records[i].Clone(), rs.Records[i+1].Clone()
+		a, b := rs.Records[i], rs.Records[i+1]
 		a.Header = fmt.Sprintf("p.%d/1", i/2)
 		b.Header = fmt.Sprintf("p.%d/2", i/2)
 		r1.Records = append(r1.Records, a)

@@ -35,31 +35,6 @@ import (
 	"sage/internal/qual"
 )
 
-// Options parameterizes the baseline.
-type Options struct {
-	Consensus      genome.Seq
-	EmbedConsensus bool
-	IncludeQuality bool
-	IncludeHeaders bool
-	Mapper         mapper.Config
-	// Level is the DEFLATE level for the backend.
-	Level int
-	// Workers bounds mapping parallelism.
-	Workers int
-}
-
-// DefaultOptions mirrors Spring's defaults (lossless, self-contained).
-func DefaultOptions(cons genome.Seq) Options {
-	return Options{
-		Consensus:      cons,
-		EmbedConsensus: true,
-		IncludeQuality: true,
-		IncludeHeaders: true,
-		Mapper:         mapper.DefaultConfig(),
-		Level:          flate.BestCompression,
-	}
-}
-
 // Stats reports sizes of the compressed sections.
 type Stats struct {
 	CompressedBytes int
@@ -92,15 +67,15 @@ const (
 	numStreams
 )
 
-// Compress encodes rs with the Spring-like scheme.
-func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
-	if len(opt.Consensus) == 0 {
+// Compress encodes rs with the Spring-like scheme at Spring's defaults:
+// lossless (qualities and headers kept), self-contained (cons embedded),
+// the backend at flate.BestCompression, mapping on up to GOMAXPROCS
+// workers.
+func Compress(rs *fastq.ReadSet, cons genome.Seq) (*Encoded, error) {
+	if len(cons) == 0 {
 		return nil, fmt.Errorf("springc: a consensus sequence is required")
 	}
-	if opt.Level == 0 {
-		opt.Level = flate.BestCompression
-	}
-	m, err := mapper.New(opt.Consensus, opt.Mapper)
+	m, err := mapper.New(cons, mapper.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -110,10 +85,7 @@ func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
 		sortKey int
 	}
 	plans := make([]plan, len(rs.Records))
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
 	ch := make(chan int, workers)
 	for w := 0; w < workers; w++ {
@@ -124,7 +96,7 @@ func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
 				seq := rs.Records[i].Seq
 				aln := m.Map(seq)
 				if aln.Mapped {
-					if got, err := mapper.ReconstructRead(opt.Consensus, aln, len(seq)); err != nil || !got.Equal(seq) {
+					if got, err := mapper.ReconstructRead(cons, aln, len(seq)); err != nil || !got.Equal(seq) {
 						aln = mapper.Alignment{}
 					}
 				}
@@ -222,41 +194,27 @@ func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
 	// stage of Fig. 3 ②).
 	var out bytes.Buffer
 	out.Write(magic[:])
-	flagsByte := byte(0)
-	if opt.EmbedConsensus {
-		flagsByte |= 1
-	}
-	if opt.IncludeQuality {
-		flagsByte |= 2
-	}
-	if opt.IncludeHeaders {
-		flagsByte |= 4
-	}
-	out.WriteByte(flagsByte)
-	putUvarint(&out, uint64(len(rs.Records)))
-	putUvarint(&out, uint64(len(opt.Consensus)))
-	if opt.EmbedConsensus {
-		packed, err := genome.Encode(opt.Consensus, genome.Format2Bit)
-		if err != nil {
-			// Consensus with N: fall back to 3-bit.
-			packed, err = genome.Encode(opt.Consensus, genome.Format3Bit)
-			if err != nil {
-				return nil, err
-			}
-			flagsByte |= 8
-			b := out.Bytes()
-			b[4] = flagsByte
-		}
-		comp, err := deflate(packed, opt.Level)
-		if err != nil {
+	// The consensus is 2-bit packed, or 3-bit when it holds N.
+	consFormat := genome.Format2Bit
+	packed, err := genome.Encode(cons, consFormat)
+	if err != nil {
+		consFormat = genome.Format3Bit
+		if packed, err = genome.Encode(cons, consFormat); err != nil {
 			return nil, err
 		}
-		putUvarint(&out, uint64(len(comp)))
-		out.Write(comp)
-		st.ConsensusBytes = len(comp)
 	}
+	out.WriteByte(byte(consFormat))
+	putUvarint(&out, uint64(len(rs.Records)))
+	putUvarint(&out, uint64(len(cons)))
+	comp, err := deflate(packed)
+	if err != nil {
+		return nil, err
+	}
+	putUvarint(&out, uint64(len(comp)))
+	out.Write(comp)
+	st.ConsensusBytes = len(comp)
 	for i := range streams {
-		comp, err := deflate(streams[i].Bytes(), opt.Level)
+		comp, err := deflate(streams[i].Bytes())
 		if err != nil {
 			return nil, err
 		}
@@ -265,32 +223,26 @@ func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
 		out.Write(comp)
 	}
 	dnaBytes := out.Len()
-	if opt.IncludeQuality {
-		quals := make([][]byte, len(plans))
-		for i, p := range plans {
-			quals[i] = rs.Records[p.idx].Qual
-		}
-		qs, err := qual.Compress(quals)
-		if err != nil {
-			return nil, err
-		}
-		putUvarint(&out, uint64(len(qs)))
-		out.Write(qs)
-		st.QualityBytes = len(qs)
+	quals := make([][]byte, len(plans))
+	hs := make([]string, len(plans))
+	for i, p := range plans {
+		quals[i] = rs.Records[p.idx].Qual
+		hs[i] = rs.Records[p.idx].Header
 	}
-	if opt.IncludeHeaders {
-		hs := make([]string, len(plans))
-		for i, p := range plans {
-			hs[i] = rs.Records[p.idx].Header
-		}
-		hb, err := headers.Compress(hs)
-		if err != nil {
-			return nil, err
-		}
-		putUvarint(&out, uint64(len(hb)))
-		out.Write(hb)
-		st.HeaderBytes = len(hb)
+	qs, err := qual.Compress(quals)
+	if err != nil {
+		return nil, err
 	}
+	putUvarint(&out, uint64(len(qs)))
+	out.Write(qs)
+	st.QualityBytes = len(qs)
+	hb, err := headers.Compress(hs)
+	if err != nil {
+		return nil, err
+	}
+	putUvarint(&out, uint64(len(hb)))
+	out.Write(hb)
+	st.HeaderBytes = len(hb)
 	st.CompressedBytes = out.Len()
 	st.DNABytes = dnaBytes
 	return &Encoded{Data: out.Bytes(), Stats: st}, nil
@@ -299,7 +251,7 @@ func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
 // Decompress reconstructs the read set. Unlike SAGe's streaming decoder,
 // everything is inflated into memory first (the random-access,
 // high-footprint pattern of §3.2).
-func Decompress(data []byte, externalCons genome.Seq) (*fastq.ReadSet, error) {
+func Decompress(data []byte) (*fastq.ReadSet, error) {
 	rd := bytes.NewReader(data)
 	var m [4]byte
 	if _, err := io.ReadFull(rd, m[:]); err != nil {
@@ -308,9 +260,12 @@ func Decompress(data []byte, externalCons genome.Seq) (*fastq.ReadSet, error) {
 	if m != magic {
 		return nil, fmt.Errorf("springc: bad magic %q", m)
 	}
-	flagsByte, err := rd.ReadByte()
+	consFormat, err := rd.ReadByte()
 	if err != nil {
 		return nil, err
+	}
+	if f := genome.Format(consFormat); f != genome.Format2Bit && f != genome.Format3Bit {
+		return nil, fmt.Errorf("springc: bad consensus format %d", consFormat)
 	}
 	numReads, err := binary.ReadUvarint(rd)
 	if err != nil {
@@ -320,31 +275,21 @@ func Decompress(data []byte, externalCons genome.Seq) (*fastq.ReadSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	cons := externalCons
-	if flagsByte&1 != 0 {
-		cl, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, err
-		}
-		comp := make([]byte, cl)
-		if _, err := io.ReadFull(rd, comp); err != nil {
-			return nil, err
-		}
-		packed, err := inflate(comp)
-		if err != nil {
-			return nil, err
-		}
-		f := genome.Format2Bit
-		if flagsByte&8 != 0 {
-			f = genome.Format3Bit
-		}
-		cons, err = genome.Decode(packed, int(consLen), f)
-		if err != nil {
-			return nil, err
-		}
+	cl, err := binary.ReadUvarint(rd)
+	if err != nil {
+		return nil, err
 	}
-	if uint64(len(cons)) != consLen {
-		return nil, fmt.Errorf("springc: consensus length %d, want %d", len(cons), consLen)
+	comp := make([]byte, cl)
+	if _, err := io.ReadFull(rd, comp); err != nil {
+		return nil, err
+	}
+	packed, err := inflate(comp)
+	if err != nil {
+		return nil, err
+	}
+	cons, err := genome.Decode(packed, int(consLen), genome.Format(consFormat))
+	if err != nil {
+		return nil, err
 	}
 	var streams [numStreams]*bytes.Reader
 	for i := range streams {
@@ -381,42 +326,36 @@ func Decompress(data []byte, externalCons genome.Seq) (*fastq.ReadSet, error) {
 		rs.Records[i].Seq = seq
 		lengths[i] = len(seq)
 	}
-	if flagsByte&2 != 0 {
-		ql, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, err
-		}
-		qb := make([]byte, ql)
-		if _, err := io.ReadFull(rd, qb); err != nil {
-			return nil, err
-		}
-		quals, err := qual.Decompress(qb, lengths)
-		if err != nil {
-			return nil, err
-		}
-		for i := range rs.Records {
-			rs.Records[i].Qual = quals[i]
-		}
+	ql, err := binary.ReadUvarint(rd)
+	if err != nil {
+		return nil, err
 	}
-	if flagsByte&4 != 0 {
-		hl, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, err
-		}
-		hb := make([]byte, hl)
-		if _, err := io.ReadFull(rd, hb); err != nil {
-			return nil, err
-		}
-		hs, err := headers.Decompress(hb)
-		if err != nil {
-			return nil, err
-		}
-		if uint64(len(hs)) != numReads {
-			return nil, fmt.Errorf("springc: %d headers for %d reads", len(hs), numReads)
-		}
-		for i := range rs.Records {
-			rs.Records[i].Header = hs[i]
-		}
+	qb := make([]byte, ql)
+	if _, err := io.ReadFull(rd, qb); err != nil {
+		return nil, err
+	}
+	quals, err := qual.Decompress(qb, lengths)
+	if err != nil {
+		return nil, err
+	}
+	hl, err := binary.ReadUvarint(rd)
+	if err != nil {
+		return nil, err
+	}
+	hb := make([]byte, hl)
+	if _, err := io.ReadFull(rd, hb); err != nil {
+		return nil, err
+	}
+	hs, err := headers.Decompress(hb)
+	if err != nil {
+		return nil, err
+	}
+	if uint64(len(hs)) != numReads {
+		return nil, fmt.Errorf("springc: %d headers for %d reads", len(hs), numReads)
+	}
+	for i := range rs.Records {
+		rs.Records[i].Qual = quals[i]
+		rs.Records[i].Header = hs[i]
 	}
 	return rs, nil
 }
@@ -561,9 +500,9 @@ func decodeSegment(streams []*bytes.Reader, cons genome.Seq, consPos, segLen int
 	return out, nil
 }
 
-func deflate(data []byte, level int) ([]byte, error) {
+func deflate(data []byte) ([]byte, error) {
 	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, level)
+	fw, err := flate.NewWriter(&buf, flate.BestCompression)
 	if err != nil {
 		return nil, err
 	}

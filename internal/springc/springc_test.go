@@ -33,11 +33,11 @@ func makeSet(t *testing.T, seed int64, genomeLen, nReads int, long bool) (genome
 
 func TestRoundtripShort(t *testing.T) {
 	ref, rs := makeSet(t, 1, 50000, 600, false)
-	enc, err := Compress(rs, DefaultOptions(ref))
+	enc, err := Compress(rs, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decompress(enc.Data, nil)
+	got, err := Decompress(enc.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,71 +51,49 @@ func TestRoundtripShort(t *testing.T) {
 
 func TestRoundtripLong(t *testing.T) {
 	ref, rs := makeSet(t, 2, 100000, 50, true)
-	enc, err := Compress(rs, DefaultOptions(ref))
+	enc, err := Compress(rs, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decompress(enc.Data, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fastq.Equivalent(rs, got) {
-		t.Fatal("roundtrip mismatch")
-	}
-}
-
-func TestRoundtripExternalConsensus(t *testing.T) {
-	ref, rs := makeSet(t, 3, 30000, 200, false)
-	opt := DefaultOptions(ref)
-	opt.EmbedConsensus = false
-	enc, err := Compress(rs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decompress(enc.Data, ref)
+	got, err := Decompress(enc.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fastq.Equivalent(rs, got) {
 		t.Fatal("roundtrip mismatch")
-	}
-	if _, err := Decompress(enc.Data, ref[:100]); err == nil {
-		t.Fatal("expected error for wrong consensus")
 	}
 }
 
 func TestCompressionBeatsGzipStyle(t *testing.T) {
 	ref, rs := makeSet(t, 4, 120000, 4000, false)
-	opt := DefaultOptions(ref)
-	opt.IncludeQuality = false
-	opt.IncludeHeaders = false
-	enc, err := Compress(rs, opt)
+	enc, err := Compress(rs, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(rs.DNASize()) / float64(enc.Stats.DNABytes)
+	dnaLines := rs.TotalBases() + len(rs.Records) // bases + newline per read
+	ratio := float64(dnaLines) / float64(enc.Stats.DNABytes)
 	if ratio < 3 {
 		t.Fatalf("DNA ratio %.2f too low for a genomic compressor", ratio)
 	}
 }
 
 func TestRejectsGarbage(t *testing.T) {
-	if _, err := Decompress([]byte("bogus!"), nil); err == nil {
+	if _, err := Decompress([]byte("bogus!")); err == nil {
 		t.Fatal("expected error")
 	}
-	if _, err := Compress(&fastq.ReadSet{}, Options{}); err == nil {
+	if _, err := Compress(&fastq.ReadSet{}, nil); err == nil {
 		t.Fatal("expected error without consensus")
 	}
 }
 
 func TestTruncation(t *testing.T) {
 	ref, rs := makeSet(t, 5, 20000, 100, false)
-	enc, err := Compress(rs, DefaultOptions(ref))
+	enc, err := Compress(rs, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{10, len(enc.Data) / 2, len(enc.Data) - 2} {
-		if _, err := Decompress(enc.Data[:cut], nil); err == nil {
+		if _, err := Decompress(enc.Data[:cut]); err == nil {
 			t.Fatalf("expected error at cut %d", cut)
 		}
 	}
@@ -135,11 +113,11 @@ func TestQuickRoundtrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		enc, err := Compress(rs, DefaultOptions(ref))
+		enc, err := Compress(rs, ref)
 		if err != nil {
 			return false
 		}
-		got, err := Decompress(enc.Data, nil)
+		got, err := Decompress(enc.Data)
 		return err == nil && fastq.Equivalent(rs, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

@@ -1,65 +1,9 @@
 package ssd
 
-import (
-	"fmt"
-	"time"
-)
-
-// WriteFile stores data with conventional placement (single write head,
-// no cross-channel alignment) — how a normal FTL places a file.
-func (s *SSD) WriteFile(name string, data []byte) (time.Duration, error) {
-	return s.write(name, data, false)
-}
-
-// WriteGenomic implements SAGe_Write (§5.4): the FTL marks the blocks
-// genomic and stripes pages round-robin across channels such that active
-// blocks in different channels share the same page offset, enabling
-// multi-plane reads at full bandwidth (§5.3).
-func (s *SSD) WriteGenomic(name string, data []byte) (time.Duration, error) {
-	return s.write(name, data, true)
-}
-
-func (s *SSD) write(name string, data []byte, genomic bool) (time.Duration, error) {
-	if _, ok := s.files[name]; ok {
-		if err := s.Delete(name); err != nil {
-			return 0, err
-		}
-	}
-	g := s.cfg.Geometry
-	nPages := (len(data) + g.PageSize - 1) / g.PageSize
-	meta := &fileMeta{name: name, size: len(data), genomic: genomic}
-	for p := 0; p < nPages; p++ {
-		lo := p * g.PageSize
-		hi := lo + g.PageSize
-		if hi > len(data) {
-			hi = len(data)
-		}
-		var b int
-		var err error
-		if genomic {
-			// Round-robin channel placement with aligned offsets.
-			ch := p % g.Channels
-			b, err = s.genomicBlock(ch)
-		} else {
-			b, err = s.conventionalBlock()
-		}
-		if err == nil {
-			err = s.appendPage(meta, b, data[lo:hi])
-		}
-		if err != nil {
-			s.discardPartialWrite(meta)
-			return 0, err
-		}
-	}
-	s.files[name] = meta
-	s.stats.HostWrittenB += int64(len(data))
-	return s.writeTime(int64(len(data)), genomic), nil
-}
+import "fmt"
 
 // appendPage programs one page of payload into block b and appends the
-// FTL bookkeeping (l2p/p2l mapping, per-page length) to meta. Every
-// write path funnels through here so the bookkeeping cannot drift
-// between conventional, genomic, and shard-aligned placement.
+// FTL bookkeeping (l2p/p2l mapping, per-page length) to meta.
 func (s *SSD) appendPage(meta *fileMeta, b int, payload []byte) error {
 	lpn, err := s.allocLPN()
 	if err != nil {
@@ -96,79 +40,10 @@ func (s *SSD) genomicBlock(ch int) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		s.blocks[nb].genomic = true
 		s.genomicHead[ch] = nb
 		b = nb
 	}
 	return b, nil
-}
-
-// conventionalBlock returns the single global write head.
-func (s *SSD) conventionalBlock() (int, error) {
-	b := s.convHead
-	if b < 0 || s.blocks[b].written >= s.cfg.Geometry.PagesPerBlock {
-		// Rotate channels for wear but without offset alignment.
-		ch := 0
-		best := -1
-		for c := range s.freeBlocks {
-			if len(s.freeBlocks[c]) > best {
-				best = len(s.freeBlocks[c])
-				ch = c
-			}
-		}
-		nb, err := s.allocBlock(ch)
-		if err != nil {
-			return 0, err
-		}
-		s.convHead = nb
-		b = nb
-	}
-	return b, nil
-}
-
-// ReadFile reads a stored object through the host interface, returning
-// the data and the modeled transfer time.
-func (s *SSD) ReadFile(name string) ([]byte, time.Duration, error) {
-	data, meta, err := s.readRaw(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	t := s.ExternalReadTime(int64(len(data)), meta.genomic)
-	s.stats.HostReadB += int64(len(data))
-	return data, t, nil
-}
-
-// ReadGenomicInternal reads a genomic object at full internal bandwidth
-// without crossing the host interface — the path feeding per-channel SAGe
-// hardware (§6 mode ③).
-func (s *SSD) ReadGenomicInternal(name string) ([]byte, time.Duration, error) {
-	data, meta, err := s.readRaw(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	if !meta.genomic {
-		return nil, 0, fmt.Errorf("ssd: %q was not written with SAGe_Write", name)
-	}
-	return data, s.InternalReadTime(int64(len(data)), true), nil
-}
-
-func (s *SSD) readRaw(name string) ([]byte, *fileMeta, error) {
-	meta, ok := s.files[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("ssd: no such object %q", name)
-	}
-	out := make([]byte, 0, meta.size)
-	for idx := range meta.lpns {
-		page, err := s.readPage(meta, idx)
-		if err != nil {
-			return nil, nil, fmt.Errorf("ssd: %q %w", name, err)
-		}
-		out = append(out, page...)
-	}
-	if len(out) != meta.size {
-		return nil, nil, fmt.Errorf("ssd: %q short read: %d < %d", name, len(out), meta.size)
-	}
-	return out, meta, nil
 }
 
 // Delete removes an object and invalidates its pages (trim).
@@ -198,7 +73,7 @@ func (s *SSD) gcChannel(ch int) error {
 	perCh := g.DiesPerChannel * g.PlanesPerDie * g.BlocksPerPlane
 	for b := ch * perCh; b < (ch+1)*perCh; b++ {
 		blk := &s.blocks[b]
-		if b == s.genomicHead[ch] || b == s.convHead {
+		if b == s.genomicHead[ch] {
 			continue
 		}
 		if blk.written == 0 {
@@ -232,25 +107,17 @@ func (s *SSD) gcChannel(ch int) error {
 		moves = append(moves, moved{lpn: lpn, data: s.pages[p]})
 		s.stats.GCPageMoves++
 	}
-	wasGenomic := blk.genomic
 	// Erase the victim.
 	for off := range blk.valid {
 		blk.valid[off] = false
 		s.p2l[victim*g.PagesPerBlock+off] = -1
 	}
-	blk.nValid, blk.written, blk.genomic = 0, 0, false
-	blk.erases++
+	blk.nValid, blk.written = 0, 0
 	s.stats.BlockErases++
 	s.freeBlocks[ch] = append(s.freeBlocks[ch], victim)
 	// Rewrite moved pages in original order.
 	for _, mv := range moves {
-		var b int
-		var err error
-		if wasGenomic {
-			b, err = s.genomicBlock(ch)
-		} else {
-			b, err = s.conventionalBlock()
-		}
+		b, err := s.genomicBlock(ch)
 		if err != nil {
 			return err
 		}
@@ -262,13 +129,4 @@ func (s *SSD) gcChannel(ch int) error {
 		s.p2l[pp] = int32(mv.lpn)
 	}
 	return nil
-}
-
-// Utilization returns the fraction of pages holding valid data.
-func (s *SSD) Utilization() float64 {
-	valid := 0
-	for b := range s.blocks {
-		valid += s.blocks[b].nValid
-	}
-	return float64(valid) / float64(s.cfg.Geometry.TotalPages())
 }

@@ -78,8 +78,8 @@ func validateExtents(size int64, shards []Extent) error {
 // programmed entirely on one home channel — shard i lands on channel
 // i mod Channels — so per-channel scan units can each stream one shard
 // independently. Bytes outside the shard extents (the container's
-// header and index) round-robin across channels like a plain genomic
-// write. The returned placement table records every shard's channel and
+// header and index) round-robin across channels with aligned page
+// offsets (§5.3). The returned placement table records every shard's channel and
 // page count; the modeled write time covers the whole object.
 func (s *SSD) WriteShards(name string, data []byte, shards []Extent) (*Placement, time.Duration, error) {
 	if err := validateExtents(int64(len(data)), shards); err != nil {
@@ -91,9 +91,7 @@ func (s *SSD) WriteShards(name string, data []byte, shards []Extent) (*Placement
 		}
 	}
 	g := s.cfg.Geometry
-	// shards is non-nil even when empty: a WriteShards object with zero
-	// extents must stay distinguishable from a plain genomic file.
-	meta := &fileMeta{name: name, size: len(data), genomic: true, shards: []shardExtent{}}
+	meta := &fileMeta{size: len(data)}
 	rrPage := 0 // round-robin counter for non-shard (header/index) pages
 
 	// writePages programs [lo,hi) of data page by page through the
@@ -149,38 +147,7 @@ func (s *SSD) WriteShards(name string, data []byte, shards []Extent) (*Placement
 	}
 	s.files[name] = meta
 	s.stats.HostWrittenB += int64(len(data))
-	return pl, s.writeTime(int64(len(data)), true), nil
-}
-
-// Placement returns the per-shard placement table of an object written
-// with WriteShards.
-func (s *SSD) Placement(name string) (*Placement, error) {
-	meta, ok := s.files[name]
-	if !ok {
-		return nil, fmt.Errorf("ssd: no such object %q", name)
-	}
-	if meta.shards == nil {
-		return nil, fmt.Errorf("ssd: %q was not written with WriteShards", name)
-	}
-	pl := &Placement{Name: name, Shards: make([]ShardPlacement, len(meta.shards))}
-	for i, se := range meta.shards {
-		pl.Shards[i] = ShardPlacement{Shard: i, Channel: se.channel, Pages: se.lpnCount, Bytes: se.bytes}
-	}
-	return pl, nil
-}
-
-// NumShards returns how many shards an object was placed with. Like
-// Placement and ReadShard, it errors for objects that were not written
-// with WriteShards.
-func (s *SSD) NumShards(name string) (int, error) {
-	meta, ok := s.files[name]
-	if !ok {
-		return 0, fmt.Errorf("ssd: no such object %q", name)
-	}
-	if meta.shards == nil {
-		return 0, fmt.Errorf("ssd: %q was not written with WriteShards", name)
-	}
-	return len(meta.shards), nil
+	return pl, s.writeTime(int64(len(data))), nil
 }
 
 // ReadShard streams shard i of an object written with WriteShards from
@@ -193,9 +160,6 @@ func (s *SSD) ReadShard(name string, i int) ([]byte, time.Duration, error) {
 	meta, ok := s.files[name]
 	if !ok {
 		return nil, 0, fmt.Errorf("ssd: no such object %q", name)
-	}
-	if meta.shards == nil {
-		return nil, 0, fmt.Errorf("ssd: %q was not written with WriteShards", name)
 	}
 	if i < 0 || i >= len(meta.shards) {
 		return nil, 0, fmt.Errorf("ssd: %q shard %d out of range [0,%d)", name, i, len(meta.shards))
@@ -230,50 +194,4 @@ func (s *SSD) readPage(meta *fileMeta, idx int) ([]byte, error) {
 	}
 	s.stats.PageReads++
 	return page, nil
-}
-
-// ReadRange reads length bytes at offset off of a stored object through
-// the host interface. Unlike ReadFile, only the pages covering the
-// range are touched; the range is validated against the object's size
-// before any page is read.
-func (s *SSD) ReadRange(name string, off, length int64) ([]byte, time.Duration, error) {
-	meta, ok := s.files[name]
-	if !ok {
-		return nil, 0, fmt.Errorf("ssd: no such object %q", name)
-	}
-	// length is compared against size-off (not off+length against size)
-	// so a huge off cannot overflow the sum past the check.
-	if off < 0 || length < 0 || off > int64(meta.size) || length > int64(meta.size)-off {
-		return nil, 0, fmt.Errorf("ssd: %q range [%d,+%d) invalid for a %d-byte object",
-			name, off, length, meta.size)
-	}
-	out := make([]byte, 0, length)
-	var pageStart int64
-	for idx := range meta.lpns {
-		pageLen := int64(meta.pageBytes[idx])
-		pageEnd := pageStart + pageLen
-		if pageEnd > off && pageStart < off+length {
-			page, err := s.readPage(meta, idx)
-			if err != nil {
-				return nil, 0, fmt.Errorf("ssd: %q: %w", name, err)
-			}
-			lo, hi := int64(0), pageLen
-			if off > pageStart {
-				lo = off - pageStart
-			}
-			if off+length < pageEnd {
-				hi = off + length - pageStart
-			}
-			out = append(out, page[lo:hi]...)
-		}
-		pageStart = pageEnd
-		if pageStart >= off+length {
-			break
-		}
-	}
-	if int64(len(out)) != length {
-		return nil, 0, fmt.Errorf("ssd: %q range [%d,+%d) short read: %d bytes", name, off, length, len(out))
-	}
-	s.stats.HostReadB += length
-	return out, s.ExternalReadTime(length, meta.genomic), nil
 }

@@ -2,7 +2,6 @@ package ssd
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -61,61 +60,44 @@ func TestWriteShardsReadShardRoundtrip(t *testing.T) {
 			t.Fatalf("shard %d on channel %d, want %d", i, pl.Shards[i].Channel, want)
 		}
 	}
-	// The whole object reads back intact through the host path too.
-	whole, _, err := s.ReadFile("c.sage")
-	if err != nil {
-		t.Fatal(err)
+	// The FTL's record holds the same table WriteShards returned.
+	checkPlacement(t, s, "c.sage", pl)
+}
+
+// checkPlacement asserts that the FTL's shard records of an object
+// match a placement table.
+func checkPlacement(t *testing.T, s *SSD, name string, pl *Placement) {
+	t.Helper()
+	meta := s.files[name]
+	if len(meta.shards) != len(pl.Shards) {
+		t.Fatalf("%s: FTL records %d shards, placement %d", name, len(meta.shards), len(pl.Shards))
 	}
-	if !bytes.Equal(whole, data) {
-		t.Fatal("whole-object read mismatch")
-	}
-	// Placement() returns the same table WriteShards did.
-	pl2, err := s.Placement("c.sage")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pl.Shards {
-		if pl.Shards[i] != pl2.Shards[i] {
-			t.Fatalf("placement table diverged at shard %d: %+v vs %+v", i, pl.Shards[i], pl2.Shards[i])
+	for i, se := range meta.shards {
+		got := ShardPlacement{Shard: i, Channel: se.channel, Pages: se.lpnCount, Bytes: se.bytes}
+		if got != pl.Shards[i] {
+			t.Fatalf("%s: shard %d recorded as %+v, placed as %+v", name, i, got, pl.Shards[i])
 		}
-	}
-	if n, err := s.NumShards("c.sage"); err != nil || n != len(exts) {
-		t.Fatalf("NumShards = %d, %v", n, err)
 	}
 }
 
+// TestShardAccessorsRejectPlainObjects: bytes outside every shard
+// extent (a container's header) are stored but are no shard, so no
+// shard index reads them; nor does any index of a missing object.
 func TestShardAccessorsRejectPlainObjects(t *testing.T) {
 	s, err := New(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WriteGenomic("plain", []byte("not shard-placed")); err != nil {
+	if _, _, err := s.WriteShards("plain", []byte("header only"), nil); err != nil {
 		t.Fatal(err)
 	}
-	// Every shard accessor agrees: a plain genomic file is not a
-	// shard-placed object.
-	if _, err := s.NumShards("plain"); err == nil {
-		t.Fatal("NumShards on a plain object must error")
+	for _, i := range []int{-1, 0, 1} {
+		if _, _, err := s.ReadShard("plain", i); err == nil {
+			t.Fatalf("ReadShard(plain, %d) on an object with no shards must error", i)
+		}
 	}
-	if _, err := s.Placement("plain"); err == nil {
-		t.Fatal("Placement on a plain object must error")
-	}
-	if _, _, err := s.ReadShard("plain", 0); err == nil {
-		t.Fatal("ReadShard on a plain object must error")
-	}
-	// A WriteShards object with zero extents stays distinguishable:
-	// zero shards, not "not shard-placed".
-	if _, _, err := s.WriteShards("empty", []byte("header only"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := s.NumShards("empty"); err != nil || n != 0 {
-		t.Fatalf("NumShards(empty) = %d, %v; want 0, nil", n, err)
-	}
-	if pl, err := s.Placement("empty"); err != nil || len(pl.Shards) != 0 {
-		t.Fatalf("Placement(empty) = %v, %v; want empty table", pl, err)
-	}
-	if _, _, err := s.ReadShard("empty", 0); err == nil {
-		t.Fatal("ReadShard out of range on an empty placement must error")
+	if _, _, err := s.ReadShard("missing", 0); err == nil {
+		t.Fatal("ReadShard on a missing object must error")
 	}
 }
 
@@ -178,12 +160,6 @@ func TestReadShardAfterDeleteErrors(t *testing.T) {
 	if _, _, err := s.ReadShard("gone", 0); err == nil {
 		t.Fatal("reading a shard of a deleted object must error")
 	}
-	if _, _, err := s.ReadRange("gone", 0, 10); err == nil {
-		t.Fatal("ranged read of a deleted object must error")
-	}
-	if _, err := s.Placement("gone"); err == nil {
-		t.Fatal("placement of a deleted object must error")
-	}
 }
 
 func TestReadSurfacesLostPages(t *testing.T) {
@@ -201,9 +177,6 @@ func TestReadSurfacesLostPages(t *testing.T) {
 	s.l2p[meta.lpns[meta.shards[1].lpnLo]] = invalidPPN
 	if _, _, err := s.ReadShard("hurt", 1); err == nil || !strings.Contains(err.Error(), "lost page") {
 		t.Fatalf("expected a lost-page error, got %v", err)
-	}
-	if _, _, err := s.ReadFile("hurt"); err == nil || !strings.Contains(err.Error(), "lost page") {
-		t.Fatalf("whole-file read must surface the lost page, got %v", err)
 	}
 	// The intact shard still reads fine.
 	if _, _, err := s.ReadShard("hurt", 0); err != nil {
@@ -228,11 +201,11 @@ func TestShardChannelsSurviveGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Churn unrelated data until GC has moved blocks around.
-	churn := make([]byte, cfg.Geometry.TotalBytes()/2)
+	churn := make([]byte, capacity(cfg.Geometry)/2)
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 6; i++ {
 		rng.Read(churn)
-		if _, err := s.WriteGenomic("churn", churn); err != nil {
+		if err := writeStriped(s, "churn", churn); err != nil {
 			t.Fatalf("churn %d: %v", i, err)
 		}
 	}
@@ -241,10 +214,7 @@ func TestShardChannelsSurviveGC(t *testing.T) {
 	}
 	// Payloads are intact and the placement table still tells the
 	// truth: GC rewrites genomic victims within their own channel.
-	after, err := s.Placement("keep.sage")
-	if err != nil {
-		t.Fatal(err)
-	}
+	checkPlacement(t, s, "keep.sage", pl)
 	meta := s.files["keep.sage"]
 	for i, e := range exts {
 		got, _, err := s.ReadShard("keep.sage", i)
@@ -254,9 +224,6 @@ func TestShardChannelsSurviveGC(t *testing.T) {
 		if !bytes.Equal(got, data[e.Offset:e.Offset+e.Length]) {
 			t.Fatalf("shard %d corrupted by GC", i)
 		}
-		if after.Shards[i] != pl.Shards[i] {
-			t.Fatalf("shard %d placement changed under GC: %+v vs %+v", i, after.Shards[i], pl.Shards[i])
-		}
 		se := meta.shards[i]
 		for k := 0; k < se.lpnCount; k++ {
 			p := s.l2p[meta.lpns[se.lpnLo+k]]
@@ -265,54 +232,6 @@ func TestShardChannelsSurviveGC(t *testing.T) {
 				t.Fatalf("GC moved shard %d page %d off its home channel (%d -> %d)", i, k, se.channel, ch)
 			}
 		}
-	}
-}
-
-func TestReadRangeValidatesAndReads(t *testing.T) {
-	cfg := smallConfig()
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := cfg.Geometry.PageSize
-	data, exts := shardedObject(9, 100, []int{ps + 7, 2 * ps})
-	if _, _, err := s.WriteShards("r", data, exts); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ off, n int64 }{
-		{-1, 10}, {0, -1}, {int64(len(data)) - 5, 10}, {int64(len(data)) + 1, 0},
-		{math.MaxInt64, 2}, {2, math.MaxInt64}, // off+length must not overflow past the check
-	} {
-		if _, _, err := s.ReadRange("r", tc.off, tc.n); err == nil {
-			t.Errorf("range [%d,+%d) must be rejected", tc.off, tc.n)
-		}
-	}
-	// Ranges that straddle the partial page at a shard boundary.
-	for _, tc := range []struct{ off, n int64 }{
-		{0, int64(len(data))},
-		{50, 200},
-		{exts[0].Offset + exts[0].Length - 3, 10},
-		{int64(len(data)) - 1, 1},
-		{10, 0},
-	} {
-		got, _, err := s.ReadRange("r", tc.off, tc.n)
-		if err != nil {
-			t.Fatalf("range [%d,+%d): %v", tc.off, tc.n, err)
-		}
-		if !bytes.Equal(got, data[tc.off:tc.off+tc.n]) {
-			t.Fatalf("range [%d,+%d) mismatch", tc.off, tc.n)
-		}
-	}
-	// Conventional files get the same validation.
-	if _, err := s.WriteFile("plain", []byte("0123456789")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.ReadRange("plain", 8, 5); err == nil {
-		t.Fatal("over-long range on a plain file must be rejected")
-	}
-	got, _, err := s.ReadRange("plain", 2, 5)
-	if err != nil || string(got) != "23456" {
-		t.Fatalf("plain range = %q, %v", got, err)
 	}
 }
 
@@ -329,13 +248,11 @@ func TestFailedWriteLeaksNoPages(t *testing.T) {
 	}
 	// A single shard pinned to one channel that exceeds that channel's
 	// capacity: the write must fail partway through.
-	tooBig := make([]byte, int(cfg.Geometry.TotalBytes()))
+	tooBig := make([]byte, int(capacity(cfg.Geometry)))
 	if _, _, err := s.WriteShards("boom", tooBig, []Extent{{0, int64(len(tooBig))}}); err == nil {
 		t.Fatal("expected a mid-write failure")
 	}
-	if u := s.Utilization(); u != 0 {
-		t.Fatalf("failed write leaked valid pages: utilization %.3f", u)
-	}
+	checkNoValidPages(t, s)
 	// The device is still fully usable: the leaked-page-free blocks can
 	// be reclaimed and a fitting object writes fine.
 	ok := make([]byte, 3*cfg.Geometry.PageSize)
@@ -346,12 +263,26 @@ func TestFailedWriteLeaksNoPages(t *testing.T) {
 	if err != nil || !bytes.Equal(got, ok) {
 		t.Fatalf("post-failure roundtrip broken: %v", err)
 	}
-	// Same guarantee on the plain write path.
-	if _, err := s.WriteFile("boom2", tooBig); err == nil {
-		t.Fatal("expected plain write to fail")
+	// Same guarantee for bytes outside any extent, which round-robin.
+	if _, _, err := s.WriteShards("boom2", tooBig, nil); err == nil {
+		t.Fatal("expected the round-robin write to fail")
 	}
 	if _, _, err := s.ReadShard("ok", 0); err != nil {
-		t.Fatalf("failed plain write damaged existing object: %v", err)
+		t.Fatalf("failed round-robin write damaged existing object: %v", err)
+	}
+	if err := s.Delete("ok"); err != nil {
+		t.Fatal(err)
+	}
+	checkNoValidPages(t, s)
+}
+
+// checkNoValidPages asserts that no flash page holds valid data.
+func checkNoValidPages(t *testing.T, s *SSD) {
+	t.Helper()
+	for b := range s.blocks {
+		if n := s.blocks[b].nValid; n != 0 {
+			t.Fatalf("block %d holds %d valid pages no object owns", b, n)
+		}
 	}
 }
 

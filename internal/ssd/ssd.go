@@ -45,11 +45,6 @@ func (g Geometry) TotalPages() int {
 	return g.Channels * g.DiesPerChannel * g.PlanesPerDie * g.BlocksPerPlane * g.PagesPerBlock
 }
 
-// TotalBytes returns the raw capacity.
-func (g Geometry) TotalBytes() int64 {
-	return int64(g.TotalPages()) * int64(g.PageSize)
-}
-
 // Timing holds NAND and bus latencies (TLC-class defaults).
 type Timing struct {
 	PageRead     time.Duration // tR
@@ -127,8 +122,6 @@ type blockState struct {
 	valid   []bool // per page
 	nValid  int
 	written int // next page offset to program
-	genomic bool
-	erases  int
 }
 
 // Stats counts device activity.
@@ -137,7 +130,6 @@ type Stats struct {
 	PageWrites   int64
 	BlockErases  int64
 	GCPageMoves  int64
-	HostReadB    int64
 	HostWrittenB int64
 }
 
@@ -153,11 +145,9 @@ type SSD struct {
 	p2l []int32
 	// freeLPNs recycles logical pages of deleted objects.
 	freeLPNs []int
-	// writeHead[channel] points at the active block per channel for the
-	// SAGe round-robin layout (§5.3); conventional writes use a single
-	// global head.
-	genomicHead []int // active block id per channel
-	convHead    int
+	// genomicHead[channel] is the active block per channel for the
+	// SAGe round-robin layout (§5.3).
+	genomicHead []int
 	freeBlocks  [][]int // free block ids per channel
 	files       map[string]*fileMeta
 	nextLPN     int
@@ -166,7 +156,6 @@ type SSD struct {
 
 // fileMeta records a stored object.
 type fileMeta struct {
-	name string
 	size int
 	lpns []int
 	// pageBytes is the payload length of each logical page (parallel to
@@ -174,9 +163,7 @@ type fileMeta struct {
 	// (WriteShards) ends every shard extent on a partial page, so reads
 	// must validate against the recorded length, not the geometry.
 	pageBytes []int
-	genomic   bool
-	// shards is the shard placement table of objects written with
-	// WriteShards; nil for plain files.
+	// shards is the object's shard placement table.
 	shards []shardExtent
 }
 
@@ -212,7 +199,6 @@ func New(cfg Config) (*SSD, error) {
 	for ch := range s.genomicHead {
 		s.genomicHead[ch] = -1
 	}
-	s.convHead = -1
 	return s, nil
 }
 

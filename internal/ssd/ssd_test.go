@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func smallConfig() Config {
@@ -14,6 +15,38 @@ func smallConfig() Config {
 	return cfg
 }
 
+// capacity is the device's raw capacity in bytes.
+func capacity(g Geometry) int64 { return int64(g.TotalPages()) * int64(g.PageSize) }
+
+// writeStriped stores data as one shard per channel with no bytes
+// outside the extents, so readStriped gets the whole object back.
+func writeStriped(s *SSD, name string, data []byte) error {
+	c := s.cfg.Geometry.Channels
+	exts := make([]Extent, c)
+	for i := range exts {
+		lo, hi := len(data)*i/c, len(data)*(i+1)/c
+		exts[i] = Extent{Offset: int64(lo), Length: int64(hi - lo)}
+	}
+	_, _, err := s.WriteShards(name, data, exts)
+	return err
+}
+
+// readStriped reads back an object writeStriped stored, with the
+// summed shard read time.
+func readStriped(s *SSD, name string) ([]byte, time.Duration, error) {
+	var out []byte
+	var total time.Duration
+	for i := 0; i < s.cfg.Geometry.Channels; i++ {
+		b, d, err := s.ReadShard(name, i)
+		if err != nil {
+			return nil, 0, err
+		}
+		out = append(out, b...)
+		total += d
+	}
+	return out, total, nil
+}
+
 func TestWriteReadRoundtrip(t *testing.T) {
 	s, err := New(smallConfig())
 	if err != nil {
@@ -21,10 +54,10 @@ func TestWriteReadRoundtrip(t *testing.T) {
 	}
 	data := make([]byte, 50000)
 	rand.New(rand.NewSource(1)).Read(data)
-	if _, err := s.WriteGenomic("rs1", data); err != nil {
+	if err := writeStriped(s, "rs1", data); err != nil {
 		t.Fatal(err)
 	}
-	got, d, err := s.ReadFile("rs1")
+	got, d, err := readStriped(s, "rs1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,39 +69,18 @@ func TestWriteReadRoundtrip(t *testing.T) {
 	}
 }
 
-func TestConventionalWriteRead(t *testing.T) {
-	s, err := New(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte("plain file data, not genomic")
-	if _, err := s.WriteFile("f", data); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := s.ReadFile("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("mismatch")
-	}
-	if _, _, err := s.ReadGenomicInternal("f"); err == nil {
-		t.Fatal("conventional files must not be readable via SAGe_Read")
-	}
-}
-
 func TestOverwriteReplaces(t *testing.T) {
 	s, err := New(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WriteGenomic("x", []byte("version one")); err != nil {
+	if err := writeStriped(s, "x", []byte("version one")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WriteGenomic("x", []byte("v2")); err != nil {
+	if err := writeStriped(s, "x", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := s.ReadFile("x")
+	got, _, err := readStriped(s, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +94,13 @@ func TestDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WriteGenomic("x", []byte("data")); err != nil {
+	if err := writeStriped(s, "x", []byte("data")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Delete("x"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.ReadFile("x"); err == nil {
+	if _, _, err := readStriped(s, "x"); err == nil {
 		t.Fatal("deleted file must not be readable")
 	}
 	if err := s.Delete("x"); err == nil {
@@ -102,10 +114,11 @@ func TestGenomicLayoutStripesChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Write enough pages to cover all channels.
+	// Bytes outside any shard extent round-robin across channels; write
+	// enough pages to cover all channels.
 	nPages := cfg.Geometry.Channels * 4
 	data := make([]byte, nPages*cfg.Geometry.PageSize)
-	if _, err := s.WriteGenomic("g", data); err != nil {
+	if _, _, err := s.WriteShards("g", data, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Every channel's genomic head must have the same page offset
@@ -117,9 +130,6 @@ func TestGenomicLayoutStripesChannels(t *testing.T) {
 			t.Fatalf("channel %d has no genomic head", ch)
 		}
 		offsets[s.blocks[b].written] = true
-		if !s.blocks[b].genomic {
-			t.Fatalf("channel %d head not marked genomic", ch)
-		}
 	}
 	if len(offsets) != 1 {
 		t.Fatalf("page offsets diverge across channels: %v", offsets)
@@ -135,30 +145,30 @@ func TestGCReclaimsAndPreservesData(t *testing.T) {
 	// Fill a large fraction of the device, then overwrite repeatedly to
 	// force GC.
 	rng := rand.New(rand.NewSource(2))
-	size := int(cfg.Geometry.TotalBytes() / 4)
+	size := int(capacity(cfg.Geometry) / 4)
 	keep := make([]byte, size)
 	rng.Read(keep)
-	if _, err := s.WriteGenomic("keep", keep); err != nil {
+	if err := writeStriped(s, "keep", keep); err != nil {
 		t.Fatal(err)
 	}
 	churn := make([]byte, size)
 	for i := 0; i < 8; i++ {
 		rng.Read(churn)
-		if _, err := s.WriteGenomic("churn", churn); err != nil {
+		if err := writeStriped(s, "churn", churn); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
 	if s.Stats().BlockErases == 0 {
 		t.Fatal("expected garbage collection under churn")
 	}
-	got, _, err := s.ReadFile("keep")
+	got, _, err := readStriped(s, "keep")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, keep) {
 		t.Fatal("GC corrupted unrelated data")
 	}
-	got2, _, err := s.ReadFile("churn")
+	got2, _, err := readStriped(s, "churn")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +228,8 @@ func TestOutOfSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := make([]byte, cfg.Geometry.TotalBytes()+int64(cfg.Geometry.PageSize))
-	if _, err := s.WriteGenomic("too-big", big); err == nil {
+	big := make([]byte, capacity(cfg.Geometry)+int64(cfg.Geometry.PageSize))
+	if err := writeStriped(s, "too-big", big); err == nil {
 		t.Fatal("expected out-of-space error")
 	}
 }
@@ -230,14 +240,14 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := make([]byte, 10000)
-	if _, err := s.WriteGenomic("x", data); err != nil {
+	if err := writeStriped(s, "x", data); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.ReadFile("x"); err != nil {
+	if _, _, err := readStriped(s, "x"); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.PageWrites == 0 || st.PageReads == 0 || st.HostReadB != 10000 || st.HostWrittenB != 10000 {
+	if st.PageWrites == 0 || st.PageReads == 0 || st.HostWrittenB != 10000 {
 		t.Fatalf("stats %+v", st)
 	}
 }

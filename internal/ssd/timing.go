@@ -83,17 +83,15 @@ func (s *SSD) InterfaceTime(nBytes int64) time.Duration {
 	return time.Duration(secs * float64(time.Second))
 }
 
-// writeTime models streaming program operations.
-func (s *SSD) writeTime(nBytes int64, genomicLayout bool) time.Duration {
+// writeTime models streaming program operations in the aligned
+// genomic layout, which keeps every plane programming.
+func (s *SSD) writeTime(nBytes int64) time.Duration {
 	if nBytes <= 0 {
 		return 0
 	}
 	g, t := s.cfg.Geometry, s.cfg.Timing
 	bus := t.ChannelMBps * 1e6 / float64(g.PageSize)
-	units := g.DiesPerChannel
-	if genomicLayout {
-		units *= g.PlanesPerDie
-	}
+	units := g.DiesPerChannel * g.PlanesPerDie
 	array := float64(units) / t.PageProgram.Seconds()
 	pps := bus
 	if array < bus {
@@ -105,9 +103,4 @@ func (s *SSD) writeTime(nBytes int64, genomicLayout bool) time.Duration {
 	}
 	secs := float64(nBytes)/total + t.PageProgram.Seconds()
 	return time.Duration(secs * float64(time.Second))
-}
-
-// IdleEnergy returns the idle energy over an interval.
-func (s *SSD) IdleEnergy(total time.Duration) float64 {
-	return s.cfg.Power.IdleW * total.Seconds()
 }
