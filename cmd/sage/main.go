@@ -432,16 +432,26 @@ func openIngest(p ingestPlan) (_ *ingest, err error) {
 	if in.mr != nil {
 		in.src, batch = in.mr, in.mr.BatchSize()
 	}
-	if p.reorder {
-		in.stage, err = reorder.NewStage(in.src, reorder.Config{
-			Mode: reorder.ModeClump, BatchSize: batch, Paired: p.paired, Sort: p.sort,
-		})
-		if err != nil {
-			return nil, err
-		}
-		in.src = in.stage
+	if err := in.wrapReorder(p, batch); err != nil {
+		return nil, err
 	}
 	return in, nil
+}
+
+// wrapReorder wraps in.src in the similarity-reorder stage when the plan
+// asks for it; batch is the source's shard cut point.
+func (in *ingest) wrapReorder(p ingestPlan, batch int) error {
+	if !p.reorder {
+		return nil
+	}
+	st, err := reorder.NewStage(in.src, reorder.Config{
+		Mode: reorder.ModeClump, BatchSize: batch, Paired: p.paired, Sort: p.sort,
+	})
+	if err != nil {
+		return err
+	}
+	in.stage, in.src = st, st
+	return nil
 }
 
 // namedSource names its one input file in parse errors, the way
@@ -516,9 +526,6 @@ func cmdCompress(args []string) error {
 	if *doReorder && *shardReads == 0 {
 		return usagef("compress: -reorder needs a sharded container; -shard-reads must be > 0")
 	}
-	if *doReorder && *denovo {
-		return usagef("compress: -reorder streams its input and needs -ref (-denovo holds the whole read set in memory)")
-	}
 	sortCfg := reorder.SortConfig{MemBudget: int64(*sortMem) << 20, TmpDir: *tmpDir}
 	// Inputs come positionally (possibly many) or via the classic -in
 	// (exactly one) — never both, and never silently dropped.
@@ -562,20 +569,46 @@ func cmdCompress(args []string) error {
 		}
 	}
 
-	// Sharded compression against a reference streams its inputs: the
-	// whole read set is never in memory at once.
-	if *shardReads > 0 && !*denovo {
-		if *refPath == "" {
-			return fmt.Errorf("compress: pass -ref or -denovo")
-		}
-		cons, err := readRef(*refPath)
-		if err != nil {
+	var (
+		rs   *fastq.ReadSet
+		cons genome.Seq
+	)
+	switch {
+	case *denovo:
+		// The assembly needs the whole read set, parsed once: a FIFO
+		// input cannot be read twice.
+		if rs, err = readFASTQ(inputs[0]); err != nil {
 			return err
 		}
-		in, err := openIngest(ingestPlan{
+		c, err := consensus.FromReads(rs)
+		if err != nil {
+			return fmt.Errorf("compress: de-novo consensus: %w", err)
+		}
+		cons = c.Seq
+		fmt.Printf("assembled consensus: %d bases in %d unitigs\n", len(cons), c.NumUnitigs)
+	case *refPath != "":
+		if cons, err = readRef(*refPath); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("compress: pass -ref or -denovo")
+	}
+
+	// Sharded compression against a reference streams its inputs: the
+	// whole read set is never in memory at once. -denovo feeds the reads
+	// it already holds to the same writer.
+	if *shardReads > 0 {
+		plan := ingestPlan{
 			inputs: inputs, paired: *paired, manifest: manifest,
 			shardReads: *shardReads, threads: *threads, reorder: *doReorder, sort: sortCfg,
-		})
+		}
+		var in *ingest
+		if rs != nil {
+			in = &ingest{src: fastq.SliceSource(rs.Batches(*shardReads))}
+			err = in.wrapReorder(plan, *shardReads)
+		} else {
+			in, err = openIngest(plan)
+		}
 		if err != nil {
 			return fmt.Errorf("compress: %w", err)
 		}
@@ -606,40 +639,12 @@ func cmdCompress(args []string) error {
 		return nil
 	}
 
-	rs, err := readFASTQ(inputs[0])
-	if err != nil {
-		return err
-	}
-	var cons genome.Seq
-	switch {
-	case *denovo:
-		c, err := consensus.FromReads(rs, consensus.DefaultConfig())
-		if err != nil {
-			return fmt.Errorf("compress: de-novo consensus: %w", err)
-		}
-		cons = c.Seq
-		fmt.Printf("assembled consensus: %d bases in %d unitigs\n", len(cons), c.NumUnitigs)
-	case *refPath != "":
-		cons, err = readRef(*refPath)
-		if err != nil {
+	if rs == nil {
+		if rs, err = readFASTQ(inputs[0]); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("compress: pass -ref or -denovo")
 	}
 	raw := len(rs.Bytes())
-	if *shardReads > 0 { // only reachable with -denovo: -ref returned above
-		data, st, err := shard.Compress(rs, shardOpt(cons))
-		if err != nil {
-			return err
-		}
-		if err := writeBytes(*out, data); err != nil {
-			return err
-		}
-		fmt.Printf("%s: %d -> %d bytes (%.2fx) in %d shards\n",
-			*out, raw, len(data), float64(raw)/float64(len(data)), st.Shards)
-		return nil
-	}
 	opt := core.DefaultOptions(cons)
 	opt.IncludeQuality = !*noQual
 	opt.IncludeHeaders = !*noHdr

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"sage/internal/consensus"
 	"sage/internal/core"
 	"sage/internal/fastq"
 	"sage/internal/gzipc"
@@ -310,7 +311,9 @@ func TestFailedDecodeKeepsOutput(t *testing.T) {
 // TestDenovoPublishesCrashSafely: -denovo containers (sharded and
 // single-block) go through publish like every other — temp file,
 // fsync, rename — so they leave no *.tmp behind, and a run that cannot
-// create its temp file fails without touching an existing output.
+// create its temp file fails without touching an existing output. The
+// sharded one is what shard.Compress writes for the same reads and
+// consensus.
 func TestDenovoPublishesCrashSafely(t *testing.T) {
 	dir := t.TempDir()
 	fx := newCLIFixture(t, dir)
@@ -319,6 +322,10 @@ func TestDenovoPublishesCrashSafely(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := fastq.Parse(bytes.NewReader(fx.shapes[0].want))
+	cons, err := consensus.FromReads(want)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, shardReads := range []string{"100", "0"} {
 		out := filepath.Join(dir, "denovo"+shardReads+".sage")
 		args := []string{"-denovo", "-shard-reads", shardReads, "-out", out, in}
@@ -331,6 +338,17 @@ func TestDenovoPublishesCrashSafely(t *testing.T) {
 		}
 		if sharded := shard.IsContainer(data); sharded != (shardReads != "0") || (!sharded && !core.IsContainer(data)) {
 			t.Fatalf("-shard-reads %s wrote the wrong container kind", shardReads)
+		}
+		if shardReads != "0" {
+			opt := shard.DefaultOptions(cons.Seq)
+			opt.ShardReads = 100
+			ref, _, err := shard.Compress(want, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, ref) {
+				t.Fatal("-denovo wrote a container that differs from shard.Compress of the same reads")
+			}
 		}
 		if err := cmdDecompress([]string{"-in", out, "-out", out + ".fq"}); err != nil {
 			t.Fatal(err)
@@ -359,6 +377,37 @@ func TestDenovoPublishesCrashSafely(t *testing.T) {
 		if err := os.Remove(out + ".tmp"); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestDenovoReorderRestoresInput: -denovo -reorder clump-sorts the reads
+// it assembled from, and decompress -original-order gives the input back
+// byte for byte.
+func TestDenovoReorderRestoresInput(t *testing.T) {
+	dir := t.TempDir()
+	fx := newCLIFixture(t, dir)
+	in := filepath.Join(dir, "x.fq")
+	if err := os.WriteFile(in, fx.shapes[0].want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "x.sage")
+	if err := cmdCompress([]string{"-denovo", "-reorder", "-shard-reads", "100", "-tmpdir", dir, "-out", out, in}); err != nil {
+		t.Fatal(err)
+	}
+	c, f, err := shard.OpenFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if c.Index.ReorderMode != shard.ReorderClump {
+		t.Fatalf("container reorder mode %d, want clump", c.Index.ReorderMode)
+	}
+	back := filepath.Join(dir, "back.fq")
+	if err := cmdDecompress([]string{"-in", out, "-out", back, "-original-order", "-tmpdir", dir}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(back); err != nil || !bytes.Equal(got, fx.shapes[0].want) {
+		t.Fatalf("-original-order did not restore the input (err %v)", err)
 	}
 }
 

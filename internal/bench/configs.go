@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"sage/internal/accel"
-	"sage/internal/dram"
 	"sage/internal/hw"
 	"sage/internal/pipeline"
 	"sage/internal/ssd"
@@ -103,8 +102,6 @@ type Platform struct {
 	NSSD   int
 	Mapper accel.Mapper
 	ISF    accel.ISF
-	// HostDRAM and SSDDRAM close the energy model.
-	HostDRAM dram.Spec
 	// VirtualScale multiplies the dataset's sizes when building the
 	// pipeline workload: the synthetic read sets are ~1000x smaller than
 	// the paper's (DESIGN.md), so the pipeline is fed sizes scaled back
@@ -119,7 +116,6 @@ func DefaultPlatform() Platform {
 		Device:       ssd.DefaultConfig(),
 		NSSD:         1,
 		Mapper:       accel.GEM(),
-		HostDRAM:     dram.HostDDR4(),
 		VirtualScale: 1000,
 	}
 }
@@ -161,8 +157,8 @@ func endToEnd(cfg SystemConfig, m *Measurement, plat Platform, withAnalysis bool
 
 	ioStage := pipeline.Stage{
 		Name:    "io",
-		ActiveW: plat.Device.Power.ActiveReadW * float64(n),
-		IdleW:   plat.Device.Power.IdleW * float64(n),
+		ActiveW: ssd.ActiveReadW * float64(n),
+		IdleW:   ssd.IdleW * float64(n),
 	}
 	prepStage := pipeline.Stage{Name: "prep"}
 	// The GEM stage consumes FASTQ-equivalent bytes at the Fig.4-derived

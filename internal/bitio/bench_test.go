@@ -17,7 +17,7 @@ func BenchmarkWriteBits(b *testing.B) {
 	b.SetBytes(int64(len(vals)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Reset()
+		w.buf, w.cur, w.nCur, w.bits = w.buf[:0], 0, 0, 0
 		for j := range vals {
 			w.WriteBits(vals[j], widths[j])
 		}

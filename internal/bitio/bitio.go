@@ -100,12 +100,6 @@ func (w *Writer) Bytes() []byte {
 	return out
 }
 
-// Reset discards all written bits.
-func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
-	w.cur, w.nCur, w.bits = 0, 0, 0
-}
-
 // Reader consumes a bit stream produced by Writer, strictly forward.
 type Reader struct {
 	buf []byte
@@ -183,18 +177,6 @@ func (r *Reader) ReadUnary(maxOnes uint) (uint, error) {
 func (r *Reader) ReadBool() (bool, error) {
 	b, err := r.ReadBit()
 	return b == 1, err
-}
-
-// BitsFor returns the minimum number of bits needed to represent v
-// (at least 1; BitsFor(0) == 1, matching SAGe's width classes, which
-// always spend at least one bit per stored value).
-func BitsFor(v uint64) uint {
-	n := uint(1)
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // PutUvarint64 appends v to w using a 7-bits-per-group variable-length

@@ -102,15 +102,6 @@ func TestReaderBoundsToBuffer(t *testing.T) {
 	}
 }
 
-func TestBitsFor(t *testing.T) {
-	cases := map[uint64]uint{0: 1, 1: 1, 2: 2, 3: 2, 4: 3, 7: 3, 8: 4, 255: 8, 256: 9, 1 << 31: 32}
-	for v, want := range cases {
-		if got := BitsFor(v); got != want {
-			t.Errorf("BitsFor(%d)=%d want %d", v, got, want)
-		}
-	}
-}
-
 func TestUvarintRoundtrip(t *testing.T) {
 	vals := []uint64{0, 1, 127, 128, 300, 1 << 20, 1<<40 + 12345, 1<<63 + 99}
 	w := NewWriter(64)
@@ -126,20 +117,6 @@ func TestUvarintRoundtrip(t *testing.T) {
 		if got != want {
 			t.Fatalf("val %d: got %d want %d", i, got, want)
 		}
-	}
-}
-
-func TestResetReusesWriter(t *testing.T) {
-	w := NewWriter(8)
-	w.WriteBits(0xff, 8)
-	w.Reset()
-	if w.Len() != 0 {
-		t.Fatalf("len after reset %d", w.Len())
-	}
-	w.WriteBits(0b1, 1)
-	got := w.Bytes()
-	if len(got) != 1 || got[0] != 0x80 {
-		t.Fatalf("got %x want 80", got)
 	}
 }
 

@@ -3,14 +3,12 @@
 //
 // The paper allows two sources: "a user-provided reference, or a
 // de-duplicated string derived from the reads, representing the most
-// likely character at each location". Both are provided here:
-//
-//   - FromReference wraps a known reference genome.
-//   - FromReads derives a consensus de novo with a counting de Bruijn
-//     graph: k-mers seen at least MinCount times are linked, and maximal
-//     non-branching paths (unitigs) are emitted, longest first. Sequencing
-//     errors produce low-count k-mers and are filtered out, so the unitigs
-//     approximate the donor genome.
+// likely character at each location". A reference is used as given.
+// FromReads derives one de novo with a counting de Bruijn graph: k-mers
+// seen at least minCount times are linked, and maximal non-branching
+// paths (unitigs) are emitted, longest first. Sequencing errors produce
+// low-count k-mers and are filtered out, so the unitigs approximate the
+// donor genome.
 //
 // The consensus is a mapping target only; it does not need to be complete
 // or correct for losslessness (reads that fail to map are stored raw).
@@ -25,54 +23,33 @@ import (
 	"sage/internal/genome"
 )
 
-// Consensus is a mapping target plus provenance metadata.
+// Consensus is an assembled mapping target.
 type Consensus struct {
 	Seq genome.Seq
-	// Source describes how the consensus was obtained ("reference" or
-	// "debruijn").
-	Source string
-	// NumUnitigs counts the assembled unitigs (1 for references).
+	// NumUnitigs counts the assembled unitigs.
 	NumUnitigs int
 }
 
-// FromReference wraps a trusted reference genome as the consensus.
-func FromReference(ref genome.Seq) *Consensus {
-	return &Consensus{Seq: ref, Source: "reference", NumUnitigs: 1}
-}
-
-// Config parameterizes de-novo consensus construction.
-type Config struct {
-	// K is the de Bruijn k-mer length (odd, ≤ 31).
-	K int
-	// MinCount filters k-mers observed fewer times (error removal).
-	MinCount int
-	// MinUnitigLen drops unitigs shorter than this many bases.
-	MinUnitigLen int
-}
-
-// DefaultConfig suits accurate short reads at ≥10x depth.
-func DefaultConfig() Config {
-	return Config{K: 25, MinCount: 3, MinUnitigLen: 100}
-}
+// The assembly's settings suit accurate short reads at ≥10x depth.
+const (
+	// kmerLen is the de Bruijn k-mer length: odd, so that no k-mer is
+	// its own reverse complement, and ≤ 31, so that one fits a uint64.
+	kmerLen = 25
+	// minCount filters k-mers observed fewer times (error removal).
+	minCount = 3
+	// minUnitigLen drops unitigs shorter than this many bases.
+	minUnitigLen = 100
+)
 
 // FromReads assembles a consensus from the read set.
-func FromReads(rs *fastq.ReadSet, cfg Config) (*Consensus, error) {
-	if cfg.K < 5 || cfg.K > 31 {
-		return nil, fmt.Errorf("consensus: k=%d out of range [5,31]", cfg.K)
-	}
-	if cfg.K%2 == 0 {
-		return nil, fmt.Errorf("consensus: k must be odd to avoid palindromic k-mers")
-	}
-	if cfg.MinCount < 1 {
-		cfg.MinCount = 1
-	}
-	counts := countCanonicalKmers(rs, cfg.K)
+func FromReads(rs *fastq.ReadSet) (*Consensus, error) {
+	counts := countCanonicalKmers(rs, kmerLen)
 	for code, c := range counts {
-		if int(c) < cfg.MinCount {
+		if c < minCount {
 			delete(counts, code)
 		}
 	}
-	unitigs := buildUnitigs(counts, cfg.K)
+	unitigs := buildUnitigs(counts, kmerLen)
 	// Longest-first gives stable, repeat-friendly ordering. Unitigs are
 	// N-free, so comparing base codes orders them exactly like their
 	// ASCII rendering without materializing it.
@@ -85,16 +62,16 @@ func FromReads(rs *fastq.ReadSet, cfg Config) (*Consensus, error) {
 	var seq genome.Seq
 	n := 0
 	for _, u := range unitigs {
-		if len(u) < cfg.MinUnitigLen {
+		if len(u) < minUnitigLen {
 			continue
 		}
 		seq = append(seq, u...)
 		n++
 	}
 	if len(seq) == 0 {
-		return nil, fmt.Errorf("consensus: no unitigs of length >= %d (insufficient depth or too many errors)", cfg.MinUnitigLen)
+		return nil, fmt.Errorf("consensus: no unitigs of length >= %d (insufficient depth or too many errors)", minUnitigLen)
 	}
-	return &Consensus{Seq: seq, Source: "debruijn", NumUnitigs: n}, nil
+	return &Consensus{Seq: seq, NumUnitigs: n}, nil
 }
 
 // kmerMask keeps the low 2k bits.

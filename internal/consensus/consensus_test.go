@@ -10,14 +10,6 @@ import (
 	"sage/internal/simulate"
 )
 
-func TestFromReference(t *testing.T) {
-	ref := genome.MustFromString("ACGTACGT")
-	c := FromReference(ref)
-	if !c.Seq.Equal(ref) || c.Source != "reference" || c.NumUnitigs != 1 {
-		t.Fatalf("%+v", c)
-	}
-}
-
 func TestRevCompCode(t *testing.T) {
 	// ACGT -> its reverse complement is ACGT (palindrome).
 	code, _ := kmerCode("ACGT")
@@ -67,7 +59,7 @@ func TestFromReadsReconstructsCleanGenome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := FromReads(rs, DefaultConfig())
+	c, err := FromReads(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +91,7 @@ func TestFromReadsFiltersErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := FromReads(rs, DefaultConfig())
+	c, err := FromReads(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,17 +106,7 @@ func TestFromReadsFiltersErrors(t *testing.T) {
 }
 
 func TestFromReadsValidation(t *testing.T) {
-	rs := &fastq.ReadSet{}
-	if _, err := FromReads(rs, Config{K: 4}); err == nil {
-		t.Fatal("expected error for small k")
-	}
-	if _, err := FromReads(rs, Config{K: 33}); err == nil {
-		t.Fatal("expected error for large k")
-	}
-	if _, err := FromReads(rs, Config{K: 24}); err == nil {
-		t.Fatal("expected error for even k")
-	}
-	if _, err := FromReads(rs, Config{K: 25, MinCount: 1, MinUnitigLen: 10}); err == nil {
+	if _, err := FromReads(&fastq.ReadSet{}); err == nil {
 		t.Fatal("expected error for empty read set")
 	}
 }
@@ -139,11 +121,11 @@ func TestFromReadsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, err := FromReads(rs, DefaultConfig())
+	c1, err := FromReads(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := FromReads(rs, DefaultConfig())
+	c2, err := FromReads(rs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestAblationClassCount(t *testing.T) {
 	prev := uint64(1 << 62)
 	var sizes []uint64
 	for d := 1; d <= MaxWidthClasses; d++ {
-		tab, err := TuneTable(h, TuneConfig{Epsilon: 0, MaxClasses: d})
+		tab, err := tuneTable(h, tuneConfig{epsilon: 0, maxClasses: d})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +69,11 @@ func TestAblationClassCount(t *testing.T) {
 // amount of size for a much smaller search.
 func TestAblationEpsilon(t *testing.T) {
 	h, vals := ablationHist(12, 20000)
-	exact, err := TuneTable(h, TuneConfig{Epsilon: 0, MaxClasses: 8})
+	exact, err := tuneTable(h, tuneConfig{epsilon: 0, maxClasses: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := TuneTable(h, TuneConfig{Epsilon: 0.05, MaxClasses: 8})
+	loose, err := tuneTable(h, tuneConfig{epsilon: 0.05, maxClasses: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestAblationEpsilon(t *testing.T) {
 // common inputs" optimization).
 func TestAblationGuideCodes(t *testing.T) {
 	h, vals := ablationHist(13, 20000)
-	ranked, err := TuneTable(h, DefaultTuneConfig())
+	ranked, err := tuneTable(h, defaultTuneConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +113,10 @@ func TestAblationGuideCodes(t *testing.T) {
 
 func BenchmarkTune(b *testing.B) {
 	h, _ := ablationHist(14, 50000)
-	cfg := DefaultTuneConfig()
+	cfg := defaultTuneConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Tune(h, cfg); err != nil {
+		if _, err := tune(h, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -124,10 +124,10 @@ func BenchmarkTune(b *testing.B) {
 
 func BenchmarkTuneExhaustive(b *testing.B) {
 	h, _ := ablationHist(15, 50000)
-	cfg := TuneConfig{Epsilon: 0, MaxClasses: 8}
+	cfg := tuneConfig{epsilon: 0, maxClasses: 8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Tune(h, cfg); err != nil {
+		if _, err := tune(h, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,7 +141,7 @@ func BenchmarkAblationClassCount(b *testing.B) {
 		d := d
 		b.Run(fmt.Sprintf("classes=%d", d), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tab, err := TuneTable(h, TuneConfig{Epsilon: 0, MaxClasses: d})
+				tab, err := tuneTable(h, tuneConfig{epsilon: 0, maxClasses: d})
 				if err != nil {
 					b.Fatal(err)
 				}

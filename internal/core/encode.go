@@ -243,7 +243,7 @@ func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
 
 	var tables [numTables]*AssociationTable
 	for i, h := range []*Histogram{&hMatch, &hMisPos, &hCount, &hReadLen, &hIndel} {
-		tab, err := TuneTable(h, DefaultTuneConfig())
+		tab, err := tuneTable(h, defaultTuneConfig())
 		if err != nil {
 			return nil, fmt.Errorf("core: tuning table %d: %w", i, err)
 		}

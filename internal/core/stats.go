@@ -122,7 +122,7 @@ func mapAll(rs *fastq.ReadSet, cons genome.Seq, cfg mapper.Config) ([]mapper.Ali
 
 // modelLevel computes exact component bit counts for levels NO–O3.
 func modelLevel(rs *fastq.ReadSet, cons genome.Seq, alns []mapper.Alignment, lvl OptLevel) (Breakdown, error) {
-	tune := DefaultTuneConfig()
+	tcfg := defaultTuneConfig()
 	var comp ComponentBits
 	wCons := uint64(HistIndex(uint64(len(cons))))
 	maxReadLen := 0
@@ -156,7 +156,7 @@ func modelLevel(rs *fastq.ReadSet, cons genome.Seq, alns []mapper.Alignment, lvl
 		for _, d := range deltas {
 			h.Add(d)
 		}
-		tab, err := TuneTable(&h, tune)
+		tab, err := tuneTable(&h, tcfg)
 		if err != nil {
 			return Breakdown{}, err
 		}
@@ -252,7 +252,7 @@ func modelLevel(rs *fastq.ReadSet, cons genome.Seq, alns []mapper.Alignment, lvl
 				h.Add(uint64(len(perRead[i])))
 			}
 		}
-		tab, err := TuneTable(&h, tune)
+		tab, err := tuneTable(&h, tcfg)
 		if err != nil {
 			return Breakdown{}, err
 		}
@@ -282,11 +282,11 @@ func modelLevel(rs *fastq.ReadSet, cons genome.Seq, alns []mapper.Alignment, lvl
 				}
 			}
 		}
-		tab, err := TuneTable(&h, tune)
+		tab, err := tuneTable(&h, tcfg)
 		if err != nil {
 			return Breakdown{}, err
 		}
-		tabIndel, err := TuneTable(&hIndel, tune)
+		tabIndel, err := tuneTable(&hIndel, tcfg)
 		if err != nil {
 			return Breakdown{}, err
 		}

@@ -180,34 +180,35 @@ func (t *AssociationTable) CostBits(v uint64) int {
 	return int(cls) + 1 + int(t.Widths[cls])
 }
 
-// TuneConfig parameterizes Algorithm 1.
-type TuneConfig struct {
-	// Epsilon is the convergence threshold ε: the search over class
+// tuneConfig parameterizes Algorithm 1. Encoding always runs it with
+// defaultTuneConfig; the ablation tests sweep it.
+type tuneConfig struct {
+	// epsilon is the convergence threshold ε: the search over class
 	// counts d stops when the relative improvement drops below it.
-	Epsilon float64
-	// MaxClasses caps d (the paper uses 8).
-	MaxClasses int
+	epsilon float64
+	// maxClasses caps d (the paper uses 8).
+	maxClasses int
 }
 
-// DefaultTuneConfig mirrors the paper's settings.
-func DefaultTuneConfig() TuneConfig {
-	return TuneConfig{Epsilon: 0.01, MaxClasses: MaxWidthClasses}
+// defaultTuneConfig mirrors the paper's settings.
+func defaultTuneConfig() tuneConfig {
+	return tuneConfig{epsilon: 0.01, maxClasses: MaxWidthClasses}
 }
 
-// Tune implements Algorithm 1: it selects the bit-width boundaries that
+// tune implements Algorithm 1: it selects the bit-width boundaries that
 // minimize the total encoded size (data bits + guide-code bits) of the
 // values summarized by h.
 //
-// For each d in {1..MaxClasses} it exhaustively searches all strictly
+// For each d in {1..maxClasses} it exhaustively searches all strictly
 // increasing boundary tuples (x_1 < ... < x_d) over the histogram support,
 // with x_d pinned to the maximum present bit length (every value must be
 // encodable). Guide-code lengths are assigned by class frequency: the most
 // populous class gets the 1-bit code "0", the next "10", and so on. The
 // search exits early once the relative improvement between successive d
 // values falls below ε, which in practice happens at d < 8 (§5.1.1).
-func Tune(h *Histogram, cfg TuneConfig) ([]uint8, error) {
-	if cfg.MaxClasses <= 0 || cfg.MaxClasses > MaxWidthClasses {
-		cfg.MaxClasses = MaxWidthClasses
+func tune(h *Histogram, cfg tuneConfig) ([]uint8, error) {
+	if cfg.maxClasses <= 0 || cfg.maxClasses > MaxWidthClasses {
+		cfg.maxClasses = MaxWidthClasses
 	}
 	if h.Total() == 0 {
 		return []uint8{1}, nil
@@ -234,7 +235,7 @@ func Tune(h *Histogram, cfg TuneConfig) ([]uint8, error) {
 	best := int64(math.MaxInt64)
 	var bestW []uint8
 	lastBest := int64(math.MaxInt64)
-	for d := 1; d <= cfg.MaxClasses && d <= len(support); d++ {
+	for d := 1; d <= cfg.maxClasses && d <= len(support); d++ {
 		// Choose d-1 boundaries from support[:len-1]; the last boundary
 		// is always maxBits.
 		free := support[:len(support)-1]
@@ -257,7 +258,7 @@ func Tune(h *Histogram, cfg TuneConfig) ([]uint8, error) {
 		}
 		rec(0, 0)
 		if lastBest != math.MaxInt64 && best > 0 {
-			if float64(lastBest-best)/float64(best) < cfg.Epsilon {
+			if float64(lastBest-best)/float64(best) < cfg.epsilon {
 				break // Algorithm 1 line 10–11: converged
 			}
 		}
@@ -277,7 +278,7 @@ func costOf(bounds []int, rangeCount func(loExcl, hiIncl int) int64) int64 {
 		width int
 		count int64
 	}
-	// Tune calls this once per boundary tuple, with d ≤ MaxWidthClasses.
+	// tune calls this once per boundary tuple, with d ≤ MaxWidthClasses.
 	var classes [MaxWidthClasses]classInfo
 	var order [MaxWidthClasses]int
 	lo := -1
@@ -310,11 +311,11 @@ func boundariesToWidths(bounds []int) []uint8 {
 	return out
 }
 
-// TuneTable runs Algorithm 1 and ranks the resulting widths by class
+// tuneTable runs Algorithm 1 and ranks the resulting widths by class
 // frequency so that NewAssociationTable assigns the shortest codes to the
 // most common widths.
-func TuneTable(h *Histogram, cfg TuneConfig) (*AssociationTable, error) {
-	widths, err := Tune(h, cfg)
+func tuneTable(h *Histogram, cfg tuneConfig) (*AssociationTable, error) {
+	widths, err := tune(h, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +326,7 @@ func TuneTable(h *Histogram, cfg TuneConfig) (*AssociationTable, error) {
 		count int64
 	}
 	wcs := make([]wc, len(widths))
-	// widths from Tune are ascending boundaries.
+	// widths from tune are ascending boundaries.
 	lo := -1
 	for i, w := range widths {
 		var c int64

@@ -118,7 +118,7 @@ func TestTuneSingleClass(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Add(5) // bitlen 3
 	}
-	w, err := Tune(&h, DefaultTuneConfig())
+	w, err := tune(&h, defaultTuneConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestTuneSplitsSkewedDistribution(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Add(1 << 15)
 	}
-	w, err := Tune(&h, DefaultTuneConfig())
+	w, err := tune(&h, defaultTuneConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestTuneSplitsSkewedDistribution(t *testing.T) {
 
 func TestTuneEmptyHistogram(t *testing.T) {
 	var h Histogram
-	w, err := Tune(&h, DefaultTuneConfig())
+	w, err := tune(&h, defaultTuneConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestQuickTuneOptimal(t *testing.T) {
 			b := rng.Intn(17)
 			h[b] += int64(rng.Intn(1000) + 1)
 		}
-		w, err := Tune(&h, TuneConfig{Epsilon: 0, MaxClasses: 8})
+		w, err := tune(&h, tuneConfig{epsilon: 0, maxClasses: 8})
 		if err != nil {
 			return false
 		}
@@ -252,7 +252,7 @@ func TestQuickTunedTableRoundtrip(t *testing.T) {
 			}
 			h.Add(vals[i])
 		}
-		tab, err := TuneTable(&h, DefaultTuneConfig())
+		tab, err := tuneTable(&h, defaultTuneConfig())
 		if err != nil {
 			return false
 		}
@@ -288,7 +288,7 @@ func TestTuneConvergenceStopsEarly(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Add(1000)
 	}
-	w, err := Tune(&h, TuneConfig{Epsilon: 0.05, MaxClasses: 8})
+	w, err := tune(&h, tuneConfig{epsilon: 0.05, maxClasses: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

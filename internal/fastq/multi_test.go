@@ -3,6 +3,7 @@ package fastq
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -234,4 +235,43 @@ func TestMateKey(t *testing.T) {
 			t.Fatalf("mateKeyBytes(%q) = %q, want %q", c.h, got, c.want)
 		}
 	}
+}
+
+// TestBatchPreallocationBounded: a batch size far above the input's read
+// count allocates for the reads that come, not for the size. At 64 B a
+// record, preallocating 1<<21 of them would take 128 MiB.
+func TestBatchPreallocationBounded(t *testing.T) {
+	const size = 1 << 21
+	for name, open := range map[string]func() (BatchSource, error){
+		"single": func() (BatchSource, error) {
+			return NewBatchReader(strings.NewReader(fq("r", "ACGT", "GGCA", "TTAC")), size), nil
+		},
+		"paired": func() (BatchSource, error) {
+			return NewPairedReader([][2]NamedReader{{
+				{Name: "a_R1.fq", R: strings.NewReader(pairFq("p", 3, 1))},
+				{Name: "a_R2.fq", R: strings.NewReader(pairFq("p", 3, 2))},
+			}}, size)
+		},
+	} {
+		src, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		grew, err := allocatedBy(func() error { _, err := src.Next(); return err })
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if grew >= 4<<20 {
+			t.Errorf("%s: one Next at batch size %d allocated %d bytes", name, size, grew)
+		}
+	}
+}
+
+// allocatedBy returns the bytes the heap handed out while f ran.
+func allocatedBy(f func() error) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
 }

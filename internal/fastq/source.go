@@ -15,9 +15,9 @@ import (
 // identity pipeline.
 
 // BatchSource is one stage of the ingest pipeline: anything that yields
-// record batches in a defined order, ending with io.EOF. BatchReader
-// and MultiReader are the leaf sources; pipeline stages wrap another
-// BatchSource. Implementations may additionally expose
+// record batches in a defined order, ending with io.EOF. BatchReader,
+// MultiReader and SliceSource are the leaf sources; pipeline stages
+// wrap another BatchSource. Implementations may additionally expose
 //
 //	Sources() []Source
 //
@@ -33,6 +33,26 @@ var (
 	_ BatchSource = (*BatchReader)(nil)
 	_ BatchSource = (*MultiReader)(nil)
 )
+
+// sliceSource replays batches already in memory.
+type sliceSource struct {
+	batches []Batch
+}
+
+// SliceSource is the leaf BatchSource over batches already in memory,
+// such as a parsed read set's Batches.
+func SliceSource(batches []Batch) BatchSource {
+	return &sliceSource{batches: batches}
+}
+
+func (s *sliceSource) Next() (Batch, error) {
+	if len(s.batches) == 0 {
+		return Batch{}, io.EOF
+	}
+	b := s.batches[0]
+	s.batches = s.batches[1:]
+	return b, nil
+}
 
 // gzipMagic is the two-byte gzip member header (RFC 1952).
 var gzipMagic = [2]byte{0x1f, 0x8b}

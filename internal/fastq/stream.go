@@ -217,9 +217,14 @@ type batchBuilder struct {
 	hoffs []int
 }
 
+// maxPrealloc caps the records a batch preallocates: a batch size far
+// above the input's read count must not allocate for reads that never
+// come, and append grows a larger batch as its reads arrive.
+const maxPrealloc = 4096
+
 // start begins a new batch of at most n records.
 func (bb *batchBuilder) start(n int) {
-	bb.recs = make([]Record, 0, n)
+	bb.recs = make([]Record, 0, min(n, maxPrealloc))
 	bb.hbuf = bb.hbuf[:0]
 	bb.hoffs = bb.hoffs[:0]
 }

@@ -189,13 +189,13 @@ func fitAlign(sc *oracleScratch, read, window genome.Seq, band int, pin pinned) 
 
 // oracleAlignPiece is alignPiece as it was while fitAlign was the
 // production kernel: a window of the cluster's diagonals extended by
-// spread+BandPad on both sides, and a symmetric band wide enough to reach
+// spread+bandPad on both sides, and a symmetric band wide enough to reach
 // the alignment's start inside that window.
 func (m *Mapper) oracleAlignPiece(sc *oracleScratch, oriented genome.Seq, start, end int, c cluster) (Segment, bool) {
 	cons := m.idx.cons
 	piece := oriented[start:end]
 	spread := c.maxDiag - c.minDiag
-	band := spread + m.cfg.BandPad
+	band := spread + m.cfg.bandPad
 	// The window spans the diagonals of the cluster, extended by the
 	// band on both sides.
 	winLo := c.minDiag + start - band
@@ -211,7 +211,7 @@ func (m *Mapper) oracleAlignPiece(sc *oracleScratch, oriented genome.Seq, start,
 	}
 	// fitAlign's band must cover the offset of the alignment start
 	// within the window plus indel drift.
-	fitBand := (c.minDiag + start - winLo) + spread + m.cfg.BandPad
+	fitBand := (c.minDiag + start - winLo) + spread + m.cfg.bandPad
 	consStart, edits, cost, err := fitAlign(sc, piece, cons[winLo:winHi], fitBand, 0)
 	if err != nil {
 		return Segment{}, false
@@ -230,12 +230,12 @@ func (m *Mapper) oracleAlignPiece(sc *oracleScratch, oriented genome.Seq, start,
 // band as diagonals counted from consensus position 0, starting no
 // further left than the window's first column. Where the window
 // is clipped at consensus position 0 the band is narrower than the
-// cluster's own diagonals plus BandPad — the old geometry lost the
+// cluster's own diagonals plus bandPad — the old geometry lost the
 // clipped columns twice.
 func (m *Mapper) oracleBand(start int, c cluster) diagBand {
 	spread := c.maxDiag - c.minDiag
-	winLo := max(c.minDiag+start-spread-m.cfg.BandPad, 0)
-	fitBand := max((c.minDiag+start-winLo)+spread+m.cfg.BandPad, 1)
+	winLo := max(c.minDiag+start-spread-m.cfg.bandPad, 0)
+	fitBand := max((c.minDiag+start-winLo)+spread+m.cfg.bandPad, 1)
 	return diagBand{winLo - fitBand, winLo + fitBand, winLo}
 }
 

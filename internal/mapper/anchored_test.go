@@ -121,7 +121,7 @@ func checkAnchoredRead(m *Mapper, sc *mapScratch, read genome.Seq, cutLo, cutHi 
 // FuzzAnchoredAlign draws a read from an arbitrary consensus (bytes mod
 // 5, so N on both sides), lets it overhang the consensus's ends, joins a
 // second region to it as a chimera, mutates it by an arbitrary edit
-// script, and checks checkAnchoredRead under an arbitrary K and SeedStep.
+// script, and checks checkAnchoredRead under an arbitrary k and seedStep.
 func FuzzAnchoredAlign(f *testing.F) {
 	rng := rand.New(rand.NewSource(31))
 	cons := []byte(genome.Random(rng, 3000))
@@ -178,8 +178,8 @@ func FuzzAnchoredAlign(f *testing.F) {
 			read = read.ReverseComplement()
 		}
 		cfg := DefaultConfig()
-		cfg.Index.K = 6 + int(k)%10
-		cfg.SeedStep = 1 + int(k>>4)%4
+		cfg.index.k = 6 + int(k)%10
+		cfg.seedStep = 1 + int(k>>4)%4
 		m, err := New(cons, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -106,7 +106,7 @@ func BenchmarkAlignKernel(b *testing.B) {
 			read[j] = byte(rng.Intn(4))
 		}
 	}
-	pad := DefaultConfig().BandPad
+	pad := DefaultConfig().bandPad
 	sc := new(mapScratch)
 	b.SetBytes(int64(len(read)))
 	b.ReportAllocs()
@@ -125,21 +125,21 @@ func BenchmarkNewIndex(b *testing.B) {
 	b.SetBytes(int64(len(cons)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewIndex(cons, DefaultIndexConfig()); err != nil {
+		if _, err := newIndex(cons, defaultIndexConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkIndexLookup probes that index with k-mers it holds, with
-// k-mers it does not, and with what seeding sends it: the SeedStep-th
+// k-mers it does not, and with what seeding sends it: the seedStep-th
 // k-mers of 150-base reads with one substitution, on both strands, so
 // half of the probes find nothing.
 func BenchmarkIndexLookup(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	cons := genome.Random(rng, 96000)
 	cfg := DefaultConfig()
-	idx, err := NewIndex(cons, cfg.Index)
+	idx, err := newIndex(cons, cfg.index)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func BenchmarkIndexLookup(b *testing.B) {
 		read := cons[p : p+150].Clone()
 		read[rng.Intn(len(read))] = byte(rng.Intn(4))
 		for _, oriented := range []genome.Seq{read, read.ReverseComplement()} {
-			ForEachKmer(oriented, idx.k, cfg.SeedStep, func(_ int, code uint64) { mix = append(mix, code) })
+			ForEachKmer(oriented, idx.k, cfg.seedStep, func(_ int, code uint64) { mix = append(mix, code) })
 		}
 	}
 	for _, probes := range []struct {

@@ -42,9 +42,9 @@ type mapIndex struct {
 	maxOcc int
 }
 
-func newMapIndex(cons genome.Seq, cfg IndexConfig) *mapIndex {
-	idx := &mapIndex{pos: map[uint64][]int32{}, maxOcc: cfg.MaxOcc}
-	forEachKmerPerWindow(cons, cfg.K, cfg.Step, func(p int, code uint64) {
+func newMapIndex(cons genome.Seq, cfg indexConfig) *mapIndex {
+	idx := &mapIndex{pos: map[uint64][]int32{}, maxOcc: cfg.maxOcc}
+	forEachKmerPerWindow(cons, cfg.k, cfg.step, func(p int, code uint64) {
 		idx.pos[code] = append(idx.pos[code], int32(p))
 	})
 	return idx
@@ -62,9 +62,9 @@ func (x *mapIndex) Lookup(code uint64) []int32 {
 // on every k-mer of the consensus and on absent random codes — the same
 // ascending positions, and nil for the same codes — and the unique bit of
 // every consensus position.
-func checkIndexAgainstMap(t testing.TB, rng *rand.Rand, cons genome.Seq, cfg IndexConfig, absent int) *mapIndex {
+func checkIndexAgainstMap(t testing.TB, rng *rand.Rand, cons genome.Seq, cfg indexConfig, absent int) *mapIndex {
 	t.Helper()
-	idx, err := NewIndex(cons, cfg)
+	idx, err := newIndex(cons, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +83,14 @@ func checkIndexAgainstMap(t testing.TB, rng *rand.Rand, cons genome.Seq, cfg Ind
 		// few with bits no k-mer has.
 		code := rng.Uint64()
 		if i%16 != 0 {
-			code >>= 64 - 2*uint(cfg.K)
+			code >>= 64 - 2*uint(cfg.k)
 		}
 		check(code)
 	}
 	// unique[q] holds exactly for the indexed positions whose k-mer the
 	// map index holds at q alone.
 	once := make([]bool, len(cons))
-	forEachKmerPerWindow(cons, cfg.K, cfg.Step, func(p int, code uint64) {
+	forEachKmerPerWindow(cons, cfg.k, cfg.step, func(p int, code uint64) {
 		once[p] = len(want.pos[code]) == 1
 	})
 	if len(idx.unique) != (len(cons)+63)/64 {
@@ -132,28 +132,28 @@ func TestIndexMatchesMapOracle(t *testing.T) {
 	n, absent := 20000, 10000
 	if testing.Short() {
 		// At step 3 a k-mer of the 37-base tandem unit recurs every 111
-		// bases: 10 000 bases still give it more than MaxOcc copies.
+		// bases: 10 000 bases still give it more than maxOcc copies.
 		n, absent = 10000, 2000
 	}
 	for f, cons := range indexFixtures(rng, n) {
 		for _, k := range []int{4, 11, 15, 16, 17, 31} {
 			for _, step := range []int{1, 3} {
-				cfg := IndexConfig{K: k, Step: step, MaxOcc: 64}
+				cfg := indexConfig{k: k, step: step, maxOcc: 64}
 				want := checkIndexAgainstMap(t, rng, cons, cfg, absent)
-				// A k-mer that occurs exactly MaxOcc times is returned,
-				// one that occurs MaxOcc+1 times is not: take the cap
+				// A k-mer that occurs exactly maxOcc times is returned,
+				// one that occurs maxOcc+1 times is not: take the cap
 				// from the most frequent k-mer of this very consensus.
 				most := 0
 				for _, hits := range want.pos {
 					most = max(most, len(hits))
 				}
-				if f == 1 && most <= cfg.MaxOcc {
-					t.Fatalf("k=%d step=%d: no k-mer of the tandem repeat exceeds MaxOcc", k, step)
+				if f == 1 && most <= cfg.maxOcc {
+					t.Fatalf("k=%d step=%d: no k-mer of the tandem repeat exceeds maxOcc", k, step)
 				}
 				if most >= 2 {
-					cfg.MaxOcc = most
+					cfg.maxOcc = most
 					checkIndexAgainstMap(t, rng, cons, cfg, 0)
-					cfg.MaxOcc = most - 1
+					cfg.maxOcc = most - 1
 					checkIndexAgainstMap(t, rng, cons, cfg, 0)
 				}
 			}
@@ -161,7 +161,7 @@ func TestIndexMatchesMapOracle(t *testing.T) {
 	}
 	// Sequences at and under one k-mer.
 	for _, n := range []int{0, 1, 14, 15, 16} {
-		checkIndexAgainstMap(t, rng, genome.Random(rng, n), DefaultIndexConfig(), 100)
+		checkIndexAgainstMap(t, rng, genome.Random(rng, n), defaultIndexConfig(), 100)
 	}
 }
 
@@ -191,7 +191,7 @@ func TestForEachKmerMatchesPerWindow(t *testing.T) {
 }
 
 // FuzzIndexLookup builds both indexes over arbitrary bytes taken mod 5
-// as base codes, under an arbitrary K, Step and a small MaxOcc, and
+// as base codes, under an arbitrary k, step and a small maxOcc, and
 // compares every lookup.
 func FuzzIndexLookup(f *testing.F) {
 	f.Add([]byte("ACGTACGTACGTACGTACGTAAAAAAAAAAAAAAAAAAAAAAAAA"), uint8(0), uint8(0), uint8(3))
@@ -202,7 +202,7 @@ func FuzzIndexLookup(f *testing.F) {
 		for i, b := range raw {
 			cons[i] = b % 5
 		}
-		cfg := IndexConfig{K: 4 + int(k)%28, Step: 1 + int(step)%5, MaxOcc: 1 + int(maxOcc)%8}
+		cfg := indexConfig{k: 4 + int(k)%28, step: 1 + int(step)%5, maxOcc: 1 + int(maxOcc)%8}
 		checkIndexAgainstMap(t, rand.New(rand.NewSource(int64(len(raw)))), cons, cfg, 64)
 	})
 }

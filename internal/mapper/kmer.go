@@ -58,7 +58,7 @@ type Index struct {
 	present []uint64
 	// positions groups the indexed positions by k-mer. The groups of the
 	// k-mers whose hash names one region of slots lie together, regions
-	// in ascending order (NewIndex).
+	// in ascending order (newIndex).
 	positions []int32
 	// unique has bit q set when position q is indexed and its k-mer has
 	// no other indexed position, so Lookup of that k-mer returns [q]: a
@@ -80,62 +80,56 @@ type seedSlot struct {
 const (
 	presentBits = 3
 	// regionBits is log2 of the slots in one build region: 64 slots,
-	// 1 KB. NewIndex fills the regions in ascending order.
+	// 1 KB. newIndex fills the regions in ascending order.
 	regionBits = 6
 )
 
-// IndexConfig parameterizes index construction.
-type IndexConfig struct {
-	// K is the k-mer length (≤ 31). Larger K gives more specific seeds;
-	// smaller K tolerates more errors between seeds.
-	K int
-	// Step indexes every Step-th consensus position (1 = all).
-	Step int
-	// MaxOcc skips k-mers occurring more than MaxOcc times.
-	MaxOcc int
+// indexConfig parameterizes index construction.
+type indexConfig struct {
+	// k is the k-mer length (≤ 31). Larger k gives more specific seeds;
+	// smaller k tolerates more errors between seeds.
+	k int
+	// step indexes every step-th consensus position (1 = all).
+	step int
+	// maxOcc skips k-mers occurring more than maxOcc times.
+	maxOcc int
 }
 
-// DefaultIndexConfig returns settings that work for both read classes.
-func DefaultIndexConfig() IndexConfig {
-	return IndexConfig{K: 15, Step: 1, MaxOcc: 64}
+// defaultIndexConfig returns settings that work for both read classes.
+func defaultIndexConfig() indexConfig {
+	return indexConfig{k: 15, step: 1, maxOcc: 64}
 }
 
-// NewIndex builds a k-mer index over cons one region of slots at a time,
+// newIndex builds a k-mer index over cons one region of slots at a time,
 // in ascending order, so that its writes move through the table from front
 // to back — a pattern the hardware prefetcher follows — instead of landing
 // anywhere in it twice over. Two walks over the consensus's k-mers bucket
 // their positions by the region their hash names, in positions itself,
 // keeping the walk's order; then each region's k-mers are inserted and its
 // bucket is scattered into their runs. Every run is therefore ascending.
-func NewIndex(cons genome.Seq, cfg IndexConfig) (*Index, error) {
-	if cfg.K < 4 || cfg.K > 31 {
-		return nil, fmt.Errorf("mapper: k=%d out of range [4,31]", cfg.K)
-	}
-	if cfg.Step < 1 {
-		cfg.Step = 1
-	}
-	if cfg.MaxOcc < 1 {
-		cfg.MaxOcc = 64
+func newIndex(cons genome.Seq, cfg indexConfig) (*Index, error) {
+	if cfg.k < 4 || cfg.k > 31 {
+		return nil, fmt.Errorf("mapper: k=%d out of range [4,31]", cfg.k)
 	}
 	if len(cons) > math.MaxInt32 {
 		return nil, fmt.Errorf("mapper: consensus of %d bases exceeds the index's 32-bit positions", len(cons))
 	}
-	logSlots := max(bits.Len(uint(2*(len(cons)/cfg.Step+1))), 6-presentBits)
+	logSlots := max(bits.Len(uint(2*(len(cons)/cfg.step+1))), 6-presentBits)
 	idx := &Index{
-		k:       cfg.K,
+		k:       cfg.k,
 		cons:    cons,
 		slots:   make([]seedSlot, 1<<logSlots),
 		shift:   uint(64 - logSlots),
 		present: make([]uint64, 1<<(logSlots+presentBits-6)),
 		unique:  make([]uint64, (len(cons)+63)/64),
-		maxOcc:  cfg.MaxOcc,
+		maxOcc:  cfg.maxOcc,
 	}
 	logRegion := min(logSlots, regionBits)
 	regionShift := idx.shift + uint(logRegion)
 	// bucket[r] is where region r's positions begin, once the counts are
 	// summed; the scatter advances it to where the next region's begin.
 	bucket := make([]uint32, 1<<(logSlots-logRegion)+1)
-	ForEachKmer(cons, cfg.K, cfg.Step, func(_ int, code uint64) {
+	ForEachKmer(cons, cfg.k, cfg.step, func(_ int, code uint64) {
 		bucket[code*fibonacci>>regionShift+1]++
 	})
 	most := uint32(0) // the largest bucket
@@ -144,7 +138,7 @@ func NewIndex(cons genome.Seq, cfg IndexConfig) (*Index, error) {
 		bucket[r] += bucket[r-1]
 	}
 	idx.positions = make([]int32, bucket[len(bucket)-1])
-	ForEachKmer(cons, cfg.K, cfg.Step, func(p int, code uint64) {
+	ForEachKmer(cons, cfg.k, cfg.step, func(p int, code uint64) {
 		r := code * fibonacci >> regionShift
 		idx.positions[bucket[r]] = int32(p)
 		bucket[r]++
@@ -156,7 +150,7 @@ func NewIndex(cons genome.Seq, cfg IndexConfig) (*Index, error) {
 	// its home region's bucket even when probing carried the k-mer into
 	// the next region's slots. Only a run not yet handed out ends at 0: the
 	// first one does for as long as it is empty.
-	codes := packCodes(cons, cfg.K)
+	codes := packCodes(cons, cfg.k)
 	held := make([]int32, 0, most)
 	start := uint32(0)
 	for _, end := range bucket[:len(bucket)-1] {

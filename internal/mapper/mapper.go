@@ -12,25 +12,27 @@ import (
 // chimeric reads (§5.1.2 footnote 7: "We use N = 3").
 const MaxChimericSegments = 3
 
-// Config parameterizes the mapper.
+// Config parameterizes the mapper. Only DisableChimeric is the caller's
+// to set; the rest hold DefaultConfig's values, which the package's own
+// tests sweep.
 type Config struct {
-	Index IndexConfig
-	// SeedStep samples every SeedStep-th read k-mer during seeding.
-	SeedStep int
-	// DiagSlack merges seed hits whose diagonals differ by at most this
+	index indexConfig
+	// seedStep samples every seedStep-th read k-mer during seeding.
+	seedStep int
+	// diagSlack merges seed hits whose diagonals differ by at most this
 	// much into one cluster (accommodates indel drift).
-	DiagSlack int
-	// MinSeeds is the minimum cluster size to consider a candidate.
-	MinSeeds int
-	// BandPad is added to the observed diagonal spread to size the
+	diagSlack int
+	// minSeeds is the minimum cluster size to consider a candidate.
+	minSeeds int
+	// bandPad is added to the observed diagonal spread to size the
 	// alignment band.
-	BandPad int
-	// MaxCostFrac rejects alignments costing more than this fraction of
+	bandPad int
+	// maxCostFrac rejects alignments costing more than this fraction of
 	// the read length; such reads go to the unmapped stream.
-	MaxCostFrac float64
-	// ChimeraMinSpan is the minimum read span (bases) a secondary
+	maxCostFrac float64
+	// chimeraMinSpan is the minimum read span (bases) a secondary
 	// cluster must cover to justify a chimeric split.
-	ChimeraMinSpan int
+	chimeraMinSpan int
 	// DisableChimeric restricts every read to its single best matching
 	// position, the pre-O3 behaviour of prior compressors the paper
 	// compares against in Fig. 17 (§5.1.2).
@@ -41,13 +43,13 @@ type Config struct {
 // reads and long error-prone reads.
 func DefaultConfig() Config {
 	return Config{
-		Index:          DefaultIndexConfig(),
-		SeedStep:       4,
-		DiagSlack:      48,
-		MinSeeds:       2,
-		BandPad:        40,
-		MaxCostFrac:    0.35,
-		ChimeraMinSpan: 120,
+		index:          defaultIndexConfig(),
+		seedStep:       4,
+		diagSlack:      48,
+		minSeeds:       2,
+		bandPad:        40,
+		maxCostFrac:    0.35,
+		chimeraMinSpan: 120,
 	}
 }
 
@@ -59,15 +61,9 @@ type Mapper struct {
 
 // New builds a mapper over cons.
 func New(cons genome.Seq, cfg Config) (*Mapper, error) {
-	idx, err := NewIndex(cons, cfg.Index)
+	idx, err := newIndex(cons, cfg.index)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.SeedStep < 1 {
-		cfg.SeedStep = 1
-	}
-	if cfg.MaxCostFrac <= 0 {
-		cfg.MaxCostFrac = 0.35
 	}
 	return &Mapper{cfg: cfg, idx: idx}, nil
 }
@@ -205,7 +201,7 @@ func (m *Mapper) mapWith(sc *mapScratch, read genome.Seq, tier2 secondTier) Alig
 			bestCost, best = cost, c
 		}
 	}
-	if !best.Mapped || float64(bestCost) > m.cfg.MaxCostFrac*float64(len(read)) {
+	if !best.Mapped || float64(bestCost) > m.cfg.maxCostFrac*float64(len(read)) {
 		return Alignment{}
 	}
 	return best
@@ -240,7 +236,7 @@ func (m *Mapper) collectClusters(out []cluster, sc *mapScratch, oriented genome.
 	idx, k := m.idx, m.idx.k
 	hits := sc.hits[strand(rev)][:0]
 	guide, guided := 0, false
-	ForEachKmer(oriented, k, m.cfg.SeedStep, func(p int, code uint64) {
+	ForEachKmer(oriented, k, m.cfg.seedStep, func(p int, code uint64) {
 		if q := guide + p; guided && uint(q) < uint(len(idx.cons)) && idx.unique[q>>6]&(1<<(q&63)) != 0 &&
 			string(oriented[p:p+k]) == string(idx.cons[q:q+k]) {
 			hits = append(hits, newSeedHit(p, guide))
@@ -259,8 +255,8 @@ func (m *Mapper) collectClusters(out []cluster, sc *mapScratch, oriented genome.
 }
 
 // clusterHits sorts one strand's hits by diagonal, then read position,
-// and appends the runs whose successive diagonals lie within DiagSlack,
-// of at least MinSeeds hits, to out as clusters.
+// and appends the runs whose successive diagonals lie within diagSlack,
+// of at least minSeeds hits, to out as clusters.
 func (m *Mapper) clusterHits(out []cluster, hits []seedHit, rev bool) []cluster {
 	if len(hits) == 0 {
 		return out
@@ -270,19 +266,19 @@ func (m *Mapper) clusterHits(out []cluster, hits []seedHit, rev bool) []cluster 
 	cur := cluster{rev: rev, minDiag: d, maxDiag: d, minRead: p, maxRead: p, count: 1}
 	for i, h := range hits[1:] {
 		d, p := h.diag(), h.readPos()
-		if d-cur.maxDiag <= m.cfg.DiagSlack {
+		if d-cur.maxDiag <= m.cfg.diagSlack {
 			cur.maxDiag = d
 			cur.count++
 			cur.minRead = min(cur.minRead, p)
 			cur.maxRead = max(cur.maxRead, p)
 		} else {
-			if cur.count >= m.cfg.MinSeeds {
+			if cur.count >= m.cfg.minSeeds {
 				out = append(out, cur)
 			}
 			cur = cluster{rev: rev, hitLo: int32(i + 1), minDiag: d, maxDiag: d, minRead: p, maxRead: p, count: 1}
 		}
 	}
-	if cur.count >= m.cfg.MinSeeds {
+	if cur.count >= m.cfg.minSeeds {
 		out = append(out, cur)
 	}
 	return out
@@ -318,13 +314,13 @@ func (m *Mapper) alignPiece(sc *mapScratch, oriented genome.Seq, start, end int,
 // pieceBand returns the diagonals (consensus position minus position in
 // the piece) the second tier searches before a piece's first anchor and
 // after its last, for a piece of n bases that begins at oriented read
-// position start: cluster c's own, plus BandPad of indel drift on either
+// position start: cluster c's own, plus bandPad of indel drift on either
 // side. A piece that overhangs a consensus end must insert the overhang,
 // so the band always reaches the corner where the piece and the
 // consensus end together, and the one where they begin.
 func (m *Mapper) pieceBand(n, start int, c cluster) (lo, hi int) {
-	lo = min(c.minDiag+start-m.cfg.BandPad, len(m.idx.cons)-n)
-	hi = max(c.maxDiag+start+m.cfg.BandPad, 0)
+	lo = min(c.minDiag+start-m.cfg.bandPad, len(m.idx.cons)-n)
+	hi = max(c.maxDiag+start+m.cfg.bandPad, 0)
 	return lo, hi
 }
 
@@ -332,7 +328,7 @@ func (m *Mapper) pieceBand(n, start int, c cluster) (lo, hi int) {
 // of its cluster's seed anchors (chainAnchors), the kernel filling only
 // the gaps. A gap between two anchors has both ends pinned; it is solved
 // whole when it holds at most 64 read bases (one word per column), and
-// otherwise in the band of its own two diagonals plus BandPad. Before the
+// otherwise in the band of its own two diagonals plus bandPad. Before the
 // first anchor the start is free and after the last the end is, in the
 // piece's band (pieceBand) — narrowed to the diagonals within the tail's
 // length of the anchor's, since a path that strays further costs more
@@ -362,7 +358,7 @@ func (m *Mapper) alignAnchored(sc *mapScratch, piece genome.Seq, start int, c cl
 			if n <= 64 {
 				gLo, gHi = d0-n, d1+n
 			} else {
-				gLo, gHi = min(d0, d1)-m.cfg.BandPad, max(d0, d1)+m.cfg.BandPad
+				gLo, gHi = min(d0, d1)-m.cfg.bandPad, max(d0, d1)+m.cfg.bandPad
 			}
 		case pinStart:
 			gLo, gHi = max(lo, d0-n), min(hi, d0+n)
@@ -505,7 +501,7 @@ func (m *Mapper) alignChimeric(sc *mapScratch, read, rc genome.Seq, clusters []c
 		if len(chosen) == MaxChimericSegments {
 			break
 		}
-		if c.span() < m.cfg.ChimeraMinSpan && len(chosen) > 0 {
+		if c.span() < m.cfg.chimeraMinSpan && len(chosen) > 0 {
 			continue
 		}
 		lo, hi := toFwd(c)
@@ -559,7 +555,7 @@ func (m *Mapper) alignChimeric(sc *mapScratch, read, rc genome.Seq, clusters []c
 		totalCost += seg.Cost
 		segs = append(segs, seg)
 	}
-	if float64(totalCost) > m.cfg.MaxCostFrac*float64(n) {
+	if float64(totalCost) > m.cfg.maxCostFrac*float64(n) {
 		return nil, false
 	}
 	return segs, true

@@ -26,7 +26,7 @@ func TestEncodeKmer(t *testing.T) {
 
 func TestIndexLookup(t *testing.T) {
 	cons := genome.MustFromString("ACGTACGTACGT")
-	idx, err := NewIndex(cons, IndexConfig{K: 4, Step: 1, MaxOcc: 64})
+	idx, err := newIndex(cons, indexConfig{k: 4, step: 1, maxOcc: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestIndexLookup(t *testing.T) {
 
 func TestIndexMaxOcc(t *testing.T) {
 	cons := make(genome.Seq, 100) // poly-A
-	idx, err := NewIndex(cons, IndexConfig{K: 5, Step: 1, MaxOcc: 10})
+	idx, err := newIndex(cons, indexConfig{k: 5, step: 1, maxOcc: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +53,10 @@ func TestIndexMaxOcc(t *testing.T) {
 }
 
 func TestIndexRejectsBadK(t *testing.T) {
-	if _, err := NewIndex(genome.MustFromString("ACGT"), IndexConfig{K: 40}); err == nil {
+	if _, err := newIndex(genome.MustFromString("ACGT"), indexConfig{k: 40}); err == nil {
 		t.Fatal("expected error for k>31")
 	}
-	if _, err := NewIndex(genome.MustFromString("ACGT"), IndexConfig{K: 2}); err == nil {
+	if _, err := newIndex(genome.MustFromString("ACGT"), indexConfig{k: 2}); err == nil {
 		t.Fatal("expected error for k<4")
 	}
 }

@@ -15,7 +15,7 @@ import (
 // seed probes the index. It is the reference the guided walk must equal.
 func (m *Mapper) probeClusters(out []cluster, sc *mapScratch, oriented genome.Seq, rev bool) []cluster {
 	hits := sc.hits[strand(rev)][:0]
-	ForEachKmer(oriented, m.idx.k, m.cfg.SeedStep, func(p int, code uint64) {
+	ForEachKmer(oriented, m.idx.k, m.cfg.seedStep, func(p int, code uint64) {
 		for _, cp := range m.idx.Lookup(code) {
 			hits = append(hits, newSeedHit(p, int(cp)-p))
 		}
@@ -146,15 +146,15 @@ func TestSeedClustersMatchOracle(t *testing.T) {
 				for _, seedStep := range []int{1, 4} {
 					for _, maxOcc := range []int{1, 2, 64} {
 						cfg := DefaultConfig()
-						cfg.Index = IndexConfig{K: k, Step: step, MaxOcc: maxOcc}
-						cfg.SeedStep = seedStep
+						cfg.index = indexConfig{k: k, step: step, maxOcc: maxOcc}
+						cfg.seedStep = seedStep
 						m, err := New(cons, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
 						for _, r := range readsOf[f] {
 							if err := checkSeedClusters(m, sc, r); err != nil {
-								t.Fatalf("fixture %d, %+v, seed step %d: %v", f, cfg.Index, seedStep, err)
+								t.Fatalf("fixture %d, %+v, seed step %d: %v", f, cfg.index, seedStep, err)
 							}
 						}
 					}
@@ -166,8 +166,8 @@ func TestSeedClustersMatchOracle(t *testing.T) {
 
 // FuzzSeedClusters draws a read from an arbitrary consensus (bytes taken
 // mod 5 as base codes), mutates it by an arbitrary edit script, and checks
-// guided seeding against probing every seed under an arbitrary K, Step,
-// SeedStep and MaxOcc.
+// guided seeding against probing every seed under an arbitrary k, step,
+// seedStep and maxOcc.
 func FuzzSeedClusters(f *testing.F) {
 	f.Add([]byte("ACGTACGTACGTACGTACGTAAAAAAAAAAAAAAAAAAAAAAAAACGGTCATTAGC"), uint16(3), uint16(40), []byte{7, 0, 1, 2}, uint8(0), uint8(0), uint8(3), uint8(0), false)
 	f.Add([]byte{0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2, 3, 0, 0, 1, 3, 2, 2, 1}, uint16(0), uint16(26), []byte{}, uint8(1), uint8(2), uint8(0), uint8(1), true)
@@ -202,8 +202,8 @@ func FuzzSeedClusters(f *testing.F) {
 			read = read.ReverseComplement()
 		}
 		cfg := DefaultConfig()
-		cfg.Index = IndexConfig{K: 4 + int(k)%28, Step: 1 + int(step)%5, MaxOcc: 1 + int(maxOcc)%8}
-		cfg.SeedStep = 1 + int(seedStep)%5
+		cfg.index = indexConfig{k: 4 + int(k)%28, step: 1 + int(step)%5, maxOcc: 1 + int(maxOcc)%8}
+		cfg.seedStep = 1 + int(seedStep)%5
 		m, err := New(cons, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -225,7 +225,7 @@ func TestIndexBytesPerBase(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	idx, err := NewIndex(cons, DefaultIndexConfig())
+	idx, err := newIndex(cons, defaultIndexConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

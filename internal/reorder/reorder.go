@@ -33,9 +33,9 @@ type Mode int
 // ModeClump sorts reads by minimizer so similar reads cluster.
 const ModeClump Mode = 1
 
-// DefaultK is the default minimizer k-mer length. 11 matches the
-// zone-map sketch's k: long enough to discriminate clumps, short
-// enough that almost every read yields a valid window.
+// DefaultK is the minimizer k-mer length. 11 matches the zone-map
+// sketch's k: long enough to discriminate clumps, short enough that
+// almost every read yields a valid window.
 const DefaultK = 11
 
 // DefaultBatchSize is the records-per-batch the stage emits when the
@@ -46,8 +46,6 @@ const DefaultBatchSize = 4096
 type Config struct {
 	// Mode selects the reorder algorithm; NewStage rejects the zero Mode.
 	Mode Mode
-	// K is the minimizer k-mer length (<= 0 uses DefaultK; max 31).
-	K int
 	// BatchSize is the records per emitted batch — the downstream
 	// shard cut point (<= 0 uses DefaultBatchSize; rounded down to
 	// even in paired mode, like fastq.NewPairedReader).
@@ -68,7 +66,6 @@ type Config struct {
 type Stage struct {
 	src  fastq.BatchSource
 	cfg  Config
-	k    int
 	size int
 
 	srcEOF  bool
@@ -92,12 +89,6 @@ func NewStage(src fastq.BatchSource, cfg Config) (*Stage, error) {
 	if cfg.Mode != ModeClump {
 		return nil, fmt.Errorf("reorder: unsupported mode %d (only clump sort is implemented)", cfg.Mode)
 	}
-	if cfg.K <= 0 {
-		cfg.K = DefaultK
-	}
-	if cfg.K > 31 {
-		return nil, fmt.Errorf("reorder: k=%d exceeds the 31-base rolling-code limit", cfg.K)
-	}
 	size := cfg.BatchSize
 	if size <= 0 {
 		size = DefaultBatchSize
@@ -108,7 +99,7 @@ func NewStage(src fastq.BatchSource, cfg Config) (*Stage, error) {
 			size = 2
 		}
 	}
-	return &Stage{src: src, cfg: cfg, k: cfg.K, size: size}, nil
+	return &Stage{src: src, cfg: cfg, size: size}, nil
 }
 
 // BatchSize returns the stage's effective batch size — the shard cut
@@ -241,12 +232,12 @@ func (st *Stage) intakeBatch(b fastq.Batch) error {
 	}
 	for i := 0; i+unit <= len(b.Records); i += unit {
 		recs := b.Records[i : i+unit : i+unit]
-		key := clumpKey(recs[0].Seq, st.k)
+		key := clumpKey(recs[0].Seq, DefaultK)
 		if unit == 2 {
 			// A pair's clump key is the better (smaller) of its mates'
 			// minimizers: symmetric, and a good mate can place a pair
 			// whose other mate is all-N.
-			if k2 := clumpKey(recs[1].Seq, st.k); k2 < key {
+			if k2 := clumpKey(recs[1].Seq, DefaultK); k2 < key {
 				key = k2
 			}
 		}
@@ -261,7 +252,9 @@ func (st *Stage) intakeBatch(b fastq.Batch) error {
 // emit assembles the next output batch from the current source's merge
 // iterator. ok=false means the source is exhausted.
 func (st *Stage) emit() (fastq.Batch, bool, error) {
-	recs := make([]fastq.Record, 0, st.size)
+	// A batch size above the reads the stage holds must not allocate for
+	// reads that never come: preallocate one default batch at most.
+	recs := make([]fastq.Record, 0, min(st.size, DefaultBatchSize))
 	for len(recs) < st.size {
 		g, ok, err := st.it.next()
 		if err != nil {

@@ -7,28 +7,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"sage/internal/fastq"
 	"sage/internal/genome"
 )
-
-// sliceSource replays pre-built batches — the minimal upstream for
-// stage tests.
-type sliceSource struct {
-	batches []fastq.Batch
-	i       int
-}
-
-func (s *sliceSource) Next() (fastq.Batch, error) {
-	if s.i >= len(s.batches) {
-		return fastq.Batch{}, io.EOF
-	}
-	b := s.batches[s.i]
-	s.i++
-	return b, nil
-}
 
 func rec(name, seq string) fastq.Record {
 	s := genome.MustFromString(seq)
@@ -121,7 +106,7 @@ func TestStageClusters(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		orig = append(orig, rec(fmt.Sprintf("a%d", i), seqA), rec(fmt.Sprintf("b%d", i), seqB))
 	}
-	st, err := NewStage(&sliceSource{batches: batchUp(orig, 5, 0)},
+	st, err := NewStage(fastq.SliceSource(batchUp(orig, 5, 0)),
 		Config{Mode: ModeClump, BatchSize: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +145,7 @@ func TestStagePaired(t *testing.T) {
 			rec(fmt.Sprintf("p%d/1", i), s),
 			rec(fmt.Sprintf("p%d/2", i), "NNNNNNNNNNNN")) // R2 all-N: key comes from R1
 	}
-	st, err := NewStage(&sliceSource{batches: batchUp(orig, 4, 0)},
+	st, err := NewStage(fastq.SliceSource(batchUp(orig, 4, 0)),
 		Config{Mode: ModeClump, BatchSize: 5, Paired: true})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +170,7 @@ func TestStagePaired(t *testing.T) {
 
 func TestStagePairedOddBatch(t *testing.T) {
 	orig := []fastq.Record{rec("x", "ACGTTGCAGGTCAATCGGATTTACGCAT")}
-	st, err := NewStage(&sliceSource{batches: batchUp(orig, 4, 0)},
+	st, err := NewStage(fastq.SliceSource(batchUp(orig, 4, 0)),
 		Config{Mode: ModeClump, Paired: true})
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +203,7 @@ func TestStagePerSource(t *testing.T) {
 			batches = append(batches, b)
 		}
 	}
-	st, err := NewStage(&sliceSource{batches: batches}, Config{Mode: ModeClump, BatchSize: 3})
+	st, err := NewStage(fastq.SliceSource(batches), Config{Mode: ModeClump, BatchSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +262,7 @@ func TestStageSpillsMatchInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	orig := randomRecords(rng, 400)
 
-	inMem, err := NewStage(&sliceSource{batches: batchUp(orig, 64, 0)},
+	inMem, err := NewStage(fastq.SliceSource(batchUp(orig, 64, 0)),
 		Config{Mode: ModeClump, BatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +274,7 @@ func TestStageSpillsMatchInMemory(t *testing.T) {
 	}
 
 	tmp := t.TempDir()
-	spill, err := NewStage(&sliceSource{batches: batchUp(orig, 64, 0)},
+	spill, err := NewStage(fastq.SliceSource(batchUp(orig, 64, 0)),
 		Config{Mode: ModeClump, BatchSize: 64,
 			Sort: SortConfig{MemBudget: 4 << 10, TmpDir: tmp}})
 	if err != nil {
@@ -331,7 +316,7 @@ func TestSpillFailureNoOrphans(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	orig := randomRecords(rng, 400)
 	tmp := t.TempDir()
-	st, err := NewStage(&sliceSource{batches: batchUp(orig, 64, 0)},
+	st, err := NewStage(fastq.SliceSource(batchUp(orig, 64, 0)),
 		Config{Mode: ModeClump, BatchSize: 64,
 			Sort: SortConfig{MemBudget: 4 << 10, TmpDir: tmp}})
 	if err != nil {
@@ -610,13 +595,33 @@ func TestRunCodecNilQual(t *testing.T) {
 	}
 }
 
+// TestStagePreallocationBounded: a batch size far above the reads the
+// stage holds allocates for the reads that come, not for the size.
+func TestStagePreallocationBounded(t *testing.T) {
+	const size = 1 << 21
+	recs := []fastq.Record{rec("a", "ACGTACGTACGTAC"), rec("b", "GGCATTACGGCATT"), rec("c", "TTACGGCATTACGG")}
+	st, err := NewStage(fastq.SliceSource([]fastq.Batch{{Records: recs}}),
+		Config{Mode: ModeClump, BatchSize: size, Sort: SortConfig{TmpDir: t.TempDir()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b, err := st.Next()
+	runtime.ReadMemStats(&after)
+	if err != nil || len(b.Records) != len(recs) {
+		t.Fatalf("Next: %d records, err %v", len(b.Records), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+		t.Errorf("one Next at batch size %d allocated %d bytes", size, grew)
+	}
+}
+
 func TestNewStageRejects(t *testing.T) {
-	src := &sliceSource{}
+	src := fastq.SliceSource(nil)
 	if _, err := NewStage(src, Config{}); err == nil {
 		t.Fatal("the zero Mode accepted")
-	}
-	if _, err := NewStage(src, Config{Mode: ModeClump, K: 32}); err == nil {
-		t.Fatal("k=32 accepted")
 	}
 }
 

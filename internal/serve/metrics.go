@@ -181,8 +181,8 @@ func (s *Server) logSlow(r *http.Request, endpoint, id string, status int, d tim
 
 // slowLog resolves the slow-request sink (default stderr).
 func (s *Server) slowLog() io.Writer {
-	if s.cfg.SlowLog != nil {
-		return s.cfg.SlowLog
+	if s.cfg.slowLog != nil {
+		return s.cfg.slowLog
 	}
 	return os.Stderr
 }

@@ -231,7 +231,7 @@ func (b *syncBuffer) String() string {
 func TestSlowRequestLog(t *testing.T) {
 	data, _, _ := testContainer(t, 60, 30)
 	var log syncBuffer
-	_, ts := newTestServer(t, data, Config{SlowRequest: time.Nanosecond, SlowLog: &log})
+	_, ts := newTestServer(t, data, Config{SlowRequest: time.Nanosecond, slowLog: &log})
 
 	resp := do(t, ts.URL+"/c/default/shard/0/reads", map[string]string{RequestIDHeader: "slow-req-1"})
 	if resp.StatusCode != http.StatusOK {

@@ -101,9 +101,9 @@ type Config struct {
 	// sage_slow_requests_total) for every request that takes at least
 	// this long; 0 disables the slow log.
 	SlowRequest time.Duration
-	// SlowLog receives slow-request lines (default os.Stderr). Writes
-	// are serialized by the server.
-	SlowLog io.Writer
+	// slowLog receives slow-request lines in place of os.Stderr (a
+	// test's capture). Writes are serialized by the server.
+	slowLog io.Writer
 }
 
 // Named is one container registration: the name it is routed under

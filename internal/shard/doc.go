@@ -21,13 +21,13 @@
 //
 // # Reading
 //
-// Parse validates an in-memory container; Open/OpenFile parse only the
-// header behind an io.ReaderAt, so a served container costs its index
-// in memory — never the file. Block is the one block accessor
-// (checksum-verified raw bytes; Extent says where they sit in the
-// file), DecompressShard the one fetch + verify + decode + count-check
-// of a shard, and DecodeBlock the same for a caller that fetched the
-// bytes itself. Whole-container reads all run on one ordered,
+// Open/OpenFile parse only the header behind an io.ReaderAt, so a
+// served container costs its index in memory — never the file; Parse
+// opens a container held in a byte slice the same way. Block is the one
+// block accessor (checksum-verified raw bytes; Extent says where they
+// sit in the file), DecompressShard the one fetch + verify + decode +
+// count-check of a shard, and DecodeBlock the same for a caller that
+// fetched the bytes itself. Whole-container reads all run on one ordered,
 // bounded-memory decode pool: DecompressTo streams FASTQ in stored
 // order, DecompressOriginalTo in original input order, Filter streams
 // the records matching a Predicate after zone-map pruning, and

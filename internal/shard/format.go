@@ -184,8 +184,8 @@ func (ix *Index) BlockBytes() int64 {
 
 // Container is a parsed sharded container: header, index, and the block
 // section. Blocks are decoded lazily, one shard at a time. The block
-// section lives either in memory (Parse) or behind an io.ReaderAt
-// (Open), so a served container never has to be resident as a whole.
+// section stays behind an io.ReaderAt (Open; Parse opens a byte slice),
+// so a served container never has to be resident as a whole.
 type Container struct {
 	Index Index
 	// Version is the wire format version the container was written
@@ -195,14 +195,10 @@ type Container struct {
 	// Consensus is the embedded shared consensus, nil if the container
 	// was written without one.
 	Consensus genome.Seq
-	// blocks holds the in-memory block section (Parse); nil when the
-	// container was opened lazily.
-	blocks []byte
-	// src is the backing source of a lazily opened container: Block
-	// reads it at blockBase+Offset on demand. blockBase is the header
-	// length — the block section's offset within the container file —
-	// and is set by Parse too, so per-shard handles can report
-	// container-absolute block offsets either way.
+	// src is the container's backing source: Block reads it at
+	// blockBase+Offset on demand. blockBase is the header length — the
+	// block section's offset within the container file — so per-shard
+	// handles can report container-absolute block offsets.
 	src       io.ReaderAt
 	blockBase int64
 }
@@ -234,10 +230,9 @@ func marshalHeader(ix *Index, cons genome.Seq) ([]byte, error) {
 }
 
 // parseHeader decodes magic through headerCRC from a container prefix.
-// totalSize is the full container size (== len(prefix) for Parse),
-// bounding the plausibility checks. On success it returns the container
-// (index and consensus populated, no block source attached) and the
-// header length in bytes. A header that runs past the prefix of a
+// totalSize is the full container size, bounding the plausibility
+// checks. On success it returns the container (index and consensus
+// populated, no block source attached) and the header length in bytes. A header that runs past the prefix of a
 // container large enough to hold it fails with wire.ErrShort, which
 // Open answers by retrying with a longer prefix.
 func parseHeader(prefix []byte, totalSize int64) (*Container, int, error) {
@@ -516,25 +511,9 @@ func IsContainer(data []byte) bool {
 	return len(data) >= len(Magic) && bytes.Equal(data[:len(Magic)], Magic[:])
 }
 
-// Parse reads the header and index and validates the index against the
-// block section, without decoding any shard. The returned container
-// keeps the block section in memory; use Open to serve a container
-// without loading it whole.
+// Parse is Open over a container held in memory.
 func Parse(data []byte) (*Container, error) {
-	c, hdrLen, err := parseHeader(data, int64(len(data)))
-	if err != nil {
-		if errors.Is(err, wire.ErrShort) {
-			return nil, fmt.Errorf("shard: truncated container: %w", err)
-		}
-		return nil, err
-	}
-	c.blocks = data[hdrLen:]
-	c.blockBase = int64(hdrLen)
-	if int64(len(c.blocks)) != c.Index.BlockBytes() {
-		return nil, fmt.Errorf("shard: block section is %d bytes, index describes %d",
-			len(c.blocks), c.Index.BlockBytes())
-	}
-	return c, nil
+	return Open(bytes.NewReader(data), int64(len(data)))
 }
 
 // openChunk is the initial prefix Open reads while hunting for the end
@@ -608,8 +587,8 @@ func OpenFile(path string) (*Container, *os.File, error) {
 }
 
 // Block is the one block accessor: shard i's raw SAGe block, checksum-
-// verified. On a lazily opened container this is the only read the
-// shard costs: one ReadAt of exactly the block's bytes.
+// verified. This is the only read the shard costs: one ReadAt of
+// exactly the block's bytes.
 func (c *Container) Block(i int) ([]byte, error) {
 	b, err := c.fetch(i)
 	if err != nil {
@@ -635,9 +614,6 @@ func (c *Container) fetch(i int) ([]byte, error) {
 		return nil, err
 	}
 	e := c.Index.Entries[i]
-	if c.src == nil {
-		return c.blocks[e.Offset : e.Offset+e.Length], nil
-	}
 	b := make([]byte, e.Length)
 	if _, err := c.src.ReadAt(b, c.blockBase+e.Offset); err != nil {
 		return nil, fmt.Errorf("shard: reading block %d: %w", i, err)

@@ -162,8 +162,8 @@ func (p *Predicate) PruneShard(e *Entry) bool {
 // QueryPlan splits the container's shards into the scan list (shards a
 // record-level filter must decode) and the pruned count. Containers
 // older than format v4 carry no zone maps, so every shard is scanned;
-// pruned shards cost zero block I/O on every read path (Parse, Open,
-// or the in-storage engine).
+// pruned shards cost zero block I/O on every read path (Open or the
+// in-storage engine).
 func (c *Container) QueryPlan(p *Predicate) (scan []int, pruned int) {
 	if !p.Active() || !c.HasZoneMaps() {
 		return c.allShards(), 0

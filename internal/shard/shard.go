@@ -94,27 +94,11 @@ type Stats struct {
 	ReorderMode int
 }
 
-// sliceSource is the leaf BatchSource over pre-cut in-memory batches
-// (the identity pipeline behind Compress).
-type sliceSource struct {
-	batches []fastq.Batch
-	i       int
-}
-
-func (s *sliceSource) Next() (fastq.Batch, error) {
-	if s.i >= len(s.batches) {
-		return fastq.Batch{}, io.EOF
-	}
-	b := s.batches[s.i]
-	s.i++
-	return b, nil
-}
-
 // Compress splits rs into shards and compresses them concurrently: the
 // in-memory adapter over CompressPipeline.
 func Compress(rs *fastq.ReadSet, opt Options) ([]byte, *Stats, error) {
 	var buf bytes.Buffer
-	st, err := CompressPipeline(&sliceSource{batches: rs.Batches(opt.shardReads())}, &buf, opt)
+	st, err := CompressPipeline(fastq.SliceSource(rs.Batches(opt.shardReads())), &buf, opt)
 	if err != nil {
 		return nil, nil, err
 	}

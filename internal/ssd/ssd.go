@@ -45,25 +45,12 @@ func (g Geometry) TotalPages() int {
 	return g.Channels * g.DiesPerChannel * g.PlanesPerDie * g.BlocksPerPlane * g.PagesPerBlock
 }
 
-// Timing holds NAND and bus latencies (TLC-class defaults).
-type Timing struct {
-	PageRead     time.Duration // tR
-	PageProgram  time.Duration // tPROG
-	BlockErase   time.Duration // tBERS
-	ChannelMBps  float64       // per-channel bus bandwidth
-	InternalDRAM float64       // MB/s of the single-channel internal DRAM (§3.2)
-}
-
-// DefaultTiming models TLC NAND with an ONFI-4-class bus.
-func DefaultTiming() Timing {
-	return Timing{
-		PageRead:     60 * time.Microsecond,
-		PageProgram:  700 * time.Microsecond,
-		BlockErase:   5 * time.Millisecond,
-		ChannelMBps:  1200,
-		InternalDRAM: 4300, // one LPDDR4 channel (§3.2: "its bandwidth is constrained by its single channel")
-	}
-}
+// NAND and bus timing: TLC NAND with an ONFI-4-class bus.
+const (
+	pageRead    = 60 * time.Microsecond  // tR
+	pageProgram = 700 * time.Microsecond // tPROG
+	channelMBps = 1200.0                 // per-channel bus bandwidth
+)
 
 // Interface is the host link.
 type Interface struct {
@@ -78,38 +65,21 @@ func PCIeGen4() Interface { return Interface{Name: "pcie", MBps: 8000} }
 // SATA3 models a cost-optimized drive (Samsung 870 EVO class, §7).
 func SATA3() Interface { return Interface{Name: "sata", MBps: 560} }
 
-// Power holds the energy model (values for a Samsung 3D-NAND SSD class
-// device, §7).
-type Power struct {
-	IdleW        float64
-	ActiveReadW  float64
-	ActiveWriteW float64
-}
-
-// DefaultPower returns typical enterprise-SSD figures.
-func DefaultPower() Power {
-	return Power{IdleW: 1.3, ActiveReadW: 6.2, ActiveWriteW: 7.5}
-}
+// Power draw of a Samsung 3D-NAND SSD class device (§7), in watts.
+const (
+	IdleW       = 1.3
+	ActiveReadW = 6.2
+)
 
 // Config assembles a device model.
 type Config struct {
 	Geometry  Geometry
-	Timing    Timing
 	Interface Interface
-	Power     Power
-	// OverprovisionFrac reserves spare blocks for GC.
-	OverprovisionFrac float64
 }
 
 // DefaultConfig returns the PCIe device used across the experiments.
 func DefaultConfig() Config {
-	return Config{
-		Geometry:          DefaultGeometry(),
-		Timing:            DefaultTiming(),
-		Interface:         PCIeGen4(),
-		Power:             DefaultPower(),
-		OverprovisionFrac: 0.07,
-	}
+	return Config{Geometry: DefaultGeometry(), Interface: PCIeGen4()}
 }
 
 // ppn is a physical page number.

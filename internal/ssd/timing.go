@@ -18,13 +18,13 @@ import "time"
 
 // channelPagesPerSec returns the sustained per-channel page rate.
 func (s *SSD) channelPagesPerSec(multiPlane bool) float64 {
-	g, t := s.cfg.Geometry, s.cfg.Timing
-	bus := t.ChannelMBps * 1e6 / float64(g.PageSize)
+	g := s.cfg.Geometry
+	bus := channelMBps * 1e6 / float64(g.PageSize)
 	units := g.DiesPerChannel
 	if multiPlane {
 		units *= g.PlanesPerDie
 	}
-	array := float64(units) / t.PageRead.Seconds()
+	array := float64(units) / pageRead.Seconds()
 	if array < bus {
 		return array
 	}
@@ -46,7 +46,7 @@ func (s *SSD) InternalReadTime(nBytes int64, genomicLayout bool) time.Duration {
 		return 0
 	}
 	bw := s.InternalReadBandwidthMBps(genomicLayout) * 1e6 // B/s
-	secs := float64(nBytes)/bw + s.cfg.Timing.PageRead.Seconds()
+	secs := float64(nBytes)/bw + pageRead.Seconds()
 	return time.Duration(secs * float64(time.Second))
 }
 
@@ -70,7 +70,7 @@ func (s *SSD) ShardReadTime(nPages int) time.Duration {
 	if nPages <= 0 {
 		return 0
 	}
-	secs := float64(nPages)/s.channelPagesPerSec(true) + s.cfg.Timing.PageRead.Seconds()
+	secs := float64(nPages)/s.channelPagesPerSec(true) + pageRead.Seconds()
 	return time.Duration(secs * float64(time.Second))
 }
 
@@ -89,10 +89,10 @@ func (s *SSD) writeTime(nBytes int64) time.Duration {
 	if nBytes <= 0 {
 		return 0
 	}
-	g, t := s.cfg.Geometry, s.cfg.Timing
-	bus := t.ChannelMBps * 1e6 / float64(g.PageSize)
+	g := s.cfg.Geometry
+	bus := channelMBps * 1e6 / float64(g.PageSize)
 	units := g.DiesPerChannel * g.PlanesPerDie
-	array := float64(units) / t.PageProgram.Seconds()
+	array := float64(units) / pageProgram.Seconds()
 	pps := bus
 	if array < bus {
 		pps = array
@@ -101,6 +101,6 @@ func (s *SSD) writeTime(nBytes int64) time.Duration {
 	if ifaceBps := s.cfg.Interface.MBps * 1e6; ifaceBps < total {
 		total = ifaceBps
 	}
-	secs := float64(nBytes)/total + t.PageProgram.Seconds()
+	secs := float64(nBytes)/total + pageProgram.Seconds()
 	return time.Duration(secs * float64(time.Second))
 }

@@ -29,18 +29,16 @@ var surfaceKeep = map[string]string{
 	"internal/genome.MustFromString": "test fixture constructor the tests of seven packages share",
 	"internal/shard.Decompress":      "whole-container decode the shard tests call, compat_test.go among them; programs stream through DecompressTo",
 	"internal/ssd.SSD.Stats":         "device counters the in-storage pruning and GC tests assert on",
-	// The subject of a unit test of its own, named here: deleting one
-	// deletes that test, which ROADMAP.md's surface diet leaves to a
-	// later change.
-	"internal/bitio.BitsFor":           "pinned by TestBitsFor",
-	"internal/bitio.Writer.Reset":      "pinned by TestResetReusesWriter",
-	"internal/consensus.FromReference": "pinned by TestFromReference",
-	"internal/dram.SSDInternal":        "pinned by TestSSDInternalSingleChannel",
-	"internal/dram.Spec.BandwidthGBps": "pinned by TestHostBandwidth; no experiment reads bench.Platform.HostDRAM",
-	"internal/dram.Spec.TransferTime":  "pinned by TestTransferTime",
-	"internal/dram.Spec.AccessEnergy":  "pinned by TestEnergy",
-	"internal/dram.Spec.IdleEnergy":    "pinned by TestEnergy",
 }
+
+// optionFields is the number of exported fields of exported *Options and
+// *Config structs in the module's non-test code outside benchmark/: the
+// values a caller can set. TestOptionFields pins it, so a new knob has to
+// change this number in the same diff.
+const optionFields = 29
+
+// surfaceCache is the graph the first loadSurface of a test run built.
+var surfaceCache *surfaceGraph
 
 // stdMethodNames are the methods of common standard-library interfaces.
 // A live type's method of one of these names may be called through such
@@ -113,6 +111,37 @@ func TestSurface(t *testing.T) {
 	}
 }
 
+// TestOptionFields fails, listing every option struct and its exported
+// fields, unless those fields number optionFields.
+func TestOptionFields(t *testing.T) {
+	g := loadSurface(t)
+	n := 0
+	var structs []string
+	for _, obj := range g.decls {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || !tn.Exported() || !strings.HasSuffix(tn.Name(), "Options") && !strings.HasSuffix(tn.Name(), "Config") {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		var fields []string
+		for f := range st.Fields() {
+			if f.Exported() {
+				fields = append(fields, f.Name())
+			}
+		}
+		n += len(fields)
+		structs = append(structs, g.pos(tn)+": "+g.key(tn)+" {"+strings.Join(fields, ", ")+"}")
+	}
+	if n != optionFields {
+		slices.Sort(structs)
+		t.Errorf("%d exported option fields, pinned at %d; make a field that takes one value a constant, or change the pin:\n%s",
+			n, optionFields, strings.Join(structs, "\n"))
+	}
+}
+
 // surfaceGraph is the reference graph between the module's package-level
 // objects and methods.
 type surfaceGraph struct {
@@ -131,6 +160,9 @@ type surfaceGraph struct {
 
 func loadSurface(t *testing.T) *surfaceGraph {
 	t.Helper()
+	if surfaceCache != nil {
+		return surfaceCache
+	}
 	root, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
@@ -206,6 +238,7 @@ func loadSurface(t *testing.T) *surfaceGraph {
 	if len(g.decls) == 0 {
 		t.Fatal("no declarations found")
 	}
+	surfaceCache = g
 	return g
 }
 
