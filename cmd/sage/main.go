@@ -644,7 +644,7 @@ func cmdCompress(args []string) error {
 			return err
 		}
 	}
-	raw := len(rs.Bytes())
+	raw := rs.UncompressedSize()
 	opt := core.DefaultOptions(cons)
 	opt.IncludeQuality = !*noQual
 	opt.IncludeHeaders = !*noHdr

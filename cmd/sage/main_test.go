@@ -454,3 +454,50 @@ func TestBadInputsFailCleanly(t *testing.T) {
 		}
 	}
 }
+
+// TestSingleBlockCompressReport pins the single-block compress report:
+// its "N -> M bytes" counts the input's FASTQ text and the container
+// written.
+func TestSingleBlockCompressReport(t *testing.T) {
+	dir := t.TempDir()
+	fx := newCLIFixture(t, dir)
+	in := filepath.Join(dir, "x.fq")
+	text := fx.shapes[0].want
+	if err := os.WriteFile(in, text, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "x.sage")
+	report, err := stdoutOf(t, func() error {
+		return cmdCompress([]string{"-ref", fx.ref, "-shard-reads", "0", "-out", out, in})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%s: %d -> %d bytes (%.2fx);", out, len(text), info.Size(), float64(len(text))/float64(info.Size()))
+	if !strings.HasPrefix(report, want) {
+		t.Fatalf("report %q, want it to start %q", report, want)
+	}
+}
+
+// stdoutOf returns what f printed to os.Stdout.
+func stdoutOf(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	old := os.Stdout
+	os.Stdout = tmp
+	err = f()
+	os.Stdout = old
+	got, rerr := os.ReadFile(tmp.Name())
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	return string(got), err
+}

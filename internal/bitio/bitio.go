@@ -6,12 +6,16 @@
 // streams strictly sequentially, so the reader exposes only forward,
 // streaming operations: ReadBits, ReadBit, and ReadUnary. Bits are packed
 // MSB-first within each byte, which keeps the software decoder's shift
-// logic identical to the hardware Scan Unit's shift registers.
+// logic identical to the hardware Scan Unit's shift registers: the reader
+// takes a field out of a 64-bit window loaded at its cursor, with one
+// shift, and a unary code with one count of leading ones.
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrOverflow is returned when a read would pass the end of the stream.
@@ -101,10 +105,19 @@ func (w *Writer) Bytes() []byte {
 }
 
 // Reader consumes a bit stream produced by Writer, strictly forward.
+//
+// It reads the way the Scan Unit shifts fields out of its register: a
+// field of up to 56 bits is one big-endian 8-byte load at the cursor's
+// byte, shifted by the cursor's bit offset, and a unary code is the
+// count of leading ones of that window. Only within 8 bytes of the
+// buffer's end do ReadBits and ReadUnary fall back to a byte loop and a
+// bit loop.
 type Reader struct {
 	buf []byte
 	pos uint64 // bit cursor
 	n   uint64 // total bits available
+	// lim is the first cursor whose 8-byte window would run past buf.
+	lim uint64
 }
 
 // NewReader returns a Reader over buf. nbits bounds the number of valid
@@ -113,7 +126,11 @@ func NewReader(buf []byte, nbits uint64) *Reader {
 	if max := uint64(len(buf)) * 8; nbits > max {
 		nbits = max
 	}
-	return &Reader{buf: buf, n: nbits}
+	r := &Reader{buf: buf, n: nbits}
+	if len(buf) >= 8 {
+		r.lim = uint64(len(buf)-7) * 8
+	}
+	return r
 }
 
 // ReadBit returns the next bit.
@@ -127,13 +144,38 @@ func (r *Reader) ReadBit() (uint, error) {
 	return bit, nil
 }
 
+// window returns the 64 bits at the cursor's byte shifted by the
+// cursor's bit offset: at least 57 stream bits, MSB first. The cursor
+// must be below lim.
+func (r *Reader) window() uint64 {
+	pos := r.pos
+	return binary.BigEndian.Uint64(r.buf[pos>>3:]) << (pos & 7)
+}
+
 // ReadBits returns the next n bits as the low bits of a uint64.
 func (r *Reader) ReadBits(n uint) (uint64, error) {
+	if end := r.pos + uint64(n); n <= 56 && r.pos < r.lim && end <= r.n {
+		v := r.window() >> (64 - n)
+		r.pos = end
+		return v, nil
+	}
+	return r.readBits(n)
+}
+
+// readBits is ReadBits for fields wider than 56 bits, near the buffer's
+// end, and for every error.
+func (r *Reader) readBits(n uint) (uint64, error) {
 	if n > 64 {
 		return 0, fmt.Errorf("bitio: ReadBits width %d > 64", n)
 	}
 	if r.pos+uint64(n) > r.n {
 		return 0, ErrOverflow
+	}
+	if n > 56 {
+		// Two reads, which the overflow test above lets neither fail.
+		hi, _ := r.ReadBits(n - 32)
+		lo, _ := r.ReadBits(32)
+		return hi<<32 | lo, nil
 	}
 	var v uint64
 	pos := r.pos
@@ -157,6 +199,20 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 // ReadUnary reads a unary prefix code (count of ones before the first
 // zero). maxOnes bounds the count to defend against corrupt streams.
 func (r *Reader) ReadUnary(maxOnes uint) (uint, error) {
+	if r.pos < r.lim {
+		// Shifting in zeros ends the run of ones within the window.
+		k := uint(bits.LeadingZeros64(^r.window()))
+		if end := r.pos + uint64(k); k <= maxOnes && k <= 56 && end < r.n {
+			r.pos = end + 1
+			return k, nil
+		}
+	}
+	return r.readUnary(maxOnes)
+}
+
+// readUnary is ReadUnary for runs the window does not end, near the
+// buffer's end, and for every error.
+func (r *Reader) readUnary(maxOnes uint) (uint, error) {
 	var v uint
 	for {
 		bit, err := r.ReadBit()
@@ -199,23 +255,20 @@ func PutUvarint64(w *Writer, v uint64) {
 	}
 }
 
-// ReadUvarint64 reads a value written by PutUvarint64.
+// ReadUvarint64 reads a value written by PutUvarint64, a group of
+// continuation bit and payload at a time.
 func ReadUvarint64(r *Reader) (uint64, error) {
 	var v uint64
 	for i := 0; ; i++ {
 		if i >= 10 {
 			return 0, errors.New("bitio: uvarint too long")
 		}
-		cont, err := r.ReadBit()
+		g, err := r.ReadBits(8)
 		if err != nil {
 			return 0, err
 		}
-		payload, err := r.ReadBits(7)
-		if err != nil {
-			return 0, err
-		}
-		v = v<<7 | payload
-		if cont == 0 {
+		v = v<<7 | g&0x7f
+		if g < 0x80 {
 			return v, nil
 		}
 	}

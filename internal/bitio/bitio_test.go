@@ -1,6 +1,8 @@
 package bitio
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -207,4 +209,101 @@ func TestQuickMixedStream(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// oracle is the reader the window reader replaced: ReadBits loops once
+// per byte and ReadUnary once per bit. FuzzReader holds the window
+// reader to it.
+type oracle struct {
+	buf    []byte
+	pos, n uint64
+}
+
+func (o *oracle) readBit() (uint, error) {
+	if o.pos >= o.n {
+		return 0, ErrOverflow
+	}
+	bit := uint(o.buf[o.pos>>3]>>(7-o.pos&7)) & 1
+	o.pos++
+	return bit, nil
+}
+
+func (o *oracle) readBits(n uint) (uint64, error) {
+	if n > 64 {
+		return 0, fmt.Errorf("bitio: ReadBits width %d > 64", n)
+	}
+	if o.pos+uint64(n) > o.n {
+		return 0, ErrOverflow
+	}
+	var v uint64
+	pos := o.pos
+	for n > 0 {
+		b := o.buf[pos>>3]
+		off := uint(pos & 7)
+		avail := 8 - off
+		take := min(avail, n)
+		v = v<<take | uint64((b>>(avail-take))&(1<<take-1))
+		pos += uint64(take)
+		n -= take
+	}
+	o.pos = pos
+	return v, nil
+}
+
+func (o *oracle) readUnary(maxOnes uint) (uint, error) {
+	var v uint
+	for {
+		bit, err := o.readBit()
+		if err != nil {
+			return 0, err
+		}
+		if bit == 0 {
+			return v, nil
+		}
+		v++
+		if v > maxOnes {
+			return 0, fmt.Errorf("bitio: unary code exceeds %d ones", maxOnes)
+		}
+	}
+}
+
+// FuzzReader runs the window reader and the oracle over the same buffer
+// and the same mix of ReadBit, ReadBits (widths 0–65) and ReadUnary
+// (maxOnes 0–70) calls: values, errors and cursors must agree after
+// every call, the failing ones included.
+func FuzzReader(f *testing.F) {
+	f.Add([]byte{0xff, 0x00, 0xaa, 0x55, 0xf0, 0x0f, 0xff, 0xff, 0xfe, 0x01}, uint64(80), []byte{1, 13, 2, 7, 0, 1, 64, 2, 70})
+	f.Add(bytes.Repeat([]byte{0xff}, 24), uint64(190), []byte{2, 70, 2, 55, 2, 56, 2, 57, 2, 70, 1, 65})
+	f.Add(bytes.Repeat([]byte{0x80, 0x01}, 16), uint64(255), []byte{1, 57, 1, 64, 1, 0, 2, 0, 0, 0})
+	f.Add([]byte{0xde, 0xad}, uint64(11), []byte{1, 3, 1, 9, 2, 1})
+	// The last cursor whose window fits, and the first that does not.
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint64(80), []byte{1, 23, 1, 1, 1, 8, 2, 9})
+	f.Fuzz(func(t *testing.T, buf []byte, nbits uint64, ops []byte) {
+		nbits %= 8*uint64(len(buf)) + 1
+		r := NewReader(buf, nbits)
+		o := &oracle{buf: buf, n: nbits}
+		for i := 0; i+1 < len(ops); i += 2 {
+			var got, want uint64
+			var gerr, werr error
+			switch arg := ops[i+1]; ops[i] % 3 {
+			case 0:
+				var g, w uint
+				g, gerr = r.ReadBit()
+				w, werr = o.readBit()
+				got, want = uint64(g), uint64(w)
+			case 1:
+				got, gerr = r.ReadBits(uint(arg % 66))
+				want, werr = o.readBits(uint(arg % 66))
+			case 2:
+				var g, w uint
+				g, gerr = r.ReadUnary(uint(arg % 71))
+				w, werr = o.readUnary(uint(arg % 71))
+				got, want = uint64(g), uint64(w)
+			}
+			if got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) || r.pos != o.pos {
+				t.Fatalf("op %d (%d, %d) at bit %d of %d: got %d, %v, cursor %d; oracle %d, %v, cursor %d",
+					i/2, ops[i]%3, ops[i+1], o.pos, nbits, got, gerr, r.pos, want, werr, o.pos)
+			}
+		}
+	})
 }

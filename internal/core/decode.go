@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sage/internal/bitio"
 	"sage/internal/fastq"
+	"sage/internal/freelist"
 	"sage/internal/genome"
 	"sage/internal/headers"
 	"sage/internal/mapper"
@@ -26,6 +28,17 @@ import (
 //
 // All accesses are sequential; no structure larger than a register is
 // retained between reads, which is what makes the hardware lightweight.
+//
+// The Read Construction Unit emits reads in the form the consumer takes
+// (§5.2.2 ⑫), and so does this decoder: one loop writes bases in an
+// output alphabet. AppendFASTQ runs it with letters — consensus bases
+// copied from a letter-form consensus, MBTA bases mapped to letters,
+// reverse segments complemented with the letter table — and takes the
+// quality lanes' scores already offset to characters, so a block goes to
+// FASTQ text in one pass, with no record in between. Decompress runs the
+// same loop with base codes and builds records. Either way a block's
+// bases, scores and headers land in a decoder scratch kept between
+// blocks (decoders), not in per-read allocations.
 
 // ScanUnit decodes position information from the guide/position streams.
 type ScanUnit struct {
@@ -90,17 +103,21 @@ func (su *ScanUnit) IndelLen() (int, error) {
 	return int(v), err
 }
 
-// ReadConstructionUnit reconstructs read bases from the consensus + MBTA.
+// ReadConstructionUnit reconstructs read bases from the consensus + MBTA,
+// in the output alphabet: cons is the consensus in it, and Base maps
+// each MBTA base code into it.
 type ReadConstructionUnit struct {
-	cons genome.Seq
-	mbta *bitio.Reader
+	cons  []byte
+	mbta  *bitio.Reader
+	alpha *alphabet
 }
 
 // Bit reads one MBTA control bit (corner disambiguation, payload flags,
 // insertion/deletion type).
 func (rcu *ReadConstructionUnit) Bit() (uint, error) { return rcu.mbta.ReadBit() }
 
-// Base reads one base of the given width from the MBTA.
+// Base reads one base of the given width from the MBTA and returns it
+// in the output alphabet.
 func (rcu *ReadConstructionUnit) Base(baseBits uint) (byte, error) {
 	v, err := rcu.mbta.ReadBits(baseBits)
 	if err != nil {
@@ -109,7 +126,39 @@ func (rcu *ReadConstructionUnit) Base(baseBits uint) (byte, error) {
 	if v > uint64(genome.BaseN) {
 		return 0, fmt.Errorf("core: invalid base code %d in MBTA", v)
 	}
-	return byte(v), nil
+	return rcu.alpha.of[v], nil
+}
+
+// AppendBases reads n bases of the given width from the MBTA and
+// appends them to out in the output alphabet: Base n times, with one
+// read of the stream per 56 bits of bases.
+func (rcu *ReadConstructionUnit) AppendBases(out []byte, n int, baseBits uint) ([]byte, error) {
+	per := int(56 / baseBits)
+	mask := uint64(1)<<baseBits - 1
+	for n > 0 {
+		k := min(n, per)
+		v, err := rcu.mbta.ReadBits(uint(k) * baseBits)
+		if err != nil {
+			// Short of k bases: Base fails where the stream does.
+			break
+		}
+		for j := k - 1; j >= 0; j-- {
+			code := v >> (uint(j) * baseBits) & mask
+			if code > genome.BaseN {
+				return out, fmt.Errorf("core: invalid base code %d in MBTA", code)
+			}
+			out = append(out, rcu.alpha.of[code])
+		}
+		n -= k
+	}
+	for ; n > 0; n-- {
+		b, err := rcu.Base(baseBits)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, b)
+	}
+	return out, nil
 }
 
 // ConsBase reads the consensus with the same end-clamping as the encoder.
@@ -123,60 +172,105 @@ func (rcu *ReadConstructionUnit) ConsBase(cursor int) byte {
 	return rcu.cons[cursor]
 }
 
-// ControlUnit sequences SU and RCU per read (§5.2.1 ➂). It owns the
-// decode scratch shared by all reads of a block: the segment plan (at
-// most MaxChimericSegments entries), a reverse-segment staging buffer,
-// and the arena that decoded sequences are carved from — one slab
-// allocation per block, or per 256 KiB of bases, instead of one per
-// read. Decoded Seqs therefore share backing arrays and must be treated
-// as immutable and retained together (the rule serve's shard LRU
-// already follows).
-type ControlUnit struct {
-	su      *ScanUnit
-	rcu     *ReadConstructionUnit
-	hdr     *header
-	segs    [mapper.MaxChimericSegments]segPlan
-	scratch genome.Seq
-	arena   seqArena
+// alphabet is a form the decoder writes bases in: of maps a base code
+// to its output byte, comp an output byte to its complement's.
+type alphabet struct {
+	of   [genome.BaseN + 1]byte
+	comp [256]byte
 }
 
-// seqArena carves exact-size, capacity-clipped sequence buffers out of
-// shared slabs (append past a read's end reallocates — a corrupt stream
-// cannot overrun a neighboring read).
-type seqArena struct {
-	slab      genome.Seq
-	slabBytes int
-}
-
-const seqArenaSlabBytes = 256 << 10
-
-// newSeqArena sizes the slabs for a block of numReads reads of at most
-// maxReadLen bases: a small shard takes one slab of what it can hold
-// rather than a zeroed 256 KiB. Dividing keeps the product from
-// overflowing on header fields only the block size bounds.
-func newSeqArena(numReads, maxReadLen int) seqArena {
-	a := seqArena{slabBytes: seqArenaSlabBytes}
-	if maxReadLen == 0 || numReads <= a.slabBytes/maxReadLen {
-		a.slabBytes = numReads * maxReadLen
+func newAlphabet(of func(byte) byte) *alphabet {
+	a := new(alphabet)
+	for i := range a.comp {
+		a.comp[i] = of(genome.BaseN)
+	}
+	for b := byte(0); b <= genome.BaseN; b++ {
+		a.of[b] = of(b)
+		a.comp[a.of[b]] = of(genome.Complement(b))
 	}
 	return a
 }
 
-func (a *seqArena) take(n int) genome.Seq {
-	if len(a.slab) < n {
-		sz := a.slabBytes
-		if sz < n {
-			sz = n
-		}
-		a.slab = make(genome.Seq, sz)
+var (
+	// codes is the records' alphabet: the base codes themselves.
+	codes = newAlphabet(func(b byte) byte { return b })
+	// letters is the text's: A, C, G, T and N.
+	letters = newAlphabet(genome.BaseToChar)
+)
+
+// ControlUnit sequences SU and RCU per read (§5.2.1 ➂). It owns the
+// per-read scratch: the segment plan (at most MaxChimericSegments
+// entries) and a staging buffer for reverse segments.
+type ControlUnit struct {
+	su      ScanUnit
+	rcu     ReadConstructionUnit
+	hdr     *header
+	segs    [mapper.MaxChimericSegments]segPlan
+	scratch []byte
+}
+
+// decoder is the scratch of one block decode, kept between blocks in a
+// free list (package freelist says why not a sync.Pool): the control
+// unit and its five stream readers, and the block's bases in the output
+// alphabet end to end with each read's length, its quality characters
+// and its headers with their end offsets. Nothing a caller keeps points
+// into it.
+type decoder struct {
+	cu      ControlUnit
+	streams [len(container{}.streams)]bitio.Reader
+	bases   []byte
+	lengths []int
+	quals   []byte
+	names   []byte
+	ends    []int
+}
+
+var decoders = freelist.New[decoder]()
+
+// put drops d's references to the block and returns it to the list.
+func (d *decoder) put() {
+	d.cu = ControlUnit{scratch: d.cu.scratch[:0]}
+	d.streams = [len(d.streams)]bitio.Reader{}
+	decoders.Put(d)
+}
+
+// decodeBases runs the Scan and Read Construction Units over every read
+// of c against cons, which must be in the alphabet a: it fills d.bases
+// with the reads' bases in a and d.lengths with their lengths.
+func (d *decoder) decodeBases(c *container, cons []byte, a *alphabet) error {
+	if len(cons) != c.hdr.consensusLen {
+		return fmt.Errorf("core: consensus length %d does not match container (%d)", len(cons), c.hdr.consensusLen)
 	}
-	b := a.slab[:n:n]
-	a.slab = a.slab[n:]
-	return b
+	for k, st := range c.streams {
+		d.streams[k] = *bitio.NewReader(st.data, st.bits)
+	}
+	d.cu.su = ScanUnit{
+		tables:   c.hdr.tables,
+		mpga:     &d.streams[sMPGA],
+		mpa:      &d.streams[sMPA],
+		mmpga:    &d.streams[sMMPGA],
+		mmpa:     &d.streams[sMMPA],
+		posWidth: uint(HistIndex(uint64(c.hdr.consensusLen))),
+	}
+	d.cu.rcu = ReadConstructionUnit{cons: cons, mbta: &d.streams[sMBTA], alpha: a}
+	d.cu.hdr = &c.hdr
+	d.bases, d.lengths = d.bases[:0], d.lengths[:0]
+	prevPos := 0
+	for i := 0; i < c.hdr.numReads; i++ {
+		start := len(d.bases)
+		var err error
+		if d.bases, err = d.cu.decodeRead(d.bases, &prevPos); err != nil {
+			return fmt.Errorf("core: decoding read %d: %w", i, err)
+		}
+		d.lengths = append(d.lengths, len(d.bases)-start)
+	}
+	return nil
 }
 
 // Decompress reconstructs the read set from a SAGe container. When the
-// consensus is not embedded, externalCons must supply it.
+// consensus is not embedded, externalCons must supply it. It is the
+// decode loop of AppendFASTQ in the code alphabet: the records' bases
+// share one array, their scores another, and they are retained together.
 func Decompress(data []byte, externalCons genome.Seq) (*fastq.ReadSet, error) {
 	c, err := parseContainer(data)
 	if err != nil {
@@ -186,38 +280,18 @@ func Decompress(data []byte, externalCons genome.Seq) (*fastq.ReadSet, error) {
 	if cons == nil {
 		cons = externalCons
 	}
-	if len(cons) != c.hdr.consensusLen {
-		return nil, fmt.Errorf("core: consensus length %d does not match container (%d)", len(cons), c.hdr.consensusLen)
-	}
-	cu := &ControlUnit{
-		su: &ScanUnit{
-			tables:   c.hdr.tables,
-			mpga:     bitio.NewReader(c.streams[sMPGA].data, c.streams[sMPGA].bits),
-			mpa:      bitio.NewReader(c.streams[sMPA].data, c.streams[sMPA].bits),
-			mmpga:    bitio.NewReader(c.streams[sMMPGA].data, c.streams[sMMPGA].bits),
-			mmpa:     bitio.NewReader(c.streams[sMMPA].data, c.streams[sMMPA].bits),
-			posWidth: uint(HistIndex(uint64(c.hdr.consensusLen))),
-		},
-		rcu: &ReadConstructionUnit{
-			cons: cons,
-			mbta: bitio.NewReader(c.streams[sMBTA].data, c.streams[sMBTA].bits),
-		},
-		hdr:   &c.hdr,
-		arena: newSeqArena(c.hdr.numReads, c.hdr.maxReadLen),
+	d := decoders.Get()
+	defer d.put()
+	if err := d.decodeBases(c, cons, codes); err != nil {
+		return nil, err
 	}
 	rs := &fastq.ReadSet{Records: make([]fastq.Record, c.hdr.numReads)}
-	lengths := make([]int, c.hdr.numReads)
-	prevPos := 0
-	for i := 0; i < c.hdr.numReads; i++ {
-		seq, err := cu.decodeRead(&prevPos)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding read %d: %w", i, err)
-		}
-		rs.Records[i].Seq = seq
-		lengths[i] = len(seq)
+	seqs := genome.Seq(slices.Clone(d.bases))
+	for i, l := range d.lengths {
+		rs.Records[i].Seq, seqs = seqs[:l:l], seqs[l:]
 	}
 	if c.hdr.has(flagQuality) {
-		quals, err := qual.Decompress(c.quality, lengths)
+		quals, err := qual.Decompress(c.quality, d.lengths)
 		if err != nil {
 			return nil, err
 		}
@@ -240,6 +314,66 @@ func Decompress(data []byte, externalCons genome.Seq) (*fastq.ReadSet, error) {
 	return rs, nil
 }
 
+// AppendFASTQ decodes a SAGe container and appends its reads to dst as
+// FASTQ text, byte for byte what ReadSet.Write writes for the records
+// Decompress returns; it returns the extended slice and the number of
+// reads. letterCons is the consensus as text (genome.AppendASCII), used
+// when the container embeds none. Bases come out of the decode loop as
+// letters, and scores out of the quality lanes as characters, so no
+// record is built and nothing is validated: each quality line is as
+// long as its bases by construction.
+func AppendFASTQ(dst, data, letterCons []byte) ([]byte, int, error) {
+	c, err := parseContainer(data)
+	if err != nil {
+		return dst, 0, err
+	}
+	if c.hdr.consensus != nil {
+		letterCons = genome.AppendASCII(nil, c.hdr.consensus)
+	}
+	d := decoders.Get()
+	defer d.put()
+	if err := d.decodeBases(c, letterCons, letters); err != nil {
+		return dst, 0, err
+	}
+	n := c.hdr.numReads
+	size := len(d.bases) + 6*n // '@', '\n', '\n', '+', '\n', '\n'
+	hasQual, hasNames := c.hdr.has(flagQuality), c.hdr.has(flagHeaders)
+	if hasQual {
+		if d.quals, err = qual.Append(d.quals[:0], c.quality, d.lengths, fastq.QualityOffset); err != nil {
+			return dst, 0, err
+		}
+		size += len(d.quals)
+	}
+	if hasNames {
+		if d.names, d.ends, err = headers.Append(d.names[:0], d.ends[:0], c.headers); err != nil {
+			return dst, 0, err
+		}
+		if len(d.ends) != n {
+			return dst, 0, fmt.Errorf("core: %d headers for %d reads", len(d.ends), n)
+		}
+		size += len(d.names)
+	}
+	dst = slices.Grow(dst, size)
+	bases, quals, start := d.bases, d.quals, 0
+	for i, l := range d.lengths {
+		dst = append(dst, '@')
+		if hasNames {
+			dst = append(dst, d.names[start:d.ends[i]]...)
+			start = d.ends[i]
+		}
+		dst = append(dst, '\n')
+		dst = append(dst, bases[:l]...)
+		dst = append(dst, '\n', '+', '\n')
+		if hasQual {
+			dst = append(dst, quals[:l]...)
+			quals = quals[l:]
+		}
+		dst = append(dst, '\n')
+		bases = bases[l:]
+	}
+	return dst, n, nil
+}
+
 // segPlan is the decoded placement of one segment.
 type segPlan struct {
 	consPos int
@@ -247,32 +381,33 @@ type segPlan struct {
 	length  int
 }
 
-// decodeRead reconstructs one read, advancing all stream cursors.
-func (cu *ControlUnit) decodeRead(prevPos *int) (genome.Seq, error) {
-	su := cu.su
+// decodeRead reconstructs one read, appending its bases to out and
+// advancing all stream cursors.
+func (cu *ControlUnit) decodeRead(out []byte, prevPos *int) ([]byte, error) {
+	su := &cu.su
 	delta, err := su.MatchDelta()
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	pos := *prevPos + int(delta)
 	*prevPos = pos
 
 	rev0, err := su.Rev()
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	nSegs, err := su.SegCount()
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	readLen := cu.hdr.fixedReadLen
 	if !cu.hdr.has(flagFixedReadLen) {
 		if readLen, err = su.ReadLen(); err != nil {
-			return nil, err
+			return out, err
 		}
 	}
 	if readLen > cu.hdr.maxReadLen {
-		return nil, fmt.Errorf("core: read length %d exceeds header maximum %d", readLen, cu.hdr.maxReadLen)
+		return out, fmt.Errorf("core: read length %d exceeds header maximum %d", readLen, cu.hdr.maxReadLen)
 	}
 	segs := cu.segs[:nSegs]
 	segs[0] = segPlan{consPos: pos, rev: rev0}
@@ -280,35 +415,35 @@ func (cu *ControlUnit) decodeRead(prevPos *int) (genome.Seq, error) {
 	for s := 1; s < nSegs; s++ {
 		rev, err := su.Rev()
 		if err != nil {
-			return nil, err
+			return out, err
 		}
 		sl, err := su.ReadLen()
 		if err != nil {
-			return nil, err
+			return out, err
 		}
 		ap, err := su.AbsPos()
 		if err != nil {
-			return nil, err
+			return out, err
 		}
 		segs[s] = segPlan{consPos: ap, rev: rev, length: sl}
 		extraLen += sl
 	}
 	segs[0].length = readLen - extraLen
 	if segs[0].length < 0 {
-		return nil, fmt.Errorf("core: segment lengths exceed read length %d", readLen)
+		return out, fmt.Errorf("core: segment lengths exceed read length %d", readLen)
 	}
 
-	// The read decodes straight into an exact-size arena buffer; only
-	// reverse segments stage through scratch (they must be complemented
-	// back-to-front, which in-place appending cannot do).
-	out := cu.arena.take(readLen)[:0]
+	// Forward segments decode straight onto out; only reverse segments
+	// stage through scratch (they must be complemented back-to-front,
+	// which in-place appending cannot do).
+	start := len(out)
 	baseBits := uint(2) // widened to 3 by a corner record with the N flag
 	for s := range segs {
 		if !segs[s].rev {
 			var raw bool
 			out, raw, err = cu.decodeSegment(out, s == 0, segs[s], readLen, &baseBits)
 			if err != nil {
-				return nil, err
+				return out, err
 			}
 			if raw {
 				// Unmapped read: the payload was the entire read.
@@ -319,26 +454,37 @@ func (cu *ControlUnit) decodeRead(prevPos *int) (genome.Seq, error) {
 		scratch, raw, err := cu.decodeSegment(cu.scratch[:0], s == 0, segs[s], readLen, &baseBits)
 		cu.scratch = scratch[:0]
 		if err != nil {
-			return nil, err
+			return out, err
 		}
 		if raw {
 			// Unmapped payloads bypass strand handling: stored forward.
-			out = append(out, scratch...)
-			return out, nil
+			return append(out, scratch...), nil
 		}
-		out = genome.AppendReverseComplement(out, scratch)
+		out = appendReverseComplement(out, scratch, &cu.rcu.alpha.comp)
 	}
-	if len(out) != readLen {
-		return nil, fmt.Errorf("core: reconstructed %d bases, want %d", len(out), readLen)
+	if len(out)-start != readLen {
+		return out, fmt.Errorf("core: reconstructed %d bases, want %d", len(out)-start, readLen)
 	}
 	return out, nil
+}
+
+// appendReverseComplement appends the reverse complement of src to dst
+// under the complement table comp. dst and src must not overlap.
+func appendReverseComplement(dst, src []byte, comp *[256]byte) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, len(src))[:n+len(src)]
+	out := dst[n:]
+	for i, b := range src {
+		out[len(out)-1-i] = comp[b]
+	}
+	return dst
 }
 
 // decodeSegment reconstructs one segment, appending its bases to dst
 // and returning the extended slice. raw reports that the read was
 // stored unmapped (the whole read was appended).
-func (cu *ControlUnit) decodeSegment(dst genome.Seq, first bool, sp segPlan, readLen int, baseBits *uint) (out genome.Seq, raw bool, err error) {
-	su, rcu := cu.su, cu.rcu
+func (cu *ControlUnit) decodeSegment(dst []byte, first bool, sp segPlan, readLen int, baseBits *uint) (out []byte, raw bool, err error) {
+	su, rcu := &cu.su, &cu.rcu
 	count, err := su.MismatchCount()
 	if err != nil {
 		return dst, false, err
@@ -372,14 +518,8 @@ func (cu *ControlUnit) decodeSegment(dst genome.Seq, first bool, sp segPlan, rea
 					return out, false, err
 				}
 				if unmapped == 1 {
-					for i := 0; i < readLen; i++ {
-						b, err := rcu.Base(*baseBits)
-						if err != nil {
-							return out, false, err
-						}
-						out = append(out, b)
-					}
-					return out, true, nil
+					out, err = rcu.AppendBases(out, readLen, *baseBits)
+					return out, err == nil, err
 				}
 				continue // synthetic mismatch consumed; prevMis stays 0
 			}
@@ -414,12 +554,8 @@ func (cu *ControlUnit) decodeSegment(dst genome.Seq, first bool, sp segPlan, rea
 			return out, false, err
 		}
 		if insBit == 1 {
-			for k := 0; k < l; k++ {
-				b, err := rcu.Base(*baseBits)
-				if err != nil {
-					return out, false, err
-				}
-				out = append(out, b)
+			if out, err = rcu.AppendBases(out, l, *baseBits); err != nil {
+				return out, false, err
 			}
 		} else {
 			cursor += l
@@ -438,7 +574,7 @@ func (cu *ControlUnit) decodeSegment(dst genome.Seq, first bool, sp segPlan, rea
 // target length, advancing the cursor. A cursor that leaves the
 // consensus is an error once every base the consensus does hold has
 // been appended.
-func consCopy(out, cons genome.Seq, cursor *int, target int) (genome.Seq, error) {
+func consCopy(out, cons []byte, cursor *int, target int) ([]byte, error) {
 	n := target - len(out)
 	if n <= 0 {
 		return out, nil

@@ -221,36 +221,10 @@ func TestConsCopyMatchesPerBase(t *testing.T) {
 		wantCur, gotCur := start, start
 		want, wantErr := consCopyPerBase(prefix.Clone(), cons, &wantCur, target)
 		got, gotErr := consCopy(prefix.Clone(), cons, &gotCur, target)
-		if !got.Equal(want) || gotCur != wantCur || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		if !genome.Seq(got).Equal(want) || gotCur != wantCur || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("cons %d, cursor %d, %d -> %d bases: got %v cursor %d (%v), want %v cursor %d (%v)",
 				len(cons), start, len(prefix), target, got, gotCur, gotErr, want, wantCur, wantErr)
 		}
-	}
-}
-
-// A block's arena slab holds what its header says the reads can: the
-// whole of a small shard, never more than the 256 KiB default, and no
-// overflow on the largest fields layout admits.
-func TestSeqArenaSizedFromHeader(t *testing.T) {
-	for _, tc := range []struct{ numReads, maxReadLen, want int }{
-		{250, 150, 250 * 150},
-		{0, 150, 0},
-		{250, 0, 0},
-		{1, seqArenaSlabBytes - 1, seqArenaSlabBytes - 1},
-		{2, seqArenaSlabBytes / 2, seqArenaSlabBytes},
-		{100000, 150, seqArenaSlabBytes},
-		{1 << 38, maxField, seqArenaSlabBytes},
-	} {
-		a := newSeqArena(tc.numReads, tc.maxReadLen)
-		if a.slabBytes != tc.want {
-			t.Errorf("%d reads of <= %d bases: slab %d, want %d", tc.numReads, tc.maxReadLen, a.slabBytes, tc.want)
-		}
-	}
-	a := newSeqArena(3, 10)
-	first := a.take(10)
-	a.take(10)
-	if last := a.take(10); cap(last) != 10 || &first[:1][0] == &last[0] || len(a.slab) != 0 {
-		t.Fatalf("three 10-base reads should fill one 30-byte slab exactly; %d bytes left", len(a.slab))
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -121,7 +122,7 @@ func FuzzRoundtrip(f *testing.F) {
 		if got, err := Decompress(data, nil); err == nil && got == nil {
 			t.Fatal("Decompress returned nil set with nil error")
 		}
-		_, _ = Decompress(data, cons)
+		checkRender(t, data, cons)
 
 		// Arm 2: valid FASTQ must survive a compress/decompress cycle.
 		in, err := fastq.Parse(bytes.NewReader(data))
@@ -140,10 +141,40 @@ func FuzzRoundtrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("valid container failed to decompress: %v", err)
 		}
+		checkRender(t, enc.Data, nil)
 		if !fastq.Equivalent(in, out) {
 			t.Fatalf("roundtrip not equivalent: %d reads in, %d out", len(in.Records), len(out.Records))
 		}
 	})
+}
+
+// checkRender holds AppendFASTQ to Decompress on one block: both fail
+// with the same error, or the text is the records' text and every
+// record is valid — a parseable block never renders a quality line
+// that is not as long as its bases.
+func checkRender(t *testing.T, data []byte, cons genome.Seq) {
+	t.Helper()
+	rs, rerr := Decompress(data, cons)
+	text, n, terr := AppendFASTQ(nil, data, genome.AppendASCII(nil, cons))
+	if fmt.Sprint(rerr) != fmt.Sprint(terr) {
+		t.Fatalf("Decompress: %v; AppendFASTQ: %v", rerr, terr)
+	}
+	if rerr != nil {
+		return
+	}
+	if n != len(rs.Records) {
+		t.Fatalf("AppendFASTQ rendered %d reads, Decompress decoded %d", n, len(rs.Records))
+	}
+	var want []byte
+	for i := range rs.Records {
+		if err := rs.Records[i].Validate(); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		want = rs.Records[i].AppendText(want)
+	}
+	if !bytes.Equal(text, want) {
+		t.Fatalf("AppendFASTQ wrote %d bytes, the records' text is %d", len(text), len(want))
+	}
 }
 
 // fullQuality reports whether every non-empty record carries quality

@@ -45,10 +45,12 @@ type rawRecord struct {
 	qual   []byte
 }
 
-// NewScanner wraps r in a record-at-a-time FASTQ reader.
+// NewScanner wraps r in a record-at-a-time FASTQ reader. Its line
+// buffer starts at 64 KiB and grows to fit the longest line, up to
+// 16 MiB, so a small input costs a small buffer.
 func NewScanner(r io.Reader) *Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 64<<10), 1<<24)
 	return &Scanner{sc: sc}
 }
 

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"sage/internal/bitio"
@@ -183,52 +184,66 @@ func compressRaw(hs []string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decompress decodes a header list.
+// Decompress decodes a header list. The strings share one backing
+// array and are retained together.
 func Decompress(data []byte) ([]string, error) {
+	buf, ends, err := Append(nil, nil, data)
+	if err != nil || len(ends) == 0 {
+		return nil, err
+	}
+	hs := string(buf)
+	out := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		out[i], start = hs[start:end], end
+	}
+	return out, nil
+}
+
+// Append is Decompress into dst: it appends the headers to dst end to
+// end and, for each, its end offset in dst to ends, and returns both.
+func Append(dst []byte, ends []int, data []byte) ([]byte, []int, error) {
 	if len(data) == 0 {
-		return nil, fmt.Errorf("headers: empty stream")
+		return dst, ends, fmt.Errorf("headers: empty stream")
 	}
 	mode := data[0]
 	rest := data[1:]
 	switch mode {
 	case modeTemplated:
-		return decompressTemplated(rest)
+		return appendTemplated(dst, ends, rest)
 	case modeRaw:
-		return decompressRaw(rest)
+		return appendRaw(dst, ends, rest)
 	default:
-		return nil, fmt.Errorf("headers: unknown mode %d", mode)
+		return dst, ends, fmt.Errorf("headers: unknown mode %d", mode)
 	}
 }
 
-func decompressTemplated(data []byte) ([]string, error) {
+func appendTemplated(dst []byte, ends []int, data []byte) ([]byte, []int, error) {
 	rd := bytes.NewReader(data)
 	n, err := binary.ReadUvarint(rd)
 	if err != nil {
-		return nil, fmt.Errorf("headers: %w", err)
+		return dst, ends, fmt.Errorf("headers: %w", err)
 	}
 	if n == 0 {
-		return nil, nil
+		return dst, ends, nil
 	}
 	tl, err := binary.ReadUvarint(rd)
 	if err != nil {
-		return nil, err
+		return dst, ends, err
 	}
-	tmpl := make([]byte, tl)
-	if _, err := io.ReadFull(rd, tmpl); err != nil {
-		return nil, err
+	tmpl, err := next(rd, data, tl)
+	if err != nil {
+		return dst, ends, err
 	}
 	nSlots, err := binary.ReadUvarint(rd)
 	if err != nil {
-		return nil, err
+		return dst, ends, err
 	}
 	bodyBits, err := binary.ReadUvarint(rd)
 	if err != nil {
-		return nil, err
+		return dst, ends, err
 	}
-	body := make([]byte, rd.Len())
-	if _, err := io.ReadFull(rd, body); err != nil {
-		return nil, err
-	}
+	body := data[len(data)-rd.Len():]
 	br := bitio.NewReader(body, bodyBits)
 	// Every (width, delta) pair costs at least 16 bits, which bounds the
 	// slot table a non-lying stream can demand — reject anything larger
@@ -238,7 +253,7 @@ func decompressTemplated(data []byte) ([]string, error) {
 		bitLimit = bodyBits
 	}
 	if nSlots > 0 && n > bitLimit/16/nSlots {
-		return nil, fmt.Errorf("headers: %d slots x %d headers exceeds %d-bit body", nSlots, n, bitLimit)
+		return dst, ends, fmt.Errorf("headers: %d slots x %d headers exceeds %d-bit body", nSlots, n, bitLimit)
 	}
 	// vals[s*n+i] is slot s of header i, decoded in one flat slice.
 	type slotVal struct {
@@ -251,42 +266,33 @@ func decompressTemplated(data []byte) ([]string, error) {
 		for i := uint64(0); i < n; i++ {
 			wd, err := bitio.ReadUvarint64(br)
 			if err != nil {
-				return nil, err
+				return dst, ends, err
 			}
 			zz, err := bitio.ReadUvarint64(br)
 			if err != nil {
-				return nil, err
+				return dst, ends, err
 			}
 			v := uint64(int64(prev) + unzigzag(zz))
 			vals[s*n+i] = slotVal{width: int(wd), value: v}
 			prev = v
 		}
 	}
-	// Render every header into one byte buffer, convert to a string
-	// once, and hand out sub-slices: O(1) allocations for the block
-	// instead of two per header. The returned strings share backing
-	// memory and are retained together.
-	out := make([]string, n)
-	hbuf := make([]byte, 0, (len(tmpl)+8)*int(n))
-	hoffs := make([]int, n+1)
+	dst = slices.Grow(dst, (len(tmpl)+8)*int(n))
+	ends = slices.Grow(ends, int(n))
 	for i := uint64(0); i < n; i++ {
 		slot := uint64(0)
 		for _, c := range tmpl {
 			if c == 0 {
 				sv := vals[slot*n+i]
 				slot++
-				hbuf = appendZeroPad(hbuf, sv.value, sv.width)
+				dst = appendZeroPad(dst, sv.value, sv.width)
 			} else {
-				hbuf = append(hbuf, c)
+				dst = append(dst, c)
 			}
 		}
-		hoffs[i+1] = len(hbuf)
+		ends = append(ends, len(dst))
 	}
-	hs := string(hbuf)
-	for i := range out {
-		out[i] = hs[hoffs[i]:hoffs[i+1]]
-	}
-	return out, nil
+	return dst, ends, nil
 }
 
 // appendZeroPad appends v in decimal, left-padded with zeros to at
@@ -309,30 +315,49 @@ func appendZeroPad(dst []byte, v uint64, width int) []byte {
 	return append(dst, tmp[i:]...)
 }
 
-func decompressRaw(data []byte) ([]string, error) {
+func appendRaw(dst []byte, ends []int, data []byte) ([]byte, []int, error) {
 	rd := bytes.NewReader(data)
 	n, err := binary.ReadUvarint(rd)
 	if err != nil {
-		return nil, err
+		return dst, ends, err
 	}
 	cl, err := binary.ReadUvarint(rd)
 	if err != nil {
-		return nil, err
+		return dst, ends, err
 	}
-	comp := make([]byte, cl)
-	if _, err := io.ReadFull(rd, comp); err != nil {
-		return nil, err
+	comp, err := next(rd, data, cl)
+	if err != nil {
+		return dst, ends, err
 	}
 	fr := flate.NewReader(bytes.NewReader(comp))
 	raw, err := io.ReadAll(fr)
 	if err != nil {
-		return nil, err
+		return dst, ends, err
 	}
-	lines := strings.Split(string(raw), "\n")
-	if uint64(len(lines)) < n {
-		return nil, fmt.Errorf("headers: raw stream has %d lines, want %d", len(lines), n)
+	if lines := bytes.Count(raw, []byte{'\n'}) + 1; uint64(lines) < n {
+		return dst, ends, fmt.Errorf("headers: raw stream has %d lines, want %d", lines, n)
 	}
-	return lines[:n], nil
+	for i := uint64(0); i < n; i++ {
+		line, rest, _ := bytes.Cut(raw, []byte{'\n'})
+		dst = append(dst, line...)
+		ends = append(ends, len(dst))
+		raw = rest
+	}
+	return dst, ends, nil
+}
+
+// next returns the n bytes of data at rd's position and moves rd past
+// them, failing as io.ReadFull would.
+func next(rd *bytes.Reader, data []byte, n uint64) ([]byte, error) {
+	if n > uint64(rd.Len()) {
+		if rd.Len() == 0 {
+			return nil, io.EOF
+		}
+		return nil, io.ErrUnexpectedEOF
+	}
+	at := len(data) - rd.Len()
+	rd.Seek(int64(n), io.SeekCurrent)
+	return data[at : at+int(n)], nil
 }
 
 func writeUvarint(buf *bytes.Buffer, v uint64) {

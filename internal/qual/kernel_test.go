@@ -579,15 +579,20 @@ func oldDecompress(data []byte, lengths []int) ([][]byte, error) {
 		return nil, fmt.Errorf("qual: stream body truncated: have %d want %d", len(data)-8, bodyLen)
 	}
 	body := data[8 : 8+bodyLen]
-	out := make([][]byte, len(lengths))
+	total := 0
 	for r, l := range lengths {
 		if l < 0 || l > maxScoresPerByte[kindBinary]*len(body) {
 			return nil, fmt.Errorf("qual: read %d of length %d", r, l)
 		}
-		out[r] = make([]byte, l)
+		total += l
 	}
-	if err := decodeBinary(body, out, 0); err != nil {
+	flat := make([]byte, total)
+	if err := decodeBinary(body, flat, lengths, 0); err != nil {
 		return nil, err
+	}
+	out := make([][]byte, len(lengths))
+	for r, l := range lengths {
+		out[r], flat = flat[:l], flat[l:]
 	}
 	return out, nil
 }

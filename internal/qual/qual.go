@@ -18,6 +18,7 @@ package qual
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Stream kinds. A stream starts with a little-endian u64 whose low 56
@@ -58,17 +59,43 @@ var maxScoresPerByte = [...]int{kindBinary: 128, kindRANS: 708, kindRANS4: 708}
 // stream of any kind. The stream must end exactly where the scores do:
 // lengths that ask for more or fewer scores than were coded are an
 // error, not garbage.
+//
+// All scores decode into one flat buffer sub-sliced per read
+// (capacity-clipped, so an appending caller reallocates rather than
+// overruns a neighbor): two allocations for the whole block instead of
+// one per read. The per-read slices share backing memory and are
+// retained together — the same ownership rule batch records follow.
 func Decompress(data []byte, lengths []int) ([][]byte, error) {
+	// A non-nil dst keeps zero-length reads' scores non-nil, as records
+	// with quality carry them.
+	flat, err := Append([]byte{}, data, lengths, 0)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]byte, len(lengths))
+	for r, l := range lengths {
+		out[r] = flat[:l:l]
+		flat = flat[l:]
+	}
+	return out, nil
+}
+
+// Append is Decompress into dst: it appends the scores of reads with
+// the given lengths end to end, each plus offset (0 gives scores,
+// fastq.QualityOffset gives the quality line's characters), and
+// returns the extended slice. The contexts are those of the scores, so
+// every offset reads the same stream the same way.
+func Append(dst, data []byte, lengths []int, offset byte) ([]byte, error) {
 	if len(data) < 8 {
-		return nil, fmt.Errorf("qual: truncated stream header")
+		return dst, fmt.Errorf("qual: truncated stream header")
 	}
 	word := binary.LittleEndian.Uint64(data)
 	kind, bodyLen := word>>lengthBits, word&(1<<lengthBits-1)
 	if kind >= uint64(len(maxScoresPerByte)) {
-		return nil, fmt.Errorf("qual: unsupported stream kind %d", kind)
+		return dst, fmt.Errorf("qual: unsupported stream kind %d", kind)
 	}
 	if uint64(len(data)-8) < bodyLen {
-		return nil, fmt.Errorf("qual: stream body truncated: have %d want %d", len(data)-8, bodyLen)
+		return dst, fmt.Errorf("qual: stream body truncated: have %d want %d", len(data)-8, bodyLen)
 	}
 	body := data[8 : 8+bodyLen]
 	// Bounding the scores by the body before allocating for them keeps
@@ -77,33 +104,24 @@ func Decompress(data []byte, lengths []int) ([][]byte, error) {
 	total := 0
 	for r, l := range lengths {
 		if l < 0 || l > limit-total {
-			return nil, fmt.Errorf("qual: read %d of length %d: a %d-byte stream holds at most %d scores", r, l, len(body), limit)
+			return dst, fmt.Errorf("qual: read %d of length %d: a %d-byte stream holds at most %d scores", r, l, len(body), limit)
 		}
 		total += l
 	}
-	// All scores decode into one flat buffer sub-sliced per read
-	// (capacity-clipped, so an appending caller reallocates rather than
-	// overruns a neighbor): two allocations for the whole block instead
-	// of one per read. The per-read slices share backing memory and are
-	// retained together — the same ownership rule batch records follow.
-	flat := make([]byte, total)
-	out := make([][]byte, len(lengths))
-	rest := flat
-	for r, l := range lengths {
-		out[r] = rest[:l:l]
-		rest = rest[l:]
-	}
+	n := len(dst)
+	dst = slices.Grow(dst, total)[:n+total]
+	flat := dst[n:]
 	var err error
 	switch kind {
 	case kindBinary:
-		err = decodeBinary(body, out, total)
+		err = decodeBinary(body, flat, lengths, offset)
 	case kindRANS:
-		err = decodeRANS(body, flat, lengths, 1)
+		err = decodeRANS(body, flat, lengths, 1, offset)
 	default:
-		err = decodeRANS(body, flat, lengths, ransLanes)
+		err = decodeRANS(body, flat, lengths, ransLanes, offset)
 	}
 	if err != nil {
-		return nil, err
+		return dst[:n], err
 	}
-	return out, nil
+	return dst, nil
 }

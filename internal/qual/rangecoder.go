@@ -59,15 +59,18 @@ func getProbs() *[numContexts]uint16 {
 	return p
 }
 
-// decodeBinary decodes a kind-0 body into out, whose reads hold total
-// scores.
-func decodeBinary(body []byte, out [][]byte, total int) error {
+// decodeBinary decodes a kind-0 body into flat, the scores of reads of
+// the given lengths end to end, each plus off.
+func decodeBinary(body, flat []byte, lengths []int, off byte) error {
 	var dec rcDecoder
 	dec.init(body)
+	dec.off = off
 	probs := getProbs()
 	defer probsPool.Put(probs)
-	for _, q := range out {
-		dec.decodeScores(q, probs)
+	total := len(flat)
+	for _, l := range lengths {
+		dec.decodeScores(flat[:l], probs)
+		flat = flat[l:]
 	}
 	if dec.pos > len(body) {
 		return fmt.Errorf("qual: stream ends before the scores do: %d bytes hold fewer than %d scores", len(body), total)
@@ -85,6 +88,8 @@ type rcDecoder struct {
 	// pos counts the bytes asked for, so pos > len(in) records that the
 	// decoder ran past the stream (next zero-fills there).
 	pos int
+	// off is added to every score decodeScores writes.
+	off byte
 }
 
 // init primes a (possibly stack-allocated) decoder over in.
@@ -128,7 +133,8 @@ func (d *rcDecoder) decodeBit(p *uint16) int {
 	return bit
 }
 
-// decodeScores decodes the len(q) scores of one read into q: decodeBit's
+// decodeScores decodes the len(q) scores of one read into q, each plus
+// d.off: decodeBit's
 // arithmetic, operation for operation, with the range state in locals
 // for the whole read and a plain in[pos] where decodeBit calls next.
 //
@@ -140,7 +146,7 @@ func (d *rcDecoder) decodeBit(p *uint16) int {
 // one length test the fast loop makes per score; the last bytes of the
 // stream go through decodeBit, whose next zero-fills past the end.
 func (d *rcDecoder) decodeScores(q []byte, probs *[numContexts]uint16) {
-	rng, code, pos, in := d.rng, d.code, d.pos, d.in
+	rng, code, pos, in, off := d.rng, d.code, d.pos, d.in, d.off
 	q1, q2 := byte(0), byte(0)
 	i := 0
 	for ; i < len(q) && pos+symbolBits <= len(in); i++ {
@@ -165,8 +171,9 @@ func (d *rcDecoder) decodeScores(q []byte, probs *[numContexts]uint16) {
 				rng <<= 8
 			}
 		}
-		q[i] = byte(node - treeNodes)
-		q2, q1 = q1, q[i]
+		s := byte(node - treeNodes)
+		q[i] = s + off
+		q2, q1 = q1, s
 	}
 	d.rng, d.code, d.pos = rng, code, pos
 	for ; i < len(q); i++ {
@@ -175,7 +182,8 @@ func (d *rcDecoder) decodeScores(q []byte, probs *[numContexts]uint16) {
 		for node < treeNodes {
 			node = node<<1 | d.decodeBit(&probs[base+node])
 		}
-		q[i] = byte(node - treeNodes)
-		q2, q1 = q1, q[i]
+		s := byte(node - treeNodes)
+		q[i] = s + off
+		q2, q1 = q1, s
 	}
 }

@@ -293,7 +293,9 @@ func normalise(counts *[numSymbols]uint64, freq *[numSymbols]uint32) bool {
 // ransDecoder holds the tables of one stream, a ransTable per context.
 type ransDecoder struct {
 	present uint16
-	ctx     [ransContexts]ransTable
+	// off is added to every score the kernels write.
+	off byte
+	ctx [ransContexts]ransTable
 }
 
 // ransTable is one context's table: the frequency and cumulative start
@@ -389,7 +391,8 @@ func (ln *ransLane) restart(lengths []int) int {
 }
 
 // decodeRANS decodes a kind-1 (lanes 1) or kind-2 (lanes ransLanes)
-// body into flat, the scores of reads of the given lengths end to end.
+// body into flat, the scores of reads of the given lengths end to end,
+// each plus off.
 //
 // It runs in chunks of steps in which no lane crosses a read boundary.
 // A score reads at most two bytes (from x ≥ ransL the step leaves
@@ -398,9 +401,10 @@ func (ln *ransLane) restart(lengths []int) int {
 // zero-padded copy of them, and reading past the real ones is an error
 // found at the end. The lanes after the first may hold one score more
 // than it, which a last step takes lane by lane.
-func decodeRANS(body, flat []byte, lengths []int, lanes int) error {
+func decodeRANS(body, flat []byte, lengths []int, lanes int, off byte) error {
 	d := decoders.Get()
 	defer decoders.Put(d)
+	d.off = off
 	pos, err := d.readTables(body)
 	if err != nil {
 		return err
@@ -517,7 +521,8 @@ func refill(x uint32, in []byte, pos int) (uint32, int) {
 }
 
 // lockstep decodes up to m steps of the four lanes, lane 0 to 3 in each
-// step, from in[pos:], while eight bytes are left for a step. It returns
+// step, from in[pos:], while eight bytes are left for a step. It writes
+// each score plus d.off; the next context is the score's own. It returns
 // the steps taken and the position after them.
 func (d *ransDecoder) lockstep(ls *[ransLanes]ransLane, m int, in []byte, pos int, flat []byte) (int, int, error) {
 	x0, x1, x2, x3 := ls[0].x, ls[1].x, ls[2].x, ls[3].x
@@ -526,7 +531,7 @@ func (d *ransDecoder) lockstep(ls *[ransLanes]ransLane, m int, in []byte, pos in
 	o1 := flat[ls[1].at:][:m]
 	o2 := flat[ls[2].at:][:m]
 	o3 := flat[ls[3].at:][:m]
-	pres := uint64(d.present)
+	pres, off := uint64(d.present), d.off
 	j := 0
 	for ; j < len(o0) && pos <= len(in)-2*ransLanes; j++ {
 		// Contexts are below 16; the masks spare the shifts a range check.
@@ -539,16 +544,16 @@ func (d *ransDecoder) lockstep(ls *[ransLanes]ransLane, m int, in []byte, pos in
 		}
 		var s byte
 		x0, s = d.decode(x0, c0)
-		o0[j], c0 = s, uint(s>>2)
+		o0[j], c0 = s+off, uint(s>>2)
 		x0, pos = refill(x0, in, pos)
 		x1, s = d.decode(x1, c1)
-		o1[j], c1 = s, uint(s>>2)
+		o1[j], c1 = s+off, uint(s>>2)
 		x1, pos = refill(x1, in, pos)
 		x2, s = d.decode(x2, c2)
-		o2[j], c2 = s, uint(s>>2)
+		o2[j], c2 = s+off, uint(s>>2)
 		x2, pos = refill(x2, in, pos)
 		x3, s = d.decode(x3, c3)
-		o3[j], c3 = s, uint(s>>2)
+		o3[j], c3 = s+off, uint(s>>2)
 		x3, pos = refill(x3, in, pos)
 	}
 	ls[0].x, ls[1].x, ls[2].x, ls[3].x = x0, x1, x2, x3
@@ -564,14 +569,14 @@ func (d *ransDecoder) run(ln *ransLane, m int, in []byte, pos int, flat []byte) 
 	x, c := ln.x, ln.c
 	o := flat[ln.at:][:m]
 	j := 0
-	pres := uint64(d.present)
+	pres, off := uint64(d.present), d.off
 	for ; j < len(o) && pos <= len(in)-2; j++ {
 		if pres>>(c&15)&1 == 0 {
 			return j, pos, noTable(c)
 		}
 		var s byte
 		x, s = d.decode(x, c)
-		o[j], c = s, uint(s>>2)
+		o[j], c = s+off, uint(s>>2)
 		x, pos = refill(x, in, pos)
 	}
 	ln.x, ln.c, ln.at = x, c, ln.at+j

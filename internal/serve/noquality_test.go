@@ -77,20 +77,27 @@ func noQualityServer(t *testing.T, reordered bool, cfg Config) (*Server, *httpte
 // written without quality scores — whose decoded text the strict FASTQ
 // parser rejects — and every core decode they cause runs on the pool:
 // with one worker nothing deadlocks, and Stats().Decodes equals the
-// decodes that actually ran. A cold shard is decoded once, not twice.
+// decodes that actually ran. The records come from the shard's text,
+// cold or warm, so here each request decodes the shard to records once
+// more after the text: twice when cold, once when warm.
 func TestNoQualityRecordPaths(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"cached", Config{Workers: 1}},
-		// Every shard exceeds the budget: records stream from a decode
-		// that keeps its pool slot until the handler is done.
+		// Every shard exceeds the budget: its text keeps the decode's
+		// pool slot until the handler is done, and is never cached.
 		{"oversized", Config{Workers: 1, CacheBytes: 1}},
 	} {
 		t.Run(tc.name+"/query", func(t *testing.T) {
 			s, ts, c, rs, cr := noQualityServer(t, false, tc.cfg)
-			for pass, wantDecodes := range []int64{int64(c.NumShards()), 2 * int64(c.NumShards())} {
+			perPass := int64(c.NumShards())
+			wantDecodes := []int64{2 * perPass, 3 * perPass}
+			if tc.cfg.CacheBytes == 1 {
+				wantDecodes[1] = 4 * perPass
+			}
+			for pass, wantDecodes := range wantDecodes {
 				code, body := get(t, ts.URL+"/c/default/query?min-len=1&count=1")
 				if code != 200 {
 					t.Fatalf("pass %d: status %d: %s", pass, code, body)
@@ -102,9 +109,10 @@ func TestNoQualityRecordPaths(t *testing.T) {
 				if sum.ReadsMatched != len(rs.Records) || sum.ReadsScanned != len(rs.Records) {
 					t.Fatalf("pass %d: matched %d, scanned %d, want %d", pass, sum.ReadsMatched, sum.ReadsScanned, len(rs.Records))
 				}
-				// Cold: one decode per shard. Warm: the cached text cannot
-				// be reparsed, so each shard decodes once more (an oversized
-				// shard is never cached and decodes per request anyway).
+				// Cold: the text decode, then the records'. Warm: the cached
+				// text cannot be reparsed, so each shard decodes to records
+				// once more (an oversized shard is never cached and decodes
+				// twice per request).
 				if got := s.Stats().Decodes; got != wantDecodes || got != cr.n.Load() {
 					t.Fatalf("pass %d: Stats().Decodes = %d, %d decodes ran, want %d", pass, got, cr.n.Load(), wantDecodes)
 				}
@@ -133,8 +141,8 @@ func TestNoQualityRecordPaths(t *testing.T) {
 			if !bytes.Equal(body, want) {
 				t.Fatalf("original-order body differs: %d bytes, want %d", len(body), len(want))
 			}
-			if got := s.Stats().Decodes; got != 1 || got != cr.n.Load() {
-				t.Fatalf("Stats().Decodes = %d, %d decodes ran, want 1", got, cr.n.Load())
+			if got := s.Stats().Decodes; got != 2 || got != cr.n.Load() {
+				t.Fatalf("Stats().Decodes = %d, %d decodes ran, want 2", got, cr.n.Load())
 			}
 		})
 	}

@@ -48,12 +48,12 @@
 // worker pool shared by all requests, and a singleflight group collapses
 // concurrent requests for the same cold shard of the same container into
 // one decode: N clients asking for it while it is being decoded all
-// receive the one result. A shard whose decoded text exceeds the whole
-// cache budget is never materialized as text at all — its records are
-// streamed straight into the response writer, and the request holds its
-// decode-pool slot until the stream drains, so at most Workers such
-// decoded shards are resident at once (concurrent streams of the same
-// shard share one copy) and serving memory is bounded by the cache
+// receive the one result. A decode renders the shard's FASTQ text
+// straight from the decoder (shard.Container.AppendFASTQ). A shard whose
+// text exceeds the whole cache budget is never cached: the request holds
+// its decode-pool slot until the response drains, so at most Workers
+// such decoded shards are resident at once (concurrent streams of the
+// same shard share one copy) and serving memory is bounded by the cache
 // budget plus the decode pool, never by container or shard size.
 // Containers are opened via shard.Open, so serving
 // costs each container's index in memory plus the shared cache budget —
@@ -533,10 +533,8 @@ func (s *Server) handleReads(w http.ResponseWriter, r *http.Request, e *Named) {
 	defer d.done()
 	s.met.readReqs.Inc()
 	h.Set("Content-Type", "text/plain; charset=utf-8")
-	h.Set("Content-Length", strconv.FormatInt(d.size, 10))
-	if err := d.writeTo(w); err != nil {
-		s.met.writeFails.Inc()
-	}
+	h.Set("Content-Length", strconv.Itoa(len(d.data)))
+	s.writeBody(w, d.data)
 }
 
 // handleReadsOriginal serves a reordered shard's records sorted back
@@ -596,25 +594,25 @@ func (s *Server) handleReadsOriginal(w http.ResponseWriter, r *http.Request, e *
 
 // shardRecords returns shard i as records for the record-level
 // consumers (/query, ?order=original); the caller must call done when
-// finished with them. A cold shard's flight hands over the records its
-// decode produced. A warm shard's cached text is reparsed: the cache
-// stores serialized FASTQ, and a query is expected to touch many shards
-// once rather than one shard many times, so keeping the cache byte-exact
-// wins over saving the parse. A container written without quality
-// scores decodes to text with blank quality lines, which the strict
-// FASTQ scanner rejects, so a warm hit there decodes again — on the
-// pool, like every other decode.
+// finished with them. The records are parsed from the shard's text,
+// cold or warm: the cache stores serialized FASTQ, and a query is
+// expected to touch many shards once rather than one shard many times,
+// so keeping one decoded shape wins over saving the parse. A container
+// written without quality scores decodes to text with blank quality
+// lines, which the strict FASTQ scanner rejects, so there the records
+// are decoded again — on the pool, like every other decode.
 func (s *Server) shardRecords(ctx context.Context, e *Named, i int) (rs *fastq.ReadSet, done func(), err error) {
 	d, err := s.decodedShard(ctx, e, i)
 	if err != nil {
 		return nil, nil, err
 	}
-	if d.rs != nil {
-		return d.rs, d.done, nil
-	}
+	rs, err = fastq.Parse(bytes.NewReader(d.data))
 	d.done()
-	if rs, err = fastq.Parse(bytes.NewReader(d.data)); err != nil {
-		if rs, err = s.poolDecode(ctx, e, i); err != nil {
+	if err != nil {
+		if err = s.poolDecode(ctx, func() (err error) {
+			rs, err = e.C.DecompressShard(i, s.cons)
+			return err
+		}); err != nil {
 			return nil, nil, err
 		}
 		<-s.sem
@@ -626,20 +624,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, s.Stats())
 }
 
-// decoded is one shard's decoded FASTQ, in one of two shapes: text
-// bytes (the cacheable case; a flight that had to decode also hands
-// over the records it decoded them from) or the record structs alone
-// (a shard too large for the cache budget, streamed to the client
-// without ever materializing the text). A streaming decoded keeps its
-// decode-pool slot until every consumer is done — the slot is what
-// bounds how many oversized decoded shards can be resident at once —
-// so the flight claims one reference per consumer before handing it
-// out, and each consumer must call done() when its stream finishes;
-// the last one releases the slot.
+// decoded is one shard's decoded FASTQ text. A shard too large for the
+// cache budget keeps its decode-pool slot until every consumer is done —
+// the slot is what bounds how many oversized decoded shards can be
+// resident at once — so the flight claims one reference per consumer
+// before handing it out, and each consumer must call done() when its
+// stream finishes; the last one releases the slot.
 type decoded struct {
 	data    []byte
-	rs      *fastq.ReadSet
-	size    int64
 	refs    atomic.Int64
 	release func()
 }
@@ -661,50 +653,31 @@ func (d *decoded) done() {
 	}
 }
 
-// writeTo writes the FASTQ text to w: a single write for materialized
-// text, record-by-record streaming otherwise.
-func (d *decoded) writeTo(w io.Writer) error {
-	if d.data != nil {
-		_, err := w.Write(d.data)
-		return err
-	}
-	return d.rs.Write(w)
-}
-
-// bytes materializes the text (for in-process consumers).
-func (d *decoded) bytes() []byte {
-	if d.data != nil {
-		return d.data
-	}
-	return d.rs.Bytes()
-}
-
-// poolDecode is the server's one core decode: every DecompressShard
-// runs here, holding a slot of the bounded pool, counted in decodes,
-// timed on the pool histograms and, when ctx carries an obs.Trace,
-// recorded as that request's "queue-wait" and "decode" spans. On
-// success it returns still holding the slot; the caller frees it
-// (<-s.sem) once the records may leave memory. A request cancelled
-// while it waits for a slot gives up the wait, is counted in
-// cancelled, and returns ctx.Err().
-func (s *Server) poolDecode(ctx context.Context, e *Named, i int) (*fastq.ReadSet, error) {
+// poolDecode runs decode, the server's one kind of core decode, holding
+// a slot of the bounded pool, counted in decodes, timed on the pool
+// histograms and, when ctx carries an obs.Trace, recorded as that
+// request's "queue-wait" and "decode" spans. On success it returns still
+// holding the slot; the caller frees it (<-s.sem) once the decoded
+// shard may leave memory. A request cancelled while it waits for a slot
+// gives up the wait, is counted in cancelled, and returns ctx.Err().
+func (s *Server) poolDecode(ctx context.Context, decode func() error) error {
 	_, qsp := obs.Start(ctx, "queue-wait")
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
 		qsp.End()
 		s.met.cancelled.Inc()
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	s.met.queueWait.Observe(qsp.End())
 	s.met.decodes.Inc()
 	_, dsp := obs.Start(ctx, "decode")
-	rs, err := e.C.DecompressShard(i, s.cons)
+	err := decode()
 	s.met.decode.Observe(dsp.End())
 	if err != nil {
 		<-s.sem
 	}
-	return rs, err
+	return err
 }
 
 // decodedShard returns shard i of e as decoded FASTQ: from the shared
@@ -719,7 +692,7 @@ func (s *Server) decodedShard(ctx context.Context, e *Named, i int) (*decoded, e
 	if data, ok := s.cache.get(key); ok {
 		s.met.hits.Inc()
 		s.met.cacheHitBytes.Add(int64(len(data)))
-		return &decoded{data: data, size: int64(len(data))}, nil
+		return &decoded{data: data}, nil
 	}
 	s.met.misses.Inc()
 	lead := func() (*decoded, error) {
@@ -730,25 +703,26 @@ func (s *Server) decodedShard(ctx context.Context, e *Named, i int) (*decoded, e
 		// by the get above, so this lookup neither counts nor promotes.
 		if data, ok := s.cache.peek(key); ok {
 			s.met.cacheHitBytes.Add(int64(len(data)))
-			return &decoded{data: data, size: int64(len(data))}, nil
+			return &decoded{data: data}, nil
 		}
-		rs, err := s.poolDecode(ctx, e, i)
-		if err != nil {
+		var data []byte
+		if err := s.poolDecode(ctx, func() (err error) {
+			data, err = e.C.AppendFASTQ(nil, i, s.cons)
+			return err
+		}); err != nil {
 			return nil, err
 		}
-		size := int64(rs.UncompressedSize())
+		size := int64(len(data))
 		s.met.cacheMissB.Add(size)
 		if size > s.cfg.CacheBytes {
-			// The text could never be cached; skip materializing it and
-			// let the handler stream the records straight to the client.
-			// The decode-pool slot stays held until the LAST sharing
-			// stream finishes (the flight refcounts its consumers):
-			// that is what keeps N slow clients on N oversized shards
-			// from pinning N decoded shards — at most Workers such
-			// shards are resident, the rest of the requests queue here.
-			return &decoded{rs: rs, size: size, release: func() { <-s.sem }}, nil
+			// The text could never be cached. The decode-pool slot stays
+			// held until the LAST sharing stream finishes (the flight
+			// refcounts its consumers): that is what keeps N slow
+			// clients on N oversized shards from pinning N decoded
+			// shards — at most Workers such shards are resident, the
+			// rest of the requests queue here.
+			return &decoded{data: data, release: func() { <-s.sem }}, nil
 		}
-		data := rs.Bytes()
 		evicted, evictedBytes, rejected := s.cache.add(key, data)
 		s.met.evictions.Add(int64(evicted))
 		s.met.cacheEvictedB.Add(evictedBytes)
@@ -756,7 +730,7 @@ func (s *Server) decodedShard(ctx context.Context, e *Named, i int) (*decoded, e
 			s.met.cacheRejected.Inc()
 		}
 		<-s.sem
-		return &decoded{data: data, rs: rs, size: size}, nil
+		return &decoded{data: data}, nil
 	}
 	d, err, shared := s.fl.do(key, lead)
 	if shared && cancelled(err) && ctx.Err() == nil {
@@ -787,8 +761,8 @@ func (s *Server) DecodedShardOf(name string, i int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer d.done()
-	return d.bytes(), nil
+	d.done()
+	return d.data, nil
 }
 
 // writeJSON writes v as indented JSON. Encode failures — a client that

@@ -25,11 +25,13 @@
 // served container costs its index in memory — never the file; Parse
 // opens a container held in a byte slice the same way. Block is the one
 // block accessor (checksum-verified raw bytes; Extent says where they
-// sit in the file), DecompressShard the one fetch + verify + decode +
-// count-check of a shard, and DecodeBlock the same for a caller that
-// fetched the bytes itself. Whole-container reads all run on one ordered,
-// bounded-memory decode pool: DecompressTo streams FASTQ in stored
-// order, DecompressOriginalTo in original input order, Filter streams
+// sit in the file), DecompressShard the fetch + verify + decode +
+// count-check of a shard to records, AppendFASTQ the same to FASTQ text
+// straight from the decoder, and DecodeBlock DecompressShard for a
+// caller that fetched the bytes itself. Whole-container reads all run on
+// one ordered, bounded-memory decode pool: DecompressTo streams FASTQ in
+// stored order (workers render the text, the writer only writes it),
+// DecompressOriginalTo in original input order, Filter streams
 // the records matching a Predicate after zone-map pruning, and
 // Decompress collects the records in memory. Inspect renders the
 // index, including per-source attribution and per-file totals when a

@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 
 	"sage/internal/fastq"
@@ -201,6 +202,14 @@ type Container struct {
 	// handles can report container-absolute block offsets.
 	src       io.ReaderAt
 	blockBase int64
+	// text caches the consensus the blocks decode against, as letters
+	// (AppendFASTQ's letterCons): the embedded one, else the last
+	// external one asked for.
+	text struct {
+		sync.Mutex
+		of      genome.Seq
+		letters []byte
+	}
 }
 
 // NumShards returns the shard count.
@@ -609,14 +618,17 @@ func (c *Container) checkIndex(i int) error {
 }
 
 // fetch reads shard i's block as stored, unverified.
-func (c *Container) fetch(i int) ([]byte, error) {
+func (c *Container) fetch(i int) ([]byte, error) { return c.fetchInto(nil, i) }
+
+// fetchInto is fetch into buf's memory when it has room.
+func (c *Container) fetchInto(buf []byte, i int) ([]byte, error) {
 	if err := c.checkIndex(i); err != nil {
-		return nil, err
+		return buf, err
 	}
 	e := c.Index.Entries[i]
-	b := make([]byte, e.Length)
+	b := slices.Grow(buf[:0], int(e.Length))[:e.Length]
 	if _, err := c.src.ReadAt(b, c.blockBase+e.Offset); err != nil {
-		return nil, fmt.Errorf("shard: reading block %d: %w", i, err)
+		return b, fmt.Errorf("shard: reading block %d: %w", i, err)
 	}
 	return b, nil
 }

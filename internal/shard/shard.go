@@ -12,6 +12,7 @@ import (
 
 	"sage/internal/core"
 	"sage/internal/fastq"
+	"sage/internal/freelist"
 	"sage/internal/genome"
 	"sage/internal/mapper"
 	"sage/internal/reorder"
@@ -332,11 +333,57 @@ func (c *Container) DecodeBlock(i int, blk []byte, cons genome.Seq) (*fastq.Read
 	if err != nil {
 		return nil, fmt.Errorf("shard: decoding shard %d: %w", i, err)
 	}
-	if len(rs.Records) != c.Index.Entries[i].ReadCount {
-		return nil, fmt.Errorf("shard: shard %d decoded %d reads, index says %d",
-			i, len(rs.Records), c.Index.Entries[i].ReadCount)
+	return rs, c.checkCount(i, len(rs.Records))
+}
+
+// AppendFASTQ is DecompressShard to FASTQ text: it appends shard i's
+// reads to dst, byte for byte what ReadSet.Write writes for the records
+// DecompressShard returns, straight from the decoder (core.AppendFASTQ).
+// The consensus is turned into letters once per container, and again
+// only for a different fallback cons.
+func (c *Container) AppendFASTQ(dst []byte, i int, cons genome.Seq) ([]byte, error) {
+	blk := blocks.Get()
+	defer blocks.Put(blk)
+	var err error
+	if *blk, err = c.fetchInto((*blk)[:0], i); err != nil {
+		return dst, err
 	}
-	return rs, nil
+	if err := c.verify(i, *blk); err != nil {
+		return dst, err
+	}
+	out, n, err := core.AppendFASTQ(dst, *blk, c.letters(cons))
+	if err != nil {
+		return dst, fmt.Errorf("shard: decoding shard %d: %w", i, err)
+	}
+	if err := c.checkCount(i, n); err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// checkCount checks the number of reads shard i decoded to against the
+// index.
+func (c *Container) checkCount(i, n int) error {
+	if want := c.Index.Entries[i].ReadCount; n != want {
+		return fmt.Errorf("shard: shard %d decoded %d reads, index says %d", i, n, want)
+	}
+	return nil
+}
+
+// letters returns the consensus the blocks decode against — the
+// embedded one, else cons — as letters, building it only when it is
+// not the one built last.
+func (c *Container) letters(cons genome.Seq) []byte {
+	if c.Consensus != nil {
+		cons = c.Consensus
+	}
+	t := &c.text
+	t.Lock()
+	defer t.Unlock()
+	if len(t.of) != len(cons) || len(cons) > 0 && &t.of[0] != &cons[0] || t.letters == nil {
+		t.of, t.letters = cons, genome.AppendASCII(make([]byte, 0, len(cons)), cons)
+	}
+	return t.letters
 }
 
 // testDecodeStarted, when non-nil, observes every shard decode
@@ -347,17 +394,35 @@ var testDecodeStarted func(shard int)
 
 // DecompressTo decodes the container shard by shard on up to workers
 // goroutines (<= 0 uses GOMAXPROCS) and streams the reads to w in shard
-// order, record by record. Unlike Decompress, the whole read set is
-// never materialized: at most workers+1 decoded shards are resident at
-// once — shards are admitted into the decode pool only as the writer
-// drains earlier ones — so peak memory is O(workers × shard), not
-// O(container). cons is the fallback consensus for containers written
-// without an embedded one. This is the streaming path behind
-// `sage decompress` and large-shard serving.
+// order, one write per shard: each worker renders its shard's FASTQ text
+// straight from the decoder (AppendFASTQ), and the writer only writes.
+// Unlike Decompress, the whole read set is never materialized: at most
+// workers+1 decoded shards are resident at once — shards are admitted
+// into the decode pool only as the writer drains earlier ones — so peak
+// memory is O(workers × shard), not O(container). cons is the fallback
+// consensus for containers written without an embedded one. This is the
+// streaming path behind `sage decompress`.
 func (c *Container) DecompressTo(w io.Writer, cons genome.Seq, workers int) error {
-	_, err := c.streamShards(writeSink(w), cons, workers, c.allShards(), nil)
-	return err
+	return stream(c.allShards(), workers, func(i int) (*[]byte, error) {
+		buf := texts.Get()
+		var err error
+		*buf, err = c.AppendFASTQ((*buf)[:0], i, cons)
+		return buf, err
+	}, func(buf *[]byte) error {
+		_, err := w.Write(*buf)
+		texts.Put(buf)
+		return err
+	})
 }
+
+// Buffers kept between shard decodes (package freelist says why not a
+// sync.Pool): the text a DecompressTo worker renders a shard into, until
+// the writer has written it, and the block AppendFASTQ fetches, until
+// core has parsed it.
+var (
+	texts  = freelist.New[[]byte]()
+	blocks = freelist.New[[]byte]()
+)
 
 // DecompressOriginalTo streams the container to w in the exact
 // original input order. For identity-order containers it is
@@ -418,16 +483,45 @@ func (c *Container) allShards() []int {
 	return list
 }
 
-// streamShards is the one ordered decode pool, shared by Decompress,
-// DecompressTo, DecompressOriginalTo, and Filter: the shards named by
-// list decode on a worker pool and their records reach emit in list
-// order. keep, when non-nil, drops non-matching records worker-side
-// before the shard ever reaches the sink. Returns the number of
-// records emitted.
+// streamShards is stream over records, shared by Decompress,
+// DecompressOriginalTo, and Filter: the shards named by list decode to
+// records and reach emit in list order. keep, when non-nil, drops
+// non-matching records worker-side before the shard ever reaches the
+// sink. Returns the number of records emitted.
 func (c *Container) streamShards(emit func(*fastq.ReadSet) error, cons genome.Seq, workers int, list []int, keep func(*fastq.Record) bool) (int, error) {
+	written := 0
+	err := stream(list, workers, func(i int) (*fastq.ReadSet, error) {
+		rs, err := c.DecompressShard(i, cons)
+		if err == nil && keep != nil {
+			// Filter worker-side so non-matching records never
+			// occupy the write-order window.
+			kept := make([]fastq.Record, 0, len(rs.Records))
+			for r := range rs.Records {
+				if keep(&rs.Records[r]) {
+					kept = append(kept, rs.Records[r])
+				}
+			}
+			rs = &fastq.ReadSet{Records: kept}
+		}
+		return rs, err
+	}, func(rs *fastq.ReadSet) error {
+		if err := emit(rs); err != nil {
+			return err
+		}
+		written += len(rs.Records)
+		return nil
+	})
+	return written, err
+}
+
+// stream is the one ordered decode pool, behind DecompressTo and
+// streamShards: decode runs for each shard of list on up to workers
+// goroutines (<= 0 uses GOMAXPROCS), and emit receives the results in
+// list order, on the calling goroutine.
+func stream[T any](list []int, workers int, decode func(shard int) (T, error), emit func(T) error) error {
 	n := len(list)
 	if n == 0 {
-		return 0, nil
+		return nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -449,7 +543,7 @@ func (c *Container) streamShards(emit func(*fastq.ReadSet) error, cons genome.Se
 	var (
 		mu       sync.Mutex
 		cond     = sync.NewCond(&mu)
-		ready    = make(map[int]*fastq.ReadSet, workers+1)
+		ready    = make(map[int]T, workers+1)
 		firstErr error
 	)
 	var stop atomic.Bool
@@ -478,18 +572,7 @@ func (c *Container) streamShards(emit func(*fastq.ReadSet) error, cons genome.Se
 				if testDecodeStarted != nil {
 					testDecodeStarted(shardID)
 				}
-				rs, err := c.DecompressShard(shardID, cons)
-				if err == nil && keep != nil {
-					// Filter worker-side so non-matching records never
-					// occupy the write-order window.
-					kept := make([]fastq.Record, 0, len(rs.Records))
-					for r := range rs.Records {
-						if keep(&rs.Records[r]) {
-							kept = append(kept, rs.Records[r])
-						}
-					}
-					rs = &fastq.ReadSet{Records: kept}
-				}
+				v, err := decode(shardID)
 				mu.Lock()
 				if err != nil {
 					if firstErr == nil {
@@ -497,7 +580,7 @@ func (c *Container) streamShards(emit func(*fastq.ReadSet) error, cons genome.Se
 					}
 					stop.Store(true)
 				} else {
-					ready[i] = rs
+					ready[i] = v
 				}
 				cond.Broadcast()
 				mu.Unlock()
@@ -505,24 +588,21 @@ func (c *Container) streamShards(emit func(*fastq.ReadSet) error, cons genome.Se
 		}()
 	}
 
-	written := 0
 	var writeErr error
 	for i := 0; i < n && writeErr == nil; i++ {
 		mu.Lock()
-		for ready[i] == nil && firstErr == nil {
+		v, ok := ready[i]
+		for !ok && firstErr == nil {
 			cond.Wait()
+			v, ok = ready[i]
 		}
 		if firstErr != nil {
 			mu.Unlock()
 			break
 		}
-		rs := ready[i]
 		delete(ready, i)
 		mu.Unlock()
-		writeErr = emit(rs)
-		if writeErr == nil {
-			written += len(rs.Records)
-		}
+		writeErr = emit(v)
 		<-window // the shard left memory: admit the next decode
 	}
 	if writeErr != nil {
@@ -542,12 +622,12 @@ func (c *Container) streamShards(emit func(*fastq.ReadSet) error, cons genome.Se
 			select {
 			case <-window:
 			case <-done:
-				return written, firstErr
+				return firstErr
 			}
 		}
 	}
 	pipeline.Wait()
-	return written, nil
+	return nil
 }
 
 // Decompress parses a sharded container and decodes it whole: Parse
