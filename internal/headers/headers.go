@@ -239,6 +239,9 @@ func appendTemplated(dst []byte, ends []int, data []byte) ([]byte, []int, error)
 	if err != nil {
 		return dst, ends, err
 	}
+	if holes := bytes.Count(tmpl, []byte{0}); uint64(holes) != nSlots {
+		return dst, ends, fmt.Errorf("headers: template has %d slots, stream says %d", holes, nSlots)
+	}
 	bodyBits, err := binary.ReadUvarint(rd)
 	if err != nil {
 		return dst, ends, err

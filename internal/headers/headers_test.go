@@ -84,6 +84,10 @@ func TestDecompressErrors(t *testing.T) {
 	if _, err := Decompress([]byte{modeTemplated}); err == nil {
 		t.Fatal("expected error for truncated stream")
 	}
+	// One header whose template has two slots where the stream codes one.
+	if _, err := Decompress([]byte{modeTemplated, 1, 2, 0, 0, 1, 16, 0x01, 0x00}); err == nil {
+		t.Fatal("expected error for a template with more slots than the stream")
+	}
 }
 
 func TestQuickTemplated(t *testing.T) {
