@@ -227,8 +227,13 @@ type decoder struct {
 
 var decoders = freelist.New[decoder]()
 
-// put drops d's references to the block and returns it to the list.
+// put drops d's references to the block and returns it to the list,
+// unless its buffers together outgrew freelist.MaxKeep.
 func (d *decoder) put() {
+	if cap(d.bases)+cap(d.quals)+cap(d.names)+cap(d.cu.scratch)+
+		8*(cap(d.lengths)+cap(d.ends)) > freelist.MaxKeep {
+		return
+	}
 	d.cu = ControlUnit{scratch: d.cu.scratch[:0]}
 	d.streams = [len(d.streams)]bitio.Reader{}
 	decoders.Put(d)
@@ -300,15 +305,12 @@ func Decompress(data []byte, externalCons genome.Seq) (*fastq.ReadSet, error) {
 		}
 	}
 	if c.hdr.has(flagHeaders) {
-		hs, err := headers.Decompress(c.headers)
-		if err != nil {
+		if d.names, d.ends, err = headers.Append(d.names[:0], d.ends[:0], c.headers, c.hdr.numReads); err != nil {
 			return nil, err
 		}
-		if len(hs) != c.hdr.numReads {
-			return nil, fmt.Errorf("core: %d headers for %d reads", len(hs), c.hdr.numReads)
-		}
-		for i := range rs.Records {
-			rs.Records[i].Header = hs[i]
+		hs, start := string(d.names), 0
+		for i, end := range d.ends {
+			rs.Records[i].Header, start = hs[start:end], end
 		}
 	}
 	return rs, nil
@@ -345,11 +347,8 @@ func AppendFASTQ(dst, data, letterCons []byte) ([]byte, int, error) {
 		size += len(d.quals)
 	}
 	if hasNames {
-		if d.names, d.ends, err = headers.Append(d.names[:0], d.ends[:0], c.headers); err != nil {
+		if d.names, d.ends, err = headers.Append(d.names[:0], d.ends[:0], c.headers, n); err != nil {
 			return dst, 0, err
-		}
-		if len(d.ends) != n {
-			return dst, 0, fmt.Errorf("core: %d headers for %d reads", len(d.ends), n)
 		}
 		size += len(d.names)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"sage/internal/fastq"
+	"sage/internal/freelist"
 	"sage/internal/genome"
 	"sage/internal/simulate"
 )
@@ -297,6 +298,33 @@ func TestBlockRejectsReservedFlags(t *testing.T) {
 	}
 }
 
+// A header stream whose template has no slots claims any header count
+// for free; both decoders check it against the block's read count
+// before growing anything for it.
+func TestDecodeRejectsHeaderCount(t *testing.T) {
+	ref, rs := makeShortSet(t, 17, 20000, 20)
+	enc, err := Compress(rs, DefaultOptions(ref))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := parseContainer(enc.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Templated (mode 1), 2^40 headers, template "r", no slots, no body.
+	c.headers = []byte{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 1, 'r', 0, 0}
+	block, err := c.marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decompress(block, nil); err == nil || !strings.Contains(err.Error(), "headers") {
+		t.Errorf("Decompress: %v", err)
+	}
+	if _, _, err := AppendFASTQ(nil, block, nil); err == nil || !strings.Contains(err.Error(), "headers") {
+		t.Errorf("AppendFASTQ: %v", err)
+	}
+}
+
 func TestDecompressRejectsTruncation(t *testing.T) {
 	ref, rs := makeShortSet(t, 14, 20000, 100)
 	enc, err := Compress(rs, DefaultOptions(ref))
@@ -399,5 +427,31 @@ func TestQuickRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A block whose scratch outgrows freelist.MaxKeep is decoded, and the
+// scratch is dropped rather than kept for the life of the process.
+func TestDecoderScratchBounded(t *testing.T) {
+	ref, rs := makeShortSet(t, 19, 50_000, 14_000)
+	enc, err := Compress(rs, DefaultOptions(ref))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decompress(enc.Data, nil); err != nil {
+		t.Fatal(err)
+	}
+	text, _, err := AppendFASTQ(nil, enc.Data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(text) <= freelist.MaxKeep {
+		t.Fatalf("the block renders to %d bytes, not past MaxKeep", len(text))
+	}
+	for len(decoders) > 0 {
+		d := <-decoders
+		if n := cap(d.bases) + cap(d.quals) + cap(d.names); n > freelist.MaxKeep {
+			t.Fatalf("a decoder holding %d bytes of scratch was kept", n)
+		}
 	}
 }

@@ -1,11 +1,16 @@
 // Package freelist keeps scratch values between uses: coder state in
-// internal/qual, mapping buffers in internal/mapper.
+// internal/qual, mapping buffers in internal/mapper, decode buffers in
+// internal/core and internal/shard.
 //
 // A List is a channel, not a sync.Pool: a GC empties a pool, and the
 // first calls after every collection — many of them in an ingest that
 // allocates tens of megabytes — would allocate and zero their scratch
 // again. A List keeps one value per goroutine that can run at once and
 // drops what it has no room for.
+//
+// A List lives as long as the process, so a buffer that grows with its
+// input is put back only up to MaxKeep bytes: one oversized input must
+// not leave that much scratch held for good, idle or not.
 package freelist
 
 import "runtime"
@@ -32,5 +37,17 @@ func (l List[T]) Put(v *T) {
 	select {
 	case l <- v:
 	default:
+	}
+}
+
+// MaxKeep is the most bytes of buffer a caller puts back; a larger one
+// is dropped, and its next use allocates afresh, which costs little
+// beside the work that fills that much.
+const MaxKeep = 4 << 20
+
+// PutBuf returns b to l, or drops it when its capacity passes MaxKeep.
+func PutBuf(l List[[]byte], b *[]byte) {
+	if cap(*b) <= MaxKeep {
+		l.Put(b)
 	}
 }

@@ -27,6 +27,10 @@ const (
 	modeRaw       = 2
 )
 
+// maxDigits is the longest digit run stored as a number; a longer one
+// is a literal. It bounds the zero-padded width a slot may claim.
+const maxDigits = 18
+
 // token splits a header into literal and numeric runs.
 type token struct {
 	literal string
@@ -53,7 +57,7 @@ func tokenizeAppend(out []token, h string) []token {
 				v = nv
 				j++
 			}
-			if overflow || j-i > 18 {
+			if overflow || j-i > maxDigits {
 				// Treat absurdly long digit runs as literals.
 				out = append(out, token{literal: h[i:j]})
 			} else {
@@ -187,7 +191,7 @@ func compressRaw(hs []string) ([]byte, error) {
 // Decompress decodes a header list. The strings share one backing
 // array and are retained together.
 func Decompress(data []byte) ([]string, error) {
-	buf, ends, err := Append(nil, nil, data)
+	buf, ends, err := Append(nil, nil, data, -1)
 	if err != nil || len(ends) == 0 {
 		return nil, err
 	}
@@ -202,7 +206,11 @@ func Decompress(data []byte) ([]string, error) {
 
 // Append is Decompress into dst: it appends the headers to dst end to
 // end and, for each, its end offset in dst to ends, and returns both.
-func Append(dst []byte, ends []int, data []byte) ([]byte, []int, error) {
+// A stream that does not hold exactly want headers fails before
+// anything is allocated (want < 0 takes any count): a template without
+// slots costs no body bits per header, so nothing else in the stream
+// bounds the count it claims.
+func Append(dst []byte, ends []int, data []byte, want int) ([]byte, []int, error) {
 	if len(data) == 0 {
 		return dst, ends, fmt.Errorf("headers: empty stream")
 	}
@@ -210,19 +218,22 @@ func Append(dst []byte, ends []int, data []byte) ([]byte, []int, error) {
 	rest := data[1:]
 	switch mode {
 	case modeTemplated:
-		return appendTemplated(dst, ends, rest)
+		return appendTemplated(dst, ends, rest, want)
 	case modeRaw:
-		return appendRaw(dst, ends, rest)
+		return appendRaw(dst, ends, rest, want)
 	default:
 		return dst, ends, fmt.Errorf("headers: unknown mode %d", mode)
 	}
 }
 
-func appendTemplated(dst []byte, ends []int, data []byte) ([]byte, []int, error) {
+func appendTemplated(dst []byte, ends []int, data []byte, want int) ([]byte, []int, error) {
 	rd := bytes.NewReader(data)
 	n, err := binary.ReadUvarint(rd)
 	if err != nil {
 		return dst, ends, fmt.Errorf("headers: %w", err)
+	}
+	if err := checkCount(n, want); err != nil {
+		return dst, ends, err
 	}
 	if n == 0 {
 		return dst, ends, nil
@@ -271,6 +282,9 @@ func appendTemplated(dst []byte, ends []int, data []byte) ([]byte, []int, error)
 			if err != nil {
 				return dst, ends, err
 			}
+			if wd > maxDigits {
+				return dst, ends, fmt.Errorf("headers: slot width %d exceeds %d digits", wd, maxDigits)
+			}
 			zz, err := bitio.ReadUvarint64(br)
 			if err != nil {
 				return dst, ends, err
@@ -318,10 +332,13 @@ func appendZeroPad(dst []byte, v uint64, width int) []byte {
 	return append(dst, tmp[i:]...)
 }
 
-func appendRaw(dst []byte, ends []int, data []byte) ([]byte, []int, error) {
+func appendRaw(dst []byte, ends []int, data []byte, want int) ([]byte, []int, error) {
 	rd := bytes.NewReader(data)
 	n, err := binary.ReadUvarint(rd)
 	if err != nil {
+		return dst, ends, err
+	}
+	if err := checkCount(n, want); err != nil {
 		return dst, ends, err
 	}
 	cl, err := binary.ReadUvarint(rd)
@@ -347,6 +364,14 @@ func appendRaw(dst []byte, ends []int, data []byte) ([]byte, []int, error) {
 		raw = rest
 	}
 	return dst, ends, nil
+}
+
+// checkCount checks the header count n a stream claims against want.
+func checkCount(n uint64, want int) error {
+	if want >= 0 && n != uint64(want) {
+		return fmt.Errorf("headers: stream holds %d headers, want %d", n, want)
+	}
+	return nil
 }
 
 // next returns the n bytes of data at rd's position and moves rd past

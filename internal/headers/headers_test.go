@@ -3,8 +3,11 @@ package headers
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"sage/internal/bitio"
 )
 
 func roundtrip(t *testing.T, hs []string) []byte {
@@ -87,6 +90,29 @@ func TestDecompressErrors(t *testing.T) {
 	// One header whose template has two slots where the stream codes one.
 	if _, err := Decompress([]byte{modeTemplated, 1, 2, 0, 0, 1, 16, 0x01, 0x00}); err == nil {
 		t.Fatal("expected error for a template with more slots than the stream")
+	}
+	// A template without slots costs no body bits per header, so its
+	// count is bounded only by the caller's: 2^40 headers of "r" must
+	// fail before anything is grown for them.
+	huge := []byte{modeTemplated, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 1, 'r', 0, 0}
+	if _, _, err := Append(nil, nil, huge, 3); err == nil {
+		t.Fatal("expected error for a stream claiming 2^40 headers where 3 were asked for")
+	}
+	raw, err := Compress([]string{"a b", "c d e"})
+	if err != nil || raw[0] != modeRaw {
+		t.Fatalf("raw stream: mode %d, %v", raw[0], err)
+	}
+	if _, _, err := Append(nil, nil, raw, 3); err == nil {
+		t.Fatal("expected error for a raw stream of 2 headers where 3 were asked for")
+	}
+	// One header "x" followed by a slot zero-padded to 2^40 digits, a
+	// width no tokenization produces.
+	bw := bitio.NewWriter(16)
+	bitio.PutUvarint64(bw, 1<<40)
+	bitio.PutUvarint64(bw, 0)
+	wide := append([]byte{modeTemplated, 1, 2, 'x', 0, 1, byte(bw.Len())}, bw.Bytes()...)
+	if _, err := Decompress(wide); err == nil || !strings.Contains(err.Error(), "width") {
+		t.Fatalf("a slot 2^40 digits wide: %v", err)
 	}
 }
 

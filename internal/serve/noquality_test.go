@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sage/internal/fastq"
 	"sage/internal/genome"
@@ -77,27 +80,20 @@ func noQualityServer(t *testing.T, reordered bool, cfg Config) (*Server, *httpte
 // written without quality scores — whose decoded text the strict FASTQ
 // parser rejects — and every core decode they cause runs on the pool:
 // with one worker nothing deadlocks, and Stats().Decodes equals the
-// decodes that actually ran. The records come from the shard's text,
-// cold or warm, so here each request decodes the shard to records once
-// more after the text: twice when cold, once when warm.
+// decodes that actually ran. A cold shard is decoded once, not twice.
 func TestNoQualityRecordPaths(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"cached", Config{Workers: 1}},
-		// Every shard exceeds the budget: its text keeps the decode's
-		// pool slot until the handler is done, and is never cached.
+		// Every shard exceeds the budget: records stream from a decode
+		// that keeps its pool slot until the handler is done.
 		{"oversized", Config{Workers: 1, CacheBytes: 1}},
 	} {
 		t.Run(tc.name+"/query", func(t *testing.T) {
 			s, ts, c, rs, cr := noQualityServer(t, false, tc.cfg)
-			perPass := int64(c.NumShards())
-			wantDecodes := []int64{2 * perPass, 3 * perPass}
-			if tc.cfg.CacheBytes == 1 {
-				wantDecodes[1] = 4 * perPass
-			}
-			for pass, wantDecodes := range wantDecodes {
+			for pass, wantDecodes := range []int64{int64(c.NumShards()), 2 * int64(c.NumShards())} {
 				code, body := get(t, ts.URL+"/c/default/query?min-len=1&count=1")
 				if code != 200 {
 					t.Fatalf("pass %d: status %d: %s", pass, code, body)
@@ -109,10 +105,7 @@ func TestNoQualityRecordPaths(t *testing.T) {
 				if sum.ReadsMatched != len(rs.Records) || sum.ReadsScanned != len(rs.Records) {
 					t.Fatalf("pass %d: matched %d, scanned %d, want %d", pass, sum.ReadsMatched, sum.ReadsScanned, len(rs.Records))
 				}
-				// Cold: the text decode, then the records'. Warm: the cached
-				// text cannot be reparsed, so each shard decodes to records
-				// once more (an oversized shard is never cached and decodes
-				// twice per request).
+				// Cold and warm alike: one decode per shard.
 				if got := s.Stats().Decodes; got != wantDecodes || got != cr.n.Load() {
 					t.Fatalf("pass %d: Stats().Decodes = %d, %d decodes ran, want %d", pass, got, cr.n.Load(), wantDecodes)
 				}
@@ -141,9 +134,56 @@ func TestNoQualityRecordPaths(t *testing.T) {
 			if !bytes.Equal(body, want) {
 				t.Fatalf("original-order body differs: %d bytes, want %d", len(body), len(want))
 			}
-			if got := s.Stats().Decodes; got != 2 || got != cr.n.Load() {
-				t.Fatalf("Stats().Decodes = %d, %d decodes ran, want 2", got, cr.n.Load())
+			if got := s.Stats().Decodes; got != 1 || got != cr.n.Load() {
+				t.Fatalf("Stats().Decodes = %d, %d decodes ran, want 1", got, cr.n.Load())
 			}
 		})
+	}
+}
+
+// TestRecordsHoldOversizedSlot: records over the cache budget keep
+// their decode-pool slot until their consumer is done, whether they were
+// parsed from the shard's text or, without quality, decoded straight to
+// records. With one worker, a second /query waits while the first
+// handler still holds its records, and finishes once they are released.
+func TestRecordsHoldOversizedSlot(t *testing.T) {
+	cfg := Config{Workers: 1, CacheBytes: 1}
+	data, _, _ := testContainer(t, 200, 50)
+	scored, scoredTS := newTestServer(t, data, cfg)
+	bare, bareTS, _, _, _ := noQualityServer(t, false, cfg)
+	for _, tc := range []struct {
+		name string
+		s    *Server
+		url  string
+	}{
+		{"text", scored, scoredTS.URL},
+		{"no-quality", bare, bareTS.URL},
+	} {
+		rs, done, err := tc.s.shardRecords(context.Background(), tc.s.byName[defaultName], 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(rs.Records) == 0 {
+			t.Fatalf("%s: shard 0 holds no records", tc.name)
+		}
+		status := make(chan int, 1)
+		go func() {
+			resp, err := http.Get(tc.url + "/c/default/query?min-len=1&count=1")
+			if err != nil {
+				status <- 0
+				return
+			}
+			resp.Body.Close()
+			status <- resp.StatusCode
+		}()
+		select {
+		case code := <-status:
+			t.Fatalf("%s: a second query finished (status %d) while the first held the only slot", tc.name, code)
+		case <-time.After(100 * time.Millisecond):
+		}
+		done()
+		if code := <-status; code != 200 {
+			t.Fatalf("%s: the second query ended with status %d", tc.name, code)
+		}
 	}
 }

@@ -51,7 +51,8 @@
 // receive the one result. A decode renders the shard's FASTQ text
 // straight from the decoder (shard.Container.AppendFASTQ). A shard whose
 // text exceeds the whole cache budget is never cached: the request holds
-// its decode-pool slot until the response drains, so at most Workers
+// its decode-pool slot until the response drains (on /query and
+// ?order=original, until the records are done with), so at most Workers
 // such decoded shards are resident at once (concurrent streams of the
 // same shard share one copy) and serving memory is bounded by the cache
 // budget plus the decode pool, never by container or shard size.
@@ -118,6 +119,7 @@ type Named struct {
 type Server struct {
 	cfg     Config
 	cons    genome.Seq
+	letters []byte   // cons as text, what AppendFASTQ takes
 	consTag uint32   // fallback-consensus fingerprint for decoded ETags
 	names   []string // registration order
 	byName  map[string]*Named
@@ -148,6 +150,7 @@ func NewMulti(containers []Named, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		cons:    cfg.Consensus,
+		letters: genome.AppendASCII(nil, cfg.Consensus),
 		consTag: consensusTag(cfg.Consensus),
 		byName:  make(map[string]*Named, len(containers)),
 		cache:   newShardCache(cfg.CacheBytes),
@@ -597,26 +600,43 @@ func (s *Server) handleReadsOriginal(w http.ResponseWriter, r *http.Request, e *
 // finished with them. The records are parsed from the shard's text,
 // cold or warm: the cache stores serialized FASTQ, and a query is
 // expected to touch many shards once rather than one shard many times,
-// so keeping one decoded shape wins over saving the parse. A container
-// written without quality scores decodes to text with blank quality
-// lines, which the strict FASTQ scanner rejects, so there the records
-// are decoded again — on the pool, like every other decode.
-func (s *Server) shardRecords(ctx context.Context, e *Named, i int) (rs *fastq.ReadSet, done func(), err error) {
+// so keeping one decoded shape wins over saving the parse. A shard
+// without quality scores renders blank quality lines, which the strict
+// FASTQ scanner rejects, so its records are decoded on the pool instead
+// — at once when its zone map says so, else after the parse fails.
+func (s *Server) shardRecords(ctx context.Context, e *Named, i int) (*fastq.ReadSet, func(), error) {
+	if e.C.HasZoneMaps() && e.C.Index.Entries[i].Zone.QualReads == 0 {
+		return s.decodeRecords(ctx, e, i)
+	}
 	d, err := s.decodedShard(ctx, e, i)
 	if err != nil {
 		return nil, nil, err
 	}
-	rs, err = fastq.Parse(bytes.NewReader(d.data))
-	d.done()
-	if err != nil {
-		if err = s.poolDecode(ctx, func() (err error) {
-			rs, err = e.C.DecompressShard(i, s.cons)
-			return err
-		}); err != nil {
-			return nil, nil, err
-		}
-		<-s.sem
+	if rs, err := fastq.Parse(bytes.NewReader(d.data)); err == nil {
+		// An oversized shard's slot stays held until the records, too,
+		// are done with.
+		return rs, d.done, nil
 	}
+	d.done()
+	return s.decodeRecords(ctx, e, i)
+}
+
+// decodeRecords decodes shard i to records on the pool. Records over
+// the cache budget keep their pool slot until done, as oversized text
+// does; smaller ones give it back at once.
+func (s *Server) decodeRecords(ctx context.Context, e *Named, i int) (*fastq.ReadSet, func(), error) {
+	var rs *fastq.ReadSet
+	if err := s.poolDecode(ctx, func() (err error) {
+		rs, err = e.C.DecompressShard(i, s.cons)
+		return err
+	}); err != nil {
+		return nil, nil, err
+	}
+	release := func() { <-s.sem }
+	if int64(rs.UncompressedSize()) > s.cfg.CacheBytes {
+		return rs, release, nil
+	}
+	release()
 	return rs, func() {}, nil
 }
 
@@ -707,7 +727,7 @@ func (s *Server) decodedShard(ctx context.Context, e *Named, i int) (*decoded, e
 		}
 		var data []byte
 		if err := s.poolDecode(ctx, func() (err error) {
-			data, err = e.C.AppendFASTQ(nil, i, s.cons)
+			data, err = e.C.AppendFASTQ(nil, i, s.letters)
 			return err
 		}); err != nil {
 			return nil, err

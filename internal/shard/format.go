@@ -202,14 +202,10 @@ type Container struct {
 	// handles can report container-absolute block offsets.
 	src       io.ReaderAt
 	blockBase int64
-	// text caches the consensus the blocks decode against, as letters
-	// (AppendFASTQ's letterCons): the embedded one, else the last
-	// external one asked for.
-	text struct {
-		sync.Mutex
-		of      genome.Seq
-		letters []byte
-	}
+	// letters is the embedded consensus as text (genome.AppendASCII),
+	// built once when the header is parsed: AppendFASTQ renders every
+	// block against it. Nil without an embedded consensus.
+	letters []byte
 }
 
 // NumShards returns the shard count.
@@ -250,6 +246,9 @@ func parseHeader(prefix []byte, totalSize int64) (*Container, int, error) {
 	layout(r, c)
 	if err := r.Err(); err != nil {
 		return nil, 0, err
+	}
+	if c.Consensus != nil {
+		c.letters = genome.AppendASCII(make([]byte, 0, len(c.Consensus)), c.Consensus)
 	}
 	return c, len(r.Bytes()), nil
 }

@@ -116,7 +116,7 @@ func TestRenderMatchesRecords(t *testing.T) {
 					t.Fatal(err)
 				}
 				shardText := rs.Bytes()
-				got, err := c.AppendFASTQ([]byte("kept"), i, tc.cons)
+				got, err := c.AppendFASTQ([]byte("kept"), i, genome.AppendASCII(nil, tc.cons))
 				if err != nil {
 					t.Fatal(err)
 				}

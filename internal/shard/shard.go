@@ -339,11 +339,15 @@ func (c *Container) DecodeBlock(i int, blk []byte, cons genome.Seq) (*fastq.Read
 // AppendFASTQ is DecompressShard to FASTQ text: it appends shard i's
 // reads to dst, byte for byte what ReadSet.Write writes for the records
 // DecompressShard returns, straight from the decoder (core.AppendFASTQ).
-// The consensus is turned into letters once per container, and again
-// only for a different fallback cons.
-func (c *Container) AppendFASTQ(dst []byte, i int, cons genome.Seq) ([]byte, error) {
+// letters is the fallback consensus as text (genome.AppendASCII), built
+// once by the caller; like DecompressShard's cons, it is used only when
+// the container embeds no consensus.
+func (c *Container) AppendFASTQ(dst []byte, i int, letters []byte) ([]byte, error) {
+	if c.letters != nil {
+		letters = c.letters
+	}
 	blk := blocks.Get()
-	defer blocks.Put(blk)
+	defer freelist.PutBuf(blocks, blk)
 	var err error
 	if *blk, err = c.fetchInto((*blk)[:0], i); err != nil {
 		return dst, err
@@ -351,7 +355,7 @@ func (c *Container) AppendFASTQ(dst []byte, i int, cons genome.Seq) ([]byte, err
 	if err := c.verify(i, *blk); err != nil {
 		return dst, err
 	}
-	out, n, err := core.AppendFASTQ(dst, *blk, c.letters(cons))
+	out, n, err := core.AppendFASTQ(dst, *blk, letters)
 	if err != nil {
 		return dst, fmt.Errorf("shard: decoding shard %d: %w", i, err)
 	}
@@ -368,22 +372,6 @@ func (c *Container) checkCount(i, n int) error {
 		return fmt.Errorf("shard: shard %d decoded %d reads, index says %d", i, n, want)
 	}
 	return nil
-}
-
-// letters returns the consensus the blocks decode against — the
-// embedded one, else cons — as letters, building it only when it is
-// not the one built last.
-func (c *Container) letters(cons genome.Seq) []byte {
-	if c.Consensus != nil {
-		cons = c.Consensus
-	}
-	t := &c.text
-	t.Lock()
-	defer t.Unlock()
-	if len(t.of) != len(cons) || len(cons) > 0 && &t.of[0] != &cons[0] || t.letters == nil {
-		t.of, t.letters = cons, genome.AppendASCII(make([]byte, 0, len(cons)), cons)
-	}
-	return t.letters
 }
 
 // testDecodeStarted, when non-nil, observes every shard decode
@@ -403,20 +391,24 @@ var testDecodeStarted func(shard int)
 // consensus for containers written without an embedded one. This is the
 // streaming path behind `sage decompress`.
 func (c *Container) DecompressTo(w io.Writer, cons genome.Seq, workers int) error {
+	var letters []byte
+	if c.letters == nil {
+		letters = genome.AppendASCII(make([]byte, 0, len(cons)), cons)
+	}
 	return stream(c.allShards(), workers, func(i int) (*[]byte, error) {
 		buf := texts.Get()
 		var err error
-		*buf, err = c.AppendFASTQ((*buf)[:0], i, cons)
+		*buf, err = c.AppendFASTQ((*buf)[:0], i, letters)
 		return buf, err
 	}, func(buf *[]byte) error {
 		_, err := w.Write(*buf)
-		texts.Put(buf)
+		freelist.PutBuf(texts, buf)
 		return err
 	})
 }
 
 // Buffers kept between shard decodes (package freelist says why not a
-// sync.Pool): the text a DecompressTo worker renders a shard into, until
+// sync.Pool, and why none past freelist.MaxKeep): the text a DecompressTo worker renders a shard into, until
 // the writer has written it, and the block AppendFASTQ fetches, until
 // core has parsed it.
 var (

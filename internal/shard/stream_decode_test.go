@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sage/internal/freelist"
 )
 
 // TestDecompressToMatchesDecompress pins the streaming decode against
@@ -266,4 +268,44 @@ func TestDecompressToCorruptShard(t *testing.T) {
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("checksum")) {
 		t.Fatalf("err = %v, want a checksum error", err)
 	}
+}
+
+// TestDecodeBuffersBounded: DecompressTo over a shard whose text
+// outgrows freelist.MaxKeep drops that text buffer instead of keeping
+// it for the life of the process, and keeps no block buffer past it
+// either.
+func TestDecodeBuffersBounded(t *testing.T) {
+	rs, ref := testSet(t, 14_000)
+	opt := DefaultOptions(ref)
+	opt.ShardReads = len(rs.Records)
+	data, _, err := Compress(rs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out countWriter
+	if err := c.DecompressTo(&out, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	if out <= freelist.MaxKeep {
+		t.Fatalf("the shard renders to %d bytes, not past MaxKeep", out)
+	}
+	for _, l := range []freelist.List[[]byte]{texts, blocks} {
+		for len(l) > 0 {
+			if b := <-l; cap(*b) > freelist.MaxKeep {
+				t.Fatalf("a %d-byte buffer was kept", cap(*b))
+			}
+		}
+	}
+}
+
+// countWriter counts the bytes written to it.
+type countWriter int
+
+func (w *countWriter) Write(p []byte) (int, error) {
+	*w += countWriter(len(p))
+	return len(p), nil
 }
