@@ -825,16 +825,18 @@ func cmdDecompress(args []string) error {
 			// needs it whole either way (and already decodes in input
 			// order, so -original-order is naturally satisfied). Reuse
 			// the open handle (the magic probe consumed its first 4
-			// bytes) rather than reading the file a second time.
+			// bytes) rather than reading the file a second time. The
+			// block renders straight to FASTQ text, written at once.
 			data, err := io.ReadAll(io.MultiReader(bytes.NewReader(magic[:]), inF))
 			if err != nil {
 				return err
 			}
-			rs, err := core.Decompress(data, cons)
+			text, _, err := core.AppendFASTQ(nil, data, genome.AppendASCII(nil, cons))
 			if err != nil {
 				return err
 			}
-			return rs.Write(w)
+			_, err = w.Write(text)
+			return err
 		}
 		// Sharded containers stream: the container is opened lazily
 		// (only the index is resident) and shards are decoded on a

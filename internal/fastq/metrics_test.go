@@ -8,35 +8,36 @@ import (
 )
 
 func TestAvgPhred(t *testing.T) {
-	r := Record{Seq: genome.MustFromString("ACGT"), Qual: []byte{10, 20, 30, 40}}
-	avg, ok := r.AvgPhred()
+	avg, ok := AvgPhred([]byte{10, 20, 30, 40}, 0)
 	if !ok || avg != 25 {
 		t.Fatalf("AvgPhred = %v, %v; want 25, true", avg, ok)
 	}
-	unscored := Record{Seq: genome.MustFromString("ACGT")}
-	if _, ok := unscored.AvgPhred(); ok {
+	// The same scores as FASTQ characters.
+	if text, ok := AvgPhred([]byte("+5?I"), QualityOffset); !ok || text != avg {
+		t.Fatalf("AvgPhred of text = %v, %v; want %v, true", text, ok, avg)
+	}
+	if _, ok := AvgPhred(nil, 0); ok {
 		t.Fatal("unscored record reported an average Phred")
 	}
-	empty := Record{}
-	if _, ok := empty.AvgPhred(); ok {
+	if _, ok := AvgPhred([]byte{}, QualityOffset); ok {
 		t.Fatal("empty record reported an average Phred")
 	}
 }
 
 func TestExpectedError(t *testing.T) {
 	// Q10 = 0.1, Q20 = 0.01: EE = 0.11.
-	r := Record{Seq: genome.MustFromString("AC"), Qual: []byte{10, 20}}
-	ee, ok := r.ExpectedError()
+	ee, ok := ExpectedError([]byte{10, 20}, 0)
 	if !ok || math.Abs(ee-0.11) > 1e-12 {
 		t.Fatalf("ExpectedError = %v, %v; want 0.11, true", ee, ok)
 	}
+	if text, ok := ExpectedError([]byte("+5"), QualityOffset); !ok || text != ee {
+		t.Fatalf("ExpectedError of text = %v, %v; want %v, true", text, ok, ee)
+	}
 	// Q0 means certain error: one base, EE = 1.
-	worst := Record{Seq: genome.MustFromString("A"), Qual: []byte{0}}
-	if ee, ok := worst.ExpectedError(); !ok || ee != 1 {
+	if ee, ok := ExpectedError([]byte{0}, 0); !ok || ee != 1 {
 		t.Fatalf("Q0 ExpectedError = %v, %v; want 1, true", ee, ok)
 	}
-	unscored := Record{Seq: genome.MustFromString("ACGT")}
-	if _, ok := unscored.ExpectedError(); ok {
+	if _, ok := ExpectedError(nil, 0); ok {
 		t.Fatal("unscored record reported an expected error")
 	}
 }
@@ -53,9 +54,11 @@ func TestGCFraction(t *testing.T) {
 		{"", 0},
 	}
 	for _, c := range cases {
-		r := Record{Seq: genome.MustFromString(c.seq)}
-		if got := r.GCFraction(); got != c.want {
+		if got := GCFraction(genome.MustFromString(c.seq), genome.BaseC, genome.BaseG); got != c.want {
 			t.Fatalf("GCFraction(%q) = %v, want %v", c.seq, got, c.want)
+		}
+		if got := GCFraction([]byte(c.seq), 'C', 'G'); got != c.want {
+			t.Fatalf("GCFraction(%q) over letters = %v, want %v", c.seq, got, c.want)
 		}
 	}
 }

@@ -185,15 +185,6 @@ func (r *Result) DecodeBound() []int {
 // and schedules the per-shard service times. cons is the fallback
 // consensus for containers without an embedded one.
 func (p *Placed) Scan(cons genome.Seq) (*Result, error) {
-	return p.ScanTo(cons, nil)
-}
-
-// ScanTo is Scan with an in-storage consumer hook: sink (if non-nil)
-// receives each decoded shard in dispatch order, exactly as the
-// controller would hand it to a downstream engine such as GenStore's
-// in-storage filter — so consumers never re-decode on the host. The
-// records are only valid for the duration of the call.
-func (p *Placed) ScanTo(cons genome.Seq, sink func(shard int, rs *fastq.ReadSet)) (*Result, error) {
 	n := p.C.NumShards()
 	res := &Result{
 		Name:     p.Name,
@@ -205,22 +196,26 @@ func (p *Placed) ScanTo(cons genome.Seq, sink func(shard int, rs *fastq.ReadSet)
 	comp := make([]int64, n)
 	uncomp := make([]int64, n)
 	tr := obs.NewTrace(p.Name)
+	letters := genome.AppendASCII(nil, cons)
+	var text []byte
 	for i := 0; i < n; i++ {
-		rs, st, err := p.scanShard(tr, i, cons)
+		var st ShardTiming
+		var err error
+		text, st, err = p.scanShard(tr, i, letters, text[:0])
 		if err != nil {
 			return nil, err
 		}
-		ssp := tr.StartSpan("fill")
-		if sink != nil {
-			sink(i, rs)
+		for rest := text; len(rest) > 0; reads[i]++ {
+			var r fastq.TextRecord
+			if r, rest, err = fastq.NextRecord(rest); err != nil {
+				return nil, fmt.Errorf("instorage: shard %d: %w", i, err)
+			}
+			bases[i] += int64(len(r.Seq))
 		}
-		ssp.End()
 		res.PerShard[i] = st
-		res.Reads += len(rs.Records)
+		res.Reads += reads[i]
 		res.CompressedBytes += st.CompressedBytes
 		res.OutputBytes += st.OutputBytes
-		reads[i] = len(rs.Records)
-		bases[i] = int64(rs.TotalBases())
 		comp[i] = st.CompressedBytes
 		uncomp[i] = st.OutputBytes
 	}
@@ -250,31 +245,32 @@ func (p *Placed) ScanTo(cons genome.Seq, sink func(shard int, rs *fastq.ReadSet)
 
 // scanShard streams shard i through its home channel's scan unit: the
 // payload is read back from the device, then verified against the
-// index's crc32, functionally decoded with the same Scan/Read-
+// index's crc32, rendered to FASTQ text by the same Scan/Read-
 // Construction logic the hardware computes and count-checked — all by
-// shard.DecodeBlock, the container's own read path — and timed with the
-// per-shard service law. Measured wall-clock goes to tr as one
-// "flash-read" and one "scan-decode" span.
-func (p *Placed) scanShard(tr *obs.Trace, i int, cons genome.Seq) (*fastq.ReadSet, ShardTiming, error) {
+// shard.AppendBlockFASTQ, the container's own read path, appending to
+// dst — and timed with the per-shard service law. Measured wall-clock
+// goes to tr as one "flash-read" and one "scan-decode" span. letters is
+// the fallback consensus as text.
+func (p *Placed) scanShard(tr *obs.Trace, i int, letters, dst []byte) ([]byte, ShardTiming, error) {
 	fsp := tr.StartSpan("flash-read")
 	blk, flashTime, err := p.eng.Dev.ReadShard(p.Name, i)
 	if err != nil {
-		return nil, ShardTiming{}, fmt.Errorf("instorage: %w", err)
+		return dst, ShardTiming{}, fmt.Errorf("instorage: %w", err)
 	}
 	fsp.End()
 	dsp := tr.StartSpan("scan-decode")
-	rs, err := p.C.DecodeBlock(i, blk, cons)
+	text, err := p.C.AppendBlockFASTQ(dst, i, blk, letters)
 	if err != nil {
-		return nil, ShardTiming{}, fmt.Errorf("instorage: shard %d read from flash: %w", i, err)
+		return dst, ShardTiming{}, fmt.Errorf("instorage: shard %d read from flash: %w", i, err)
 	}
 	dsp.End()
 	pl := p.Placement.Shards[i]
-	return rs, ShardTiming{
+	return text, ShardTiming{
 		Shard:           i,
 		Channel:         pl.Channel,
 		Pages:           pl.Pages,
 		CompressedBytes: int64(len(blk)),
-		OutputBytes:     int64(rs.UncompressedSize()),
+		OutputBytes:     int64(len(text)),
 		FlashRead:       flashTime,
 		Decode:          p.eng.TP.UnitDecodeTime(int64(len(blk))),
 		Service:         p.eng.TP.ShardServiceTime(flashTime, int64(len(blk))),

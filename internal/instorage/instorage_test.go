@@ -3,7 +3,6 @@ package instorage
 import (
 	"bytes"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -101,6 +100,10 @@ func TestScanDecodesAndTimes(t *testing.T) {
 	if res.OutputBytes <= res.CompressedBytes {
 		t.Fatalf("decode must expand: %d out vs %d in", res.OutputBytes, res.CompressedBytes)
 	}
+	// The scan units emit the FASTQ text of the reads they were given.
+	if want := int64(rs.UncompressedSize()); res.OutputBytes != want {
+		t.Fatalf("scan emitted %d FASTQ bytes, the source holds %d", res.OutputBytes, want)
+	}
 	channels := eng.Channels()
 	var maxService time.Duration
 	for _, st := range res.PerShard {
@@ -131,49 +134,6 @@ func TestScanDecodesAndTimes(t *testing.T) {
 	// serial sum, and names a stage.
 	if res.Pipeline.Total <= 0 || res.Pipeline.BottleneckName() == "" {
 		t.Fatalf("degenerate pipeline result %+v", res.Pipeline)
-	}
-}
-
-// TestScanToSinkSeesEveryShardInOrder pins the in-storage consumer
-// hook: the sink receives each decoded shard once, in dispatch order,
-// with the index's read counts — so downstream engines (e.g. an
-// in-storage filter) never re-decode on the host.
-func TestScanToSinkSeesEveryShardInOrder(t *testing.T) {
-	data, rs, ref := testContainer(t, 400, 64, 0)
-	c, err := shard.Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(testDevice(t)).Place("rs.sage", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var order []int
-	decoded := &fastq.ReadSet{}
-	res, err := p.ScanTo(ref, func(i int, srs *fastq.ReadSet) {
-		order = append(order, i)
-		if len(srs.Records) != c.Index.Entries[i].ReadCount {
-			t.Errorf("sink shard %d: %d records, index says %d", i, len(srs.Records), c.Index.Entries[i].ReadCount)
-		}
-		for _, r := range srs.Records {
-			decoded.Records = append(decoded.Records, fastq.Record{Header: r.Header, Seq: r.Seq.Clone(), Qual: slices.Clone(r.Qual)})
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(decoded.Records); got != len(rs.Records) || got != res.Reads {
-		t.Fatalf("sink saw %d reads, want %d (result says %d)", got, len(rs.Records), res.Reads)
-	}
-	// Content equivalence, not just counts: the engine decoded the same
-	// reads the container was built from.
-	if !fastq.Equivalent(rs, decoded) {
-		t.Fatal("decoded read set not equivalent to the source reads")
-	}
-	for i, s := range order {
-		if s != i {
-			t.Fatalf("sink order %v not dispatch order", order)
-		}
 	}
 }
 
@@ -300,8 +260,8 @@ func BenchmarkPlaceScan(b *testing.B) {
 }
 
 // TestScanStageAttribution pins the observability contract: a scan
-// records one span per shard for each stage (flash-read, scan-decode,
-// fill), and StageTable renders them.
+// records one span per shard for each stage (flash-read, scan-decode),
+// and StageTable renders them.
 func TestScanStageAttribution(t *testing.T) {
 	data, _, ref := testContainer(t, 300, 50, 0) // 6 shards
 	eng := New(testDevice(t))
@@ -309,12 +269,12 @@ func TestScanStageAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.ScanTo(ref, func(int, *fastq.ReadSet) {})
+	res, err := p.Scan(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := p.C.NumShards()
-	want := []string{"flash-read", "scan-decode", "fill"}
+	want := []string{"flash-read", "scan-decode"}
 	if len(res.Stages) != len(want) {
 		t.Fatalf("stages = %+v, want %v", res.Stages, want)
 	}

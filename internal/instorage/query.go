@@ -74,24 +74,27 @@ func (p *Placed) FilterScan(cons genome.Seq, pred *shard.Predicate) (*FilterResu
 		ShardsScanned: len(scan),
 		PerShard:      make([]ShardTiming, 0, len(scan)),
 	}
-	active := pred.Active()
 	tr := obs.NewTrace(p.Name)
+	letters := genome.AppendASCII(nil, cons)
+	var text []byte
 	for _, i := range scan {
-		rs, st, err := p.scanShard(tr, i, cons)
+		var st ShardTiming
+		var err error
+		text, st, err = p.scanShard(tr, i, letters, text[:0])
 		if err != nil {
 			return nil, err
 		}
 		msp := tr.StartSpan("filter")
-		matched := 0
-		for j := range rs.Records {
-			if !active || pred.MatchRecord(&rs.Records[j]) {
-				matched++
-			}
+		scanned, err := pred.MatchText(text, func([]byte) error {
+			res.ReadsMatched++
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("instorage: shard %d: %w", i, err)
 		}
 		msp.End()
 		res.PerShard = append(res.PerShard, st)
-		res.ReadsScanned += len(rs.Records)
-		res.ReadsMatched += matched
+		res.ReadsScanned += scanned
 		res.CompressedBytes += st.CompressedBytes
 	}
 

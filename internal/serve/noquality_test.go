@@ -2,12 +2,13 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -37,6 +38,11 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // IncludeQuality=false (optionally through the clump reorder stage) and
 // serves it from behind a countingReaderAt, zeroed after Open.
 func noQualityServer(t *testing.T, reordered bool, cfg Config) (*Server, *httptest.Server, *shard.Container, *fastq.ReadSet, *countingReaderAt) {
+	return countedServer(t, false, reordered, cfg)
+}
+
+// countedServer is noQualityServer with the quality scores kept or not.
+func countedServer(t *testing.T, quality, reordered bool, cfg Config) (*Server, *httptest.Server, *shard.Container, *fastq.ReadSet, *countingReaderAt) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	ref := genome.Random(rng, 20_000)
@@ -47,7 +53,7 @@ func noQualityServer(t *testing.T, reordered bool, cfg Config) (*Server, *httpte
 	}
 	opt := shard.DefaultOptions(ref)
 	opt.ShardReads = 50
-	opt.Core.IncludeQuality = false
+	opt.Core.IncludeQuality = quality
 	var src fastq.BatchSource = fastq.NewBatchReader(bytes.NewReader(rs.Bytes()), opt.ShardReads)
 	if reordered {
 		st, err := reorder.NewStage(src, reorder.Config{Mode: reorder.ModeClump, BatchSize: opt.ShardReads})
@@ -77,23 +83,29 @@ func noQualityServer(t *testing.T, reordered bool, cfg Config) (*Server, *httpte
 }
 
 // TestNoQualityRecordPaths: the record-level routes work on a container
-// written without quality scores — whose decoded text the strict FASTQ
-// parser rejects — and every core decode they cause runs on the pool:
-// with one worker nothing deadlocks, and Stats().Decodes equals the
-// decodes that actually ran. A cold shard is decoded once, not twice.
+// written without quality scores — whose text has blank quality lines —
+// by walking the shard's cached text like any other: every core decode
+// they cause runs on the pool (with one worker nothing deadlocks, and
+// Stats().Decodes equals the decodes that actually ran), a cold shard
+// decodes once, and a warm one not at all. Shards over the cache budget
+// decode again on every request.
 func TestNoQualityRecordPaths(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
+		// perPass is the decodes each pass after the first adds, in
+		// shards per scanned shard.
+		perPass int64
 	}{
-		{"cached", Config{Workers: 1}},
-		// Every shard exceeds the budget: records stream from a decode
+		{"cached", Config{Workers: 1}, 0},
+		// Every shard exceeds the budget: the text streams from a decode
 		// that keeps its pool slot until the handler is done.
-		{"oversized", Config{Workers: 1, CacheBytes: 1}},
+		{"oversized", Config{Workers: 1, CacheBytes: 1}, 1},
 	} {
 		t.Run(tc.name+"/query", func(t *testing.T) {
 			s, ts, c, rs, cr := noQualityServer(t, false, tc.cfg)
-			for pass, wantDecodes := range []int64{int64(c.NumShards()), 2 * int64(c.NumShards())} {
+			n := int64(c.NumShards())
+			for pass, wantDecodes := range []int64{n, n + tc.perPass*n} {
 				code, body := get(t, ts.URL+"/c/default/query?min-len=1&count=1")
 				if code != 200 {
 					t.Fatalf("pass %d: status %d: %s", pass, code, body)
@@ -105,7 +117,6 @@ func TestNoQualityRecordPaths(t *testing.T) {
 				if sum.ReadsMatched != len(rs.Records) || sum.ReadsScanned != len(rs.Records) {
 					t.Fatalf("pass %d: matched %d, scanned %d, want %d", pass, sum.ReadsMatched, sum.ReadsScanned, len(rs.Records))
 				}
-				// Cold and warm alike: one decode per shard.
 				if got := s.Stats().Decodes; got != wantDecodes || got != cr.n.Load() {
 					t.Fatalf("pass %d: Stats().Decodes = %d, %d decodes ran, want %d", pass, got, cr.n.Load(), wantDecodes)
 				}
@@ -113,10 +124,6 @@ func TestNoQualityRecordPaths(t *testing.T) {
 		})
 		t.Run(tc.name+"/original", func(t *testing.T) {
 			s, ts, c, rs, cr := noQualityServer(t, true, tc.cfg)
-			code, body := get(t, ts.URL+"/c/default/shard/0/reads?order=original")
-			if code != 200 {
-				t.Fatalf("status %d: %s", code, body)
-			}
 			// Shard 0's records in ascending original index, quality blank.
 			n := c.Index.Entries[0].ReadCount
 			orig := append([]int64(nil), c.Index.Perm[:n]...)
@@ -131,59 +138,82 @@ func TestNoQualityRecordPaths(t *testing.T) {
 				rec.Qual = nil
 				want = rec.AppendText(want)
 			}
-			if !bytes.Equal(body, want) {
-				t.Fatalf("original-order body differs: %d bytes, want %d", len(body), len(want))
-			}
-			if got := s.Stats().Decodes; got != 1 || got != cr.n.Load() {
-				t.Fatalf("Stats().Decodes = %d, %d decodes ran, want 1", got, cr.n.Load())
+			for pass, wantDecodes := range []int64{1, 1 + tc.perPass} {
+				code, body := get(t, ts.URL+"/c/default/shard/0/reads?order=original")
+				if code != 200 {
+					t.Fatalf("pass %d: status %d: %s", pass, code, body)
+				}
+				if !bytes.Equal(body, want) {
+					t.Fatalf("pass %d: original-order body differs: %d bytes, want %d", pass, len(body), len(want))
+				}
+				if got := s.Stats().Decodes; got != wantDecodes || got != cr.n.Load() {
+					t.Fatalf("pass %d: Stats().Decodes = %d, %d decodes ran, want %d", pass, got, cr.n.Load(), wantDecodes)
+				}
 			}
 		})
 	}
 }
 
-// TestRecordsHoldOversizedSlot: records over the cache budget keep
-// their decode-pool slot until their consumer is done, whether they were
-// parsed from the shard's text or, without quality, decoded straight to
-// records. With one worker, a second /query waits while the first
-// handler still holds its records, and finishes once they are released.
+// stalledWriter is a response writer whose every Write waits until
+// release is closed; entered is closed at the first one.
+type stalledWriter struct {
+	h        http.Header
+	entered  chan struct{}
+	release  chan struct{}
+	enterOne sync.Once
+}
+
+func newStalledWriter() *stalledWriter {
+	return &stalledWriter{h: http.Header{}, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (w *stalledWriter) Header() http.Header { return w.h }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.enterOne.Do(func() { close(w.entered) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestRecordsHoldOversizedSlot: a shard's text over the cache budget
+// keeps its decode-pool slot until the stream that walks it ends, on
+// /query and ?order=original alike, with quality scores or without.
+// With one worker, a handler stalled on a slow client mid-shard holds
+// the only slot: a second query waits, and finishes once the stalled
+// stream drains.
 func TestRecordsHoldOversizedSlot(t *testing.T) {
 	cfg := Config{Workers: 1, CacheBytes: 1}
-	data, _, _ := testContainer(t, 200, 50)
-	scored, scoredTS := newTestServer(t, data, cfg)
-	bare, bareTS, _, _, _ := noQualityServer(t, false, cfg)
-	for _, tc := range []struct {
-		name string
-		s    *Server
-		url  string
-	}{
-		{"text", scored, scoredTS.URL},
-		{"no-quality", bare, bareTS.URL},
-	} {
-		rs, done, err := tc.s.shardRecords(context.Background(), tc.s.byName[defaultName], 0)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if len(rs.Records) == 0 {
-			t.Fatalf("%s: shard 0 holds no records", tc.name)
-		}
-		status := make(chan int, 1)
-		go func() {
-			resp, err := http.Get(tc.url + "/c/default/query?min-len=1&count=1")
-			if err != nil {
-				status <- 0
-				return
+	for _, quality := range []bool{true, false} {
+		s, ts, _, _, _ := countedServer(t, quality, true, cfg)
+		for _, route := range []string{"/c/default/query?min-len=1", "/c/default/shard/0/reads?order=original"} {
+			name := fmt.Sprintf("quality=%v %s", quality, route)
+			w := newStalledWriter()
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, route, nil))
+			}()
+			<-w.entered
+			status := make(chan int, 1)
+			go func() {
+				resp, err := http.Get(ts.URL + "/c/default/query?min-len=1&count=1")
+				if err != nil {
+					status <- 0
+					return
+				}
+				resp.Body.Close()
+				status <- resp.StatusCode
+			}()
+			select {
+			case code := <-status:
+				t.Fatalf("%s: a second query finished (status %d) while the stalled stream held the only slot", name, code)
+			case <-time.After(100 * time.Millisecond):
 			}
-			resp.Body.Close()
-			status <- resp.StatusCode
-		}()
-		select {
-		case code := <-status:
-			t.Fatalf("%s: a second query finished (status %d) while the first held the only slot", tc.name, code)
-		case <-time.After(100 * time.Millisecond):
-		}
-		done()
-		if code := <-status; code != 200 {
-			t.Fatalf("%s: the second query ended with status %d", tc.name, code)
+			close(w.release)
+			<-served
+			if code := <-status; code != 200 {
+				t.Fatalf("%s: the second query ended with status %d", name, code)
+			}
 		}
 	}
 }

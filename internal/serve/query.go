@@ -11,11 +11,11 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
 
-	"sage/internal/fastq"
 	"sage/internal/genome"
 	"sage/internal/shard"
 )
@@ -177,28 +177,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, e *Named) {
 // server error.
 type writeError struct{ error }
 
-// shardMatches counts the records of shard i (shardRecords) matching
-// pred, streaming them to w when non-nil.
-func (s *Server) shardMatches(ctx context.Context, e *Named, i int, pred *shard.Predicate, w *bufio.Writer) (int, error) {
-	rs, done, err := s.shardRecords(ctx, e, i)
+// shardMatches counts the records of shard i matching pred in its
+// decoded text (cached: a warm query decodes nothing), streaming them
+// to w when non-nil. An oversized shard keeps its slot until then.
+func (s *Server) shardMatches(ctx context.Context, e *Named, i int, pred *shard.Predicate, w io.Writer) (int, error) {
+	d, err := s.decodedShard(ctx, e, i)
 	if err != nil {
 		return 0, err
 	}
-	defer done()
+	defer d.done()
 	matched := 0
-	active := pred.Active()
-	for j := range rs.Records {
-		if active && !pred.MatchRecord(&rs.Records[j]) {
-			continue
-		}
+	_, err = pred.MatchText(d.data, func(rec []byte) error {
 		matched++
 		if w == nil {
-			continue
+			return nil
 		}
-		one := fastq.ReadSet{Records: rs.Records[j : j+1]}
-		if err := one.Write(w); err != nil {
-			return matched, writeError{err}
+		if _, err := w.Write(rec); err != nil {
+			return writeError{err}
 		}
-	}
-	return matched, nil
+		return nil
+	})
+	return matched, err
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -192,5 +194,55 @@ func TestIndexZoneJSON(t *testing.T) {
 		if z.SketchFill <= 0 || z.SketchFill >= 1 {
 			t.Fatalf("shard %d: sketch fill %v", ent.Shard, z.SketchFill)
 		}
+	}
+}
+
+// discardWriter is a response writer that counts the body bytes and
+// keeps none.
+type discardWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header  { return w.h }
+func (w *discardWriter) WriteHeader(code int) { w.status = code }
+func (w *discardWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
+}
+
+// TestQueryAllocsPerByte: a warm /query walks the cached text and
+// writes each match straight out of it, so what a request allocates is
+// its handler's fixed cost, not a cost per record — under one byte per
+// FASTQ byte streamed, over the 2 000-read fixture that every record
+// matches.
+func TestQueryAllocsPerByte(t *testing.T) {
+	data, rs, _ := testContainer(t, 2000, 250)
+	s, _ := newTestServer(t, data, Config{})
+	serve := func() *discardWriter {
+		w := &discardWriter{h: http.Header{}, status: http.StatusOK}
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/c/default/query?min-len=1", nil))
+		return w
+	}
+	if w := serve(); w.status != http.StatusOK || w.n != rs.UncompressedSize() {
+		t.Fatalf("cold query: status %d, %d bytes, want %d", w.status, w.n, rs.UncompressedSize())
+	}
+	decodes := s.Stats().Decodes
+	const passes = 5
+	streamed := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range passes {
+		streamed += serve().n
+	}
+	runtime.ReadMemStats(&after)
+	if got := s.Stats().Decodes; got != decodes {
+		t.Fatalf("warm queries decoded %d shards", got-decodes)
+	}
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(streamed)
+	t.Logf("warm /query: %.4f bytes allocated per FASTQ byte streamed (%d bytes a pass)", perByte, streamed/passes)
+	if perByte >= 1 {
+		t.Fatalf("warm /query allocated %.2f bytes per FASTQ byte streamed, want under 1", perByte)
 	}
 }

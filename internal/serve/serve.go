@@ -49,10 +49,10 @@
 // concurrent requests for the same cold shard of the same container into
 // one decode: N clients asking for it while it is being decoded all
 // receive the one result. A decode renders the shard's FASTQ text
-// straight from the decoder (shard.Container.AppendFASTQ). A shard whose
-// text exceeds the whole cache budget is never cached: the request holds
-// its decode-pool slot until the response drains (on /query and
-// ?order=original, until the records are done with), so at most Workers
+// straight from the decoder (shard.Container.AppendFASTQ): the one
+// shape /reads, /query and ?order=original all read. A shard whose text
+// exceeds the whole cache budget is never cached: the request holds its
+// decode-pool slot until its stream of that text ends, so at most Workers
 // such decoded shards are resident at once (concurrent streams of the
 // same shard share one copy) and serving memory is bounded by the cache
 // budget plus the decode pool, never by container or shard size.
@@ -62,7 +62,7 @@
 package serve
 
 import (
-	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -70,7 +70,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -118,8 +118,7 @@ type Named struct {
 // http.Handler.
 type Server struct {
 	cfg     Config
-	cons    genome.Seq
-	letters []byte   // cons as text, what AppendFASTQ takes
+	letters []byte   // the fallback consensus as text, what AppendFASTQ takes
 	consTag uint32   // fallback-consensus fingerprint for decoded ETags
 	names   []string // registration order
 	byName  map[string]*Named
@@ -149,7 +148,6 @@ func NewMulti(containers []Named, cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		cons:    cfg.Consensus,
 		letters: genome.AppendASCII(nil, cfg.Consensus),
 		consTag: consensusTag(cfg.Consensus),
 		byName:  make(map[string]*Named, len(containers)),
@@ -543,11 +541,11 @@ func (s *Server) handleReads(w http.ResponseWriter, r *http.Request, e *Named) {
 // handleReadsOriginal serves a reordered shard's records sorted back
 // to original input order. The shard's records occupy stored positions
 // [start, start+count), so their original indices are Perm[start+j];
-// an in-shard sort by that index recovers the input order without
-// touching any other shard. The records come from shardRecords — the
-// shared cache, flight group and decode pool, same as /query — and the
-// representation carries its own ETag — RFC 9110 requires distinct
-// tags for distinct representations of one resource.
+// sorting the records' spans in the shard's text by that index recovers
+// the input order without touching any other shard. The text comes from
+// the shared cache, flight group and decode pool, as for /reads, and the
+// representation carries its own ETag — RFC 9110 requires distinct tags
+// for distinct representations of one resource.
 func (s *Server) handleReadsOriginal(w http.ResponseWriter, r *http.Request, e *Named, i int) {
 	ent := e.C.Index.Entries[i]
 	tag := s.readsOriginalETag(e, ent)
@@ -559,85 +557,44 @@ func (s *Server) handleReadsOriginal(w http.ResponseWriter, r *http.Request, e *
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	rs, done, err := s.shardRecords(r.Context(), e, i)
+	d, err := s.decodedShard(r.Context(), e, i)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	defer done()
+	defer d.done()
 	start := 0
 	for _, ent := range e.C.Index.Entries[:i] {
 		start += ent.ReadCount
 	}
 	perm := e.C.Index.Perm
-	if start+len(rs.Records) > len(perm) {
-		s.fail(w, http.StatusInternalServerError,
-			fmt.Errorf("serve: shard %d decodes past the container's %d-entry permutation", i, len(perm)))
-		return
+	type span struct {
+		orig int64
+		text []byte
 	}
-	order := make([]int, len(rs.Records))
-	for j := range order {
-		order[j] = j
+	spans := make([]span, 0, ent.ReadCount)
+	for rest := d.data; len(rest) > 0; {
+		rec, next, err := fastq.NextRecord(rest)
+		if err == nil && start+len(spans) >= len(perm) {
+			err = fmt.Errorf("serve: shard %d decodes past the container's %d-entry permutation", i, len(perm))
+		}
+		if err != nil {
+			s.fail(w, http.StatusInternalServerError, err)
+			return
+		}
+		spans = append(spans, span{perm[start+len(spans)], rec.Bytes})
+		rest = next
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return perm[start+order[a]] < perm[start+order[b]]
-	})
-	var buf bytes.Buffer
-	buf.Grow(rs.UncompressedSize())
-	var line []byte
-	for _, j := range order {
-		line = rs.Records[j].AppendText(line[:0])
-		buf.Write(line)
-	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.orig, b.orig) })
 	s.met.readReqs.Inc()
 	h.Set("Content-Type", "text/plain; charset=utf-8")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	s.writeBody(w, buf.Bytes())
-}
-
-// shardRecords returns shard i as records for the record-level
-// consumers (/query, ?order=original); the caller must call done when
-// finished with them. The records are parsed from the shard's text,
-// cold or warm: the cache stores serialized FASTQ, and a query is
-// expected to touch many shards once rather than one shard many times,
-// so keeping one decoded shape wins over saving the parse. A shard
-// without quality scores renders blank quality lines, which the strict
-// FASTQ scanner rejects, so its records are decoded on the pool instead
-// — at once when its zone map says so, else after the parse fails.
-func (s *Server) shardRecords(ctx context.Context, e *Named, i int) (*fastq.ReadSet, func(), error) {
-	if e.C.HasZoneMaps() && e.C.Index.Entries[i].Zone.QualReads == 0 {
-		return s.decodeRecords(ctx, e, i)
+	h.Set("Content-Length", strconv.Itoa(len(d.data))) // reordering moves no byte in or out
+	for _, sp := range spans {
+		if _, err := w.Write(sp.text); err != nil {
+			s.met.writeFails.Inc()
+			return
+		}
 	}
-	d, err := s.decodedShard(ctx, e, i)
-	if err != nil {
-		return nil, nil, err
-	}
-	if rs, err := fastq.Parse(bytes.NewReader(d.data)); err == nil {
-		// An oversized shard's slot stays held until the records, too,
-		// are done with.
-		return rs, d.done, nil
-	}
-	d.done()
-	return s.decodeRecords(ctx, e, i)
-}
-
-// decodeRecords decodes shard i to records on the pool. Records over
-// the cache budget keep their pool slot until done, as oversized text
-// does; smaller ones give it back at once.
-func (s *Server) decodeRecords(ctx context.Context, e *Named, i int) (*fastq.ReadSet, func(), error) {
-	var rs *fastq.ReadSet
-	if err := s.poolDecode(ctx, func() (err error) {
-		rs, err = e.C.DecompressShard(i, s.cons)
-		return err
-	}); err != nil {
-		return nil, nil, err
-	}
-	release := func() { <-s.sem }
-	if int64(rs.UncompressedSize()) > s.cfg.CacheBytes {
-		return rs, release, nil
-	}
-	release()
-	return rs, func() {}, nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

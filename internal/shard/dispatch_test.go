@@ -76,20 +76,25 @@ func TestDispatchHandleBounds(t *testing.T) {
 		if _, err := c.Block(i); err == nil {
 			t.Fatalf("Block(%d) must error", i)
 		}
-		if _, err := c.DecodeBlock(i, nil, nil); err == nil {
-			t.Fatalf("DecodeBlock(%d) must error", i)
+		if _, err := c.AppendBlockFASTQ(nil, i, nil, nil); err == nil {
+			t.Fatalf("AppendBlockFASTQ(%d) must error", i)
 		}
 	}
-	// DecodeBlock verifies foreign bytes against the index before
-	// decoding: a neighbor's block is rejected, the right one decodes.
-	if _, err := c.DecodeBlock(0, mustBlock(t, c, 1), nil); err == nil {
-		t.Fatal("DecodeBlock must reject bytes that fail shard 0's checksum")
+	// AppendBlockFASTQ verifies foreign bytes against the index before
+	// decoding: a neighbor's block is rejected, the right one renders
+	// what the container's own fetch renders.
+	if _, err := c.AppendBlockFASTQ(nil, 0, mustBlock(t, c, 1), nil); err == nil {
+		t.Fatal("AppendBlockFASTQ must reject bytes that fail shard 0's checksum")
 	}
-	rs, err := c.DecodeBlock(0, mustBlock(t, c, 0), nil)
+	got, err := c.AppendBlockFASTQ(nil, 0, mustBlock(t, c, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Records) != c.Index.Entries[0].ReadCount {
-		t.Fatalf("DecodeBlock decoded %d reads, index says %d", len(rs.Records), c.Index.Entries[0].ReadCount)
+	want, err := c.AppendFASTQ(nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || !bytes.Equal(got, want) {
+		t.Fatalf("AppendBlockFASTQ rendered %d bytes, AppendFASTQ %d", len(got), len(want))
 	}
 }

@@ -25,17 +25,17 @@
 // served container costs its index in memory — never the file; Parse
 // opens a container held in a byte slice the same way. Block is the one
 // block accessor (checksum-verified raw bytes; Extent says where they
-// sit in the file), DecompressShard the fetch + verify + decode +
-// count-check of a shard to records, AppendFASTQ the same to FASTQ text
-// straight from the decoder, and DecodeBlock DecompressShard for a
-// caller that fetched the bytes itself. Whole-container reads all run on
+// sit in the file), AppendFASTQ the fetch + verify + decode +
+// count-check of a shard to FASTQ text straight from the decoder
+// (AppendBlockFASTQ for a caller that fetched the bytes itself), and
+// DecompressShard the same to records. Whole-container reads all run on
 // one ordered, bounded-memory decode pool: DecompressTo streams FASTQ in
 // stored order (workers render the text, the writer only writes it),
-// DecompressOriginalTo in original input order, Filter streams
-// the records matching a Predicate after zone-map pruning, and
-// Decompress collects the records in memory. Inspect renders the
-// index, including per-source attribution and per-file totals when a
-// manifest is present.
+// Filter the records a Predicate matches in that text (MatchText) after
+// zone-map pruning, DecompressOriginalTo records in original input
+// order, and Decompress collects the records in memory. Inspect renders
+// the index, including per-source attribution and per-file totals when
+// a manifest is present.
 //
 // # Container format
 //

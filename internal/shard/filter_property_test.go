@@ -46,14 +46,14 @@ func randomPredicates(rng *rand.Rand, rs *fastq.ReadSet) []Predicate {
 			p.MinLen = len(r.Seq) - rng.Intn(3)
 			p.MaxLen = len(r.Seq) + rng.Intn(3)
 		case 1: // quality thresholds around a real record's scores
-			if avg, ok := r.AvgPhred(); ok {
+			if avg, ok := fastq.AvgPhred(r.Qual, 0); ok {
 				p.MinAvgPhred = avg + float64(rng.Intn(5)-2)
 			}
-			if ee, ok := r.ExpectedError(); ok && rng.Intn(2) == 0 {
+			if ee, ok := fastq.ExpectedError(r.Qual, 0); ok && rng.Intn(2) == 0 {
 				p.MaxEE = ee * (0.5 + rng.Float64())
 			}
 		case 2: // GC window around a real record's fraction
-			gc := r.GCFraction()
+			gc := fastq.GCFraction(r.Seq, genome.BaseC, genome.BaseG)
 			p.MinGC = gc - 0.05*rng.Float64()
 			p.MaxGC = gc + 0.05*rng.Float64()
 		case 3: // k-mer present in the data (either orientation)
@@ -74,7 +74,7 @@ func randomPredicates(rng *rand.Rand, rs *fastq.ReadSet) []Predicate {
 	// Everything at once.
 	r := pick()
 	combo := Predicate{MinLen: 1, MaxLen: 1 << 20, MinGC: 0.01, MaxGC: 0.99}
-	if avg, ok := r.AvgPhred(); ok {
+	if avg, ok := fastq.AvgPhred(r.Qual, 0); ok {
 		combo.MinAvgPhred = avg - 5
 	}
 	preds = append(preds, combo)

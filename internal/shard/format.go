@@ -11,11 +11,10 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"runtime"
 	"slices"
-	"sync"
 
 	"sage/internal/fastq"
+	"sage/internal/freelist"
 	"sage/internal/genome"
 	"sage/internal/wire"
 )
@@ -648,8 +647,8 @@ func (c *Container) verify(i int, b []byte) error {
 // compressed-bytes-per-read and compression-ratio columns plus a totals
 // row. Containers with a source manifest additionally get a per-shard
 // source column and per-file totals. Computing a shard's ratio requires
-// its uncompressed size, so Inspect decodes the shards (concurrently,
-// on all CPUs — the same work `sage decompress` would do); cons is the
+// its uncompressed size, so Inspect renders the shards (on the one
+// decode pool, all CPUs — the same work `sage decompress` does); cons is the
 // fallback consensus for containers written without an embedded one.
 // Shards that cannot be decoded — corrupt, or no consensus available —
 // show "-" and are flagged instead of failing the whole summary.
@@ -658,7 +657,25 @@ func Inspect(data []byte, cons genome.Seq) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	rawSizes, decodeErrs := inspectSizes(c, cons)
+	// Each shard's size is the length of its rendered text. A decode
+	// error is carried as a value, so one undecodable shard stops
+	// nothing: it shows "-" and is flagged below.
+	type rendered struct {
+		size int64
+		err  error
+	}
+	sizes := make([]rendered, 0, c.NumShards())
+	letters := c.fallbackLetters(cons)
+	_ = stream(c.allShards(), 0, func(i int) (rendered, error) { // never fails: errors ride in the values
+		buf := texts.Get()
+		defer freelist.PutBuf(texts, buf)
+		var err error
+		*buf, err = c.AppendFASTQ((*buf)[:0], i, letters)
+		return rendered{int64(len(*buf)), err}, nil
+	}, func(r rendered) error {
+		sizes = append(sizes, r)
+		return nil
+	})
 	hasManifest := len(c.Index.Sources) > 0
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "SAGe sharded container v%d, %d bytes (%d header+index, %d blocks)\n",
@@ -683,13 +700,13 @@ func Inspect(data []byte, cons genome.Seq) (string, error) {
 	var bad []string
 	for i, e := range c.Index.Entries {
 		ratio := "-"
-		if decodeErrs[i] != nil {
+		if sizes[i].err != nil {
 			rawKnown = false
-			bad = append(bad, fmt.Sprintf("shard %d: %v", i, decodeErrs[i]))
+			bad = append(bad, fmt.Sprintf("shard %d: %v", i, sizes[i].err))
 		} else {
-			rawTotal += rawSizes[i]
+			rawTotal += sizes[i].size
 			if e.Length > 0 {
-				ratio = fmt.Sprintf("%.2fx", float64(rawSizes[i])/float64(e.Length))
+				ratio = fmt.Sprintf("%.2fx", float64(sizes[i].size)/float64(e.Length))
 			}
 		}
 		fmt.Fprintf(&b, "%6d  %8d  %10d  %10d  %08x  %7s  %7s",
@@ -731,41 +748,4 @@ func reorderModeName(ix *Index) string {
 	default:
 		return fmt.Sprintf("mode %d", ix.ReorderMode)
 	}
-}
-
-// inspectSizes decodes every shard on a worker pool and returns the
-// per-shard uncompressed FASTQ sizes (or errors). It is the one decode
-// pool outside streamShards: a summary must tolerate per-shard failures
-// and report "-" for them, which streamShards' first-error-stops
-// contract cannot express.
-func inspectSizes(c *Container, cons genome.Seq) ([]int64, []error) {
-	n := c.NumShards()
-	rawSizes := make([]int64, n)
-	decodeErrs := make([]error, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	jobs := make(chan int, n)
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				rs, err := c.DecompressShard(i, cons)
-				if err != nil {
-					decodeErrs[i] = err
-					continue
-				}
-				rawSizes[i] = int64(rs.UncompressedSize())
-			}
-		}()
-	}
-	wg.Wait()
-	return rawSizes, decodeErrs
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"sage/internal/fastq"
+	"sage/internal/freelist"
 	"sage/internal/genome"
 )
 
@@ -75,39 +76,65 @@ func (p *Predicate) String() string {
 // MatchRecord reports whether one record satisfies the predicate. This
 // is the record-level ground truth that zone-map pruning conservatively
 // approximates: PruneShard may only return true for a shard in which no
-// record passes MatchRecord.
+// record passes MatchRecord. The read paths match text (MatchText);
+// MatchRecord, over records decoded apart from the text, is the oracle
+// their tests hold them to.
 func (p *Predicate) MatchRecord(r *fastq.Record) bool {
-	if p.MinLen > 0 && len(r.Seq) < p.MinLen {
-		return false
+	return p.matchRead(r.Seq, r.Qual, 0, genome.BaseC, genome.BaseG, p.Subseq, p.Subseq.ReverseComplement())
+}
+
+// MatchText is MatchRecord over a shard's text, FASTQ as the decoder
+// renders it (AppendFASTQ): it calls match with the bytes of each
+// matching record, in order, and returns the number of records walked.
+// match may overwrite text up to the end of the record it is handed,
+// never past it (Filter compacts the matches in place).
+func (p *Predicate) MatchText(text []byte, match func(rec []byte) error) (int, error) {
+	fwd := genome.AppendASCII(nil, p.Subseq) // once per call
+	rev := genome.AppendASCII(nil, p.Subseq.ReverseComplement())
+	n := 0
+	for len(text) > 0 {
+		r, rest, err := fastq.NextRecord(text)
+		if err != nil {
+			return n, err
+		}
+		n, text = n+1, rest
+		if p.matchRead(r.Seq, r.Qual, fastq.QualityOffset, 'C', 'G', fwd, rev) {
+			if err := match(r.Bytes); err != nil {
+				return n, err
+			}
+		}
 	}
-	if p.MaxLen > 0 && len(r.Seq) > p.MaxLen {
+	return n, nil
+}
+
+// matchRead is the one definition of what p selects, for a read in
+// either shape: bases seq in an alphabet whose C and G are c and g,
+// scores qual stored offset above their Phred values (none when
+// unscored), and Subseq and its reverse complement in seq's alphabet.
+func (p *Predicate) matchRead(seq, qual []byte, offset, c, g byte, fwd, rev []byte) bool {
+	if len(seq) == 0 {
+		qual = nil // an empty read carries no scores to average
+	}
+	if p.MinLen > 0 && len(seq) < p.MinLen || p.MaxLen > 0 && len(seq) > p.MaxLen {
 		return false
 	}
 	if p.MinAvgPhred > 0 {
-		avg, ok := r.AvgPhred()
-		if !ok || avg < p.MinAvgPhred {
+		if avg, ok := fastq.AvgPhred(qual, offset); !ok || avg < p.MinAvgPhred {
 			return false
 		}
 	}
 	if p.MaxEE > 0 {
-		ee, ok := r.ExpectedError()
-		if !ok || ee > p.MaxEE {
+		if ee, ok := fastq.ExpectedError(qual, offset); !ok || ee > p.MaxEE {
 			return false
 		}
 	}
-	if p.MinGC > 0 && r.GCFraction() < p.MinGC {
-		return false
-	}
-	if p.MaxGC > 0 && r.GCFraction() > p.MaxGC {
-		return false
-	}
-	if len(p.Subseq) > 0 {
-		if !bytes.Contains(r.Seq, p.Subseq) &&
-			!bytes.Contains(r.Seq, p.Subseq.ReverseComplement()) {
+	if p.MinGC > 0 || p.MaxGC > 0 {
+		gc := fastq.GCFraction(seq, c, g)
+		if p.MinGC > 0 && gc < p.MinGC || p.MaxGC > 0 && gc > p.MaxGC {
 			return false
 		}
 	}
-	return true
+	return len(fwd) == 0 || bytes.Contains(seq, fwd) || bytes.Contains(seq, rev)
 }
 
 // PruneShard reports whether the shard described by e provably contains
@@ -188,8 +215,10 @@ type FilterStats struct {
 // Filter streams the records matching p to w as FASTQ, consulting zone
 // maps first: pruned shards are never read or decoded. Surviving
 // shards decode on up to workers goroutines with the same bounded
-// write-order window as DecompressTo. cons is the fallback consensus
-// for containers without an embedded one.
+// write-order window as DecompressTo: each worker renders its shard's
+// text and compacts the matching records in place (MatchText), and the
+// writer only writes. cons is the fallback consensus for containers
+// without an embedded one.
 func (c *Container) Filter(w io.Writer, cons genome.Seq, p *Predicate, workers int) (*FilterStats, error) {
 	if p == nil {
 		p = &Predicate{}
@@ -203,14 +232,32 @@ func (c *Container) Filter(w io.Writer, cons genome.Seq, p *Predicate, workers i
 	for _, i := range scan {
 		st.ReadsScanned += c.Index.Entries[i].ReadCount
 	}
-	keep := p.MatchRecord
-	if !p.Active() {
-		keep = nil
+	letters := c.fallbackLetters(cons)
+	type matches struct {
+		text *[]byte
+		n    int
 	}
-	matched, err := c.streamShards(writeSink(w), cons, workers, scan, keep)
+	err := stream(scan, workers, func(i int) (m matches, err error) {
+		m.text = texts.Get()
+		text, err := c.AppendFASTQ((*m.text)[:0], i, letters)
+		kept := text[:0]
+		if err == nil {
+			_, err = p.MatchText(text, func(rec []byte) error {
+				kept = append(kept, rec...)
+				m.n++
+				return nil
+			})
+		}
+		*m.text = kept
+		return m, err
+	}, func(m matches) error {
+		st.ReadsMatched += m.n
+		_, err := w.Write(*m.text)
+		freelist.PutBuf(texts, m.text)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	st.ReadsMatched = matched
 	return st, nil
 }

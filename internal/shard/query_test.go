@@ -56,6 +56,7 @@ func TestComputeZoneMap(t *testing.T) {
 func TestPredicateMatchRecord(t *testing.T) {
 	scored := rec("ACGTACGTACGT", 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30)
 	unscored := rec("ACGTACGTACGT")
+	scoredEE, _ := fastq.ExpectedError(scored.Qual, 0)
 	cases := []struct {
 		name string
 		p    Predicate
@@ -64,15 +65,19 @@ func TestPredicateMatchRecord(t *testing.T) {
 	}{
 		{"min-len pass", Predicate{MinLen: 12}, scored, true},
 		{"min-len fail", Predicate{MinLen: 13}, scored, false},
+		{"max-len pass", Predicate{MaxLen: 12}, scored, true},
 		{"max-len fail", Predicate{MaxLen: 11}, scored, false},
 		{"min-avgphred pass", Predicate{MinAvgPhred: 30}, scored, true},
 		{"min-avgphred fail", Predicate{MinAvgPhred: 30.5}, scored, false},
 		{"min-avgphred unscored", Predicate{MinAvgPhred: 1}, unscored, false},
 		{"max-ee pass", Predicate{MaxEE: 1}, scored, true},
+		{"max-ee inclusive", Predicate{MaxEE: scoredEE}, scored, true},
 		{"max-ee fail", Predicate{MaxEE: 0.001}, scored, false},
 		{"max-ee unscored", Predicate{MaxEE: 100}, unscored, false},
 		{"gc band pass", Predicate{MinGC: 0.4, MaxGC: 0.6}, scored, true},
 		{"gc band fail", Predicate{MinGC: 0.6}, scored, false},
+		{"gc bounds inclusive", Predicate{MinGC: 0.5, MaxGC: 0.5}, scored, true},
+		{"max-gc fail", Predicate{MaxGC: 0.4}, scored, false},
 		{"subseq forward", Predicate{Subseq: genome.MustFromString("GTAC")}, scored, true},
 		{"subseq absent", Predicate{Subseq: genome.MustFromString("GGGG")}, scored, false},
 	}

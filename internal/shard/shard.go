@@ -307,22 +307,14 @@ func CompressPipeline(src fastq.BatchSource, w io.Writer, opt Options) (*Stats, 
 }
 
 // DecompressShard is the one fetch + verify + decode + count-check of
-// shard i; every other read path (streamShards, the serving decode
-// pool) calls it. Like core.Decompress, an embedded consensus always
-// wins; cons is the fallback for containers written without one.
+// shard i to records, behind Decompress and DecompressOriginalTo. Like
+// core.Decompress, an embedded consensus always wins; cons is the
+// fallback for containers written without one.
 func (c *Container) DecompressShard(i int, cons genome.Seq) (*fastq.ReadSet, error) {
 	blk, err := c.fetch(i)
 	if err != nil {
 		return nil, err
 	}
-	return c.DecodeBlock(i, blk, cons)
-}
-
-// DecodeBlock is DecompressShard for a caller that fetched shard i's
-// bytes itself (the in-storage engine reads them back from its device
-// model): blk is verified against the index checksum, decoded, and the
-// record count checked against the index.
-func (c *Container) DecodeBlock(i int, blk []byte, cons genome.Seq) (*fastq.ReadSet, error) {
 	if err := c.verify(i, blk); err != nil {
 		return nil, err
 	}
@@ -343,19 +335,27 @@ func (c *Container) DecodeBlock(i int, blk []byte, cons genome.Seq) (*fastq.Read
 // once by the caller; like DecompressShard's cons, it is used only when
 // the container embeds no consensus.
 func (c *Container) AppendFASTQ(dst []byte, i int, letters []byte) ([]byte, error) {
-	if c.letters != nil {
-		letters = c.letters
-	}
 	blk := blocks.Get()
 	defer freelist.PutBuf(blocks, blk)
 	var err error
 	if *blk, err = c.fetchInto((*blk)[:0], i); err != nil {
 		return dst, err
 	}
-	if err := c.verify(i, *blk); err != nil {
+	return c.AppendBlockFASTQ(dst, i, *blk, letters)
+}
+
+// AppendBlockFASTQ is AppendFASTQ for a caller that fetched shard i's
+// bytes itself (the in-storage engine reads them back from its device
+// model): blk is verified against the index checksum, rendered, and the
+// read count checked against the index.
+func (c *Container) AppendBlockFASTQ(dst []byte, i int, blk, letters []byte) ([]byte, error) {
+	if err := c.verify(i, blk); err != nil {
 		return dst, err
 	}
-	out, n, err := core.AppendFASTQ(dst, *blk, letters)
+	if c.letters != nil {
+		letters = c.letters
+	}
+	out, n, err := core.AppendFASTQ(dst, blk, letters)
 	if err != nil {
 		return dst, fmt.Errorf("shard: decoding shard %d: %w", i, err)
 	}
@@ -363,6 +363,16 @@ func (c *Container) AppendFASTQ(dst []byte, i int, letters []byte) ([]byte, erro
 		return dst, err
 	}
 	return out, nil
+}
+
+// fallbackLetters is cons as text, what AppendFASTQ takes, or nil when
+// the container embeds its own consensus: built once per call of a
+// whole-container reader.
+func (c *Container) fallbackLetters(cons genome.Seq) []byte {
+	if c.letters != nil {
+		return nil
+	}
+	return genome.AppendASCII(make([]byte, 0, len(cons)), cons)
 }
 
 // checkCount checks the number of reads shard i decoded to against the
@@ -391,10 +401,7 @@ var testDecodeStarted func(shard int)
 // consensus for containers written without an embedded one. This is the
 // streaming path behind `sage decompress`.
 func (c *Container) DecompressTo(w io.Writer, cons genome.Seq, workers int) error {
-	var letters []byte
-	if c.letters == nil {
-		letters = genome.AppendASCII(make([]byte, 0, len(cons)), cons)
-	}
+	letters := c.fallbackLetters(cons)
 	return stream(c.allShards(), workers, func(i int) (*[]byte, error) {
 		buf := texts.Get()
 		var err error
@@ -434,7 +441,9 @@ func (c *Container) DecompressOriginalTo(w io.Writer, cons genome.Seq, workers i
 	r := reorder.NewRestorer(sc)
 	defer r.Close()
 	pos := 0
-	_, err := c.streamShards(func(rs *fastq.ReadSet) error {
+	err := stream(c.allShards(), workers, func(i int) (*fastq.ReadSet, error) {
+		return c.DecompressShard(i, cons)
+	}, func(rs *fastq.ReadSet) error {
 		for j := range rs.Records {
 			if pos >= len(perm) {
 				return fmt.Errorf("shard: container holds more records than its %d-entry permutation", len(perm))
@@ -445,7 +454,7 @@ func (c *Container) DecompressOriginalTo(w io.Writer, cons genome.Seq, workers i
 			pos++
 		}
 		return nil
-	}, cons, workers, c.allShards(), nil)
+	})
 	if err != nil {
 		return err
 	}
@@ -461,11 +470,6 @@ func (c *Container) DecompressOriginalTo(w io.Writer, cons genome.Seq, workers i
 	return bw.Flush()
 }
 
-// writeSink adapts an io.Writer into a streamShards sink.
-func writeSink(w io.Writer) func(*fastq.ReadSet) error {
-	return func(rs *fastq.ReadSet) error { return rs.Write(w) }
-}
-
 // allShards lists every shard in index order.
 func (c *Container) allShards() []int {
 	list := make([]int, c.NumShards())
@@ -475,39 +479,8 @@ func (c *Container) allShards() []int {
 	return list
 }
 
-// streamShards is stream over records, shared by Decompress,
-// DecompressOriginalTo, and Filter: the shards named by list decode to
-// records and reach emit in list order. keep, when non-nil, drops
-// non-matching records worker-side before the shard ever reaches the
-// sink. Returns the number of records emitted.
-func (c *Container) streamShards(emit func(*fastq.ReadSet) error, cons genome.Seq, workers int, list []int, keep func(*fastq.Record) bool) (int, error) {
-	written := 0
-	err := stream(list, workers, func(i int) (*fastq.ReadSet, error) {
-		rs, err := c.DecompressShard(i, cons)
-		if err == nil && keep != nil {
-			// Filter worker-side so non-matching records never
-			// occupy the write-order window.
-			kept := make([]fastq.Record, 0, len(rs.Records))
-			for r := range rs.Records {
-				if keep(&rs.Records[r]) {
-					kept = append(kept, rs.Records[r])
-				}
-			}
-			rs = &fastq.ReadSet{Records: kept}
-		}
-		return rs, err
-	}, func(rs *fastq.ReadSet) error {
-		if err := emit(rs); err != nil {
-			return err
-		}
-		written += len(rs.Records)
-		return nil
-	})
-	return written, err
-}
-
-// stream is the one ordered decode pool, behind DecompressTo and
-// streamShards: decode runs for each shard of list on up to workers
+// stream is the one ordered decode pool, behind every whole-container
+// reader: decode runs for each shard of list on up to workers
 // goroutines (<= 0 uses GOMAXPROCS), and emit receives the results in
 // list order, on the calling goroutine.
 func stream[T any](list []int, workers int, decode func(shard int) (T, error), emit func(T) error) error {
@@ -623,7 +596,7 @@ func stream[T any](list []int, workers int, decode func(shard int) (T, error), e
 }
 
 // Decompress parses a sharded container and decodes it whole: Parse
-// plus a collecting sink over the streamShards pool (up to workers
+// plus a collecting sink over the stream pool (up to workers
 // goroutines, <= 0 uses GOMAXPROCS), reads in shard order. Output is
 // identical for any worker count. cons is used only when the
 // container has no embedded consensus; pass nil for self-contained
@@ -634,10 +607,12 @@ func Decompress(data []byte, cons genome.Seq, workers int) (*fastq.ReadSet, erro
 		return nil, err
 	}
 	out := &fastq.ReadSet{Records: make([]fastq.Record, 0, c.Index.TotalReads)}
-	_, err = c.streamShards(func(rs *fastq.ReadSet) error {
+	err = stream(c.allShards(), workers, func(i int) (*fastq.ReadSet, error) {
+		return c.DecompressShard(i, cons)
+	}, func(rs *fastq.ReadSet) error {
 		out.Records = append(out.Records, rs.Records...)
 		return nil
-	}, cons, workers, c.allShards(), nil)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,10 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -388,6 +390,64 @@ func TestInspect(t *testing.T) {
 	// container of short reads compresses, so ratios exceed 1x.
 	if n := strings.Count(info, "x\n"); n != 4 { // 3 shards + totals
 		t.Fatalf("Inspect shows %d ratio cells, want 4:\n%s", n, info)
+	}
+}
+
+// TestInspectCorruptShard: Inspect renders every shard on the one
+// decode pool and carries each decode's error as a value, so one
+// corrupt shard shows "-" and is flagged while the shards around it
+// keep the ratios of their rendered text.
+func TestInspectCorruptShard(t *testing.T) {
+	rs, ref := testSet(t, 100)
+	opt := DefaultOptions(ref)
+	opt.ShardReads = 40
+	data, _, err := Compress(rs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, err := Inspect(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, length, err := c.Extent(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Clone(data)
+	bad[off+length/2] ^= 0x40
+	info, err := Inspect(bad, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(info, "! undecodable: shard 1: ") || !strings.Contains(info, "checksum mismatch") ||
+		strings.Count(info, "undecodable") != 1 {
+		t.Fatalf("Inspect of a container with shard 1 corrupt:\n%s", info)
+	}
+	healthyRows, rows := strings.Split(healthy, "\n"), strings.Split(info, "\n")
+	for i := 0; i < c.NumShards(); i++ {
+		text, err := c.AppendFASTQ(nil, i, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio := fmt.Sprintf("%.2fx", float64(len(text))/float64(c.Index.Entries[i].Length))
+		row := slices.IndexFunc(rows, func(r string) bool { return strings.HasPrefix(r, fmt.Sprintf("%6d  ", i)) })
+		if row < 0 {
+			t.Fatalf("no row for shard %d:\n%s", i, info)
+		}
+		if !strings.HasSuffix(healthyRows[row], ratio) {
+			t.Fatalf("healthy shard %d row %q, want ratio %s", i, healthyRows[row], ratio)
+		}
+		want := ratio
+		if i == 1 {
+			want = "-"
+		}
+		if !strings.HasSuffix(rows[row], " "+want) {
+			t.Fatalf("shard %d row %q, want ratio %s", i, rows[row], want)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sage/internal/fastq"
+	"sage/internal/genome"
 )
 
 // sketchAdd and oracleZoneMap are ComputeZoneMap as it was before its
@@ -48,7 +49,7 @@ func oracleZoneMap(recs []fastq.Record, sketchBytes int, withQuality bool) ZoneM
 		if n := len(r.Seq); n > maxLen {
 			maxLen = n
 		}
-		gc := r.GCFraction()
+		gc := fastq.GCFraction(r.Seq, genome.BaseC, genome.BaseG)
 		if gc < minGC {
 			minGC = gc
 		}
@@ -59,8 +60,8 @@ func oracleZoneMap(recs []fastq.Record, sketchBytes int, withQuality bool) ZoneM
 		if !withQuality {
 			continue
 		}
-		avg, ok := r.AvgPhred()
-		if !ok {
+		avg, ok := fastq.AvgPhred(r.Qual, 0)
+		if !ok || len(r.Seq) == 0 { // an empty read carries no scores
 			continue
 		}
 		z.QualReads++
@@ -74,7 +75,7 @@ func oracleZoneMap(recs []fastq.Record, sketchBytes int, withQuality bool) ZoneM
 		if avg > maxAvg {
 			maxAvg = avg
 		}
-		ee, _ := r.ExpectedError()
+		ee, _ := fastq.ExpectedError(r.Qual, 0)
 		if ee < minEE {
 			minEE = ee
 		}

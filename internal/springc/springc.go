@@ -315,6 +315,10 @@ func Decompress(data []byte) (*fastq.ReadSet, error) {
 		streams[i] = bytes.NewReader(raw)
 	}
 
+	// Every read costs a byte of the flags stream.
+	if numReads > uint64(streams[stFlags].Len()) {
+		return nil, fmt.Errorf("springc: %d reads claimed, flags stream holds %d", numReads, streams[stFlags].Len())
+	}
 	rs := &fastq.ReadSet{Records: make([]fastq.Record, numReads)}
 	lengths := make([]int, numReads)
 	prevPos := 0
@@ -346,16 +350,15 @@ func Decompress(data []byte) (*fastq.ReadSet, error) {
 	if _, err := io.ReadFull(rd, hb); err != nil {
 		return nil, err
 	}
-	hs, err := headers.Decompress(hb)
+	// Only the read count bounds the header count a slotless template claims.
+	names, ends, err := headers.Append(nil, nil, hb, len(rs.Records))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("springc: %w", err)
 	}
-	if uint64(len(hs)) != numReads {
-		return nil, fmt.Errorf("springc: %d headers for %d reads", len(hs), numReads)
-	}
-	for i := range rs.Records {
+	hs, start := string(names), 0
+	for i, end := range ends {
 		rs.Records[i].Qual = quals[i]
-		rs.Records[i].Header = hs[i]
+		rs.Records[i].Header, start = hs[start:end], end
 	}
 	return rs, nil
 }

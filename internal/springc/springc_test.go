@@ -1,7 +1,9 @@
 package springc
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -83,6 +85,29 @@ func TestRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Compress(&fastq.ReadSet{}, nil); err == nil {
 		t.Fatal("expected error without consensus")
+	}
+}
+
+// TestRejectsHeaderCount: a header stream claiming more headers than
+// the container has reads fails before the claimed count sizes
+// anything. The stream is the one core's TestDecodeRejectsHeaderCount
+// feeds the SAGe decoder: templated, 2^40 headers, template "r", no
+// slots and no body, which costs no bits per header.
+func TestRejectsHeaderCount(t *testing.T) {
+	ref, rs := makeSet(t, 6, 20000, 20, false)
+	enc, err := Compress(rs, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The header stream ends the container, after its uvarint length.
+	var lenBuf [binary.MaxVarintLen64]byte
+	tail := binary.PutUvarint(lenBuf[:], uint64(enc.Stats.HeaderBytes)) + enc.Stats.HeaderBytes
+	hostile := []byte{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 1, 'r', 0, 0}
+	data := append([]byte(nil), enc.Data[:len(enc.Data)-tail]...)
+	data = binary.AppendUvarint(data, uint64(len(hostile)))
+	data = append(data, hostile...)
+	if _, err := Decompress(data); err == nil || !strings.Contains(err.Error(), "headers") {
+		t.Fatalf("Decompress: %v, want a header count error", err)
 	}
 }
 

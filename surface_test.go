@@ -26,9 +26,10 @@ import (
 // again or that no longer exists, so the list stays exact.
 var surfaceKeep = map[string]string{
 	// Called by tests only.
-	"internal/genome.MustFromString": "test fixture constructor the tests of seven packages share",
-	"internal/shard.Decompress":      "whole-container decode the shard tests call, compat_test.go among them; programs stream through DecompressTo",
-	"internal/ssd.SSD.Stats":         "device counters the in-storage pruning and GC tests assert on",
+	"internal/genome.MustFromString":       "test fixture constructor the tests of seven packages share",
+	"internal/shard.Decompress":            "whole-container decode the shard tests call, compat_test.go among them; programs stream through DecompressTo",
+	"internal/shard.Predicate.MatchRecord": "the record-level oracle the shard, serve and instorage tests hold MatchText's readers (Filter, /query, FilterScan) to",
+	"internal/ssd.SSD.Stats":               "device counters the in-storage pruning and GC tests assert on",
 }
 
 // optionFields is the number of exported fields of exported *Options and
