@@ -11,7 +11,8 @@
 // take software preparation rates from the paper's measured component
 // ratios (DESIGN.md, "Calibration"). The -json flag additionally writes
 // every experiment's machine-readable metrics (speedups, ratios, modeled
-// times) as one JSON object keyed by experiment ID.
+// times) as one JSON object keyed by experiment ID, with the wall-clock
+// figures of this host apart under "measured".
 package main
 
 import (
@@ -24,18 +25,31 @@ import (
 	"sage/internal/bench"
 )
 
-// writeJSON collects each table's Metrics map into one document:
+// writeJSON collects each table's Metrics map into one document keyed
+// by experiment ID, and each table's Measured map under "measured",
+// keyed the same way:
 //
-//	{"instorage": {"speedup_8unit": ..., ...}, "query": {...}, ...}
+//	{"instorage": {"speedup_8unit": ..., ...}, "query": {...}, ...,
+//	 "measured": {"fig18": {...}, "instorage": {"host_scan-decode_ms": ...}, "tab3": {...}}}
 //
-// Experiments without metrics are omitted rather than serialized as
-// empty objects, so the file only states what was measured.
+// Everything outside "measured" is modeled or counted, so it is the same
+// on every run at one scale; "measured" holds the wall-clock figures of
+// this host. Experiments without figures are omitted rather than
+// serialized as empty objects, so the file only states what was
+// measured.
 func writeJSON(path string, tables []*bench.Table) error {
-	doc := make(map[string]map[string]float64)
+	doc := make(map[string]any)
+	measured := make(map[string]map[string]float64)
 	for _, tb := range tables {
 		if len(tb.Metrics) > 0 {
 			doc[tb.ID] = tb.Metrics
 		}
+		if len(tb.Measured) > 0 {
+			measured[tb.ID] = tb.Measured
+		}
+	}
+	if len(measured) > 0 {
+		doc["measured"] = measured
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -35,7 +35,7 @@ import (
 //	core decompress      11.369     0.034      1.00
 //	shard assemble      109.436     4.226      4.86
 //	shard stream-decode  15.542     0.104      0.12
-//	shard restore         7.268     0.186      0.21
+//	shard restore         7.268     0.121      0.14
 //
 // "before" figures predate the arena batch reader, pooled range-coder
 // state, pooled mapper scratch, shared per-container mapper, decode
@@ -58,7 +58,9 @@ import (
 // a fresh record per read; "after" is the dense-key scatter, which
 // allocates per key range (0.230, of which the decode 0.214; 0.186 once
 // a block's bases decode into the kept scratch and are copied out in one
-// allocation), and its budget is 1.15× that. If an
+// allocation; 0.174 before and 0.121 after the restore took the
+// decoder's FASTQ text and kept its buffers between restores), and its
+// budget is 1.15× the last figure. If an
 // intentional change raises a number, update the budget alongside the
 // code change and say why in the commit.
 const (
@@ -69,15 +71,18 @@ const (
 	budgetCoreDecompressAllocsPerRead = 1.00
 	budgetShardAssembleAllocsPerRead  = 4.86
 	budgetShardStreamAllocsPerRead    = 0.12
-	budgetRestoreAllocsPerRead        = 0.21
+	budgetRestoreAllocsPerRead        = 0.14
 )
 
 // budgetDecodeBytesPerByte bounds the bytes a streaming decode
 // (shard.Container.DecompressTo) allocates per byte of FASTQ it writes,
-// enforced by TestDecodeAllocBytes on short and long reads. The
+// enforced by TestDecodeAllocBytes on short and long reads, and on short
+// reads restored to original order (DecompressOriginalTo). The
 // repository benchmark's shard.decode_alloc_mb_per_mb read 3.2 (short)
 // and 4.5 (long) when decoding went through records; rendering in the
-// decoder leaves each shard's parsed block streams and little else.
+// decoder leaves each shard's parsed block streams and little else. The
+// original-order row read 3.09 while the restore took records and
+// allocated its buffers afresh each time, 0.38 since.
 const budgetDecodeBytesPerByte = 1.0
 
 // allocFixture is the shared workload for the alloc gate: simulated
@@ -241,8 +246,9 @@ func TestAllocBudgets(t *testing.T) {
 }
 
 // TestDecodeAllocBytes is the byte gate of a streaming decode, short and
-// long reads: bytes allocated per byte of FASTQ written, over five
-// decodes after one that fills the scratch free lists.
+// long reads, and of an original-order decode of short reads: bytes
+// allocated per byte of FASTQ written, over five decodes after one that
+// fills the scratch free lists.
 func TestDecodeAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated under the race detector")
@@ -265,35 +271,55 @@ func TestDecodeAllocBytes(t *testing.T) {
 		rs         *fastq.ReadSet
 		ref        genome.Seq
 		shardReads int
+		original   bool
 	}{
-		{"short", fx.rs, fx.ref, 256},
-		{"long", long, ref, 8},
+		{"short", fx.rs, fx.ref, 256, false},
+		{"long", long, ref, 8, false},
+		{"short original-order", fx.rs, fx.ref, 256, true},
 	} {
 		opt := shard.DefaultOptions(tc.ref)
 		opt.ShardReads = tc.shardReads
-		data, _, err := shard.Compress(tc.rs, opt)
+		var src fastq.BatchSource = fastq.NewBatchReader(bytes.NewReader(tc.rs.Bytes()), tc.shardReads)
+		if tc.original {
+			st, err := reorder.NewStage(src, reorder.Config{Mode: reorder.ModeClump, BatchSize: tc.shardReads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			src = st
+		}
+		var buf bytes.Buffer
+		if _, err := shard.CompressPipeline(src, &buf, opt); err != nil {
+			t.Fatal(err)
+		}
+		c, err := shard.Parse(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := shard.Parse(data)
-		if err != nil {
-			t.Fatal(err)
+		// The original-order decode restores under a quarter of the
+		// input, what the repository benchmark's 1 MiB is to its reads.
+		sc := reorder.SortConfig{MemBudget: int64(tc.rs.UncompressedSize() / 4), TmpDir: t.TempDir()}
+		decode := func() error {
+			if tc.original {
+				return c.DecompressOriginalTo(io.Discard, nil, 1, sc)
+			}
+			return c.DecompressTo(io.Discard, nil, 1)
 		}
-		if err := c.DecompressTo(io.Discard, nil, 1); err != nil {
+		if err := decode(); err != nil {
 			t.Fatal(err)
 		}
 		const runs = 5
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range runs {
-			if err := c.DecompressTo(io.Discard, nil, 1); err != nil {
+			if err := decode(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		runtime.ReadMemStats(&after)
 		perByte := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(tc.rs.UncompressedSize())
 		if perByte > budgetDecodeBytesPerByte {
-			t.Errorf("%s: DecompressTo allocated %.3f bytes per FASTQ byte, budget %.2f", tc.name, perByte, budgetDecodeBytesPerByte)
+			t.Errorf("%s: the decode allocated %.3f bytes per FASTQ byte, budget %.2f", tc.name, perByte, budgetDecodeBytesPerByte)
 		} else {
 			t.Logf("%s: %.3f bytes per FASTQ byte (budget %.2f)", tc.name, perByte, budgetDecodeBytesPerByte)
 		}

@@ -320,7 +320,7 @@ func TestFig18SplitsCompressionTime(t *testing.T) {
 			t.Errorf("%s: slowest tool reads %.2f, want 1.00", set, slowest)
 		}
 	}
-	if share := tb.Metrics["fig18_sage_find_share_gmean"]; share <= 0 || share >= 1 {
+	if share := tb.Measured["fig18_sage_find_share_gmean"]; share <= 0 || share >= 1 {
 		t.Errorf("sage find share %.3f outside (0,1)", share)
 	}
 }

@@ -131,7 +131,7 @@ func (s *Suite) InstorageExperiment() (*Table, error) {
 	t.Metric("channel_makespan_ms", ms(res.ChannelMakespan))
 	t.Metric("pipeline_total_ms", ms(res.Pipeline.Total))
 	for _, st := range res.Stages {
-		t.Metric("host_"+st.Stage+"_ms", ms(st.Total))
+		t.MeasuredMetric("host_"+st.Stage+"_ms", ms(st.Total))
 	}
 	return t, nil
 }

@@ -18,6 +18,11 @@ type Table struct {
 	// ratios) that sagebench -json collects into BENCH_7.json. Not
 	// rendered in the text table.
 	Metrics map[string]float64
+	// Measured holds the summary figures that are wall-clock times or
+	// rates of the host running the suite, which change run to run:
+	// sagebench -json writes them apart from Metrics, which stays the
+	// same for a given scale.
+	Measured map[string]float64
 }
 
 // Metric records one machine-readable result figure on the table.
@@ -26,6 +31,14 @@ func (t *Table) Metric(name string, v float64) {
 		t.Metrics = make(map[string]float64)
 	}
 	t.Metrics[name] = v
+}
+
+// MeasuredMetric records one machine-readable figure timed on this host.
+func (t *Table) MeasuredMetric(name string, v float64) {
+	if t.Measured == nil {
+		t.Measured = make(map[string]float64)
+	}
+	t.Measured[name] = v
 }
 
 // Render formats the table as aligned text.

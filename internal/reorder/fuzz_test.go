@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"bytes"
+	"io"
 	"runtime"
 	"strconv"
 	"testing"
@@ -10,12 +11,15 @@ import (
 	"sage/internal/genome"
 )
 
-// FuzzRestorer drives a Restorer with an arbitrary Add order, budget and
-// record shapes, optionally repeating one index, dropping one record or
-// moving one index far past the end. The invariants: Emit yields exactly
-// orig[0..m) when the m indices added are 0..m−1, and otherwise fails;
-// whatever it emits before failing is in place; and a restore allocates
-// in proportion to the records it holds, never to the indices they claim.
+// FuzzRestorer drives a Restorer with an arbitrary AddText order, budget
+// and record shapes, optionally repeating one index, dropping one record
+// or moving one index far past the end. The invariants: WriteTo writes
+// exactly the text of orig[0..m) when the m indices added are 0..m−1,
+// and otherwise fails; whatever it writes before failing is in place;
+// and a restore allocates in proportion to the records it holds, never
+// to the indices they claim. Records with a nil and an empty quality
+// render to the same text, so the text cannot tell them apart and
+// neither does this check.
 func FuzzRestorer(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, []byte{10, 20, 0, 70, 130, 5, 200, 63}, uint16(0), uint8(0), uint16(0))
 	f.Add([]byte{7, 7, 7}, []byte{40, 41, 42, 43, 44, 45, 46, 47, 48, 49}, uint16(1), uint8(0), uint16(0))
@@ -51,9 +55,10 @@ func FuzzRestorer(f *testing.F) {
 			j := int(order[i%len(order)]) % (i + 1)
 			perm[i], perm[j] = perm[j], perm[i]
 		}
-		recs := make([]fastq.Record, n)
+		texts, want := render(orig)
+		recs := make([][]byte, n)
 		for i, p := range perm {
-			recs[i] = orig[p]
+			recs[i] = texts[p]
 		}
 		if n >= 2 {
 			a := int(at) % n
@@ -76,25 +81,32 @@ func FuzzRestorer(f *testing.F) {
 			}
 			seen[p] = true
 		}
+		if !valid {
+			want = nil
+		} else if len(perm) < n {
+			want = bytes.Join(texts[:len(perm)], nil)
+		}
 
+		// The writer's buffer is kept between restores: a first restore
+		// allocates it, so that the one measured holds only its records.
+		warm := NewRestorer(SortConfig{})
+		if _, err := warm.WriteTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		warm.Close()
 		r := NewRestorer(SortConfig{MemBudget: int64(budget), TmpDir: t.TempDir()})
 		defer r.Close()
+		var out bytes.Buffer
+		out.Grow(size + 8*n)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		var err error
 		for i, p := range perm {
-			if err = r.Add(p, recs[i]); err != nil {
-				t.Fatalf("Add(%d): %v", p, err)
+			if err = r.AddText(p, recs[i]); err != nil {
+				t.Fatalf("AddText(%d): %v", p, err)
 			}
 		}
-		emitted := 0
-		err = r.Emit(func(rec *fastq.Record) error {
-			if emitted >= len(orig) || !sameRecord(rec, &orig[emitted]) {
-				t.Fatalf("position %d: emitted %+v", emitted, *rec)
-			}
-			emitted++
-			return nil
-		})
+		_, err = r.WriteTo(&out)
 		runtime.ReadMemStats(&after)
 		if grew, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(8*size+512*n+64<<10); grew > ceiling {
 			t.Fatalf("%d bytes allocated restoring %d records of %d bytes (ceiling %d)", grew, n, size, ceiling)
@@ -102,10 +114,12 @@ func FuzzRestorer(f *testing.F) {
 		switch {
 		case valid && err != nil:
 			t.Fatalf("indices 0..%d rejected: %v", len(perm)-1, err)
-		case valid && emitted != len(perm):
-			t.Fatalf("emitted %d of %d records", emitted, len(perm))
+		case valid && !bytes.Equal(out.Bytes(), want):
+			t.Fatalf("wrote %q, want %q", out.Bytes(), want)
 		case !valid && err == nil:
 			t.Fatalf("indices %v accepted", perm)
+		case !valid && !bytes.HasPrefix(bytes.Join(texts, nil), out.Bytes()):
+			t.Fatalf("wrote %q before failing", out.Bytes())
 		}
 	})
 }

@@ -11,8 +11,9 @@
 // position) as it emits, which the container stores (format v5) and
 // Restorer uses to recover the exact original order on decode. Those
 // indices are exactly 0..n−1, so the restorer needs no comparison: it
-// scatters each record to its slot, in memory or, past the budget, one
-// key range at a time out of a single spill file. Mate
+// stores each record's FASTQ text under its index and writes the texts
+// back in index order, from memory or, past the budget, one key range at
+// a time out of a single spill file. Mate
 // pairs move as one unit, and reads never cross source-file boundaries,
 // so paired semantics and file-aware sharding both survive.
 package reorder

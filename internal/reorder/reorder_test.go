@@ -9,9 +9,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"sage/internal/fastq"
+	"sage/internal/freelist"
 	"sage/internal/genome"
 )
 
@@ -361,33 +363,36 @@ func assertNoRunFiles(t *testing.T, dir string) {
 	}
 }
 
-// sameRecord reports whether got is want, telling a nil Qual from an
-// empty one.
-func sameRecord(got, want *fastq.Record) bool {
-	return got.Header == want.Header && bytes.Equal(got.Seq, want.Seq) &&
-		bytes.Equal(got.Qual, want.Qual) && (got.Qual == nil) == (want.Qual == nil)
+// render returns each record's FASTQ text and all of it in order: the
+// restorer's input and the oracle of its output.
+func render(recs []fastq.Record) (texts [][]byte, all []byte) {
+	texts = make([][]byte, len(recs))
+	for i := range recs {
+		texts[i] = recs[i].AppendText(nil)
+		all = append(all, texts[i]...)
+	}
+	return texts, all
 }
 
-// restore adds recs under perm to a restorer and returns what Emit
-// yields, copied, with Emit's error.
-func restore(t *testing.T, r *Restorer, recs []fastq.Record, perm []int64) ([]fastq.Record, error) {
+// restore adds texts under perm to a restorer and returns what WriteTo
+// writes, with the first error.
+func restore(t *testing.T, r *Restorer, texts [][]byte, perm []int64) ([]byte, error) {
 	t.Helper()
 	for i, p := range perm {
-		if err := r.Add(p, recs[i]); err != nil {
+		if err := r.AddText(p, texts[i]); err != nil {
 			return nil, err
 		}
 	}
-	var out []fastq.Record
-	err := r.Emit(func(rec *fastq.Record) error {
-		out = append(out, fastq.Record{Header: rec.Header, Seq: bytes.Clone(rec.Seq), Qual: bytes.Clone(rec.Qual)})
-		return nil
-	})
-	return out, err
+	var out bytes.Buffer
+	_, err := r.WriteTo(&out)
+	return out.Bytes(), err
 }
 
 // Restorer inverts an arbitrary permutation in memory, spilled over a
-// few ranges, and spilled one record per range, always into one file;
-// a nil and an empty quality come back as they went in.
+// few ranges, and spilled one record per range, always into one file,
+// writing back exactly the text it was given; the record adapters
+// (Add, Emit) give back the same records, a nil or empty quality as an
+// empty quality line.
 func TestRestorerRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	orig := randomRecords(rng, 300)
@@ -400,20 +405,17 @@ func TestRestorerRoundtrip(t *testing.T) {
 	for i, p := range order {
 		recs[i], perm[i] = orig[p], int64(p)
 	}
+	texts, _ := render(recs)
+	_, want := render(orig)
 	for _, budget := range []int64{0, 2 << 10, 1} {
 		tmp := t.TempDir()
 		r := NewRestorer(SortConfig{MemBudget: budget, TmpDir: tmp})
-		out, err := restore(t, r, recs, perm)
+		out, err := restore(t, r, texts, perm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(out) != len(orig) {
-			t.Fatalf("budget %d: emitted %d of %d records", budget, len(out), len(orig))
-		}
-		for i := range out {
-			if !sameRecord(&out[i], &orig[i]) {
-				t.Fatalf("budget %d, position %d: got %+v want %+v", budget, i, out[i], orig[i])
-			}
+		if !bytes.Equal(out, want) {
+			t.Fatalf("budget %d: wrote %d bytes unlike the %d of the input in order", budget, len(out), len(want))
 		}
 		if budget > 0 && r.off == 0 {
 			t.Fatalf("%d-byte budget did not spill", budget)
@@ -429,14 +431,39 @@ func TestRestorerRoundtrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertNoRunFiles(t, tmp)
+
+		r = NewRestorer(SortConfig{MemBudget: budget, TmpDir: tmp})
+		for i, p := range perm {
+			if err := r.Add(p, recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var emitted []byte
+		if err := r.Emit(func(rec *fastq.Record) error {
+			if len(rec.Seq) > 0 && rec.Qual != nil && len(rec.Qual) == 0 {
+				t.Fatalf("record %q: an empty quality line came back as an empty Qual, not nil", rec.Header)
+			}
+			emitted = rec.AppendText(emitted)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(emitted, want) {
+			t.Fatalf("budget %d: Emit's records are not the records added", budget)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertNoRunFiles(t, tmp)
 	}
 }
 
 // Indices that are not exactly 0..n−1 fail by name, in memory and
-// spilled, and never emit a record out of place.
+// spilled, and never write a record out of place.
 func TestRestorerRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	orig := randomRecords(rng, 40)
+	otexts, want := render(orig)
 	identity := func() []int64 {
 		p := make([]int64, len(orig))
 		for i := range p {
@@ -458,20 +485,18 @@ func TestRestorerRejects(t *testing.T) {
 		for _, budget := range []int64{0, 1 << 10} {
 			t.Run(fmt.Sprintf("%s/budget=%d", tc.name, budget), func(t *testing.T) {
 				perm := tc.edit(identity())
-				recs := make([]fastq.Record, len(perm))
+				texts := make([][]byte, len(perm))
 				for i, p := range perm {
-					recs[i] = orig[min(max(p, 0), int64(len(orig)-1))]
+					texts[i] = otexts[min(max(p, 0), int64(len(orig)-1))]
 				}
 				tmp := t.TempDir()
 				r := NewRestorer(SortConfig{MemBudget: budget, TmpDir: tmp})
-				out, err := restore(t, r, recs, perm)
+				out, err := restore(t, r, texts, perm)
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("error %v, want one containing %q", err, tc.want)
 				}
-				for i := range out {
-					if !sameRecord(&out[i], &orig[i]) {
-						t.Fatalf("emitted %q at position %d before failing", out[i].Header, i)
-					}
+				if !bytes.HasPrefix(want, out) {
+					t.Fatalf("wrote %d bytes before failing, not the input's first", len(out))
 				}
 				r.Close()
 				assertNoRunFiles(t, tmp)
@@ -484,9 +509,107 @@ func TestRestorerRejects(t *testing.T) {
 	perm[2] = 35
 	r := NewRestorer(SortConfig{MemBudget: 1 << 10, TmpDir: t.TempDir()})
 	defer r.Close()
-	if _, err := restore(t, r, orig, perm); err == nil || !strings.Contains(err.Error(), "original index 2 missing") {
+	if _, err := restore(t, r, otexts, perm); err == nil || !strings.Contains(err.Error(), "original index 2 missing") {
 		t.Fatalf("error %v, want index 2 missing", err)
 	}
+}
+
+// TestRestoreBuffersBounded: a restore of more than freelist.MaxKeep
+// bytes, held in memory under the default budget or spilled under a
+// smaller one, keeps no buffer past MaxKeep between restores, and no
+// more than MaxKeep of spare range buffers together.
+func TestRestoreBuffersBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const n = 16_000
+	texts := make([][]byte, n)
+	size := 0
+	for i := range texts {
+		r := rec(fmt.Sprintf("big.%d", i), strings.Repeat("ACGTTGCA", 19))
+		texts[i] = r.AppendText(nil)
+		size += len(texts[i])
+	}
+	if size <= freelist.MaxKeep {
+		t.Fatalf("%d bytes of records, not past MaxKeep", size)
+	}
+	perm := make([]int64, n)
+	for i, p := range rng.Perm(n) {
+		perm[i] = int64(p)
+	}
+	shuffled := make([][]byte, n)
+	for i, p := range perm {
+		shuffled[i] = texts[p]
+	}
+	for _, budget := range []int64{0, 2 << 20} {
+		for len(scratches) > 0 {
+			<-scratches
+		}
+		r := NewRestorer(SortConfig{MemBudget: budget, TmpDir: t.TempDir()})
+		out, err := restore(t, r, shuffled, perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, bytes.Join(texts, nil)) {
+			t.Fatalf("budget %d: the restore is not the records in order", budget)
+		}
+		if budget > 0 && r.off == 0 {
+			t.Fatalf("%d-byte budget did not spill", budget)
+		}
+		r.Close()
+		if len(scratches) != 1 {
+			t.Fatalf("budget %d: %d scratch values kept, want 1", budget, len(scratches))
+		}
+		s := <-scratches
+		spare := 0
+		for _, b := range s.spare {
+			spare += cap(b)
+		}
+		for name, c := range map[string]int{"arena": cap(s.arena), "slot table": 8 * cap(s.slots), "spare range buffers": spare} {
+			if c > freelist.MaxKeep {
+				t.Fatalf("budget %d: a %d-byte %s was kept", budget, c, name)
+			}
+		}
+	}
+}
+
+// Restorers on several goroutines at once, in memory and spilled, each
+// write back exactly their input: the scratch they take from and put back
+// on the free list is never shared.
+func TestRestorersConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	orig := randomRecords(rng, 400)
+	_, want := render(orig)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		order := rng.Perm(len(orig))
+		recs := make([]fastq.Record, len(orig))
+		perm := make([]int64, len(orig))
+		for i, p := range order {
+			recs[i], perm[i] = orig[p], int64(p)
+		}
+		texts, _ := render(recs)
+		tmp := t.TempDir()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				r := NewRestorer(SortConfig{MemBudget: int64(i%2) << 12, TmpDir: tmp})
+				for j, p := range perm {
+					if err := r.AddText(p, texts[j]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				var out bytes.Buffer
+				_, err := r.WriteTo(&out)
+				r.Close()
+				if err != nil || !bytes.Equal(out.Bytes(), want) {
+					t.Errorf("restore %d: %v, or the bytes are not the input in order", i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // byteLimit fails every write once n bytes have gone through.
@@ -506,11 +629,12 @@ func (b *byteLimit) Write(p []byte) (int, error) {
 }
 
 // A spill write that fails at byte N, and a spill file cut short before
-// Emit reads it back, each fail naming the file; Close leaves nothing.
+// WriteTo reads it back, each fail naming the file; Close leaves nothing.
 func TestRestorerFaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	orig := randomRecords(rng, 300)
 	order := rng.Perm(len(orig))
+	texts, _ := render(orig)
 	for _, n := range []int{0, 1, 700, 5000} {
 		t.Run(fmt.Sprintf("write-fails-at-%d", n), func(t *testing.T) {
 			testSpillWriter = func(w io.Writer) io.Writer { return &byteLimit{w: w, n: n} }
@@ -519,15 +643,15 @@ func TestRestorerFaults(t *testing.T) {
 			r := NewRestorer(SortConfig{MemBudget: 2 << 10, TmpDir: tmp})
 			var err error
 			for _, p := range order {
-				if err = r.Add(int64(p), orig[p]); err != nil {
+				if err = r.AddText(int64(p), texts[p]); err != nil {
 					break
 				}
 			}
 			if err == nil || !strings.Contains(err.Error(), filepath.Join(tmp, "sage-sort-")) {
 				t.Fatalf("Add error %v does not name the spill file", err)
 			}
-			if err := r.Emit(func(*fastq.Record) error { return nil }); err == nil {
-				t.Fatal("Emit after a failed spill succeeded")
+			if _, err := r.WriteTo(io.Discard); err == nil {
+				t.Fatal("WriteTo after a failed spill succeeded")
 			}
 			if err := r.Close(); err != nil {
 				t.Fatal(err)
@@ -539,7 +663,7 @@ func TestRestorerFaults(t *testing.T) {
 		tmp := t.TempDir()
 		r := NewRestorer(SortConfig{MemBudget: 2 << 10, TmpDir: tmp})
 		for _, p := range order {
-			if err := r.Add(int64(p), orig[p]); err != nil {
+			if err := r.AddText(int64(p), texts[p]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -550,9 +674,9 @@ func TestRestorerFaults(t *testing.T) {
 		if err := os.Truncate(runs[0], r.off/2); err != nil {
 			t.Fatal(err)
 		}
-		err := r.Emit(func(*fastq.Record) error { return nil })
+		_, err := r.WriteTo(io.Discard)
 		if err == nil || !strings.Contains(err.Error(), runs[0]) {
-			t.Fatalf("Emit error %v does not name %s", err, runs[0])
+			t.Fatalf("WriteTo error %v does not name %s", err, runs[0])
 		}
 		if err := r.Close(); err != nil {
 			t.Fatal(err)

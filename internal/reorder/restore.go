@@ -1,6 +1,8 @@
 package reorder
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -8,33 +10,37 @@ import (
 	"slices"
 
 	"sage/internal/fastq"
+	"sage/internal/freelist"
+	"sage/internal/genome"
 )
 
 // Restorer recovers original input order from a permuted record
-// stream. Records arrive tagged with their original index (the
-// container's permutation block), and those indices are exactly
-// 0..n−1, so no comparison is needed: each record goes to its slot.
+// stream. Records arrive as opaque bytes — FASTQ text as the decoder
+// renders it — tagged with their original index (the container's
+// permutation block), and those indices are exactly 0..n−1, so no
+// comparison is needed: each record goes to its slot.
 //
-// Records buffer in memory until the SortConfig budget first fills; if
-// the stream ends first, Emit places each at out[idx]. Otherwise the
-// number of records held at that moment becomes the range width W, and
-// range r holds the indices [r·W, (r+1)·W) — about one budget of
-// records. From then on every record is encoded onto its range's
-// buffer, and whenever the buffers exceed the budget they flush as
-// chunks into one spill file. Emit reads each range's chunks back into
-// one reused buffer and scatters its records to their slots, so peak
-// memory is O(budget + one range) however large the stream.
+// Every record is stored as its slot, its length and its bytes. Until
+// the SortConfig budget first fills, records go onto one arena with
+// their index as their slot; if the stream ends first, WriteTo writes
+// them in index order straight out of it. Otherwise the number of
+// records held at that moment becomes the range width W, and range r
+// holds the indices [r·W, (r+1)·W) — about one budget of records. From
+// then on every record goes onto its range's buffer with its slot
+// within the range, and whenever the buffers exceed the budget they
+// flush as chunks into one spill file. WriteTo reads each range's
+// chunks back into the arena and writes its records in slot order, so
+// peak memory is O(budget + one range) however large the stream.
+//
+// The arena, the range buffers and the slot table are scratch kept
+// between restores (see scratch), so a restore allocates what it
+// outgrows, not what it holds.
 type Restorer struct {
 	cfg SortConfig
+	s   *scratch
 
-	// recs and idx hold the records (and their original indices) added
-	// before the budget first filled; size is their approximate
-	// resident bytes, then the encoded bytes of the unflushed ranges.
-	recs []fastq.Record
-	idx  []int64
-	size int64
-
-	width  int64 // W; 0 while everything is still in recs
+	size   int64 // bytes held: the arena, then the unflushed ranges
+	width  int64 // W; 0 while everything is still in the arena
 	ranges map[int64]*span
 	dirty  []*span  // the ranges with unflushed records, in order
 	f      *os.File // the spill file, created at the first flush
@@ -46,10 +52,12 @@ type Restorer struct {
 	err     error // a failed spill poisons the restorer
 	emitted bool
 	closed  bool
+
+	text []byte // Add's rendering of one record
 }
 
-// span is one key range: its encoded records not yet flushed, and the
-// chunks of the spill file that hold the rest.
+// span is one key range: its records not yet flushed, and the chunks
+// of the spill file that hold the rest.
 type span struct {
 	buf    []byte
 	chunks []chunk
@@ -57,19 +65,46 @@ type span struct {
 
 type chunk struct{ off, n int64 }
 
-// NewRestorer builds an original-order restorer.
-func NewRestorer(cfg SortConfig) *Restorer {
-	return &Restorer{cfg: cfg, max: -1}
+// scratch is a restore's buffers, kept between restores in a free list
+// (package freelist says why not a sync.Pool): the arena, which holds
+// the records until the budget fills and then each range as WriteTo
+// reads it back; the slot table WriteTo orders a range by; spare range
+// buffers; and the writer WriteTo writes through. Each buffer goes back
+// only up to freelist.MaxKeep bytes, and the spare range buffers only
+// up to that many together.
+type scratch struct {
+	arena []byte
+	slots []int
+	spare [][]byte
+	bw    *bufio.Writer
 }
 
-// Add buffers one record under its original index. The record's slices
-// are kept, not copied, until the budget first fills.
-func (r *Restorer) Add(origIdx int64, rec fastq.Record) error {
+var scratches = freelist.New[scratch]()
+
+// take returns a spare range buffer, or nil when none is left.
+func (s *scratch) take() []byte {
+	n := len(s.spare)
+	if n == 0 {
+		return nil
+	}
+	b := s.spare[n-1]
+	s.spare = s.spare[:n-1]
+	return b
+}
+
+// NewRestorer builds an original-order restorer.
+func NewRestorer(cfg SortConfig) *Restorer {
+	return &Restorer{cfg: cfg, max: -1, s: scratches.Get()}
+}
+
+// AddText stores one record's bytes under its original index. The
+// bytes are copied: rec may be reused once AddText returns.
+func (r *Restorer) AddText(origIdx int64, rec []byte) error {
 	switch {
 	case r.err != nil:
 		return r.err
 	case r.emitted || r.closed:
-		return fmt.Errorf("reorder: Add after Emit or Close")
+		return fmt.Errorf("reorder: Add after WriteTo, Emit or Close")
 	case origIdx < 0:
 		return fmt.Errorf("reorder: negative original index %d", origIdx)
 	}
@@ -77,32 +112,14 @@ func (r *Restorer) Add(origIdx int64, rec fastq.Record) error {
 	r.max = max(r.max, origIdx)
 	budget := r.cfg.memBudget()
 	if r.width > 0 {
-		r.encode(origIdx, &rec)
+		r.encode(origIdx, rec)
 	} else {
-		r.recs = append(grow(r.recs, 1), rec)
-		r.idx = append(grow(r.idx, 1), origIdx)
-		// A fastq.Record is 64 bytes and its index 8.
-		r.size += int64(len(rec.Header)+len(rec.Seq)+len(rec.Qual)) + 72
+		r.s.arena = appendEntry(r.s.arena, uint64(origIdx), rec)
+		r.size = int64(len(r.s.arena))
 		if r.size < budget {
 			return nil
 		}
-		// The budget is full: what it holds fixes the range width. Each
-		// range's buffer starts a quarter larger than it needs now, so a
-		// buffer rarely grows once the spills begin.
-		r.width = int64(len(r.recs))
-		r.ranges = make(map[int64]*span)
-		need := make(map[int64]int)
-		for i := range r.recs {
-			need[r.idx[i]/r.width] += encodedLen(&r.recs[i])
-		}
-		for rg, n := range need {
-			r.ranges[rg] = &span{buf: make([]byte, 0, n+n/4)}
-		}
-		r.size = 0
-		for i := range r.recs {
-			r.encode(r.idx[i], &r.recs[i])
-		}
-		r.recs, r.idx = nil, nil
+		r.split()
 	}
 	if r.size > budget {
 		return r.flush()
@@ -110,38 +127,67 @@ func (r *Restorer) Add(origIdx int64, rec fastq.Record) error {
 	return nil
 }
 
-// encode appends rec to its range's buffer: its slot within the range,
-// then header, sequence and quality, each length-prefixed. Quality is
-// stored as length+1, so 0 keeps a nil Qual apart from an empty one.
-func (r *Restorer) encode(idx int64, rec *fastq.Record) {
+// split moves the arena's records onto their ranges once the budget is
+// full: what the arena holds fixes the range width. Each range's buffer
+// starts a quarter larger than it needs now, so a buffer rarely grows
+// once the spills begin.
+func (r *Restorer) split() {
+	r.width = r.n
+	r.ranges = make(map[int64]*span)
+	need := make(map[int64]int)
+	for b := r.s.arena; len(b) > 0; {
+		idx, _, rest := nextEntry(b)
+		need[int64(idx)/r.width] += len(b) - len(rest)
+		b = rest
+	}
+	for rg, n := range need {
+		buf := r.s.take()
+		if cap(buf) < n+n/4 {
+			buf = make([]byte, 0, n+n/4)
+		}
+		r.ranges[rg] = &span{buf: buf}
+	}
+	r.size = 0
+	for b := r.s.arena; len(b) > 0; {
+		idx, rec, rest := nextEntry(b)
+		r.encode(int64(idx), rec)
+		b = rest
+	}
+	r.s.arena = r.s.arena[:0]
+}
+
+// encode appends rec to its range's buffer under its slot within the
+// range.
+func (r *Restorer) encode(idx int64, rec []byte) {
 	rg := idx / r.width
 	s := r.ranges[rg]
 	if s == nil {
-		s = &span{}
+		s = &span{buf: r.s.take()}
 		r.ranges[rg] = s
 	}
 	if len(s.buf) == 0 {
 		r.dirty = append(r.dirty, s)
 	}
-	b := grow(s.buf, encodedLen(rec))
-	b = binary.AppendUvarint(b, uint64(idx-rg*r.width))
-	b = binary.AppendUvarint(b, uint64(len(rec.Header)))
-	b = append(b, rec.Header...)
-	b = binary.AppendUvarint(b, uint64(len(rec.Seq)))
-	b = append(b, rec.Seq...)
-	if rec.Qual == nil {
-		b = append(b, 0)
-	} else {
-		b = binary.AppendUvarint(b, uint64(len(rec.Qual))+1)
-		b = append(b, rec.Qual...)
-	}
-	r.size += int64(len(b) - len(s.buf))
-	s.buf = b
+	n := len(s.buf)
+	s.buf = appendEntry(s.buf, uint64(idx-rg*r.width), rec)
+	r.size += int64(len(s.buf) - n)
 }
 
-// encodedLen bounds the bytes encode appends for rec.
-func encodedLen(rec *fastq.Record) int {
-	return len(rec.Header) + len(rec.Seq) + len(rec.Qual) + 4*binary.MaxVarintLen64
+// appendEntry appends one stored record to b: its slot and its length,
+// each a uvarint, then its bytes.
+func appendEntry(b []byte, slot uint64, rec []byte) []byte {
+	b = grow(b, len(rec)+2*binary.MaxVarintLen64)
+	b = binary.AppendUvarint(b, slot)
+	b = binary.AppendUvarint(b, uint64(len(rec)))
+	return append(b, rec...)
+}
+
+// nextEntry splits the first entry off b, which this package wrote.
+func nextEntry(b []byte) (slot uint64, rec, rest []byte) {
+	slot, k := binary.Uvarint(b)
+	n, m := binary.Uvarint(b[k:])
+	b = b[k+m:]
+	return slot, b[:n], b[n:]
 }
 
 // flush appends each range's buffered bytes to the spill file as one
@@ -179,37 +225,93 @@ func (r *Restorer) flush() error {
 	return nil
 }
 
-// Emit calls fn on every buffered record in original order. Call once,
-// after the last Add. rec — its header, sequence and quality included —
-// is valid only until fn returns: a spilled range's records alias a
-// buffer the next range reuses. Emit returns an error naming the index
-// unless the indices added are exactly 0..n−1: one repeated, one
-// missing, or one at or past the number of records added.
+// WriteTo writes every record's bytes to w in original order, through
+// one buffered writer, and returns the bytes written. Call once, after
+// the last AddText. It returns an error naming the index unless the
+// indices added are exactly 0..n−1: one repeated, one missing, or one
+// at or past the number of records added.
+func (r *Restorer) WriteTo(w io.Writer) (int64, error) {
+	if r.s == nil {
+		return 0, fmt.Errorf("reorder: WriteTo after Close")
+	}
+	if r.s.bw == nil {
+		r.s.bw = bufio.NewWriterSize(w, 1<<16)
+	} else {
+		r.s.bw.Reset(w)
+	}
+	bw := r.s.bw
+	defer bw.Reset(nil)
+	var written int64
+	err := r.each(func(rec []byte) error {
+		n, err := bw.Write(rec)
+		written += int64(n)
+		return err
+	})
+	if err != nil {
+		return written, err
+	}
+	return written, bw.Flush()
+}
+
+// Add is AddText for a record: it stores rec's FASTQ text
+// (fastq.Record.AppendText). With Emit it serves callers that hold
+// records rather than text.
+func (r *Restorer) Add(origIdx int64, rec fastq.Record) error {
+	r.text = rec.AppendText(r.text[:0])
+	return r.AddText(origIdx, r.text)
+}
+
+// Emit is WriteTo as records: it calls fn on every record in original
+// order, parsed back from the text Add stored. rec — its header,
+// sequence and quality included — is valid only until fn returns. A
+// record whose quality line is empty comes back with a nil Qual, as
+// text cannot tell it from an empty one.
 func (r *Restorer) Emit(fn func(rec *fastq.Record) error) error {
+	var seq, qual []byte
+	return r.each(func(b []byte) error {
+		t, _, err := fastq.NextRecord(b)
+		if err != nil {
+			return fmt.Errorf("reorder: %w", err)
+		}
+		seq = seq[:0]
+		for _, c := range t.Seq {
+			code, ok := genome.CharToBase(c)
+			if !ok {
+				return fmt.Errorf("reorder: base %q in a stored record", c)
+			}
+			seq = append(seq, code)
+		}
+		rec := fastq.Record{Header: string(t.Bytes[1:bytes.IndexByte(t.Bytes, '\n')]), Seq: seq}
+		if len(t.Qual) > 0 {
+			qual = qual[:0]
+			for _, c := range t.Qual {
+				qual = append(qual, c-fastq.QualityOffset)
+			}
+			rec.Qual = qual
+		}
+		return fn(&rec)
+	})
+}
+
+// each calls fn on every record's bytes in original order: the one
+// restore behind WriteTo and Emit. rec aliases the arena, which the
+// next range reuses.
+func (r *Restorer) each(fn func(rec []byte) error) error {
 	switch {
 	case r.err != nil:
 		return r.err
 	case r.emitted || r.closed:
-		return fmt.Errorf("reorder: Emit after Emit or Close")
+		return fmt.Errorf("reorder: WriteTo or Emit after WriteTo, Emit or Close")
 	}
 	r.emitted = true
 	if r.max >= r.n {
 		return fmt.Errorf("reorder: original index %d is outside the %d records added (an index below it is missing)", r.max, r.n)
 	}
 	if r.width == 0 {
-		_, err := scatter(r.recs, r.idx, 0, r.n, nil, fn)
-		return err
+		return r.place(r.s.arena, 0, r.n, fn)
 	}
-	var (
-		buf, hdr []byte
-		hend     []int
-		recs     []fastq.Record
-		idx      []int64
-		slots    []int
-		err      error
-	)
 	for base := int64(0); base < r.n; base += r.width {
-		buf = buf[:0]
+		buf := r.s.arena[:0]
 		if s := r.ranges[base/r.width]; s != nil {
 			total := len(s.buf)
 			for _, c := range s.chunks {
@@ -229,31 +331,50 @@ func (r *Restorer) Emit(fn func(rec *fastq.Record) error) error {
 			}
 			buf = append(buf, s.buf...)
 		}
-		// A range holds width records unless its indices are wrong.
-		recs, idx, hend = grow(recs[:0], int(r.width)), grow(idx[:0], int(r.width)), grow(hend[:0], int(r.width))
-		hdr = hdr[:0]
-		c := cursor{b: buf}
-		for len(c.b) > 0 && !c.bad {
-			slot := c.uvarint()
-			hdr = append(hdr, c.bytes(c.uvarint())...)
-			rec := fastq.Record{Seq: c.bytes(c.uvarint())}
-			if ql := c.uvarint(); ql > 0 {
-				rec.Qual = c.bytes(ql - 1)
+		r.s.arena = buf
+		if err := r.place(buf, base, min(r.width, r.n-base), fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// place calls fn on the records of buf in slot order; their slots must
+// be exactly 0..width−1, standing for the indices base..base+width−1.
+func (r *Restorer) place(buf []byte, base, width int64, fn func(rec []byte) error) error {
+	slots := grow(r.s.slots[:0], int(width))[:width]
+	r.s.slots = slots
+	clear(slots)
+	// slots[s] is one more than the offset in buf of slot s's length.
+	for off := 0; off < len(buf); {
+		slot, k := binary.Uvarint(buf[off:])
+		n, m := uint64(0), 0
+		if k > 0 {
+			n, m = binary.Uvarint(buf[off+k:])
+		}
+		if k <= 0 || m <= 0 || n > uint64(len(buf)-off-k-m) {
+			where := "memory"
+			if r.f != nil {
+				where = r.f.Name()
 			}
-			recs = append(recs, rec)
-			idx = append(idx, base+int64(slot))
-			hend = append(hend, len(hdr))
+			return fmt.Errorf("reorder: records of indices [%d, %d) in %s are corrupt", base, base+width, where)
 		}
-		if c.bad {
-			return fmt.Errorf("reorder: records of indices [%d, %d) in %s are corrupt", base, base+r.width, r.f.Name())
+		switch {
+		case slot >= uint64(width):
+			return fmt.Errorf("reorder: original index %d is outside [%d, %d)", base+int64(slot), base, base+width)
+		case slots[slot] != 0:
+			return fmt.Errorf("reorder: original index %d repeated", base+int64(slot))
 		}
-		// One string holds the range's headers.
-		hs, start := string(hdr), 0
-		for i, end := range hend {
-			recs[i].Header = hs[start:end]
-			start = end
+		slots[slot] = off + k + 1
+		off += k + m + int(n)
+	}
+	for s, p := range slots {
+		if p == 0 {
+			return fmt.Errorf("reorder: original index %d missing", base+int64(s))
 		}
-		if slots, err = scatter(recs, idx, base, min(r.width, r.n-base), slots, fn); err != nil {
+		n, m := binary.Uvarint(buf[p-1:])
+		start := p - 1 + m
+		if err := fn(buf[start : start+int(n)]); err != nil {
 			return err
 		}
 	}
@@ -270,71 +391,29 @@ func grow[S ~[]E, E any](s S, n int) S {
 	return s
 }
 
-// cursor reads a range's records out of its buffer; a malformed or
-// short field sets bad, after which every read returns nothing.
-type cursor struct {
-	b   []byte
-	bad bool
-}
-
-func (c *cursor) uvarint() uint64 {
-	if c.bad {
-		return 0
-	}
-	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		c.bad = true
-		return 0
-	}
-	c.b = c.b[n:]
-	return v
-}
-
-// bytes returns the next n bytes, aliasing the buffer.
-func (c *cursor) bytes(n uint64) []byte {
-	if c.bad || n > uint64(len(c.b)) {
-		c.bad = true
-		return nil
-	}
-	p := c.b[:n:n]
-	c.b = c.b[n:]
-	return p
-}
-
-// scatter calls fn on recs in the order of their original indices,
-// which must be exactly base..base+width−1. slots is reused scratch:
-// slots[i] is one more than the position in recs of index base+i.
-func scatter(recs []fastq.Record, idx []int64, base, width int64, slots []int, fn func(*fastq.Record) error) ([]int, error) {
-	slots = slices.Grow(slots[:0], int(width))[:width]
-	clear(slots)
-	for i, x := range idx {
-		s := x - base
-		if uint64(s) >= uint64(width) {
-			return slots, fmt.Errorf("reorder: original index %d is outside [%d, %d)", x, base, base+width)
-		}
-		if slots[s] != 0 {
-			return slots, fmt.Errorf("reorder: original index %d repeated", x)
-		}
-		slots[s] = i + 1
-	}
-	for s, p := range slots {
-		if p == 0 {
-			return slots, fmt.Errorf("reorder: original index %d missing", base+int64(s))
-		}
-		if err := fn(&recs[p-1]); err != nil {
-			return slots, err
-		}
-	}
-	return slots, nil
-}
-
-// Close removes the restorer's spill file. Idempotent; always safe.
+// Close removes the restorer's spill file and puts its scratch back.
+// Idempotent; always safe.
 func (r *Restorer) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
-	r.recs, r.idx, r.ranges, r.dirty = nil, nil, nil, nil
+	if s := r.s; s != nil {
+		r.s = nil
+		s.arena, s.slots = freelist.Keep(s.arena), freelist.Keep(s.slots)
+		kept := 0
+		for _, b := range s.spare {
+			kept += cap(b)
+		}
+		for _, sp := range r.ranges {
+			if b := sp.buf; b != nil && kept+cap(b) <= freelist.MaxKeep {
+				s.spare = append(s.spare, b[:0])
+				kept += cap(b)
+			}
+		}
+		scratches.Put(s)
+	}
+	r.ranges, r.dirty = nil, nil
 	if r.f == nil {
 		return nil
 	}

@@ -32,8 +32,10 @@
 // one ordered, bounded-memory decode pool: DecompressTo streams FASTQ in
 // stored order (workers render the text, the writer only writes it),
 // Filter the records a Predicate matches in that text (MatchText) after
-// zone-map pruning, DecompressOriginalTo records in original input
-// order, and Decompress collects the records in memory. Inspect renders
+// zone-map pruning, DecompressOriginalTo the same text in original input
+// order (the writer hands each record's bytes to reorder.Restorer under
+// its index from the stored permutation), and Decompress collects the
+// records in memory. Inspect renders
 // the index, including per-source attribution and per-file totals when
 // a manifest is present.
 //

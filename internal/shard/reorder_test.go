@@ -100,35 +100,100 @@ func TestReorderRoundtrip(t *testing.T) {
 	}
 }
 
-// TestOriginalOrderBudgets restores a 1200-read container at four
-// budgets: the default, which never spills; a quarter of the input,
-// what the repository benchmark's 1 MiB is to its reads; a 64th, which
-// makes more than 50 key ranges; and one byte, which makes every record
-// its own range — more ranges than a process may have files open, all
-// in the one spill file. A record counts for more than its FASTQ text
-// against the budget, so a budget of len(input)/k gives at least about
-// k ranges.
-func TestOriginalOrderBudgets(t *testing.T) {
-	rs, ref := testSet(t, 1200)
-	input := rs.Bytes()
-	opt := DefaultOptions(ref)
-	opt.ShardReads = 64
-	data, _, _ := reorderCompress(t, input, opt, false, reorder.SortConfig{})
+// originalOracle is what DecompressOriginalTo must write for data: the
+// records Decompress returns, each placed at its original index by the
+// stored permutation, written with ReadSet.Write.
+func originalOracle(t *testing.T, data []byte, cons genome.Seq) []byte {
+	t.Helper()
 	c, err := Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, budget := range []int64{0, int64(len(input) / 4), int64(len(input) / 64), 1} {
-		tmp := t.TempDir()
-		var out bytes.Buffer
-		if err := c.DecompressOriginalTo(&out, nil, 2, reorder.SortConfig{MemBudget: budget, TmpDir: tmp}); err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
+	stored, err := Decompress(data, cons, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := &fastq.ReadSet{Records: make([]fastq.Record, len(stored.Records))}
+	for i, p := range c.Index.Perm {
+		orig.Records[p] = stored.Records[i]
+	}
+	var b bytes.Buffer
+	if err := orig.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestOriginalOrderBudgets restores reordered containers — scored, without
+// quality, without headers, decoded against a fallback consensus, with
+// empty reads among the rest, and golden_v5.sage — on 1, 3 and 8
+// workers at four budgets: the default, which never spills; a quarter
+// of the input, what the repository benchmark's 1 MiB is to its reads;
+// a 64th, which makes more than 50 key ranges; and one byte, which
+// makes every record its own range — more ranges than a process may
+// have files open, all in the one spill file. Every restore is
+// byte-identical to originalOracle, and to the input where the
+// container keeps everything; none leaves a file behind. A record
+// counts for more than its FASTQ text against the budget, so a budget
+// of len(input)/k gives at least about k ranges.
+func TestOriginalOrderBudgets(t *testing.T) {
+	rs, ref := testSet(t, 1200)
+	// Every 97th read is empty: no bases and no scores.
+	for i := 0; i < len(rs.Records); i += 97 {
+		rs.Records[i].Seq, rs.Records[i].Qual = genome.Seq{}, []byte{}
+	}
+	input := rs.Bytes()
+	type restoreCase struct {
+		name  string
+		data  []byte
+		cons  genome.Seq
+		input []byte // what the restore must equal, when it keeps it all
+	}
+	var cases []restoreCase
+	add := func(name string, lossless bool, edit func(*Options)) {
+		opt := DefaultOptions(ref)
+		opt.ShardReads = 64
+		if edit != nil {
+			edit(&opt)
 		}
-		if !bytes.Equal(out.Bytes(), input) {
-			t.Fatalf("budget %d: original-order decode diverged", budget)
+		rc := restoreCase{name: name}
+		rc.data, _, _ = reorderCompress(t, input, opt, false, reorder.SortConfig{})
+		if !opt.Core.EmbedConsensus {
+			rc.cons = ref
 		}
-		if left, _ := filepath.Glob(filepath.Join(tmp, "*")); len(left) != 0 {
-			t.Fatalf("budget %d left %v behind", budget, left)
+		if lossless {
+			rc.input = input
+		}
+		cases = append(cases, rc)
+	}
+	add("scored", true, nil)
+	add("no-quality", false, func(o *Options) { o.Core.IncludeQuality = false })
+	add("no-headers", false, func(o *Options) { o.Core.IncludeHeaders = false })
+	add("fallback-consensus", true, func(o *Options) { o.Core.EmbedConsensus = false })
+	cases = append(cases, restoreCase{name: "golden_v5.sage", data: readTestdata(t, "golden_v5.sage")})
+	for _, rc := range cases {
+		want := originalOracle(t, rc.data, rc.cons)
+		if rc.input != nil && !bytes.Equal(want, rc.input) {
+			t.Fatalf("%s: the oracle is not the input", rc.name)
+		}
+		c, err := Parse(rc.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int64{0, int64(len(want) / 4), int64(len(want) / 64), 1} {
+			for _, workers := range []int{1, 3, 8} {
+				tmp := t.TempDir()
+				var out bytes.Buffer
+				if err := c.DecompressOriginalTo(&out, rc.cons, workers, reorder.SortConfig{MemBudget: budget, TmpDir: tmp}); err != nil {
+					t.Fatalf("%s, budget %d, %d workers: %v", rc.name, budget, workers, err)
+				}
+				if !bytes.Equal(out.Bytes(), want) {
+					t.Fatalf("%s, budget %d, %d workers: original-order decode diverged", rc.name, budget, workers)
+				}
+				if left, _ := filepath.Glob(filepath.Join(tmp, "*")); len(left) != 0 {
+					t.Fatalf("%s, budget %d left %v behind", rc.name, budget, left)
+				}
+			}
 		}
 	}
 }
@@ -192,8 +257,8 @@ func randomFASTQ(rng *rand.Rand, n int) []byte {
 // TestReorderProperty is the randomized acceptance property: across
 // dataset shapes — including paired mode and degenerate one-read
 // shards — reorder → compress → decompress -original-order is
-// byte-identical to the input, and the plain decode is exactly the
-// header's permutation of it.
+// byte-identical to the input on 1, 3 and 8 workers, and so is the
+// plain decode placed by the header's permutation.
 func TestReorderProperty(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -224,12 +289,17 @@ func TestReorderProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var out bytes.Buffer
-			if err := c.DecompressOriginalTo(&out, nil, 2, reorder.SortConfig{}); err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(originalOracle(t, data, nil), input) {
+				t.Fatal("the stored records under the permutation are not the input")
 			}
-			if !bytes.Equal(out.Bytes(), input) {
-				t.Fatal("original-order decode is not the input")
+			for _, workers := range []int{1, 3, 8} {
+				var out bytes.Buffer
+				if err := c.DecompressOriginalTo(&out, nil, workers, reorder.SortConfig{}); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out.Bytes(), input) {
+					t.Fatalf("%d workers: original-order decode is not the input", workers)
+				}
 			}
 
 			orig, err := fastq.Parse(bytes.NewReader(input))

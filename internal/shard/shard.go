@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"hash/crc32"
@@ -307,7 +306,7 @@ func CompressPipeline(src fastq.BatchSource, w io.Writer, opt Options) (*Stats, 
 }
 
 // DecompressShard is the one fetch + verify + decode + count-check of
-// shard i to records, behind Decompress and DecompressOriginalTo. Like
+// shard i to records, behind Decompress. Like
 // core.Decompress, an embedded consensus always wins; cons is the
 // fallback for containers written without one.
 func (c *Container) DecompressShard(i int, cons genome.Seq) (*fastq.ReadSet, error) {
@@ -401,23 +400,31 @@ var testDecodeStarted func(shard int)
 // consensus for containers written without an embedded one. This is the
 // streaming path behind `sage decompress`.
 func (c *Container) DecompressTo(w io.Writer, cons genome.Seq, workers int) error {
-	letters := c.fallbackLetters(cons)
-	return stream(c.allShards(), workers, func(i int) (*[]byte, error) {
-		buf := texts.Get()
-		var err error
-		*buf, err = c.AppendFASTQ((*buf)[:0], i, letters)
-		return buf, err
-	}, func(buf *[]byte) error {
+	return stream(c.allShards(), workers, c.renderer(cons), func(buf *[]byte) error {
 		_, err := w.Write(*buf)
 		freelist.PutBuf(texts, buf)
 		return err
 	})
 }
 
+// renderer is the decode step of DecompressTo and DecompressOriginalTo:
+// it renders shard i's FASTQ text into a buffer from texts, which the
+// writer puts back.
+func (c *Container) renderer(cons genome.Seq) func(i int) (*[]byte, error) {
+	letters := c.fallbackLetters(cons)
+	return func(i int) (*[]byte, error) {
+		buf := texts.Get()
+		var err error
+		*buf, err = c.AppendFASTQ((*buf)[:0], i, letters)
+		return buf, err
+	}
+}
+
 // Buffers kept between shard decodes (package freelist says why not a
-// sync.Pool, and why none past freelist.MaxKeep): the text a DecompressTo worker renders a shard into, until
-// the writer has written it, and the block AppendFASTQ fetches, until
-// core has parsed it.
+// sync.Pool, and why none past freelist.MaxKeep): the text a worker
+// renders a shard into, until the writer has written it or handed it to
+// the restorer, and the block AppendFASTQ fetches, until core has parsed
+// it.
 var (
 	texts  = freelist.New[[]byte]()
 	blocks = freelist.New[[]byte]()
@@ -425,14 +432,15 @@ var (
 
 // DecompressOriginalTo streams the container to w in the exact
 // original input order. For identity-order containers it is
-// DecompressTo; for a reordered container (format v5) the shards
-// decode through the same bounded-memory window, each record is tagged
-// with its original index from the stored inverse permutation, and
-// reorder.Restorer scatters the records back to those indices — in
-// memory within sc's budget, else range by range out of one spill
-// file — so original-order recovery of a container far larger than
-// RAM costs O(window + budget), not O(container). This is the engine
-// behind `sage decompress -original-order`.
+// DecompressTo; for a reordered container (format v5) the workers
+// render each shard's FASTQ text as DecompressTo's do, the writer hands
+// each record's bytes (fastq.NextRecord) to reorder.Restorer under its
+// original index from the stored inverse permutation, and the restorer
+// writes them back in that order — from memory within sc's budget,
+// else range by range out of one spill file — so original-order
+// recovery of a container far larger than RAM costs O(window + budget),
+// not O(container). This is the engine behind `sage decompress
+// -original-order`.
 func (c *Container) DecompressOriginalTo(w io.Writer, cons genome.Seq, workers int, sc reorder.SortConfig) error {
 	if c.Index.ReorderMode == ReorderNone {
 		return c.DecompressTo(w, cons, workers)
@@ -441,33 +449,28 @@ func (c *Container) DecompressOriginalTo(w io.Writer, cons genome.Seq, workers i
 	r := reorder.NewRestorer(sc)
 	defer r.Close()
 	pos := 0
-	err := stream(c.allShards(), workers, func(i int) (*fastq.ReadSet, error) {
-		return c.DecompressShard(i, cons)
-	}, func(rs *fastq.ReadSet) error {
-		for j := range rs.Records {
+	err := stream(c.allShards(), workers, c.renderer(cons), func(buf *[]byte) error {
+		defer freelist.PutBuf(texts, buf)
+		for text := *buf; len(text) > 0; pos++ {
+			rec, rest, err := fastq.NextRecord(text)
+			if err != nil {
+				return fmt.Errorf("shard: splitting decoded text: %w", err)
+			}
 			if pos >= len(perm) {
 				return fmt.Errorf("shard: container holds more records than its %d-entry permutation", len(perm))
 			}
-			if err := r.Add(perm[pos], rs.Records[j]); err != nil {
+			if err := r.AddText(perm[pos], rec.Bytes); err != nil {
 				return err
 			}
-			pos++
+			text = rest
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var line []byte
-	if err := r.Emit(func(rec *fastq.Record) error {
-		line = rec.AppendText(line[:0])
-		_, werr := bw.Write(line)
-		return werr
-	}); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err = r.WriteTo(w)
+	return err
 }
 
 // allShards lists every shard in index order.
