@@ -35,7 +35,7 @@ import (
 //	core decompress      11.369     0.034      1.00
 //	shard assemble      109.436     4.226      4.86
 //	shard stream-decode  15.542     0.104      0.12
-//	shard restore         7.268     0.121      0.14
+//	shard restore         7.268     0.128      0.15
 //
 // "before" figures predate the arena batch reader, pooled range-coder
 // state, pooled mapper scratch, shared per-container mapper, decode
@@ -58,9 +58,8 @@ import (
 // a fresh record per read; "after" is the dense-key scatter, which
 // allocates per key range (0.230, of which the decode 0.214; 0.186 once
 // a block's bases decode into the kept scratch and are copied out in one
-// allocation; 0.174 before and 0.121 after the restore took the
-// decoder's FASTQ text and kept its buffers between restores), and its
-// budget is 1.15× the last figure. If an
+// allocation; 0.174 before and 0.128 after the restore took the
+// decoder's FASTQ text), and its budget is 1.15× the last figure. If an
 // intentional change raises a number, update the budget alongside the
 // code change and say why in the commit.
 const (
@@ -71,7 +70,7 @@ const (
 	budgetCoreDecompressAllocsPerRead = 1.00
 	budgetShardAssembleAllocsPerRead  = 4.86
 	budgetShardStreamAllocsPerRead    = 0.12
-	budgetRestoreAllocsPerRead        = 0.14
+	budgetRestoreAllocsPerRead        = 0.15
 )
 
 // budgetDecodeBytesPerByte bounds the bytes a streaming decode
@@ -80,10 +79,16 @@ const (
 // reads restored to original order (DecompressOriginalTo). The
 // repository benchmark's shard.decode_alloc_mb_per_mb read 3.2 (short)
 // and 4.5 (long) when decoding went through records; rendering in the
-// decoder leaves each shard's parsed block streams and little else. The
-// original-order row read 3.09 while the restore took records and
-// allocated its buffers afresh each time, 0.38 since.
+// decoder leaves each shard's parsed block streams and little else.
 const budgetDecodeBytesPerByte = 1.0
+
+// budgetRestoreBytesPerByte is the same gate for the original-order row,
+// restored under a quarter of the input: on top of the decode's own
+// bytes, each restore allocates its arena, range buffers and writer
+// afresh, about five of its budgets. It read 3.09 while the restore took
+// records, and 1.73 since it takes the decoder's text; the budget is
+// 1.15× that.
+const budgetRestoreBytesPerByte = 2.0
 
 // allocFixture is the shared workload for the alloc gate: simulated
 // short reads over a small donor genome, the same shape the end-to-end
@@ -318,10 +323,14 @@ func TestDecodeAllocBytes(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		perByte := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(tc.rs.UncompressedSize())
-		if perByte > budgetDecodeBytesPerByte {
-			t.Errorf("%s: the decode allocated %.3f bytes per FASTQ byte, budget %.2f", tc.name, perByte, budgetDecodeBytesPerByte)
+		budget := budgetDecodeBytesPerByte
+		if tc.original {
+			budget = budgetRestoreBytesPerByte
+		}
+		if perByte > budget {
+			t.Errorf("%s: the decode allocated %.3f bytes per FASTQ byte, budget %.2f", tc.name, perByte, budget)
 		} else {
-			t.Logf("%s: %.3f bytes per FASTQ byte (budget %.2f)", tc.name, perByte, budgetDecodeBytesPerByte)
+			t.Logf("%s: %.3f bytes per FASTQ byte (budget %.2f)", tc.name, perByte, budget)
 		}
 	}
 }

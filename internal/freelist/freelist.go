@@ -13,10 +13,7 @@
 // not leave that much scratch held for good, idle or not.
 package freelist
 
-import (
-	"runtime"
-	"unsafe"
-)
+import "runtime"
 
 // List holds up to GOMAXPROCS spare values of T.
 type List[T any] chan *T
@@ -53,15 +50,4 @@ func PutBuf(l List[[]byte], b *[]byte) {
 	if cap(*b) <= MaxKeep {
 		l.Put(b)
 	}
-}
-
-// Keep returns s emptied for a value going back on a List, or nil when
-// its capacity passes MaxKeep bytes: for a value that holds several
-// buffers, each one is kept or dropped on its own.
-func Keep[E any](s []E) []E {
-	var e E
-	if uintptr(cap(s))*unsafe.Sizeof(e) > MaxKeep {
-		return nil
-	}
-	return s[:0]
 }

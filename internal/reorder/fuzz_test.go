@@ -2,7 +2,6 @@ package reorder
 
 import (
 	"bytes"
-	"io"
 	"runtime"
 	"strconv"
 	"testing"
@@ -87,17 +86,12 @@ func FuzzRestorer(f *testing.F) {
 			want = bytes.Join(texts[:len(perm)], nil)
 		}
 
-		// The writer's buffer is kept between restores: a first restore
-		// allocates it, so that the one measured holds only its records.
-		warm := NewRestorer(SortConfig{})
-		if _, err := warm.WriteTo(io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		warm.Close()
 		r := NewRestorer(SortConfig{MemBudget: int64(budget), TmpDir: t.TempDir()})
 		defer r.Close()
 		var out bytes.Buffer
 		out.Grow(size + 8*n)
+		// WriteTo's buffered writer is a fixed cost of every restore.
+		const writeBuf = 1 << 16
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		var err error
@@ -108,7 +102,7 @@ func FuzzRestorer(f *testing.F) {
 		}
 		_, err = r.WriteTo(&out)
 		runtime.ReadMemStats(&after)
-		if grew, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(8*size+512*n+64<<10); grew > ceiling {
+		if grew, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(8*size+512*n+64<<10+writeBuf); grew > ceiling {
 			t.Fatalf("%d bytes allocated restoring %d records of %d bytes (ceiling %d)", grew, n, size, ceiling)
 		}
 		switch {

@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -13,7 +14,6 @@ import (
 	"testing"
 
 	"sage/internal/fastq"
-	"sage/internal/freelist"
 	"sage/internal/genome"
 )
 
@@ -392,7 +392,8 @@ func restore(t *testing.T, r *Restorer, texts [][]byte, perm []int64) ([]byte, e
 // few ranges, and spilled one record per range, always into one file,
 // writing back exactly the text it was given; the record adapters
 // (Add, Emit) give back the same records, a nil or empty quality as an
-// empty quality line.
+// empty quality line. WriteTo into the caller's own bufio.Writer leaves
+// that writer the caller's: it takes later writes and flushes them.
 func TestRestorerRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	orig := randomRecords(rng, 300)
@@ -409,7 +410,36 @@ func TestRestorerRoundtrip(t *testing.T) {
 	_, want := render(orig)
 	for _, budget := range []int64{0, 2 << 10, 1} {
 		tmp := t.TempDir()
+		// bufio.NewWriterSize hands back a writer already this large.
+		var buf bytes.Buffer
+		bw := bufio.NewWriterSize(&buf, 1<<16)
 		r := NewRestorer(SortConfig{MemBudget: budget, TmpDir: tmp})
+		for i, p := range perm {
+			if err := r.AddText(p, texts[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := r.WriteTo(bw); err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		r = NewRestorer(SortConfig{MemBudget: budget, TmpDir: tmp})
+		_, err := restore(t, r, texts, perm)
+		r.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bw.WriteString("@tail\n"); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), append(bytes.Clone(want), "@tail\n"...)) {
+			t.Fatalf("budget %d: the caller's bufio.Writer did not get the restore and then its own write", budget)
+		}
+
+		r = NewRestorer(SortConfig{MemBudget: budget, TmpDir: tmp})
 		out, err := restore(t, r, texts, perm)
 		if err != nil {
 			t.Fatal(err)
@@ -514,13 +544,13 @@ func TestRestorerRejects(t *testing.T) {
 	}
 }
 
-// TestRestoreBuffersBounded: a restore of more than freelist.MaxKeep
-// bytes, held in memory under the default budget or spilled under a
-// smaller one, keeps no buffer past MaxKeep between restores, and no
-// more than MaxKeep of spare range buffers together.
-func TestRestoreBuffersBounded(t *testing.T) {
+// TestRestoreMemoryBounded: a spilled restore of many budgets' worth of
+// records holds O(budget + one range) however the indices arrive — the
+// arena, which doubles as the read-back buffer, the range buffers and
+// the slot table stay within a small multiple of the budget.
+func TestRestoreMemoryBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	const n = 16_000
+	const n, budget = 16_000, 256 << 10
 	texts := make([][]byte, n)
 	size := 0
 	for i := range texts {
@@ -528,8 +558,8 @@ func TestRestoreBuffersBounded(t *testing.T) {
 		texts[i] = r.AppendText(nil)
 		size += len(texts[i])
 	}
-	if size <= freelist.MaxKeep {
-		t.Fatalf("%d bytes of records, not past MaxKeep", size)
+	if size < 12*budget {
+		t.Fatalf("%d bytes of records, not past twelve budgets", size)
 	}
 	perm := make([]int64, n)
 	for i, p := range rng.Perm(n) {
@@ -539,41 +569,40 @@ func TestRestoreBuffersBounded(t *testing.T) {
 	for i, p := range perm {
 		shuffled[i] = texts[p]
 	}
-	for _, budget := range []int64{0, 2 << 20} {
-		for len(scratches) > 0 {
-			<-scratches
+	r := NewRestorer(SortConfig{MemBudget: budget, TmpDir: t.TempDir()})
+	defer r.Close()
+	held := func() int {
+		c := cap(r.arena) + 8*cap(r.slots)
+		for _, s := range r.ranges {
+			c += cap(s.buf)
 		}
-		r := NewRestorer(SortConfig{MemBudget: budget, TmpDir: t.TempDir()})
-		out, err := restore(t, r, shuffled, perm)
-		if err != nil {
+		return c
+	}
+	for i, p := range perm {
+		if err := r.AddText(p, shuffled[i]); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(out, bytes.Join(texts, nil)) {
-			t.Fatalf("budget %d: the restore is not the records in order", budget)
+		if c := held(); c > 8*budget {
+			t.Fatalf("after %d records: %d bytes held under a %d-byte budget", i+1, c, budget)
 		}
-		if budget > 0 && r.off == 0 {
-			t.Fatalf("%d-byte budget did not spill", budget)
-		}
-		r.Close()
-		if len(scratches) != 1 {
-			t.Fatalf("budget %d: %d scratch values kept, want 1", budget, len(scratches))
-		}
-		s := <-scratches
-		spare := 0
-		for _, b := range s.spare {
-			spare += cap(b)
-		}
-		for name, c := range map[string]int{"arena": cap(s.arena), "slot table": 8 * cap(s.slots), "spare range buffers": spare} {
-			if c > freelist.MaxKeep {
-				t.Fatalf("budget %d: a %d-byte %s was kept", budget, c, name)
-			}
-		}
+	}
+	var out bytes.Buffer
+	if _, err := r.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), bytes.Join(texts, nil)) {
+		t.Fatal("the restore is not the records in order")
+	}
+	if r.off == 0 {
+		t.Fatal("the budget did not spill")
+	}
+	if c := held(); c > 8*budget {
+		t.Fatalf("after WriteTo: %d bytes held under a %d-byte budget", c, budget)
 	}
 }
 
 // Restorers on several goroutines at once, in memory and spilled, each
-// write back exactly their input: the scratch they take from and put back
-// on the free list is never shared.
+// write back exactly their input: they share no buffer.
 func TestRestorersConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	orig := randomRecords(rng, 400)

@@ -10,7 +10,6 @@ import (
 	"slices"
 
 	"sage/internal/fastq"
-	"sage/internal/freelist"
 	"sage/internal/genome"
 )
 
@@ -32,12 +31,15 @@ import (
 // chunks back into the arena and writes its records in slot order, so
 // peak memory is O(budget + one range) however large the stream.
 //
-// The arena, the range buffers and the slot table are scratch kept
-// between restores (see scratch), so a restore allocates what it
-// outgrows, not what it holds.
+// A restore allocates its buffers as it needs them and drops them at
+// Close; within it the arena, emptied when the records move onto their
+// ranges, doubles as the read-back buffer, and one slot table serves
+// every range.
 type Restorer struct {
 	cfg SortConfig
-	s   *scratch
+
+	arena []byte
+	slots []int // WriteTo's slot table; see place
 
 	size   int64 // bytes held: the arena, then the unflushed ranges
 	width  int64 // W; 0 while everything is still in the arena
@@ -65,36 +67,9 @@ type span struct {
 
 type chunk struct{ off, n int64 }
 
-// scratch is a restore's buffers, kept between restores in a free list
-// (package freelist says why not a sync.Pool): the arena, which holds
-// the records until the budget fills and then each range as WriteTo
-// reads it back; the slot table WriteTo orders a range by; spare range
-// buffers; and the writer WriteTo writes through. Each buffer goes back
-// only up to freelist.MaxKeep bytes, and the spare range buffers only
-// up to that many together.
-type scratch struct {
-	arena []byte
-	slots []int
-	spare [][]byte
-	bw    *bufio.Writer
-}
-
-var scratches = freelist.New[scratch]()
-
-// take returns a spare range buffer, or nil when none is left.
-func (s *scratch) take() []byte {
-	n := len(s.spare)
-	if n == 0 {
-		return nil
-	}
-	b := s.spare[n-1]
-	s.spare = s.spare[:n-1]
-	return b
-}
-
 // NewRestorer builds an original-order restorer.
 func NewRestorer(cfg SortConfig) *Restorer {
-	return &Restorer{cfg: cfg, max: -1, s: scratches.Get()}
+	return &Restorer{cfg: cfg, max: -1}
 }
 
 // AddText stores one record's bytes under its original index. The
@@ -114,8 +89,8 @@ func (r *Restorer) AddText(origIdx int64, rec []byte) error {
 	if r.width > 0 {
 		r.encode(origIdx, rec)
 	} else {
-		r.s.arena = appendEntry(r.s.arena, uint64(origIdx), rec)
-		r.size = int64(len(r.s.arena))
+		r.arena = appendEntry(r.arena, uint64(origIdx), rec)
+		r.size = int64(len(r.arena))
 		if r.size < budget {
 			return nil
 		}
@@ -135,25 +110,21 @@ func (r *Restorer) split() {
 	r.width = r.n
 	r.ranges = make(map[int64]*span)
 	need := make(map[int64]int)
-	for b := r.s.arena; len(b) > 0; {
+	for b := r.arena; len(b) > 0; {
 		idx, _, rest := nextEntry(b)
 		need[int64(idx)/r.width] += len(b) - len(rest)
 		b = rest
 	}
 	for rg, n := range need {
-		buf := r.s.take()
-		if cap(buf) < n+n/4 {
-			buf = make([]byte, 0, n+n/4)
-		}
-		r.ranges[rg] = &span{buf: buf}
+		r.ranges[rg] = &span{buf: make([]byte, 0, n+n/4)}
 	}
 	r.size = 0
-	for b := r.s.arena; len(b) > 0; {
+	for b := r.arena; len(b) > 0; {
 		idx, rec, rest := nextEntry(b)
 		r.encode(int64(idx), rec)
 		b = rest
 	}
-	r.s.arena = r.s.arena[:0]
+	r.arena = r.arena[:0]
 }
 
 // encode appends rec to its range's buffer under its slot within the
@@ -162,7 +133,7 @@ func (r *Restorer) encode(idx int64, rec []byte) {
 	rg := idx / r.width
 	s := r.ranges[rg]
 	if s == nil {
-		s = &span{buf: r.s.take()}
+		s = &span{}
 		r.ranges[rg] = s
 	}
 	if len(s.buf) == 0 {
@@ -231,16 +202,7 @@ func (r *Restorer) flush() error {
 // indices added are exactly 0..n−1: one repeated, one missing, or one
 // at or past the number of records added.
 func (r *Restorer) WriteTo(w io.Writer) (int64, error) {
-	if r.s == nil {
-		return 0, fmt.Errorf("reorder: WriteTo after Close")
-	}
-	if r.s.bw == nil {
-		r.s.bw = bufio.NewWriterSize(w, 1<<16)
-	} else {
-		r.s.bw.Reset(w)
-	}
-	bw := r.s.bw
-	defer bw.Reset(nil)
+	bw := bufio.NewWriterSize(w, 1<<16)
 	var written int64
 	err := r.each(func(rec []byte) error {
 		n, err := bw.Write(rec)
@@ -308,10 +270,10 @@ func (r *Restorer) each(fn func(rec []byte) error) error {
 		return fmt.Errorf("reorder: original index %d is outside the %d records added (an index below it is missing)", r.max, r.n)
 	}
 	if r.width == 0 {
-		return r.place(r.s.arena, 0, r.n, fn)
+		return r.place(r.arena, 0, r.n, fn)
 	}
 	for base := int64(0); base < r.n; base += r.width {
-		buf := r.s.arena[:0]
+		buf := r.arena[:0]
 		if s := r.ranges[base/r.width]; s != nil {
 			total := len(s.buf)
 			for _, c := range s.chunks {
@@ -331,7 +293,7 @@ func (r *Restorer) each(fn func(rec []byte) error) error {
 			}
 			buf = append(buf, s.buf...)
 		}
-		r.s.arena = buf
+		r.arena = buf
 		if err := r.place(buf, base, min(r.width, r.n-base), fn); err != nil {
 			return err
 		}
@@ -342,8 +304,8 @@ func (r *Restorer) each(fn func(rec []byte) error) error {
 // place calls fn on the records of buf in slot order; their slots must
 // be exactly 0..width−1, standing for the indices base..base+width−1.
 func (r *Restorer) place(buf []byte, base, width int64, fn func(rec []byte) error) error {
-	slots := grow(r.s.slots[:0], int(width))[:width]
-	r.s.slots = slots
+	slots := grow(r.slots[:0], int(width))[:width]
+	r.slots = slots
 	clear(slots)
 	// slots[s] is one more than the offset in buf of slot s's length.
 	for off := 0; off < len(buf); {
@@ -391,28 +353,14 @@ func grow[S ~[]E, E any](s S, n int) S {
 	return s
 }
 
-// Close removes the restorer's spill file and puts its scratch back.
+// Close removes the restorer's spill file and drops its buffers.
 // Idempotent; always safe.
 func (r *Restorer) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
-	if s := r.s; s != nil {
-		r.s = nil
-		s.arena, s.slots = freelist.Keep(s.arena), freelist.Keep(s.slots)
-		kept := 0
-		for _, b := range s.spare {
-			kept += cap(b)
-		}
-		for _, sp := range r.ranges {
-			if b := sp.buf; b != nil && kept+cap(b) <= freelist.MaxKeep {
-				s.spare = append(s.spare, b[:0])
-				kept += cap(b)
-			}
-		}
-		scratches.Put(s)
-	}
+	r.arena, r.slots, r.text = nil, nil, nil
 	r.ranges, r.dirty = nil, nil
 	if r.f == nil {
 		return nil
