@@ -546,8 +546,8 @@ func TestRestorerRejects(t *testing.T) {
 
 // TestRestoreMemoryBounded: a spilled restore of many budgets' worth of
 // records holds O(budget + one range) however the indices arrive — the
-// arena, which doubles as the read-back buffer, the range buffers and
-// the slot table stay within a small multiple of the budget.
+// arena's blocks, the range buffers, the read-back buffer and the slot
+// table stay within a small multiple of the budget.
 func TestRestoreMemoryBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const n, budget = 16_000, 256 << 10
@@ -572,7 +572,10 @@ func TestRestoreMemoryBounded(t *testing.T) {
 	r := NewRestorer(SortConfig{MemBudget: budget, TmpDir: t.TempDir()})
 	defer r.Close()
 	held := func() int {
-		c := cap(r.arena) + 8*cap(r.slots)
+		c := cap(r.back) + 8*cap(r.slots)
+		for _, b := range r.arena {
+			c += cap(b)
+		}
 		for _, s := range r.ranges {
 			c += cap(s.buf)
 		}

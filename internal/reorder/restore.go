@@ -20,26 +20,26 @@ import (
 // comparison is needed: each record goes to its slot.
 //
 // Every record is stored as its slot, its length and its bytes. Until
-// the SortConfig budget first fills, records go onto one arena with
-// their index as their slot; if the stream ends first, WriteTo writes
-// them in index order straight out of it. Otherwise the number of
+// the SortConfig budget first fills, records go onto an arena of blocks
+// with their index as their slot; if the stream ends first, WriteTo
+// writes them in index order straight out of it. Otherwise the number of
 // records held at that moment becomes the range width W, and range r
 // holds the indices [r·W, (r+1)·W) — about one budget of records. From
 // then on every record goes onto its range's buffer with its slot
 // within the range, and whenever the buffers exceed the budget they
 // flush as chunks into one spill file. WriteTo reads each range's
-// chunks back into the arena and writes its records in slot order, so
+// chunks back into one buffer and writes its records in slot order, so
 // peak memory is O(budget + one range) however large the stream.
 //
 // A restore allocates its buffers as it needs them and drops them at
-// Close; within it the arena, emptied when the records move onto their
-// ranges, doubles as the read-back buffer, and one slot table serves
-// every range.
+// Close. The arena grows a block at a time and never copies what it
+// holds; one read-back buffer and one slot table serve every range.
 type Restorer struct {
 	cfg SortConfig
 
-	arena []byte
-	slots []int // WriteTo's slot table; see place
+	arena [][]byte // the records until the budget first fills
+	back  []byte   // WriteTo's read-back buffer, one range at a time
+	slots []uint64 // WriteTo's slot table; see place
 
 	size   int64 // bytes held: the arena, then the unflushed ranges
 	width  int64 // W; 0 while everything is still in the arena
@@ -89,8 +89,7 @@ func (r *Restorer) AddText(origIdx int64, rec []byte) error {
 	if r.width > 0 {
 		r.encode(origIdx, rec)
 	} else {
-		r.arena = appendEntry(r.arena, uint64(origIdx), rec)
-		r.size = int64(len(r.arena))
+		r.store(uint64(origIdx), rec, budget)
 		if r.size < budget {
 			return nil
 		}
@@ -102,6 +101,26 @@ func (r *Restorer) AddText(origIdx int64, rec []byte) error {
 	return nil
 }
 
+// Arena blocks start at minBlock bytes and double up to maxBlock; a
+// record larger than that gets a block of its own.
+const minBlock, maxBlock = 4 << 10, 1 << 20
+
+// store appends one record to the arena's last block, or to a new one
+// when it does not fit there. A new block is no larger than what is
+// left of the budget, so the arena ends about one budget in size.
+func (r *Restorer) store(slot uint64, rec []byte, budget int64) {
+	need := len(rec) + 2*binary.MaxVarintLen64
+	last := len(r.arena) - 1
+	if last < 0 || cap(r.arena[last])-len(r.arena[last]) < need {
+		size := min(minBlock<<min(len(r.arena), 8), maxBlock, int(min(budget-r.size, maxBlock)))
+		r.arena = append(r.arena, make([]byte, 0, max(size, need)))
+		last++
+	}
+	n := len(r.arena[last])
+	r.arena[last] = appendEntry(r.arena[last], slot, rec)
+	r.size += int64(len(r.arena[last]) - n)
+}
+
 // split moves the arena's records onto their ranges once the budget is
 // full: what the arena holds fixes the range width. Each range's buffer
 // starts a quarter larger than it needs now, so a buffer rarely grows
@@ -110,21 +129,25 @@ func (r *Restorer) split() {
 	r.width = r.n
 	r.ranges = make(map[int64]*span)
 	need := make(map[int64]int)
-	for b := r.arena; len(b) > 0; {
-		idx, _, rest := nextEntry(b)
-		need[int64(idx)/r.width] += len(b) - len(rest)
-		b = rest
+	for _, b := range r.arena {
+		for len(b) > 0 {
+			idx, _, rest := nextEntry(b)
+			need[int64(idx)/r.width] += len(b) - len(rest)
+			b = rest
+		}
 	}
 	for rg, n := range need {
 		r.ranges[rg] = &span{buf: make([]byte, 0, n+n/4)}
 	}
 	r.size = 0
-	for b := r.arena; len(b) > 0; {
-		idx, rec, rest := nextEntry(b)
-		r.encode(int64(idx), rec)
-		b = rest
+	for _, b := range r.arena {
+		for len(b) > 0 {
+			idx, rec, rest := nextEntry(b)
+			r.encode(int64(idx), rec)
+			b = rest
+		}
 	}
-	r.arena = r.arena[:0]
+	r.arena = nil
 }
 
 // encode appends rec to its range's buffer under its slot within the
@@ -256,8 +279,8 @@ func (r *Restorer) Emit(fn func(rec *fastq.Record) error) error {
 }
 
 // each calls fn on every record's bytes in original order: the one
-// restore behind WriteTo and Emit. rec aliases the arena, which the
-// next range reuses.
+// restore behind WriteTo and Emit. rec aliases the arena or the
+// read-back buffer, which the next range reuses.
 func (r *Restorer) each(fn func(rec []byte) error) error {
 	switch {
 	case r.err != nil:
@@ -273,7 +296,7 @@ func (r *Restorer) each(fn func(rec []byte) error) error {
 		return r.place(r.arena, 0, r.n, fn)
 	}
 	for base := int64(0); base < r.n; base += r.width {
-		buf := r.arena[:0]
+		buf := r.back[:0]
 		if s := r.ranges[base/r.width]; s != nil {
 			total := len(s.buf)
 			for _, c := range s.chunks {
@@ -293,49 +316,57 @@ func (r *Restorer) each(fn func(rec []byte) error) error {
 			}
 			buf = append(buf, s.buf...)
 		}
-		r.arena = buf
-		if err := r.place(buf, base, min(r.width, r.n-base), fn); err != nil {
+		r.back = buf
+		if err := r.place([][]byte{buf}, base, min(r.width, r.n-base), fn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// place calls fn on the records of buf in slot order; their slots must
-// be exactly 0..width−1, standing for the indices base..base+width−1.
-func (r *Restorer) place(buf []byte, base, width int64, fn func(rec []byte) error) error {
+// place calls fn on the records of blocks in slot order; their slots
+// must be exactly 0..width−1, standing for the indices
+// base..base+width−1.
+func (r *Restorer) place(blocks [][]byte, base, width int64, fn func(rec []byte) error) error {
 	slots := grow(r.slots[:0], int(width))[:width]
 	r.slots = slots
 	clear(slots)
-	// slots[s] is one more than the offset in buf of slot s's length.
-	for off := 0; off < len(buf); {
-		slot, k := binary.Uvarint(buf[off:])
-		n, m := uint64(0), 0
-		if k > 0 {
-			n, m = binary.Uvarint(buf[off+k:])
-		}
-		if k <= 0 || m <= 0 || n > uint64(len(buf)-off-k-m) {
-			where := "memory"
-			if r.f != nil {
-				where = r.f.Name()
+	// slots[s] holds the number of slot s's block above bit 40 and, below
+	// it, one more than the offset of slot s's length in that block: room
+	// for 2²⁴ arena blocks of at most maxBlock, or one read-back buffer
+	// of up to a TiB.
+	const offBits = 40
+	for b, buf := range blocks {
+		for off := 0; off < len(buf); {
+			slot, k := binary.Uvarint(buf[off:])
+			n, m := uint64(0), 0
+			if k > 0 {
+				n, m = binary.Uvarint(buf[off+k:])
 			}
-			return fmt.Errorf("reorder: records of indices [%d, %d) in %s are corrupt", base, base+width, where)
+			if k <= 0 || m <= 0 || n > uint64(len(buf)-off-k-m) {
+				where := "memory"
+				if r.f != nil {
+					where = r.f.Name()
+				}
+				return fmt.Errorf("reorder: records of indices [%d, %d) in %s are corrupt", base, base+width, where)
+			}
+			switch {
+			case slot >= uint64(width):
+				return fmt.Errorf("reorder: original index %d is outside [%d, %d)", base+int64(slot), base, base+width)
+			case slots[slot] != 0:
+				return fmt.Errorf("reorder: original index %d repeated", base+int64(slot))
+			}
+			slots[slot] = uint64(b)<<offBits | uint64(off+k+1)
+			off += k + m + int(n)
 		}
-		switch {
-		case slot >= uint64(width):
-			return fmt.Errorf("reorder: original index %d is outside [%d, %d)", base+int64(slot), base, base+width)
-		case slots[slot] != 0:
-			return fmt.Errorf("reorder: original index %d repeated", base+int64(slot))
-		}
-		slots[slot] = off + k + 1
-		off += k + m + int(n)
 	}
 	for s, p := range slots {
 		if p == 0 {
 			return fmt.Errorf("reorder: original index %d missing", base+int64(s))
 		}
-		n, m := binary.Uvarint(buf[p-1:])
-		start := p - 1 + m
+		buf, off := blocks[p>>offBits], int(p&(1<<offBits-1))-1
+		n, m := binary.Uvarint(buf[off:])
+		start := off + m
 		if err := fn(buf[start : start+int(n)]); err != nil {
 			return err
 		}
@@ -360,7 +391,7 @@ func (r *Restorer) Close() error {
 		return nil
 	}
 	r.closed = true
-	r.arena, r.slots, r.text = nil, nil, nil
+	r.arena, r.back, r.slots, r.text = nil, nil, nil, nil
 	r.ranges, r.dirty = nil, nil
 	if r.f == nil {
 		return nil
