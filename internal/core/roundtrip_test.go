@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -452,6 +454,46 @@ func TestDecoderScratchBounded(t *testing.T) {
 		d := <-decoders
 		if n := cap(d.bases) + cap(d.quals) + cap(d.names); n > freelist.MaxKeep {
 			t.Fatalf("a decoder holding %d bytes of scratch was kept", n)
+		}
+	}
+}
+
+// The parsed block aliases its input (wire.Codec.Raw does not copy), so
+// nothing Decompress or AppendFASTQ returns may point into it: with the
+// block overwritten after each returns, the records and the text stay
+// what they were.
+func TestDecodeOwnsItsOutput(t *testing.T) {
+	ref, rs := makeShortSet(t, 23, 20_000, 300)
+	for _, embed := range []bool{true, false} {
+		opt := DefaultOptions(ref)
+		opt.EmbedConsensus = embed
+		enc, err := Compress(rs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var extern genome.Seq
+		if !embed {
+			extern = ref
+		}
+		blk := slices.Clone(enc.Data)
+		got, err := Decompress(blk, extern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := got.Bytes()
+		text, _, err := AppendFASTQ(nil, blk, genome.AppendASCII(nil, extern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantText := slices.Clone(text)
+		for i := range blk {
+			blk[i] = 0xA5
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("embed=%v: Decompress's records changed with the block", embed)
+		}
+		if !bytes.Equal(text, wantText) {
+			t.Fatalf("embed=%v: AppendFASTQ's text changed with the block", embed)
 		}
 	}
 }

@@ -15,12 +15,16 @@ package freelist
 
 import "runtime"
 
-// List holds up to GOMAXPROCS spare values of T.
+// List holds up to GOMAXPROCS (or NewN's n) spare values of T.
 type List[T any] chan *T
 
 // New returns an empty list with room for one value per goroutine that
 // can run at once.
-func New[T any]() List[T] { return make(List[T], runtime.GOMAXPROCS(0)) }
+func New[T any]() List[T] { return NewN[T](runtime.GOMAXPROCS(0)) }
+
+// NewN returns an empty list with room for n values, for values that
+// are held past the goroutine that took them.
+func NewN[T any](n int) List[T] { return make(List[T], n) }
 
 // Get returns a spare value, or a new zero one when the list is empty.
 func (l List[T]) Get() *T {

@@ -33,12 +33,16 @@ var alphabet = [5]byte{'A', 'C', 'G', 'T', 'N'}
 // codeOf maps ASCII (upper or lower case) to base codes; 0xff = invalid.
 var codeOf [256]byte
 
+// letterOf is BaseToChar as a table, for per-base loops.
+var letterOf [256]byte
+
 // complementOf is Complement as a table, for per-base loops.
 var complementOf [256]byte
 
 func init() {
 	for b := range complementOf {
 		complementOf[b] = Complement(byte(b))
+		letterOf[b] = BaseToChar(byte(b))
 	}
 	for i := range codeOf {
 		codeOf[i] = 0xff
@@ -103,8 +107,11 @@ func FromString(s string) (Seq, error) {
 // slice. It is the allocation-free counterpart of Seq.String for callers
 // that own a reusable line buffer.
 func AppendASCII(dst []byte, s Seq) []byte {
-	for _, c := range s {
-		dst = append(dst, BaseToChar(c))
+	n := len(dst)
+	dst = slices.Grow(dst, len(s))[:n+len(s)]
+	out := dst[n:][:len(s)]
+	for i, c := range s {
+		out[i] = letterOf[c]
 	}
 	return dst
 }
@@ -286,24 +293,43 @@ func Decode(data []byte, n int, f Format) (Seq, error) {
 		if len(data)*4 < n {
 			return nil, fmt.Errorf("genome: 2-bit data too short")
 		}
-		for i := 0; i < n; i++ {
+		// Four bases a byte, then the bases of a partial last byte.
+		full := n / 4
+		for j, b := range data[:full] {
+			o := out[4*j : 4*j+4]
+			o[0], o[1], o[2], o[3] = b>>6, b>>4&3, b>>2&3, b&3
+		}
+		for i := 4 * full; i < n; i++ {
 			out[i] = (data[i/4] >> uint((3-i%4)*2)) & 3
 		}
 	case Format3Bit:
 		if len(data)*8 < n*3 {
 			return nil, fmt.Errorf("genome: 3-bit data too short")
 		}
-		for i := 0; i < n; i++ {
+		// Eight bases every three bytes, then the bases of a partial
+		// last group bit by bit; the codes are checked once, after.
+		full := n / 8
+		for j := range full {
+			g := data[3*j : 3*j+3]
+			v := uint32(g[0])<<16 | uint32(g[1])<<8 | uint32(g[2])
+			o := out[8*j : 8*j+8]
+			for k := range o {
+				o[k] = byte(v>>(21-3*k)) & 7
+			}
+		}
+		for i := 8 * full; i < n; i++ {
 			pos := i * 3
 			var b byte
 			for k := 0; k < 3; k++ {
 				bit := (data[(pos+k)/8] >> uint(7-(pos+k)%8)) & 1
 				b = b<<1 | bit
 			}
+			out[i] = b
+		}
+		for i, b := range out {
 			if b > BaseN {
 				return nil, fmt.Errorf("genome: invalid 3-bit code %d at %d", b, i)
 			}
-			out[i] = b
 		}
 	case FormatOneHot:
 		if len(data)*2 < n {

@@ -1,7 +1,9 @@
 package genome
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -247,5 +249,66 @@ func TestGeometricLenSkew(t *testing.T) {
 	frac := float64(n1) / float64(total)
 	if frac < 0.6 || frac > 0.8 {
 		t.Fatalf("single-base fraction %.2f outside [0.6,0.8]", frac)
+	}
+}
+
+// TestDecodeMatchesPerBit holds the byte-at-a-time 2-bit and 3-bit
+// unpacking to a bit-at-a-time oracle on random bytes of every length
+// around a group boundary: the same bases, and for 3-bit data the same
+// first invalid code rejected.
+func TestDecodeMatchesPerBit(t *testing.T) {
+	oracle := func(data []byte, n, bits int) (Seq, int) {
+		out := make(Seq, n)
+		for i := range out {
+			for k := 0; k < bits; k++ {
+				pos := i*bits + k
+				out[i] = out[i]<<1 | (data[pos/8]>>uint(7-pos%8))&1
+			}
+			if out[i] > BaseN {
+				return nil, i
+			}
+		}
+		return out, -1
+	}
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n <= 70; n++ {
+		for trial := 0; trial < 20; trial++ {
+			for _, f := range []Format{Format2Bit, Format3Bit} {
+				bits := f.BitsPerBase()
+				data := make([]byte, (n*bits+7)/8)
+				rng.Read(data)
+				if f == Format3Bit && trial%2 == 0 {
+					// Valid codes only, so the whole sequence compares.
+					s := make(Seq, n)
+					for i := range s {
+						s[i] = byte(rng.Intn(5))
+					}
+					data, _ = Encode(s, f)
+				}
+				want, bad := oracle(data, n, bits)
+				got, err := Decode(data, n, f)
+				if bad >= 0 {
+					if err == nil || !strings.HasSuffix(err.Error(), fmt.Sprintf(" at %d", bad)) {
+						t.Fatalf("%v n=%d: err %v, want the invalid code at %d", f, n, err, bad)
+					}
+					continue
+				}
+				if err != nil || !got.Equal(want) {
+					t.Fatalf("%v n=%d: got %v (%v), want %v", f, n, got, err, want)
+				}
+			}
+		}
+	}
+}
+
+func TestAppendASCIIMatchesBaseToChar(t *testing.T) {
+	s := Seq{BaseA, BaseC, BaseG, BaseT, BaseN, 5, 0xff}
+	got := AppendASCII([]byte(">"), s)
+	want := []byte(">")
+	for _, b := range s {
+		want = append(want, BaseToChar(b))
+	}
+	if string(got) != string(want) {
+		t.Fatalf("got %q, want %q", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -56,6 +57,42 @@ func BenchmarkDecompress(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := Decompress(data, nil, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecompressSmallShards is the repository benchmark's decode
+// pass on the serve_zipf shape: 11 520 short reads over a 96 kb genome
+// in 96-read shards (120 shards, a header past Open's first 64 KiB
+// read), opened and streamed to FASTQ text. Per-shard costs — the pool's
+// claim and emit, the block parse — weigh most at this shard size.
+func BenchmarkDecompressSmallShards(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	ref := genome.Random(rng, 96_000)
+	donor, _ := genome.Donor(rng, ref, genome.HumanLikeProfile())
+	rs, err := simulate.New(rng, donor).ShortReads(11_520, simulate.DefaultShortProfile())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := DefaultOptions(ref)
+	opt.ShardReads = 96
+	data, _, err := Compress(rs, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(int64(rs.UncompressedSize()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := Open(bytes.NewReader(data), int64(len(data)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := c.DecompressTo(io.Discard, nil, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

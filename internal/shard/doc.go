@@ -29,15 +29,23 @@
 // count-check of a shard to FASTQ text straight from the decoder
 // (AppendBlockFASTQ for a caller that fetched the bytes itself), and
 // DecompressShard the same to records. Whole-container reads all run on
-// one ordered, bounded-memory decode pool: DecompressTo streams FASTQ in
-// stored order (workers render the text, the writer only writes it),
+// one ordered, bounded-memory decode pool: the caller and up to
+// workers-1 goroutines claim shards in order, at most workers+1 ahead
+// of the last one emitted, and whichever worker finishes the next shard
+// in order emits it — one emit at a time, in shard order, with no
+// writer goroutine between decode and output. DecompressTo streams
+// FASTQ in stored order (workers render the text, emit writes it),
 // Filter the records a Predicate matches in that text (MatchText) after
-// zone-map pruning, DecompressOriginalTo the same text in original input
-// order (the writer hands each record's bytes to reorder.Restorer under
+// zone-map pruning, DecompressOriginalTo the same text in original
+// input order (emit hands each record's bytes to reorder.Restorer under
 // its index from the stored permutation), and Decompress collects the
-// records in memory. Inspect renders
-// the index, including per-source attribution and per-file totals when
-// a manifest is present.
+// records in memory. Inspect renders the index, including per-source
+// attribution and per-file totals when a manifest is present.
+//
+// Open parses the header fields from a prefix it reads and, when the
+// header runs past it, from a prefix twice as long; the two large
+// fields, the permutation and the packed consensus, are unpacked once,
+// after the parse succeeds.
 //
 // # Container format
 //

@@ -226,7 +226,7 @@ func marshalHeader(ix *Index, cons genome.Seq) ([]byte, error) {
 		c.Version = reorderVersion
 	}
 	w := wire.NewWriter("shard")
-	layout(w, c)
+	layout(w, c, &packed{})
 	if err := w.Err(); err != nil {
 		return nil, err
 	}
@@ -236,28 +236,62 @@ func marshalHeader(ix *Index, cons genome.Seq) ([]byte, error) {
 // parseHeader decodes magic through headerCRC from a container prefix.
 // totalSize is the full container size, bounding the plausibility
 // checks. On success it returns the container (index and consensus
-// populated, no block source attached) and the header length in bytes. A header that runs past the prefix of a
-// container large enough to hold it fails with wire.ErrShort, which
-// Open answers by retrying with a longer prefix.
+// populated, no block source attached) and the header length in bytes.
+// A header that runs past the prefix of a container large enough to
+// hold it fails with wire.ErrShort, which Open answers by retrying with
+// a longer prefix; the permutation and the consensus are unpacked only
+// once the whole header has parsed, so a retry parses again but never
+// unpacks twice.
 func parseHeader(prefix []byte, totalSize int64) (*Container, int, error) {
 	c := &Container{}
+	var p packed
 	r := wire.NewReader("shard", prefix, totalSize)
-	layout(r, c)
+	layout(r, c, &p)
 	if err := r.Err(); err != nil {
 		return nil, 0, err
 	}
-	if c.Consensus != nil {
-		c.letters = genome.AppendASCII(make([]byte, 0, len(c.Consensus)), c.Consensus)
+	if err := c.unpack(&p); err != nil {
+		return nil, 0, err
 	}
 	return c, len(r.Bytes()), nil
+}
+
+// packed holds the two header fields a reader moves as bytes and
+// unpacks after the parse: the permutation block and the packed
+// consensus. Both alias the parsed prefix.
+type packed struct {
+	perm       []byte
+	hasCons    bool
+	cons       []byte
+	consLen    int
+	consFormat genome.Format
+}
+
+// unpack decodes p's fields into c: the inverse permutation (v5), and
+// the embedded consensus with its text.
+func (c *Container) unpack(p *packed) error {
+	var err error
+	if c.Index.ReorderMode != ReorderNone {
+		if c.Index.Perm, err = decodePerm(p.perm, c.Index.TotalReads); err != nil {
+			return err
+		}
+	}
+	if p.hasCons {
+		if c.Consensus, err = genome.Decode(p.cons, p.consLen, p.consFormat); err != nil {
+			return fmt.Errorf("shard: unpacking consensus: %w", err)
+		}
+		c.letters = genome.AppendASCII(make([]byte, 0, len(c.Consensus)), c.Consensus)
+	}
+	return nil
 }
 
 // layout is the SAGS header, stated once: every field, flag and version
 // gate in wire order (docs/FORMAT.md is the prose form), with the rules
 // that tie fields together checked where the fields are moved. Over a
-// writing codec it marshals c, over a reading one it fills c in, and a
-// rule broken in either direction fails the codec.
-func layout(w *wire.Codec, c *Container) {
+// writing codec it marshals c, over a reading one it fills c in — all
+// but the permutation and the consensus, which it leaves in p for
+// unpack — and a rule broken in either direction fails the codec.
+func layout(w *wire.Codec, c *Container, p *packed) {
 	ix := &c.Index
 	count := w.Fit(1) // a count of things that each cost at least one bit
 
@@ -317,10 +351,7 @@ func layout(w *wire.Codec, c *Container) {
 		if stored != sum {
 			w.Failf("permutation checksum mismatch: got %08x, container says %08x", sum, stored)
 		}
-		if w.Loading() {
-			ix.Perm, err = decodePerm(enc, ix.TotalReads)
-			w.Fail(err)
-		}
+		p.perm = enc
 	} else if ix.ReorderMode != ReorderNone || len(ix.Perm) != 0 {
 		w.Failf("version %d header cannot carry reorder mode %d or a permutation", ver, ix.ReorderMode)
 	}
@@ -328,7 +359,19 @@ func layout(w *wire.Codec, c *Container) {
 	if flags&flagConsensus != 0 {
 		n := len(c.Consensus)
 		w.Int("consensus length", &n, count)
-		w.Seq("consensus", &c.Consensus, n, flags&flagConsensusHasN != 0)
+		f := genome.Format2Bit
+		if flags&flagConsensusHasN != 0 {
+			f = genome.Format3Bit
+		}
+		var cons []byte
+		if w.Storing() {
+			var err error
+			if cons, err = genome.Encode(c.Consensus, f); err != nil {
+				w.Failf("packing consensus: %w", err)
+			}
+		}
+		w.Raw("consensus", &cons, (n*f.BitsPerBase()+7)/8)
+		p.hasCons, p.cons, p.consLen, p.consFormat = true, cons, n, f
 	}
 
 	if ver >= manifestVersion {
@@ -422,6 +465,11 @@ func layout(w *wire.Codec, c *Container) {
 				w.Raw("sketch", &emptySketch, ix.SketchBytes)
 			} else {
 				w.Raw("sketch", &z.Sketch, ix.SketchBytes)
+				if w.Loading() {
+					// Kept for the container's life: a copy, so the
+					// parsed prefix is not.
+					z.Sketch = bytes.Clone(z.Sketch)
+				}
 			}
 		}
 		w.U32("checksum", &e.Checksum)
@@ -487,13 +535,13 @@ func encodePerm(perm []int64) ([]byte, error) {
 func decodePerm(enc []byte, total int) ([]int64, error) {
 	perm := make([]int64, total)
 	seen := make([]uint64, (total+63)/64)
-	rd := bytes.NewReader(enc)
 	prev := int64(0)
 	for i := range perm {
-		d, err := binary.ReadVarint(rd)
-		if err != nil {
+		d, k := binary.Varint(enc)
+		if k <= 0 {
 			return nil, fmt.Errorf("shard: permutation block truncated at entry %d of %d", i, total)
 		}
+		enc = enc[k:]
 		v := prev + d
 		if v < 0 || v >= int64(total) {
 			return nil, fmt.Errorf("shard: permutation entry %d is %d, outside [0,%d)", i, v, total)
@@ -505,8 +553,8 @@ func decodePerm(enc []byte, total int) ([]int64, error) {
 		perm[i] = v
 		prev = v
 	}
-	if rd.Len() != 0 {
-		return nil, fmt.Errorf("shard: permutation block has %d trailing bytes after %d entries", rd.Len(), total)
+	if len(enc) != 0 {
+		return nil, fmt.Errorf("shard: permutation block has %d trailing bytes after %d entries", len(enc), total)
 	}
 	return perm, nil
 }

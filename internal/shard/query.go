@@ -214,11 +214,12 @@ type FilterStats struct {
 
 // Filter streams the records matching p to w as FASTQ, consulting zone
 // maps first: pruned shards are never read or decoded. Surviving
-// shards decode on up to workers goroutines with the same bounded
-// write-order window as DecompressTo: each worker renders its shard's
-// text and compacts the matching records in place (MatchText), and the
-// writer only writes. cons is the fallback consensus for containers
-// without an embedded one.
+// shards decode on the same ordered pool as DecompressTo, up to
+// workers goroutines and workers+1 shards resident: each worker renders
+// its shard's text and compacts the matching records in place
+// (MatchText), and the matches reach w one shard at a time, in order.
+// cons is the fallback consensus for containers without an embedded
+// one.
 func (c *Container) Filter(w io.Writer, cons genome.Seq, p *Predicate, workers int) (*FilterStats, error) {
 	if p == nil {
 		p = &Predicate{}

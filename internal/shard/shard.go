@@ -385,20 +385,21 @@ func (c *Container) checkCount(i, n int) error {
 
 // testDecodeStarted, when non-nil, observes every shard decode
 // DecompressTo admits, before the decode runs. Test-only: the
-// bounded-memory test uses it to prove the write-order window keeps
-// decoding from running ahead of a slow writer.
+// bounded-memory test uses it to prove the claim bound keeps decoding
+// from running ahead of a slow writer.
 var testDecodeStarted func(shard int)
 
 // DecompressTo decodes the container shard by shard on up to workers
 // goroutines (<= 0 uses GOMAXPROCS) and streams the reads to w in shard
 // order, one write per shard: each worker renders its shard's FASTQ text
-// straight from the decoder (AppendFASTQ), and the writer only writes.
-// Unlike Decompress, the whole read set is never materialized: at most
-// workers+1 decoded shards are resident at once — shards are admitted
-// into the decode pool only as the writer drains earlier ones — so peak
-// memory is O(workers × shard), not O(container). cons is the fallback
-// consensus for containers written without an embedded one. This is the
-// streaming path behind `sage decompress`.
+// straight from the decoder (AppendFASTQ), and writes go to w one at a
+// time, in order, from whichever worker holds the next shard. Unlike
+// Decompress, the whole read set is never materialized: at most
+// workers+1 decoded shards are resident at once — a shard is claimed
+// for decoding only as earlier ones are written — so peak memory is
+// O(workers × shard), not O(container). cons is the fallback consensus
+// for containers written without an embedded one. This is the streaming
+// path behind `sage decompress`.
 func (c *Container) DecompressTo(w io.Writer, cons genome.Seq, workers int) error {
 	return stream(c.allShards(), workers, c.renderer(cons), func(buf *[]byte) error {
 		_, err := w.Write(*buf)
@@ -408,8 +409,8 @@ func (c *Container) DecompressTo(w io.Writer, cons genome.Seq, workers int) erro
 }
 
 // renderer is the decode step of DecompressTo and DecompressOriginalTo:
-// it renders shard i's FASTQ text into a buffer from texts, which the
-// writer puts back.
+// it renders shard i's FASTQ text into a buffer from texts, which emit
+// puts back.
 func (c *Container) renderer(cons genome.Seq) func(i int) (*[]byte, error) {
 	letters := c.fallbackLetters(cons)
 	return func(i int) (*[]byte, error) {
@@ -422,20 +423,24 @@ func (c *Container) renderer(cons genome.Seq) func(i int) (*[]byte, error) {
 
 // Buffers kept between shard decodes (package freelist says why not a
 // sync.Pool, and why none past freelist.MaxKeep): the text a worker
-// renders a shard into, until the writer has written it or handed it to
-// the restorer, and the block AppendFASTQ fetches, until core has parsed
-// it.
+// renders a shard into, until emit has written it or handed it to the
+// restorer, and the block AppendFASTQ fetches, until core has parsed
+// it. A decode pool of the default width holds GOMAXPROCS+1 texts at
+// once and GOMAXPROCS blocks, and the lists keep that many: a shorter
+// text list would drop a buffer each time the pool drains, and a later
+// shard would grow a fresh one.
 var (
-	texts  = freelist.New[[]byte]()
+	texts  = freelist.NewN[[]byte](runtime.GOMAXPROCS(0) + 1)
 	blocks = freelist.New[[]byte]()
 )
 
 // DecompressOriginalTo streams the container to w in the exact
 // original input order. For identity-order containers it is
 // DecompressTo; for a reordered container (format v5) the workers
-// render each shard's FASTQ text as DecompressTo's do, the writer hands
-// each record's bytes (fastq.NextRecord) to reorder.Restorer under its
-// original index from the stored inverse permutation, and the restorer
+// render each shard's FASTQ text as DecompressTo's do, emit hands each
+// record's bytes (fastq.NextRecord), shard by shard in stored order, to
+// reorder.Restorer under its original index from the stored inverse
+// permutation, and the restorer
 // writes them back in that order — from memory within sc's budget,
 // else range by range out of one spill file — so original-order
 // recovery of a container far larger than RAM costs O(window + budget),
@@ -484,118 +489,109 @@ func (c *Container) allShards() []int {
 
 // stream is the one ordered decode pool, behind every whole-container
 // reader: decode runs for each shard of list on up to workers
-// goroutines (<= 0 uses GOMAXPROCS), and emit receives the results in
-// list order, on the calling goroutine.
+// goroutines (<= 0 uses GOMAXPROCS), the caller's among them, and emit
+// receives the results in list order, one call at a time. There is no
+// writer goroutine: the worker that finishes the next shard in order
+// emits it, then any later ones already decoded. A shard is claimed
+// only while fewer than workers+1 are claimed and not yet emitted, so
+// at most workers+1 results are resident however slow emit is. The
+// first decode or emit error stops all further claims, and stream
+// returns it once every worker has stopped.
 func stream[T any](list []int, workers int, decode func(shard int) (T, error), emit func(T) error) error {
-	n := len(list)
-	if n == 0 {
-		return nil
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	// window tokens bound the shards admitted but not yet written:
-	// workers decoding plus one decoded shard waiting its turn. The
-	// feeder takes a token BEFORE dispatching a job — admission happens
-	// strictly in shard order, so the lowest unwritten shard is always
-	// among the admitted set and the writer can always make progress
-	// (acquiring tokens worker-side would let shards i+1..i+workers
-	// exhaust the window while shard i's worker still waits for one).
-	// Only the writer returns tokens, one per shard written.
-	window := make(chan struct{}, workers+1)
-	jobs := make(chan int)
-
-	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		ready    = make(map[int]T, workers+1)
-		firstErr error
-	)
-	var stop atomic.Bool
-	var pipeline sync.WaitGroup // feeder + workers
-	pipeline.Add(1)
-	go func() { // feeder: admits shards in index order
-		defer pipeline.Done()
-		defer close(jobs)
-		for i := 0; i < n; i++ {
-			window <- struct{}{}
-			if stop.Load() {
-				return
-			}
-			jobs <- i
-		}
-	}()
-	for wkr := 0; wkr < workers; wkr++ {
-		pipeline.Add(1)
+	workers = min(workers, len(list))
+	p := &pool[T]{list: list, decode: decode, emit: emit, parked: make([]parked[T], workers+1)}
+	p.cond.L = &p.mu
+	var wg sync.WaitGroup
+	for range workers - 1 {
+		wg.Add(1)
 		go func() {
-			defer pipeline.Done()
-			for i := range jobs {
-				if stop.Load() {
-					continue
-				}
-				shardID := list[i]
-				if testDecodeStarted != nil {
-					testDecodeStarted(shardID)
-				}
-				v, err := decode(shardID)
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					stop.Store(true)
-				} else {
-					ready[i] = v
-				}
-				cond.Broadcast()
-				mu.Unlock()
-			}
+			defer wg.Done()
+			p.work()
 		}()
 	}
+	p.work()
+	wg.Wait()
+	return p.err
+}
 
-	var writeErr error
-	for i := 0; i < n && writeErr == nil; i++ {
-		mu.Lock()
-		v, ok := ready[i]
-		for !ok && firstErr == nil {
-			cond.Wait()
-			v, ok = ready[i]
+// pool is the state stream's workers share, under mu. Shards list[i]
+// for i in [emitted, next) are claimed and not yet emitted; a decoded
+// one waiting for its turn sits in parked[i%len(parked)], a slot no
+// other claimed shard maps to.
+type pool[T any] struct {
+	list    []int
+	decode  func(shard int) (T, error)
+	emit    func(T) error
+	mu      sync.Mutex
+	cond    sync.Cond // emitted advanced, or err was set
+	next    int
+	emitted int
+	parked  []parked[T]
+	err     error
+}
+
+type parked[T any] struct {
+	v  T
+	ok bool
+}
+
+// work claims shards in list order and decodes them until the list is
+// done or a worker failed. A shard decoded out of turn is parked; the
+// shard in turn is emitted, and so are the parked ones after it.
+func (p *pool[T]) work() {
+	p.mu.Lock()
+	for {
+		for p.err == nil && p.next < len(p.list) && p.next-p.emitted == len(p.parked) {
+			p.cond.Wait()
 		}
-		if firstErr != nil {
-			mu.Unlock()
-			break
+		if p.err != nil || p.next == len(p.list) {
+			p.mu.Unlock()
+			return
 		}
-		delete(ready, i)
-		mu.Unlock()
-		writeErr = emit(v)
-		<-window // the shard left memory: admit the next decode
-	}
-	if writeErr != nil {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = writeErr
+		i := p.next
+		p.next++
+		p.mu.Unlock()
+		if testDecodeStarted != nil {
+			testDecodeStarted(p.list[i])
 		}
-		mu.Unlock()
-	}
-	if firstErr != nil {
-		// Unwedge the feeder parked on a full window, then wait the
-		// pipeline out (workers drain remaining jobs as no-ops).
-		stop.Store(true)
-		done := make(chan struct{})
-		go func() { pipeline.Wait(); close(done) }()
-		for {
-			select {
-			case <-window:
-			case <-done:
-				return firstErr
+		v, err := p.decode(p.list[i])
+		p.mu.Lock()
+		if err != nil {
+			p.fail(err)
+		}
+		for p.err == nil {
+			if i != p.emitted {
+				p.parked[i%len(p.parked)] = parked[T]{v, true}
+				break
 			}
+			p.mu.Unlock()
+			err := p.emit(v)
+			p.mu.Lock()
+			if err != nil {
+				p.fail(err)
+				break
+			}
+			p.emitted++
+			p.cond.Broadcast()
+			s := &p.parked[p.emitted%len(p.parked)]
+			if !s.ok {
+				break
+			}
+			i, v = p.emitted, s.v
+			*s = parked[T]{}
 		}
 	}
-	pipeline.Wait()
-	return nil
+}
+
+// fail keeps the pool's first error and wakes every waiting worker.
+func (p *pool[T]) fail(err error) {
+	if p.err == nil {
+		p.err = err
+	}
+	p.cond.Broadcast()
 }
 
 // Decompress parses a sharded container and decodes it whole: Parse

@@ -224,8 +224,10 @@ func (c *Codec) Int64(name string, p *int64, max uint64) {
 
 // Raw moves exactly n bytes whose count both sides know from earlier
 // fields. A reader checks n against the container (corruption), then
-// against the input in hand (ErrShort), and only then allocates; when n
-// is 0 it leaves *p as it was. A writer rejects a value of another size.
+// against the input in hand (ErrShort); it sets *p to those bytes of
+// the input, not a copy, and when n is 0 leaves *p as it was. A layout
+// whose value outlives the input clones the field where it keeps it. A
+// writer rejects a value of another size.
 func (c *Codec) Raw(name string, p *[]byte, n int) {
 	if c.writing {
 		if len(*p) != n {
@@ -241,7 +243,7 @@ func (c *Codec) Raw(name string, p *[]byte, n int) {
 		return
 	}
 	if b, ok := c.take(name, n); ok && n > 0 {
-		*p = bytes.Clone(b)
+		*p = b
 	}
 }
 
@@ -270,7 +272,8 @@ func (c *Codec) Seq(name string, p *genome.Seq, n int, hasN bool) {
 	}
 }
 
-// Blob moves a byte string behind its uvarint length.
+// Blob moves a byte string behind its uvarint length; a reader's *p
+// aliases the input, as Raw's does.
 func (c *Codec) Blob(name string, p *[]byte) {
 	n := len(*p)
 	c.Int(name, &n, c.Fit(8))

@@ -62,10 +62,14 @@ func TestRoundtrip(t *testing.T) {
 		!bytes.Equal(out.fixed, in.fixed) {
 		t.Fatalf("roundtrip changed the record:\n in %+v\nout %+v", in, out)
 	}
-	// The parsed byte fields are copies: the input may be reused.
+	// The parsed byte fields alias the input, and the strings do not.
 	data[len(data)-1] ^= 0xff
-	if out.fixed[2] != 3 {
-		t.Fatal("parsed bytes alias the input")
+	if out.fixed[2] != 3^0xff {
+		t.Fatal("parsed bytes are a copy of the input")
+	}
+	clear(data)
+	if out.name != in.name {
+		t.Fatal("a parsed string aliases the input")
 	}
 }
 
