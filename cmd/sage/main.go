@@ -172,11 +172,11 @@ commands:
               [-pprof-addr :8845] [-slow-ms N]
   instorage   -in reads.sage [-ref ref.txt] [-channels 8]
 
-compress with -shard-reads 0 emits a single-block container; any other
-value emits a sharded, seekable container whose shards are compressed
-and decompressed in parallel on -threads workers (0 = all CPUs). With
--ref, sharded compression streams the input file batch by batch instead
-of loading it whole.
+compress emits a sharded, seekable container of -shard-reads reads per
+shard (> 0), whose shards are compressed and decompressed in parallel on
+-threads workers (0 = all CPUs). With -ref, compression streams the
+input file batch by batch instead of loading it whole. Single-block
+containers written by older releases still decompress and inspect.
 
 compress accepts many inputs (lane splits) and packs them all into ONE
 sharded container with file-aware shard boundaries — no shard spans two
@@ -341,14 +341,6 @@ func writeOutput(out string, write func(w io.Writer) error) error {
 	return publish(out, write)
 }
 
-// writeBytes is publish for a container already in memory.
-func writeBytes(out string, data []byte) error {
-	return publish(out, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
 // ingestPlan says what to ingest and how; openIngest assembles it.
 type ingestPlan struct {
 	inputs []string
@@ -505,7 +497,7 @@ func cmdCompress(args []string) error {
 	paired := fs.Bool("paired", false, "treat inputs as paired-end R1 R2 [R1 R2 ...] mate files, interleaved pairwise")
 	noQual := fs.Bool("no-quality", false, "discard quality scores")
 	noHdr := fs.Bool("no-headers", false, "discard read names")
-	shardReads := fs.Int("shard-reads", shard.DefaultShardReads, "reads per shard (0 = single-block container)")
+	shardReads := fs.Int("shard-reads", shard.DefaultShardReads, "reads per shard")
 	threads := fs.Int("threads", 0, "compression workers (0 = all CPUs)")
 	doReorder := fs.Bool("reorder", false, "clump-sort reads by similarity before sharding (container format v5; decompress -original-order recovers input order)")
 	sortMem := fs.Int("sort-mem", 256, "reorder sort memory budget in MiB before spilling runs to disk")
@@ -517,14 +509,11 @@ func cmdCompress(args []string) error {
 	if err := checkThreads("compress", *threads); err != nil {
 		return err
 	}
-	if *shardReads < 0 {
-		return usagef("compress: -shard-reads must be >= 0 (0 = single block), got %d", *shardReads)
+	if *shardReads <= 0 {
+		return usagef("compress: -shard-reads must be > 0, got %d", *shardReads)
 	}
 	if *sortMem <= 0 {
 		return usagef("compress: -sort-mem must be > 0 MiB, got %d", *sortMem)
-	}
-	if *doReorder && *shardReads == 0 {
-		return usagef("compress: -reorder needs a sharded container; -shard-reads must be > 0")
 	}
 	sortCfg := reorder.SortConfig{MemBudget: int64(*sortMem) << 20, TmpDir: *tmpDir}
 	// Inputs come positionally (possibly many) or via the classic -in
@@ -545,23 +534,12 @@ func cmdCompress(args []string) error {
 		*out = inputs[0] + ".sage"
 	}
 
-	shardOpt := func(cons genome.Seq) shard.Options {
-		opt := shard.DefaultOptions(cons)
-		opt.ShardReads = *shardReads
-		opt.Workers = *threads
-		opt.Core.IncludeQuality = !*noQual
-		opt.Core.IncludeHeaders = !*noHdr
-		return opt
-	}
-
 	// Multi-file (or paired-end) ingest: all inputs stream into one
 	// sharded container with file-aware shard boundaries and a source
 	// manifest (container format v3, see docs/FORMAT.md).
 	manifest := *paired || len(inputs) > 1
 	if manifest {
 		switch {
-		case *shardReads <= 0:
-			return usagef("compress: multi-file ingest writes a sharded container; -shard-reads must be > 0")
 		case *denovo:
 			return fmt.Errorf("compress: multi-file ingest streams its inputs and needs -ref (-denovo would require the whole read set in memory)")
 		case *refPath == "":
@@ -594,71 +572,52 @@ func cmdCompress(args []string) error {
 		return fmt.Errorf("compress: pass -ref or -denovo")
 	}
 
-	// Sharded compression against a reference streams its inputs: the
-	// whole read set is never in memory at once. -denovo feeds the reads
-	// it already holds to the same writer.
-	if *shardReads > 0 {
-		plan := ingestPlan{
-			inputs: inputs, paired: *paired, manifest: manifest,
-			shardReads: *shardReads, threads: *threads, reorder: *doReorder, sort: sortCfg,
-		}
-		var in *ingest
-		if rs != nil {
-			in = &ingest{src: fastq.SliceSource(rs.Batches(*shardReads))}
-			err = in.wrapReorder(plan, *shardReads)
-		} else {
-			in, err = openIngest(plan)
-		}
-		if err != nil {
-			return fmt.Errorf("compress: %w", err)
-		}
-		defer in.Close()
-		var st *shard.Stats
-		err = publish(*out, func(w io.Writer) (err error) {
-			st, err = shard.CompressPipeline(in.src, w, shardOpt(cons))
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		if in.mr == nil {
-			fmt.Printf("%s: %d bytes in %d shards (%d reads, %d B header+index)%s\n",
-				*out, st.CompressedBytes, st.Shards, st.Reads, st.HeaderBytes, reorderNote(st))
-			return nil
-		}
-		mode := "files"
-		if *paired {
-			mode = "paired-end mate files"
-		}
-		fmt.Printf("%s: %d bytes in %d shards (%d reads from %d %s, %d B header+index)%s\n",
-			*out, st.CompressedBytes, st.Shards, st.Reads, len(inputs), mode, st.HeaderBytes, reorderNote(st))
-		srcs, perSrc := in.mr.Sources(), in.mr.SourceReads()
-		for i, s := range srcs {
-			fmt.Printf("  %s: %d reads\n", s.Display(), perSrc[i])
-		}
-		return nil
+	// Compression against a reference streams its inputs: the whole
+	// read set is never in memory at once. -denovo feeds the reads it
+	// already holds to the same writer.
+	plan := ingestPlan{
+		inputs: inputs, paired: *paired, manifest: manifest,
+		shardReads: *shardReads, threads: *threads, reorder: *doReorder, sort: sortCfg,
 	}
-
-	if rs == nil {
-		if rs, err = readFASTQ(inputs[0]); err != nil {
-			return err
-		}
+	var ing *ingest
+	if rs != nil {
+		ing = &ingest{src: fastq.SliceSource(rs.Batches(*shardReads))}
+		err = ing.wrapReorder(plan, *shardReads)
+	} else {
+		ing, err = openIngest(plan)
 	}
-	raw := rs.UncompressedSize()
-	opt := core.DefaultOptions(cons)
-	opt.IncludeQuality = !*noQual
-	opt.IncludeHeaders = !*noHdr
+	if err != nil {
+		return fmt.Errorf("compress: %w", err)
+	}
+	defer ing.Close()
+	opt := shard.DefaultOptions(cons)
+	opt.ShardReads = *shardReads
 	opt.Workers = *threads
-	enc, err := core.Compress(rs, opt)
+	opt.Core.IncludeQuality = !*noQual
+	opt.Core.IncludeHeaders = !*noHdr
+	var st *shard.Stats
+	err = publish(*out, func(w io.Writer) (err error) {
+		st, err = shard.CompressPipeline(ing.src, w, opt)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	if err := writeBytes(*out, enc.Data); err != nil {
-		return err
+	if ing.mr == nil {
+		fmt.Printf("%s: %d bytes in %d shards (%d reads, %d B header+index)%s\n",
+			*out, st.CompressedBytes, st.Shards, st.Reads, st.HeaderBytes, reorderNote(st))
+		return nil
 	}
-	fmt.Printf("%s: %d -> %d bytes (%.2fx); %d/%d reads mapped, %d chimeric, %d corner\n",
-		*out, raw, len(enc.Data), float64(raw)/float64(len(enc.Data)),
-		enc.Stats.NumMapped, enc.Stats.NumReads, enc.Stats.NumChimeric, enc.Stats.NumCorner)
+	mode := "files"
+	if *paired {
+		mode = "paired-end mate files"
+	}
+	fmt.Printf("%s: %d bytes in %d shards (%d reads from %d %s, %d B header+index)%s\n",
+		*out, st.CompressedBytes, st.Shards, st.Reads, len(inputs), mode, st.HeaderBytes, reorderNote(st))
+	srcs, perSrc := ing.mr.Sources(), ing.mr.SourceReads()
+	for i, s := range srcs {
+		fmt.Printf("  %s: %d reads\n", s.Display(), perSrc[i])
+	}
 	return nil
 }
 
@@ -1098,7 +1057,7 @@ func cmdServe(args []string) error {
 				_, rerr := io.ReadFull(pf, magic[:])
 				pf.Close()
 				if rerr == nil && core.IsContainer(magic[:]) {
-					return fmt.Errorf("serve: %s is a single-block container; only sharded containers are servable (recompress with -shard-reads > 0)", path)
+					return fmt.Errorf("serve: %s is a single-block container; only sharded containers are servable", path)
 				}
 			}
 			return err
@@ -1172,7 +1131,7 @@ func cmdInstorage(args []string) error {
 	}
 	if !shard.IsContainer(data) {
 		if core.IsContainer(data) {
-			return fmt.Errorf("instorage: %s is a single-block container; the dispatch engine needs shards (recompress with -shard-reads > 0)", *in)
+			return fmt.Errorf("instorage: %s is a single-block container; the dispatch engine needs a sharded container", *in)
 		}
 		return fmt.Errorf("instorage: %s is not a SAGe container", *in)
 	}

@@ -210,9 +210,8 @@ func TestIngestMatrix(t *testing.T) {
 
 // TestPGZ1InputRejected: gzipc's private PGZ1 framing is not an ingest
 // format. It is not sniffed as compressed, so the FASTQ scanner rejects
-// it, naming the file, on every ingest path — recompress, and a
-// one-file compress both streaming and -shard-reads 0; no container
-// (or temp file) is left.
+// it, naming the file, on every ingest path — recompress and a
+// one-file compress; no container (or temp file) is left.
 func TestPGZ1InputRejected(t *testing.T) {
 	dir := t.TempDir()
 	fx := newCLIFixture(t, dir)
@@ -225,13 +224,11 @@ func TestPGZ1InputRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		run  func([]string) error
-		args []string
 	}{
-		{"recompress", cmdRecompress, nil},
-		{"compress", cmdCompress, nil},
-		{"compress -shard-reads 0", cmdCompress, []string{"-shard-reads", "0"}},
+		{"recompress", cmdRecompress},
+		{"compress", cmdCompress},
 	} {
-		err := tc.run(append(append([]string{"-ref", fx.ref, "-out", out}, tc.args...), in))
+		err := tc.run([]string{"-ref", fx.ref, "-out", out, in})
 		if err == nil || !strings.Contains(err.Error(), "fastq: file reads.pgz") {
 			t.Fatalf("%s of a PGZ1 input: err = %v, want a FASTQ parse error naming reads.pgz", tc.name, err)
 		}
@@ -308,12 +305,11 @@ func TestFailedDecodeKeepsOutput(t *testing.T) {
 	}
 }
 
-// TestDenovoPublishesCrashSafely: -denovo containers (sharded and
-// single-block) go through publish like every other — temp file,
-// fsync, rename — so they leave no *.tmp behind, and a run that cannot
-// create its temp file fails without touching an existing output. The
-// sharded one is what shard.Compress writes for the same reads and
-// consensus.
+// TestDenovoPublishesCrashSafely: -denovo containers go through
+// publish like every other — temp file, fsync, rename — so they leave
+// no *.tmp behind, and a run that cannot create its temp file fails
+// without touching an existing output. The container is what
+// shard.Compress writes for the same reads and consensus.
 func TestDenovoPublishesCrashSafely(t *testing.T) {
 	dir := t.TempDir()
 	fx := newCLIFixture(t, dir)
@@ -326,57 +322,47 @@ func TestDenovoPublishesCrashSafely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shardReads := range []string{"100", "0"} {
-		out := filepath.Join(dir, "denovo"+shardReads+".sage")
-		args := []string{"-denovo", "-shard-reads", shardReads, "-out", out, in}
-		if err := cmdCompress(args); err != nil {
-			t.Fatalf("-shard-reads %s: %v", shardReads, err)
-		}
-		data, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sharded := shard.IsContainer(data); sharded != (shardReads != "0") || (!sharded && !core.IsContainer(data)) {
-			t.Fatalf("-shard-reads %s wrote the wrong container kind", shardReads)
-		}
-		if shardReads != "0" {
-			opt := shard.DefaultOptions(cons.Seq)
-			opt.ShardReads = 100
-			ref, _, err := shard.Compress(want, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(data, ref) {
-				t.Fatal("-denovo wrote a container that differs from shard.Compress of the same reads")
-			}
-		}
-		if err := cmdDecompress([]string{"-in", out, "-out", out + ".fq"}); err != nil {
-			t.Fatal(err)
-		}
-		got, err := readFASTQ(out + ".fq")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !fastq.Equivalent(got, want) {
-			t.Fatalf("-shard-reads %s: decoded reads differ from the input", shardReads)
-		}
-		if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
-			t.Fatalf("-shard-reads %s left %v behind", shardReads, tmps)
-		}
-		// Block the temp path: the write must fail there, before the
-		// published container is opened for writing.
-		if err := os.Mkdir(out+".tmp", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := cmdCompress(args); err == nil {
-			t.Fatalf("-shard-reads %s: compress succeeded with its temp path blocked", shardReads)
-		}
-		if after, err := os.ReadFile(out); err != nil || !bytes.Equal(after, data) {
-			t.Fatalf("-shard-reads %s: a failed run clobbered the existing container", shardReads)
-		}
-		if err := os.Remove(out + ".tmp"); err != nil {
-			t.Fatal(err)
-		}
+	out := filepath.Join(dir, "denovo.sage")
+	args := []string{"-denovo", "-shard-reads", "100", "-out", out, in}
+	if err := cmdCompress(args); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := shard.DefaultOptions(cons.Seq)
+	opt.ShardReads = 100
+	ref, _, err := shard.Compress(want, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, ref) {
+		t.Fatal("-denovo wrote a container that differs from shard.Compress of the same reads")
+	}
+	if err := cmdDecompress([]string{"-in", out, "-out", out + ".fq"}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readFASTQ(out + ".fq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fastq.Equivalent(got, want) {
+		t.Fatal("decoded reads differ from the input")
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
+		t.Fatalf("left %v behind", tmps)
+	}
+	// Block the temp path: the write must fail there, before the
+	// published container is opened for writing.
+	if err := os.Mkdir(out+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdCompress(args); err == nil {
+		t.Fatal("compress succeeded with its temp path blocked")
+	}
+	if after, err := os.ReadFile(out); err != nil || !bytes.Equal(after, data) {
+		t.Fatal("a failed run clobbered the existing container")
 	}
 }
 
@@ -455,31 +441,73 @@ func TestBadInputsFailCleanly(t *testing.T) {
 	}
 }
 
-// TestSingleBlockCompressReport pins the single-block compress report:
-// its "N -> M bytes" counts the input's FASTQ text and the container
-// written.
-func TestSingleBlockCompressReport(t *testing.T) {
+// TestSingleBlockCompressRetired: compress writes only sharded
+// containers; -shard-reads 0, which once selected the single-block
+// writer, is a usage error that leaves no file behind.
+func TestSingleBlockCompressRetired(t *testing.T) {
 	dir := t.TempDir()
 	fx := newCLIFixture(t, dir)
 	in := filepath.Join(dir, "x.fq")
-	text := fx.shapes[0].want
-	if err := os.WriteFile(in, text, 0o644); err != nil {
+	if err := os.WriteFile(in, fx.shapes[0].want, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "x.sage")
-	report, err := stdoutOf(t, func() error {
-		return cmdCompress([]string{"-ref", fx.ref, "-shard-reads", "0", "-out", out, in})
-	})
+	for _, extra := range [][]string{nil, {"-denovo"}, {"-reorder"}} {
+		args := append([]string{"-ref", fx.ref, "-shard-reads", "0", "-out", out}, extra...)
+		if err := cmdCompress(append(args, in)); !isUsageError(err) {
+			t.Fatalf("compress -shard-reads 0 %v: err = %v, want a usage error", extra, err)
+		}
+		for _, p := range []string{out, out + ".tmp"} {
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Fatalf("compress -shard-reads 0 %v: %s exists after the failed run", extra, p)
+			}
+		}
+	}
+}
+
+// TestSingleBlockFilesStillRead: single-block containers written by
+// older releases (core.Compress over the whole read set) still decode
+// through decompress, to the input's records byte for byte in the
+// codec's storage order, and still inspect.
+func TestSingleBlockFilesStillRead(t *testing.T) {
+	dir := t.TempDir()
+	fx := newCLIFixture(t, dir)
+	rs, err := fastq.Parse(bytes.NewReader(fx.shapes[0].want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(out)
+	cons, err := readRef(fx.ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("%s: %d -> %d bytes (%.2fx);", out, len(text), info.Size(), float64(len(text))/float64(info.Size()))
-	if !strings.HasPrefix(report, want) {
-		t.Fatalf("report %q, want it to start %q", report, want)
+	enc, err := core.Compress(rs, core.DefaultOptions(cons))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := filepath.Join(dir, "single.sage")
+	if err := os.WriteFile(in, enc.Data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for _, i := range enc.Order {
+		if err := (&fastq.ReadSet{Records: rs.Records[i : i+1]}).Write(&want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := filepath.Join(dir, "back.fq")
+	if err := cmdDecompress([]string{"-in", in, "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("decompress of a single-block file did not give the input's records (err %v)", err)
+	}
+	info, err := stdoutOf(t, func() error { return cmdInspect([]string{"-in", in}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(info, "SAGe container v") ||
+		!strings.Contains(info, fmt.Sprintf("reads: %d,", len(rs.Records))) {
+		t.Fatalf("inspect of a single-block file:\n%s", info)
 	}
 }
 

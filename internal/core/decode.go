@@ -213,8 +213,8 @@ type ControlUnit struct {
 // free list (package freelist says why not a sync.Pool): the control
 // unit and its five stream readers, and the block's bases in the output
 // alphabet end to end with each read's length, its quality characters
-// and its headers with their end offsets. Nothing a caller keeps points
-// into it.
+// and its headers with their end offsets, and the header decoder's slot
+// table. Nothing a caller keeps points into it.
 type decoder struct {
 	cu      ControlUnit
 	streams [len(container{}.streams)]bitio.Reader
@@ -223,6 +223,7 @@ type decoder struct {
 	quals   []byte
 	names   []byte
 	ends    []int
+	hdrs    headers.Decoder
 }
 
 var decoders = freelist.New[decoder]()
@@ -305,7 +306,7 @@ func Decompress(data []byte, externalCons genome.Seq) (*fastq.ReadSet, error) {
 		}
 	}
 	if c.hdr.has(flagHeaders) {
-		if d.names, d.ends, err = headers.Append(d.names[:0], d.ends[:0], c.headers, c.hdr.numReads); err != nil {
+		if d.names, d.ends, err = d.hdrs.Append(d.names[:0], d.ends[:0], c.headers, c.hdr.numReads); err != nil {
 			return nil, err
 		}
 		hs, start := string(d.names), 0
@@ -347,7 +348,7 @@ func AppendFASTQ(dst, data, letterCons []byte) ([]byte, int, error) {
 		size += len(d.quals)
 	}
 	if hasNames {
-		if d.names, d.ends, err = headers.Append(d.names[:0], d.ends[:0], c.headers, n); err != nil {
+		if d.names, d.ends, err = d.hdrs.Append(d.names[:0], d.ends[:0], c.headers, n); err != nil {
 			return dst, 0, err
 		}
 		size += len(d.names)

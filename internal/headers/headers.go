@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"sage/internal/bitio"
+	"sage/internal/freelist"
 )
 
 // Stream format tags.
@@ -191,7 +192,7 @@ func compressRaw(hs []string) ([]byte, error) {
 // Decompress decodes a header list. The strings share one backing
 // array and are retained together.
 func Decompress(data []byte) ([]string, error) {
-	buf, ends, err := Append(nil, nil, data, -1)
+	buf, ends, err := new(Decoder).Append(nil, nil, data, -1)
 	if err != nil || len(ends) == 0 {
 		return nil, err
 	}
@@ -204,13 +205,28 @@ func Decompress(data []byte) ([]string, error) {
 	return out, nil
 }
 
+// Decoder keeps the slot table a templated stream decodes through
+// between calls, so a Decoder reused block after block (core keeps one
+// in its decoder scratch) does not allocate it each time. A table
+// larger than freelist.MaxKeep is not kept. The zero value is ready to
+// use; a Decoder is not safe for concurrent use.
+type Decoder struct {
+	slots []slotVal
+}
+
+// slotVal is one slot of one header: its value and zero-padded width.
+type slotVal struct {
+	width int
+	value uint64
+}
+
 // Append is Decompress into dst: it appends the headers to dst end to
 // end and, for each, its end offset in dst to ends, and returns both.
 // A stream that does not hold exactly want headers fails before
 // anything is allocated (want < 0 takes any count): a template without
 // slots costs no body bits per header, so nothing else in the stream
 // bounds the count it claims.
-func Append(dst []byte, ends []int, data []byte, want int) ([]byte, []int, error) {
+func (d *Decoder) Append(dst []byte, ends []int, data []byte, want int) ([]byte, []int, error) {
 	if len(data) == 0 {
 		return dst, ends, fmt.Errorf("headers: empty stream")
 	}
@@ -218,7 +234,7 @@ func Append(dst []byte, ends []int, data []byte, want int) ([]byte, []int, error
 	rest := data[1:]
 	switch mode {
 	case modeTemplated:
-		return appendTemplated(dst, ends, rest, want)
+		return d.appendTemplated(dst, ends, rest, want)
 	case modeRaw:
 		return appendRaw(dst, ends, rest, want)
 	default:
@@ -226,7 +242,7 @@ func Append(dst []byte, ends []int, data []byte, want int) ([]byte, []int, error
 	}
 }
 
-func appendTemplated(dst []byte, ends []int, data []byte, want int) ([]byte, []int, error) {
+func (d *Decoder) appendTemplated(dst []byte, ends []int, data []byte, want int) ([]byte, []int, error) {
 	rd := bytes.NewReader(data)
 	n, err := binary.ReadUvarint(rd)
 	if err != nil {
@@ -261,7 +277,7 @@ func appendTemplated(dst []byte, ends []int, data []byte, want int) ([]byte, []i
 	br := bitio.NewReader(body, bodyBits)
 	// Every (width, delta) pair costs at least 16 bits, which bounds the
 	// slot table a non-lying stream can demand — reject anything larger
-	// before allocating it.
+	// before growing it.
 	bitLimit := uint64(len(body)) * 8
 	if bodyBits < bitLimit {
 		bitLimit = bodyBits
@@ -269,12 +285,12 @@ func appendTemplated(dst []byte, ends []int, data []byte, want int) ([]byte, []i
 	if nSlots > 0 && n > bitLimit/16/nSlots {
 		return dst, ends, fmt.Errorf("headers: %d slots x %d headers exceeds %d-bit body", nSlots, n, bitLimit)
 	}
-	// vals[s*n+i] is slot s of header i, decoded in one flat slice.
-	type slotVal struct {
-		width int
-		value uint64
+	// vals[s*n+i] is slot s of header i, decoded in one flat slice;
+	// every entry is written before it is read. A slotVal is 16 bytes.
+	vals := slices.Grow(d.slots[:0], int(nSlots*n))[:nSlots*n]
+	if 16*cap(vals) <= freelist.MaxKeep {
+		d.slots = vals
 	}
-	vals := make([]slotVal, nSlots*n)
 	for s := uint64(0); s < nSlots; s++ {
 		var prev uint64
 		for i := uint64(0); i < n; i++ {

@@ -50,6 +50,44 @@ func TestTemplatedRoundtrip(t *testing.T) {
 	}
 }
 
+// TestDecoderKeepsSlotTable: a Decoder reused on templated streams
+// decodes into the slot table it kept, so with dst and ends reused too
+// a decode allocates no table, and a smaller stream after a
+// larger one reads none of the larger one's slots.
+func TestDecoderKeepsSlotTable(t *testing.T) {
+	var big, small []string
+	for i := 0; i < 500; i++ {
+		big = append(big, fmt.Sprintf("run%d.%d tile%04d", i%3, i+1, 7*i))
+	}
+	for i := 0; i < 20; i++ {
+		small = append(small, fmt.Sprintf("run%d.%d tile%04d", 9, 1000-i, i))
+	}
+	var d Decoder
+	var names []byte
+	var ends []int
+	for _, hs := range [][]string{big, small} {
+		data := roundtrip(t, hs)
+		var err error
+		if names, ends, err = d.Append(names[:0], ends[:0], data, len(hs)); err != nil {
+			t.Fatal(err)
+		}
+		start := 0
+		for i, end := range ends {
+			if string(names[start:end]) != hs[i] {
+				t.Fatalf("header %d = %q, want %q", i, names[start:end], hs[i])
+			}
+			start = end
+		}
+	}
+	// The one allocation left is the stream's bytes.Reader.
+	data := roundtrip(t, big)
+	if n := testing.AllocsPerRun(10, func() {
+		names, ends, _ = d.Append(names[:0], ends[:0], data, len(big))
+	}); n > 1 {
+		t.Fatalf("a reused Decoder allocated %v times per decode", n)
+	}
+}
+
 func TestLeadingZerosPreserved(t *testing.T) {
 	roundtrip(t, []string{"run007 tile0001", "run008 tile0002", "run009 tile0010"})
 }
@@ -95,14 +133,14 @@ func TestDecompressErrors(t *testing.T) {
 	// count is bounded only by the caller's: 2^40 headers of "r" must
 	// fail before anything is grown for them.
 	huge := []byte{modeTemplated, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 1, 'r', 0, 0}
-	if _, _, err := Append(nil, nil, huge, 3); err == nil {
+	if _, _, err := new(Decoder).Append(nil, nil, huge, 3); err == nil {
 		t.Fatal("expected error for a stream claiming 2^40 headers where 3 were asked for")
 	}
 	raw, err := Compress([]string{"a b", "c d e"})
 	if err != nil || raw[0] != modeRaw {
 		t.Fatalf("raw stream: mode %d, %v", raw[0], err)
 	}
-	if _, _, err := Append(nil, nil, raw, 3); err == nil {
+	if _, _, err := new(Decoder).Append(nil, nil, raw, 3); err == nil {
 		t.Fatal("expected error for a raw stream of 2 headers where 3 were asked for")
 	}
 	// One header "x" followed by a slot zero-padded to 2^40 digits, a

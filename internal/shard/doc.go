@@ -1,8 +1,9 @@
 // Package shard implements SAGe's sharded container: a read set split
 // into fixed-size batches, each compressed independently as one SAGe
 // block, held together by a seekable per-shard index. Shards are the
-// unit of parallel compression and decompression (this package's two
-// worker pools), of pipelined I/O→decompress→analyze execution (§3.1),
+// unit of parallel compression and decompression (both on this
+// package's one worker pool), of pipelined I/O→decompress→analyze
+// execution (§3.1),
 // of per-shard in-storage scan units (internal/instorage), and of
 // multi-client serving (internal/serve).
 //
@@ -16,8 +17,11 @@
 // batches never span two inputs, so shard boundaries are file-aware
 // and the header gains a source manifest; a reorder stage adds the
 // inverse permutation that makes the reordering reversible. Compress
-// is the in-memory adapter over it. Output is deterministic: any
-// worker count produces identical bytes.
+// is the in-memory adapter over it. The batches are compressed on the
+// ordered pool described under Reading: its workers read the source
+// themselves, one batch at a time, and the blocks reach the index in
+// batch order. Output is deterministic: any worker count produces
+// identical bytes.
 //
 // # Reading
 //
@@ -28,8 +32,8 @@
 // sit in the file), AppendFASTQ the fetch + verify + decode +
 // count-check of a shard to FASTQ text straight from the decoder
 // (AppendBlockFASTQ for a caller that fetched the bytes itself), and
-// DecompressShard the same to records. Whole-container reads all run on
-// one ordered, bounded-memory decode pool: the caller and up to
+// DecompressShard the same to records. Whole-container reads run on the
+// same ordered, bounded-memory pool as the writer: the caller and up to
 // workers-1 goroutines claim shards in order, at most workers+1 ahead
 // of the last one emitted, and whichever worker finishes the next shard
 // in order emits it — one emit at a time, in shard order, with no
@@ -43,7 +47,8 @@
 // attribution and per-file totals when a manifest is present.
 //
 // Open parses the header fields from a prefix it reads and, when the
-// header runs past it, from a prefix twice as long; the two large
+// header runs past it, grows the prefix to twice its length by reading
+// only the bytes past it, so no byte is read twice; the two large
 // fields, the permutation and the packed consensus, are unpacked once,
 // after the parse succeeds.
 //

@@ -586,15 +586,16 @@ const maxHeaderBytes = 1 << 30
 // reading the block section: only a header-sized prefix is fetched, and
 // Block/DecompressShard later read single shards on demand. This is the
 // serving-layer entry point — a multi-terabyte container costs only its
-// index in memory.
+// index in memory. The prefix starts at openChunk bytes and doubles
+// while the header runs past it; each growth reads only the bytes past
+// what is held, so no byte is read twice.
 func Open(r io.ReaderAt, size int64) (*Container, error) {
-	chunk := int64(openChunk)
+	chunk := min(int64(openChunk), size)
+	var prefix []byte
 	for {
-		if chunk > size {
-			chunk = size
-		}
-		prefix := make([]byte, chunk)
-		if _, err := io.ReadFull(io.NewSectionReader(r, 0, chunk), prefix); err != nil {
+		have := int64(len(prefix))
+		prefix = slices.Grow(prefix, int(chunk-have))[:chunk]
+		if _, err := io.ReadFull(io.NewSectionReader(r, have, chunk-have), prefix[have:]); err != nil {
 			return nil, fmt.Errorf("shard: reading container prefix: %w", err)
 		}
 		c, hdrLen, err := parseHeader(prefix, size)
@@ -602,7 +603,7 @@ func Open(r io.ReaderAt, size int64) (*Container, error) {
 			if chunk >= maxHeaderBytes {
 				return nil, fmt.Errorf("shard: header exceeds %d bytes (corrupt length field?): %w", maxHeaderBytes, err)
 			}
-			chunk *= 2
+			chunk = min(2*chunk, size)
 			continue
 		}
 		if err != nil {

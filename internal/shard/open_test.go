@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,6 +24,23 @@ func (c *readAtCounter) ReadAt(p []byte, off int64) (int, error) {
 	c.calls++
 	c.bytes += int64(len(p))
 	return c.r.ReadAt(p, off)
+}
+
+// onceReaderAt serves data and fails any ReadAt that covers a byte an
+// earlier ReadAt read.
+type onceReaderAt struct {
+	data []byte
+	seen []bool
+}
+
+func (r *onceReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	for i := off; i < min(off+int64(len(p)), int64(len(r.data))); i++ {
+		if r.seen[i] {
+			return 0, fmt.Errorf("byte %d read twice", i)
+		}
+		r.seen[i] = true
+	}
+	return bytes.NewReader(r.data).ReadAt(p, off)
 }
 
 func TestOpenMatchesParse(t *testing.T) {
@@ -86,7 +104,7 @@ func TestOpenMatchesParse(t *testing.T) {
 
 // TestOpenLargeHeader forces the header past Open's initial prefix chunk
 // (via a consensus much larger than openChunk) to exercise the growing
-// retry path.
+// path, which reads no byte twice.
 func TestOpenLargeHeader(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	// 2-bit packing: a 600k-base consensus is ~150 KB of header, >2x the
@@ -106,10 +124,12 @@ func TestOpenLargeHeader(t *testing.T) {
 	if st.HeaderBytes <= openChunk {
 		t.Fatalf("test needs a header larger than %d bytes, got %d", openChunk, st.HeaderBytes)
 	}
-	c, err := Open(bytes.NewReader(data), int64(len(data)))
+	src := &onceReaderAt{data: data, seen: make([]bool, len(data))}
+	c, err := Open(src, int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	clear(src.seen) // the prefix may have reached into the blocks
 	got, err := c.DecompressShard(0, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"sage/internal/core"
 	"sage/internal/fastq"
@@ -109,9 +108,10 @@ func Compress(rs *fastq.ReadSet, opt Options) ([]byte, *Stats, error) {
 // batches of an ingest pipeline — a leaf reader (fastq.BatchReader for
 // one stream; fastq.NewMultiReader / NewPairedReader for lane splits
 // and R1/R2 mates), or stages wrapped around one (the similarity-
-// reorder stage, internal/reorder.Stage) — on a worker pool and
-// assembles one container into w. Raw reads are bounded to one
-// in-flight batch per worker; only the (much smaller) compressed
+// reorder stage, internal/reorder.Stage) — on the ordered pool (drain)
+// and assembles one container into w. The workers read the source
+// themselves, one batch at a time, and at most workers+1 batches are
+// claimed and not yet assembled; only the (much smaller) compressed
 // blocks are buffered until the index can be written. The output is
 // deterministic: any worker count produces identical bytes.
 //
@@ -151,132 +151,87 @@ func CompressPipeline(src fastq.BatchSource, w io.Writer, opt Options) (*Stats, 
 	})
 	reordering = reordering && rp.ReorderMode() != ReorderNone
 
+	// Batches are compressed on the ordered pool, so they reach emit in
+	// batch order: each block's entry is appended as it arrives.
+	type compressed struct {
+		data  []byte
+		order []int
+		entry Entry
+	}
+	ix := &Index{ShardReads: opt.shardReads(), SketchBytes: opt.sketchBytes()}
 	var (
-		mu       sync.Mutex
-		blocks   [][]byte
-		counts   []int
-		sources  []int
-		zones    []ZoneMap
-		orders   [][]int
-		firstErr error
+		blocks [][]byte
+		stored []int // ingest position of each stored record, when reordering
+		off    int64
 	)
-	var stop atomic.Bool
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		stop.Store(true)
-	}
-
-	workers := opt.workers()
-	jobs := make(chan fastq.Batch, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range jobs {
-				if stop.Load() {
-					continue
-				}
-				enc, err := core.Compress(&fastq.ReadSet{Records: b.Records}, blockOpt)
-				if err != nil {
-					fail(fmt.Errorf("shard: compressing shard %d: %w", b.Index, err))
-					continue
-				}
-				// Zone maps summarize the records the codec will decode
-				// back out: when quality is discarded, the quality
-				// statistics must report "unscored" too.
-				zm := ComputeZoneMap(b.Records, opt.sketchBytes(), blockOpt.IncludeQuality)
-				mu.Lock()
-				for len(blocks) <= b.Index {
-					blocks = append(blocks, nil)
-					counts = append(counts, 0)
-					sources = append(sources, 0)
-					zones = append(zones, ZoneMap{})
-					orders = append(orders, nil)
-				}
-				blocks[b.Index] = enc.Data
-				counts[b.Index] = len(b.Records)
-				sources[b.Index] = b.Source
-				zones[b.Index] = zm
-				if reordering {
-					orders[b.Index] = enc.Order
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for !stop.Load() {
+	err := drain(func() (fastq.Batch, error) {
 		b, err := src.Next()
-		if err == io.EOF {
-			break
+		if err != nil && err != io.EOF {
+			err = fmt.Errorf("shard: reading batch: %w", err)
 		}
+		return b, err
+	}, opt.workers(), func(b fastq.Batch) (compressed, error) {
+		enc, err := core.Compress(&fastq.ReadSet{Records: b.Records}, blockOpt)
 		if err != nil {
-			fail(fmt.Errorf("shard: reading batch: %w", err))
-			break
+			return compressed{}, fmt.Errorf("shard: compressing shard %d: %w", b.Index, err)
 		}
-		jobs <- b
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		// Zone maps summarize the records the codec will decode back
+		// out: when quality is discarded, the quality statistics must
+		// report "unscored" too.
+		return compressed{data: enc.Data, order: enc.Order, entry: Entry{
+			ReadCount: len(b.Records),
+			Length:    int64(len(enc.Data)),
+			Source:    b.Source,
+			Zone:      ComputeZoneMap(b.Records, opt.sketchBytes(), blockOpt.IncludeQuality),
+			Checksum:  crc32.ChecksumIEEE(enc.Data),
+		}}, nil
+	}, func(c compressed) error {
+		if reordering {
+			if len(c.order) != c.entry.ReadCount {
+				return fmt.Errorf("shard: shard %d storage order covers %d of %d records",
+					len(blocks), len(c.order), c.entry.ReadCount)
+			}
+			for _, o := range c.order {
+				stored = append(stored, ix.TotalReads+o)
+			}
+		}
+		c.entry.Offset = off
+		off += c.entry.Length
+		ix.TotalReads += c.entry.ReadCount
+		ix.Entries = append(ix.Entries, c.entry)
+		blocks = append(blocks, c.data)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	ix := &Index{ShardReads: opt.shardReads(), SketchBytes: opt.sketchBytes(),
-		Entries: make([]Entry, len(blocks))}
 	if ms, ok := src.(interface{ Sources() []fastq.Source }); ok {
 		for _, s := range ms.Sources() {
 			ix.Sources = append(ix.Sources, SourceFile{Name: s.Name, Mate: s.Mate})
 		}
 	}
+	if len(ix.Sources) > 0 {
+		for _, e := range ix.Entries {
+			ix.Sources[e.Source].Reads += e.ReadCount
+		}
+	}
 	if reordering {
 		// The stage permutation maps ingest positions to original input
-		// positions; the codec then stores each shard position-sorted.
-		// Compose the two so Perm[decoded position] = original position
-		// — complete only after the drain above, and validated against
-		// TotalReads by the marshaller.
+		// positions, and is complete only after the drain above.
+		// Composed with the storage order, Perm[decoded position] =
+		// original position, validated against TotalReads by the
+		// marshaller.
 		stagePerm := rp.Perm()
-		perm := make([]int64, 0, len(stagePerm))
-		start := 0
-		for i := range blocks {
-			if len(orders[i]) != counts[i] {
-				return nil, fmt.Errorf("shard: shard %d storage order covers %d of %d records",
-					i, len(orders[i]), counts[i])
+		ix.Perm = make([]int64, len(stored))
+		for i, o := range stored {
+			if o >= len(stagePerm) {
+				return nil, fmt.Errorf("shard: stage permutation holds %d entries, stored record %d reaches %d",
+					len(stagePerm), i, o)
 			}
-			for _, o := range orders[i] {
-				if start+o >= len(stagePerm) {
-					return nil, fmt.Errorf("shard: stage permutation holds %d entries, shard %d reaches %d",
-						len(stagePerm), i, start+o)
-				}
-				perm = append(perm, stagePerm[start+o])
-			}
-			start += counts[i]
+			ix.Perm[i] = stagePerm[o]
 		}
 		ix.ReorderMode = rp.ReorderMode()
-		ix.Perm = perm
-	}
-	var off int64
-	for i, blk := range blocks {
-		if blk == nil {
-			return nil, fmt.Errorf("shard: shard %d was never compressed", i)
-		}
-		ix.TotalReads += counts[i]
-		ix.Entries[i] = Entry{
-			ReadCount: counts[i],
-			Offset:    off,
-			Length:    int64(len(blk)),
-			Source:    sources[i],
-			Zone:      zones[i],
-			Checksum:  crc32.ChecksumIEEE(blk),
-		}
-		off += int64(len(blk))
-		if len(ix.Sources) > 0 {
-			ix.Sources[sources[i]].Reads += counts[i]
-		}
 	}
 	var cons genome.Seq
 	if opt.Core.EmbedConsensus {
@@ -383,10 +338,10 @@ func (c *Container) checkCount(i, n int) error {
 	return nil
 }
 
-// testDecodeStarted, when non-nil, observes every shard decode
-// DecompressTo admits, before the decode runs. Test-only: the
-// bounded-memory test uses it to prove the claim bound keeps decoding
-// from running ahead of a slow writer.
+// testDecodeStarted, when non-nil, observes every shard decode the
+// renderer of DecompressTo and DecompressOriginalTo starts. Test-only:
+// the bounded-memory test uses it to prove the claim bound keeps
+// decoding from running ahead of a slow writer.
 var testDecodeStarted func(shard int)
 
 // DecompressTo decodes the container shard by shard on up to workers
@@ -414,6 +369,9 @@ func (c *Container) DecompressTo(w io.Writer, cons genome.Seq, workers int) erro
 func (c *Container) renderer(cons genome.Seq) func(i int) (*[]byte, error) {
 	letters := c.fallbackLetters(cons)
 	return func(i int) (*[]byte, error) {
+		if testDecodeStarted != nil {
+			testDecodeStarted(i)
+		}
 		buf := texts.Get()
 		var err error
 		*buf, err = c.AppendFASTQ((*buf)[:0], i, letters)
@@ -487,49 +445,67 @@ func (c *Container) allShards() []int {
 	return list
 }
 
-// stream is the one ordered decode pool, behind every whole-container
-// reader: decode runs for each shard of list on up to workers
-// goroutines (<= 0 uses GOMAXPROCS), the caller's among them, and emit
-// receives the results in list order, one call at a time. There is no
-// writer goroutine: the worker that finishes the next shard in order
-// emits it, then any later ones already decoded. A shard is claimed
-// only while fewer than workers+1 are claimed and not yet emitted, so
-// at most workers+1 results are resident however slow emit is. The
-// first decode or emit error stops all further claims, and stream
-// returns it once every worker has stopped.
+// stream runs drain over the shards of list, in list order, on up to
+// workers goroutines (<= 0 uses GOMAXPROCS, and never more than there
+// are shards): decode runs for each shard, and emit receives the
+// results in list order. Every whole-container reader runs on it.
 func stream[T any](list []int, workers int, decode func(shard int) (T, error), emit func(T) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(list))
-	p := &pool[T]{list: list, decode: decode, emit: emit, parked: make([]parked[T], workers+1)}
+	rest := list
+	return drain(func() (int, error) {
+		if len(rest) == 0 {
+			return 0, io.EOF
+		}
+		i := rest[0]
+		rest = rest[1:]
+		return i, nil
+	}, max(1, min(workers, len(list))), decode, emit)
+}
+
+// drain is the package's one worker pool, behind the writer and every
+// whole-container reader. workers (>= 1) workers, the caller among them,
+// claim jobs from next, one call at a time in claim order, until it
+// returns io.EOF; work runs on each job, and emit receives the results
+// in claim order, one call at a time. There is no feeder and no writer
+// goroutine: the worker that claims a job calls next, and the worker
+// that finishes the next job in order emits it, then any later ones
+// already finished. A job is claimed only while fewer than workers+1
+// are claimed and not yet emitted, so at most workers+1 jobs or results
+// are resident however slow emit is. The first error from next, work or
+// emit stops all further claims (next is not called again), and drain
+// returns it once every worker has stopped.
+func drain[J, T any](next func() (J, error), workers int, work func(J) (T, error), emit func(T) error) error {
+	p := &pool[J, T]{next: next, work: work, emit: emit, parked: make([]parked[T], workers+1)}
 	p.cond.L = &p.mu
 	var wg sync.WaitGroup
 	for range workers - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.work()
+			p.run()
 		}()
 	}
-	p.work()
+	p.run()
 	wg.Wait()
 	return p.err
 }
 
-// pool is the state stream's workers share, under mu. Shards list[i]
-// for i in [emitted, next) are claimed and not yet emitted; a decoded
-// one waiting for its turn sits in parked[i%len(parked)], a slot no
-// other claimed shard maps to.
-type pool[T any] struct {
-	list    []int
-	decode  func(shard int) (T, error)
+// pool is the state drain's workers share, under mu. Jobs
+// [emitted, claimed) are claimed and not yet emitted; a result finished
+// out of turn waits in parked[i%len(parked)], a slot no other claimed
+// job maps to.
+type pool[J, T any] struct {
+	next    func() (J, error)
+	work    func(J) (T, error)
 	emit    func(T) error
 	mu      sync.Mutex
-	cond    sync.Cond // emitted advanced, or err was set
-	next    int
+	cond    sync.Cond // emitted advanced, or the pool ended
+	claimed int
 	emitted int
 	parked  []parked[T]
+	done    bool // next returned io.EOF
 	err     error
 }
 
@@ -538,26 +514,36 @@ type parked[T any] struct {
 	ok bool
 }
 
-// work claims shards in list order and decodes them until the list is
-// done or a worker failed. A shard decoded out of turn is parked; the
-// shard in turn is emitted, and so are the parked ones after it.
-func (p *pool[T]) work() {
+// run claims jobs and works them until next is exhausted or a worker
+// failed. A result finished out of turn is parked; the one in turn is
+// emitted, and so are the parked ones after it. next runs under mu,
+// which makes claims serial and numbers them in order; a worker that
+// finishes meanwhile waits for it before it parks or emits, a wait its
+// own next claim would make anyway. next must not wait on emit.
+func (p *pool[J, T]) run() {
 	p.mu.Lock()
 	for {
-		for p.err == nil && p.next < len(p.list) && p.next-p.emitted == len(p.parked) {
+		for p.err == nil && !p.done && p.claimed-p.emitted == len(p.parked) {
 			p.cond.Wait()
 		}
-		if p.err != nil || p.next == len(p.list) {
+		if p.err != nil || p.done {
 			p.mu.Unlock()
 			return
 		}
-		i := p.next
-		p.next++
-		p.mu.Unlock()
-		if testDecodeStarted != nil {
-			testDecodeStarted(p.list[i])
+		j, err := p.next()
+		if err == io.EOF {
+			p.done = true
+			p.cond.Broadcast()
+			continue
 		}
-		v, err := p.decode(p.list[i])
+		if err != nil {
+			p.fail(err)
+			continue
+		}
+		i := p.claimed
+		p.claimed++
+		p.mu.Unlock()
+		v, err := p.work(j)
 		p.mu.Lock()
 		if err != nil {
 			p.fail(err)
@@ -587,7 +573,7 @@ func (p *pool[T]) work() {
 }
 
 // fail keeps the pool's first error and wakes every waiting worker.
-func (p *pool[T]) fail(err error) {
+func (p *pool[J, T]) fail(err error) {
 	if p.err == nil {
 		p.err = err
 	}

@@ -351,7 +351,7 @@ func Decompress(data []byte) (*fastq.ReadSet, error) {
 		return nil, err
 	}
 	// Only the read count bounds the header count a slotless template claims.
-	names, ends, err := headers.Append(nil, nil, hb, len(rs.Records))
+	names, ends, err := new(headers.Decoder).Append(nil, nil, hb, len(rs.Records))
 	if err != nil {
 		return nil, fmt.Errorf("springc: %w", err)
 	}
