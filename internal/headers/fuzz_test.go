@@ -35,9 +35,9 @@ func allocCeiling(data []byte, names, n int) uint64 {
 
 // FuzzHeaders holds Append, the bounded header decoder, to Decompress on
 // arbitrary streams: with want = -1 and with want = the count Decompress
-// found, it returns the same error or the same names, within
-// allocCeiling; with any other want it fails before sizing anything by
-// the count the stream claims.
+// found, it returns the same error or the same names, on a fresh Decoder
+// within allocCeiling and on a reused one alike; with any other want it
+// fails before sizing anything by the count the stream claims.
 func FuzzHeaders(f *testing.F) {
 	for _, hs := range [][]string{
 		nil,
@@ -67,7 +67,7 @@ func FuzzHeaders(f *testing.F) {
 		if claimed == 0 {
 			wrong = 1
 		}
-		// One Decoder serves every call, so each decode after the first
+		// d serves every unmeasured call, so each decode after the first
 		// runs on a slot table an earlier one left behind.
 		var d Decoder
 		var err error
@@ -90,11 +90,17 @@ func FuzzHeaders(f *testing.F) {
 		if derr == nil {
 			want = len(hs)
 		}
-		if n := allocBytes(func() { names, ends, aerr = d.Append(nil, nil, data, want) }); n > allocCeiling(data, len(names), len(ends)) {
+		// A fresh Decoder grows its slot table inside the measured call,
+		// so the ceiling covers the table's pre-allocation bound.
+		if n := allocBytes(func() { names, ends, aerr = new(Decoder).Append(nil, nil, data, want) }); n > allocCeiling(data, len(names), len(ends)) {
 			t.Fatalf("Append with want %d allocated %d bytes for %d bytes of %d names", want, n, len(names), len(ends))
 		}
 		if err := sameResult(hs, derr, names, ends, aerr); err != nil {
 			t.Fatalf("want %d: %v", want, err)
+		}
+		names, ends, aerr = d.Append(nil, nil, data, want)
+		if err := sameResult(hs, derr, names, ends, aerr); err != nil {
+			t.Fatalf("want %d on a reused Decoder: %v", want, err)
 		}
 	})
 }

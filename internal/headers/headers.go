@@ -17,6 +17,7 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"sage/internal/bitio"
 	"sage/internal/freelist"
@@ -220,6 +221,10 @@ type slotVal struct {
 	value uint64
 }
 
+// slotValBytes is the size of a slotVal, which the keep check in
+// appendTemplated weighs a slot table by.
+const slotValBytes = int(unsafe.Sizeof(slotVal{}))
+
 // Append is Decompress into dst: it appends the headers to dst end to
 // end and, for each, its end offset in dst to ends, and returns both.
 // A stream that does not hold exactly want headers fails before
@@ -286,9 +291,9 @@ func (d *Decoder) appendTemplated(dst []byte, ends []int, data []byte, want int)
 		return dst, ends, fmt.Errorf("headers: %d slots x %d headers exceeds %d-bit body", nSlots, n, bitLimit)
 	}
 	// vals[s*n+i] is slot s of header i, decoded in one flat slice;
-	// every entry is written before it is read. A slotVal is 16 bytes.
+	// every entry is written before it is read.
 	vals := slices.Grow(d.slots[:0], int(nSlots*n))[:nSlots*n]
-	if 16*cap(vals) <= freelist.MaxKeep {
+	if slotValBytes*cap(vals) <= freelist.MaxKeep {
 		d.slots = vals
 	}
 	for s := uint64(0); s < nSlots; s++ {
