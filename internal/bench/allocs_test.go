@@ -34,8 +34,8 @@ import (
 //	core compress        37.607     3.773      4.34
 //	core decompress      11.369     0.034      1.00
 //	shard assemble      109.436     4.226      4.86
-//	shard stream-decode  15.542     0.051     0.059
-//	shard restore         7.268     0.081     0.094
+//	shard stream-decode  15.542     0.047     0.054
+//	shard restore         7.268     0.074     0.085
 //
 // "before" figures predate the arena batch reader, pooled range-coder
 // state, pooled mapper scratch, shared per-container mapper, decode
@@ -65,7 +65,10 @@ import (
 // hold a buffer for every shard the decode pool keeps in flight:
 // stream-decode 0.104 → 0.054, restore 0.130 → 0.081. Stream-decode
 // fell to 0.051 when the header decoder's slot table moved onto the
-// kept decoder scratch; its budget is 1.15× that. If an
+// kept decoder scratch. Both fell again when the header decoder began
+// parsing its uvarints from the block instead of through a reader that
+// escaped, one allocation per block: stream-decode 0.051 → 0.047,
+// restore 0.078 → 0.074; their budgets are 1.15× those. If an
 // intentional change raises a number, update the budget alongside the
 // code change and say why in the commit.
 const (
@@ -75,8 +78,8 @@ const (
 	budgetCoreCompressAllocsPerRead   = 4.34
 	budgetCoreDecompressAllocsPerRead = 1.00
 	budgetShardAssembleAllocsPerRead  = 4.86
-	budgetShardStreamAllocsPerRead    = 0.059
-	budgetRestoreAllocsPerRead        = 0.094
+	budgetShardStreamAllocsPerRead    = 0.054
+	budgetRestoreAllocsPerRead        = 0.085
 )
 
 // budgetDecodeBytesPerByte bounds the bytes a streaming decode

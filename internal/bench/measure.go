@@ -3,14 +3,13 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"sage/internal/core"
 	"sage/internal/fastq"
 	"sage/internal/gzipc"
 	"sage/internal/mapper"
+	"sage/internal/pool"
 	"sage/internal/springc"
 )
 
@@ -151,30 +150,19 @@ func Measure(g *Generated) (*Measurement, error) {
 
 // mapOnly runs only the mismatch-finding phase (the mapper over all
 // reads), the dominant share of genomic compression time (Fig. 18).
-// It parallelizes exactly like the encoders so the measured share is
+// It parallelizes exactly like the encoders — reads claimed in ranges
+// on pool.Ranges, up to GOMAXPROCS workers — so the measured share is
 // comparable to the total compression times.
 func mapOnly(g *Generated) error {
 	m, err := mapper.New(g.Ref, mapper.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	ch := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				_ = m.Map(g.Reads.Records[i].Seq)
-			}
-		}()
-	}
-	for i := range g.Reads.Records {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
+	pool.Ranges(len(g.Reads.Records), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			_ = m.Map(g.Reads.Records[i].Seq)
+		}
+	})
 	return nil
 }
 

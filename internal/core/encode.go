@@ -3,16 +3,15 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"sage/internal/bitio"
 	"sage/internal/fastq"
+	"sage/internal/freelist"
 	"sage/internal/genome"
 	"sage/internal/headers"
 	"sage/internal/mapper"
+	"sage/internal/pool"
 	"sage/internal/qual"
 )
 
@@ -340,25 +339,21 @@ func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
 
 // planReads maps every read and validates each alignment by
 // reconstructing the read; any read whose alignment is not provably
-// lossless is demoted to the unmapped stream. Workers claim read indices
-// from a shared counter, and the caller is one of them: a single worker,
-// all the sharded writer asks for, starts no goroutine.
+// lossless is demoted to the unmapped stream. Workers claim reads in
+// ranges on pool.Ranges, the caller among them: a single worker, all
+// the sharded writer asks for, starts no goroutine and pays one claim
+// per range.
 func planReads(rs *fastq.ReadSet, m *mapper.Mapper, opt Options) []readPlan {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	plans := make([]readPlan, len(rs.Records))
-	var claimed atomic.Int64
-	work := func() {
-		var rebuilt genome.Seq // reused across this worker's reads
-		for i := int(claimed.Add(1)) - 1; i < len(plans); i = int(claimed.Add(1)) - 1 {
+	pool.Ranges(len(plans), opt.Workers, func(lo, hi int) {
+		rebuilt := rebuilds.Get()
+		for i := lo; i < hi; i++ {
 			seq := rs.Records[i].Seq
 			p := readPlan{idx: i, hasN: seq.HasN()}
 			aln := m.Map(seq)
 			if aln.Mapped {
 				var err error
-				rebuilt, err = mapper.AppendReconstructRead(rebuilt[:0], m.Consensus(), aln)
+				*rebuilt, err = mapper.AppendReconstructRead((*rebuilt)[:0], m.Consensus(), aln)
 				if err != nil || !rebuilt.Equal(seq) || subMarkerAmbiguous(m.Consensus(), aln) {
 					aln = mapper.Alignment{}
 				}
@@ -370,19 +365,14 @@ func planReads(rs *fastq.ReadSet, m *mapper.Mapper, opt Options) []readPlan {
 			p.corner = p.hasN || !aln.Mapped
 			plans[i] = p
 		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+		freelist.PutBuf(rebuilds, rebuilt)
+	})
 	return plans
 }
+
+// rebuilds keeps the buffers planReads reconstructs reads into, one per
+// range in flight.
+var rebuilds = freelist.New[genome.Seq]()
 
 // subMarkerAmbiguous reports whether any substitution in the alignment
 // stores a base equal to the consensus base at its position, which would

@@ -1,6 +1,7 @@
 // Package freelist keeps scratch values between uses: coder state in
-// internal/qual, mapping buffers in internal/mapper, decode buffers in
-// internal/core and internal/shard.
+// internal/qual, mapping buffers in internal/mapper, decode and read
+// reconstruction buffers in internal/core and internal/shard, gzip
+// readers in internal/pargz.
 //
 // A List is a channel, not a sync.Pool: a GC empties a pool, and the
 // first calls after every collection — many of them in an ingest that
@@ -49,8 +50,9 @@ func (l List[T]) Put(v *T) {
 // beside the work that fills that much.
 const MaxKeep = 4 << 20
 
-// PutBuf returns b to l, or drops it when its capacity passes MaxKeep.
-func PutBuf(l List[[]byte], b *[]byte) {
+// PutBuf returns b, a byte slice of any named type, to l, or drops it
+// when its capacity passes MaxKeep.
+func PutBuf[S ~[]byte](l List[S], b *S) {
 	if cap(*b) <= MaxKeep {
 		l.Put(b)
 	}

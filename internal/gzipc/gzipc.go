@@ -15,8 +15,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
+
+	"sage/internal/pool"
 )
 
 // blockSize and level are pigz's defaults: `pigz -6`, 128 KiB blocks.
@@ -28,43 +28,35 @@ const (
 var blockMagic = [4]byte{'P', 'G', 'Z', '1'}
 
 // Compress encodes data as a sequence of independently-deflated blocks,
-// compressed on up to GOMAXPROCS workers.
+// compressed on up to GOMAXPROCS workers of pool.Each; each block's
+// length and bytes are written as it comes back, in block order.
 func Compress(data []byte) []byte {
 	nBlocks := (len(data) + blockSize - 1) / blockSize
-	comp := make([][]byte, nBlocks)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for b := 0; b < nBlocks; b++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(b int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			lo := b * blockSize
-			hi := min(lo+blockSize, len(data))
-			var buf bytes.Buffer
-			// Neither call fails: the level is valid and a
-			// bytes.Buffer never refuses a write.
-			zw, _ := gzip.NewWriterLevel(&buf, level)
-			zw.Write(data[lo:hi])
-			zw.Close()
-			comp[b] = buf.Bytes()
-		}(b)
-	}
-	wg.Wait()
 	var out bytes.Buffer
 	out.Write(blockMagic[:])
 	writeUvarint(&out, uint64(len(data)))
 	writeUvarint(&out, uint64(nBlocks))
-	for b := 0; b < nBlocks; b++ {
-		writeUvarint(&out, uint64(len(comp[b])))
-		out.Write(comp[b])
-	}
+	// Nothing here fails: the level is valid and a bytes.Buffer never
+	// refuses a write.
+	pool.Each(nBlocks, 0, func(b int) ([]byte, error) {
+		lo := b * blockSize
+		var buf bytes.Buffer
+		zw, _ := gzip.NewWriterLevel(&buf, level)
+		zw.Write(data[lo:min(lo+blockSize, len(data))])
+		zw.Close()
+		return buf.Bytes(), nil
+	}, func(comp []byte) error {
+		writeUvarint(&out, uint64(len(comp)))
+		out.Write(comp)
+		return nil
+	})
 	return out.Bytes()
 }
 
 // Decompress decodes a block stream, inflating blocks on up to
-// GOMAXPROCS workers.
+// GOMAXPROCS workers of pool.Each. The block framing is read first, so
+// a damaged frame fails before any block inflates; otherwise the first
+// block in stream order that fails to inflate names the error.
 func Decompress(data []byte) ([]byte, error) {
 	rd := bytes.NewReader(data)
 	var m [4]byte
@@ -85,6 +77,11 @@ func Decompress(data []byte) ([]byte, error) {
 	if nBlocks > uint64(len(data)) {
 		return nil, fmt.Errorf("gzipc: implausible block count %d", nBlocks)
 	}
+	// DEFLATE expands at most 1032-fold, so a larger total is a lie the
+	// output buffer must not be sized by.
+	if total > 1032*uint64(len(data)) {
+		return nil, fmt.Errorf("gzipc: implausible total %d for %d bytes", total, len(data))
+	}
 	blocks := make([][]byte, nBlocks)
 	for b := range blocks {
 		l, err := binary.ReadUvarint(rd)
@@ -94,45 +91,32 @@ func Decompress(data []byte) ([]byte, error) {
 		if uint64(rd.Len()) < l {
 			return nil, fmt.Errorf("gzipc: block %d truncated", b)
 		}
-		blk := make([]byte, l)
-		if _, err := io.ReadFull(rd, blk); err != nil {
-			return nil, err
-		}
-		blocks[b] = blk
-	}
-	out := make([][]byte, nBlocks)
-	errs := make([]error, nBlocks)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for b := range blocks {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(b int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			zr, err := gzip.NewReader(bytes.NewReader(blocks[b]))
-			if err != nil {
-				errs[b] = err
-				return
-			}
-			raw, err := io.ReadAll(zr)
-			if err != nil {
-				errs[b] = err
-				return
-			}
-			out[b] = raw
-		}(b)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		at := len(data) - rd.Len()
+		blocks[b] = data[at : at+int(l)]
+		rd.Seek(int64(l), io.SeekCurrent)
 	}
 	var buf bytes.Buffer
 	buf.Grow(int(total))
-	for _, blk := range out {
-		buf.Write(blk)
+	// An inflate error travels as a value to emit, which runs in block
+	// order, so the error returned is the first block's whatever the
+	// workers' timing.
+	type inflated struct {
+		raw []byte
+		err error
+	}
+	err = pool.Each(len(blocks), 0, func(b int) (inflated, error) {
+		zr, err := gzip.NewReader(bytes.NewReader(blocks[b]))
+		if err != nil {
+			return inflated{err: err}, nil
+		}
+		raw, err := io.ReadAll(zr)
+		return inflated{raw, err}, nil
+	}, func(r inflated) error {
+		buf.Write(r.raw)
+		return r.err
+	})
+	if err != nil {
+		return nil, err
 	}
 	if uint64(buf.Len()) != total {
 		return nil, fmt.Errorf("gzipc: decompressed %d bytes, want %d", buf.Len(), total)

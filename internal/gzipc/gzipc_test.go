@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +95,11 @@ func TestDecompressErrors(t *testing.T) {
 	if _, err := Decompress(c[:len(c)-2]); err == nil {
 		t.Fatal("expected error for truncated stream")
 	}
+	// A 10-byte stream claiming 256 MiB fails before a buffer is sized.
+	lie := binary.AppendUvarint(append(blockMagic[:], binary.AppendUvarint(nil, 1<<28)...), 0)
+	if _, err := Decompress(lie); err == nil || !strings.Contains(err.Error(), "implausible total") {
+		t.Fatalf("err = %v, want an implausible total", err)
+	}
 }
 
 func TestQuickRoundtrip(t *testing.T) {
@@ -143,5 +150,28 @@ func TestWorkerLimit(t *testing.T) {
 	}
 	if !bytes.Equal(d, data) {
 		t.Fatal("roundtrip mismatch with single worker")
+	}
+}
+
+// TestDecompressFirstBadBlockWins: with a slow failure (a bad CRC,
+// found after the whole block inflates) in block 1 and a fast one (a bad
+// header) in block 4, Decompress reports block 1's, however the workers
+// interleave.
+func TestDecompressFirstBadBlockWins(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(3))
+	data := make([]byte, 6*blockSize)
+	for i := range data {
+		data[i] = "ACGT"[rng.Intn(4)]
+	}
+	c := Compress(data)
+	_, members := header(t, c)
+	at := func(b int) int { return bytes.Index(c, members[b]) }
+	c[at(1)+len(members[1])-8] ^= 0xff // block 1's CRC
+	c[at(4)] ^= 0xff                   // block 4's gzip magic
+	for range 20 {
+		if _, err := Decompress(c); !errors.Is(err, gzip.ErrChecksum) {
+			t.Fatalf("err = %v, want block 1's %v", err, gzip.ErrChecksum)
+		}
 	}
 }

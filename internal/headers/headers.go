@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -248,8 +249,7 @@ func (d *Decoder) Append(dst []byte, ends []int, data []byte, want int) ([]byte,
 }
 
 func (d *Decoder) appendTemplated(dst []byte, ends []int, data []byte, want int) ([]byte, []int, error) {
-	rd := bytes.NewReader(data)
-	n, err := binary.ReadUvarint(rd)
+	n, data, err := uvarint(data)
 	if err != nil {
 		return dst, ends, fmt.Errorf("headers: %w", err)
 	}
@@ -259,26 +259,25 @@ func (d *Decoder) appendTemplated(dst []byte, ends []int, data []byte, want int)
 	if n == 0 {
 		return dst, ends, nil
 	}
-	tl, err := binary.ReadUvarint(rd)
+	tl, data, err := uvarint(data)
 	if err != nil {
 		return dst, ends, err
 	}
-	tmpl, err := next(rd, data, tl)
+	tmpl, data, err := cut(data, tl)
 	if err != nil {
 		return dst, ends, err
 	}
-	nSlots, err := binary.ReadUvarint(rd)
+	nSlots, data, err := uvarint(data)
 	if err != nil {
 		return dst, ends, err
 	}
 	if holes := bytes.Count(tmpl, []byte{0}); uint64(holes) != nSlots {
 		return dst, ends, fmt.Errorf("headers: template has %d slots, stream says %d", holes, nSlots)
 	}
-	bodyBits, err := binary.ReadUvarint(rd)
+	bodyBits, body, err := uvarint(data)
 	if err != nil {
 		return dst, ends, err
 	}
-	body := data[len(data)-rd.Len():]
 	br := bitio.NewReader(body, bodyBits)
 	// Every (width, delta) pair costs at least 16 bits, which bounds the
 	// slot table a non-lying stream can demand — reject anything larger
@@ -354,19 +353,18 @@ func appendZeroPad(dst []byte, v uint64, width int) []byte {
 }
 
 func appendRaw(dst []byte, ends []int, data []byte, want int) ([]byte, []int, error) {
-	rd := bytes.NewReader(data)
-	n, err := binary.ReadUvarint(rd)
+	n, data, err := uvarint(data)
 	if err != nil {
 		return dst, ends, err
 	}
 	if err := checkCount(n, want); err != nil {
 		return dst, ends, err
 	}
-	cl, err := binary.ReadUvarint(rd)
+	cl, data, err := uvarint(data)
 	if err != nil {
 		return dst, ends, err
 	}
-	comp, err := next(rd, data, cl)
+	comp, _, err := cut(data, cl)
 	if err != nil {
 		return dst, ends, err
 	}
@@ -395,18 +393,36 @@ func checkCount(n uint64, want int) error {
 	return nil
 }
 
-// next returns the n bytes of data at rd's position and moves rd past
-// them, failing as io.ReadFull would.
-func next(rd *bytes.Reader, data []byte, n uint64) ([]byte, error) {
-	if n > uint64(rd.Len()) {
-		if rd.Len() == 0 {
-			return nil, io.EOF
-		}
-		return nil, io.ErrUnexpectedEOF
+// errOverflow is binary.ReadUvarint's error for a uvarint past 64 bits.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// uvarint parses the uvarint at the start of data and returns it with
+// the bytes after it. It fails as binary.ReadUvarint would over a
+// reader of data, without building one: a reader passed to it as an
+// io.ByteReader escapes, which cost every decode an allocation.
+func uvarint(data []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(data)
+	switch {
+	case n > 0:
+		return v, data[n:], nil
+	case n < 0 || len(data) >= binary.MaxVarintLen64:
+		return 0, nil, errOverflow
+	case len(data) == 0:
+		return 0, nil, io.EOF
 	}
-	at := len(data) - rd.Len()
-	rd.Seek(int64(n), io.SeekCurrent)
-	return data[at : at+int(n)], nil
+	return 0, nil, io.ErrUnexpectedEOF
+}
+
+// cut returns the first n bytes of data and the bytes after them,
+// failing as io.ReadFull would.
+func cut(data []byte, n uint64) ([]byte, []byte, error) {
+	if n > uint64(len(data)) {
+		if len(data) == 0 {
+			return nil, nil, io.EOF
+		}
+		return nil, nil, io.ErrUnexpectedEOF
+	}
+	return data[:n], data[n:], nil
 }
 
 func writeUvarint(buf *bytes.Buffer, v uint64) {

@@ -1,10 +1,12 @@
 package pargz
 
-// This file is the member-parallel engine: boundary scanners that find
-// compressed member extents without inflating (BGZF BC subfield), a
-// bounded worker pool inflating members out of
-// order, and the in-order chunk sequence the scanner pre-threads so
-// the consumer reassembles for free.
+// This file is the member-parallel tier: a boundary scanner that finds
+// compressed member extents without inflating (BGZF BC subfield), and
+// one goroutine that runs the repository's ordered pool (pool.Drain)
+// over the members it finds — next reads the next member under the
+// pool mutex, work inflates it, emit sends its chunk to the consumer in
+// member order. A damaged member travels to emit as a value, so every
+// byte before it is delivered first.
 
 import (
 	"bufio"
@@ -14,6 +16,9 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"sage/internal/freelist"
+	"sage/internal/pool"
 )
 
 const (
@@ -28,13 +33,15 @@ const (
 	bgzfHeaderLen = 12
 )
 
-// memberJob carries one compressed member to the worker pool. comp is
-// pooled; the worker returns it after inflating.
-type memberJob struct {
-	c      *chunk
+// member is one compressed member the pool claimed: its bytes (comp,
+// pooled; work returns them after inflating), its index in the stream
+// and its compressed offset. A member whose header or bytes could not
+// be read carries the error instead, and is the last one claimed.
+type member struct {
 	comp   *bytes.Buffer
 	index  int
 	offset int64
+	err    error
 }
 
 var (
@@ -43,6 +50,9 @@ var (
 	// consumer, returned via chunk.recycle).
 	compPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 	decPool  = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+	// inflaters keeps gzip readers, whose inflate state is large,
+	// between the members the workers decode.
+	inflaters = freelist.New[gzip.Reader]()
 )
 
 // peekMemberBSize probes the gzip member header at the reader's current
@@ -101,109 +111,98 @@ func peekMemberBSize(br *bufio.Reader) (int, error) {
 	return -1, nil
 }
 
-// startMembers launches the member-parallel machinery: one goroutine
-// scanning BGZF boundaries, and workers inflating the members it
-// queues.
+// startMembers starts the member tier: one goroutine that runs the
+// pool over the stream's members.
 func (r *Reader) startMembers(br *bufio.Reader, workers int) {
-	work := make(chan *memberJob, 2*workers)
-	r.wg.Add(1 + workers)
 	go func() {
-		defer r.wg.Done()
+		defer close(r.done)
 		defer close(r.chunks)
-		defer close(work)
-		r.scanBGZF(br, work)
+		r.decodeMembers(br, workers)
 	}()
-	for i := 0; i < workers; i++ {
-		go r.memberWorker(work)
+}
+
+// decodeMembers runs pool.Drain over the BC-subfield members of br.
+// next reads the next member under the pool mutex, work inflates it,
+// and emit sends its chunk in member order; emit stops the pool once
+// Close closed stop, or once it delivered a chunk carrying an error,
+// where the consumer stops reading. A member without a BC subfield ends
+// the claims, and once the pool has returned, every member before it
+// delivered, the rest of the stream decodes on the pipelined tier from
+// that member on: valid concatenations (bgzip output followed by plain
+// gzip) still decode, just without member parallelism for the tail.
+func (r *Reader) decodeMembers(br *bufio.Reader, workers int) {
+	var offset int64
+	index, ended, tail := 0, false, int64(-1)
+	err := pool.Drain(func() (member, error) {
+		if ended {
+			return member{}, io.EOF
+		}
+		m := member{index: index, offset: offset}
+		bsize, err := peekMemberBSize(br)
+		switch {
+		case err == io.EOF:
+			return m, io.EOF
+		case err == errNotGzip:
+			m.err = fmt.Errorf("trailing garbage after gzip member %d: %w", index, err)
+		case err != nil:
+			m.err = err
+		case bsize < 0:
+			tail = offset
+			return m, io.EOF
+		default:
+			m.comp, m.err = readMember(br, bsize, index)
+		}
+		if m.err != nil {
+			ended = true
+			return m, nil
+		}
+		r.comp.Add(int64(bsize))
+		index++
+		offset += int64(bsize)
+		return m, nil
+	}, workers, r.inflate, func(c *chunk) error {
+		if !r.sendChunk(c) {
+			return errClosed
+		}
+		return c.err
+	})
+	if err == nil && tail >= 0 {
+		r.streamProduce(br, tail)
 	}
 }
 
-// queueMember stages one compressed member of the given size for the
-// pool: it reads the member bytes, pre-threads a pending chunk into the
-// in-order sequence, and hands the job to a worker. Returns false when
-// the scanner should stop (error emitted or reader closed).
-func (r *Reader) queueMember(br *bufio.Reader, work chan<- *memberJob, size int, index int, offset int64) bool {
+// readMember reads the size bytes of member index into a pooled buffer.
+func readMember(br *bufio.Reader, size, index int) (*bytes.Buffer, error) {
 	comp := compPool.Get().(*bytes.Buffer)
 	comp.Reset()
 	if _, err := io.CopyN(comp, br, int64(size)); err != nil {
 		compPool.Put(comp)
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		r.sendChunk(r.errChunk(offset, fmt.Errorf(
-			"gzip member %d truncated mid-member (want %d bytes): %w", index, size, err)))
-		return false
+		return nil, fmt.Errorf("gzip member %d truncated mid-member (want %d bytes): %w", index, size, unexpectedEOF(err))
 	}
-	r.comp.Add(int64(size))
-	c := &chunk{ready: make(chan struct{})}
-	job := &memberJob{c: c, comp: comp, index: index, offset: offset}
-	if !r.sendChunk(c) {
-		compPool.Put(comp)
-		return false
-	}
-	select {
-	case work <- job:
-		return true
-	case <-r.stop:
-		// The chunk is already threaded but will never be filled; the
-		// consumer is gone too (stop is only closed by Close), so nothing
-		// blocks on it.
-		compPool.Put(comp)
-		return false
-	}
+	return comp, nil
 }
 
-// scanBGZF walks BC-subfield members. A mid-stream member without a BC
-// subfield demotes the rest of the stream to the serial pipelined
-// decoder — valid concatenations (bgzip output followed by plain gzip)
-// still decode, just without member parallelism for the tail.
-func (r *Reader) scanBGZF(br *bufio.Reader, work chan<- *memberJob) {
-	var offset int64
-	for index := 0; ; index++ {
-		bsize, err := peekMemberBSize(br)
-		if err == io.EOF {
-			return
-		}
-		if err != nil {
-			if err == errNotGzip {
-				err = fmt.Errorf("trailing garbage after gzip member %d: %w", index, err)
-			}
-			r.sendChunk(r.errChunk(offset, err))
-			return
-		}
-		if bsize < 0 {
-			r.streamProduce(br, offset)
-			return
-		}
-		if !r.queueMember(br, work, bsize, index, offset) {
-			return
-		}
-		offset += int64(bsize)
+// inflate decodes one claimed member into a pooled buffer; a member
+// that fails to read or to inflate becomes a chunk carrying the error,
+// with the member's compressed offset.
+func (r *Reader) inflate(m member) (*chunk, error) {
+	if m.err != nil {
+		return r.errChunk(m.offset, m.err), nil
 	}
-}
-
-// memberWorker inflates queued members into pooled buffers and marks
-// their chunks ready. Workers exit when the scanner closes the queue.
-func (r *Reader) memberWorker(work <-chan *memberJob) {
-	defer r.wg.Done()
-	zr := new(gzip.Reader)
-	for job := range work {
-		sp := r.trace.StartSpan("gunzip")
-		out := decPool.Get().(*bytes.Buffer)
-		out.Reset()
-		err := inflateMember(zr, job.comp.Bytes(), out)
-		sp.End()
-		compPool.Put(job.comp)
-		if err != nil {
-			decPool.Put(out)
-			job.c.err = r.ctxErr(job.offset, fmt.Errorf("gzip member %d: %w", job.index, err))
-		} else {
-			job.c.data = out.Bytes()
-			job.c.recycle = func() { decPool.Put(out) }
-			r.members.Add(1)
-		}
-		close(job.c.ready)
+	sp := r.trace.StartSpan("gunzip")
+	zr := inflaters.Get()
+	out := decPool.Get().(*bytes.Buffer)
+	out.Reset()
+	err := inflateMember(zr, m.comp.Bytes(), out)
+	inflaters.Put(zr)
+	sp.End()
+	compPool.Put(m.comp)
+	if err != nil {
+		decPool.Put(out)
+		return r.errChunk(m.offset, fmt.Errorf("gzip member %d: %w", m.index, err)), nil
 	}
+	r.members.Add(1)
+	return &chunk{data: out.Bytes(), recycle: func() { decPool.Put(out) }}, nil
 }
 
 // inflateMember decodes exactly one gzip member from comp into out,

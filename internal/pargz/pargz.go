@@ -9,9 +9,10 @@
 //   - Member-parallel decode. Real archives are overwhelmingly
 //     multi-member gzip: bgzip writes a BGZF "BC" EXTRA subfield whose
 //     payload is the compressed block size, so member boundaries are
-//     found *without inflating* and members decode on a bounded worker
-//     pool with in-order reassembly into the consumer. BGZF is the one
-//     member-parallel framing read here — every htslib tool writes it.
+//     found *without inflating* and members decode on the repository's
+//     ordered pool (internal/pool), which hands them to the consumer in
+//     stream order. BGZF is the one member-parallel framing read here —
+//     every htslib tool writes it.
 //   - Pipelined readahead. Generic single-member gzip cannot be split,
 //     but a dedicated decode goroutine filling a bounded ring of
 //     reused buffers overlaps inflate with the parse→map→encode
@@ -50,7 +51,7 @@ const (
 	// goroutine, readahead-buffered so inflate overlaps the consumer.
 	TierPipelined Tier = iota
 	// TierBGZF decodes bgzip/BGZF members in parallel: boundaries come
-	// from the BC EXTRA subfield, members inflate on a worker pool.
+	// from the BC EXTRA subfield, members inflate on the ordered pool.
 	TierBGZF
 )
 
@@ -93,11 +94,9 @@ type Stats struct {
 	StallTime       time.Duration
 }
 
-// chunk is one in-order unit of decoded output. Scanner-emitted error
-// chunks are born ready (ready == nil); worker-filled chunks close
-// ready when data/err are valid.
+// chunk is one in-order unit of decoded output, or the error that ends
+// the stream.
 type chunk struct {
-	ready   chan struct{}
 	data    []byte
 	err     error
 	recycle func()
@@ -114,7 +113,7 @@ type Reader struct {
 	chunks chan *chunk
 	stop   chan struct{}
 	once   sync.Once
-	wg     sync.WaitGroup
+	done   chan struct{} // closed when the tier's goroutine has returned
 
 	cur *chunk
 	pos int
@@ -129,7 +128,11 @@ type Reader struct {
 	stallNs atomic.Int64
 }
 
-var errNotGzip = errors.New("not a gzip stream")
+var (
+	errNotGzip = errors.New("not a gzip stream")
+	// errClosed stops the member tier's pool once Close closed stop.
+	errClosed = errors.New("pargz: reader closed")
+)
 
 // NewReader sniffs r (which must start with the gzip magic) and
 // returns the decoding reader for the matching tier. Header-level
@@ -149,6 +152,7 @@ func NewReader(r io.Reader, opt Options) (*Reader, error) {
 		name:   opt.Name,
 		chunks: make(chan *chunk, max(2*workers, readahead)),
 		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 		trace:  opt.Trace,
 	}
 	bsize, err := peekMemberBSize(br)
@@ -224,22 +228,7 @@ func (r *Reader) Read(p []byte) (int, error) {
 func (r *Reader) nextChunk() (*chunk, bool) {
 	select {
 	case c, ok := <-r.chunks:
-		if !ok {
-			return nil, false
-		}
-		if c.ready == nil {
-			return c, true
-		}
-		select {
-		case <-c.ready:
-			return c, true
-		default:
-		}
-		sp := r.trace.StartSpan("gunzip-wait")
-		start := time.Now()
-		<-c.ready
-		r.recordStall(sp, time.Since(start))
-		return c, true
+		return c, ok
 	default:
 	}
 	sp := r.trace.StartSpan("gunzip-wait")
@@ -248,17 +237,10 @@ func (r *Reader) nextChunk() (*chunk, bool) {
 	if !ok {
 		return nil, false
 	}
-	if c.ready != nil {
-		<-c.ready
-	}
-	r.recordStall(sp, time.Since(start))
-	return c, true
-}
-
-func (r *Reader) recordStall(sp *obs.Span, d time.Duration) {
 	sp.End()
 	r.stalls.Add(1)
-	r.stallNs.Add(int64(d))
+	r.stallNs.Add(int64(time.Since(start)))
+	return c, true
 }
 
 // Close abandons the stream: decode goroutines unwind, buffers are
@@ -267,9 +249,9 @@ func (r *Reader) recordStall(sp *obs.Span, d time.Duration) {
 func (r *Reader) Close() error {
 	r.once.Do(func() { close(r.stop) })
 	if r.err == nil {
-		r.err = errors.New("pargz: reader closed")
+		r.err = errClosed
 	}
-	r.wg.Wait()
+	<-r.done
 	return nil
 }
 
@@ -283,8 +265,8 @@ func (r *Reader) sendChunk(c *chunk) bool {
 	}
 }
 
-// errChunk builds a born-ready terminal chunk carrying a contextual
-// error at the given compressed offset.
+// errChunk builds a terminal chunk carrying a contextual error at the
+// given compressed offset.
 func (r *Reader) errChunk(offset int64, err error) *chunk {
 	return &chunk{err: r.ctxErr(offset, err)}
 }

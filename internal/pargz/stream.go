@@ -44,20 +44,19 @@ func (r *Reader) startStream(br *bufio.Reader) error {
 	if err != nil {
 		return r.ctxErr(0, err)
 	}
-	r.wg.Add(1)
 	go func() {
-		defer r.wg.Done()
+		defer close(r.done)
 		defer close(r.chunks)
 		r.streamDecode(zr, cr)
 	}()
 	return nil
 }
 
-// streamProduce is the scanner-side entry point: decode the rest of a
+// streamProduce is the member tier's fallback: decode the rest of a
 // stream serially from its current position (baseOffset compressed
-// bytes already consumed). It runs inline on the calling goroutine and
-// returns when the stream ends, errors, or the reader closes; the
-// caller owns closing r.chunks.
+// bytes already consumed). It runs inline on the member tier's
+// goroutine once its pool has returned, and returns when the stream
+// ends, errors, or the reader closes; the caller owns closing r.chunks.
 func (r *Reader) streamProduce(br *bufio.Reader, baseOffset int64) {
 	cr := &countReader{r: br, n: baseOffset}
 	zr, err := gzip.NewReader(cr)

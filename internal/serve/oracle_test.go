@@ -167,10 +167,25 @@ func queryURL(base, name string, p *shard.Predicate, count bool) string {
 	return base + "/c/" + name + "/query?" + q.Encode()
 }
 
+// decodeRecords is the record oracle: every shard of c decoded to
+// records with DecompressShard, in shard order.
+func decodeRecords(t *testing.T, c *shard.Container, cons genome.Seq) *fastq.ReadSet {
+	t.Helper()
+	all := &fastq.ReadSet{}
+	for i := range c.NumShards() {
+		rs, err := c.DecompressShard(i, cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all.Records = append(all.Records, rs.Records...)
+	}
+	return all
+}
+
 // TestRecordReadersMatchOracle holds the three readers that match
 // records in their shards' text — shard.Filter (`sage filter`), serve's
 // /query (bodies and count=1) and instorage.FilterScan — to the record
-// oracle: shard.Decompress, then MatchRecord record by record, on every
+// oracle: DecompressShard over every shard, then MatchRecord record by record, on every
 // fixture and predicate, at 1 and 3 workers.
 func TestRecordReadersMatchOracle(t *testing.T) {
 	cases := oracleCases(t)
@@ -198,10 +213,8 @@ func TestRecordReadersMatchOracle(t *testing.T) {
 		ts := httptest.NewServer(s)
 		defer ts.Close()
 		for k, oc := range cases {
-			all, err := shard.Decompress(oc.data, oc.cons, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := named[k].C
+			all := decodeRecords(t, c, oc.cons)
 			cfg := ssd.DefaultConfig()
 			cfg.Geometry.BlocksPerPlane = 8
 			cfg.Geometry.PagesPerBlock = 16
@@ -214,7 +227,6 @@ func TestRecordReadersMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := named[k].C
 			for _, p := range oraclePredicates(all.Records) {
 				name := fmt.Sprintf("%s workers=%d %s", oc.name, workers, p.String())
 				want := &fastq.ReadSet{}

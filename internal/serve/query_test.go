@@ -27,10 +27,7 @@ func TestQueryEndpoint(t *testing.T) {
 	if !c.HasZoneMaps() {
 		t.Fatal("test container carries no zone maps")
 	}
-	dec, err := shard.Decompress(data, nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := decodeRecords(t, c, nil)
 
 	// Impossible predicate: reads are short, min-len=999 prunes every
 	// shard from the index alone — nothing is read or decoded.

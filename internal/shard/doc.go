@@ -1,11 +1,11 @@
 // Package shard implements SAGe's sharded container: a read set split
 // into fixed-size batches, each compressed independently as one SAGe
 // block, held together by a seekable per-shard index. Shards are the
-// unit of parallel compression and decompression (both on this
-// package's one worker pool), of pipelined I/O→decompress→analyze
-// execution (§3.1),
-// of per-shard in-storage scan units (internal/instorage), and of
-// multi-client serving (internal/serve).
+// unit of parallel compression and decompression (both on the
+// repository's one worker pool, internal/pool), of pipelined
+// I/O→decompress→analyze execution (§3.1), of per-shard in-storage scan
+// units (internal/instorage), and of multi-client serving
+// (internal/serve).
 //
 // # Writing
 //
@@ -17,11 +17,11 @@
 // batches never span two inputs, so shard boundaries are file-aware
 // and the header gains a source manifest; a reorder stage adds the
 // inverse permutation that makes the reordering reversible. Compress
-// is the in-memory adapter over it. The batches are compressed on the
-// ordered pool described under Reading: its workers read the source
-// themselves, one batch at a time, and the blocks reach the index in
-// batch order. Output is deterministic: any worker count produces
-// identical bytes.
+// is the in-memory adapter over it. The batches are compressed on
+// pool.Drain, the ordered pool described under Reading: its workers
+// read the source themselves, one batch at a time, and the blocks reach
+// the index in batch order. Output is deterministic: any worker count
+// produces identical bytes.
 //
 // # Reading
 //
@@ -42,9 +42,9 @@
 // Filter the records a Predicate matches in that text (MatchText) after
 // zone-map pruning, DecompressOriginalTo the same text in original
 // input order (emit hands each record's bytes to reorder.Restorer under
-// its index from the stored permutation), and Decompress collects the
-// records in memory. Inspect renders the index, including per-source
-// attribution and per-file totals when a manifest is present.
+// its index from the stored permutation). Inspect renders the index,
+// including per-source attribution and per-file totals when a manifest
+// is present.
 //
 // Open parses the header fields from a prefix it reads and, when the
 // header runs past it, grows the prefix to twice its length by reading

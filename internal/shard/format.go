@@ -560,8 +560,8 @@ func decodePerm(enc []byte, total int) ([]int64, error) {
 }
 
 // IsContainer reports whether data starts with the sharded-container
-// magic. Callers use it to dispatch between shard.Decompress and
-// core.Decompress.
+// magic. Callers use it to dispatch between this package's readers and
+// the single-block decoder in internal/core.
 func IsContainer(data []byte) bool {
 	return len(data) >= len(Magic) && bytes.Equal(data[:len(Magic)], Magic[:])
 }

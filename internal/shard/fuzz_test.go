@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"sage/internal/genome"
@@ -161,6 +163,72 @@ func FuzzParseHeader(f *testing.F) {
 		}
 		if !bytes.Equal([]byte(c2.Consensus), []byte(c.Consensus)) {
 			t.Fatal("consensus changed across re-marshal")
+		}
+	})
+}
+
+// FuzzDecodePerm drives decodePerm directly: a mutated permutation
+// inside a whole header almost never passes its CRC, so FuzzParseHeader
+// seldom reaches it. Entry counts run up to the block's length, the
+// bound the header parser checks before the call. The invariants: never
+// panic, allocate no more than the permutation and its seen-bitmap
+// plus a fixed allowance (measured once more before failing, since the
+// fuzzing engine's goroutines add to the process-wide count), and a
+// block that decodes is a permutation of [0,total) that encodePerm and
+// decodePerm carry back unchanged.
+func FuzzDecodePerm(f *testing.F) {
+	long := make([]int64, 300) // multi-byte deltas
+	for i := range long {
+		long[i] = int64(i*7) % 300
+	}
+	for _, perm := range [][]int64{nil, {0}, {2, 0, 1}, {4, 3, 2, 1, 0}, long} {
+		enc, err := encodePerm(perm)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc, uint16(len(perm)))
+	}
+	f.Add([]byte{2, 2, 2}, uint16(3))          // a repeat
+	f.Add([]byte{0x80, 0x80, 0x80}, uint16(2)) // truncated varint
+	f.Add([]byte{0, 2, 2, 0}, uint16(3))       // trailing byte
+
+	f.Fuzz(func(t *testing.T, enc []byte, n uint16) {
+		total := min(int(n), len(enc))
+		ceiling := 10*uint64(total) + 1<<10
+		var perm []int64
+		var err error
+		measure := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			perm, err = decodePerm(enc, total)
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		if got := measure(); got > ceiling {
+			if got = min(got, measure()); got > ceiling {
+				t.Fatalf("decodePerm of %d entries from %d bytes allocated %d bytes, ceiling %d",
+					total, len(enc), got, ceiling)
+			}
+		}
+		if err != nil {
+			return
+		}
+		if len(perm) != total {
+			t.Fatalf("decoded %d entries, want %d", len(perm), total)
+		}
+		seen := make([]bool, total)
+		for i, v := range perm {
+			if v < 0 || v >= int64(total) || seen[v] {
+				t.Fatalf("accepted invalid entry %d at %d", v, i)
+			}
+			seen[v] = true
+		}
+		again, err := encodePerm(perm)
+		if err != nil {
+			t.Fatalf("encodePerm rejects a decoded permutation: %v", err)
+		}
+		if back, err := decodePerm(again, total); err != nil || !slices.Equal(back, perm) {
+			t.Fatalf("re-encoded permutation decodes to %v, %v", back, err)
 		}
 	})
 }

@@ -14,17 +14,20 @@ import (
 	"time"
 
 	"sage/internal/fastq"
+	"sage/internal/pool"
 )
 
 // TestStreamProperty drives the ordered pool with work of random
-// length, so jobs finish out of order, in both its forms: stream over a
-// shard list, and drain claiming from a next whose length the pool
-// cannot know up front. Emit runs one call at a time and sees claim
-// order, at most workers+1 jobs are claimed and not yet emitted, a
-// next, work or emit error at job k is what the pool returns and
-// nothing from k on is emitted, next never runs concurrently and is not
-// called again once it returned io.EOF or an error, and no goroutine
-// outlives the call. CI also runs it under -race -count=20.
+// length, so jobs finish out of order, in both the forms this package
+// runs it in: stream over a shard list (every whole-container reader),
+// and pool.Drain claiming from a next whose length the pool cannot know
+// up front (CompressPipeline over its batch source). Emit runs one call
+// at a time and sees claim order, at most workers+1 jobs are claimed
+// and not yet emitted, a next, work or emit error at job k is what the
+// pool returns and nothing from k on is emitted, next never runs
+// concurrently and is not called again once it returned io.EOF or an
+// error, and no goroutine outlives the call. internal/pool's TestDrainProperty holds Drain
+// itself to the same properties, 20 times over under -race in CI.
 func TestStreamProperty(t *testing.T) {
 	errs := map[string]error{
 		"next":   errors.New("next failed"),
@@ -93,7 +96,7 @@ func checkPool(t *testing.T, form string, workers, n int, fault string, errFault
 		err = stream(list, workers, decode, emit)
 	} else {
 		claimed, ended := 0, false
-		err = drain(func() (int, error) {
+		err = pool.Drain(func() (int, error) {
 			if c := inNext.Add(1); c != 1 {
 				t.Errorf("%d calls of next run at once", c)
 			}

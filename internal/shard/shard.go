@@ -6,13 +6,13 @@ import (
 	"hash/crc32"
 	"io"
 	"runtime"
-	"sync"
 
 	"sage/internal/core"
 	"sage/internal/fastq"
 	"sage/internal/freelist"
 	"sage/internal/genome"
 	"sage/internal/mapper"
+	"sage/internal/pool"
 	"sage/internal/reorder"
 )
 
@@ -108,10 +108,10 @@ func Compress(rs *fastq.ReadSet, opt Options) ([]byte, *Stats, error) {
 // batches of an ingest pipeline — a leaf reader (fastq.BatchReader for
 // one stream; fastq.NewMultiReader / NewPairedReader for lane splits
 // and R1/R2 mates), or stages wrapped around one (the similarity-
-// reorder stage, internal/reorder.Stage) — on the ordered pool (drain)
-// and assembles one container into w. The workers read the source
-// themselves, one batch at a time, and at most workers+1 batches are
-// claimed and not yet assembled; only the (much smaller) compressed
+// reorder stage, internal/reorder.Stage) — on the ordered pool
+// (pool.Drain) and assembles one container into w. The workers read the
+// source themselves, one batch at a time, and at most workers+1 batches
+// are claimed and not yet assembled; only the (much smaller) compressed
 // blocks are buffered until the index can be written. The output is
 // deterministic: any worker count produces identical bytes.
 //
@@ -164,7 +164,7 @@ func CompressPipeline(src fastq.BatchSource, w io.Writer, opt Options) (*Stats, 
 		stored []int // ingest position of each stored record, when reordering
 		off    int64
 	)
-	err := drain(func() (fastq.Batch, error) {
+	err := pool.Drain(func() (fastq.Batch, error) {
 		b, err := src.Next()
 		if err != nil && err != io.EOF {
 			err = fmt.Errorf("shard: reading batch: %w", err)
@@ -218,7 +218,7 @@ func CompressPipeline(src fastq.BatchSource, w io.Writer, opt Options) (*Stats, 
 	}
 	if reordering {
 		// The stage permutation maps ingest positions to original input
-		// positions, and is complete only after the drain above.
+		// positions, and is complete only after the pool above returned.
 		// Composed with the storage order, Perm[decoded position] =
 		// original position, validated against TotalReads by the
 		// marshaller.
@@ -445,161 +445,10 @@ func (c *Container) allShards() []int {
 	return list
 }
 
-// stream runs drain over the shards of list, in list order, on up to
-// workers goroutines (<= 0 uses GOMAXPROCS, and never more than there
-// are shards): decode runs for each shard, and emit receives the
-// results in list order. Every whole-container reader runs on it.
+// stream runs pool.Each over the shards of list, in list order, on up
+// to workers goroutines (<= 0 uses GOMAXPROCS, and never more than there
+// are shards): decode runs for each shard, and emit receives the results
+// in list order. Every whole-container reader runs on it.
 func stream[T any](list []int, workers int, decode func(shard int) (T, error), emit func(T) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	rest := list
-	return drain(func() (int, error) {
-		if len(rest) == 0 {
-			return 0, io.EOF
-		}
-		i := rest[0]
-		rest = rest[1:]
-		return i, nil
-	}, max(1, min(workers, len(list))), decode, emit)
-}
-
-// drain is the package's one worker pool, behind the writer and every
-// whole-container reader. workers (>= 1) workers, the caller among them,
-// claim jobs from next, one call at a time in claim order, until it
-// returns io.EOF; work runs on each job, and emit receives the results
-// in claim order, one call at a time. There is no feeder and no writer
-// goroutine: the worker that claims a job calls next, and the worker
-// that finishes the next job in order emits it, then any later ones
-// already finished. A job is claimed only while fewer than workers+1
-// are claimed and not yet emitted, so at most workers+1 jobs or results
-// are resident however slow emit is. The first error from next, work or
-// emit stops all further claims (next is not called again), and drain
-// returns it once every worker has stopped.
-func drain[J, T any](next func() (J, error), workers int, work func(J) (T, error), emit func(T) error) error {
-	p := &pool[J, T]{next: next, work: work, emit: emit, parked: make([]parked[T], workers+1)}
-	p.cond.L = &p.mu
-	var wg sync.WaitGroup
-	for range workers - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.run()
-		}()
-	}
-	p.run()
-	wg.Wait()
-	return p.err
-}
-
-// pool is the state drain's workers share, under mu. Jobs
-// [emitted, claimed) are claimed and not yet emitted; a result finished
-// out of turn waits in parked[i%len(parked)], a slot no other claimed
-// job maps to.
-type pool[J, T any] struct {
-	next    func() (J, error)
-	work    func(J) (T, error)
-	emit    func(T) error
-	mu      sync.Mutex
-	cond    sync.Cond // emitted advanced, or the pool ended
-	claimed int
-	emitted int
-	parked  []parked[T]
-	done    bool // next returned io.EOF
-	err     error
-}
-
-type parked[T any] struct {
-	v  T
-	ok bool
-}
-
-// run claims jobs and works them until next is exhausted or a worker
-// failed. A result finished out of turn is parked; the one in turn is
-// emitted, and so are the parked ones after it. next runs under mu,
-// which makes claims serial and numbers them in order; a worker that
-// finishes meanwhile waits for it before it parks or emits, a wait its
-// own next claim would make anyway. next must not wait on emit.
-func (p *pool[J, T]) run() {
-	p.mu.Lock()
-	for {
-		for p.err == nil && !p.done && p.claimed-p.emitted == len(p.parked) {
-			p.cond.Wait()
-		}
-		if p.err != nil || p.done {
-			p.mu.Unlock()
-			return
-		}
-		j, err := p.next()
-		if err == io.EOF {
-			p.done = true
-			p.cond.Broadcast()
-			continue
-		}
-		if err != nil {
-			p.fail(err)
-			continue
-		}
-		i := p.claimed
-		p.claimed++
-		p.mu.Unlock()
-		v, err := p.work(j)
-		p.mu.Lock()
-		if err != nil {
-			p.fail(err)
-		}
-		for p.err == nil {
-			if i != p.emitted {
-				p.parked[i%len(p.parked)] = parked[T]{v, true}
-				break
-			}
-			p.mu.Unlock()
-			err := p.emit(v)
-			p.mu.Lock()
-			if err != nil {
-				p.fail(err)
-				break
-			}
-			p.emitted++
-			p.cond.Broadcast()
-			s := &p.parked[p.emitted%len(p.parked)]
-			if !s.ok {
-				break
-			}
-			i, v = p.emitted, s.v
-			*s = parked[T]{}
-		}
-	}
-}
-
-// fail keeps the pool's first error and wakes every waiting worker.
-func (p *pool[J, T]) fail(err error) {
-	if p.err == nil {
-		p.err = err
-	}
-	p.cond.Broadcast()
-}
-
-// Decompress parses a sharded container and decodes it whole: Parse
-// plus a collecting sink over the stream pool (up to workers
-// goroutines, <= 0 uses GOMAXPROCS), reads in shard order. Output is
-// identical for any worker count. cons is used only when the
-// container has no embedded consensus; pass nil for self-contained
-// containers.
-func Decompress(data []byte, cons genome.Seq, workers int) (*fastq.ReadSet, error) {
-	c, err := Parse(data)
-	if err != nil {
-		return nil, err
-	}
-	out := &fastq.ReadSet{Records: make([]fastq.Record, 0, c.Index.TotalReads)}
-	err = stream(c.allShards(), workers, func(i int) (*fastq.ReadSet, error) {
-		return c.DecompressShard(i, cons)
-	}, func(rs *fastq.ReadSet) error {
-		out.Records = append(out.Records, rs.Records...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return pool.Each(len(list), workers, func(k int) (T, error) { return decode(list[k]) }, emit)
 }

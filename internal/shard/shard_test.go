@@ -29,6 +29,30 @@ func testSet(t testing.TB, nReads int) (*fastq.ReadSet, genome.Seq) {
 	return rs, ref
 }
 
+// Decompress parses a sharded container and decodes it whole to
+// records: DecompressShard over every shard on the stream pool (up to
+// workers goroutines, <= 0 uses GOMAXPROCS), records in shard order.
+// cons is used only when the container has no embedded consensus. It is
+// the record-path oracle the text readers (DecompressTo,
+// DecompressOriginalTo, Filter) are held to.
+func Decompress(data []byte, cons genome.Seq, workers int) (*fastq.ReadSet, error) {
+	c, err := Parse(data)
+	if err != nil {
+		return nil, err
+	}
+	out := &fastq.ReadSet{Records: make([]fastq.Record, 0, c.Index.TotalReads)}
+	err = stream(c.allShards(), workers, func(i int) (*fastq.ReadSet, error) {
+		return c.DecompressShard(i, cons)
+	}, func(rs *fastq.ReadSet) error {
+		out.Records = append(out.Records, rs.Records...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // TestRoundtripWorkers checks that compression and decompression are
 // lossless and byte-deterministic across worker counts. Run under
 // `go test -race` this also exercises the worker pools for data races.

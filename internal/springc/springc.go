@@ -24,14 +24,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
 
 	"sage/internal/fastq"
 	"sage/internal/genome"
 	"sage/internal/headers"
 	"sage/internal/mapper"
+	"sage/internal/pool"
 	"sage/internal/qual"
 )
 
@@ -69,8 +68,8 @@ const (
 
 // Compress encodes rs with the Spring-like scheme at Spring's defaults:
 // lossless (qualities and headers kept), self-contained (cons embedded),
-// the backend at flate.BestCompression, mapping on up to GOMAXPROCS
-// workers.
+// the backend at flate.BestCompression, mapping on pool.Ranges over up
+// to GOMAXPROCS workers.
 func Compress(rs *fastq.ReadSet, cons genome.Seq) (*Encoded, error) {
 	if len(cons) == 0 {
 		return nil, fmt.Errorf("springc: a consensus sequence is required")
@@ -85,34 +84,22 @@ func Compress(rs *fastq.ReadSet, cons genome.Seq) (*Encoded, error) {
 		sortKey int
 	}
 	plans := make([]plan, len(rs.Records))
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	ch := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				seq := rs.Records[i].Seq
-				aln := m.Map(seq)
-				if aln.Mapped {
-					if got, err := mapper.ReconstructRead(cons, aln, len(seq)); err != nil || !got.Equal(seq) {
-						aln = mapper.Alignment{}
-					}
+	pool.Ranges(len(plans), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			seq := rs.Records[i].Seq
+			aln := m.Map(seq)
+			if aln.Mapped {
+				if got, err := mapper.ReconstructRead(cons, aln, len(seq)); err != nil || !got.Equal(seq) {
+					aln = mapper.Alignment{}
 				}
-				p := plan{idx: i, aln: aln}
-				if aln.Mapped {
-					p.sortKey = aln.Segments[0].ConsPos
-				}
-				plans[i] = p
 			}
-		}()
-	}
-	for i := range rs.Records {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
+			p := plan{idx: i, aln: aln}
+			if aln.Mapped {
+				p.sortKey = aln.Segments[0].ConsPos
+			}
+			plans[i] = p
+		}
+	})
 
 	sort.SliceStable(plans, func(a, b int) bool {
 		am, bm := plans[a].aln.Mapped, plans[b].aln.Mapped
