@@ -434,19 +434,12 @@ type streamEncoder struct {
 	comp     ComponentBits
 }
 
-func (e *streamEncoder) totalBits() uint64 {
-	var t uint64
-	for _, w := range e.writers {
-		t += w.Len()
-	}
-	return t
-}
-
 // encodeRead writes one read record. prevPos carries the matching-position
-// cursor across reads for delta encoding.
+// cursor across reads for delta encoding. Each field is charged to its
+// Fig. 17 component with the bits of the writers it wrote: the length
+// difference of those writers, or the width it wrote when that is fixed.
 func (e *streamEncoder) encodeRead(seq genome.Seq, p readPlan, prevPos *int) error {
 	mpga, mpa := e.writers[sMPGA], e.writers[sMPA]
-	mbta := e.writers[sMBTA]
 	baseBits := uint(2)
 	if p.hasN {
 		baseBits = 3
@@ -457,7 +450,7 @@ func (e *streamEncoder) encodeRead(seq genome.Seq, p readPlan, prevPos *int) err
 	if p.aln.Mapped {
 		pos = p.aln.Segments[0].ConsPos
 	}
-	before := e.totalBits()
+	before := mpga.Len() + mpa.Len()
 	if err := e.tables[tabMatchDelta].EncodeValue(mpga, mpa, uint64(pos-*prevPos)); err != nil {
 		return err
 	}
@@ -476,34 +469,28 @@ func (e *streamEncoder) encodeRead(seq genome.Seq, p readPlan, prevPos *int) err
 	revBits := uint64(1)
 	mpga.WriteBool(rev0)
 	mpga.WriteUnary(uint(nSegs - 1))
-	e.comp.MatchingPos += e.totalBits() - before - revBits
+	e.comp.MatchingPos += mpga.Len() + mpa.Len() - before - revBits
 
 	// 4. Read length.
-	before = e.totalBits()
 	if e.fixedLen == 0 {
 		if err := e.tables[tabReadLen].EncodeValue(mpga, mpa, uint64(len(seq))); err != nil {
 			return err
 		}
+		e.comp.ReadLen += uint64(e.tables[tabReadLen].CostBits(uint64(len(seq))))
 	}
 	// 5. Extra segments: strand, absolute position, length.
 	for s := 1; s < len(segs); s++ {
 		mpga.WriteBool(segs[s].Rev)
 		revBits++
-		lenBefore := e.totalBits()
+		lenBefore := mpga.Len() + mpa.Len()
 		if err := e.tables[tabReadLen].EncodeValue(mpga, mpa, uint64(segs[s].ReadLen)); err != nil {
 			return err
 		}
-		e.comp.ReadLen += e.totalBits() - lenBefore
-		posBefore := e.totalBits()
+		e.comp.ReadLen += mpga.Len() + mpa.Len() - lenBefore
 		mpa.WriteBits(uint64(segs[s].ConsPos), e.posWidth)
-		e.comp.MatchingPos += e.totalBits() - posBefore
-	}
-	if e.fixedLen == 0 {
-		// The whole-read length was the first thing in this span.
-		e.comp.ReadLen += uint64(e.tables[tabReadLen].CostBits(uint64(len(seq))))
+		e.comp.MatchingPos += uint64(e.posWidth)
 	}
 	e.comp.Rev += revBits
-	_ = before
 
 	// 6+7. Per-segment mismatch records.
 	if !p.aln.Mapped {
@@ -514,7 +501,6 @@ func (e *streamEncoder) encodeRead(seq genome.Seq, p readPlan, prevPos *int) err
 			return err
 		}
 	}
-	_ = mbta
 	return nil
 }
 
@@ -522,26 +508,24 @@ func (e *streamEncoder) encodeRead(seq genome.Seq, p readPlan, prevPos *int) err
 func (e *streamEncoder) encodeUnmapped(seq genome.Seq, p readPlan, baseBits uint) error {
 	mmpga, mmpa := e.writers[sMMPGA], e.writers[sMMPA]
 	mbta := e.writers[sMBTA]
-	before := e.totalBits()
+	before := mmpga.Len()
 	if err := e.tables[tabMismatchCount].EncodeValue(mmpga, mmpga, 1); err != nil {
 		return err
 	}
-	e.comp.MismatchCount += e.totalBits() - before
-	before = e.totalBits()
+	e.comp.MismatchCount += mmpga.Len() - before
+	before = mmpga.Len() + mmpa.Len()
 	if err := e.tables[tabMismatchDelta].EncodeValue(mmpga, mmpa, 0); err != nil {
 		return err
 	}
-	e.comp.MismatchPos += e.totalBits() - before
-	before = e.totalBits()
+	e.comp.MismatchPos += mmpga.Len() + mmpa.Len() - before
 	mbta.WriteBit(0)       // corner, not a genuine position-0 mismatch
 	mbta.WriteBool(p.hasN) // payload: alphabet flag
 	mbta.WriteBit(1)       // payload: unmapped
-	e.comp.Corner += e.totalBits() - before
-	before = e.totalBits()
+	e.comp.Corner += 3
 	for _, b := range seq {
 		mbta.WriteBits(uint64(b), baseBits)
 	}
-	e.comp.Unmapped += e.totalBits() - before
+	e.comp.Unmapped += uint64(len(seq)) * uint64(baseBits)
 	return nil
 }
 
@@ -557,23 +541,22 @@ func (e *streamEncoder) encodeSegment(seq genome.Seq, p readPlan, s int, seg map
 	if synthetic {
 		count++
 	}
-	before := e.totalBits()
+	before := mmpga.Len()
 	if err := e.tables[tabMismatchCount].EncodeValue(mmpga, mmpga, uint64(count)); err != nil {
 		return err
 	}
-	e.comp.MismatchCount += e.totalBits() - before
+	e.comp.MismatchCount += mmpga.Len() - before
 
 	if synthetic {
-		before = e.totalBits()
+		before = mmpga.Len() + mmpa.Len()
 		if err := e.tables[tabMismatchDelta].EncodeValue(mmpga, mmpa, 0); err != nil {
 			return err
 		}
-		e.comp.MismatchPos += e.totalBits() - before
-		before = e.totalBits()
+		e.comp.MismatchPos += mmpga.Len() + mmpa.Len() - before
 		mbta.WriteBit(0)       // corner record
 		mbta.WriteBool(p.hasN) // payload: alphabet flag
 		mbta.WriteBit(0)       // payload: mapped
-		e.comp.Corner += e.totalBits() - before
+		e.comp.Corner += 3
 	}
 
 	cursor := seg.ConsPos
@@ -586,18 +569,17 @@ func (e *streamEncoder) encodeSegment(seq genome.Seq, p readPlan, s int, seg map
 
 		d := ed.ReadPos - prevMis
 		prevMis = ed.ReadPos
-		before = e.totalBits()
+		before = mmpga.Len() + mmpa.Len()
 		if err := e.tables[tabMismatchDelta].EncodeValue(mmpga, mmpa, uint64(d)); err != nil {
 			return err
 		}
-		e.comp.MismatchPos += e.totalBits() - before
+		e.comp.MismatchPos += mmpga.Len() + mmpa.Len() - before
 
 		if s == 0 && j == 0 && !synthetic && d == 0 {
 			// Disambiguate a genuine position-0 first mismatch from a
 			// corner record (§5.1.4).
-			before = e.totalBits()
 			mbta.WriteBit(1)
-			e.comp.Corner += e.totalBits() - before
+			e.comp.Corner++
 		}
 
 		consBase := e.consBaseAt(cursor)
@@ -606,30 +588,26 @@ func (e *streamEncoder) encodeSegment(seq genome.Seq, p readPlan, s int, seg map
 			if ed.Bases[0] == consBase {
 				return fmt.Errorf("core: substitution marker collides with consensus at %d", cursor)
 			}
-			before = e.totalBits()
 			mbta.WriteBits(uint64(ed.Bases[0]), baseBits)
-			e.comp.MismatchBases += e.totalBits() - before
+			e.comp.MismatchBases += uint64(baseBits)
 			cursor++
 			out++
 		case genome.Insertion:
-			before = e.totalBits()
 			mbta.WriteBits(uint64(consBase), baseBits)
 			mbta.WriteBit(1) // insertion
-			e.comp.MismatchTypes += e.totalBits() - before
+			e.comp.MismatchTypes += uint64(baseBits) + 1
 			if err := e.encodeIndelLen(len(ed.Bases)); err != nil {
 				return err
 			}
-			before = e.totalBits()
 			for _, b := range ed.Bases {
 				mbta.WriteBits(uint64(b), baseBits)
 			}
-			e.comp.MismatchBases += e.totalBits() - before
+			e.comp.MismatchBases += uint64(len(ed.Bases)) * uint64(baseBits)
 			out += len(ed.Bases)
 		case genome.Deletion:
-			before = e.totalBits()
 			mbta.WriteBits(uint64(consBase), baseBits)
 			mbta.WriteBit(0) // deletion
-			e.comp.MismatchTypes += e.totalBits() - before
+			e.comp.MismatchTypes += uint64(baseBits) + 1
 			if err := e.encodeIndelLen(ed.DelLen); err != nil {
 				return err
 			}
@@ -644,7 +622,7 @@ func (e *streamEncoder) encodeSegment(seq genome.Seq, p readPlan, s int, seg map
 // indicate whether it is a single-base indel").
 func (e *streamEncoder) encodeIndelLen(l int) error {
 	mmpga, mmpa := e.writers[sMMPGA], e.writers[sMMPA]
-	before := e.totalBits()
+	before := mmpga.Len() + mmpa.Len()
 	if l == 1 {
 		mmpga.WriteBit(1)
 	} else {
@@ -653,7 +631,7 @@ func (e *streamEncoder) encodeIndelLen(l int) error {
 			return err
 		}
 	}
-	e.comp.MismatchPos += e.totalBits() - before
+	e.comp.MismatchPos += mmpga.Len() + mmpa.Len() - before
 	return nil
 }
 

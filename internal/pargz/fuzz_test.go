@@ -3,6 +3,7 @@ package pargz
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"runtime"
 	"testing"
 )
@@ -56,6 +57,55 @@ func FuzzSplitMembers(f *testing.F) {
 		}
 		if off != len(data) {
 			t.Fatalf("the members cover %d of %d bytes", off, len(data))
+		}
+	})
+}
+
+// FuzzInflateMember holds the member kernel to compress/gzip on
+// arbitrary member bytes: where compress/gzip decodes the member the
+// kernel decodes the same bytes, where it fails the kernel fails, and
+// the kernel never panics. Decoding into a buffer with room past the
+// trailer's ISIZE, the kernel writes nothing beyond ISIZE.
+func FuzzInflateMember(f *testing.F) {
+	members, err := SplitMembers(mustBGZF(shortReadFASTQ(3<<10), 1<<10))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, m := range members {
+		f.Add(m)
+	}
+	f.Add(members[0][:len(members[0])/2])
+	for _, level := range []int{gzip.NoCompression, gzip.HuffmanOnly, gzip.BestSpeed} {
+		f.Add(gzipMember(f, testPayload(1<<10), level, gzip.Header{Name: "r.fq", Comment: "c"}))
+	}
+	f.Add(withHeaderCRC(gzipMember(f, []byte("ACGT"), gzip.DefaultCompression, gzip.Header{})))
+
+	const canary = 0xa5
+	f.Fuzz(func(t *testing.T, comp []byte) {
+		want, werr := stdlibMember(comp)
+		var dst []byte
+		size := -1
+		if len(comp) >= 8 {
+			if s := int(binary.LittleEndian.Uint32(comp[len(comp)-4:])); s <= 1<<20 {
+				size = s
+				dst = bytes.Repeat([]byte{canary}, size+64)[:0]
+			}
+		}
+		got, gerr := inflateMember(dst, comp)
+		switch {
+		case werr == nil && gerr != nil:
+			t.Fatalf("kernel rejected a member compress/gzip decodes: %v", gerr)
+		case werr == nil && !bytes.Equal(got, want):
+			t.Fatalf("kernel decoded %d bytes, compress/gzip %d, and they differ", len(got), len(want))
+		case werr != nil && gerr == nil:
+			t.Fatalf("kernel accepted a member compress/gzip rejects (%v)", werr)
+		}
+		if size >= 0 {
+			for i, c := range dst[size : size+64] {
+				if c != canary {
+					t.Fatalf("kernel wrote byte %d past ISIZE %d", i, size)
+				}
+			}
 		}
 	})
 }

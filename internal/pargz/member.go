@@ -4,20 +4,19 @@ package pargz
 // compressed member extents without inflating (BGZF BC subfield), and
 // one goroutine that runs the repository's ordered pool (pool.Drain)
 // over the members it finds — next reads the next member under the
-// pool mutex, work inflates it, emit sends its chunk to the consumer in
-// member order. A damaged member travels to emit as a value, so every
-// byte before it is delivered first.
+// pool mutex, work inflates it (inflate.go's one-shot kernel), emit
+// sends its chunk to the consumer in member order. A damaged member
+// travels to emit as a value, so every byte before it is delivered
+// first.
 
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
 
-	"sage/internal/freelist"
 	"sage/internal/pool"
 )
 
@@ -38,7 +37,7 @@ const (
 // and its compressed offset. A member whose header or bytes could not
 // be read carries the error instead, and is the last one claimed.
 type member struct {
-	comp   *bytes.Buffer
+	comp   *[]byte
 	index  int
 	offset int64
 	err    error
@@ -48,11 +47,8 @@ var (
 	// compPool recycles compressed-member staging buffers (scanner →
 	// worker); decPool recycles decoded-output buffers (worker →
 	// consumer, returned via chunk.recycle).
-	compPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	decPool  = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	// inflaters keeps gzip readers, whose inflate state is large,
-	// between the members the workers decode.
-	inflaters = freelist.New[gzip.Reader]()
+	compPool = sync.Pool{New: func() any { return new([]byte) }}
+	decPool  = sync.Pool{New: func() any { return new([]byte) }}
 )
 
 // peekMemberBSize probes the gzip member header at the reader's current
@@ -172,58 +168,39 @@ func (r *Reader) decodeMembers(br *bufio.Reader, workers int) {
 }
 
 // readMember reads the size bytes of member index into a pooled buffer.
-func readMember(br *bufio.Reader, size, index int) (*bytes.Buffer, error) {
-	comp := compPool.Get().(*bytes.Buffer)
-	comp.Reset()
-	if _, err := io.CopyN(comp, br, int64(size)); err != nil {
+func readMember(br *bufio.Reader, size, index int) (*[]byte, error) {
+	comp := compPool.Get().(*[]byte)
+	if cap(*comp) < size {
+		*comp = make([]byte, size)
+	}
+	*comp = (*comp)[:size]
+	if _, err := io.ReadFull(br, *comp); err != nil {
 		compPool.Put(comp)
 		return nil, fmt.Errorf("gzip member %d truncated mid-member (want %d bytes): %w", index, size, unexpectedEOF(err))
 	}
 	return comp, nil
 }
 
-// inflate decodes one claimed member into a pooled buffer; a member
-// that fails to read or to inflate becomes a chunk carrying the error,
-// with the member's compressed offset.
+// inflate decodes one claimed member into a pooled buffer of exactly
+// its ISIZE bytes (inflateMember); a member that fails to read or to
+// inflate becomes a chunk carrying the error, with the member's
+// compressed offset.
 func (r *Reader) inflate(m member) (*chunk, error) {
 	if m.err != nil {
 		return r.errChunk(m.offset, m.err), nil
 	}
 	sp := r.trace.StartSpan("gunzip")
-	zr := inflaters.Get()
-	out := decPool.Get().(*bytes.Buffer)
-	out.Reset()
-	err := inflateMember(zr, m.comp.Bytes(), out)
-	inflaters.Put(zr)
+	out := decPool.Get().(*[]byte)
+	data, err := inflateMember(*out, *m.comp)
 	sp.End()
 	compPool.Put(m.comp)
+	*out = data
 	if err != nil {
 		decPool.Put(out)
 		return r.errChunk(m.offset, fmt.Errorf("gzip member %d: %w", m.index, err)), nil
 	}
 	r.members.Add(1)
-	return &chunk{data: out.Bytes(), recycle: func() { decPool.Put(out) }}, nil
-}
-
-// inflateMember decodes exactly one gzip member from comp into out,
-// verifying the CRC (stdlib does, at stream end) and rejecting bytes
-// beyond the member's trailer.
-func inflateMember(zr *gzip.Reader, comp []byte, out *bytes.Buffer) error {
-	br := bytes.NewReader(comp)
-	if err := zr.Reset(br); err != nil {
-		return err
-	}
-	zr.Multistream(false)
-	if _, err := out.ReadFrom(zr); err != nil {
-		return unexpectedEOF(err)
-	}
-	if err := zr.Close(); err != nil {
-		return err
-	}
-	if br.Len() != 0 {
-		return fmt.Errorf("%d bytes beyond the member trailer", br.Len())
-	}
-	return nil
+	return &chunk{data: data, recycle: func() { decPool.Put(out) }}, nil
 }
 
 // unexpectedEOF upgrades a bare io.EOF — meaningless mid-structure —

@@ -11,8 +11,10 @@
 //     payload is the compressed block size, so member boundaries are
 //     found *without inflating* and members decode on the repository's
 //     ordered pool (internal/pool), which hands them to the consumer in
-//     stream order. BGZF is the one member-parallel framing read here —
-//     every htslib tool writes it.
+//     stream order. Each member inflates in one call on the package's
+//     own DEFLATE kernel (inflate.go), into a buffer of exactly the size
+//     its trailer declares. BGZF is the one member-parallel framing read
+//     here — every htslib tool writes it.
 //   - Pipelined readahead. Generic single-member gzip cannot be split,
 //     but a dedicated decode goroutine filling a bounded ring of
 //     reused buffers overlaps inflate with the parse→map→encode

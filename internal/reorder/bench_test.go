@@ -48,3 +48,31 @@ func BenchmarkRestore(b *testing.B) {
 		})
 	}
 }
+
+var keySink uint64
+
+// BenchmarkClumpKey keys 11 520 random 150-base reads, the read count of
+// the repository benchmark's paired_gz_reorder workload, with clumpKey
+// and with the branching loop it replaced.
+func BenchmarkClumpKey(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	seqs := make([]genome.Seq, 11520)
+	for i := range seqs {
+		seqs[i] = make(genome.Seq, 150)
+		for j := range seqs[i] {
+			seqs[i][j] = byte(rng.Intn(4))
+		}
+	}
+	for _, impl := range []struct {
+		name string
+		key  func(genome.Seq, int) uint64
+	}{{"branch-free", clumpKey}, {"oracle", clumpKeyOracle}} {
+		b.Run(impl.name, func(b *testing.B) {
+			for b.Loop() {
+				for _, s := range seqs {
+					keySink += impl.key(s, DefaultK)
+				}
+			}
+		})
+	}
+}

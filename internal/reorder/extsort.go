@@ -2,12 +2,13 @@ package reorder
 
 import (
 	"bufio"
+	"cmp"
 	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 
 	"sage/internal/fastq"
 	"sage/internal/genome"
@@ -100,12 +101,14 @@ func (s *extSorter) add(g group) error {
 	return nil
 }
 
+// sortGroups orders gs by (key, seq); seq is unique, so the order is
+// total and needs no stable sort.
 func sortGroups(gs []group) {
-	sort.Slice(gs, func(i, j int) bool {
-		if gs[i].key != gs[j].key {
-			return gs[i].key < gs[j].key
+	slices.SortFunc(gs, func(a, b group) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
 		}
-		return gs[i].seq < gs[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 }
 
@@ -137,7 +140,9 @@ func (s *extSorter) spill() error {
 	}
 	s.runs = append(s.runs, &runFile{f: f, path: f.Name()})
 	s.spilled++
-	s.pending = nil
+	// Keep pending's capacity for the next run, but drop its records.
+	clear(s.pending)
+	s.pending = s.pending[:0]
 	s.pendBytes = 0
 	return nil
 }
@@ -236,13 +241,15 @@ func (it *mergeIter) next() (group, bool, error) {
 
 // runReader streams one spilled run.
 type runReader struct {
-	br  *bufio.Reader
-	cur group
+	br   *bufio.Reader
+	cur  group
+	lens []uint64 // the current group's record lengths, three a record
+	hdr  []byte   // the current group's header bytes
 }
 
 // advance decodes the run's next group into cur; ok=false at EOF.
 func (r *runReader) advance() (bool, error) {
-	g, err := readGroup(r.br)
+	g, err := r.readGroup()
 	if err == io.EOF {
 		return false, nil
 	}
@@ -275,9 +282,12 @@ func (h *runHeap) Pop() any {
 }
 
 // Run-file wire format, per group: key uvarint, seq uvarint, record
-// count uvarint, then per record — header length + bytes, sequence
-// length + base codes, and quality as length+1 (0 encodes a nil Qual,
-// distinguishing "no quality" from "empty quality").
+// count uvarint; per record its header length, sequence length and
+// quality length+1 (0 encodes a nil Qual, distinguishing "no quality"
+// from "empty quality") as uvarints; then every record's header bytes,
+// then every record's sequence codes and quality bytes. The lengths
+// first let readGroup size one string for the headers and one buffer for
+// the rest.
 
 func writeGroup(bw *bufio.Writer, g *group) error {
 	var tmp [binary.MaxVarintLen64]byte
@@ -297,37 +307,41 @@ func writeGroup(bw *bufio.Writer, g *group) error {
 	}
 	for i := range g.recs {
 		r := &g.recs[i]
-		if err := putUv(uint64(len(r.Header))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(r.Header); err != nil {
-			return err
-		}
-		if err := putUv(uint64(len(r.Seq))); err != nil {
-			return err
-		}
-		if _, err := bw.Write(r.Seq); err != nil {
-			return err
-		}
 		qlen := uint64(0)
 		if r.Qual != nil {
 			qlen = uint64(len(r.Qual)) + 1
 		}
-		if err := putUv(qlen); err != nil {
-			return err
-		}
-		if r.Qual != nil {
-			if _, err := bw.Write(r.Qual); err != nil {
+		for _, v := range [3]uint64{uint64(len(r.Header)), uint64(len(r.Seq)), qlen} {
+			if err := putUv(v); err != nil {
 				return err
 			}
+		}
+	}
+	for i := range g.recs {
+		if _, err := bw.WriteString(g.recs[i].Header); err != nil {
+			return err
+		}
+	}
+	for i := range g.recs {
+		r := &g.recs[i]
+		if _, err := bw.Write(r.Seq); err != nil {
+			return err
+		}
+		if _, err := bw.Write(r.Qual); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func readGroup(br *bufio.Reader) (group, error) {
+// readGroup decodes the run's next group. Whatever its record count, a
+// group costs three allocations: its records, one string its headers
+// share, and one buffer its sequences and qualities share, each slice
+// capped at its own end. r.lens and r.hdr are staging reused across
+// groups.
+func (r *runReader) readGroup() (group, error) {
 	var g group
-	key, err := binary.ReadUvarint(br)
+	key, err := binary.ReadUvarint(r.br)
 	if err != nil {
 		// A clean EOF at a group boundary ends the run.
 		if err == io.EOF {
@@ -336,44 +350,51 @@ func readGroup(br *bufio.Reader) (group, error) {
 		return g, err
 	}
 	g.key = key
-	seq, err := readUv(br)
+	seq, err := readUv(r.br)
 	if err != nil {
 		return g, err
 	}
 	g.seq = int64(seq)
-	n, err := readUv(br)
+	n, err := readUv(r.br)
 	if err != nil {
 		return g, err
 	}
-	g.recs = make([]fastq.Record, n)
-	for i := range g.recs {
-		r := &g.recs[i]
-		hlen, err := readUv(br)
-		if err != nil {
-			return g, err
-		}
-		hb := make([]byte, hlen)
-		if _, err := io.ReadFull(br, hb); err != nil {
-			return g, noEOF(err)
-		}
-		r.Header = string(hb)
-		slen, err := readUv(br)
-		if err != nil {
-			return g, err
-		}
-		r.Seq = make(genome.Seq, slen)
-		if _, err := io.ReadFull(br, r.Seq); err != nil {
-			return g, noEOF(err)
-		}
-		qlen, err := readUv(br)
-		if err != nil {
-			return g, err
-		}
-		if qlen > 0 {
-			r.Qual = make([]byte, qlen-1)
-			if _, err := io.ReadFull(br, r.Qual); err != nil {
-				return g, noEOF(err)
+	lens := r.lens[:0]
+	var hbytes, body uint64
+	for range n {
+		var l [3]uint64
+		for j := range l {
+			if l[j], err = readUv(r.br); err != nil {
+				return g, err
 			}
+		}
+		lens = append(lens, l[:]...)
+		hbytes += l[0]
+		body += l[1] + max(l[2], 1) - 1
+	}
+	r.lens = lens
+	if uint64(cap(r.hdr)) < hbytes {
+		r.hdr = make([]byte, hbytes)
+	}
+	if _, err := io.ReadFull(r.br, r.hdr[:hbytes]); err != nil {
+		return g, noEOF(err)
+	}
+	headers := string(r.hdr[:hbytes])
+	buf := make([]byte, body)
+	if _, err := io.ReadFull(r.br, buf); err != nil {
+		return g, noEOF(err)
+	}
+	g.recs = make([]fastq.Record, n)
+	var h, b uint64
+	for i := range g.recs {
+		rec, l := &g.recs[i], lens[3*i:3*i+3]
+		rec.Header = headers[h : h+l[0]]
+		h += l[0]
+		rec.Seq = genome.Seq(buf[b : b+l[1] : b+l[1]])
+		b += l[1]
+		if l[2] > 0 {
+			rec.Qual = buf[b : b+l[2]-1 : b+l[2]-1]
+			b += l[2] - 1
 		}
 	}
 	return g, nil

@@ -21,6 +21,7 @@ package reorder
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"sage/internal/fastq"
 	"sage/internal/genome"
@@ -282,10 +283,12 @@ func (st *Stage) emit() (fastq.Batch, bool, error) {
 // clumpKey returns the read's minimizer: the minimum splitmix64-hashed
 // canonical k-mer — a one-word MinHash, so reads sharing sequence
 // share small keys with high probability. Reads too short for a window
-// (or all-N) key to MaxUint64 and clump together at the end.
+// (or all-N) key to MaxUint64 and clump together at the end. The
+// canonical pick and the running minimum are selects, not branches:
+// which strand's code is smaller is a coin flip per k-mer, so a branch
+// there mispredicts half the time.
 func clumpKey(seq genome.Seq, k int) uint64 {
-	const worst = ^uint64(0)
-	best := worst
+	best := ^uint64(0)
 	shift := uint(2 * (k - 1))
 	mask := (uint64(1) << (2 * k)) - 1
 	var fwd, rc uint64
@@ -297,16 +300,12 @@ func clumpKey(seq genome.Seq, k int) uint64 {
 		}
 		fwd = ((fwd << 2) | uint64(b)) & mask
 		rc = (rc >> 2) | (uint64(3-b) << shift)
-		run++
-		if run >= k {
-			code := fwd
-			if rc < fwd {
-				code = rc
-			}
-			if h := mix64(code); h < best {
-				best = h
-			}
+		if run++; run < k {
+			continue
 		}
+		// less is 1 when rc < fwd; -less masks in the switch to rc.
+		_, less := bits.Sub64(rc, fwd, 0)
+		best = min(best, mix64(fwd^(fwd^rc)&-less))
 	}
 	return best
 }

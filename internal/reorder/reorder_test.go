@@ -74,6 +74,66 @@ func checkPerm(t *testing.T, perm []int64, orig, out []fastq.Record) {
 	}
 }
 
+// clumpKeyOracle is clumpKey as it was written with branches: the
+// canonical code picked by comparison, the minimum kept by comparison.
+func clumpKeyOracle(seq genome.Seq, k int) uint64 {
+	const worst = ^uint64(0)
+	best := worst
+	shift := uint(2 * (k - 1))
+	mask := (uint64(1) << (2 * k)) - 1
+	var fwd, rc uint64
+	run := 0
+	for _, b := range seq {
+		if b > 3 {
+			run, fwd, rc = 0, 0, 0
+			continue
+		}
+		fwd = ((fwd << 2) | uint64(b)) & mask
+		rc = (rc >> 2) | (uint64(3-b) << shift)
+		run++
+		if run >= k {
+			code := fwd
+			if rc < fwd {
+				code = rc
+			}
+			if h := mix64(code); h < best {
+				best = h
+			}
+		}
+	}
+	return best
+}
+
+// TestClumpKeyMatchesOracle: the branch-free clumpKey keys every read as
+// the branching loop did — every k the codes fit in, reads shorter and
+// longer than a window, N runs, palindromic k-mers (fwd == rc).
+func TestClumpKeyMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20000; i++ {
+		k := DefaultK
+		if i%2 == 1 {
+			k = 1 + rng.Intn(31)
+		}
+		seq := make(genome.Seq, rng.Intn(300))
+		for j := range seq {
+			seq[j] = byte(rng.Intn(4))
+			if rng.Intn(50) == 0 {
+				seq[j] = genome.BaseN
+			}
+		}
+		if i%7 == 0 && len(seq) >= 2 {
+			// A palindrome: its k-mers read the same on both strands.
+			for j := 0; j < len(seq)/2; j++ {
+				seq[len(seq)-1-j] = 3 - seq[j]&3
+				seq[j] &= 3
+			}
+		}
+		if got, want := clumpKey(seq, k), clumpKeyOracle(seq, k); got != want {
+			t.Fatalf("k=%d, %d bases: key %#x, oracle %#x", k, len(seq), got, want)
+		}
+	}
+}
+
 func TestClumpKeyProperties(t *testing.T) {
 	const k = DefaultK
 	seq := genome.MustFromString("ACGTTGCAGGTCAATCGGA")
@@ -748,6 +808,66 @@ func TestRunCodecNilQual(t *testing.T) {
 	}
 	if g2.recs[0].Qual == nil || len(g2.recs[0].Qual) != 0 {
 		t.Fatalf("empty quality came back %v", g2.recs[0].Qual)
+	}
+}
+
+// TestRunCodecGroups: mate-pair groups come back from a run as written,
+// each costing three allocations whatever its record count, and a
+// decoded sequence grown by append does not run into its quality.
+func TestRunCodecGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var in []group
+	var run bytes.Buffer
+	bw := bufio.NewWriter(&run)
+	for i := 0; i < 120; i++ {
+		recs := make([]fastq.Record, 2)
+		for m := range recs {
+			seq := make([]byte, rng.Intn(200))
+			for j := range seq {
+				seq[j] = "ACGTN"[rng.Intn(5)]
+			}
+			recs[m] = rec(fmt.Sprintf("p.%d/%d", i, m+1), string(seq))
+		}
+		g := group{key: rng.Uint64(), seq: int64(2 * i), recs: recs}
+		in = append(in, g)
+		if err := writeGroup(bw, &g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rr := &runReader{br: bufio.NewReader(bytes.NewReader(run.Bytes()))}
+	for i, want := range in {
+		got, err := rr.readGroup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.key != want.key || got.seq != want.seq || len(got.recs) != 2 {
+			t.Fatalf("group %d: key %d seq %d, %d records", i, got.key, got.seq, len(got.recs))
+		}
+		for m, r := range got.recs {
+			w := want.recs[m]
+			if r.Header != w.Header || !bytes.Equal(r.Seq, w.Seq) || !bytes.Equal(r.Qual, w.Qual) {
+				t.Fatalf("group %d mate %d differs", i, m)
+			}
+		}
+		q := append([]byte(nil), got.recs[0].Qual...)
+		_ = append(got.recs[0].Seq, 3)
+		if !bytes.Equal(got.recs[0].Qual, q) {
+			t.Fatalf("group %d: appending to a sequence overwrote its quality", i)
+		}
+	}
+	if _, err := rr.readGroup(); err != io.EOF {
+		t.Fatalf("after the last group: %v, want io.EOF", err)
+	}
+	rr = &runReader{br: bufio.NewReader(bytes.NewReader(run.Bytes()))}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := rr.readGroup(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Fatalf("a two-record group costs %v allocations, want 3", n)
 	}
 }
 
