@@ -98,12 +98,13 @@ func withHeaderCRC(comp []byte) []byte {
 	return append(hdr, comp[len(comp)-len(raw)-8:]...)
 }
 
-// checkAgainstStdlib decodes comp with the kernel and with the oracle:
-// equal bytes when the oracle succeeds, an error when it fails.
-func checkAgainstStdlib(t *testing.T, comp []byte) {
+// checkAgainstStdlib decodes comp with the kernel, into dst's storage,
+// and with the oracle: equal bytes when the oracle succeeds, an error
+// when it fails.
+func checkAgainstStdlib(t *testing.T, dst, comp []byte) {
 	t.Helper()
 	want, werr := stdlibMember(comp)
-	got, gerr := inflateMember(nil, comp)
+	got, gerr := inflateMember(dst, comp)
 	switch {
 	case werr == nil && gerr != nil:
 		t.Fatalf("kernel rejected a member compress/gzip decodes: %v", gerr)
@@ -142,17 +143,17 @@ func TestInflateMemberMatchesStdlib(t *testing.T) {
 					if !bytes.Equal(got, data) {
 						t.Fatalf("decoded %d bytes, want %d", len(got), len(data))
 					}
-					checkAgainstStdlib(t, withHeaderCRC(comp))
+					checkAgainstStdlib(t, nil, withHeaderCRC(comp))
 					for cut := 0; cut < len(comp); cut += 1 + len(comp)/50 {
-						checkAgainstStdlib(t, comp[:cut])
+						checkAgainstStdlib(t, nil, comp[:cut])
 					}
 					rng := rand.New(rand.NewSource(int64(len(comp))))
 					for range 40 {
 						bad := append([]byte(nil), comp...)
 						bad[rng.Intn(len(bad))] ^= 1 << rng.Intn(8)
-						checkAgainstStdlib(t, bad)
+						checkAgainstStdlib(t, nil, bad)
 					}
-					checkAgainstStdlib(t, append(comp[:len(comp):len(comp)], 0))
+					checkAgainstStdlib(t, nil, append(comp[:len(comp):len(comp)], 0))
 				})
 			}
 		}
