@@ -31,9 +31,9 @@ import (
 //	fastq batch scan      4.006     0.022      0.50
 //	qual compress         0.013     0.000      0.01
 //	qual decompress       1.000     0.001      0.05
-//	core compress        37.607     3.773      4.34
+//	core compress        37.607     2.045      2.35
 //	core decompress      11.369     0.034      1.00
-//	shard assemble      109.436     4.226      4.86
+//	shard assemble      109.436     2.496      2.87
 //	shard stream-decode  15.542     0.047     0.054
 //	shard restore         7.268     0.074     0.085
 //
@@ -48,8 +48,11 @@ import (
 // table, Algorithm 1's cost function stopped allocating and the planner
 // began validating into one buffer per worker (16.214 → 3.773 and
 // 19.440 → 4.226; what is left is Map's candidate, segment and edit
-// slices). Their budgets are 1.15× the last measurement. The
-// stream-decode row fell again, 0.214 → 0.104, when DecompressTo began
+// slices). They fell again when the mapper began laying a short read
+// on its first seed's diagonal before seeding it (verify-first): the
+// nine reads in ten it maps that way build no candidate list and no
+// chimeric interval list (3.773 → 2.045 and 4.226 → 2.496). Their
+// budgets are 1.15× the last measurement. The stream-decode row fell again, 0.214 → 0.104, when DecompressTo began
 // rendering FASTQ in the decoder: no records, block and text buffers and
 // decoder scratch kept between shards; its budget is 1.15× the new
 // figure. The restore row is a decode to records plus the
@@ -75,9 +78,9 @@ const (
 	budgetFastqScanAllocsPerRead      = 0.50
 	budgetQualCompressAllocsPerRead   = 0.01
 	budgetQualDecompressAllocsPerRead = 0.05
-	budgetCoreCompressAllocsPerRead   = 4.34
+	budgetCoreCompressAllocsPerRead   = 2.35
 	budgetCoreDecompressAllocsPerRead = 1.00
-	budgetShardAssembleAllocsPerRead  = 4.86
+	budgetShardAssembleAllocsPerRead  = 2.87
 	budgetShardStreamAllocsPerRead    = 0.054
 	budgetRestoreAllocsPerRead        = 0.085
 )

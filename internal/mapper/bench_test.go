@@ -65,7 +65,8 @@ func BenchmarkMapLongRead(b *testing.B) {
 // genome length and depth) against their consensus, one read per op.
 // Unlike the two benchmarks above, these reads carry indels, N, clips and
 // chimeras, and reach every tier of the mapper. words/base is the
-// second tier's kernel work: 64-cell word updates per read base mapped.
+// second tier's kernel work: 64-cell word updates per read base mapped;
+// verified/read the share of reads verifyFirst maps without seeding.
 func BenchmarkMapWorkload(b *testing.B) {
 	for _, w := range []struct {
 		name string
@@ -82,14 +83,15 @@ func BenchmarkMapWorkload(b *testing.B) {
 			for i := 0; b.Loop(); i++ {
 				m.Map(reads[i%len(reads)])
 			}
-			// The kernel work comes from one untimed pass over the set,
-			// with a scratch of its own to count in.
+			// The kernel work and the verified reads come from one untimed
+			// pass over the set, with a scratch of its own to count in.
 			sc, bases := new(mapScratch), 0
 			for _, r := range reads {
 				m.mapWith(sc, r, m.alignAnchored)
 				bases += len(r)
 			}
 			b.ReportMetric(float64(sc.words)/float64(bases), "words/base")
+			b.ReportMetric(float64(sc.verified)/float64(len(reads)), "verified/read")
 		})
 	}
 }

@@ -59,6 +59,28 @@ func verifyDiagonal(read, cons genome.Seq, pos int) (edits []Edit, cost int, ok 
 	return []Edit{{ReadPos: at, Type: genome.Substitution, Bases: genome.Seq{read[at]}}}, 1, true
 }
 
+// verifyReverse is verifyDiagonal of read's reverse complement, which it
+// reads from read's end instead of building it.
+func verifyReverse(read, cons genome.Seq, pos int) (edits []Edit, cost int, ok bool) {
+	n := len(read)
+	if pos < 0 || pos+n > len(cons) {
+		return nil, 0, false
+	}
+	at := -1
+	for i, c := range cons[pos : pos+n] {
+		if b := read[n-1-i]; b > genome.BaseT || genome.BaseT-b != c {
+			if at >= 0 {
+				return nil, 0, false
+			}
+			at = i
+		}
+	}
+	if at < 0 {
+		return nil, 0, true
+	}
+	return []Edit{{ReadPos: at, Type: genome.Substitution, Bases: genome.Seq{genome.Complement(read[n-1-at])}}}, 1, true
+}
+
 // pinned says which ends of an alignment alignBand fixes. With neither,
 // the alignment is fitting: the read is consumed end to end and the
 // window's prefix and suffix are free.

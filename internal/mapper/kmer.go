@@ -8,14 +8,19 @@
 // diagonal to locate candidate regions (including multiple regions for
 // chimeric reads, §5.1.2), and each candidate is extended into the edit list
 // (substitutions, insertion blocks, deletion blocks) that the SAGe encoder
-// consumes. Seeding is guided: once a seed has hit one consensus position,
-// a later seed of the same strand that equals the consensus on that hit's
-// diagonal, where the table holds its k-mer once, is taken without a probe
-// (collectClusters; the probe-every-seed loop is the oracle in
-// seed_oracle_test.go). Extension has two tiers. When a cluster's seeds
-// all lie on one diagonal, the read is compared against the consensus on
-// that diagonal and accepted with at most one substitution
-// (verifyDiagonal); most short reads end here. Everything else goes to
+// consumes. Most short reads never reach the seeding: a read long enough
+// to keep minSeeds seeds past one substitution is first laid on the
+// diagonal of its first N-free k-mer, on each strand, where the table
+// holds that k-mer once, and a read that lies there with at most one
+// mismatch is mapped on the spot (verifyFirst; the seeded path, mapSeeded,
+// is its oracle in verify_first_test.go). Seeding is guided: once a seed
+// has hit one consensus position, a later seed of the same strand that
+// equals the consensus on that hit's diagonal, where the table holds its
+// k-mer once, is taken without a probe (collectClusters; the
+// probe-every-seed loop is the oracle in seed_oracle_test.go). Extension
+// has two tiers. When a cluster's seeds all lie on one diagonal, the read
+// is compared against the consensus on that diagonal and accepted with at
+// most one substitution (verifyDiagonal). Everything else goes to
 // alignAnchored, which aligns the piece through the cluster's own seed
 // hits: hits merged into exact anchors, chained co-linearly, and extended
 // along their diagonals while the bases match (chainAnchors). Only the
@@ -242,6 +247,13 @@ func (x *Index) Lookup(code uint64) []int32 {
 		return nil
 	}
 	return x.positions[s.end-s.n : s.end]
+}
+
+// absent reports that no consensus position holds k-mer code. Lookup
+// returns nil for such a k-mer, and also for one held too often.
+func (x *Index) absent(code uint64) bool {
+	f := x.presentBit(code)
+	return x.present[f>>6]&(1<<(f&63)) == 0 || x.slot(code).n == 0
 }
 
 // ForEachKmer calls fn(pos, code) for every N-free k-mer of s starting at

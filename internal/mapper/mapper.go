@@ -2,6 +2,7 @@ package mapper
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"sage/internal/freelist"
@@ -11,6 +12,10 @@ import (
 // MaxChimericSegments is the paper's N for top-N matching positions of
 // chimeric reads (§5.1.2 footnote 7: "We use N = 3").
 const MaxChimericSegments = 3
+
+// segmentPenalty is what a read's alignment is charged for each segment
+// after its first: the matching position the extra segment must store.
+const segmentPenalty = 16
 
 // Config parameterizes the mapper. Only DisableChimeric is the caller's
 // to set; the rest hold DefaultConfig's values, which the package's own
@@ -57,6 +62,8 @@ func DefaultConfig() Config {
 type Mapper struct {
 	cfg Config
 	idx *Index
+	// verifyMin is the shortest read verifyFirst maps (New).
+	verifyMin int
 }
 
 // New builds a mapper over cons.
@@ -65,7 +72,17 @@ func New(cons genome.Seq, cfg Config) (*Mapper, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Mapper{cfg: cfg, idx: idx}, nil
+	// One substitution breaks at most ⌈k/seedStep⌉ of a read's seeds, so a
+	// read of verifyMin bases or more that verifies on a diagonal has at
+	// least minSeeds seeds there, and the seeded path finds that cluster
+	// too. An index that skips positions cannot say that a k-mer it holds
+	// once is unique in the consensus, and verifyFirst relies on that.
+	k, s := cfg.index.k, cfg.seedStep
+	verifyMin := k + s*(cfg.minSeeds+(k+s-1)/s-1)
+	if cfg.index.step != 1 {
+		verifyMin = math.MaxInt
+	}
+	return &Mapper{cfg: cfg, idx: idx, verifyMin: verifyMin}, nil
 }
 
 // Consensus returns the consensus the mapper aligns against.
@@ -128,10 +145,10 @@ const chainLookback = 32
 // traceback reads (trace), and the traceback of the segment being
 // aligned (ops). The kernel's share is a few words per consensus base
 // of the longest gap aligned so far. words counts the kernel's word
-// updates. A Mapper is read-only and shared by every shard worker, so
-// the scratch (not the Mapper) carries all mutable state; it is kept in
-// a free list between calls. Nothing in a returned Alignment aliases
-// the scratch.
+// updates, verified the reads verifyFirst mapped. A Mapper is read-only
+// and shared by every shard worker, so the scratch (not the Mapper)
+// carries all mutable state; it is kept in a free list between calls.
+// Nothing in a returned Alignment aliases the scratch.
 type mapScratch struct {
 	rc       genome.Seq
 	hits     [2][]seedHit
@@ -143,6 +160,7 @@ type mapScratch struct {
 	trace    []uint64
 	ops      []opRun
 	words    int
+	verified int
 }
 
 var scratch = freelist.New[mapScratch]()
@@ -160,8 +178,99 @@ func (m *Mapper) Map(read genome.Seq) Alignment {
 // in tests the whole-piece band it replaced.
 type secondTier func(sc *mapScratch, piece genome.Seq, start int, c cluster) (consPos int, edits []Edit, cost int, ok bool)
 
-// mapWith is Map with the caller's scratch and second tier.
+// mapWith is Map with the caller's scratch and second tier: verifyFirst,
+// and mapSeeded for the reads it leaves.
 func (m *Mapper) mapWith(sc *mapScratch, read genome.Seq, tier2 secondTier) Alignment {
+	if seg, ok := m.verifyFirst(read); ok {
+		sc.verified++
+		return Alignment{Mapped: true, Segments: []Segment{seg}}
+	}
+	return m.mapSeeded(sc, read, tier2)
+}
+
+// verifyFirst maps a read that lies on the diagonal of its first N-free
+// k-mer without seeding it: where the index holds that k-mer once, the
+// whole read is laid on its diagonal (verifyDiagonal), on the forward
+// strand, then on the reverse. A match with cost 0 is returned at once,
+// as is a match whose one mismatch is an N, since no alignment of a read
+// with an N costs 0. A match with one substitution is returned only when
+// each strand's first k-mer is absent from the consensus or held once:
+// then no exact copy of the read lies on another diagonal (its first
+// k-mer would be there too), and only such a copy, at cost 0, could
+// beat it — a chimeric split costs at least segmentPenalty. Anything
+// else is left to mapSeeded, which finds the same segment for the reads
+// this one maps (TestVerifyFirstMatchesSeeded).
+func (m *Mapper) verifyFirst(read genome.Seq) (Segment, bool) {
+	if len(read) < m.verifyMin {
+		return Segment{}, false
+	}
+	fwd, fwdOK, fwdOnce := m.probeStrand(read, false)
+	if fwdOK && exact(fwd) {
+		return fwd, true
+	}
+	rev, revOK, revOnce := m.probeStrand(read, true)
+	switch {
+	case revOK && exact(rev):
+		return rev, true
+	case !fwdOnce || !revOnce:
+		return Segment{}, false
+	case fwdOK:
+		return fwd, true
+	}
+	return rev, revOK
+}
+
+// exact reports that no alignment of the read seg verified can cost less:
+// it has no edit, or its one edit is an N.
+func exact(seg Segment) bool {
+	return seg.Cost == 0 || seg.Edits[0].Bases[0] > genome.BaseT
+}
+
+// probeStrand looks up the first N-free k-mer of read, or for rev of its
+// reverse complement, read from read's end so that the complement is never
+// built. When the index holds the k-mer at one position, ok says whether
+// the oriented read lies on that diagonal with at most one mismatch, and
+// seg is that whole-read segment. once says the k-mer is held at most
+// once: no exact copy of the oriented read lies off that diagonal.
+func (m *Mapper) probeStrand(read genome.Seq, rev bool) (seg Segment, ok, once bool) {
+	idx, k := m.idx, m.idx.k
+	mask := uint64(1)<<(2*k) - 1
+	var code uint64
+	clean, p := 0, -1
+	for i := range read {
+		b := read[i]
+		if rev {
+			b = genome.Complement(read[len(read)-1-i])
+		}
+		if b > genome.BaseT {
+			clean = 0
+			continue
+		}
+		code = (code<<2 | uint64(b)) & mask
+		if clean++; clean == k {
+			p = i + 1 - k
+			break
+		}
+	}
+	if p < 0 {
+		return Segment{}, false, true
+	}
+	cps := idx.Lookup(code)
+	if len(cps) != 1 {
+		return Segment{}, false, cps == nil && idx.absent(code)
+	}
+	seg = Segment{ReadLen: len(read), ConsPos: int(cps[0]) - p, Rev: rev}
+	if rev {
+		seg.Edits, seg.Cost, ok = verifyReverse(read, idx.cons, seg.ConsPos)
+	} else {
+		seg.Edits, seg.Cost, ok = verifyDiagonal(read, idx.cons, seg.ConsPos)
+	}
+	return seg, ok, true
+}
+
+// mapSeeded maps a read by seeding both strands, clustering the hits and
+// aligning the best cluster whole and the best few as a chimeric split.
+func (m *Mapper) mapSeeded(sc *mapScratch, read genome.Seq, tier2 secondTier) Alignment {
 	if len(read) < m.idx.k {
 		return Alignment{}
 	}
@@ -189,15 +298,10 @@ func (m *Mapper) mapWith(sc *mapScratch, read genome.Seq, tier2 secondTier) Alig
 			candidates = append(candidates, Alignment{Mapped: true, Segments: segs})
 		}
 	}
-	const segmentPenalty = 16
 	bestCost := int(^uint(0) >> 1)
 	var best Alignment
 	for _, c := range candidates {
-		cost := segmentPenalty * (len(c.Segments) - 1)
-		for _, s := range c.Segments {
-			cost += s.Cost
-		}
-		if cost < bestCost {
+		if cost := alignmentCost(c.Segments); cost < bestCost {
 			bestCost, best = cost, c
 		}
 	}
@@ -205,6 +309,16 @@ func (m *Mapper) mapWith(sc *mapScratch, read genome.Seq, tier2 secondTier) Alig
 		return Alignment{}
 	}
 	return best
+}
+
+// alignmentCost is what mapSeeded minimizes over its candidates: the
+// segments' costs plus segmentPenalty for each segment after the first.
+func alignmentCost(segs []Segment) int {
+	cost := segmentPenalty * (len(segs) - 1)
+	for _, s := range segs {
+		cost += s.Cost
+	}
+	return cost
 }
 
 // compareClusters orders candidate clusters by seed count, most first.

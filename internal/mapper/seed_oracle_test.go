@@ -173,34 +173,7 @@ func FuzzSeedClusters(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2, 3, 0, 0, 1, 3, 2, 2, 1}, uint16(0), uint16(26), []byte{}, uint8(1), uint8(2), uint8(0), uint8(1), true)
 	f.Add([]byte{}, uint16(0), uint16(0), []byte{1}, uint8(27), uint8(1), uint8(1), uint8(2), false)
 	f.Fuzz(func(t *testing.T, raw []byte, at, length uint16, script []byte, k, step, seedStep, maxOcc uint8, rev bool) {
-		cons := make(genome.Seq, len(raw))
-		for i, b := range raw {
-			cons[i] = b % 5
-		}
-		start := min(int(at), len(cons))
-		end := min(start+int(length), len(cons))
-		read := cons[start:end].Clone()
-		// Each script byte names a read position and what happens there:
-		// a substitution, an insertion, a deletion or an N.
-		for _, e := range script {
-			if len(read) == 0 {
-				break
-			}
-			p := int(e>>2) % len(read)
-			switch e & 3 {
-			case 0:
-				read[p] = (read[p] + 1) % 4
-			case 1:
-				read = slices.Insert(read, p, e%4)
-			case 2:
-				read = slices.Delete(read, p, p+1)
-			case 3:
-				read[p] = genome.BaseN
-			}
-		}
-		if rev {
-			read = read.ReverseComplement()
-		}
+		cons, read := scriptedRead(raw, at, length, script, rev)
 		cfg := DefaultConfig()
 		cfg.index = indexConfig{k: 4 + int(k)%28, step: 1 + int(step)%5, maxOcc: 1 + int(maxOcc)%8}
 		cfg.seedStep = 1 + int(seedStep)%5
@@ -212,6 +185,41 @@ func FuzzSeedClusters(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// scriptedRead is a fuzz target's consensus and read: raw's bytes taken
+// mod 5 as base codes, and the read drawn from length bases at at,
+// mutated by an edit script and, for rev, reverse-complemented.
+func scriptedRead(raw []byte, at, length uint16, script []byte, rev bool) (cons, read genome.Seq) {
+	cons = make(genome.Seq, len(raw))
+	for i, b := range raw {
+		cons[i] = b % 5
+	}
+	start := min(int(at), len(cons))
+	end := min(start+int(length), len(cons))
+	read = cons[start:end].Clone()
+	// Each script byte names a read position and what happens there:
+	// a substitution, an insertion, a deletion or an N.
+	for _, e := range script {
+		if len(read) == 0 {
+			break
+		}
+		p := int(e>>2) % len(read)
+		switch e & 3 {
+		case 0:
+			read[p] = (read[p] + 1) % 4
+		case 1:
+			read = slices.Insert(read, p, e%4)
+		case 2:
+			read = slices.Delete(read, p, p+1)
+		case 3:
+			read[p] = genome.BaseN
+		}
+	}
+	if rev {
+		read = read.ReverseComplement()
+	}
+	return cons, read
 }
 
 // TestIndexBytesPerBase holds the seed table to its footprint on the
