@@ -16,7 +16,8 @@
 //
 // Compression needs a consensus: pass -ref, or use -denovo to assemble
 // one from the reads (§2.2: "a user-provided reference, or a de-duplicated
-// string derived from the reads").
+// string derived from the reads"). Every container embeds it, so the
+// read-side commands take no -ref.
 //
 // Exit codes: 0 on success, 1 on runtime failure, 2 on a usage error
 // (unknown command, bad flag, negative -threads, trailing arguments on
@@ -160,17 +161,17 @@ commands:
   recompress  [flags] archive.fq.gz [archive2.fq.gz ...]
               -ref ref.txt [-out reads.sage] [-paired] [-shard-reads 4096]
               [-threads N] [-reorder [-sort-mem MiB] [-tmpdir DIR]]
-  decompress  -in reads.sage -out reads.fastq [-ref ref.txt] [-threads N]
+  decompress  -in reads.sage -out reads.fastq [-threads N]
               [-original-order [-sort-mem MiB] [-tmpdir DIR]]
-  filter      -in reads.sage [-out match.fastq] [-ref ref.txt] [-threads N]
+  filter      -in reads.sage [-out match.fastq] [-threads N]
               [-min-avgphred F] [-max-ee F] [-min-len N] [-max-len N]
               [-min-gc F] [-max-gc F] [-kmer SEQ]
-  inspect     -in reads.sage [-ref ref.txt]
+  inspect     -in reads.sage
   verify      -a a.fastq -b b.fastq
   serve       -in reads.sage [-in more.sage | -in dir/] [-addr :8844]
-              [-ref ref.txt] [-cache-bytes N] [-threads N]
+              [-cache-bytes N] [-threads N]
               [-pprof-addr :8845] [-slow-ms N]
-  instorage   -in reads.sage [-ref ref.txt] [-channels 8]
+  instorage   -in reads.sage [-channels 8]
 
 compress emits a sharded, seekable container of -shard-reads reads per
 shard (> 0), whose shards are compressed and decompressed in parallel on
@@ -746,7 +747,6 @@ func cmdDecompress(args []string) error {
 	fs := flag.NewFlagSet("decompress", flag.ContinueOnError)
 	in := fs.String("in", "", "input container")
 	out := fs.String("out", "", "output FASTQ (default: stdout)")
-	refPath := fs.String("ref", "", "consensus file (only if not embedded)")
 	threads := fs.Int("threads", 0, "decompression workers for sharded containers (0 = all CPUs)")
 	origOrder := fs.Bool("original-order", false, "emit reads in the exact original input order (reordered v5 containers are put back out of core)")
 	sortMem := fs.Int("sort-mem", 256, "original-order restore memory budget in MiB before spilling to disk")
@@ -772,12 +772,6 @@ func cmdDecompress(args []string) error {
 	if _, err := io.ReadFull(inF, magic[:]); err != nil {
 		return fmt.Errorf("decompress: reading %s: %w", *in, err)
 	}
-	var cons genome.Seq
-	if *refPath != "" {
-		if cons, err = readRef(*refPath); err != nil {
-			return err
-		}
-	}
 	return writeOutput(*out, func(w io.Writer) error {
 		if !shard.IsContainer(magic[:]) {
 			// Single-block containers are one codec block: the decoder
@@ -785,12 +779,13 @@ func cmdDecompress(args []string) error {
 			// order, so -original-order is naturally satisfied). Reuse
 			// the open handle (the magic probe consumed its first 4
 			// bytes) rather than reading the file a second time. The
-			// block renders straight to FASTQ text, written at once.
+			// block renders straight to FASTQ text against the consensus
+			// it embeds, written at once.
 			data, err := io.ReadAll(io.MultiReader(bytes.NewReader(magic[:]), inF))
 			if err != nil {
 				return err
 			}
-			text, _, err := core.AppendFASTQ(nil, data, genome.AppendASCII(nil, cons))
+			text, _, err := core.AppendFASTQ(nil, data, nil)
 			if err != nil {
 				return err
 			}
@@ -815,10 +810,10 @@ func cmdDecompress(args []string) error {
 			// DecompressTo inside; reordered (v5) containers scatter
 			// each read back to its original index, holding at most
 			// -sort-mem and spilling one file to -tmpdir beyond it.
-			return c.DecompressOriginalTo(w, cons, *threads,
+			return c.DecompressOriginalTo(w, nil, *threads,
 				reorder.SortConfig{MemBudget: int64(*sortMem) << 20, TmpDir: *tmpDir})
 		}
-		return c.DecompressTo(w, cons, *threads)
+		return c.DecompressTo(w, nil, *threads)
 	})
 }
 
@@ -826,7 +821,6 @@ func cmdFilter(args []string) error {
 	fs := flag.NewFlagSet("filter", flag.ContinueOnError)
 	in := fs.String("in", "", "input sharded container")
 	out := fs.String("out", "", "output FASTQ of matching records (default: stdout)")
-	refPath := fs.String("ref", "", "consensus file (only if not embedded)")
 	minAvgPhred := fs.Float64("min-avgphred", 0, "keep reads with mean Phred >= this")
 	maxEE := fs.Float64("max-ee", 0, "keep reads with expected errors <= this")
 	minLen := fs.Int("min-len", 0, "keep reads at least this long")
@@ -876,13 +870,6 @@ func cmdFilter(args []string) error {
 		}
 		pred.Subseq = seq
 	}
-	var cons genome.Seq
-	var err error
-	if *refPath != "" {
-		if cons, err = readRef(*refPath); err != nil {
-			return err
-		}
-	}
 	c, inF, err := shard.OpenFile(*in)
 	if err != nil {
 		return err
@@ -890,7 +877,7 @@ func cmdFilter(args []string) error {
 	defer inF.Close()
 	var st *shard.FilterStats
 	err = writeOutput(*out, func(w io.Writer) (err error) {
-		st, err = c.Filter(w, cons, pred, *threads)
+		st, err = c.Filter(w, pred, *threads)
 		return err
 	})
 	if err != nil {
@@ -907,7 +894,6 @@ func cmdFilter(args []string) error {
 func cmdInspect(args []string) error {
 	fs := flag.NewFlagSet("inspect", flag.ContinueOnError)
 	in := fs.String("in", "", "input container")
-	refPath := fs.String("ref", "", "consensus file for ratio columns (only if not embedded)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -918,19 +904,10 @@ func cmdInspect(args []string) error {
 	if err != nil {
 		return err
 	}
-	var cons genome.Seq
-	if *refPath != "" {
-		if cons, err = readRef(*refPath); err != nil {
-			return err
-		}
-	}
 	var info string
 	if shard.IsContainer(data) {
-		info, err = shard.Inspect(data, cons)
+		info, err = shard.Inspect(data)
 	} else {
-		if cons != nil {
-			fmt.Fprintln(os.Stderr, "sage: note: -ref only affects sharded containers; single-block inspect has no ratio columns")
-		}
 		info, err = core.Inspect(data)
 	}
 	if err != nil {
@@ -1009,7 +986,6 @@ func cmdServe(args []string) error {
 	var ins repeatableFlag
 	fs.Var(&ins, "in", "sharded container to serve (repeatable; a directory serves every *.sage in it)")
 	addr := fs.String("addr", ":8844", "listen address")
-	refPath := fs.String("ref", "", "consensus file (only if not embedded in the containers)")
 	cacheBytes := fs.Int64("cache-bytes", serve.DefaultCacheBytes, "decoded-shard cache budget in bytes, shared across containers")
 	threads := fs.Int("threads", 0, "decode workers (0 = all CPUs)")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this extra address (empty = off)")
@@ -1065,17 +1041,11 @@ func cmdServe(args []string) error {
 		defer f.Close()
 		named = append(named, serve.Named{Name: containerName(path), C: c})
 	}
-	cfg := serve.Config{
+	s, err := serve.NewMulti(named, serve.Config{
 		CacheBytes:  *cacheBytes,
 		Workers:     *threads,
 		SlowRequest: time.Duration(*slowMs) * time.Millisecond,
-	}
-	if *refPath != "" {
-		if cfg.Consensus, err = readRef(*refPath); err != nil {
-			return err
-		}
-	}
-	s, err := serve.NewMulti(named, cfg)
+	})
 	if err != nil {
 		return err
 	}
@@ -1110,7 +1080,6 @@ func cmdServe(args []string) error {
 func cmdInstorage(args []string) error {
 	fs := flag.NewFlagSet("instorage", flag.ContinueOnError)
 	in := fs.String("in", "", "input sharded container")
-	refPath := fs.String("ref", "", "consensus file (only if not embedded)")
 	channels := fs.Int("channels", 0, "SSD channels = scan units (0 = default geometry)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -1135,12 +1104,6 @@ func cmdInstorage(args []string) error {
 		}
 		return fmt.Errorf("instorage: %s is not a SAGe container", *in)
 	}
-	var cons genome.Seq
-	if *refPath != "" {
-		if cons, err = readRef(*refPath); err != nil {
-			return err
-		}
-	}
 	cfg := ssd.DefaultConfig()
 	if *channels > 0 {
 		cfg.Geometry.Channels = *channels
@@ -1156,7 +1119,7 @@ func cmdInstorage(args []string) error {
 	}
 	fmt.Printf("SAGe_Write: %d bytes, %d shards placed shard-aligned across %d channels in %v (modeled)\n",
 		len(data), p.C.NumShards(), eng.Channels(), p.WriteTime.Round(time.Microsecond))
-	res, err := p.Scan(cons)
+	res, err := p.Scan()
 	if err != nil {
 		return err
 	}

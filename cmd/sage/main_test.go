@@ -241,9 +241,10 @@ func TestPGZ1InputRejected(t *testing.T) {
 }
 
 // TestFailedDecodeKeepsOutput: decompress and filter publish -out like
-// a container. When a shard fails its checksum mid-stream, the command
-// fails, a file already at -out keeps its bytes, and no temp file is
-// left.
+// a container. When a shard fails its checksum mid-stream, or the
+// container embeds no consensus to decode against, the command fails, a
+// file already at -out keeps its bytes, and no temp file is left. Being
+// read-side commands, they take no -ref.
 func TestFailedDecodeKeepsOutput(t *testing.T) {
 	dir := t.TempDir()
 	fx := newCLIFixture(t, dir)
@@ -282,18 +283,26 @@ func TestFailedDecodeKeepsOutput(t *testing.T) {
 		{"decompress", cmdDecompress},
 		{"filter", cmdFilter},
 	} {
-		if err := os.WriteFile(out, old, 0o644); err != nil {
-			t.Fatal(err)
+		for _, fail := range []struct{ in, want string }{
+			{bad, "checksum mismatch"},
+			{filepath.Join("..", "..", "internal", "shard", "testdata", "no_consensus_v4.sage"), "embeds no consensus"},
+		} {
+			if err := os.WriteFile(out, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			err := tc.run([]string{"-in", fail.in, "-out", out})
+			if err == nil || !strings.Contains(err.Error(), fail.want) {
+				t.Fatalf("%s of %s: err = %v, want %q", tc.name, fail.in, err, fail.want)
+			}
+			if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, old) {
+				t.Fatalf("%s of %s: the failed run changed the existing -out file", tc.name, fail.in)
+			}
+			if _, err := os.Stat(out + ".tmp"); !os.IsNotExist(err) {
+				t.Fatalf("%s of %s: %s.tmp left behind", tc.name, fail.in, out)
+			}
 		}
-		err := tc.run([]string{"-in", bad, "-out", out})
-		if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-			t.Fatalf("%s of a damaged container: err = %v, want a checksum mismatch", tc.name, err)
-		}
-		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, old) {
-			t.Fatalf("%s: the failed run changed the existing -out file", tc.name)
-		}
-		if _, err := os.Stat(out + ".tmp"); !os.IsNotExist(err) {
-			t.Fatalf("%s: %s.tmp left behind", tc.name, out)
+		if err := tc.run([]string{"-in", good, "-ref", fx.ref, "-out", out}); !isUsageError(err) {
+			t.Fatalf("%s -ref: err = %v, want a usage error", tc.name, err)
 		}
 		// The intact container publishes over the old file.
 		if err := tc.run([]string{"-in", good, "-out", out}); err != nil {

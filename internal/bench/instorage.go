@@ -83,7 +83,7 @@ func instorageScan(m *Measurement) (*instorage.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Scan(nil)
+	return p.Scan()
 }
 
 // InstorageExperiment builds the "instorage" table on the suite's RS2

@@ -131,7 +131,7 @@ func (s *Suite) QueryExperiment() (*Table, error) {
 	rng := rand.New(rand.NewSource(13))
 	channels := 0
 	for qi, pr := range queryPredicates(p.C, rng) {
-		fr, err := p.FilterScan(nil, pr.P)
+		fr, err := p.FilterScan(pr.P)
 		if err != nil {
 			return nil, err
 		}

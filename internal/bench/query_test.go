@@ -27,7 +27,7 @@ func TestQueryGate(t *testing.T) {
 
 	// The gate row: min-len=200 provably excludes every 150-base
 	// short-read shard by zone map alone.
-	fr, err := p.FilterScan(nil, queryGatePredicate())
+	fr, err := p.FilterScan(queryGatePredicate())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestQueryGate(t *testing.T) {
 	// and every row's plan partitions the container.
 	rng := rand.New(rand.NewSource(13))
 	for _, pr := range queryPredicates(p.C, rng) {
-		r, err := p.FilterScan(nil, pr.P)
+		r, err := p.FilterScan(pr.P)
 		if err != nil {
 			t.Fatalf("%s: %v", pr.Name, err)
 		}

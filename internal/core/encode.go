@@ -159,19 +159,20 @@ func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
 	// decide corner status, and gather tuning histograms.
 	plans := planReads(rs, m, opt)
 
-	// Reorder by matching position (§5.1.3); unmapped reads go last in
-	// stable input order.
-	slices.SortStableFunc(plans, func(a, b readPlan) int {
+	// Reorder by matching position (§5.1.3); unmapped reads go last.
+	// Ties keep input order: idx is the last key, so the order is total
+	// and an unstable sort gives the stable sort's result.
+	slices.SortFunc(plans, func(a, b readPlan) int {
 		if a.aln.Mapped != b.aln.Mapped {
 			if a.aln.Mapped {
 				return -1
 			}
 			return 1
 		}
-		if !a.aln.Mapped {
-			return 0
+		if a.aln.Mapped && a.sortKey != b.sortKey {
+			return cmp.Compare(a.sortKey, b.sortKey)
 		}
-		return cmp.Compare(a.sortKey, b.sortKey)
+		return cmp.Compare(a.idx, b.idx)
 	})
 
 	st := Stats{
@@ -199,7 +200,6 @@ func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
 			st.NumCorner++
 		}
 		hMatch.Add(uint64(pos - prevPos))
-		st.MatchDeltaHist.Add(uint64(pos - prevPos))
 		prevPos = pos
 		rl := len(rs.Records[p.idx].Seq)
 		if fixedLen == 0 {
@@ -213,7 +213,6 @@ func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
 			if s == 0 && p.corner {
 				count++
 				hMisPos.Add(0) // synthetic position-0 mismatch
-				st.MismatchDeltaHist.Add(0)
 			}
 			hCount.Add(uint64(count))
 			bumpCapped(st.MismatchCountDist, count)
@@ -221,7 +220,6 @@ func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
 			for _, e := range seg.Edits {
 				d := e.ReadPos - prev
 				hMisPos.Add(uint64(d))
-				st.MismatchDeltaHist.Add(uint64(d))
 				prev = e.ReadPos
 				if e.Type != genome.Substitution {
 					bumpCapped(st.IndelBlockLenDist, e.Len())
@@ -235,10 +233,11 @@ func Compress(rs *fastq.ReadSet, opt Options) (*Encoded, error) {
 			// Unmapped reads contribute a synthetic corner record.
 			hCount.Add(1)
 			hMisPos.Add(0)
-			st.MismatchDeltaHist.Add(0)
 			bumpCapped(st.MismatchCountDist, 0)
 		}
 	}
+
+	st.MatchDeltaHist, st.MismatchDeltaHist = hMatch, hMisPos
 
 	var tables [numTables]*AssociationTable
 	for i, h := range []*Histogram{&hMatch, &hMisPos, &hCount, &hReadLen, &hIndel} {

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"sage/internal/fastq"
-	"sage/internal/genome"
 	"sage/internal/hw"
 	"sage/internal/obs"
 	"sage/internal/pipeline"
@@ -182,9 +181,8 @@ func (r *Result) DecodeBound() []int {
 }
 
 // Scan streams every shard through its channel's scan unit (scanShard)
-// and schedules the per-shard service times. cons is the fallback
-// consensus for containers without an embedded one.
-func (p *Placed) Scan(cons genome.Seq) (*Result, error) {
+// and schedules the per-shard service times.
+func (p *Placed) Scan() (*Result, error) {
 	n := p.C.NumShards()
 	res := &Result{
 		Name:     p.Name,
@@ -196,12 +194,11 @@ func (p *Placed) Scan(cons genome.Seq) (*Result, error) {
 	comp := make([]int64, n)
 	uncomp := make([]int64, n)
 	tr := obs.NewTrace(p.Name)
-	letters := genome.AppendASCII(nil, cons)
 	var text []byte
 	for i := 0; i < n; i++ {
 		var st ShardTiming
 		var err error
-		text, st, err = p.scanShard(tr, i, letters, text[:0])
+		text, st, err = p.scanShard(tr, i, text[:0])
 		if err != nil {
 			return nil, err
 		}
@@ -249,9 +246,8 @@ func (p *Placed) Scan(cons genome.Seq) (*Result, error) {
 // Construction logic the hardware computes and count-checked — all by
 // shard.AppendBlockFASTQ, the container's own read path, appending to
 // dst — and timed with the per-shard service law. Measured wall-clock
-// goes to tr as one "flash-read" and one "scan-decode" span. letters is
-// the fallback consensus as text.
-func (p *Placed) scanShard(tr *obs.Trace, i int, letters, dst []byte) ([]byte, ShardTiming, error) {
+// goes to tr as one "flash-read" and one "scan-decode" span.
+func (p *Placed) scanShard(tr *obs.Trace, i int, dst []byte) ([]byte, ShardTiming, error) {
 	fsp := tr.StartSpan("flash-read")
 	blk, flashTime, err := p.eng.Dev.ReadShard(p.Name, i)
 	if err != nil {
@@ -259,7 +255,7 @@ func (p *Placed) scanShard(tr *obs.Trace, i int, letters, dst []byte) ([]byte, S
 	}
 	fsp.End()
 	dsp := tr.StartSpan("scan-decode")
-	text, err := p.C.AppendBlockFASTQ(dst, i, blk, letters)
+	text, err := p.C.AppendBlockFASTQ(dst, i, blk)
 	if err != nil {
 		return dst, ShardTiming{}, fmt.Errorf("instorage: shard %d read from flash: %w", i, err)
 	}

@@ -3,6 +3,8 @@ package instorage
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +18,7 @@ import (
 
 // testContainer compresses a deterministic read set into a sharded
 // container with the given worker count.
-func testContainer(t testing.TB, nReads, shardReads, workers int) ([]byte, *fastq.ReadSet, genome.Seq) {
+func testContainer(t testing.TB, nReads, shardReads, workers int) ([]byte, *fastq.ReadSet) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	ref := genome.Random(rng, 20_000)
@@ -32,7 +34,7 @@ func testContainer(t testing.TB, nReads, shardReads, workers int) ([]byte, *fast
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, rs, ref
+	return data, rs
 }
 
 func testDevice(t testing.TB) *ssd.SSD {
@@ -52,7 +54,7 @@ func testDevice(t testing.TB) *ssd.SSD {
 // criterion: the ssd's shard-granular reads return byte-identical
 // payloads to shard.Container reads of the same container.
 func TestShardReadsMatchContainerBlocks(t *testing.T) {
-	data, _, _ := testContainer(t, 400, 64, 0) // 7 shards
+	data, _ := testContainer(t, 400, 64, 0) // 7 shards
 	c, err := shard.Parse(data)
 	if err != nil {
 		t.Fatal(err)
@@ -84,13 +86,13 @@ func TestShardReadsMatchContainerBlocks(t *testing.T) {
 // TestScanDecodesAndTimes exercises the whole engine: place, scan,
 // verify the functional decode totals and the timing laws.
 func TestScanDecodesAndTimes(t *testing.T) {
-	data, rs, ref := testContainer(t, 400, 64, 0)
+	data, rs := testContainer(t, 400, 64, 0)
 	eng := New(testDevice(t))
 	p, err := eng.Place("rs.sage", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Scan(ref)
+	res, err := p.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +142,13 @@ func TestScanDecodesAndTimes(t *testing.T) {
 // TestScanIsNANDBound pins §8.2 on the default hardware sizing: the
 // scan unit's decode is never the critical path; flash reads are.
 func TestScanIsNANDBound(t *testing.T) {
-	data, _, ref := testContainer(t, 400, 64, 0)
+	data, _ := testContainer(t, 400, 64, 0)
 	eng := New(testDevice(t))
 	p, err := eng.Place("rs.sage", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Scan(ref)
+	res, err := p.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +164,8 @@ func TestScanIsNANDBound(t *testing.T) {
 // container bytes and geometry produce the identical channel/page
 // assignment across runs and across compression worker counts.
 func TestPlacementDeterminism(t *testing.T) {
-	data1, _, _ := testContainer(t, 300, 50, 1)
-	data4, _, _ := testContainer(t, 300, 50, 4)
+	data1, _ := testContainer(t, 300, 50, 1)
+	data4, _ := testContainer(t, 300, 50, 4)
 	if !bytes.Equal(data1, data4) {
 		t.Fatal("container bytes differ across worker counts (shard invariant broken)")
 	}
@@ -214,7 +216,7 @@ func TestPlaceRejectsBadInput(t *testing.T) {
 // TestScanSurfacesFlashCorruption proves the scan checks what it read:
 // a payload damaged on the device fails the scan.
 func TestScanSurfacesFlashCorruption(t *testing.T) {
-	data, _, ref := testContainer(t, 300, 64, 0)
+	data, _ := testContainer(t, 300, 64, 0)
 	dev := testDevice(t)
 	eng := New(dev)
 	p, err := eng.Place("rs.sage", data)
@@ -236,15 +238,35 @@ func TestScanSurfacesFlashCorruption(t *testing.T) {
 	if _, _, err := dev.WriteShards("rs.sage", bad, exts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Scan(ref); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+	if _, err := p.Scan(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("scan must surface a checksum mismatch on damaged flash payloads, got %v", err)
+	}
+}
+
+// TestScanNeedsEmbeddedConsensus: a container whose header embeds no
+// consensus places, but its scan and its filter scan fail with the
+// container's one error for that instead of decoding against nothing.
+func TestScanNeedsEmbeddedConsensus(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "shard", "testdata", "no_consensus_v4.sage"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(testDevice(t)).Place("bare.sage", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Scan(); err == nil || !strings.Contains(err.Error(), "embeds no consensus") {
+		t.Fatalf("Scan: %v", err)
+	}
+	if _, err := p.FilterScan(&shard.Predicate{}); err == nil || !strings.Contains(err.Error(), "embeds no consensus") {
+		t.Fatalf("FilterScan: %v", err)
 	}
 }
 
 // BenchmarkPlaceScan is the wall-clock anchor for the CI benchmark
 // smoke: one full place + scan of a multi-shard container.
 func BenchmarkPlaceScan(b *testing.B) {
-	data, _, ref := testContainer(b, 400, 64, 0)
+	data, _ := testContainer(b, 400, 64, 0)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -253,7 +275,7 @@ func BenchmarkPlaceScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.Scan(ref); err != nil {
+		if _, err := p.Scan(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -263,13 +285,13 @@ func BenchmarkPlaceScan(b *testing.B) {
 // records one span per shard for each stage (flash-read, scan-decode),
 // and StageTable renders them.
 func TestScanStageAttribution(t *testing.T) {
-	data, _, ref := testContainer(t, 300, 50, 0) // 6 shards
+	data, _ := testContainer(t, 300, 50, 0) // 6 shards
 	eng := New(testDevice(t))
 	p, err := eng.Place("rs.sage", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Scan(ref)
+	res, err := p.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}

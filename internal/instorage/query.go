@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"sage/internal/genome"
 	"sage/internal/hw"
 	"sage/internal/obs"
 	"sage/internal/shard"
@@ -52,14 +51,13 @@ type FilterResult struct {
 // (zero flash I/O — the device page-read counter does not move for
 // them), and only the surviving shards are streamed from their home
 // channels, decoded by their scan units, and filtered record by
-// record. cons is the fallback consensus for containers without an
-// embedded one.
+// record.
 //
 // The host baseline is computed from the placement table and the shard
 // index alone — per-shard flash-read and decode times are functions of
 // page counts and compressed lengths, both known without touching the
 // device — so comparing it costs no extra I/O.
-func (p *Placed) FilterScan(cons genome.Seq, pred *shard.Predicate) (*FilterResult, error) {
+func (p *Placed) FilterScan(pred *shard.Predicate) (*FilterResult, error) {
 	if pred == nil {
 		pred = &shard.Predicate{}
 	}
@@ -75,12 +73,11 @@ func (p *Placed) FilterScan(cons genome.Seq, pred *shard.Predicate) (*FilterResu
 		PerShard:      make([]ShardTiming, 0, len(scan)),
 	}
 	tr := obs.NewTrace(p.Name)
-	letters := genome.AppendASCII(nil, cons)
 	var text []byte
 	for _, i := range scan {
 		var st ShardTiming
 		var err error
-		text, st, err = p.scanShard(tr, i, letters, text[:0])
+		text, st, err = p.scanShard(tr, i, text[:0])
 		if err != nil {
 			return nil, err
 		}

@@ -15,7 +15,7 @@ import (
 // predicate streams only the surviving shards and still counts exactly
 // the records a full scan matches.
 func TestFilterScanPrunesWithZeroIO(t *testing.T) {
-	data, rs, _ := testContainer(t, 400, 64, 0) // 7 shards
+	data, rs := testContainer(t, 400, 64, 0) // 7 shards
 	dev := testDevice(t)
 	eng := New(dev)
 	p, err := eng.Place("rs.sage", data)
@@ -26,7 +26,7 @@ func TestFilterScanPrunesWithZeroIO(t *testing.T) {
 
 	// Impossible predicate: short reads, min-len far beyond any record.
 	impossible := &shard.Predicate{MinLen: 10_000}
-	fr, err := p.FilterScan(nil, impossible)
+	fr, err := p.FilterScan(impossible)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFilterScanPrunesWithZeroIO(t *testing.T) {
 	if wantMatched == 0 {
 		t.Fatal("probe matches nothing; pick a different record")
 	}
-	fr, err = p.FilterScan(nil, pred)
+	fr, err = p.FilterScan(pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFilterScanPrunesWithZeroIO(t *testing.T) {
 
 	// An inactive predicate scans everything and matches everything —
 	// its makespan is the host baseline by construction.
-	all, err := p.FilterScan(nil, &shard.Predicate{})
+	all, err := p.FilterScan(&shard.Predicate{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +94,12 @@ func TestFilterScanPrunesWithZeroIO(t *testing.T) {
 // TestFilterScanStageAttribution: stage spans cover exactly the
 // surviving shards — pruned shards never enter any stage.
 func TestFilterScanStageAttribution(t *testing.T) {
-	data, _, _ := testContainer(t, 400, 64, 0)
+	data, _ := testContainer(t, 400, 64, 0)
 	p, err := New(testDevice(t)).Place("rs.sage", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := p.FilterScan(nil, &shard.Predicate{MinLen: 1})
+	fr, err := p.FilterScan(&shard.Predicate{MinLen: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func TestPlaceScanReorderedContainer(t *testing.T) {
 		}
 	}
 
-	res, err := p.Scan(nil)
+	res, err := p.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -621,7 +621,7 @@ func (m *Mapper) alignChimeric(sc *mapScratch, read, rc genome.Seq, clusters []c
 		lo, hi := toFwd(c)
 		overlaps := false
 		for _, e := range chosen {
-			ovl := minInt(hi, e.hi) - maxInt(lo, e.lo)
+			ovl := min(hi, e.hi) - max(lo, e.lo)
 			if ovl > (hi-lo)/4 {
 				overlaps = true
 				break
@@ -701,18 +701,4 @@ func AppendReconstructRead(dst, cons genome.Seq, a Alignment) (genome.Seq, error
 		}
 	}
 	return out, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

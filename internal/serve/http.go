@@ -5,22 +5,11 @@ package serve
 
 import (
 	"fmt"
-	"hash/crc32"
 	"strconv"
 	"strings"
 
-	"sage/internal/genome"
 	"sage/internal/shard"
 )
-
-// consensusTag fingerprints a fallback consensus for ETag mixing; 0
-// when there is none.
-func consensusTag(cons genome.Seq) uint32 {
-	if cons == nil {
-		return 0
-	}
-	return crc32.ChecksumIEEE(cons)
-}
 
 // blockETag is the raw-block entity tag: the shard's index crc32. The
 // index is immutable for a given container, so the tag is stable across
@@ -32,28 +21,18 @@ func blockETag(e shard.Entry) string {
 
 // readsETag tags the decoded-FASTQ representation of the same shard.
 // RFC 9110 requires different representations of a resource to carry
-// different tags, so the decoded form gets a distinct suffix. The
-// decoded bytes of a container WITHOUT an embedded consensus also
-// depend on the server's fallback consensus (Config.Consensus), so its
-// fingerprint is mixed in — a restart with a different -ref must not
-// answer 304 for FASTQ that now decodes differently. With the same
-// fallback (or an embedded consensus), the tag stays restart-stable.
-func (s *Server) readsETag(e *Named, ent shard.Entry) string {
-	if e.C.Consensus == nil && s.consTag != 0 {
-		return fmt.Sprintf("%q", fmt.Sprintf("%08x-fq-%08x", ent.Checksum, s.consTag))
-	}
-	return fmt.Sprintf("%q", fmt.Sprintf("%08x-fq", ent.Checksum))
+// different tags, so the decoded form gets a distinct suffix. Its bytes
+// follow from the block and the embedded consensus alone, so the tag is
+// as restart-stable as the block's.
+func readsETag(e shard.Entry) string {
+	return fmt.Sprintf("%q", fmt.Sprintf("%08x-fq", e.Checksum))
 }
 
 // readsOriginalETag tags the original-order representation of a
 // reordered shard's decoded FASTQ (?order=original): a third
-// representation of the resource, so a third distinct suffix, with the
-// same fallback-consensus fingerprint rules as readsETag.
-func (s *Server) readsOriginalETag(e *Named, ent shard.Entry) string {
-	if e.C.Consensus == nil && s.consTag != 0 {
-		return fmt.Sprintf("%q", fmt.Sprintf("%08x-fqoo-%08x", ent.Checksum, s.consTag))
-	}
-	return fmt.Sprintf("%q", fmt.Sprintf("%08x-fqoo", ent.Checksum))
+// representation of the resource, so a third distinct suffix.
+func readsOriginalETag(e shard.Entry) string {
+	return fmt.Sprintf("%q", fmt.Sprintf("%08x-fqoo", e.Checksum))
 }
 
 // etagMatch evaluates an If-None-Match header value against the current

@@ -9,7 +9,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -190,10 +193,12 @@ func TestETagStableAcrossRestarts(t *testing.T) {
 }
 
 // TestReadsETagTracksFallbackConsensus pins that the decoded-FASTQ
-// ETag of a container WITHOUT an embedded consensus depends on the
-// server's fallback consensus: restarting with a different -ref must
-// not answer 304 for FASTQ that now decodes differently, while the
-// same -ref keeps the tag stable.
+// ETag tracks the one consensus a shard decodes against, the one its
+// container embeds, through the block's checksum alone: the same reads
+// written against another reference get other blocks, and so other
+// tags, and a container keeps its tag across a restart. A container
+// whose header embeds no consensus has no decoded form, and NewMulti
+// refuses it.
 func TestReadsETagTracksFallbackConsensus(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	refA := genome.Random(rng, 20_000)
@@ -202,44 +207,40 @@ func TestReadsETagTracksFallbackConsensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := shard.DefaultOptions(refA)
-	opt.ShardReads = 50
-	opt.Core.EmbedConsensus = false
-	data, _, err := shard.Compress(rs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	refB := genome.Random(rng, 20_000)
-
-	tag := func(cons genome.Seq) string {
-		_, ts := newTestServer(t, data, Config{Consensus: cons})
+	tag := func(ref genome.Seq) string {
+		opt := shard.DefaultOptions(ref)
+		opt.ShardReads = 50
+		data, _, err := shard.Compress(rs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ts := newTestServer(t, data, Config{})
 		resp := do(t, ts.URL+"/c/default/shard/0/reads", nil)
 		etag := resp.Header.Get("ETag")
-		if etag == "" {
-			t.Fatal("missing ETag")
+		if resp.StatusCode != http.StatusOK || etag == "" {
+			t.Fatalf("status %d, ETag %q", resp.StatusCode, etag)
 		}
 		return etag
 	}
 	sameRef, sameRefAgain, otherRef := tag(refA), tag(refA), tag(refB)
 	if sameRef != sameRefAgain {
-		t.Fatalf("same fallback consensus changed the tag: %q vs %q", sameRef, sameRefAgain)
+		t.Fatalf("the same container changed its tag: %q vs %q", sameRef, sameRefAgain)
 	}
 	if sameRef == otherRef {
-		t.Fatalf("different fallback consensus kept tag %q — a client would 304 onto wrong FASTQ", sameRef)
+		t.Fatalf("a container written against another reference kept tag %q", sameRef)
 	}
 
-	// An embedded consensus makes the tag independent of the fallback.
-	opt.Core.EmbedConsensus = true
-	embedded, _, err := shard.Compress(rs, opt)
+	data, err := os.ReadFile(filepath.Join("..", "shard", "testdata", "no_consensus_v4.sage"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	etag := func(data []byte, cfg Config) string {
-		_, ts := newTestServer(t, data, cfg)
-		return do(t, ts.URL+"/c/default/shard/0/reads", nil).Header.Get("ETag")
+	c, err := shard.Open(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a, b := etag(embedded, Config{}), etag(embedded, Config{Consensus: refB}); a != b {
-		t.Fatalf("embedded-consensus tag varies with the fallback: %q vs %q", a, b)
+	if _, err := newServer(c, Config{}); err == nil || !strings.Contains(err.Error(), "embeds no consensus") {
+		t.Fatalf("NewMulti over a container without a consensus: %v", err)
 	}
 }
 

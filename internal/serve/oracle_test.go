@@ -23,18 +23,17 @@ import (
 	"sage/internal/ssd"
 )
 
-// oracleCase is one container of the record-reader differential, with
-// the fallback consensus it decodes against (nil when it embeds one).
+// oracleCase is one container of the record-reader differential.
 type oracleCase struct {
 	name string
 	data []byte
-	cons genome.Seq
 }
 
 // oracleCases: every committed golden container (format v1 to v5, the
 // first three without zone maps), and containers written with and
-// without quality, without headers, clump-reordered, and against an
-// external consensus, over short reads with N bases in them.
+// without quality, without headers, clump-reordered, and with options
+// that ask not to embed the consensus (the writer embeds it all the
+// same), over short reads with N bases in them.
 func oracleCases(t *testing.T) []oracleCase {
 	t.Helper()
 	var cases []oracleCase
@@ -64,7 +63,7 @@ func oracleCases(t *testing.T) []oracleCase {
 		{"no-quality", func(o *shard.Options) { o.Core.IncludeQuality = false }, false},
 		{"no-header", func(o *shard.Options) { o.Core.IncludeHeaders = false }, false},
 		{"reordered", nil, true},
-		{"external-consensus", func(o *shard.Options) { o.Core.EmbedConsensus = false }, false},
+		{"embed-off", func(o *shard.Options) { o.Core.EmbedConsensus = false }, false},
 	} {
 		opt := shard.DefaultOptions(ref)
 		opt.ShardReads = 40
@@ -84,11 +83,7 @@ func oracleCases(t *testing.T) []oracleCase {
 		if _, err := shard.CompressPipeline(src, &buf, opt); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		oc := oracleCase{name: tc.name, data: buf.Bytes()}
-		if !opt.Core.EmbedConsensus {
-			oc.cons = ref
-		}
-		cases = append(cases, oc)
+		cases = append(cases, oracleCase{name: tc.name, data: buf.Bytes()})
 	}
 	return cases
 }
@@ -169,11 +164,11 @@ func queryURL(base, name string, p *shard.Predicate, count bool) string {
 
 // decodeRecords is the record oracle: every shard of c decoded to
 // records with DecompressShard, in shard order.
-func decodeRecords(t *testing.T, c *shard.Container, cons genome.Seq) *fastq.ReadSet {
+func decodeRecords(t *testing.T, c *shard.Container) *fastq.ReadSet {
 	t.Helper()
 	all := &fastq.ReadSet{}
 	for i := range c.NumShards() {
-		rs, err := c.DecompressShard(i, cons)
+		rs, err := c.DecompressShard(i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,15 +193,7 @@ func TestRecordReadersMatchOracle(t *testing.T) {
 			}
 			named[k] = Named{Name: fmt.Sprintf("c%d", k), C: c}
 		}
-		// One fallback consensus serves the one external-consensus case;
-		// every other fixture embeds its own, which wins.
-		var fallback genome.Seq
-		for _, oc := range cases {
-			if oc.cons != nil {
-				fallback = oc.cons
-			}
-		}
-		s, err := NewMulti(named, Config{Workers: workers, Consensus: fallback})
+		s, err := NewMulti(named, Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +201,7 @@ func TestRecordReadersMatchOracle(t *testing.T) {
 		defer ts.Close()
 		for k, oc := range cases {
 			c := named[k].C
-			all := decodeRecords(t, c, oc.cons)
+			all := decodeRecords(t, c)
 			cfg := ssd.DefaultConfig()
 			cfg.Geometry.BlocksPerPlane = 8
 			cfg.Geometry.PagesPerBlock = 16
@@ -238,7 +225,7 @@ func TestRecordReadersMatchOracle(t *testing.T) {
 				wantBody := want.Bytes()
 
 				var got bytes.Buffer
-				st, err := c.Filter(&got, oc.cons, &p, workers)
+				st, err := c.Filter(&got, &p, workers)
 				if err != nil {
 					t.Fatalf("%s: Filter: %v", name, err)
 				}
@@ -261,7 +248,7 @@ func TestRecordReadersMatchOracle(t *testing.T) {
 						name, sum.ReadsMatched, sum.ReadsScanned, len(want.Records), st.ReadsScanned)
 				}
 
-				fr, err := placed.FilterScan(oc.cons, &p)
+				fr, err := placed.FilterScan(&p)
 				if err != nil {
 					t.Fatalf("%s: FilterScan: %v", name, err)
 				}

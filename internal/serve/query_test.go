@@ -27,7 +27,7 @@ func TestQueryEndpoint(t *testing.T) {
 	if !c.HasZoneMaps() {
 		t.Fatal("test container carries no zone maps")
 	}
-	dec := decodeRecords(t, c, nil)
+	dec := decodeRecords(t, c)
 
 	// Impossible predicate: reads are short, min-len=999 prunes every
 	// shard from the index alone — nothing is read or decoded.

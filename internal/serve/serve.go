@@ -78,7 +78,6 @@ import (
 	"time"
 
 	"sage/internal/fastq"
-	"sage/internal/genome"
 	"sage/internal/obs"
 	"sage/internal/shard"
 )
@@ -95,9 +94,6 @@ type Config struct {
 	// Workers bounds concurrent shard decodes across all containers
 	// (<= 0 uses GOMAXPROCS).
 	Workers int
-	// Consensus is the fallback consensus for containers written
-	// without an embedded one; ignored otherwise.
-	Consensus genome.Seq
 	// SlowRequest, when > 0, emits one structured log line (and counts
 	// sage_slow_requests_total) for every request that takes at least
 	// this long; 0 disables the slow log.
@@ -117,25 +113,23 @@ type Named struct {
 // Server serves a registry of sharded containers. It implements
 // http.Handler.
 type Server struct {
-	cfg     Config
-	letters []byte   // the fallback consensus as text, what AppendFASTQ takes
-	consTag uint32   // fallback-consensus fingerprint for decoded ETags
-	names   []string // registration order
-	byName  map[string]*Named
-	cache   *shardCache
-	fl      flightGroup
-	sem     chan struct{}
-	reg     *obs.Registry
-	met     metrics
-	slowMu  sync.Mutex
-	mux     *http.ServeMux
+	cfg    Config
+	names  []string // registration order
+	byName map[string]*Named
+	cache  *shardCache
+	fl     flightGroup
+	sem    chan struct{}
+	reg    *obs.Registry
+	met    metrics
+	slowMu sync.Mutex
+	mux    *http.ServeMux
 }
 
 // NewMulti builds a Server hosting every given container, routed by
 // name under /c/{name}/.... All containers share one cache budget and
 // one decode pool. It fails fast on an empty registry, an
 // invalid or duplicate name, or a container that cannot be decoded at
-// all (no embedded consensus and no fallback in cfg).
+// all (its header embeds no consensus).
 func NewMulti(containers []Named, cfg Config) (*Server, error) {
 	if len(containers) == 0 {
 		return nil, fmt.Errorf("serve: at least one container is required")
@@ -147,13 +141,11 @@ func NewMulti(containers []Named, cfg Config) (*Server, error) {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	s := &Server{
-		cfg:     cfg,
-		letters: genome.AppendASCII(nil, cfg.Consensus),
-		consTag: consensusTag(cfg.Consensus),
-		byName:  make(map[string]*Named, len(containers)),
-		cache:   newShardCache(cfg.CacheBytes),
-		sem:     make(chan struct{}, cfg.Workers),
-		mux:     http.NewServeMux(),
+		cfg:    cfg,
+		byName: make(map[string]*Named, len(containers)),
+		cache:  newShardCache(cfg.CacheBytes),
+		sem:    make(chan struct{}, cfg.Workers),
+		mux:    http.NewServeMux(),
 	}
 	for _, nc := range containers {
 		// "." and ".." are rejected too: ServeMux path-cleaning folds
@@ -165,8 +157,8 @@ func NewMulti(containers []Named, cfg Config) (*Server, error) {
 		if _, dup := s.byName[nc.Name]; dup {
 			return nil, fmt.Errorf("serve: duplicate container name %q", nc.Name)
 		}
-		if nc.C.Consensus == nil && cfg.Consensus == nil {
-			return nil, fmt.Errorf("serve: container %q has no embedded consensus; Config.Consensus is required", nc.Name)
+		if nc.C.Consensus == nil {
+			return nil, fmt.Errorf("serve: container %q embeds no consensus", nc.Name)
 		}
 		s.byName[nc.Name] = &nc
 		s.names = append(s.names, nc.Name)
@@ -516,7 +508,7 @@ func (s *Server) handleReads(w http.ResponseWriter, r *http.Request, e *Named) {
 		return
 	}
 	ent := e.C.Index.Entries[i]
-	tag := s.readsETag(e, ent)
+	tag := readsETag(ent)
 	h := w.Header()
 	h.Set("ETag", tag)
 	h.Set("X-Sage-Shard-Reads", strconv.Itoa(ent.ReadCount))
@@ -548,7 +540,7 @@ func (s *Server) handleReads(w http.ResponseWriter, r *http.Request, e *Named) {
 // for distinct representations of one resource.
 func (s *Server) handleReadsOriginal(w http.ResponseWriter, r *http.Request, e *Named, i int) {
 	ent := e.C.Index.Entries[i]
-	tag := s.readsOriginalETag(e, ent)
+	tag := readsOriginalETag(ent)
 	h := w.Header()
 	h.Set("ETag", tag)
 	h.Set("X-Sage-Shard-Reads", strconv.Itoa(ent.ReadCount))
@@ -684,7 +676,7 @@ func (s *Server) decodedShard(ctx context.Context, e *Named, i int) (*decoded, e
 		}
 		var data []byte
 		if err := s.poolDecode(ctx, func() (err error) {
-			data, err = e.C.AppendFASTQ(nil, i, s.letters)
+			data, err = e.C.AppendFASTQ(nil, i)
 			return err
 		}); err != nil {
 			return nil, err

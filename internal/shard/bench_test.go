@@ -56,7 +56,7 @@ func BenchmarkDecompress(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Decompress(data, nil, workers); err != nil {
+				if _, err := Decompress(data, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -150,7 +150,7 @@ func BenchmarkDecompressLong(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(data, nil, 1); err != nil {
+		if _, err := Decompress(data, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

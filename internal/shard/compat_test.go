@@ -61,7 +61,7 @@ func TestLegacyContainersDecode(t *testing.T) {
 			if c.NumShards() != 3 || c.Index.TotalReads != 12 {
 				t.Fatalf("index = %+v", c.Index)
 			}
-			rs, err := Decompress(data, nil, 2)
+			rs, err := Decompress(data, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestLegacyContainersDecode(t *testing.T) {
 
 			// Legacy containers re-render under Inspect with their own
 			// version number and no source column.
-			info, err := Inspect(data, nil)
+			info, err := Inspect(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +199,7 @@ func TestGoldenV5Decodes(t *testing.T) {
 	}
 
 	// The stored order is exactly the permutation the header claims.
-	permuted, err := Decompress(data, nil, 2)
+	permuted, err := Decompress(data, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestGoldenV5Decodes(t *testing.T) {
 	}
 
 	// Inspect names the reorder mode and the recovery path.
-	info, err := Inspect(data, nil)
+	info, err := Inspect(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestZoneMapCompat(t *testing.T) {
 				tc.file, len(scan), pruned, tc.pruned)
 		}
 		var out bytes.Buffer
-		st, err := c.Filter(&out, nil, pred, 2)
+		st, err := c.Filter(&out, pred, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

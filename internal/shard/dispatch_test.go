@@ -76,21 +76,21 @@ func TestDispatchHandleBounds(t *testing.T) {
 		if _, err := c.Block(i); err == nil {
 			t.Fatalf("Block(%d) must error", i)
 		}
-		if _, err := c.AppendBlockFASTQ(nil, i, nil, nil); err == nil {
+		if _, err := c.AppendBlockFASTQ(nil, i, nil); err == nil {
 			t.Fatalf("AppendBlockFASTQ(%d) must error", i)
 		}
 	}
 	// AppendBlockFASTQ verifies foreign bytes against the index before
 	// decoding: a neighbor's block is rejected, the right one renders
 	// what the container's own fetch renders.
-	if _, err := c.AppendBlockFASTQ(nil, 0, mustBlock(t, c, 1), nil); err == nil {
+	if _, err := c.AppendBlockFASTQ(nil, 0, mustBlock(t, c, 1)); err == nil {
 		t.Fatal("AppendBlockFASTQ must reject bytes that fail shard 0's checksum")
 	}
-	got, err := c.AppendBlockFASTQ(nil, 0, mustBlock(t, c, 0), nil)
+	got, err := c.AppendBlockFASTQ(nil, 0, mustBlock(t, c, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.AppendFASTQ(nil, 0, nil)
+	want, err := c.AppendFASTQ(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

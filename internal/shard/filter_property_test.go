@@ -97,7 +97,7 @@ func checkFilterAgainstBruteForce(t *testing.T, c *Container, rng *rand.Rand) {
 		p := p
 		want, wantN := bruteFilter(rs, &p)
 		var got bytes.Buffer
-		st, err := c.Filter(&got, nil, &p, 3)
+		st, err := c.Filter(&got, &p, 3)
 		if err != nil {
 			t.Fatalf("predicate %q: %v", p.String(), err)
 		}

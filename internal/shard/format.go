@@ -192,8 +192,9 @@ type Container struct {
 	// with (1..FormatVersion); versions below 3 carry no source
 	// manifest.
 	Version int
-	// Consensus is the embedded shared consensus, nil if the container
-	// was written without one.
+	// Consensus is the embedded shared consensus every block decodes
+	// against. Every writer embeds it; a header without one still
+	// opens, but every decode of its blocks fails.
 	Consensus genome.Seq
 	// src is the container's backing source: Block reads it at
 	// blockBase+Offset on demand. blockBase is the header length — the
@@ -697,11 +698,11 @@ func (c *Container) verify(i int, b []byte) error {
 // row. Containers with a source manifest additionally get a per-shard
 // source column and per-file totals. Computing a shard's ratio requires
 // its uncompressed size, so Inspect renders the shards (on the one
-// decode pool, all CPUs — the same work `sage decompress` does); cons is the
-// fallback consensus for containers written without an embedded one.
-// Shards that cannot be decoded — corrupt, or no consensus available —
-// show "-" and are flagged instead of failing the whole summary.
-func Inspect(data []byte, cons genome.Seq) (string, error) {
+// decode pool, all CPUs — the same work `sage decompress` does).
+// Shards that cannot be decoded — corrupt, or in a container that
+// embeds no consensus — show "-" and are flagged instead of failing the
+// whole summary.
+func Inspect(data []byte) (string, error) {
 	c, err := Parse(data)
 	if err != nil {
 		return "", err
@@ -714,12 +715,11 @@ func Inspect(data []byte, cons genome.Seq) (string, error) {
 		err  error
 	}
 	sizes := make([]rendered, 0, c.NumShards())
-	letters := c.fallbackLetters(cons)
 	_ = stream(c.allShards(), 0, func(i int) (rendered, error) { // never fails: errors ride in the values
 		buf := texts.Get()
 		defer freelist.PutBuf(texts, buf)
 		var err error
-		*buf, err = c.AppendFASTQ((*buf)[:0], i, letters)
+		*buf, err = c.AppendFASTQ((*buf)[:0], i)
 		return rendered{int64(len(*buf)), err}, nil
 	}, func(r rendered) error {
 		sizes = append(sizes, r)

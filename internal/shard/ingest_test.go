@@ -79,7 +79,7 @@ func TestCompressSourcesFileAware(t *testing.T) {
 	}
 
 	// The whole set round-trips from the single container.
-	got, err := Decompress(buf.Bytes(), nil, 4)
+	got, err := Decompress(buf.Bytes(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestInspectManifest(t *testing.T) {
 	if _, err := CompressPipeline(mr, &buf, opt); err != nil {
 		t.Fatal(err)
 	}
-	info, err := Inspect(buf.Bytes(), nil)
+	info, err := Inspect(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

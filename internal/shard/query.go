@@ -218,9 +218,7 @@ type FilterStats struct {
 // workers goroutines and workers+1 shards resident: each worker renders
 // its shard's text and compacts the matching records in place
 // (MatchText), and the matches reach w one shard at a time, in order.
-// cons is the fallback consensus for containers without an embedded
-// one.
-func (c *Container) Filter(w io.Writer, cons genome.Seq, p *Predicate, workers int) (*FilterStats, error) {
+func (c *Container) Filter(w io.Writer, p *Predicate, workers int) (*FilterStats, error) {
 	if p == nil {
 		p = &Predicate{}
 	}
@@ -233,14 +231,13 @@ func (c *Container) Filter(w io.Writer, cons genome.Seq, p *Predicate, workers i
 	for _, i := range scan {
 		st.ReadsScanned += c.Index.Entries[i].ReadCount
 	}
-	letters := c.fallbackLetters(cons)
 	type matches struct {
 		text *[]byte
 		n    int
 	}
 	err := stream(scan, workers, func(i int) (m matches, err error) {
 		m.text = texts.Get()
-		text, err := c.AppendFASTQ((*m.text)[:0], i, letters)
+		text, err := c.AppendFASTQ((*m.text)[:0], i)
 		kept := text[:0]
 		if err == nil {
 			_, err = p.MatchText(text, func(rec []byte) error {

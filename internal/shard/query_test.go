@@ -169,7 +169,7 @@ func TestFilterEndToEnd(t *testing.T) {
 	}
 	// Ground truth by full decode: the codec may reorder records
 	// within a shard, so the reference order is the decoded one.
-	dec, err := Decompress(data, nil, 2)
+	dec, err := Decompress(data, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestFilterEndToEnd(t *testing.T) {
 	}
 
 	var got bytes.Buffer
-	st, err := c.Filter(&got, nil, pred, 3)
+	st, err := c.Filter(&got, pred, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestFilterEndToEnd(t *testing.T) {
 	}
 	// An inactive predicate is a plain full decompression.
 	var all bytes.Buffer
-	ast, err := c.Filter(&all, nil, &Predicate{}, 2)
+	ast, err := c.Filter(&all, &Predicate{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

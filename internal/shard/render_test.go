@@ -11,20 +11,18 @@ import (
 	"sage/internal/simulate"
 )
 
-// renderCase is one container of the render differential, with the
-// fallback consensus it decodes against (nil when it embeds one).
+// renderCase is one container of the render differential.
 type renderCase struct {
 	name string
 	data []byte
-	cons genome.Seq
 }
 
 // renderCases covers every branch of the decode loop: short and long
 // reads, chimeric reads (extra segments, reverse ones among them),
 // indel-heavy long reads, N bases (the 3-bit corner alphabet), unmapped
 // and clipped reads (raw payloads), containers without quality or
-// headers, one decoded against an external consensus, and every
-// committed golden container.
+// headers, one whose options ask not to embed the consensus (the writer
+// embeds it all the same), and every committed golden container.
 func renderCases(t *testing.T) []renderCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(36))
@@ -74,11 +72,7 @@ func renderCases(t *testing.T) []renderCase {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		rc := renderCase{name: name, data: data}
-		if !opt.Core.EmbedConsensus {
-			rc.cons = ref
-		}
-		cases = append(cases, rc)
+		cases = append(cases, renderCase{name: name, data: data})
 	}
 	shortSet := short(700, simulate.DefaultShortProfile())
 	add("short", shortSet, 100, nil)
@@ -111,12 +105,12 @@ func TestRenderMatchesRecords(t *testing.T) {
 			}
 			var want bytes.Buffer
 			for i := 0; i < c.NumShards(); i++ {
-				rs, err := c.DecompressShard(i, tc.cons)
+				rs, err := c.DecompressShard(i, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				shardText := rs.Bytes()
-				got, err := c.AppendFASTQ([]byte("kept"), i, genome.AppendASCII(nil, tc.cons))
+				got, err := c.AppendFASTQ([]byte("kept"), i)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,7 +124,7 @@ func TestRenderMatchesRecords(t *testing.T) {
 			}
 			for _, workers := range []int{1, 3, 8} {
 				var got bytes.Buffer
-				if err := c.DecompressTo(&got, tc.cons, workers); err != nil {
+				if err := c.DecompressTo(&got, nil, workers); err != nil {
 					t.Fatalf("%d workers: %v", workers, err)
 				}
 				if !bytes.Equal(got.Bytes(), want.Bytes()) {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -68,7 +69,7 @@ func TestReorderRoundtrip(t *testing.T) {
 
 	// Plain decode: the stored order, decoded record i being original
 	// record Perm[i].
-	stored, err := Decompress(data, nil, 2)
+	stored, err := Decompress(data, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +104,13 @@ func TestReorderRoundtrip(t *testing.T) {
 // originalOracle is what DecompressOriginalTo must write for data: the
 // records Decompress returns, each placed at its original index by the
 // stored permutation, written with ReadSet.Write.
-func originalOracle(t *testing.T, data []byte, cons genome.Seq) []byte {
+func originalOracle(t *testing.T, data []byte) []byte {
 	t.Helper()
 	c, err := Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, err := Decompress(data, cons, 1)
+	stored, err := Decompress(data, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,17 +126,20 @@ func originalOracle(t *testing.T, data []byte, cons genome.Seq) []byte {
 }
 
 // TestOriginalOrderBudgets restores reordered containers — scored, without
-// quality, without headers, decoded against a fallback consensus, with
-// empty reads among the rest, and golden_v5.sage — on 1, 3 and 8
-// workers at four budgets: the default, which never spills; a quarter
-// of the input, what the repository benchmark's 1 MiB is to its reads;
-// a 64th, which makes more than 50 key ranges; and one byte, which
-// makes every record its own range — more ranges than a process may
-// have files open, all in the one spill file. Every restore is
+// quality, without headers, written with Core.EmbedConsensus off (the
+// consensus is embedded all the same), with empty reads among the rest,
+// and golden_v5.sage — on 1, 3 and 8 workers at four budgets: the
+// default, which never spills; a quarter of the input, what the
+// repository benchmark's 1 MiB is to its reads; a 64th, which makes more
+// than 50 key ranges; and one byte, which makes every record its own
+// range — more ranges than a process may have files open, all in the
+// one spill file. Every restore is
 // byte-identical to originalOracle, and to the input where the
 // container keeps everything; none leaves a file behind. A record
 // counts for more than its FASTQ text against the budget, so a budget
-// of len(input)/k gives at least about k ranges.
+// of len(input)/k gives at least about k ranges. Each container's twin
+// without a consensus (stripConsensus) fails with errNoConsensus before
+// anything is restored.
 func TestOriginalOrderBudgets(t *testing.T) {
 	rs, ref := testSet(t, 1200)
 	// Every 97th read is empty: no bases and no scores.
@@ -146,7 +150,6 @@ func TestOriginalOrderBudgets(t *testing.T) {
 	type restoreCase struct {
 		name  string
 		data  []byte
-		cons  genome.Seq
 		input []byte // what the restore must equal, when it keeps it all
 	}
 	var cases []restoreCase
@@ -158,9 +161,6 @@ func TestOriginalOrderBudgets(t *testing.T) {
 		}
 		rc := restoreCase{name: name}
 		rc.data, _, _ = reorderCompress(t, input, opt, false, reorder.SortConfig{})
-		if !opt.Core.EmbedConsensus {
-			rc.cons = ref
-		}
 		if lossless {
 			rc.input = input
 		}
@@ -169,10 +169,10 @@ func TestOriginalOrderBudgets(t *testing.T) {
 	add("scored", true, nil)
 	add("no-quality", false, func(o *Options) { o.Core.IncludeQuality = false })
 	add("no-headers", false, func(o *Options) { o.Core.IncludeHeaders = false })
-	add("fallback-consensus", true, func(o *Options) { o.Core.EmbedConsensus = false })
+	add("embed-off", true, func(o *Options) { o.Core.EmbedConsensus = false })
 	cases = append(cases, restoreCase{name: "golden_v5.sage", data: readTestdata(t, "golden_v5.sage")})
 	for _, rc := range cases {
-		want := originalOracle(t, rc.data, rc.cons)
+		want := originalOracle(t, rc.data)
 		if rc.input != nil && !bytes.Equal(want, rc.input) {
 			t.Fatalf("%s: the oracle is not the input", rc.name)
 		}
@@ -180,11 +180,19 @@ func TestOriginalOrderBudgets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		bare, err := Parse(stripConsensus(t, rc.data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var none bytes.Buffer
+		if err := bare.DecompressOriginalTo(&none, nil, 3, reorder.SortConfig{TmpDir: t.TempDir()}); !errors.Is(err, errNoConsensus) || none.Len() != 0 {
+			t.Fatalf("%s without its consensus: %v after %d bytes, want %v and none", rc.name, err, none.Len(), errNoConsensus)
+		}
 		for _, budget := range []int64{0, int64(len(want) / 4), int64(len(want) / 64), 1} {
 			for _, workers := range []int{1, 3, 8} {
 				tmp := t.TempDir()
 				var out bytes.Buffer
-				if err := c.DecompressOriginalTo(&out, rc.cons, workers, reorder.SortConfig{MemBudget: budget, TmpDir: tmp}); err != nil {
+				if err := c.DecompressOriginalTo(&out, nil, workers, reorder.SortConfig{MemBudget: budget, TmpDir: tmp}); err != nil {
 					t.Fatalf("%s, budget %d, %d workers: %v", rc.name, budget, workers, err)
 				}
 				if !bytes.Equal(out.Bytes(), want) {
@@ -289,7 +297,7 @@ func TestReorderProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if !bytes.Equal(originalOracle(t, data, nil), input) {
+			if !bytes.Equal(originalOracle(t, data), input) {
 				t.Fatal("the stored records under the permutation are not the input")
 			}
 			for _, workers := range []int{1, 3, 8} {
@@ -306,7 +314,7 @@ func TestReorderProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stored, err := Decompress(data, nil, 2)
+			stored, err := Decompress(data, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -29,9 +30,10 @@ type Options struct {
 	// Workers bounds the compression worker pool (<= 0 uses
 	// GOMAXPROCS). Worker count never changes the output bytes.
 	Workers int
-	// Core parameterizes the per-shard codec. Core.EmbedConsensus
-	// selects container-level consensus embedding: the consensus is
-	// stored once in the shard index header (never per block).
+	// Core parameterizes the per-shard codec. Its EmbedConsensus and
+	// Workers are per-block settings that the writer sets itself: the
+	// consensus is always stored once, in the container header (never
+	// per block), and shard-level parallelism owns the cores.
 	Core core.Options
 }
 
@@ -233,11 +235,7 @@ func CompressPipeline(src fastq.BatchSource, w io.Writer, opt Options) (*Stats, 
 		}
 		ix.ReorderMode = rp.ReorderMode()
 	}
-	var cons genome.Seq
-	if opt.Core.EmbedConsensus {
-		cons = opt.Core.Consensus
-	}
-	hdr, err := marshalHeader(ix, cons)
+	hdr, err := marshalHeader(ix, opt.Core.Consensus)
 	if err != nil {
 		return nil, err
 	}
@@ -260,22 +258,36 @@ func CompressPipeline(src fastq.BatchSource, w io.Writer, opt Options) (*Stats, 
 	}, nil
 }
 
+// errNoConsensus is what every decode of a container whose header
+// embeds no consensus fails with: nothing in such a header names the
+// reference its blocks were encoded against, and a block decoded
+// against the wrong one would yield wrong bases without an error. No
+// writer makes such a container; it still opens, lists its index and
+// serves raw blocks.
+var errNoConsensus = errors.New("shard: container embeds no consensus")
+
+// decodable is the block decode step's one check, before core runs:
+// blk is shard i's block as fetched, verified against the index
+// checksum, and the container embeds the consensus it decodes against.
+func (c *Container) decodable(i int, blk []byte) error {
+	if c.Consensus == nil {
+		return errNoConsensus
+	}
+	return c.verify(i, blk)
+}
+
 // DecompressShard is the one fetch + verify + decode + count-check of
-// shard i to records, behind Decompress. Like
-// core.Decompress, an embedded consensus always wins; cons is the
-// fallback for containers written without one.
+// shard i to records, behind Decompress, against the embedded
+// consensus. cons is ignored.
 func (c *Container) DecompressShard(i int, cons genome.Seq) (*fastq.ReadSet, error) {
 	blk, err := c.fetch(i)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.verify(i, blk); err != nil {
+	if err := c.decodable(i, blk); err != nil {
 		return nil, err
 	}
-	if c.Consensus != nil {
-		cons = c.Consensus
-	}
-	rs, err := core.Decompress(blk, cons)
+	rs, err := core.Decompress(blk, c.Consensus)
 	if err != nil {
 		return nil, fmt.Errorf("shard: decoding shard %d: %w", i, err)
 	}
@@ -285,31 +297,25 @@ func (c *Container) DecompressShard(i int, cons genome.Seq) (*fastq.ReadSet, err
 // AppendFASTQ is DecompressShard to FASTQ text: it appends shard i's
 // reads to dst, byte for byte what ReadSet.Write writes for the records
 // DecompressShard returns, straight from the decoder (core.AppendFASTQ).
-// letters is the fallback consensus as text (genome.AppendASCII), built
-// once by the caller; like DecompressShard's cons, it is used only when
-// the container embeds no consensus.
-func (c *Container) AppendFASTQ(dst []byte, i int, letters []byte) ([]byte, error) {
+func (c *Container) AppendFASTQ(dst []byte, i int) ([]byte, error) {
 	blk := blocks.Get()
 	defer freelist.PutBuf(blocks, blk)
 	var err error
 	if *blk, err = c.fetchInto((*blk)[:0], i); err != nil {
 		return dst, err
 	}
-	return c.AppendBlockFASTQ(dst, i, *blk, letters)
+	return c.AppendBlockFASTQ(dst, i, *blk)
 }
 
 // AppendBlockFASTQ is AppendFASTQ for a caller that fetched shard i's
 // bytes itself (the in-storage engine reads them back from its device
 // model): blk is verified against the index checksum, rendered, and the
 // read count checked against the index.
-func (c *Container) AppendBlockFASTQ(dst []byte, i int, blk, letters []byte) ([]byte, error) {
-	if err := c.verify(i, blk); err != nil {
+func (c *Container) AppendBlockFASTQ(dst []byte, i int, blk []byte) ([]byte, error) {
+	if err := c.decodable(i, blk); err != nil {
 		return dst, err
 	}
-	if c.letters != nil {
-		letters = c.letters
-	}
-	out, n, err := core.AppendFASTQ(dst, blk, letters)
+	out, n, err := core.AppendFASTQ(dst, blk, c.letters)
 	if err != nil {
 		return dst, fmt.Errorf("shard: decoding shard %d: %w", i, err)
 	}
@@ -317,16 +323,6 @@ func (c *Container) AppendBlockFASTQ(dst []byte, i int, blk, letters []byte) ([]
 		return dst, err
 	}
 	return out, nil
-}
-
-// fallbackLetters is cons as text, what AppendFASTQ takes, or nil when
-// the container embeds its own consensus: built once per call of a
-// whole-container reader.
-func (c *Container) fallbackLetters(cons genome.Seq) []byte {
-	if c.letters != nil {
-		return nil
-	}
-	return genome.AppendASCII(make([]byte, 0, len(cons)), cons)
 }
 
 // checkCount checks the number of reads shard i decoded to against the
@@ -352,11 +348,11 @@ var testDecodeStarted func(shard int)
 // Decompress, the whole read set is never materialized: at most
 // workers+1 decoded shards are resident at once — a shard is claimed
 // for decoding only as earlier ones are written — so peak memory is
-// O(workers × shard), not O(container). cons is the fallback consensus
-// for containers written without an embedded one. This is the streaming
-// path behind `sage decompress`.
+// O(workers × shard), not O(container). cons is ignored: every block
+// decodes against the embedded consensus. This is the streaming path
+// behind `sage decompress`.
 func (c *Container) DecompressTo(w io.Writer, cons genome.Seq, workers int) error {
-	return stream(c.allShards(), workers, c.renderer(cons), func(buf *[]byte) error {
+	return stream(c.allShards(), workers, c.renderer(), func(buf *[]byte) error {
 		_, err := w.Write(*buf)
 		freelist.PutBuf(texts, buf)
 		return err
@@ -366,15 +362,14 @@ func (c *Container) DecompressTo(w io.Writer, cons genome.Seq, workers int) erro
 // renderer is the decode step of DecompressTo and DecompressOriginalTo:
 // it renders shard i's FASTQ text into a buffer from texts, which emit
 // puts back.
-func (c *Container) renderer(cons genome.Seq) func(i int) (*[]byte, error) {
-	letters := c.fallbackLetters(cons)
+func (c *Container) renderer() func(i int) (*[]byte, error) {
 	return func(i int) (*[]byte, error) {
 		if testDecodeStarted != nil {
 			testDecodeStarted(i)
 		}
 		buf := texts.Get()
 		var err error
-		*buf, err = c.AppendFASTQ((*buf)[:0], i, letters)
+		*buf, err = c.AppendFASTQ((*buf)[:0], i)
 		return buf, err
 	}
 }
@@ -402,8 +397,8 @@ var (
 // writes them back in that order — from memory within sc's budget,
 // else range by range out of one spill file — so original-order
 // recovery of a container far larger than RAM costs O(window + budget),
-// not O(container). This is the engine behind `sage decompress
-// -original-order`.
+// not O(container). cons is ignored, as in DecompressTo. This is the
+// engine behind `sage decompress -original-order`.
 func (c *Container) DecompressOriginalTo(w io.Writer, cons genome.Seq, workers int, sc reorder.SortConfig) error {
 	if c.Index.ReorderMode == ReorderNone {
 		return c.DecompressTo(w, cons, workers)
@@ -412,7 +407,7 @@ func (c *Container) DecompressOriginalTo(w io.Writer, cons genome.Seq, workers i
 	r := reorder.NewRestorer(sc)
 	defer r.Close()
 	pos := 0
-	err := stream(c.allShards(), workers, c.renderer(cons), func(buf *[]byte) error {
+	err := stream(c.allShards(), workers, c.renderer(), func(buf *[]byte) error {
 		defer freelist.PutBuf(texts, buf)
 		for text := *buf; len(text) > 0; pos++ {
 			rec, rest, err := fastq.NextRecord(text)

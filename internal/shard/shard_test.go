@@ -3,8 +3,10 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"slices"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"sage/internal/core"
 	"sage/internal/fastq"
 	"sage/internal/genome"
+	"sage/internal/reorder"
 	"sage/internal/simulate"
 )
 
@@ -31,18 +34,17 @@ func testSet(t testing.TB, nReads int) (*fastq.ReadSet, genome.Seq) {
 
 // Decompress parses a sharded container and decodes it whole to
 // records: DecompressShard over every shard on the stream pool (up to
-// workers goroutines, <= 0 uses GOMAXPROCS), records in shard order.
-// cons is used only when the container has no embedded consensus. It is
-// the record-path oracle the text readers (DecompressTo,
+// workers goroutines, <= 0 uses GOMAXPROCS), records in shard order. It
+// is the record-path oracle the text readers (DecompressTo,
 // DecompressOriginalTo, Filter) are held to.
-func Decompress(data []byte, cons genome.Seq, workers int) (*fastq.ReadSet, error) {
+func Decompress(data []byte, workers int) (*fastq.ReadSet, error) {
 	c, err := Parse(data)
 	if err != nil {
 		return nil, err
 	}
 	out := &fastq.ReadSet{Records: make([]fastq.Record, 0, c.Index.TotalReads)}
 	err = stream(c.allShards(), workers, func(i int) (*fastq.ReadSet, error) {
-		return c.DecompressShard(i, cons)
+		return c.DecompressShard(i, nil)
 	}, func(rs *fastq.ReadSet) error {
 		out.Records = append(out.Records, rs.Records...)
 		return nil
@@ -77,7 +79,7 @@ func TestRoundtripWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: container bytes differ from workers=1", workers)
 		}
 		for _, dw := range []int{1, 2, 8} {
-			got, err := Decompress(data, nil, dw)
+			got, err := Decompress(data, dw)
 			if err != nil {
 				t.Fatalf("decompress workers=%d: %v", dw, err)
 			}
@@ -88,11 +90,11 @@ func TestRoundtripWorkers(t *testing.T) {
 	}
 
 	// Decoded FASTQ bytes are identical regardless of worker count.
-	a, err := Decompress(reference, nil, 1)
+	a, err := Decompress(reference, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Decompress(reference, nil, 8)
+	b, err := Decompress(reference, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestEmptyInput(t *testing.T) {
 	if st.Shards != 0 || st.Reads != 0 {
 		t.Fatalf("empty input: got %d shards / %d reads", st.Shards, st.Reads)
 	}
-	got, err := Decompress(data, nil, 4)
+	got, err := Decompress(data, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestShardLargerThanReadCount(t *testing.T) {
 	if st.Shards != 1 {
 		t.Fatalf("got %d shards, want 1", st.Shards)
 	}
-	got, err := Decompress(data, nil, 8)
+	got, err := Decompress(data, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,24 +175,55 @@ func TestCompressStreamBadInput(t *testing.T) {
 	}
 }
 
+// TestExternalConsensus: a pipeline asked not to embed its consensus
+// (Core.EmbedConsensus = false) embeds it all the same, and writes the
+// very bytes the default options write: the setting is per block, and
+// the writer sets it itself. The container decodes with no consensus
+// handed in, and a wrong one handed to the readers that still take a
+// cons parameter is ignored.
 func TestExternalConsensus(t *testing.T) {
 	rs, ref := testSet(t, 80)
 	opt := DefaultOptions(ref)
 	opt.ShardReads = 32
+	want, _, err := Compress(rs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opt.Core.EmbedConsensus = false
 	data, _, err := Compress(rs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompress(data, nil, 2); err == nil {
-		t.Fatal("decompress without a consensus should fail")
+	if !bytes.Equal(data, want) {
+		t.Fatal("EmbedConsensus = false changed the container")
 	}
-	got, err := Decompress(data, ref, 2)
+	c, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Consensus.Equal(ref) {
+		t.Fatalf("embedded consensus is %d bases, want the %d-base reference", len(c.Consensus), len(ref))
+	}
+	got, err := Decompress(data, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fastq.Equivalent(rs, got) {
-		t.Fatal("roundtrip with external consensus failed")
+		t.Fatal("roundtrip failed")
+	}
+	wrong := slices.Clone(ref)
+	for i := 0; i < len(wrong); i += 997 {
+		wrong[i] = (wrong[i] + 1) % 4
+	}
+	var plain, withWrong bytes.Buffer
+	if err := c.DecompressTo(&plain, nil, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DecompressTo(&withWrong, wrong, 2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), withWrong.Bytes()) {
+		t.Fatal("DecompressTo used the cons it was handed instead of the embedded consensus")
 	}
 }
 
@@ -205,7 +238,7 @@ func TestCorruptedBlockChecksum(t *testing.T) {
 	// Flip a byte in the last block (well past the header and index).
 	corrupt := append([]byte(nil), data...)
 	corrupt[len(corrupt)-st.BlockBytes/2] ^= 0xFF
-	_, err = Decompress(corrupt, nil, 4)
+	_, err = Decompress(corrupt, 4)
 	if err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corrupted block: got %v, want checksum error", err)
 	}
@@ -244,7 +277,7 @@ func TestCorruptedIndex(t *testing.T) {
 			if _, err := Parse(corrupt); err != nil {
 				continue
 			}
-			if _, err := Decompress(corrupt, nil, 2); err == nil {
+			if _, err := Decompress(corrupt, 2); err == nil {
 				t.Fatalf("mutating header byte %d went undetected", i)
 			}
 		}
@@ -398,7 +431,7 @@ func TestInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := Inspect(data, nil)
+	info, err := Inspect(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +466,7 @@ func TestInspectCorruptShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, err := Inspect(data, nil)
+	healthy, err := Inspect(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +476,7 @@ func TestInspectCorruptShard(t *testing.T) {
 	}
 	bad := bytes.Clone(data)
 	bad[off+length/2] ^= 0x40
-	info, err := Inspect(bad, nil)
+	info, err := Inspect(bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +486,7 @@ func TestInspectCorruptShard(t *testing.T) {
 	}
 	healthyRows, rows := strings.Split(healthy, "\n"), strings.Split(info, "\n")
 	for i := 0; i < c.NumShards(); i++ {
-		text, err := c.AppendFASTQ(nil, i, nil)
+		text, err := c.AppendFASTQ(nil, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -475,31 +508,81 @@ func TestInspectCorruptShard(t *testing.T) {
 	}
 }
 
-// TestInspectNoConsensus checks that a container without an embedded
-// consensus still renders: ratio columns degrade to "-" instead of the
-// whole summary failing.
+// stripConsensus rebuilds data's header without the consensus
+// (marshalHeader(ix, nil)) in front of data's blocks: the container a
+// writer that did not embed its consensus would have made.
+func stripConsensus(t testing.TB, data []byte) []byte {
+	t.Helper()
+	c, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := marshalHeader(&c.Index, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(hdr, data[c.blockBase:]...)
+}
+
+// TestInspectNoConsensus: a container whose header embeds no consensus
+// opens, lists its index and serves its raw blocks, and every decode of
+// it fails with errNoConsensus. Inspect still renders the summary: the
+// ratio columns read "-" and every shard is flagged with that error.
+// testdata/no_consensus_v4.sage, which the serve, instorage and CLI
+// tests read, is golden_v4.sage made so.
 func TestInspectNoConsensus(t *testing.T) {
-	rs, ref := testSet(t, 60)
-	opt := DefaultOptions(ref)
-	opt.ShardReads = 30
-	opt.Core.EmbedConsensus = false
-	data, _, err := Compress(rs, opt)
+	golden := readTestdata(t, "golden_v4.sage")
+	data := stripConsensus(t, golden)
+	if !bytes.Equal(data, readTestdata(t, "no_consensus_v4.sage")) {
+		t.Fatal("testdata/no_consensus_v4.sage is not golden_v4.sage without its consensus")
+	}
+	c, err := Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := Inspect(data, nil)
+	want, err := Parse(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(info, "undecodable") || !strings.Contains(info, "embedded: false") {
+	if c.Consensus != nil || c.NumShards() != 3 || c.Index.TotalReads != want.Index.TotalReads {
+		t.Fatalf("opened %d shards, %d reads, %d consensus bases", c.NumShards(), c.Index.TotalReads, len(c.Consensus))
+	}
+	for i := range c.NumShards() {
+		blk, err := c.Block(i)
+		if err != nil {
+			t.Fatalf("raw block %d: %v", i, err)
+		}
+		if wantBlk, _ := want.Block(i); !bytes.Equal(blk, wantBlk) {
+			t.Fatalf("raw block %d differs from the golden's", i)
+		}
+	}
+
+	decodes := map[string]func() error{
+		"DecompressShard": func() error { _, err := c.DecompressShard(0, genome.MustFromString("ACGT")); return err },
+		"AppendFASTQ":     func() error { _, err := c.AppendFASTQ(nil, 1); return err },
+		"AppendBlockFASTQ": func() error {
+			blk, _ := c.Block(2)
+			_, err := c.AppendBlockFASTQ(nil, 2, blk)
+			return err
+		},
+		"DecompressTo": func() error { return c.DecompressTo(io.Discard, want.Consensus, 2) },
+		"DecompressOriginalTo": func() error {
+			return c.DecompressOriginalTo(io.Discard, nil, 2, reorder.SortConfig{})
+		},
+		"Filter": func() error { _, err := c.Filter(io.Discard, &Predicate{}, 2); return err },
+	}
+	for name, decode := range decodes {
+		if err := decode(); !errors.Is(err, errNoConsensus) {
+			t.Errorf("%s: %v, want %v", name, err, errNoConsensus)
+		}
+	}
+
+	info, err := Inspect(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(info, "embedded: false") ||
+		strings.Count(info, "! undecodable: ") != 3 || strings.Count(info, errNoConsensus.Error()) != 3 {
 		t.Fatalf("Inspect of consensus-free container:\n%s", info)
-	}
-	// With the fallback consensus (sage inspect -ref) the ratios come back.
-	info, err = Inspect(data, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(info, "undecodable") || strings.Count(info, "x\n") != 3 { // 2 shards + totals
-		t.Fatalf("Inspect with fallback consensus:\n%s", info)
 	}
 }

@@ -22,7 +22,7 @@ func TestDecompressToMatchesDecompress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Decompress(data, nil, 1)
+	want, err := Decompress(data, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestDecompressToWorkersExceedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Decompress(data, nil, 1)
+	want, err := Decompress(data, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestDecompressToOneReadShards(t *testing.T) {
 	if c.NumShards() != 24 {
 		t.Fatalf("got %d shards, want one per read (24)", c.NumShards())
 	}
-	want, err := Decompress(data, nil, 1)
+	want, err := Decompress(data, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestDecompressToBoundedWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, err := Decompress(data, nil, 1)
+	want, err := Decompress(data, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

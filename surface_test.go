@@ -35,7 +35,7 @@ var surfaceKeep = map[string]string{
 // *Config structs in the module's non-test code outside benchmark/: the
 // values a caller can set. TestOptionFields pins it, so a new knob has to
 // change this number in the same diff.
-const optionFields = 29
+const optionFields = 28
 
 // surfaceCache is the graph the first loadSurface of a test run built.
 var surfaceCache *surfaceGraph
